@@ -27,7 +27,7 @@ import weakref
 from ..core.depgraph import DependenceGraph
 from ..core.pdg import PDG, _Shard
 from ..frontend.codegen import compile_source
-from ..interp.engine import EnginePlanError, engine_for, _ENGINES
+from ..interp.engine import EnginePlanError, engine_for, existing_engine
 from ..ir import parse_module, print_module, verify_module
 from ..ir.module import Function, Module
 from ..perf import STATS
@@ -200,7 +200,7 @@ class ModuleCacheBinding:
 
     def publish_engine(self) -> int:
         """Write back compiled-engine plans for clean functions."""
-        engine = _ENGINES.get(self.module)
+        engine = existing_engine(self.module)
         if engine is None:
             return 0
         published = 0

@@ -5,10 +5,10 @@ their results into the IR as metadata, and offers high-level queries on the
 data: hotness of a code region (a loop, an SCC), loop iteration statistics,
 and function invocation statistics.
 
-Here profiling runs the program under the interpreter with observers
-attached — the equivalent of ``noelle-prof-coverage`` running the
-instrumented binary on training inputs — and the result object answers the
-same queries the paper lists.
+Here profiling runs the program with the executor's block counters on —
+the equivalent of ``noelle-prof-coverage`` running the instrumented binary
+on training inputs, at the executor's full speed — and the result object
+answers the same queries the paper lists.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..analysis.loopinfo import NaturalLoop
-from ..interp.interp import INSTRUCTION_COSTS, Interpreter
+from ..interp.interp import INSTRUCTION_COSTS, BlockProfile, Interpreter
 from ..ir.instructions import Instruction
 from ..ir.module import BasicBlock, Function, Module
 
@@ -28,26 +28,38 @@ class ProfileData:
 
     def __init__(self, module: Module):
         self.module = module
-        self.instruction_counts: dict[int, int] = defaultdict(int)
-        self.block_counts: dict[int, int] = defaultdict(int)
-        self.edge_counts: dict[tuple[int, int], int] = defaultdict(int)
+        self.instruction_counts: dict[int, int] = {}
+        self.block_counts: dict[int, int] = {}
+        self.edge_counts: dict[tuple[int, int], int] = {}
         self.invocation_counts: dict[int, int] = defaultdict(int)
         self.total_weight = 0  # cost-weighted dynamic instructions
         self._inclusive_cache: dict[int, float] | None = None
 
     # -- recording ------------------------------------------------------------------
-    def record_instruction(self, inst: Instruction) -> None:
-        self.instruction_counts[id(inst)] += 1
-        self.total_weight += INSTRUCTION_COSTS.get(inst.opcode, 1)
-        # Block entries are counted on the block's first instruction.
-        if inst.parent is not None and inst.parent.instructions[0] is inst:
-            self.block_counts[id(inst.parent)] += 1
-
-    def record_edge(self, src: BasicBlock, dst: BasicBlock) -> None:
-        self.edge_counts[(id(src), id(dst))] += 1
-
     def record_call(self, fn: Function) -> None:
         self.invocation_counts[id(fn)] += 1
+
+    def record_blocks(self, counters: BlockProfile) -> None:
+        """Derive every other number from a run's edge counters: a block
+        ran once per edge taken into it, and an instruction once per run
+        of its block, less once per frame that stopped short of it."""
+        entries: dict[BasicBlock, int] = defaultdict(int)
+        for src, targets in counters.edges.items():
+            for dst, taken in targets.items():
+                entries[dst] += taken
+                if src is not None:
+                    self.edge_counts[(id(src), id(dst))] = taken
+        for block, count in entries.items():
+            self.block_counts[id(block)] = count
+            cost = 0
+            for inst in block.instructions:
+                self.instruction_counts[id(inst)] = count
+                cost += INSTRUCTION_COSTS.get(inst.opcode, 1)
+            self.total_weight += count * cost
+        for block, accounted in counters.partial:
+            for inst in block.instructions[accounted:]:
+                self.instruction_counts[id(inst)] -= 1
+                self.total_weight -= INSTRUCTION_COSTS.get(inst.opcode, 1)
 
     # -- instruction/block queries -------------------------------------------------
     def count_of(self, inst: Instruction) -> int:
@@ -208,10 +220,10 @@ class Profiler:
     ) -> ProfileData:
         data = ProfileData(self.module)
         interp = Interpreter(self.module, step_limit=step_limit)
-        interp.observer = data.record_instruction
-        interp.edge_observer = data.record_edge
+        interp.block_profile = BlockProfile()
         interp.call_observer = data.record_call
         interp.run(function_name, args)
+        data.record_blocks(interp.block_profile)
         return data
 
 

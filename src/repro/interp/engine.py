@@ -24,22 +24,26 @@ on every step.  This module removes all of that from the hot path by
   not-yet-executed remainder (compile-time constants), so a trapping run
   reports byte-identical ``steps``/``cycles`` to the reference walker.
 * **exact step budgets** — before running a segment the engine checks
-  whether the whole segment fits under ``step_limit``; if not (or when a
-  profiler observer is attached) it falls back to a per-instruction slow
-  path over the same closures that reproduces the reference
+  whether the whole segment fits under ``step_limit``; if not it falls
+  back to a per-instruction slow path over the same closures that
+  reproduces the reference
   :class:`~repro.interp.interp.StepLimitExceeded` boundary exactly.
 * **phi moves** — pre-scheduled per predecessor edge as one generated
   mover function (values are all read before any slot is written, so
   phi cycles stay atomic).
+* **profiling mode** — with ``Interpreter.block_profile`` set the run
+  loop bumps one CFG-edge counter per block and nothing else changes
+  (:class:`~repro.interp.interp.BlockProfile`).
 
 Compiled functions are cached in a module-versioned
 :class:`ExecutionEngine`, keyed by ``id(fn)`` with a strong reference to
-the Function — the same keying discipline as the PDG shards.  Engines
-live in a per-module registry (:func:`engine_for`) held by weak module
-references; invalidation is wired into ``Noelle.invalidate(fn)``,
-``Noelle.adopt_pdg()`` and the transactional pass manager's rollback
-path via :func:`invalidate_module`, so a rolled-back module never
-executes stale code.
+the Function — the same keying discipline as the PDG shards.  The engine
+hangs off its module (``Module.engine``, reached through
+:func:`engine_for`), so the two are collected together; invalidation is
+wired into ``Noelle.invalidate(fn)``, ``Noelle.adopt_pdg()`` and the
+transactional pass manager's rollback path via
+:func:`invalidate_module`, so a rolled-back module never executes stale
+code.
 
 The switch between engines is ``NOELLE_ENGINE``:
 
@@ -52,7 +56,6 @@ The switch between engines is ``NOELLE_ENGINE``:
 from __future__ import annotations
 
 import os
-import weakref
 
 from ..ir.instructions import (
     Alloca,
@@ -84,6 +87,7 @@ from ..ir.values import (
 from ..perf import STATS
 from .interp import (
     INSTRUCTION_COSTS,
+    ExitProgram,
     InterpError,
     MemoryTrap,
     StepLimitExceeded,
@@ -156,16 +160,15 @@ class _Segment:
 
     ``fused`` executes the whole run in one generated function (used
     after the pre-summed ``steps``/``cycles`` are charged in a single
-    addition); ``ops``/``insts``/``costs`` drive the per-instruction
-    slow path near step-budget boundaries and under profiler observers.
+    addition); ``ops``/``costs`` drive the per-instruction slow path
+    near step-budget boundaries.
     """
 
-    __slots__ = ("steps", "cycles", "fused", "ops", "insts", "costs")
+    __slots__ = ("steps", "cycles", "fused", "ops", "costs")
 
-    def __init__(self, insts, costs):
-        self.insts = insts
+    def __init__(self, costs):
         self.costs = costs
-        self.steps = len(insts)
+        self.steps = len(costs)
         self.cycles = sum(costs)
         self.fused = None
         self.ops = ()
@@ -183,7 +186,6 @@ class CompiledBlock:
         "segments",
         "term_op",
         "term_cost",
-        "term_inst",
     )
 
     def __init__(self, bb):
@@ -198,7 +200,6 @@ class CompiledBlock:
         self.segments = ()
         self.term_op = None
         self.term_cost = 0
-        self.term_inst = None
 
 
 class CompiledFunction:
@@ -736,7 +737,7 @@ class _Compiler:
             segments: list[tuple[_Segment, str, list[str]]] = []
             for run in runs:
                 costs = [INSTRUCTION_COSTS.get(i.opcode, 1) for i in run]
-                seg = _Segment(tuple(run), tuple(costs))
+                seg = _Segment(tuple(costs))
                 fused_name = self._name("_s")
                 fused_body: list[str] = []
                 op_names: list[str] = []
@@ -767,7 +768,6 @@ class _Compiler:
                 defs.append(
                     (term_name, self._emit_terminator(terminator, block_names))
                 )
-                cb.term_inst = terminator
                 cb.term_cost = INSTRUCTION_COSTS.get(terminator.opcode, 1)
                 plan_block["term"] = term_name
             fixups.append((cb, segments, term_name))
@@ -883,7 +883,7 @@ def _fell_through_raiser(block_name):
 
 
 def _phis_slow(st, block, prev, regs):
-    """Per-phi move with reference-exact accounting and observer calls."""
+    """Per-phi move with reference-exact step accounting."""
     if prev is None:
         raise AssertionError("phi in entry block")
     pairs = block.move_pairs.get(id(prev.bb))
@@ -897,26 +897,20 @@ def _phis_slow(st, block, prev, regs):
     values = [getter(st, regs) for _dst, getter in pairs]
     result = st.result
     limit = st.step_limit
-    observer = st.observer
-    phis = block.phis
     for i, (dst, _getter) in enumerate(pairs):
         regs[dst] = values[i]
         result.steps += 1
         if result.steps > limit:
             raise StepLimitExceeded(f"exceeded {limit} steps")
-        if observer is not None:
-            observer(phis[i])
 
 
 def _seg_slow(st, seg, regs):
     """Per-instruction execution of one segment: the exact reference
-    accounting order (charge, check, observe, execute)."""
+    accounting order (charge, check, execute)."""
     result = st.result
     limit = st.step_limit
-    observer = st.observer
     ops = seg.ops
     costs = seg.costs
-    insts = seg.insts
     clock = st.clock_period
     for i in range(len(ops)):
         result.steps += 1
@@ -925,8 +919,6 @@ def _seg_slow(st, seg, regs):
         cost = costs[i]
         result.cycles += cost
         st.weighted_cycles += cost * clock
-        if observer is not None:
-            observer(insts[i])
         ops[i](st, regs)
 
 
@@ -1043,14 +1035,13 @@ def hydrate_function(
             wired = []
             for (fused_name, op_names), run in zip(seg_plans, runs):
                 costs = [INSTRUCTION_COSTS.get(i.opcode, 1) for i in run]
-                seg = _Segment(tuple(run), tuple(costs))
+                seg = _Segment(tuple(costs))
                 seg.fused = ns[fused_name]
                 seg.ops = tuple(ns[name] for name in op_names)
                 wired.append(seg)
             cb.segments = tuple(wired)
             if terminator is not None:
                 cb.term_op = ns[plan_block["term"]]
-                cb.term_inst = terminator
                 cb.term_cost = INSTRUCTION_COSTS.get(terminator.opcode, 1)
             else:
                 cb.term_op = _fell_through_raiser(cb.bb.name)
@@ -1163,14 +1154,18 @@ class ExecutionEngine:
     def _run(self, st, cf, regs):
         result = st.result
         limit = st.step_limit
-        observer = st.observer
-        edge_observer = st.edge_observer
+        profile = st.block_profile
+        edges = profile.edges if profile is not None else None
         block = cf.entry
         prev = None
         executed = 0
+        seg = None
+        base = 0  # result.steps when ``seg`` started
         try:
             while True:
                 executed += 1
+                if edges is not None:
+                    edges[prev and prev.bb][block.bb] += 1
                 nphis = block.nphis
                 if nphis:
                     mover = (
@@ -1178,18 +1173,15 @@ class ExecutionEngine:
                         if prev is not None
                         else None
                     )
-                    if (
-                        mover is None
-                        or observer is not None
-                        or result.steps + nphis > limit
-                    ):
+                    if mover is None or result.steps + nphis > limit:
                         _phis_slow(st, block, prev, regs)
                     else:
                         mover(st, regs)
                         result.steps += nphis
                 for seg in block.segments:
-                    if observer is None and result.steps + seg.steps <= limit:
-                        result.steps += seg.steps
+                    base = result.steps
+                    if base + seg.steps <= limit:
+                        result.steps = base + seg.steps
                         cycles = seg.cycles
                         result.cycles += cycles
                         st.weighted_cycles += cycles * st.clock_period
@@ -1202,39 +1194,44 @@ class ExecutionEngine:
                 cost = block.term_cost
                 result.cycles += cost
                 st.weighted_cycles += cost * st.clock_period
-                if observer is not None:
-                    observer(block.term_inst)
                 next_block = block.term_op(st, regs)
                 if next_block is None:
                     return regs[1]
-                if edge_observer is not None:
-                    edge_observer(block.bb, next_block.bb)
                 prev = block
                 block = next_block
+        except (MemoryTrap, ExitProgram):
+            # Partial-frame record (see ``BlockProfile``).  The trap
+            # sites already gave back the unexecuted tail, so what
+            # ``seg`` accounted is a subtraction; the cap makes a call
+            # segment its one instruction however long the callee ran.
+            if profile is not None:
+                accounted = block.nphis + min(result.steps - base, seg.steps)
+                for earlier in block.segments:
+                    if earlier is seg:
+                        break
+                    accounted += earlier.steps
+                profile.partial.append((block.bb, accounted))
+            raise
         finally:
             STATS.count("engine.blocks_compiled", executed)
 
 
-#: Per-module engine registry.  Weak module keys: an engine holds no
-#: reference to its module (only to the Functions it compiled), so
-#: dropping the module drops the engine.
-_ENGINES: "weakref.WeakKeyDictionary[Module, ExecutionEngine]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def engine_for(module: Module) -> ExecutionEngine:
     """The (lazily created) engine caching compiled code for ``module``."""
-    engine = _ENGINES.get(module)
+    engine = module.engine
     if engine is None:
-        engine = ExecutionEngine()
-        _ENGINES[module] = engine
+        engine = module.engine = ExecutionEngine()
     return engine
+
+
+def existing_engine(module: Module) -> ExecutionEngine | None:
+    """``module``'s engine if it ever ran compiled code, else None."""
+    return module.engine
 
 
 def invalidate_module(module: Module, fn: Function | None = None) -> None:
     """Invalidate compiled code for ``module`` (one function or all)
     without instantiating an engine when none exists yet."""
-    engine = _ENGINES.get(module)
+    engine = existing_engine(module)
     if engine is not None:
         engine.invalidate(fn)

@@ -22,6 +22,8 @@ Design points:
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from ..ir.instructions import (
     Alloca,
     BinaryOp,
@@ -259,6 +261,22 @@ class _DeterministicPRNG:
         return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0x7FFFFFFF
 
 
+class BlockProfile:
+    """One profiled run's counters, bumped inline by both run loops.
+
+    ``edges[src][dst]`` is how often block ``dst`` was entered from
+    ``src`` (None: function entry) — the only thing counted per block;
+    an instruction ran as often as its block.  The partial-frame rule
+    keeps that exact: every frame a memory trap or ``exit()`` unwinds
+    through mid-block appends ``(block, leading instructions
+    accounted)`` to ``partial``, innermost first.
+    """
+
+    def __init__(self) -> None:
+        self.edges = defaultdict(lambda: defaultdict(int))
+        self.partial: list[tuple[BasicBlock, int]] = []
+
+
 class ExecutionResult:
     """Everything observable from one program run."""
 
@@ -318,15 +336,16 @@ class Interpreter:
         self.globals: dict[int, int] = {}  # id(GlobalVariable) -> base address
         self.prng = _DeterministicPRNG()
         self.result = ExecutionResult()
-        #: Optional per-instruction observer(instruction) for profilers.
-        self.observer = None
-        #: Optional CFG-edge observer(from_block, to_block) for profilers.
-        self.edge_observer = None
+        #: Optional :class:`BlockProfile` the run loops count into (the
+        #: profiler's mode; runs at full speed on either executor).
+        self.block_profile: BlockProfile | None = None
         #: Optional call observer(function) for profilers.
         self.call_observer = None
-        #: Optional memory observer(kind, address, instruction) with kind
-        #: "load"/"store", for the dynamic race oracle.  Setting it forces
-        #: the reference walker (compiled segments skip ``_execute``).
+        #: Optional CFG-edge observer(from_block, to_block) and memory
+        #: observer(kind, address, instruction) with kind "load"/"store",
+        #: for the dynamic oracles.  Setting either forces the reference
+        #: walker (the compiled engine calls back into neither).
+        self.edge_observer = None
         self.memory_observer = None
         #: Current simulated clock period (TIME squeezer experiments).
         self.clock_period = 10
@@ -398,7 +417,11 @@ class Interpreter:
             self.call_observer(fn)
         if fn.is_declaration():
             return self._call_intrinsic(fn, args)
-        if self.engine is not None and self.memory_observer is None:
+        if (
+            self.engine is not None
+            and self.memory_observer is None
+            and self.edge_observer is None
+        ):
             return self.engine.call(self, fn, args)
         frame: dict[int, object] = {}
         for formal, actual in zip(fn.args, args):
@@ -417,9 +440,12 @@ class Interpreter:
         block = fn.entry
         prev_block: BasicBlock | None = None
         executed_blocks = 0
+        profile = self.block_profile
         try:
             while True:
                 executed_blocks += 1
+                if profile is not None:
+                    profile.edges[prev_block][block] += 1
                 next_block: BasicBlock | None = None
                 # Evaluate phis atomically against the incoming edge.
                 phi_values: list[tuple[Phi, object]] = []
@@ -445,6 +471,11 @@ class Interpreter:
                 if self.edge_observer is not None:
                     self.edge_observer(block, next_block)
                 prev_block, block = block, next_block
+        except (MemoryTrap, ExitProgram):
+            if profile is not None:  # both start in ``_execute(inst)``
+                accounted = block.instructions.index(inst) + 1
+                profile.partial.append((block, accounted))
+            raise
         finally:
             STATS.count("engine.blocks_reference", executed_blocks)
 
@@ -455,8 +486,6 @@ class Interpreter:
         cost = self.costs.get(inst.opcode, 1)
         self.result.cycles += cost
         self.weighted_cycles += cost * self.clock_period
-        if self.observer is not None:
-            self.observer(inst)
 
     # -- evaluation -----------------------------------------------------------
     def _value(self, value: Value, frame: dict[int, object]) -> object:

@@ -208,6 +208,10 @@ class Module:
         self.structs: dict[str, StructType] = {}
         #: Module-level metadata (profiles, embedded PDG, link options, ...).
         self.metadata: dict[str, object] = {}
+        #: The compiled-code cache of :mod:`repro.interp.engine`, once
+        #: the module has run on it.  Owned here so it dies with the
+        #: module; everything else goes through ``engine_for(module)``.
+        self.engine = None
 
     # -- functions ---------------------------------------------------------------
     def add_function(

@@ -228,22 +228,34 @@ def _op_compile(job: dict, state: SessionState) -> dict:
 def _op_parallelize(job: dict, state: SessionState) -> dict:
     module, noelle, name, warm = _resolve(job, state)
     _service_checkpoint()
+    response = {
+        "parallelized": 0,
+        "rolled_back": [],
+        "degraded": None,
+        "warm": warm,
+        "trapped": None,
+        "trap_kind": None,
+        "exit_code": 0,
+    }
     if job.get("mode") == "sequential":
         # Degraded: the breaker is open for this path — serve the
         # sequential module instead of refusing.
-        response = {
-            "parallelized": 0,
-            "rolled_back": [],
-            "degraded": "sequential",
-            "warm": warm,
-        }
+        response["degraded"] = "sequential"
         if job.get("emit_ir"):
             response["ir"] = print_module(module)
         return response
     technique = job["technique"]
     profile = state.profiles.get(name) if name else None
     if profile is None:
-        profile = Profiler(module).profile()
+        try:
+            profile = Profiler(module).profile(**_step_budget(job))
+        except StepLimitExceeded as error:
+            # The training run outran the request's budget: a budget
+            # kill reported in-band, exactly as the run op reports it.
+            response["trapped"] = str(error)
+            response["trap_kind"] = "StepLimitExceeded"
+            response["exit_code"] = trap_exit_code("StepLimitExceeded")
+            return response
         if name:
             state.profiles[name] = profile
     noelle.attach_profile(profile)
@@ -256,9 +268,12 @@ def _op_parallelize(job: dict, state: SessionState) -> dict:
     options["minimum_hotness"] = job.get("min_hotness", 0.0)
     result = manager.run_registered(technique, **options)
     if name:
-        # The module mutated: the cached profile no longer matches.
+        # The module mutated: the cached profile no longer matches, and
+        # neither does the source hash — the next compile of the same
+        # text must rebuild, not keep the parallelized module.
         state.profiles.pop(name, None)
-    rolled_back = [
+        state.hashes.pop(name, None)
+    response["rolled_back"] = [
         {
             "pass": r.name,
             "kind": r.error.kind,
@@ -267,15 +282,15 @@ def _op_parallelize(job: dict, state: SessionState) -> dict:
         }
         for r in manager.rolled_back()
     ]
-    response = {
-        "parallelized": result.value if result.ok else 0,
-        "rolled_back": rolled_back,
-        "degraded": None,
-        "warm": warm,
-    }
+    response["parallelized"] = result.value if result.ok else 0
     if job.get("emit_ir"):
         response["ir"] = print_module(module)
     return response
+
+
+def _step_budget(job: dict) -> dict:
+    """The request's ``step_limit`` as executor keyword arguments."""
+    return {"step_limit": job["step_limit"]} if job.get("step_limit") else {}
 
 
 def _json_value(value):
@@ -295,11 +310,8 @@ def _op_run(job: dict, state: SessionState) -> dict:
         )
     degraded = job.get("mode") == "reference"
     engine = "reference" if degraded else job.get("engine")
-    kwargs = {}
-    if job.get("step_limit"):
-        kwargs["step_limit"] = job["step_limit"]
     machine = ParallelMachine(
-        module, num_cores=job.get("cores"), engine=engine, **kwargs
+        module, num_cores=job.get("cores"), engine=engine, **_step_budget(job)
     )
     trap_kind = None
     try:

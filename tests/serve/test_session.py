@@ -107,6 +107,37 @@ class TestParallelizeAndCheck:
         assert reply["result"]["parallelized"] >= 1
         assert reply["result"]["degraded"] is None
 
+    def test_parallelize_profiles_under_the_request_budget(self, crc_source):
+        _compile(source=crc_source)
+        reply = execute_job({
+            "op": "parallelize", "session": "s", "name": "m1",
+            "technique": "doall", "step_limit": 5,
+        })
+        # The same in-band budget kill the run op reports, not an
+        # escaped exception after 50M steps.
+        assert reply["result"]["trap_kind"] == "StepLimitExceeded"
+        assert reply["result"]["exit_code"] == EXIT_STEP_LIMIT
+        assert reply["result"]["trapped"] == "exceeded 5 steps"
+        assert reply["result"]["parallelized"] == 0
+        # Nothing was transformed: the module is still the compiled one.
+        again = _compile(source=crc_source)
+        assert again["result"]["warm"] is True
+
+    def test_compile_after_parallelize_rebuilds(self, crc_source):
+        first = _compile(source=crc_source)
+        reply = execute_job({
+            "op": "parallelize", "session": "s", "name": "m1",
+            "technique": "doall", "cores": 4,
+        })
+        assert reply["result"]["parallelized"] >= 1
+        assert reply["result"]["trap_kind"] is None
+        # Same text, but the resident module is the parallelized one.
+        second = _compile(source=crc_source)
+        assert second["result"]["warm"] is False
+        assert (
+            second["result"]["instructions"] == first["result"]["instructions"]
+        )
+
     def test_parallelize_degraded_is_a_no_op(self, crc_source):
         _compile(source=crc_source)
         reply = execute_job({
