@@ -16,19 +16,20 @@ from __future__ import annotations
 
 from ..analysis.loopinfo import NaturalLoop
 from ..ir.instructions import Call, Instruction, Phi, TerminatorInst
-from .pdg import PDG
+from ..perf import STATS
+from .pdg import LoopDG
 
 
 class InvariantManager:
     """Per-loop invariant queries powered by the PDG (Algorithm 2)."""
 
-    def __init__(self, loop: NaturalLoop, pdg: PDG):
+    def __init__(self, loop: NaturalLoop, dependence_graph: LoopDG):
         self.loop = loop
-        self.pdg = pdg
-        # The loop dependence graph adds the *reverse* loop-carried memory
+        # The loop dependence graph (the owning ``Loop``'s one LDG), not
+        # the program PDG: it adds the *reverse* loop-carried memory
         # edges the program-order PDG omits (a later store feeding an
         # earlier load of the next iteration); invariance must see them.
-        self._dg = pdg.loop_dependence_graph(loop)
+        self._dg = dependence_graph
         self._cache: dict[int, bool] = {}
 
     def is_invariant(self, inst: Instruction) -> bool:
@@ -39,7 +40,8 @@ class InvariantManager:
 
     def invariants(self) -> list[Instruction]:
         """All invariant instructions of the loop, in program order."""
-        return [i for i in self.loop.instructions() if self.is_invariant(i)]
+        with STATS.timer("loop.invariants"):
+            return [i for i in self.loop.instructions() if self.is_invariant(i)]
 
     # -- Algorithm 2 --------------------------------------------------------------
     def _is_invariant(self, inst: Instruction, stack: set[int]) -> bool:

@@ -4,6 +4,10 @@
 (computed from the PDG), its aSCCDAG, its invariants (INV), its induction
 variables (IV), and its reduction descriptors (RD) — each computed lazily,
 preserving NOELLE's demand-driven promise even inside one loop object.
+A loop owns exactly one LDG: the aSCCDAG and INV are both derived from
+it.  ``Noelle`` hands every tool the same ``Loop`` for as long as the
+function's PDG shard lives, so each of these is computed once per
+function version however many tools ask.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from .sccdag import SCCDAG
 class Loop:
     """One loop with every loop-centric abstraction attached."""
 
-    def __init__(self, natural_loop: NaturalLoop, pdg: PDG, loop_id: int = -1):
-        self.structure = LoopStructure(natural_loop, loop_id)
+    def __init__(self, natural_loop: NaturalLoop, pdg: PDG):
+        #: ``structure.loop_id`` is assigned by ``Noelle.loops()``.
+        self.structure = LoopStructure(natural_loop)
         self.pdg = pdg
         self._natural = natural_loop
         self._ldg: LoopDG | None = None
@@ -33,6 +38,7 @@ class Loop:
     @property
     def dependence_graph(self) -> LoopDG:
         if self._ldg is None:
+            STATS.count("loop.ldg_builds")
             with STATS.timer("loop.build_ldg"):
                 self._ldg = self.pdg.loop_dependence_graph(self._natural)
         return self._ldg
@@ -46,7 +52,9 @@ class Loop:
     @property
     def invariants(self) -> InvariantManager:
         if self._invariants is None:
-            self._invariants = InvariantManager(self._natural, self.pdg)
+            self._invariants = InvariantManager(
+                self._natural, self.dependence_graph
+            )
         return self._invariants
 
     @property

@@ -17,6 +17,7 @@ from ..analysis.loopinfo import LoopInfo, NaturalLoop
 from ..analysis.pointsto import AndersenAliasAnalysis, PointsToAnalysis
 from ..interp.engine import invalidate_module
 from ..ir.module import Function, Module
+from ..perf import STATS
 from .architecture import ArchitectureDescription
 from .callgraph import CallGraph
 from .dataflow import DataFlowEngine
@@ -28,6 +29,22 @@ from .metadata import IDAssigner
 from .pdg import PDG
 from .profiler import ProfileData, Profiler
 from .scheduler import BasicBlockScheduler, LoopScheduler, Scheduler
+
+
+class _FunctionLoops:
+    """One function's loop info and the canonical loops derived from it.
+
+    One record so that whoever drops a function's loop info drops its
+    :class:`Loop` objects with it; the loop info also pins the function,
+    so the ``id(fn)`` key cannot be recycled while the record lives.
+    """
+
+    __slots__ = ("info", "loops")
+
+    def __init__(self, fn: Function):
+        self.info = LoopInfo(fn)
+        #: header block id -> Loop, outermost first; None until asked for.
+        self.loops: dict[int, Loop] | None = None
 
 
 class Noelle:
@@ -49,7 +66,9 @@ class Noelle:
         self._pdg: PDG | None = None
         self._callgraph: CallGraph | None = None
         self._pointsto: PointsToAnalysis | None = None
-        self._loopinfos: dict[int, LoopInfo] = {}
+        self._function_loops: dict[int, _FunctionLoops] = {}
+        #: The numbered, hotness-ordered view ``loops()`` assembles from
+        #: the per-function records.
         self._loops: list[Loop] | None = None
         self._ids: IDAssigner | None = None
         self._dfe: DataFlowEngine | None = None
@@ -84,13 +103,15 @@ class Noelle:
         """Install an externally produced PDG (e.g. rehydrated from the
         metadata embedded by ``noelle-meta-pdg-embed``) as the cached one.
 
-        Also drops the caches *derived from* the previous PDG — the loop
-        list holds :class:`Loop` objects that capture the PDG they were
-        built against — so stale dependence facts cannot leak through a
-        swap (the same trap the ``invalidate()`` fix closed for ``_dfe``
-        and ``_env_builder``).
+        Also drops the caches *derived from* the previous PDG — every
+        function's :class:`Loop` objects capture the PDG they were built
+        against — so stale dependence facts cannot leak through a swap
+        (the same trap the ``invalidate()`` fix closed for ``_dfe`` and
+        ``_env_builder``).  Loop info is CFG-only and stays.
         """
         self._pdg = pdg
+        for record in self._function_loops.values():
+            record.loops = None
         self._loops = None
         # An adopted PDG usually accompanies module metadata surgery;
         # compiled code must not outlive whatever produced it.
@@ -108,28 +129,49 @@ class Noelle:
         return PostDominatorTree(fn)
 
     # -- loops --------------------------------------------------------------------------
+    def _loop_record(self, fn: Function) -> _FunctionLoops:
+        record = self._function_loops.get(id(fn))
+        if record is None:
+            record = self._function_loops[id(fn)] = _FunctionLoops(fn)
+        return record
+
     def loop_info(self, fn: Function) -> LoopInfo:
-        info = self._loopinfos.get(id(fn))
-        if info is None:
-            info = LoopInfo(fn)
-            self._loopinfos[id(fn)] = info
-        return info
+        return self._loop_record(fn).info
+
+    def _loops_of(self, fn: Function) -> dict[int, Loop]:
+        """``fn``'s canonical loops by header block id, outermost first.
+
+        Built once per function version: they share the lifetime of the
+        function's PDG shard, so every tool (and every call of
+        ``loops()`` / ``loop_forest()`` / ``loop_of()``) sees the same
+        :class:`Loop`, with whatever LDG / SCCDAG / INV / IV an earlier
+        one already paid for.
+        """
+        record = self._loop_record(fn)
+        if record.loops is None:
+            pdg = self.pdg()
+            record.loops = {
+                id(natural.header): Loop(natural, pdg)
+                for natural in record.info.loops()
+            }
+        else:
+            STATS.count("loop.cache_hits")
+        return record.loops
 
     def loops(self) -> list[Loop]:
         """Every loop of the program as a canonical :class:`Loop` (hot-first).
 
         When a profile is attached, loops colder than ``minimum_hotness``
         are filtered out — the paper's "minimum hotness required to
-        consider a loop".
+        consider a loop".  ``loop_id`` numbers the loops in module order,
+        before that filter, every time the list is assembled.
         """
         if self._loops is None:
-            pdg = self.pdg()
             result: list[Loop] = []
-            next_id = 0
             for fn in self.module.defined_functions():
-                for natural in self.loop_info(fn).loops():
-                    result.append(Loop(natural, pdg, next_id))
-                    next_id += 1
+                for loop in self._loops_of(fn).values():
+                    loop.structure.loop_id = len(result)
+                    result.append(loop)
             if self._profile is not None:
                 result = [
                     loop
@@ -144,21 +186,27 @@ class Noelle:
         return self._loops
 
     def loop_of(self, natural: NaturalLoop) -> Loop:
-        return Loop(natural, self.pdg())
+        """The canonical loop headed by ``natural``'s header block (any
+        ``LoopInfo`` of the current function body names the same loop)."""
+        header = natural.header
+        fn = header.parent  # None once a transformation removed the block
+        loop = self._loops_of(fn).get(id(header)) if fn is not None else None
+        if loop is None:
+            raise ValueError(
+                f"{natural!r} heads no loop of the module as it is now: "
+                "it was computed before a transformation"
+            )
+        return loop
 
     def loop_forest(self, fn: Function) -> Forest[Loop]:
         """The loop-nesting forest of ``fn`` over canonical loops (FR)."""
         forest: Forest[Loop] = Forest()
-        pdg = self.pdg()
-        by_natural: dict[int, Loop] = {}
-        info = self.loop_info(fn)
-        for natural in info.loops():  # outermost first
-            loop = Loop(natural, pdg)
-            by_natural[id(natural)] = loop
-            parent = (
-                by_natural.get(id(natural.parent)) if natural.parent is not None else None
+        loops = self._loops_of(fn)
+        for loop in loops.values():  # outermost first
+            parent = loop.natural_loop.parent
+            forest.add(
+                loop, loops[id(parent.header)] if parent is not None else None
             )
-            forest.add(loop, parent)
         return forest
 
     def loop_builder(self, fn: Function) -> LoopBuilder:
@@ -203,7 +251,7 @@ class Noelle:
 
     def attach_profile(self, profile: ProfileData) -> None:
         self._profile = profile
-        self._loops = None  # hotness ordering changed
+        self._loops = None  # hotness ordering changed; the loops stay
 
     def run_profiler(self, args: list[object] | None = None) -> ProfileData:
         profile = Profiler(self.module).profile(args=args)
@@ -232,9 +280,11 @@ class Noelle:
         With ``fn`` given (the common case for the function-at-a-time
         transforms: LICM, the parallelization outliners, Perspective),
         only the state derived from that function's body is dropped: its
-        PDG shard, its loop info, and the module-level aggregates built
-        on top of them (the loop list, instruction IDs, the call graph —
-        outlining adds functions and calls).  The whole-module memory
+        PDG shard, its loop info with its :class:`Loop` objects, and the
+        module-level aggregates built on top of them (the assembled loop
+        list, instruction IDs, the call graph — outlining adds functions
+        and calls).  Every other function keeps its loops, LDGs and
+        SCCDAGs included.  The whole-module memory
         analyses stay warm: Andersen points-to is flow-insensitive, so an
         in-place rewrite of one function can only make its facts
         conservative, never wrong — new values have no points-to
@@ -260,7 +310,7 @@ class Noelle:
         self._pdg = None
         self._callgraph = None
         self._pointsto = None
-        self._loopinfos = {}
+        self._function_loops = {}
         self._loops = None
         self._ids = None
         self._dfe = None
@@ -274,7 +324,7 @@ class Noelle:
                 # alias analysis attached): fall back to a full drop.
                 return False
             self._pdg.invalidate_function(fn)
-        self._loopinfos.pop(id(fn), None)
+        self._function_loops.pop(id(fn), None)
         self._loops = None
         self._ids = None
         self._callgraph = None

@@ -54,9 +54,9 @@ from ..analysis.deptest import DependenceTester, FunctionDepTest, deptest_enable
 from ..analysis.loopinfo import NaturalLoop
 from ..analysis.pointsto import AndersenAliasAnalysis
 from ..analysis.scev import SCEVAddRec, SCEVConstant, SCEVUnknown, ScalarEvolution
-from ..ir.instructions import Call, Instruction, Load, Phi, Store
+from ..ir.instructions import Call, ElemPtr, Instruction, Load, Phi, Store
 from ..ir.module import Function, Module
-from ..ir.values import Value
+from ..ir.values import Argument, Constant, ConstantInt, Value
 from ..perf import STATS
 from .depgraph import DependenceGraph, DGEdge, DGNode
 
@@ -563,6 +563,9 @@ class LoopDG(DependenceGraph[Instruction]):
         self._deptester: DependenceTester | None = None
         #: Distance side-channel from _memory_dep_carried to the edge.
         self._carried_distance: int | None = None
+        #: address id -> its affine decomposition: an address takes part
+        #: in one pair per memory edge, and is decomposed once.
+        self._affine: dict[int, tuple | None] = {}
         internal = list(loop.instructions())
         internal_ids = {id(i) for i in internal}
         base = pdg.subgraph(internal)
@@ -676,10 +679,13 @@ class LoopDG(DependenceGraph[Instruction]):
         accesses starting at e.g. ``width + 1`` compare equal even though
         the start is not a literal constant.
         """
-        from ..analysis.aa import underlying_object
-        from ..ir.instructions import ElemPtr
-        from ..ir.values import ConstantInt
+        try:
+            return self._affine[id(address)]
+        except KeyError:
+            access = self._affine[id(address)] = self._decompose(address)
+            return access
 
+    def _decompose(self, address: Value):
         if not isinstance(address, ElemPtr):
             return None
         base = underlying_object(address)
@@ -715,8 +721,6 @@ class LoopDG(DependenceGraph[Instruction]):
         """Values defined outside the loop but used inside (plus arguments)."""
         result: list[Value] = []
         seen: set[int] = set()
-        from ..ir.values import Argument, Constant
-
         for inst in self.loop.instructions():
             for operand in inst.operands:
                 if isinstance(operand, Constant):

@@ -19,8 +19,14 @@ lookups, ``cache.bytes_read`` / ``cache.bytes_written``,
 ``deptest.pdg_edges_pruned`` for PDG memory edges removed under
 ``NOELLE_DEPTEST=1``, ``deptest.carried_disproved`` for loop-carried
 classifications refuted by a proven distance, and the
-``deptest.query`` timer around carried-dependence queries).  Two ways
-to see the numbers:
+``deptest.query`` timer around carried-dependence queries), plus the
+loop abstractions (``loop.ldg_builds`` — loop dependence graphs
+constructed, at most one per loop per function version — under the
+``loop.build_ldg`` timer; ``loop.cache_hits`` — times ``Noelle.loops()``
+/ ``loop_forest()`` / ``loop_of()`` served a function's ``Loop``
+objects from the facade instead of minting them; the ``sccdag.build``
+timer; and the ``loop.invariants`` timer around Algorithm 2's walk over
+a whole loop).  Two ways to see the numbers:
 
 * set ``NOELLE_STATS=1`` in the environment — a table is printed to
   stderr when the process exits;

@@ -19,7 +19,6 @@ from __future__ import annotations
 from ..analysis.aa import underlying_object
 from ..core.dataflow import DataFlowEngine, DataFlowProblem
 from ..core.noelle import Noelle
-from ..interp.engine import invalidate_module
 from .. import ir
 from ..ir.intrinsics import declare_intrinsic
 
@@ -59,7 +58,6 @@ class CARAT:
             if fn.metadata.get("noelle.task"):
                 continue
             self.run_on_function(fn, stats)
-            invalidate_module(self.noelle.module, fn)
         return stats
 
     def run_on_function(self, fn: ir.Function, stats: CARATStats) -> None:
@@ -108,7 +106,7 @@ class CARAT:
                 self._insert_guard(guard, inst, pointer, hoist_target)
             stats.guards_inserted += 1
         stats.invariant_unhoisted += self._stats_invariant_unhoisted
-        self.noelle._loopinfos.pop(id(fn), None)
+        self.noelle.invalidate(fn)
 
     # -- analysis -----------------------------------------------------------------------
     def _available_checked_pointers(self, fn: ir.Function):

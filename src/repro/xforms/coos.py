@@ -15,7 +15,6 @@ CG bounds the cost of call sites by their callees' summaries.
 from __future__ import annotations
 
 from ..core.noelle import Noelle
-from ..interp.engine import invalidate_module
 from ..interp.interp import INSTRUCTION_COSTS, INTRINSIC_COSTS
 from .. import ir
 from ..ir.intrinsics import declare_intrinsic
@@ -38,7 +37,6 @@ class CompilerTiming:
             if fn.metadata.get("noelle.task"):
                 continue
             inserted += self.run_on_function(fn)
-            invalidate_module(self.noelle.module, fn)
         return inserted
 
     def run_on_function(self, fn: ir.Function) -> int:
@@ -72,7 +70,7 @@ class CompilerTiming:
         # Straight-line budget: accumulate block costs along acyclic paths
         # (forward data-flow, max at merges approximated by union of costs).
         inserted += self._hook_long_paths(fn, hook, call_costs, hooked_blocks)
-        self.noelle._loopinfos.pop(id(fn), None)
+        self.noelle.invalidate(fn)
         return inserted
 
     # -- cost modeling --------------------------------------------------------------

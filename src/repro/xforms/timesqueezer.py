@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from ..core.islands import dependence_graph_islands
 from ..core.noelle import Noelle
-from ..interp.engine import invalidate_module
 from .. import ir
 from ..ir.intrinsics import declare_intrinsic
 
@@ -63,13 +62,13 @@ class TimeSqueezer:
             if fn.metadata.get("noelle.task"):
                 continue
             self.run_on_function(fn, stats)
-            invalidate_module(self.noelle.module, fn)
         return stats
 
     def run_on_function(self, fn: ir.Function, stats: TimeSqueezerStats) -> None:
         self._canonicalize_compares(fn, stats)
         self._schedule_for_clock(fn, stats)
         self._inject_clock_changes(fn, stats)
+        self.noelle.invalidate(fn)
 
     # -- (1) compare canonicalization ---------------------------------------------------
     def _canonicalize_compares(self, fn: ir.Function, stats: TimeSqueezerStats) -> None:
@@ -160,7 +159,6 @@ class TimeSqueezer:
                 self._wrap_prefix(clock_set, block, prefix)
                 stats.clock_changes_inserted += 2
                 stats.fast_regions += 1
-        self.noelle._loopinfos.pop(id(fn), None)
 
     def _insert_clock(
         self, clock_set: ir.Function, block: ir.BasicBlock, period: int, at_end: bool

@@ -7,6 +7,7 @@ from repro.core import Noelle
 from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter
+from repro.perf import STATS
 from repro.runtime import ParallelMachine
 from repro.xforms import (
     CARAT,
@@ -185,6 +186,36 @@ int main() {
         # One range guard executed, not 64 point guards.
         assert result.guard_count <= stats.guards_inserted
         assert result.return_value == 9
+
+    def test_invariance_queries_share_one_ldg_per_loop(self):
+        # Twelve in-loop addresses that are neither affine (no range
+        # guard) nor out-of-loop: each one asks INV whether it could be
+        # hoisted.  The facade serves them all from the loop's one LDG.
+        accesses = "\n".join(
+            f"    a[idx[i + {k}]] = b[idx[i + {k}]] + {k};" for k in range(6)
+        )
+        source = f"""
+int a[64];
+int b[64];
+int idx[64];
+int main() {{
+  int i;
+  for (i = 0; i < 64; i = i + 1) {{ idx[i] = (i * 7) % 64; }}
+  for (i = 0; i < 58; i = i + 1) {{
+{accesses}
+  }}
+  return a[7];
+}}
+"""
+        baseline = run(compile_source(source))
+        module = compile_source(source)
+        builds = STATS.get("loop.ldg_builds")
+        hits = STATS.get("loop.cache_hits")
+        stats = CARAT(Noelle(module)).run()
+        assert stats.guards_inserted - stats.merged >= 12
+        assert STATS.get("loop.ldg_builds") - builds == 1
+        assert STATS.get("loop.cache_hits") - hits >= 11
+        assert run(module).return_value == baseline.return_value
 
 
 class TestCOOS:
