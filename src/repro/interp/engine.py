@@ -20,17 +20,22 @@ on every step.  This module removes all of that from the hot path by
   intrinsics observe ``result.cycles`` (``os_callback``, the HELIX
   sequential markers) and can change the clock period (``clock_set``).
 * **exact trap accounting** — a fused segment charges its whole cost up
-  front; every raise site inside the generated code first subtracts the
-  not-yet-executed remainder (compile-time constants), so a trapping run
-  reports byte-identical ``steps``/``cycles`` to the reference walker.
+  front; every raise site inside the generated code first gives back the
+  not-yet-executed remainder (compile-time constants, one cold
+  ``_giveback`` call), so a trapping run reports byte-identical
+  ``steps``/``cycles`` to the reference walker.
 * **exact step budgets** — before running a segment the engine checks
-  whether the whole segment fits under ``step_limit``; if not it falls
-  back to a per-instruction slow path over the same closures that
-  reproduces the reference
-  :class:`~repro.interp.interp.StepLimitExceeded` boundary exactly.
+  whether the whole segment fits under ``step_limit``; only the one
+  segment in which a run crosses its limit does not, and it runs
+  per instruction (charge, check, execute — the reference
+  :class:`~repro.interp.interp.StepLimitExceeded` boundary exactly).
+  Those per-instruction closures are not compiled with the function:
+  ``_seg_slow`` renders them from the IR the first time a segment needs
+  them, with the emitters that rendered the fused body.
 * **phi moves** — pre-scheduled per predecessor edge as one generated
   mover function (values are all read before any slot is written, so
-  phi cycles stay atomic).
+  phi cycles stay atomic).  A phi group that crosses the limit moves
+  nothing: phis cost no cycles and the frame dies with the raise.
 * **profiling mode** — with ``Interpreter.block_profile`` set the run
   loop bumps one CFG-edge counter per block and nothing else changes
   (:class:`~repro.interp.interp.BlockProfile`).
@@ -100,7 +105,7 @@ ENGINE_ENV = "NOELLE_ENGINE"
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 1
+EPLAN_VERSION = 2
 
 
 class EnginePlanError(Exception):
@@ -160,46 +165,53 @@ class _Segment:
 
     ``fused`` executes the whole run in one generated function (used
     after the pre-summed ``steps``/``cycles`` are charged in a single
-    addition); ``ops``/``costs`` drive the per-instruction slow path
-    near step-budget boundaries.
+    addition).  ``ops`` — one closure per instruction, for the segment
+    in which a run crosses its step limit — stays empty until
+    ``_seg_slow`` first needs it and renders it from ``run``.
     """
 
-    __slots__ = ("steps", "cycles", "fused", "ops", "costs")
+    __slots__ = ("run", "costs", "steps", "cycles", "fused", "ops")
 
-    def __init__(self, costs):
-        self.costs = costs
-        self.steps = len(costs)
-        self.cycles = sum(costs)
+    def __init__(self, run):
+        self.run = run
+        self.costs = tuple(INSTRUCTION_COSTS.get(i.opcode, 1) for i in run)
+        self.steps = len(run)
+        self.cycles = sum(self.costs)
         self.fused = None
         self.ops = ()
 
 
 class CompiledBlock:
-    """One basic block, lowered."""
+    """One basic block, lowered: its decomposition (leading phis,
+    segments, terminator) is fixed here, the generated functions are
+    attached by ``_wire``."""
 
     __slots__ = (
         "bb",
         "nphis",
         "phis",
         "movers",
-        "move_pairs",
         "segments",
+        "terminator",
         "term_op",
         "term_cost",
     )
 
     def __init__(self, bb):
         self.bb = bb
-        self.nphis = 0
-        self.phis = ()
-        #: id(pred BasicBlock) -> generated mover (or broken-edge raiser).
+        phis, runs, self.terminator = _split_segments(bb)
+        self.nphis = len(phis)
+        self.phis = tuple(phis)
+        #: id(pred BasicBlock) -> generated mover; an edge some phi has
+        #: no incoming value for gets none (``_phis_slow`` raises).
         self.movers = {}
-        #: id(pred BasicBlock) -> tuple of (dst_slot, getter) for the
-        #: slow path, or a raiser callable for broken edges.
-        self.move_pairs = {}
-        self.segments = ()
+        self.segments = tuple(_Segment(run) for run in runs)
         self.term_op = None
-        self.term_cost = 0
+        self.term_cost = (
+            INSTRUCTION_COSTS.get(self.terminator.opcode, 1)
+            if self.terminator is not None
+            else 0
+        )
 
 
 class CompiledFunction:
@@ -241,23 +253,14 @@ def _fa_cmp(predicate: str, a, b) -> int:
     return -1
 
 
-def _slot_getter(i):
-    return lambda st, regs: regs[i]
-
-
-def _const_getter(c):
-    return lambda st, regs: c
-
-
-def _global_getter(g):
-    return lambda st, regs: st.globals[g]
-
-
-def _broken_edge_raiser(message):
-    def raiser(st, regs):
-        raise KeyError(message)
-
-    return raiser
+def _giveback(st, steps: int, cycles: int) -> None:
+    """Called by a trap site in a fused segment just before it raises:
+    return the pre-charged cost of the instructions after it."""
+    result = st.result
+    result.steps -= steps
+    if cycles:
+        result.cycles -= cycles
+        st.weighted_cycles -= cycles * st.clock_period
 
 
 def _base_namespace() -> dict:
@@ -267,12 +270,13 @@ def _base_namespace() -> dict:
         "MemoryTrap": MemoryTrap,
         "_FunctionAddress": _FunctionAddress,
         "_fa_cmp": _fa_cmp,
+        "_giveback": _giveback,
         "_INF": float("inf"),
     }
 
 
 def _split_segments(bb):
-    """Deterministic block decomposition shared by compile and hydrate:
+    """Deterministic block decomposition (:class:`CompiledBlock`):
     leading phis, then maximal call-free runs (calls are singletons),
     stopping at the first terminator."""
     insts = bb.instructions
@@ -306,7 +310,6 @@ class _Compiler:
     def __init__(self, engine: "ExecutionEngine", fn: Function):
         self.engine = engine
         self.fn = fn
-        self.slots: dict[int, int] = {}
         self.refs: list[object] = []
         self.ns: dict[str, object] = _base_namespace()
         self._unique = 0
@@ -315,8 +318,27 @@ class _Compiler:
         #: process-independent and re-resolvable (see hydrate_function).
         self.binds: list[tuple[str, tuple]] = []
         self._global_names: dict[int, str] = {}
+        # Frame slots and block/instruction indices are a pure function
+        # of the IR: every compiler over ``fn`` — the compile and each
+        # later :meth:`slow_ops` — agrees on them.
+        self.slots: dict[int, int] = {}
         self._block_index: dict[int, int] = {}
         self._inst_index: dict[int, tuple[int, int]] = {}
+        nslots = 2
+        arg_slots = []
+        for arg in fn.args:
+            self.slots[id(arg)] = nslots
+            arg_slots.append(nslots)
+            nslots += 1
+        for bi, block in enumerate(fn.blocks):
+            self._block_index[id(block)] = bi
+            for ii, inst in enumerate(block.instructions):
+                self._inst_index[id(inst)] = (bi, ii)
+                if not inst.type.is_void():
+                    self.slots[id(inst)] = nslots
+                    nslots += 1
+        self.nslots = nslots
+        self.arg_slots = tuple(arg_slots)
 
     # -- small helpers ---------------------------------------------------------
 
@@ -358,38 +380,6 @@ class _Compiler:
             return self._bind(
                 self.engine.address_of(v), "_FA", ("fa", v.name)
             )
-        raise InterpError(f"cannot evaluate {v!r}")
-
-    def _getter(self, v):
-        """Closure form of :meth:`_expr`, for the phi slow path."""
-        slot = self.slots.get(id(v))
-        if slot is not None:
-            return _slot_getter(slot)
-        if isinstance(v, (ConstantInt, ConstantFloat)):
-            return _const_getter(v.value)
-        if isinstance(v, (ConstantNull, UndefValue)):
-            return _const_getter(0)
-        if isinstance(v, GlobalVariable):
-            self.refs.append(v)
-            return _global_getter(id(v))
-        if isinstance(v, Function):
-            self.refs.append(v)
-            return _const_getter(self.engine.address_of(v))
-        raise InterpError(f"cannot evaluate {v!r}")
-
-    def _getter_spec(self, v) -> tuple:
-        """Serializable form of :meth:`_getter`."""
-        slot = self.slots.get(id(v))
-        if slot is not None:
-            return ("slot", slot)
-        if isinstance(v, (ConstantInt, ConstantFloat)):
-            return ("const", v.value)
-        if isinstance(v, (ConstantNull, UndefValue)):
-            return ("const", 0)
-        if isinstance(v, GlobalVariable):
-            return ("global", v.name)
-        if isinstance(v, Function):
-            return ("fa", v.name)
         raise InterpError(f"cannot evaluate {v!r}")
 
     def _is_dynamic(self, v) -> bool:
@@ -696,126 +686,70 @@ class _Compiler:
 
     # -- function assembly -----------------------------------------------------
 
+    def _define(self, defs: list[tuple[str, list[str]]], filename: str):
+        """Compile ``(name, body lines)`` pairs into functions of
+        ``(st, regs)`` in the namespace; returns the code object."""
+        lines = []
+        for name, body in defs:
+            lines.append(f"def {name}(st, regs):")
+            lines.extend("    " + line for line in body)
+            lines.append("")
+        code = compile("\n".join(lines), filename, "exec")
+        exec(code, self.ns)
+        return code
+
     def compile(self) -> CompiledFunction:
         fn = self.fn
-        nslots = 2
-        arg_slots = []
-        for arg in fn.args:
-            self.slots[id(arg)] = nslots
-            arg_slots.append(nslots)
-            nslots += 1
-        for block in fn.blocks:
-            for inst in block.instructions:
-                if not inst.type.is_void():
-                    self.slots[id(inst)] = nslots
-                    nslots += 1
-
         compiled = [CompiledBlock(bb) for bb in fn.blocks]
         block_names = {}
         for i, cb in enumerate(compiled):
             block_names[id(cb.bb)] = f"_B{i}"
             self.ns[f"_B{i}"] = cb
-            self._block_index[id(cb.bb)] = i
-        for bi, block in enumerate(fn.blocks):
-            for ii, inst in enumerate(block.instructions):
-                self._inst_index[id(inst)] = (bi, ii)
 
         defs: list[tuple[str, list[str]]] = []
-        # (cb, [(segment, fused_name, [op_names...])...], term_name)
-        fixups = []
         plan_blocks: list[dict] = []
-
         for cb in compiled:
             plan_block = {
-                "nphis": 0, "movers": [], "pairs": [],
-                "segments": [], "term": None,
+                "nphis": cb.nphis, "movers": [], "segments": [], "term": None,
             }
-            phis, runs, terminator = _split_segments(cb.bb)
-            if phis:
-                self._schedule_phis(cb, phis, defs, plan_block)
-
-            segments: list[tuple[_Segment, str, list[str]]] = []
-            for run in runs:
-                costs = [INSTRUCTION_COSTS.get(i.opcode, 1) for i in run]
-                seg = _Segment(tuple(costs))
+            if cb.nphis:
+                self._schedule_phis(cb, defs, plan_block)
+            for seg in cb.segments:
                 fused_name = self._name("_s")
                 fused_body: list[str] = []
-                op_names: list[str] = []
-                for k, seg_inst in enumerate(run):
-                    n = self._name("")
-                    remaining_steps = seg.steps - (k + 1)
-                    remaining_cycles = seg.cycles - sum(costs[: k + 1])
-                    corr = []
-                    if remaining_steps:
-                        corr.append(f"st.result.steps -= {remaining_steps}")
-                    if remaining_cycles:
-                        corr.append(f"st.result.cycles -= {remaining_cycles}")
-                        corr.append(
-                            "st.weighted_cycles -= "
-                            f"{remaining_cycles} * st.clock_period"
-                        )
-                    fused_body += self._emit(seg_inst, n, corr)
-                    op_name = f"_i{n}"
-                    defs.append((op_name, self._emit(seg_inst, n, [])))
-                    op_names.append(op_name)
+                steps, cycles = seg.steps, seg.cycles
+                for seg_inst, cost in zip(seg.run, seg.costs):
+                    steps -= 1
+                    cycles -= cost
+                    corr = [f"_giveback(st, {steps}, {cycles})"] if steps else []
+                    fused_body += self._emit(seg_inst, self._name(""), corr)
                 defs.append((fused_name, fused_body))
-                segments.append((seg, fused_name, op_names))
-                plan_block["segments"].append((fused_name, tuple(op_names)))
-
-            term_name = None
-            if terminator is not None:
+                plan_block["segments"].append(fused_name)
+            if cb.terminator is not None:
                 term_name = self._name("_t")
-                defs.append(
-                    (term_name, self._emit_terminator(terminator, block_names))
-                )
-                cb.term_cost = INSTRUCTION_COSTS.get(terminator.opcode, 1)
+                defs.append((
+                    term_name,
+                    self._emit_terminator(cb.terminator, block_names),
+                ))
                 plan_block["term"] = term_name
-            fixups.append((cb, segments, term_name))
             plan_blocks.append(plan_block)
 
-        source_lines = []
-        for name, body in defs:
-            source_lines.append(f"def {name}(st, regs):")
-            for line in body:
-                source_lines.append("    " + line)
-            source_lines.append("")
-        code = compile(
-            "\n".join(source_lines), f"<engine:{fn.name}>", "exec"
-        )
-        exec(code, self.ns)
-
-        for cb, segments, term_name in fixups:
-            wired = []
-            for seg, fused_name, op_names in segments:
-                seg.fused = self.ns[fused_name]
-                seg.ops = tuple(self.ns[name] for name in op_names)
-                wired.append(seg)
-            cb.segments = tuple(wired)
-            if term_name is not None:
-                cb.term_op = self.ns[term_name]
-            else:
-                cb.term_op = _fell_through_raiser(cb.bb.name)
-            for pkey, mover_name in cb.movers.items():
-                if isinstance(mover_name, str):
-                    cb.movers[pkey] = self.ns[mover_name]
-
+        code = self._define(defs, f"<engine:{fn.name}>")
+        _wire(compiled, plan_blocks, self.ns)
         plan = {
             "version": EPLAN_VERSION,
-            "nslots": nslots,
-            "arg_slots": tuple(arg_slots),
-            "nblocks": len(compiled),
+            "nslots": self.nslots,
+            "arg_slots": self.arg_slots,
             "binds": tuple(self.binds),
             "blocks": plan_blocks,
         }
         return CompiledFunction(
-            fn, nslots, tuple(arg_slots), compiled[0], tuple(compiled),
+            fn, self.nslots, self.arg_slots, compiled[0], tuple(compiled),
             self.refs, plan, code,
         )
 
-    def _schedule_phis(self, cb, phis, defs, plan_block) -> None:
-        cb.nphis = len(phis)
-        cb.phis = tuple(phis)
-        plan_block["nphis"] = len(phis)
+    def _schedule_phis(self, cb, defs, plan_block) -> None:
+        phis = cb.phis
         preds = []
         seen = set()
         for phi in phis:
@@ -824,55 +758,59 @@ class _Compiler:
                     seen.add(id(pred))
                     preds.append(pred)
         for pred in preds:
-            pred_index = self._block_index[id(pred)]
-            pairs = []
-            broken = None
-            for phi in phis:
-                try:
-                    value = phi.incoming_value_for(pred)
-                except KeyError:
-                    broken = phi
-                    break
-                pairs.append((self.slots[id(phi)], value))
-            if broken is not None:
-                message = (
-                    f"phi {broken.ref()} has no incoming edge from "
-                    f"{pred.name}"
-                )
-                raiser = _broken_edge_raiser(message)
-                cb.movers[id(pred)] = raiser
-                cb.move_pairs[id(pred)] = raiser
-                plan_block["movers"].append((pred_index, None, message))
-                plan_block["pairs"].append((pred_index, None, message))
-                continue
+            try:
+                values = [phi.incoming_value_for(pred) for phi in phis]
+            except KeyError:
+                continue  # broken edge: no mover, ``_phis_slow`` raises
             mover_name = self._name("_m")
-            if len(pairs) == 1:
-                dst, value = pairs[0]
-                body = [f"regs[{dst}] = {self._expr(value)}"]
+            if len(phis) == 1:
+                body = [
+                    f"regs[{self.slots[id(phis[0])]}] = "
+                    f"{self._expr(values[0])}"
+                ]
             else:
                 # All sources are read before any destination is
                 # written, keeping the parallel phi move atomic.
                 body = [
                     f"t{i} = {self._expr(value)}"
-                    for i, (_dst, value) in enumerate(pairs)
+                    for i, value in enumerate(values)
                 ]
                 body += [
-                    f"regs[{dst}] = t{i}"
-                    for i, (dst, _value) in enumerate(pairs)
+                    f"regs[{self.slots[id(phi)]}] = t{i}"
+                    for i, phi in enumerate(phis)
                 ]
             defs.append((mover_name, body))
-            cb.movers[id(pred)] = mover_name
-            cb.move_pairs[id(pred)] = tuple(
-                (dst, self._getter(value)) for dst, value in pairs
+            plan_block["movers"].append(
+                (self._block_index[id(pred)], mover_name)
             )
-            plan_block["movers"].append((pred_index, mover_name, None))
-            plan_block["pairs"].append((
-                pred_index,
-                tuple(
-                    (dst, self._getter_spec(value)) for dst, value in pairs
-                ),
-                None,
-            ))
+
+    def slow_ops(self, run) -> tuple:
+        """One closure per instruction of ``run``, rendered without
+        give-backs (``_seg_slow`` accounts per instruction).  Everything
+        they name is already pinned by the CompiledFunction's ``refs``:
+        the fused body of the same run names the same objects."""
+        defs = [
+            (f"_i{k}", self._emit(inst, str(k), []))
+            for k, inst in enumerate(run)
+        ]
+        self._define(defs, f"<engine:{self.fn.name}:slow>")
+        return tuple(self.ns[name] for name, _body in defs)
+
+
+def _wire(compiled, plan_blocks, ns) -> None:
+    """Attach the generated functions to their blocks, as the plan names
+    them — the one wiring step of a compile and of a hydration."""
+    for cb, plan_block in zip(compiled, plan_blocks):
+        for seg, fused_name in zip(cb.segments, plan_block["segments"]):
+            seg.fused = ns[fused_name]
+        term_name = plan_block["term"]
+        cb.term_op = (
+            ns[term_name]
+            if term_name is not None
+            else _fell_through_raiser(cb.bb.name)
+        )
+        for pred_index, mover_name in plan_block["movers"]:
+            cb.movers[id(compiled[pred_index].bb)] = ns[mover_name]
 
 
 def _fell_through_raiser(block_name):
@@ -882,67 +820,22 @@ def _fell_through_raiser(block_name):
     return raiser
 
 
-def _phis_slow(st, block, prev, regs):
-    """Per-phi move with reference-exact step accounting."""
+def _phis_slow(st, block, prev):
+    """A phi group the run loop cannot move unchecked: entered without
+    a predecessor, over an edge some phi has no value for, or across the
+    step limit.  All three end the run, so nothing is moved — phis cost
+    no cycles and the frame dies with the raise; only the exception and
+    the reference's charge-then-check step count are observable."""
     if prev is None:
         raise AssertionError("phi in entry block")
-    pairs = block.move_pairs.get(id(prev.bb))
-    if pairs is None:
-        phi = block.phis[0]
-        raise KeyError(
-            f"phi {phi.ref()} has no incoming edge from {prev.bb.name}"
-        )
-    if callable(pairs):
-        pairs(st, regs)
-    values = [getter(st, regs) for _dst, getter in pairs]
+    for phi in block.phis:
+        phi.incoming_value_for(prev.bb)  # broken edge: the walker's KeyError
     result = st.result
     limit = st.step_limit
-    for i, (dst, _getter) in enumerate(pairs):
-        regs[dst] = values[i]
+    for _phi in block.phis:
         result.steps += 1
         if result.steps > limit:
             raise StepLimitExceeded(f"exceeded {limit} steps")
-
-
-def _seg_slow(st, seg, regs):
-    """Per-instruction execution of one segment: the exact reference
-    accounting order (charge, check, execute)."""
-    result = st.result
-    limit = st.step_limit
-    ops = seg.ops
-    costs = seg.costs
-    clock = st.clock_period
-    for i in range(len(ops)):
-        result.steps += 1
-        if result.steps > limit:
-            raise StepLimitExceeded(f"exceeded {limit} steps")
-        cost = costs[i]
-        result.cycles += cost
-        st.weighted_cycles += cost * clock
-        ops[i](st, regs)
-
-
-def _resolve_getter(spec, module, engine, refs):
-    kind = spec[0]
-    if kind == "slot":
-        return _slot_getter(spec[1])
-    if kind == "const":
-        return _const_getter(spec[1])
-    if kind == "global":
-        gv = module.globals.get(spec[1])
-        if gv is None:
-            raise EnginePlanError(f"plan references unknown global @{spec[1]}")
-        refs.append(gv)
-        return _global_getter(id(gv))
-    if kind == "fa":
-        target = module.functions.get(spec[1])
-        if target is None:
-            raise EnginePlanError(
-                f"plan references unknown function @{spec[1]}"
-            )
-        refs.append(target)
-        return _const_getter(engine.address_of(target))
-    raise EnginePlanError(f"unknown getter spec {spec!r}")
 
 
 def hydrate_function(
@@ -955,7 +848,9 @@ def hydrate_function(
     entirely: ``code`` is the already-compiled code object (marshal'd by
     the artifact cache) and ``plan`` carries the wiring (slots, segment
     boundaries, phi movers, namespace bind specs) as indices into the
-    function's blocks/instructions.  Every process-specific value the
+    function's blocks/instructions.  Nothing of the slow path is in
+    either: ``_seg_slow`` renders it from ``fn`` like it does after a
+    compile.  Every process-specific value the
     generated code needs (global ids, function addresses, callees,
     switch tables) is re-resolved against ``fn``'s module here.
 
@@ -969,12 +864,12 @@ def hydrate_function(
         raise EnginePlanError(
             f"plan version {plan.get('version')} != {EPLAN_VERSION}"
         )
-    if plan.get("nblocks") != len(fn.blocks):
-        raise EnginePlanError(
-            f"plan has {plan.get('nblocks')} blocks, @{fn.name} has "
-            f"{len(fn.blocks)}"
-        )
     try:
+        if len(plan["blocks"]) != len(fn.blocks):
+            raise EnginePlanError(
+                f"plan has {len(plan['blocks'])} blocks, @{fn.name} has "
+                f"{len(fn.blocks)}"
+            )
         compiled = [CompiledBlock(bb) for bb in fn.blocks]
         ns = _base_namespace()
         for i, cb in enumerate(compiled):
@@ -1020,47 +915,15 @@ def hydrate_function(
         exec(code, ns)
 
         for cb, plan_block in zip(compiled, plan["blocks"]):
-            phis, runs, terminator = _split_segments(cb.bb)
-            seg_plans = plan_block["segments"]
             if (
-                len(runs) != len(seg_plans)
-                or len(phis) != plan_block["nphis"]
-                or (terminator is None) != (plan_block["term"] is None)
+                len(cb.segments) != len(plan_block["segments"])
+                or cb.nphis != plan_block["nphis"]
+                or (cb.terminator is None) != (plan_block["term"] is None)
             ):
                 raise EnginePlanError(
                     f"plan does not match block %{cb.bb.name} of @{fn.name}"
                 )
-            cb.nphis = len(phis)
-            cb.phis = tuple(phis)
-            wired = []
-            for (fused_name, op_names), run in zip(seg_plans, runs):
-                costs = [INSTRUCTION_COSTS.get(i.opcode, 1) for i in run]
-                seg = _Segment(tuple(costs))
-                seg.fused = ns[fused_name]
-                seg.ops = tuple(ns[name] for name in op_names)
-                wired.append(seg)
-            cb.segments = tuple(wired)
-            if terminator is not None:
-                cb.term_op = ns[plan_block["term"]]
-                cb.term_cost = INSTRUCTION_COSTS.get(terminator.opcode, 1)
-            else:
-                cb.term_op = _fell_through_raiser(cb.bb.name)
-            for pred_index, mover_name, message in plan_block["movers"]:
-                pred = fn.blocks[pred_index]
-                cb.movers[id(pred)] = (
-                    ns[mover_name]
-                    if mover_name is not None
-                    else _broken_edge_raiser(message)
-                )
-            for pred_index, pair_specs, message in plan_block["pairs"]:
-                pred = fn.blocks[pred_index]
-                if pair_specs is None:
-                    cb.move_pairs[id(pred)] = _broken_edge_raiser(message)
-                else:
-                    cb.move_pairs[id(pred)] = tuple(
-                        (dst, _resolve_getter(spec, module, engine, refs))
-                        for dst, spec in pair_specs
-                    )
+        _wire(compiled, plan["blocks"], ns)
     except EnginePlanError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as error:
@@ -1151,6 +1014,27 @@ class ExecutionEngine:
                 if alloc.alive:
                     memory.release(alloc.base)
 
+    def _seg_slow(self, st, fn, seg, regs):
+        """Per-instruction execution of the segment in which a run
+        crosses its step limit: the exact reference accounting order
+        (charge, check, execute)."""
+        ops = seg.ops
+        if not ops:
+            ops = seg.ops = _Compiler(self, fn).slow_ops(seg.run)
+            STATS.count("engine.slow_segments")
+        result = st.result
+        limit = st.step_limit
+        costs = seg.costs
+        clock = st.clock_period
+        for i in range(len(ops)):
+            result.steps += 1
+            if result.steps > limit:
+                raise StepLimitExceeded(f"exceeded {limit} steps")
+            cost = costs[i]
+            result.cycles += cost
+            st.weighted_cycles += cost * clock
+            ops[i](st, regs)
+
     def _run(self, st, cf, regs):
         result = st.result
         limit = st.step_limit
@@ -1174,7 +1058,7 @@ class ExecutionEngine:
                         else None
                     )
                     if mover is None or result.steps + nphis > limit:
-                        _phis_slow(st, block, prev, regs)
+                        _phis_slow(st, block, prev)
                     else:
                         mover(st, regs)
                         result.steps += nphis
@@ -1187,7 +1071,7 @@ class ExecutionEngine:
                         st.weighted_cycles += cycles * st.clock_period
                         seg.fused(st, regs)
                     else:
-                        _seg_slow(st, seg, regs)
+                        self._seg_slow(st, cf.fn, seg, regs)
                 result.steps += 1
                 if result.steps > limit:
                     raise StepLimitExceeded(f"exceeded {limit} steps")

@@ -4,7 +4,10 @@ Named counters and timers with near-zero overhead, threaded through the
 expensive paths of the abstraction layer (points-to solving, PDG shard
 construction, alias-query memoization, transform pipelines) and the
 execution engine (``engine.compiles``, the ``engine.compile`` timer,
-``engine.cache_hits``, ``engine.invalidations``, and the
+``engine.cache_hits``, ``engine.invalidations``,
+``engine.slow_segments`` — segments whose per-instruction closures were
+rendered because a run crossed its step limit inside them, zero for a
+run that stays under its limit — and the
 ``engine.blocks_compiled`` / ``engine.blocks_reference`` split showing
 which engine actually executed each run's blocks), plus the artifact
 cache (``cache.hits`` / ``cache.misses`` for content-addressed module

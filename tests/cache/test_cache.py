@@ -2,13 +2,14 @@
 
 import json
 import os
+import pickle
 
 import pytest
 
 from repro import cache
-from repro.cache.store import ArtifactStore, _fn_filename
+from repro.cache.store import KEY_SALT, ArtifactStore, _fn_filename
 from repro.core.noelle import Noelle
-from repro.interp.engine import engine_for
+from repro.interp.engine import EPLAN_VERSION, EnginePlanError, engine_for
 from repro.interp.interp import Interpreter
 from repro.ir import print_module
 from repro.perf import STATS
@@ -167,6 +168,41 @@ def test_corrupt_shard_and_plan_skipped(store):
     cache.attach(noelle)
     result = Interpreter(module).run()
     assert result.output
+
+
+def test_previous_plan_version_is_a_miss(store):
+    """A plan written by the previous plan format is recompiled, never
+    an error — whichever of the three guards meets it."""
+    key, cold = _publish_crc32()
+    # 1. Its entries are keyed apart: the version salts the content key.
+    assert f"eplan{EPLAN_VERSION}:" in KEY_SALT
+    # 2. A plan file that says so is not loaded.
+    directory = os.path.join(store.entry_dir(key), "engine")
+    for filename in os.listdir(directory):
+        path = os.path.join(directory, filename)
+        with open(path, "rb") as handle:
+            payload = pickle.loads(handle.read())
+        payload["eplan"] = payload["plan"]["version"] = EPLAN_VERSION - 1
+        with open(path, "wb") as handle:
+            handle.write(pickle.dumps(payload, protocol=4))
+        assert store.load_engine_plan(key, payload["fn"]) is None
+    assert store.load_engine_plans(key) == {}
+    hydrated = STATS.get("cache.engine_plans_hydrated")
+    compiles = STATS.get("engine.compiles")
+    module = cache.cached_compile(get("crc32").source, "crc32")
+    result = Interpreter(module).run()
+    assert STATS.get("cache.engine_plans_hydrated") == hydrated
+    assert STATS.get("engine.compiles") > compiles
+    assert (result.output, result.steps, result.cycles) == (
+        cold.output, cold.steps, cold.cycles,
+    )
+    # 3. Handed to the engine anyway, it is refused as stale.
+    fn = next(iter(module.defined_functions()))
+    cf = engine_for(module).compiled(fn)
+    with pytest.raises(EnginePlanError, match="plan version"):
+        engine_for(module).adopt(
+            fn, {**cf.plan, "version": EPLAN_VERSION - 1}, cf.code
+        )
 
 
 def test_clear_and_gc(store):

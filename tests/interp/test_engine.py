@@ -6,14 +6,18 @@ step/cycle/weighted-cycle accounting at *every* budget boundary — and no
 stale compiled code may survive a transform or a pass-manager rollback.
 """
 
+import marshal
+import pickle
+
 import pytest
 
-from repro import ir
+from repro import cache, ir
 from repro.core.noelle import Noelle
 from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter, InterpError, StepLimitExceeded
 from repro.interp.engine import engine_for, engine_mode, invalidate_module
+from repro.ir import parse_module
 from repro.perf import STATS
 from repro.robust.passmanager import PassManager
 from repro.runtime.machine import ParallelMachine
@@ -262,3 +266,244 @@ class TestCacheCoherence:
         # Post-rollback, both engines must reproduce the pre-pass run.
         assert _observables(module, "compiled") == baseline
         assert _observables(module, "reference") == baseline
+
+
+def _hydrated_twin(module, text):
+    """A new Module parsed from ``text`` whose functions all adopt the
+    plans ``module``'s engine compiled — through the byte forms the
+    artifact cache stores, so nothing in-process is shared."""
+    twin = parse_module(text)
+    engine = engine_for(module)
+    for fn in module.defined_functions():
+        cf = engine.compiled(fn)
+        engine_for(twin).adopt(
+            twin.functions[fn.name],
+            pickle.loads(pickle.dumps(cf.plan)),
+            marshal.loads(marshal.dumps(cf.code)),
+        )
+    return twin
+
+
+def _segments(module):
+    engine = engine_for(module)
+    return [
+        seg
+        for cf in engine.functions.values()
+        for block in cf.blocks
+        for seg in block.segments
+    ]
+
+
+class TestSlowPathOnDemand:
+    """The per-instruction closures of a segment exist only once a run
+    has crossed its step limit inside that segment."""
+
+    def test_fresh_compile_has_no_per_instruction_code(self):
+        module = compile_source(MIXED_SOURCE, "lazy")
+        engine = engine_for(module)
+        for fn in module.defined_functions():
+            cf = engine.compiled(fn)
+            assert not [n for n in cf.code.co_names if n.startswith("_i")]
+        slow0 = STATS.get("engine.slow_segments")
+        _, _, _, _, steps, _, _ = _observables(module, "compiled")
+        assert all(seg.ops == () for seg in _segments(module))
+        assert STATS.get("engine.slow_segments") == slow0
+
+        # Cross the limit inside some multi-instruction segment: that
+        # segment, and no other, gets its ops — once.
+        for limit in range(steps - 1, 0, -1):
+            raised = _observables(module, "compiled", limit)[0]
+            assert raised == f"StepLimitExceeded: exceeded {limit} steps"
+            if STATS.get("engine.slow_segments") > slow0:
+                break
+        built = [seg for seg in _segments(module) if seg.ops]
+        assert len(built) == 1 and len(built[0].ops) == built[0].steps
+        assert STATS.get("engine.slow_segments") == slow0 + 1
+        _observables(module, "compiled", limit)
+        assert STATS.get("engine.slow_segments") == slow0 + 1
+
+    def test_suite_flow_never_needs_it(self):
+        """All 21 workloads through the Figure-1 flow under their own
+        step limits (benchmarks/e2e ``suite_flow``, same technique
+        rotation) render no per-instruction closure: the copy that used
+        to be compiled eagerly served none of that traffic."""
+        slow0 = STATS.get("engine.slow_segments")
+        for index, workload in enumerate(all_workloads()):
+            module = workload.compile()
+            profile = Profiler(module).profile()
+            manager = PassManager(
+                Noelle(module, profile=profile), fault_plan=None, checks=False
+            )
+            manager.run_registered("rm-lc-dependences")
+            technique = ("doall", "helix", "dswp")[(index + 1) % 3]
+            if technique == "dswp":
+                manager.run_registered("dswp", num_stages=4)
+            else:
+                manager.run_registered(technique, num_cores=8)
+            run = ParallelMachine(
+                module, num_cores=8, step_limit=workload.step_limit * 4
+            ).run()
+            assert run.trapped is None
+        assert STATS.get("engine.slow_segments") == slow0
+
+    def test_every_budget_boundary_on_hydrated_functions(
+        self, tmp_path, monkeypatch
+    ):
+        """The sweep of ``TestStepBudgetBoundary`` on a module a cold
+        process published and this one only loaded: every function
+        adopted from the store, none compiled here."""
+        monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("NOELLE_ENGINE", "compiled")
+        cold = cache.cached_compile(MIXED_SOURCE, "boundary")
+        Interpreter(cold).run()
+        cache.publish_artifacts(cold)
+
+        compiles = STATS.get("engine.compiles")
+        hydrated = STATS.get("cache.engine_plans_hydrated")
+        slow0 = STATS.get("engine.slow_segments")
+        module = cache.cached_compile(MIXED_SOURCE, "boundary")
+        assert module is not cold
+        assert STATS.get("cache.engine_plans_hydrated") == hydrated + len(
+            list(module.defined_functions())
+        )
+        _, _, _, _, steps, _, _ = _observables(module, "reference")
+        for limit in range(1, steps + 3):
+            reference = _observables(module, "reference", limit)
+            compiled = _observables(module, "compiled", limit)
+            assert compiled == reference, f"diverged at step_limit={limit}"
+        assert STATS.get("engine.compiles") == compiles
+        assert STATS.get("engine.slow_segments") > slow0
+
+
+class TestTrapGiveback:
+    """A trap at any position of a fused segment leaves the walker's
+    accounting: the site gives back exactly the unexecuted tail."""
+
+    #: The first seven instructions of the one segment; every trap
+    #: operand is a dynamic value, so no check is folded away at
+    #: compile time.
+    SETUP = """
+  %base = elem_ptr [4 x i64]* @a, i64 0, i64 0
+  %n = load i64, i64* %base
+  %big = add i64 %n, i64 999999
+  %oob = inttoptr i64 %big to i64*
+  %fp = bitcast i64 ()* @main to i64*
+  %d = sitofp i64 %n to double
+  %bad = bitcast double %d to i64*
+"""
+    TRAPS = {
+        "fnptr_deref": "%v = load i64, i64* %fp",
+        "nonint_address": "%v = load i64, i64* %bad",
+        "oob_load": "%v = load i64, i64* %oob",
+        "oob_store": "store i64 1, i64* %oob",
+        "div_by_zero": "%v = sdiv i64 7, i64 %n",
+        "rem_by_zero": "%v = srem i64 7, i64 %n",
+    }
+    #: Padding of unequal costs (add 1, mul 3, load 4, bitcast 0), so a
+    #: wrong tail shows in cycles as well as in steps.
+    PADS = (
+        "%p{i} = add i64 %n, i64 {i}",
+        "%p{i} = mul i64 %n, i64 3",
+        "%p{i} = load i64, i64* %base",
+        "%p{i} = bitcast i64* %base to i64*",
+    )
+
+    @classmethod
+    def program(cls, trap, position):
+        pads = [pad.format(i=i) for i, pad in enumerate(cls.PADS)]
+        body = pads[:position] + [cls.TRAPS[trap]] + pads[position:]
+        return (
+            "@a = global [4 x i64]\n\ndefine @main() -> i64 {\nentry:"
+            + cls.SETUP
+            + "".join(f"  {line}\n" for line in body)
+            + "  ret i64 0\n}\n"
+        )
+
+    @pytest.mark.parametrize("position", range(len(PADS) + 1))
+    @pytest.mark.parametrize("trap", sorted(TRAPS))
+    def test_trap_position(self, trap, position):
+        text = self.program(trap, position)
+        module = parse_module(text)
+        reference = _observables(module, "reference")
+        assert reference[0] or reference[3]  # it does trap
+        assert reference[4] == 7 + position + 1  # SETUP, pads, the trap
+        assert _observables(module, "compiled") == reference
+        # one fused segment: the give-back was the only correction
+        (block,) = engine_for(module).compiled(module.functions["main"]).blocks
+        assert len(block.segments) == 1 and block.segments[0].ops == ()
+        twin = _hydrated_twin(module, text)
+        assert _observables(twin, "compiled") == reference
+
+
+class TestPhiErrors:
+    """Malformed phi groups fail like the walker — exception type,
+    message and counters — on the fast path, across the step limit, and
+    on hydrated functions (whose plan names no broken edge at all)."""
+
+    CASES = {
+        "second_phi_lacks_edge": (
+            """
+define @main() -> i64 {
+entry:
+  br label %join
+other:
+  br label %join
+join:
+  %x = phi i64 [ 1, %entry ], [ 2, %other ]
+  %y = phi i64 [ 3, %other ]
+  ret i64 %x
+}
+""",
+            "KeyError: 'phi %y has no incoming edge from entry'",
+        ),
+        "pred_in_no_phi": (
+            """
+define @main() -> i64 {
+entry:
+  br label %join
+other:
+  br label %join
+join:
+  %x = phi i64 [ 2, %other ]
+  %y = phi i64 [ 3, %other ]
+  ret i64 %x
+}
+""",
+            "KeyError: 'phi %x has no incoming edge from entry'",
+        ),
+        "phi_in_entry": (
+            """
+define @main() -> i64 {
+entry:
+  %x = phi i64 [ 2, %other ]
+  ret i64 %x
+other:
+  br label %entry
+}
+""",
+            "AssertionError: phi in entry block",
+        ),
+    }
+
+    @staticmethod
+    def failure(module, engine, limit):
+        interp = Interpreter(module, step_limit=limit, engine=engine)
+        with pytest.raises((KeyError, AssertionError)) as caught:
+            interp.run()
+        return (
+            f"{caught.type.__name__}: {caught.value}",
+            interp.result.steps,
+            interp.result.cycles,
+            interp.weighted_cycles,
+        )
+
+    @pytest.mark.parametrize("limit", (100, 1))
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_phi_error(self, name, limit):
+        text, message = self.CASES[name]
+        module = parse_module(text)
+        reference = self.failure(module, "reference", limit)
+        assert reference[0] == message
+        assert self.failure(module, "compiled", limit) == reference
+        twin = _hydrated_twin(module, text)
+        assert self.failure(twin, "compiled", limit) == reference
