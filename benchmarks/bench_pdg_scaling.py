@@ -94,8 +94,9 @@ def time_best_of(func, repeats: int = 3) -> float:
 def measure_cold_builds(source: str) -> dict:
     def build(partition: bool):
         module = compile_source(source, "pdg_scaling")
-        PDG(module, AndersenAliasAnalysis(module), partition=partition,
-            lazy=False)
+        PDG(
+            module, AndersenAliasAnalysis(module), partition=partition
+        ).materialize()
 
     return {
         "cold_build_exact_s": time_best_of(lambda: build(False)),

@@ -3,19 +3,22 @@
 The store (`repro.cache.store`) moves bytes; this module converts
 between those bytes and live analysis state:
 
-* `cached_compile` / `load_ir_text` — front door for source text and
-  textual IR.  On a warm hit the module is decoded from the binary
-  payload instead of re-parsed, and its PDG shards and compiled-engine
-  plans are hydrated eagerly so the first `run` does no analysis work.
-* `attach` — binds a `Noelle` facade to the cache entry of its module,
-  so `invalidate(fn)` evicts exactly that function's on-disk artifacts.
+* `cached_compile` / `load_ir_text` / `load_ir_binary` — the front
+  doors for source text, textual IR and ``.nir`` bytes, one routine
+  (`_load`) behind three names.  On a warm hit the module is decoded
+  from the binary payload instead of re-parsed and its compiled-engine
+  plans are adopted, so the first `run` compiles nothing.  Without a
+  store each is the plain compile / parse / decode.
+* `attach` — binds a `Noelle` facade to the cache entry of its module
+  and adopts the entry's PDG shards, so `invalidate(fn)` evicts exactly
+  that function's on-disk artifacts.
 * `publish_artifacts` — writes back whatever the process computed (PDG
   shards, engine plans) for functions that were never mutated.
 
-Hydrated PDGs keep per-function invalidation working: `_HydratedPDG`
-exposes ``aa`` as a lazy property delegating to the owning facade's
-alias analysis, so a single stale function is rebuilt in place (with a
-real Andersen analysis) rather than forcing a whole-module re-analysis.
+A PDG shard crosses this boundary only as the payload of
+`PDG.export_shard` / `PDG.adopt_shard`; what `attach` hands the facade
+is an ordinary `PDG` over the facade's (not yet computed) alias
+analysis, so a function invalidated later is rebuilt in place.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import hashlib
 import os
 import weakref
 
-from ..core.depgraph import DependenceGraph
-from ..core.pdg import PDG, _Shard
+from ..core.pdg import PDG
 from ..frontend.codegen import compile_source
 from ..interp.engine import EnginePlanError, engine_for, existing_engine
-from ..ir import parse_module, print_module, verify_module
+from ..ir import parse_module, print_module, read_module, verify_module
 from ..ir.module import Function, Module
 from ..perf import STATS
 from .store import CACHE_DIR_ENV, ArtifactStore
@@ -69,94 +71,6 @@ def remember_key(module: Module, key: str) -> None:
     _KEYS[module] = key
 
 
-# -- hydrated PDG ------------------------------------------------------------
-
-
-class _HydratedPDG(PDG):
-    """A PDG rebuilt from cached shards.
-
-    Unlike `PDG.from_serialized` (whose ``aa`` is None, forcing
-    whole-graph invalidation), the alias analysis here is a lazy
-    property delegating to the owning `Noelle` facade — so invalidating
-    one function keeps the other shards and rebuilds just that one with
-    a real Andersen analysis.
-    """
-
-    @property
-    def aa(self):
-        return self._aa_supplier()
-
-    def can_rebuild_shards(self) -> bool:
-        return True  # aa materializes on demand; don't build it here
-
-
-def _serialize_shard(pdg: PDG, shard: _Shard) -> dict | None:
-    """One function's shard as index-based, process-independent data."""
-    fn = shard.fn
-    insts = list(fn.instructions())
-    position = {id(inst): i for i, inst in enumerate(insts)}
-    edges = []
-    for edge in shard.edges:
-        src_i = position.get(id(edge.src.value))
-        dst_i = position.get(id(edge.dst.value))
-        if src_i is None or dst_i is None:
-            return None  # cross-function edge: not publishable
-        edges.append(
-            (src_i, dst_i, edge.kind, edge.data_kind, edge.is_memory,
-             edge.is_must)
-        )
-    return {
-        "fn": fn.name,
-        "ninsts": len(insts),
-        "edges": edges,
-        "queries": shard.queries,
-        "disproved": shard.disproved,
-    }
-
-
-def _hydrate_pdg(module: Module, aa_supplier, shards: dict[str, dict]) -> PDG:
-    """Build a `_HydratedPDG` from per-function shard payloads.
-
-    Functions without a (valid) payload are left unbuilt — the PDG's
-    normal lazy materialization rebuilds them on first query.
-    """
-    pdg = _HydratedPDG.__new__(_HydratedPDG)
-    DependenceGraph.__init__(pdg)
-    pdg.module = module
-    pdg._aa_supplier = aa_supplier
-    pdg.partition = True
-    pdg._materializing = False
-    pdg._memory_queries = 0
-    pdg._memory_disproved = 0
-    pdg._shards = {}
-    for fn in module.defined_functions():
-        payload = shards.get(fn.name)
-        if payload is None:
-            continue
-        insts = list(fn.instructions())
-        if payload.get("ninsts") != len(insts):
-            continue  # stale shard: rebuilt lazily
-        shard = _Shard(fn)
-        pdg._shards[id(fn)] = shard
-        for inst in insts:
-            pdg.add_node(inst, internal=True)
-            shard.node_ids.append(id(inst))
-        for src_i, dst_i, kind, data_kind, is_memory, is_must in (
-            payload["edges"]
-        ):
-            edge = pdg.add_edge(
-                insts[src_i], insts[dst_i], kind, data_kind, is_memory,
-                is_must,
-            )
-            shard.edges.append(edge)
-        shard.queries = payload.get("queries", 0)
-        shard.disproved = payload.get("disproved", 0)
-        pdg._memory_queries += shard.queries
-        pdg._memory_disproved += shard.disproved
-        STATS.count("cache.pdg_shards_hydrated")
-    return pdg
-
-
 # -- facade binding ----------------------------------------------------------
 
 
@@ -183,18 +97,14 @@ class ModuleCacheBinding:
         """Write back built, clean shards; returns shards published."""
         if pdg is None:
             return 0
-        # Note: _HydratedPDG's ``aa`` is a lazy property — testing it
-        # for None would force a full Andersen build just to publish.
-        if not isinstance(pdg, _HydratedPDG) and pdg.aa is None:
-            return 0  # metadata-rehydrated PDG: shards not trustworthy
         published = 0
-        for shard in list(pdg._shards.values()):
-            if shard.fn.name in self.dirty or shard.fn.parent is not self.module:
+        for fn in pdg.built_functions():
+            if fn.name in self.dirty or fn.parent is not self.module:
                 continue
-            payload = _serialize_shard(pdg, shard)
+            payload = pdg.export_shard(fn)
             if payload is None:
                 continue
-            self.store.publish_pdg_shard(self.key, shard.fn.name, payload)
+            self.store.publish_pdg_shard(self.key, fn.name, payload)
             published += 1
         return published
 
@@ -235,22 +145,25 @@ def attach(noelle) -> ModuleCacheBinding | None:
         text = print_module(module)
         key = store.module_key(text)
         _KEYS[module] = key
-        if not store.has_entry(key):
-            store.publish_module(key, module, text)
+        store.publish_module(key, module, text)
     elif not store.has_entry(key):
         store.publish_module(key, module, print_module(module))
     binding = ModuleCacheBinding(store, key, module)
     if noelle._pdg is None:
         shards = store.load_pdg_shards(key)
         if shards:
-            try:
-                with STATS.timer("cache.hydrate_pdg"):
-                    noelle._pdg = _hydrate_pdg(
-                        module, noelle.alias_analysis, shards
-                    )
-            except Exception:
-                noelle._pdg = None
-                store.evict(key)
+            with STATS.timer("cache.hydrate_pdg"):
+                pdg = PDG(module, noelle.alias_analysis)
+                for fn in module.defined_functions():
+                    if fn.name not in shards:
+                        continue
+                    if pdg.adopt_shard(fn, shards[fn.name]):
+                        STATS.count("cache.pdg_shards_hydrated")
+                    else:
+                        # Does not fit the code it is filed under: make
+                        # room for the shard this process will build.
+                        store.evict_function(key, fn.name)
+            noelle._pdg = pdg
     _hydrate_engine(store, key, module)
     noelle.bind_cache(binding)
     return binding
@@ -306,107 +219,65 @@ def publish_artifacts(module: Module, noelle=None) -> None:
 # -- front doors -------------------------------------------------------------
 
 
-def _load_via_alias(store: ArtifactStore, digest: str) -> Module | None:
+def _load(kind: str, name: str, raw: str | bytes, build) -> Module:
+    """The way in: alias -> entry -> publish -> hydrate.
+
+    ``build()`` makes the verified module from the input itself: the
+    whole job without a store, and the miss path with one.  A miss
+    publishes the result keyed by its canonical printed text (printed
+    once) and aliases the raw input to that key; a hit skips the
+    frontend — text decodes the entry's binary module, ``.nir`` bytes
+    (which already are that encoding, and may carry metadata the
+    entry's copy lacks) decode themselves, unverified because an alias
+    is only ever written for input that verified.
+    """
+    store = get_store()
+    if store is None:
+        return build()
+    binary = isinstance(raw, bytes)
+    digest = store.source_digest(
+        kind, name, hashlib.sha256(raw).hexdigest() if binary else raw
+    )
     key = store.get_alias(digest)
-    if key is None:
-        return None
-    module = store.load_module(key)
-    if module is None:
-        return None
+    module = None
+    if key is not None:
+        if not binary:
+            module = store.load_module(key)
+        elif store.has_entry(key):
+            module = read_module(raw)
+    if module is not None:
+        STATS.count("cache.hits")
+    else:
+        STATS.count("cache.misses")
+        module = build()
+        text = print_module(module)
+        key = store.module_key(text)
+        store.publish_module(key, module, text)
+        store.set_alias(digest, key)
     _KEYS[module] = key
+    # Also after a miss: the canonical text may already be warm, reached
+    # through another front door.
     _hydrate_engine(store, key, module)
+    return module
+
+
+def _verified(module: Module) -> Module:
+    verify_module(module)
     return module
 
 
 def cached_compile(source: str, name: str = "minic") -> Module:
-    """`compile_source` with a content-addressed warm path.
-
-    A warm hit decodes the binary module (skipping the frontend
-    entirely) and pre-hydrates its engine plans; a miss compiles,
-    then publishes the result keyed by its canonical printed text.
-    """
-    store = get_store()
-    if store is None:
-        return compile_source(source, name)
-    digest = store.source_digest("src", name, source)
-    module = _load_via_alias(store, digest)
-    if module is not None:
-        STATS.count("cache.hits")
-        return module
-    STATS.count("cache.misses")
-    module = compile_source(source, name)
-    text = print_module(module)
-    key = store.module_key(text)
-    _KEYS[module] = key
-    store.publish_module(key, module, text)
-    store.set_alias(digest, key)
-    # An alias miss can still land on a warm entry (same canonical
-    # text reached through another front door): adopt its plans.
-    _hydrate_engine(store, key, module)
-    return module
-
-
-def load_ir_binary(data: bytes, name: str = "module") -> Module:
-    """Decode binary IR with the same warm artifact path as the text
-    front doors.
-
-    The ``.nir`` payload already *is* the cached module encoding, so
-    there is nothing to skip on decode — what the cache adds is the
-    surrounding state: the module's content key (one canonical print,
-    skipped on later loads via an alias over the raw bytes), hydrated
-    engine plans, and publish-back of whatever this process computes.
-    """
-    from ..ir.binio import read_module
-
-    store = get_store()
-    if store is None:
-        module = read_module(data)
-        verify_module(module)
-        return module
-    raw = hashlib.sha256(data).hexdigest()
-    digest = store.source_digest("nir", name, raw)
-    key = store.get_alias(digest)
-    if key is not None:
-        module = read_module(data)
-        _KEYS[module] = key
-        if not store.has_entry(key):
-            store.publish_module(key, module, print_module(module))
-        _hydrate_engine(store, key, module)
-        STATS.count("cache.hits")
-        return module
-    STATS.count("cache.misses")
-    module = read_module(data)
-    verify_module(module)
-    canonical = print_module(module)
-    key = store.module_key(canonical)
-    _KEYS[module] = key
-    if not store.has_entry(key):
-        store.publish_module(key, module, canonical)
-    store.set_alias(digest, key)
-    _hydrate_engine(store, key, module)
-    return module
+    """`compile_source` with a content-addressed warm path."""
+    return _load("src", name, source, lambda: compile_source(source, name))
 
 
 def load_ir_text(text: str, name: str = "module") -> Module:
-    """Parse textual IR with the same warm path as `cached_compile`."""
-    store = get_store()
-    if store is None:
-        module = parse_module(text, name)
-        verify_module(module)
-        return module
-    digest = store.source_digest("ir", name, text)
-    module = _load_via_alias(store, digest)
-    if module is not None:
-        STATS.count("cache.hits")
-        return module
-    STATS.count("cache.misses")
-    module = parse_module(text, name)
-    verify_module(module)
-    canonical = print_module(module)
-    key = store.module_key(canonical)
-    _KEYS[module] = key
-    store.publish_module(key, module, canonical)
-    store.set_alias(digest, key)
-    # Same as `cached_compile`: the canonical key may already be warm.
-    _hydrate_engine(store, key, module)
-    return module
+    """Parse and verify textual IR, with the same warm path."""
+    return _load(
+        "ir", name, text, lambda: _verified(parse_module(text, name))
+    )
+
+
+def load_ir_binary(data: bytes, name: str = "module") -> Module:
+    """Decode and verify binary IR, with the same warm path."""
+    return _load("nir", name, data, lambda: _verified(read_module(data)))

@@ -246,34 +246,6 @@ class ArtifactStore:
         except Exception:
             return None  # corrupt plan: recompiled instead
 
-    def load_engine_plans(self, key: str) -> dict[str, tuple[dict, object]]:
-        """Every valid engine plan of an entry: fn name -> (plan, code).
-
-        Plans from a different plan version or CPython bytecode
-        generation are skipped (they belong to another toolchain)."""
-        directory = os.path.join(self.entry_dir(key), "engine")
-        plans: dict[str, tuple[dict, object]] = {}
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return plans
-        for filename in names:
-            data = self._read(os.path.join(directory, filename))
-            if data is None:
-                continue
-            try:
-                payload = pickle.loads(data)
-                if (
-                    payload["eplan"] != EPLAN_VERSION
-                    or payload["magic"] != _PY_MAGIC
-                ):
-                    continue
-                code = marshal.loads(payload["code"])
-                plans[payload["fn"]] = (payload["plan"], code)
-            except Exception:
-                continue  # corrupt plan: recompiled instead
-        return plans
-
     # -- aliases -------------------------------------------------------------
 
     def set_alias(self, digest: str, key: str) -> None:

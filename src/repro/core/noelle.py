@@ -4,9 +4,12 @@
 giving access to the PDG, the call graph, loops, the data-flow engine, the
 scheduler, environments, tasks, profiles, and the architecture description.
 Every abstraction is computed lazily and cached — users "only pay for the
-abstractions they need" (Section 2.2) — and the expensive PDG can be
-rehydrated from metadata embedded by ``noelle-meta-pdg-embed`` instead of
-recomputed.
+abstractions they need" (Section 2.2) — and the expensive PDG need not be
+computed at all: ``noelle-load`` (:func:`repro.tools.pipeline.load`, where
+every driver gets its facade) hands the facade a PDG whose shards were
+adopted from ``noelle-meta-pdg-embed`` metadata or from the artifact cache.
+Such a PDG holds ``alias_analysis`` itself, uncalled, so it is an ordinary
+PDG: :meth:`Noelle.invalidate` treats it like one it computed.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ class Noelle:
         return self._pdg
 
     def adopt_pdg(self, pdg: PDG) -> None:
-        """Install an externally produced PDG (e.g. rehydrated from the
-        metadata embedded by ``noelle-meta-pdg-embed``) as the cached one.
+        """Install an externally produced PDG (e.g. one whose shards were
+        adopted from ``noelle-meta-pdg-embed`` metadata) as the cached one.
 
         Also drops the caches *derived from* the previous PDG — every
         function's :class:`Loop` objects capture the PDG they were built
@@ -279,13 +282,14 @@ class Noelle:
 
         With ``fn`` given (the common case for the function-at-a-time
         transforms: LICM, the parallelization outliners, Perspective),
-        only the state derived from that function's body is dropped: its
-        PDG shard, its loop info with its :class:`Loop` objects, and the
-        module-level aggregates built on top of them (the assembled loop
-        list, instruction IDs, the call graph — outlining adds functions
-        and calls).  Every other function keeps its loops, LDGs and
-        SCCDAGs included.  The whole-module memory
-        analyses stay warm: Andersen points-to is flow-insensitive, so an
+        only the state derived from that function's body is dropped,
+        whether the PDG was computed here, adopted from metadata or
+        hydrated from the cache: its PDG shard, its loop info with its
+        :class:`Loop` objects, and the module-level aggregates built on
+        top of them (the assembled loop list, instruction IDs, the call
+        graph — outlining adds functions and calls).  Every other
+        function keeps its loops, LDGs and SCCDAGs included.  The
+        whole-module memory analyses stay warm: Andersen points-to is flow-insensitive, so an
         in-place rewrite of one function can only make its facts
         conservative, never wrong — new values have no points-to
         information and fall back to may-alias, and stale mod/ref
@@ -295,7 +299,15 @@ class Noelle:
         option after interprocedural rewrites that change what memory
         *other* functions' code touches), everything is dropped.
         """
-        if fn is not None and self._try_invalidate_function(fn):
+        if fn is not None:
+            if self._pdg is not None:
+                self._pdg.invalidate_function(fn)
+            self._function_loops.pop(id(fn), None)
+            self._loops = None
+            self._ids = None
+            self._callgraph = None
+            self._dfe = None
+            self._env_builder = None
             # The execution engine's compiled code is per-function state
             # derived from the body: drop exactly that function's code.
             invalidate_module(self.module, fn)
@@ -315,19 +327,3 @@ class Noelle:
         self._ids = None
         self._dfe = None
         self._env_builder = None
-
-    def _try_invalidate_function(self, fn: Function) -> bool:
-        """Per-function invalidation; False if a full drop is required."""
-        if self._pdg is not None:
-            if not self._pdg.can_rebuild_shards():
-                # A metadata-rehydrated PDG cannot rebuild a shard (no
-                # alias analysis attached): fall back to a full drop.
-                return False
-            self._pdg.invalidate_function(fn)
-        self._function_loops.pop(id(fn), None)
-        self._loops = None
-        self._ids = None
-        self._callgraph = None
-        self._dfe = None
-        self._env_builder = None
-        return True

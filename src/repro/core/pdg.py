@@ -21,6 +21,15 @@ rebuilt in isolation — `Noelle.invalidate(fn)` uses exactly that to make
 the transform→invalidate→re-query cycle pay for one function instead of
 the whole module.
 
+A shard is also the unit of persistence.  ``export_shard(fn)`` renders
+one as position-indexed plain data and ``adopt_shard(fn, payload)``
+installs such a payload in place of a build, running no analysis; this
+is the only shard encoding there is.  Module metadata
+(``noelle-meta-pdg-embed``, riding ``.nir``) and the artifact cache
+(``repro.cache``) are two carriers of the same payload, and a graph put
+together from adopted shards is an ordinary :class:`PDG` — whatever was
+not adopted, or is invalidated later, builds on demand.
+
 Within a shard, the all-pairs memory loop is pruned by partitioning the
 memory instructions into points-to *regions* (connected components of
 overlapping footprints): two instructions in different regions are
@@ -79,12 +88,14 @@ class PDG(DependenceGraph[Instruction]):
 
     A lazy container of per-function dependence shards; see the module
     docstring for the materialization and invalidation contract.
+    ``aa`` is the alias analysis or a zero-argument supplier of it; a
+    supplier is called once, when the first shard has to be built, so a
+    graph whose shards are all adopted never runs the analysis.
     ``partition=False`` disables the points-to pair pruning (the seed's
     exact all-pairs loop) — used by the equivalence tests and benchmarks.
     """
 
-    def __init__(self, module: Module, aa: AliasAnalysis,
-                 partition: bool = True, lazy: bool = True):
+    def __init__(self, module: Module, aa, partition: bool = True):
         super().__init__()
         self.module = module
         self.aa = aa
@@ -99,8 +110,6 @@ class PDG(DependenceGraph[Instruction]):
         #: Per-shard symbolic dependence tester (NOELLE_DEPTEST=1 only);
         #: live only while its shard builds, so invalidation stays warm.
         self._deptest: FunctionDepTest | None = None
-        if not lazy:
-            self.materialize()
 
     # -- shard lifecycle ---------------------------------------------------------------
     def materialize(self) -> None:
@@ -118,6 +127,8 @@ class PDG(DependenceGraph[Instruction]):
             return
         if id(fn) in self._shards or fn.is_declaration():
             return
+        if not isinstance(self.aa, AliasAnalysis):
+            self.aa = self.aa()
         self._materializing = True
         try:
             STATS.count("pdg.shard_builds")
@@ -129,15 +140,6 @@ class PDG(DependenceGraph[Instruction]):
     def _ensure_value(self, value) -> None:
         if isinstance(value, Instruction):
             self._ensure_function(_function_of(value))
-
-    def can_rebuild_shards(self) -> bool:
-        """Whether a dropped shard can be recomputed in place.
-
-        False for metadata-rehydrated graphs (no alias analysis
-        attached).  Subclasses whose ``aa`` materializes lazily
-        override this instead of forcing the build just to answer.
-        """
-        return self.aa is not None
 
     def invalidate_function(self, fn: Function) -> bool:
         """Drop ``fn``'s shard (rebuilt on next query); False if absent."""
@@ -250,16 +252,20 @@ class PDG(DependenceGraph[Instruction]):
         return self._project(internal_values, edges)
 
     # -- construction ------------------------------------------------------------
+    def _open_shard(self, fn: Function, insts: list[Instruction]) -> _Shard:
+        """Register ``fn``'s shard with its nodes and, so far, no edges."""
+        shard = self._shards[id(fn)] = _Shard(fn)
+        for inst in insts:
+            self.add_node(inst, internal=True)
+        shard.node_ids = [id(inst) for inst in insts]
+        return shard
+
     def _build_function(self, fn: Function) -> None:
-        shard = _Shard(fn)
-        self._shards[id(fn)] = shard
         queries_before = self._memory_queries
         disproved_before = self._memory_disproved
         edges_before = len(self._edges)
         instructions = list(fn.instructions())
-        for inst in instructions:
-            self.add_node(inst, internal=True)
-        shard.node_ids = [id(inst) for inst in instructions]
+        shard = self._open_shard(fn, instructions)
         self._deptest = FunctionDepTest(fn) if deptest_enabled() else None
         try:
             self._add_register_dependences(instructions)
@@ -470,45 +476,72 @@ class PDG(DependenceGraph[Instruction]):
                 for inst in block.instructions:
                     self.add_edge(term, inst, "control")
 
-    # -- rehydration -------------------------------------------------------------------
-    @classmethod
-    def from_serialized(
-        cls,
-        module: Module,
-        edges: list[tuple],
-        instruction_by_id,
-        stats: dict,
-    ) -> "PDG":
-        """Rebuild a PDG from ``noelle-meta-pdg-embed`` metadata.
+    # -- the shard codec ---------------------------------------------------------------
+    def export_shard(self, fn: Function) -> dict | None:
+        """``fn``'s shard as position-indexed, process-independent data.
 
-        The result carries no alias analysis (``aa is None``): every shard
-        is registered as already built, and `Noelle.invalidate` falls back
-        to dropping the whole graph since a shard cannot be recomputed.
+        Instructions are named by their index in ``fn.instructions()``,
+        so the payload fits any module that prints the same.  None when
+        an edge names an instruction ``fn`` no longer holds (the body
+        was rewritten without invalidating the shard).
         """
-        pdg = cls.__new__(cls)
-        DependenceGraph.__init__(pdg)
-        pdg.module = module
-        pdg.aa = None
-        pdg.partition = True
-        pdg._materializing = False
-        pdg._deptest = None
-        pdg._memory_queries = stats.get("memory_queries", 0)
-        pdg._memory_disproved = stats.get("memory_disproved", 0)
-        pdg._shards = {}
-        for fn in module.defined_functions():
-            shard = _Shard(fn)
-            pdg._shards[id(fn)] = shard
-            for inst in fn.instructions():
-                pdg.add_node(inst, internal=True)
-                shard.node_ids.append(id(inst))
-        for src_id, dst_id, kind, data_kind, is_memory, is_must in edges:
-            src = instruction_by_id(src_id)
-            dst = instruction_by_id(dst_id)
-            edge = pdg.add_edge(src, dst, kind, data_kind, is_memory, is_must)
-            owner = pdg._shards.get(id(_function_of(src)))
-            if owner is not None:
-                owner.edges.append(edge)
-        return pdg
+        self._ensure_function(fn)
+        shard = self._shards[id(fn)]
+        position = {id(inst): i for i, inst in enumerate(fn.instructions())}
+        edges = []
+        for edge in shard.edges:
+            src_i = position.get(id(edge.src.value))
+            dst_i = position.get(id(edge.dst.value))
+            if src_i is None or dst_i is None:
+                return None
+            edges.append(
+                (src_i, dst_i, edge.kind, edge.data_kind, edge.is_memory,
+                 edge.is_must)
+            )
+        return {
+            "fn": fn.name,
+            "ninsts": len(position),
+            "edges": edges,
+            "queries": shard.queries,
+            "disproved": shard.disproved,
+        }
+
+    def adopt_shard(self, fn: Function, payload: dict) -> bool:
+        """Install an `export_shard` payload as ``fn``'s shard.
+
+        Runs no analysis.  Payloads arrive from outside the process
+        (cache files, ``.nir`` metadata): one that does not fit ``fn`` as
+        it is now — wrong instruction count, an index out of range, a
+        malformed record — is refused, nothing changes, and the
+        function builds on demand like any other.
+        """
+        if id(fn) in self._shards:
+            return False
+        insts = list(fn.instructions())
+        count = len(insts)
+        try:
+            if payload["ninsts"] != count:
+                return False
+            queries = int(payload["queries"])
+            disproved = int(payload["disproved"])
+            shard = self._open_shard(fn, insts)
+            for src_i, dst_i, kind, data_kind, is_memory, is_must in (
+                payload["edges"]
+            ):
+                if not (0 <= src_i < count and 0 <= dst_i < count):
+                    raise ValueError("edge endpoint out of range")
+                shard.edges.append(self.add_edge(
+                    insts[src_i], insts[dst_i], kind, data_kind, is_memory,
+                    is_must,
+                ))
+        except (KeyError, TypeError, ValueError):
+            self.invalidate_function(fn)  # drops a half-installed shard
+            return False
+        shard.queries = queries
+        shard.disproved = disproved
+        self._memory_queries += queries
+        self._memory_disproved += disproved
+        return True
 
     # -- derived graphs --------------------------------------------------------------
     def function_dependence_graph(self, fn: Function) -> DependenceGraph[Instruction]:

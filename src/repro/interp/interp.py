@@ -322,16 +322,13 @@ class Interpreter:
         self,
         module: Module,
         step_limit: int = 50_000_000,
-        cost_model: dict[str, int] | None = None,
         engine: str | None = None,
     ):
         self.module = module
         self.step_limit = step_limit
         if _STEP_BUDGET is not None and _STEP_BUDGET < self.step_limit:
             self.step_limit = _STEP_BUDGET
-        self.costs = dict(INSTRUCTION_COSTS)
-        if cost_model:
-            self.costs.update(cost_model)
+        self.costs = INSTRUCTION_COSTS
         self.memory = Memory()
         self.globals: dict[int, int] = {}  # id(GlobalVariable) -> base address
         self.prng = _DeterministicPRNG()
@@ -355,19 +352,12 @@ class Interpreter:
         #: The compiled execution engine routing this interpreter's
         #: defined-function calls, or None for the reference walker.
         #: Resolution order: explicit ``engine=`` argument, then the
-        #: NOELLE_ENGINE environment variable, then "compiled".  Custom
-        #: cost models always run on the reference walker (the engine
-        #: bakes INSTRUCTION_COSTS into compiled segments).
-        if cost_model:
-            self.engine = None
-        else:
-            from .engine import engine_for, engine_mode
+        #: NOELLE_ENGINE environment variable, then "compiled".
+        from .engine import engine_for, engine_mode
 
-            self.engine = (
-                engine_for(module)
-                if engine_mode(engine) == "compiled"
-                else None
-            )
+        self.engine = (
+            engine_for(module) if engine_mode(engine) == "compiled" else None
+        )
         self._init_globals()
 
     # -- setup ------------------------------------------------------------------

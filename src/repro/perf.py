@@ -29,7 +29,9 @@ constructed, at most one per loop per function version — under the
 / ``loop_forest()`` / ``loop_of()`` served a function's ``Loop``
 objects from the facade instead of minting them; the ``sccdag.build``
 timer; and the ``loop.invariants`` timer around Algorithm 2's walk over
-a whole loop).  Two ways to see the numbers:
+a whole loop), plus ``pdg.embedded_stale`` — times ``noelle-load``
+declined an embedded PDG because the module no longer prints as it did
+when the shards were computed.  Two ways to see the numbers:
 
 * set ``NOELLE_STATS=1`` in the environment — a table is printed to
   stderr when the process exits;

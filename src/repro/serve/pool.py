@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import collections
 import multiprocessing
-import os
 import signal
 import time
 from multiprocessing import connection
@@ -35,13 +34,6 @@ from .protocol import error_record
 
 #: Sent to a worker to make it exit its loop cleanly.
 SHUTDOWN = "__noelle_serve_shutdown__"
-
-#: Start method: the platform default (fork on Linux — workers inherit
-#: the warm imports) unless NOELLE_MP_START overrides it.
-def _context():
-    method = os.environ.get("NOELLE_MP_START") or None
-    return multiprocessing.get_context(method)
-
 
 class WorkerTimeout(RuntimeError):
     """No reply within the deadline (the worker may be wedged)."""
@@ -101,7 +93,9 @@ class Worker:
 
     def __init__(self, runner, name="worker", initializer=None,
                  init_args=(), context=None):
-        ctx = context if context is not None else _context()
+        # The platform's default start method: fork on Linux, so workers
+        # inherit the warm imports.
+        ctx = context if context is not None else multiprocessing.get_context()
         self.name = name
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
@@ -230,7 +224,7 @@ def supervised_map(
     if not items:
         return []
     jobs = max(1, min(jobs, len(items)))
-    ctx = context if context is not None else _context()
+    ctx = context if context is not None else multiprocessing.get_context()
     if max_respawns is None:
         max_respawns = len(items) + jobs
     results: list[TaskResult | None] = [None] * len(items)

@@ -38,6 +38,7 @@ from ..robust.diagnostics import EntryNotFoundError
 from ..robust.faults import SERVE_SITES, FaultPlan, InjectedFault
 from ..robust.passmanager import PassManager
 from ..runtime.machine import ParallelMachine
+from ..tools.pipeline import load
 from .protocol import (
     WORKER_KILL_EXIT,
     ProtocolError,
@@ -181,10 +182,7 @@ def _resolve(job: dict, state: SessionState):
         return module, state.noelles[name], name, warm
     module = cache.load_ir_text(job["ir"], "inline")
     verify_module(module)
-    noelle = Noelle(module)
-    if cache.enabled():
-        cache.attach(noelle)
-    return module, noelle, None, False
+    return module, load(module), None, False
 
 
 # -- operations ---------------------------------------------------------------
@@ -209,10 +207,7 @@ def _op_compile(job: dict, state: SessionState) -> dict:
             module = cache.load_ir_text(job["ir"], name)
         verify_module(module)
         state.modules[name] = module
-        noelle = Noelle(module)
-        if cache.enabled():
-            cache.attach(noelle)
-        state.noelles[name] = noelle
+        state.noelles[name] = load(module)
         state.hashes[name] = digest
         state.profiles.pop(name, None)
         state.touches[name] = 0
@@ -323,10 +318,9 @@ def _op_run(job: dict, state: SessionState) -> dict:
     else:
         if result.trapped is not None:
             trap_kind = "MemoryTrap"
-    if cache.enabled():
-        # Share whatever this run compiled (engine plans) with sibling
-        # and replacement workers.
-        cache.publish_artifacts(module, _noelle)
+    # Share whatever this run compiled (engine plans) with sibling and
+    # replacement workers.
+    cache.publish_artifacts(module, _noelle)
     return {
         "output": [_json_value(v) for v in result.output],
         "return_value": _json_value(result.return_value),
@@ -348,9 +342,8 @@ def _op_check(job: dict, state: SessionState) -> dict:
     checkers = job.get("checkers")
     names = checkers.split(",") if checkers else None
     diagnostics = noelle.run_checks(names=names)
-    if cache.enabled():
-        # Checkers build PDG shards: publish them for other workers.
-        cache.publish_artifacts(module, noelle)
+    # Checkers build PDG shards: publish them for other workers.
+    cache.publish_artifacts(module, noelle)
     records = [d.to_dict() for d in diagnostics]
     errors = sum(1 for d in records if d.get("severity") == "error")
     warnings = sum(1 for d in records if d.get("severity") == "warning")

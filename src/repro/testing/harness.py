@@ -27,12 +27,12 @@ Reproduced features:
 from __future__ import annotations
 
 from .. import cache
-from ..core.noelle import Noelle
 from ..core.profiler import Profiler
 from ..interp.interp import Interpreter
 from ..ir import verify_module
 from ..robust.passmanager import PassManager
 from ..runtime.machine import ParallelMachine
+from ..tools.pipeline import load
 from .corpus import MicroTest, build_corpus
 
 
@@ -106,9 +106,7 @@ def _apply_tools(module, config: ToolConfig, crash_dir=None) -> PassManager:
     one broken custom tool degrades a configuration instead of aborting
     the whole corpus run.
     """
-    noelle = Noelle(module)
-    if cache.enabled():
-        cache.attach(noelle)
+    noelle = load(module)
     needs_profile = bool(
         {"doall", "helix", "dswp", "prvj", "prvjeeves", "perspective"}
         & set(config.tools)

@@ -31,16 +31,14 @@ from ..core.profiler import Profiler
 from ..ir import (
     Module,
     is_binary_ir,
-    parse_module,
     print_module,
-    read_module,
     verify_module,
     write_module_file,
 )
 from ..perf import STATS, stats_enabled
 from ..robust.passmanager import PassManager
 from ..runtime.machine import ParallelMachine
-from .pipeline import make_binary, prof_coverage
+from .pipeline import load, prof_coverage
 from .whole_ir import whole_ir_from_files
 
 
@@ -49,17 +47,8 @@ def _load_ir(path: str) -> Module:
     with open(path, "rb") as handle:
         data = handle.read()
     if is_binary_ir(data):
-        if cache.enabled():
-            return cache.load_ir_binary(data, path)
-        module = read_module(data)
-        verify_module(module)
-        return module
-    text = data.decode("utf-8")
-    if cache.enabled():
-        return cache.load_ir_text(text, path)
-    module = parse_module(text, path)
-    verify_module(module)
-    return module
+        return cache.load_ir_binary(data, path)
+    return cache.load_ir_text(data.decode("utf-8"), path)
 
 
 def _save_ir(module: Module, path: str | None) -> None:
@@ -113,9 +102,8 @@ def _cmd_run(args) -> int:
         return EXIT_STEP_LIMIT
     for value in result.output:
         print(value)
-    if cache.enabled():
-        # Next invocation (any process) hydrates instead of recompiling.
-        cache.publish_artifacts(module)
+    # Next invocation (any process) hydrates instead of recompiling.
+    cache.publish_artifacts(module)
     if result.trapped:
         print(f"TRAP: {result.trapped}", file=sys.stderr)
         return EXIT_TRAP
@@ -166,7 +154,7 @@ def _cmd_serve(args) -> int:
 def _cmd_profile(args) -> int:
     module = _load_ir(args.input)
     profile = prof_coverage(module)
-    noelle = Noelle(module, profile=profile)
+    noelle = load(module, profile=profile)
     print(f"{'function':20s} {'invocations':>12s} {'hotness':>8s}")
     for fn in module.defined_functions():
         print(
@@ -197,7 +185,7 @@ def _report_rollbacks(manager: PassManager) -> None:
 
 def _cmd_parallelize(args) -> int:
     module = _load_ir(args.input)
-    noelle = Noelle(module)
+    noelle = load(module)
     noelle.attach_profile(Profiler(module).profile())
     manager = _manager_for(args, noelle)
     manager.run_registered("rm-lc-dependences")
@@ -224,7 +212,7 @@ def _cmd_parallelize(args) -> int:
 
 def _cmd_licm(args) -> int:
     module = _load_ir(args.input)
-    manager = _manager_for(args, Noelle(module))
+    manager = _manager_for(args, load(module))
     result = manager.run_registered("licm")
     _report_rollbacks(manager)
     print(f"hoisted {result.value if result.ok else 0} invariant "
@@ -236,7 +224,7 @@ def _cmd_licm(args) -> int:
 def _cmd_dead(args) -> int:
     module = _load_ir(args.input)
     before = module.num_instructions()
-    manager = _manager_for(args, Noelle(module))
+    manager = _manager_for(args, load(module))
     result = manager.run_registered("dead")
     _report_rollbacks(manager)
     removed = result.value if result.ok else []
@@ -273,7 +261,7 @@ def _cmd_check(args) -> int:
     from ..checks.diagnostics import has_errors
 
     module = _load_any_module(args.input, "check")
-    noelle = Noelle(module)
+    noelle = load(module)
     if args.parallelize:
         noelle.attach_profile(Profiler(module).profile())
         manager = _manager_for(args, noelle)
@@ -426,7 +414,7 @@ def _cmd_cache(args) -> int:
 
 def _cmd_report(args) -> int:
     module = _load_ir(args.input)
-    noelle = Noelle(module)
+    noelle = load(module)
     pdg = noelle.pdg()
     print(f"module: {module.name}")
     print(f"  functions: {len(module.functions)} "
@@ -470,7 +458,7 @@ def _cmd_analyze(args) -> int:
     from ..ir.instructions import Load, Store
 
     module = _load_any_module(args.input, "analyze")
-    noelle = Noelle(module)
+    noelle = load(module)
     loops = []
     for fn in module.defined_functions():
         for natural in noelle.loop_info(fn).loops():

@@ -71,20 +71,24 @@ def load(
 ) -> Noelle:
     """``noelle-load``: bring the layer up *without computing* anything.
 
-    Abstractions materialize on first use; a PDG embedded by
-    ``noelle-meta-pdg-embed`` is reused instead of recomputed.
+    Abstractions materialize on first use.  The PDG's shards are
+    adopted rather than built when someone already paid for them: from
+    the module's own metadata (``noelle-meta-pdg-embed``) if it is
+    still current, else from the artifact cache if one is configured —
+    which also binds the facade, so invalidation mirrors onto disk.
+    Every driver (CLI verbs, serve sessions, the test harness, the
+    Figure 1 pipeline) takes its facade from here.
     """
     noelle = Noelle(module, architecture, profile, minimum_hotness)
-    embedded = load_embedded_pdg(module)
+    embedded = load_embedded_pdg(module, noelle.alias_analysis)
     if embedded is not None:
         noelle.adopt_pdg(embedded)
     else:
+        # Imported here: repro.tools is imported by every pass pipeline,
+        # most of which never load; the store's imports cost ~4 MB.
         from .. import cache
 
-        if cache.enabled():
-            # Hydrate PDG shards / engine plans from the artifact cache
-            # and bind the facade so invalidation mirrors onto disk.
-            cache.attach(noelle)
+        cache.attach(noelle)
     return noelle
 
 

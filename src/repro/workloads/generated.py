@@ -6,16 +6,13 @@ shape.  Registering a family makes Figure 3/5-style sweeps (loop
 counts, speedup curves) run over hundreds of programs instead of the
 21 hand-shaped suite workloads.
 
-Families are **opt-in**: nothing registers at import time unless
-``NOELLE_GENERATED_WORKLOADS=<per-family count>`` is set, so the
+Families are **opt-in**: nothing registers at import time, so the
 default registry (and everything parametrized over it) is unchanged.
 Sweeps and tests call :func:`register_generated` /
 :func:`unregister_generated` explicitly.
 """
 
 from __future__ import annotations
-
-import os
 
 from ..fuzz.gen import SHAPES, generate_program
 from .registry import _REGISTRY, Workload, _ensure_loaded, register
@@ -91,8 +88,3 @@ def as_micro_tests(workloads: list[Workload]):
     return [
         MicroTest(w.name, w.source, {"generated", w.suite}) for w in workloads
     ]
-
-
-_ENV_COUNT = os.environ.get("NOELLE_GENERATED_WORKLOADS", "")
-if _ENV_COUNT.strip():
-    register_generated(per_family=max(1, int(_ENV_COUNT)))

@@ -78,6 +78,6 @@ def _ensure_loaded() -> None:
     global _LOADED
     if not _LOADED:
         _LOADED = True
-        # Self-registering suites; `generated` contributes fuzz-generated
-        # families only when NOELLE_GENERATED_WORKLOADS opts in.
-        from . import generated, mibench, parsec, spec  # noqa: F401
+        # Self-registering suites.  (The generated families of
+        # `repro.workloads.generated` register only when asked to.)
+        from . import mibench, parsec, spec  # noqa: F401

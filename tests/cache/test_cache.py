@@ -9,9 +9,10 @@ import pytest
 from repro import cache
 from repro.cache.store import KEY_SALT, ArtifactStore, _fn_filename
 from repro.core.noelle import Noelle
+from repro.frontend import compile_source
 from repro.interp.engine import EPLAN_VERSION, EnginePlanError, engine_for
 from repro.interp.interp import Interpreter
-from repro.ir import print_module
+from repro.ir import print_module, write_module
 from repro.perf import STATS
 from repro.workloads import get
 
@@ -53,6 +54,109 @@ def test_miss_then_hit(store):
     module2 = cache.cached_compile(get("crc32").source, "crc32")
     assert STATS.get("cache.hits") == before + 1
     assert cache.module_key(module2) == key
+
+
+def _crc32_inputs():
+    module = compile_source(get("crc32").source, "crc32")  # not via the cache
+    return {
+        "cached_compile": (cache.cached_compile, get("crc32").source),
+        "load_ir_text": (cache.load_ir_text, print_module(module)),
+        "load_ir_binary": (cache.load_ir_binary, write_module(module)),
+    }
+
+
+@pytest.mark.parametrize(
+    "door", ["cached_compile", "load_ir_text", "load_ir_binary"]
+)
+def test_every_front_door_with_and_without_a_store(door, store, monkeypatch):
+    load, raw = _crc32_inputs()[door]
+    hits, misses = STATS.get("cache.hits"), STATS.get("cache.misses")
+    cold = load(raw, "crc32")
+    assert (STATS.get("cache.hits"), STATS.get("cache.misses")) == (
+        hits, misses + 1
+    )
+    result = Interpreter(cold).run()
+    cache.publish_artifacts(cold)
+    # A second call is a hit that compiles nothing...
+    compiles = STATS.get("engine.compiles")
+    warm = load(raw, "crc32")
+    assert (STATS.get("cache.hits"), STATS.get("cache.misses")) == (
+        hits + 1, misses + 1
+    )
+    assert cache.module_key(warm) == cache.module_key(cold)
+    again = Interpreter(warm).run()
+    assert STATS.get("engine.compiles") == compiles
+    assert (again.output, again.steps, again.cycles) == (
+        result.output, result.steps, result.cycles
+    )
+    # ...and without a store the same name is the plain path: no
+    # counters, no key, the same module.
+    monkeypatch.delenv("NOELLE_CACHE_DIR")
+    plain = load(raw, "crc32")
+    assert (STATS.get("cache.hits"), STATS.get("cache.misses")) == (
+        hits + 1, misses + 1
+    )
+    assert cache.module_key(plain) is None
+    assert print_module(plain) == print_module(warm) == print_module(cold)
+
+
+def test_front_doors_meet_at_one_entry(store):
+    # The key is the canonical printed text, whichever door saw it first:
+    # plans published through one are adopted through the others.
+    doors = _crc32_inputs()
+    load, raw = doors.pop("load_ir_binary")
+    first = load(raw, "crc32")
+    Interpreter(first).run()
+    cache.publish_artifacts(first)
+    compiles = STATS.get("engine.compiles")
+    for load, raw in doors.values():
+        module = load(raw, "crc32")  # an alias miss onto a warm entry
+        assert cache.module_key(module) == cache.module_key(first)
+        Interpreter(module).run()
+    assert STATS.get("engine.compiles") == compiles
+    assert store.stats()["entries"] == 1 and store.stats()["aliases"] == 3
+
+
+def test_binary_front_door_keeps_the_metadata_of_its_input(store):
+    # A .nir hit decodes the bytes it was given, not the entry's copy:
+    # the two print the same but may carry different metadata.
+    module = compile_source(get("crc32").source, "crc32")
+    cache.load_ir_binary(write_module(module), "crc32")
+    module.metadata["custom.tag"] = [1, 2, 3]
+    hits = STATS.get("cache.hits")
+    tagged = cache.load_ir_binary(write_module(module), "crc32")
+    again = cache.load_ir_binary(write_module(module), "crc32")
+    assert STATS.get("cache.hits") == hits + 1
+    assert tagged.metadata["custom.tag"] == [1, 2, 3]
+    assert again.metadata["custom.tag"] == [1, 2, 3]
+
+
+def test_a_shard_that_does_not_fit_is_evicted_and_rebuilt(store):
+    key, _ = _publish_crc32()
+    directory = os.path.join(store.entry_dir(key), "pdg")
+    shards = sorted(os.listdir(directory))
+    victim = os.path.join(directory, shards[0])
+    with open(victim, "rb") as handle:
+        payload = pickle.loads(handle.read())
+    payload["ninsts"] += 1
+    with open(victim, "wb") as handle:
+        handle.write(pickle.dumps(payload, protocol=4))
+    hydrated = STATS.get("cache.pdg_shards_hydrated")
+    builds = STATS.get("pdg.shard_builds")
+    module = cache.cached_compile(get("crc32").source, "crc32")
+    noelle = Noelle(module)
+    cache.attach(noelle)
+    assert STATS.get("cache.pdg_shards_hydrated") == hydrated + len(shards) - 1
+    assert not os.path.exists(victim)
+    assert payload["fn"] not in {
+        fn.name for fn in noelle._pdg.built_functions()
+    }
+    noelle.pdg().materialize()
+    assert STATS.get("pdg.shard_builds") == builds + 1
+    cache.publish_artifacts(module, noelle)
+    assert store.load_pdg_shards(key)[payload["fn"]]["ninsts"] == (
+        payload["ninsts"] - 1
+    )
 
 
 def test_warm_hydration_is_byte_identical(store):
@@ -186,7 +290,6 @@ def test_previous_plan_version_is_a_miss(store):
         with open(path, "wb") as handle:
             handle.write(pickle.dumps(payload, protocol=4))
         assert store.load_engine_plan(key, payload["fn"]) is None
-    assert store.load_engine_plans(key) == {}
     hydrated = STATS.get("cache.engine_plans_hydrated")
     compiles = STATS.get("engine.compiles")
     module = cache.cached_compile(get("crc32").source, "crc32")

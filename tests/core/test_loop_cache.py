@@ -216,11 +216,22 @@ class TestIdentity:
         # Loop info is CFG-only and survives a PDG swap.
         for fn in self.module.defined_functions():
             assert noelle.loop_info(fn) is infos[fn.name]
-        # A rehydrated PDG cannot rebuild one shard: invalidate(fn)
-        # still falls back to the full drop.
-        noelle.invalidate(self.module.get_function("scale"))
-        assert noelle._pdg is None
-        assert not shared(loops, noelle.loops())
+        # A rehydrated PDG is an ordinary PDG: invalidate(fn) drops one
+        # shard and that function's loops, nothing else.
+        adopted = noelle.pdg()
+        scale = self.module.get_function("scale")
+        builds = STATS.get("pdg.shard_builds")
+        noelle.invalidate(scale)
+        assert noelle.pdg() is adopted
+        assert {fn.name for fn in adopted.built_functions()} == {
+            "fill", "total", "main"
+        }
+        kept = [l for l in loops if l.structure.function is not scale]
+        after = list(noelle.loops())
+        assert shared(kept, after) == {id(l) for l in kept}
+        assert len(after) == len(loops) and len(kept) == len(loops) - 1
+        adopted.materialize()
+        assert STATS.get("pdg.shard_builds") - builds == 1
 
     def test_outlined_task_functions_appear_on_the_next_assembly(self):
         noelle = self.noelle

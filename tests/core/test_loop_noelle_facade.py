@@ -7,6 +7,7 @@ from repro import ir
 from repro.core import Noelle, SCCDAGPartitioner
 from repro.core.loopstructure import LoopStructure
 from repro.frontend import compile_source
+from repro.perf import STATS
 
 
 SOURCE = """
@@ -82,9 +83,14 @@ int main() {
         from repro.tools import embed_pdg, load
 
         module = compile_source(SOURCE)
-        embed_pdg(module)
+        embedded = embed_pdg(module)
+        builds = STATS.get("pdg.shard_builds")
+        solves = STATS.get("pointsto.solves")
         noelle = load(module)
-        assert noelle.pdg().aa is None  # rebuilt from metadata
+        assert noelle.pdg().num_edges() == embedded.num_edges()
+        # Rebuilt from metadata: no shard built, no alias analysis run.
+        assert STATS.get("pdg.shard_builds") == builds
+        assert STATS.get("pointsto.solves") == solves
 
 
 class TestLoopFacade:

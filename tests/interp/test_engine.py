@@ -93,11 +93,6 @@ class TestEngineSelection:
         monkeypatch.setenv("NOELLE_ENGINE", "compiled")
         assert Interpreter(module).engine is not None
 
-    def test_custom_cost_model_forces_reference(self, monkeypatch):
-        monkeypatch.setenv("NOELLE_ENGINE", "compiled")
-        module = compile_source("int main() { return 1; }")
-        assert Interpreter(module, cost_model={"add": 9}).engine is None
-
     def test_shared_engine_per_module(self):
         module = compile_source("int main() { return 1; }")
         assert engine_for(module) is engine_for(module)

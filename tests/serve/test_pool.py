@@ -25,8 +25,7 @@ pytestmark = pytest.mark.timeout(120)
 #: The monkeypatch-based tests rely on fork inheritance (the patched
 #: function is a closure, which spawn could not pickle).
 _fork_only = pytest.mark.skipif(
-    (os.environ.get("NOELLE_MP_START") or multiprocessing.get_start_method())
-    != "fork",
+    multiprocessing.get_start_method() != "fork",
     reason="requires the fork start method",
 )
 

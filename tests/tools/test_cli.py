@@ -139,6 +139,74 @@ class TestReports:
         assert "hotness" in out
 
 
+class TestOneDoor:
+    """Every analysis verb takes its facade from ``noelle-load``: a
+    configured artifact cache is honoured, and changes nothing printed."""
+
+    @staticmethod
+    def _ir_file(tmp_path, name):
+        from repro.frontend import compile_source
+        from repro.ir import print_module
+        from repro.workloads import get
+
+        path = tmp_path / f"{name}.ir"
+        path.write_text(print_module(compile_source(get(name).source, name)))
+        return path
+
+    def test_report_adopts_published_shards(self, tmp_path, monkeypatch,
+                                            capsys):
+        from repro import cache
+        from repro.core.noelle import Noelle
+        from repro.perf import STATS
+
+        path = self._ir_file(tmp_path, "crc32")
+        assert main(["report", str(path)]) == 0
+        plain = capsys.readouterr().out
+
+        monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
+        module = cache.load_ir_text(path.read_text(), str(path))
+        noelle = Noelle(module)
+        cache.attach(noelle)
+        noelle.pdg().materialize()
+        cache.publish_artifacts(module, noelle)
+
+        hydrated = STATS.get("cache.pdg_shards_hydrated")
+        builds = STATS.get("pdg.shard_builds")
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+        assert STATS.get("cache.pdg_shards_hydrated") > hydrated
+        assert STATS.get("pdg.shard_builds") == builds
+
+    @pytest.mark.parametrize("workload", ["crc32", "susan"])
+    @pytest.mark.parametrize("verb", ["report", "parallelize", "check"])
+    def test_a_store_changes_nothing_printed_or_written(
+        self, verb, workload, tmp_path, monkeypatch, capsys
+    ):
+        if faults_enabled():
+            pytest.skip("a warm store visits fewer fault sites")
+        path = self._ir_file(tmp_path, workload)
+        out = tmp_path / "out.ir"
+        argv = {
+            "report": ["report", str(path)],
+            "parallelize": ["parallelize", str(path), "--technique", "helix",
+                            "--cores", "4", "-o", str(out)],
+            "check": ["check", str(path), "--parallelize", "doall",
+                      "--cores", "4"],
+        }[verb]
+
+        def observed():
+            status = main(argv)
+            captured = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            return status, captured.out, captured.err, written
+
+        monkeypatch.delenv("NOELLE_CACHE_DIR", raising=False)
+        plain = observed()
+        monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
+        assert observed() == plain  # cold: a miss, published
+        assert observed() == plain  # warm: a hit
+
+
 class TestAnalyze:
     SOURCE = """
 int a[32];

@@ -6,6 +6,7 @@ from repro.core import Noelle
 from repro.core.pdg import PDG
 from repro.frontend import compile_source
 from repro.interp import Interpreter
+from repro.perf import STATS
 from repro.robust.faults import enabled_in_env as faults_enabled
 from repro.tools import (
     embed_pdg,
@@ -66,10 +67,51 @@ int main() {
 
     def test_load_uses_embedded_pdg(self):
         module = compile_source(self.SOURCE)
+        original = embed_pdg(module)
+        builds = STATS.get("pdg.shard_builds")
+        solves = STATS.get("pointsto.solves")
+        pdg = load(module).pdg()
+        assert pdg.num_edges() == original.num_edges()
+        # Reconstructed, not recomputed.
+        assert STATS.get("pdg.shard_builds") == builds
+        assert STATS.get("pointsto.solves") == solves
+
+    def test_stale_embedding_is_not_loaded(self):
+        # Regression: an embedding outlived the code it described.  On
+        # susan, embed -> LICM (hoists) -> load() handed back the
+        # pre-LICM edges, register "dependences" between unrelated
+        # instructions included, and nothing was raised.
+        from repro.analysis.pointsto import AndersenAliasAnalysis
+        from repro.robust.passmanager import PassManager
+        from repro.workloads import get
+
+        module = get("susan").compile()
         embed_pdg(module)
-        noelle = load(module)
-        pdg = noelle.pdg()
-        assert pdg.aa is None  # reconstructed, not recomputed
+        manager = PassManager(Noelle(module), fault_plan=None)
+        assert manager.run_registered("licm").value > 0
+        stale = STATS.get("pdg.embedded_stale")
+        assert load_embedded_pdg(module) is None
+        assert STATS.get("pdg.embedded_stale") == stale + 1
+
+        def signature(pdg):
+            return sorted(
+                (id(e.src.value), id(e.dst.value), e.kind, e.data_kind or "",
+                 e.is_memory, e.is_must)
+                for e in pdg.edges()
+            )
+
+        pdg = load(module).pdg()  # falls through to recomputation
+        fresh = PDG(module, AndersenAliasAnalysis(module))
+        assert signature(pdg) == signature(fresh)
+        for edge in pdg.edges():
+            if edge.is_data() and not edge.is_memory:
+                assert any(
+                    op is edge.src.value for op in edge.dst.value.operands
+                )
+        # Embedding a profile afterwards does not make an embedding stale.
+        embed_pdg(module)
+        meta_prof_embed(module, prof_coverage(module))
+        assert load_embedded_pdg(module) is not None
 
     def test_meta_clean_removes_embedding(self):
         module = compile_source(self.SOURCE)
