@@ -7,7 +7,7 @@ accept — quantifying why the paper integrates external AA frameworks
 instead of shipping with LLVM's.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.analysis.aa import BasicAliasAnalysis
 from repro.core import Noelle
@@ -33,14 +33,11 @@ def _count_parallelizable(weak: bool) -> dict:
     return {"accepted": accepted, "total": total}
 
 
-def test_ablation_alias_analysis_strength(benchmark):
-    def experiment():
-        return {
-            "weak (LLVM-grade AA)": _count_parallelizable(weak=True),
-            "strong (Andersen / SCAF stand-in)": _count_parallelizable(weak=False),
-        }
-
-    results = run_once(benchmark, experiment)
+def test_ablation_alias_analysis_strength():
+    results = {
+        "weak (LLVM-grade AA)": _count_parallelizable(weak=True),
+        "strong (Andersen / SCAF stand-in)": _count_parallelizable(weak=False),
+    }
     print_table(
         "Ablation — DOALL-accepted outermost loops (PARSEC suite) by AA",
         ["configuration", "accepted", "of"],

@@ -6,7 +6,7 @@ latency and shows the speedup collapsing as the interconnect slows —
 the reason ``noelle-arch`` measures the real machine instead of assuming.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.core import Noelle
 from repro.core.architecture import ArchitectureDescription
@@ -37,23 +37,19 @@ int main() {
 LATENCIES = (5, 40, 160, 640)
 
 
-def test_ablation_helix_latency_sensitivity(benchmark):
-    def experiment():
-        baseline = Interpreter(compile_source(HISTOGRAM)).run()
-        module = compile_source(HISTOGRAM)
-        noelle = Noelle(module)
-        noelle.attach_profile(Profiler(module).profile())
-        HELIX(noelle, 8).run()
-        speedups = {}
-        for latency in LATENCIES:
-            arch = ArchitectureDescription(12, default_latency=latency)
-            machine = ParallelMachine(module, architecture=arch, num_cores=8)
-            result = machine.run()
-            assert result.output == baseline.output
-            speedups[latency] = baseline.cycles / result.cycles
-        return speedups
-
-    speedups = run_once(benchmark, experiment)
+def test_ablation_helix_latency_sensitivity():
+    baseline = Interpreter(compile_source(HISTOGRAM)).run()
+    module = compile_source(HISTOGRAM)
+    noelle = Noelle(module)
+    noelle.attach_profile(Profiler(module).profile())
+    HELIX(noelle, 8).run()
+    speedups = {}
+    for latency in LATENCIES:
+        arch = ArchitectureDescription(12, default_latency=latency)
+        machine = ParallelMachine(module, architecture=arch, num_cores=8)
+        result = machine.run()
+        assert result.output == baseline.output
+        speedups[latency] = baseline.cycles / result.cycles
     print_table(
         "Ablation — HELIX speedup vs core-to-core latency (8 cores)",
         ["latency (cycles)", "speedup"],

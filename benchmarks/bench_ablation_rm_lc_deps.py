@@ -6,7 +6,7 @@ promotion, loops that accumulate into globals carry a memory dependence
 and resist DOALL entirely.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.core import Noelle
 from repro.core.profiler import Profiler
@@ -49,14 +49,11 @@ def _speedup(with_rm_lc: bool) -> tuple[float, int]:
     return baseline.cycles / result.cycles, count
 
 
-def test_ablation_rm_lc_dependences(benchmark):
-    def experiment():
-        return {
-            "without rm-lc-dependences": _speedup(False),
-            "with rm-lc-dependences": _speedup(True),
-        }
-
-    results = run_once(benchmark, experiment)
+def test_ablation_rm_lc_dependences():
+    results = {
+        "without rm-lc-dependences": _speedup(False),
+        "with rm-lc-dependences": _speedup(True),
+    }
     print_table(
         "Ablation — DOALL on a global-accumulator loop",
         ["configuration", "speedup", "loops parallelized"],

@@ -8,13 +8,13 @@ stateless AA and the NOELLE side the whole-module Andersen points-to
 gap isolates the analysis strength — per suite, as in the paper.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import fig3_dependences
 
 
-def test_fig3_dependences_disproved(benchmark):
-    rows = run_once(benchmark, fig3_dependences)
+def test_fig3_dependences_disproved():
+    rows = fig3_dependences()
     print_table(
         "Figure 3 — % of potential memory dependences disproved",
         ["suite", "queries", "LLVM", "NOELLE"],

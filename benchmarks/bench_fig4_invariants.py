@@ -6,13 +6,13 @@ more invariants than LLVM even if the former relies on a simpler and
 shorter algorithm."
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import fig4_invariants
 
 
-def test_fig4_invariants(benchmark):
-    rows = run_once(benchmark, fig4_invariants)
+def test_fig4_invariants():
+    rows = fig4_invariants()
     print_table(
         "Figure 4 — loop invariants detected",
         ["benchmark", "suite", "LLVM (Alg.1)", "NOELLE (Alg.2)"],

@@ -6,13 +6,13 @@ pattern expects do-while-shaped loops) while NOELLE identifies 385
 scale with our suite size; the *ratio* is the reproduced claim.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import governing_iv_counts
 
 
-def test_governing_induction_variables(benchmark):
-    counts = run_once(benchmark, governing_iv_counts)
+def test_governing_induction_variables():
+    counts = governing_iv_counts()
     print_table(
         "Section 4.3 — governing IVs per benchmark",
         ["benchmark", "LLVM", "NOELLE"],

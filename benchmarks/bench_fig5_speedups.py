@@ -11,15 +11,15 @@ the reproduced claims are the *shape*: who wins, where, and why.
 """
 
 import pytest
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import fig5_speedups
 from repro.workloads import suite
 
 
-def test_fig5_parallel_speedups(benchmark):
+def test_fig5_parallel_speedups():
     workloads = suite("parsec") + suite("mibench")
-    rows = run_once(benchmark, lambda: fig5_speedups(workloads, num_cores=12))
+    rows = fig5_speedups(workloads, num_cores=12)
     print_table(
         "Figure 5 — speedup over clang (12 simulated cores)",
         ["benchmark", "suite", "gcc", "icc", "DOALL", "HELIX", "DSWP"],

@@ -7,13 +7,13 @@ reduce without increasing anything else); each workload links a small
 utility library of which only parts are reachable.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import sec45_binary_size
 
 
-def test_sec45_dead_function_elimination(benchmark):
-    rows = run_once(benchmark, sec45_binary_size)
+def test_sec45_dead_function_elimination():
+    rows = sec45_binary_size()
     print_table(
         "Section 4.5 — binary size (IR instructions) before/after DEAD",
         ["benchmark", "before", "after", "removed fns", "reduction"],

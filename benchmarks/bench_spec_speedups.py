@@ -6,13 +6,13 @@ behind carried state and irregular control, and "speculative techniques
 are likely to be required to unlock further speedups."
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import spec_speedups
 
 
-def test_spec_modest_speedups(benchmark):
-    rows = run_once(benchmark, lambda: spec_speedups(num_cores=12))
+def test_spec_modest_speedups():
+    rows = spec_speedups(num_cores=12)
     print_table(
         "Section 4.4 — SPEC-shaped suite (12 simulated cores)",
         ["benchmark", "DOALL", "HELIX", "friendly?"],

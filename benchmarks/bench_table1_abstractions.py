@@ -8,13 +8,13 @@ largest, and the whole layer is ~an order of magnitude larger than any
 single custom tool.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import table1
 
 
-def test_table1_abstraction_loc(benchmark):
-    rows = run_once(benchmark, table1)
+def test_table1_abstraction_loc():
+    rows = table1()
     print_table(
         "Table 1 — NOELLE abstractions (LoC)",
         ["abstraction", "ours", "paper"],

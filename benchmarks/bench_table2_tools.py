@@ -1,12 +1,12 @@
 """Table 2 reproduction: LoC of the noelle-* deployment tools."""
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import table2
 
 
-def test_table2_tool_loc(benchmark):
-    rows = run_once(benchmark, table2)
+def test_table2_tool_loc():
+    rows = table2()
     print_table(
         "Table 2 — NOELLE tools (LoC)",
         ["tool", "ours", "paper"],

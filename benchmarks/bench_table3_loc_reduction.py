@@ -7,13 +7,13 @@ as the tool's own LoC plus the layer modules a from-scratch build would
 have to inline (see DESIGN.md, evaluation-fidelity notes).
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import table3
 
 
-def test_table3_loc_reduction(benchmark):
-    rows = run_once(benchmark, table3)
+def test_table3_loc_reduction():
+    rows = table3()
     print_table(
         "Table 3 — custom tools (LoC): LLVM-only vs on NOELLE",
         ["tool", "llvm", "noelle", "reduction", "paper llvm", "paper noelle",

@@ -5,7 +5,7 @@ the paper's claim: *every* abstraction serves multiple, heterogeneous
 custom tools.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 from repro.experiments import (
     ALL_ABSTRACTIONS,
@@ -24,8 +24,8 @@ def _matrix_rows(matrix):
     return rows
 
 
-def test_table4_usage_matrix(benchmark):
-    matrix = run_once(benchmark, table4)
+def test_table4_usage_matrix():
+    matrix = table4()
     headers = ["tool", *ALL_ABSTRACTIONS]
     print_table("Table 4 — abstraction usage (ours)", headers,
                 _matrix_rows(USAGE_MATRIX))

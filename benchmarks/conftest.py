@@ -1,22 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper benches.
 
 Every bench regenerates one table or figure of the paper: it computes the
-data, prints it in the paper's format (so `pytest benchmarks/
---benchmark-only -s` shows the reproduction), asserts the qualitative
-claims, and reports its runtime through pytest-benchmark.
-
-Benches run their experiment exactly once (``benchmark.pedantic`` with one
-round): the experiments are deterministic, so repetition would only
-re-measure the same numbers — mirroring how the paper's own
-confidence-interval protocol collapses under a deterministic simulator.
+data, prints it in the paper's format (so ``pytest -s benchmarks/`` shows
+the reproduction) and asserts the qualitative claims.  The experiments
+are deterministic and nothing here reads a clock: every timing this
+repository reports comes from ``benchmarks/e2e`` (``BENCHMARK.json``).
 """
-
-import pytest
-
-
-def run_once(benchmark, func):
-    """Benchmark ``func`` with a single round and return its result."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)
 
 
 def print_table(title, headers, rows):

@@ -43,13 +43,13 @@ def _sequential_baseline(workload: Workload):
     return result
 
 
-def _parallelize_and_run(workload: Workload, technique: str, num_cores: int):
+def _parallelize_and_run(workload: Workload, technique: str, num_cores: int,
+                         baseline):
     """Apply one technique and run on the simulated machine.
 
     Returns (speedup, loops parallelized, output-match) against the
-    sequential baseline.
+    sequential ``baseline``.
     """
-    baseline = _sequential_baseline(workload)
     module = workload.compile()
     if technique in ("gcc", "icc"):
         parallelizer = ConservativeParallelizer(module, num_cores)
@@ -89,9 +89,10 @@ def _fig5_row(
     workload, num_cores, techniques = task
     row: dict = {"benchmark": workload.name, "suite": workload.suite,
                  "parallel_friendly": workload.parallel_friendly}
+    baseline = _sequential_baseline(workload)
     for technique in techniques:
         speedup, count, matches = _parallelize_and_run(
-            workload, technique, num_cores
+            workload, technique, num_cores, baseline
         )
         row[technique] = speedup
         row[f"{technique}_loops"] = count

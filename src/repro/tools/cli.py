@@ -713,12 +713,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    previous_engine = os.environ.get("NOELLE_ENGINE")
     if args.engine is not None:
         # Set before any interpreter is constructed: every run this
         # command performs (including profiling inside transforms)
         # resolves its engine from the environment.
         os.environ["NOELLE_ENGINE"] = args.engine
-    status = args.func(args)
+    try:
+        status = args.func(args)
+    finally:
+        # The choice is this command's, not the calling process's.
+        if previous_engine is None:
+            os.environ.pop("NOELLE_ENGINE", None)
+        else:
+            os.environ["NOELLE_ENGINE"] = previous_engine
     if args.stats and not stats_enabled():
         # NOELLE_STATS=1 already reports via atexit; avoid printing twice.
         STATS.report()

@@ -29,9 +29,8 @@ from .parallelizer_common import (
     chunk_cloned_loop,
     clone_loop_into_task,
     finish_task_with_reductions,
-    invocation_is_profitable,
-    loop_is_stale,
     replace_loop_with_dispatch,
+    run_rounds,
 )
 
 
@@ -115,7 +114,6 @@ class HELIX:
         self.noelle.loop_scheduler(fn).shrink_header(loop.natural_loop)
         loop.invalidate()
         boundary = self._check(loop)
-        iv = loop.governing_iv()
         sequential_sccs = loop.sccdag.sequential_sccs()
         env = build_environment(self.noelle, boundary, "helix.env")
         skeleton = clone_loop_into_task(
@@ -246,50 +244,5 @@ class HELIX:
         max_rounds: int = 10,
         only_loop_id: int | None = None,
     ) -> int:
-        total = 0
-        for _ in range(max_rounds):
-            changed = self._run_round(minimum_hotness, only_loop_id)
-            total += changed
-            if not changed:
-                break
-            if only_loop_id is not None:
-                break  # surgical mode transforms at most one loop
-        return total
-
-    def _run_round(
-        self, minimum_hotness: float, only_loop_id: int | None = None
-    ) -> int:
-        parallelized = 0
-        transformed: set[int] = set()
-        for loop in self.noelle.loops():
-            if loop_is_stale(loop):
-                continue  # erased by an earlier transformation this round
-            if only_loop_id is not None and loop.structure.loop_id != only_loop_id:
-                continue  # surgical testing: only the requested loop
-            fn = loop.structure.function
-            if id(fn) in transformed or fn.metadata.get("noelle.task"):
-                continue
-            if any(
-                phi.metadata.get("noelle.generated")
-                for phi in loop.structure.header.phis()
-            ):
-                continue
-            profile = self.noelle.profile()
-            if profile is not None:
-                if profile.loop_hotness(loop.natural_loop) < minimum_hotness:
-                    continue
-            from ..runtime.machine import FORK_OVERHEAD
-
-            if not invocation_is_profitable(loop, profile, FORK_OVERHEAD):
-                continue
-            if loop.structure.depth() != 1:
-                continue
-            if not self.can_parallelize(loop):
-                continue
-            self.parallelize(loop)
-            # Outlining rewrote only this function (plus fresh task code):
-            # drop its shard and the aggregates, keep points-to warm.
-            self.noelle.invalidate(fn)
-            transformed.add(id(fn))
-            parallelized += 1
-        return parallelized
+        """Parallelize every eligible (hot) loop; returns how many."""
+        return run_rounds(self, minimum_hotness, max_rounds, only_loop_id)

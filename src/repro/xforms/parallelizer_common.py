@@ -422,3 +422,69 @@ def invocation_is_profitable(loop: Loop, profile, overhead_cycles: int) -> bool:
     weight = profile.inclusive_weight_of_instructions(list(natural.instructions()))
     per_invocation = weight / invocations
     return per_invocation >= 2.0 * overhead_cycles
+
+
+def run_rounds(
+    technique,
+    minimum_hotness: float = 0.0,
+    max_rounds: int = 10,
+    only_loop_id: int | None = None,
+) -> int:
+    """The whole-program driver DOALL, HELIX and DSWP share: parallelize
+    every eligible (hot) loop with ``technique`` (its ``noelle``,
+    ``can_parallelize`` and ``parallelize``); returns how many.
+
+    One transformation per function per round (analyses go stale);
+    rounds repeat with fresh analyses until nothing changes.
+    """
+    total = 0
+    for _ in range(max_rounds):
+        changed = _run_round(technique, minimum_hotness, only_loop_id)
+        total += changed
+        if not changed:
+            break
+        if only_loop_id is not None:
+            break  # surgical mode transforms at most one loop
+    return total
+
+
+def _run_round(
+    technique, minimum_hotness: float, only_loop_id: int | None
+) -> int:
+    from ..runtime.machine import FORK_OVERHEAD
+
+    noelle = technique.noelle
+    profile = noelle.profile()
+    parallelized = 0
+    transformed_functions: set[int] = set()
+    for loop in noelle.loops():
+        if loop_is_stale(loop):
+            continue  # erased by an earlier transformation this round
+        if only_loop_id is not None and loop.structure.loop_id != only_loop_id:
+            continue  # surgical testing: only the requested loop
+        fn = loop.structure.function
+        if id(fn) in transformed_functions:
+            continue  # loop info of this function is stale now
+        if fn.metadata.get("noelle.task"):
+            continue  # never re-parallelize generated task bodies
+        if any(
+            phi.metadata.get("noelle.generated")
+            for phi in loop.structure.header.phis()
+        ):
+            continue  # runtime glue (e.g. reduction combining) stays serial
+        if profile is not None:
+            if profile.loop_hotness(loop.natural_loop) < minimum_hotness:
+                continue
+        if not invocation_is_profitable(loop, profile, FORK_OVERHEAD):
+            continue
+        if loop.structure.depth() != 1:
+            continue  # parallelize outermost eligible loops only
+        if not technique.can_parallelize(loop):
+            continue
+        technique.parallelize(loop)
+        # Outlining rewrote only this function (plus fresh task code):
+        # drop its shard and the aggregates, keep points-to warm.
+        noelle.invalidate(fn)
+        transformed_functions.add(id(fn))
+        parallelized += 1
+    return parallelized

@@ -361,3 +361,51 @@ def test_transformed_module_not_poisoned_by_cache(store):
     reference = Interpreter(reference_module).run()
     assert transformed.output == reference.output
     assert print_module(module) == print_module(reference_module)
+
+
+def _figures_json():
+    from repro.experiments import fig3_dependences, fig4_invariants
+    from repro.experiments.speedups import fig5_speedups
+
+    return json.dumps({
+        "fig3": fig3_dependences(),
+        "fig4": fig4_invariants(),
+        "fig5": fig5_speedups(
+            [get("blackscholes"), get("crc32")], techniques=("doall", "helix")
+        ),
+    }, sort_keys=True)
+
+
+def test_figures_do_not_depend_on_the_store(tmp_path, monkeypatch):
+    """fig3/fig4/fig5 serialise identically with no store, a cold store
+    and a warm one; the warm pass compiles every workload from it."""
+    monkeypatch.delenv("NOELLE_CACHE_DIR", raising=False)
+    plain = _figures_json()
+    monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
+    assert _figures_json() == plain  # cold: misses, published
+    hits, misses = STATS.get("cache.hits"), STATS.get("cache.misses")
+    assert _figures_json() == plain  # warm
+    assert STATS.get("cache.hits") - hits >= 21
+    assert STATS.get("cache.misses") == misses
+
+
+def test_corpus_outcomes_do_not_depend_on_a_warm_store(tmp_path, monkeypatch):
+    """The micro-test harness twice against one store: the second pass
+    rides the first one's entries and agrees on every outcome."""
+    from repro.testing.harness import ToolConfig, build_corpus, run_corpus
+
+    monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
+
+    def outcomes():
+        configs = [ToolConfig("licm+dead", ["licm", "dead"])]
+        return [
+            (outcome.test.name, outcome.passed)
+            for outcome in run_corpus(configs, build_corpus()[:12])
+        ]
+
+    cold = outcomes()
+    hits, misses = STATS.get("cache.hits"), STATS.get("cache.misses")
+    assert outcomes() == cold
+    assert all(passed for _name, passed in cold), cold
+    assert STATS.get("cache.hits") > hits
+    assert STATS.get("cache.misses") == misses

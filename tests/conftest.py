@@ -46,6 +46,16 @@ def count_loop():
     return build_count_loop()
 
 
+def insert_dead_add(fn) -> None:
+    """Mutate ``fn`` in place: a dead add before the entry terminator —
+    the minimal single-function change a transform would make."""
+    block = fn.blocks[0]
+    inst = ir.BinaryOp("add", ir.const_int(1), ir.const_int(2), "dead")
+    inst.parent = block
+    block.instructions.insert(len(block.instructions) - 1, inst)
+    fn.assign_name(inst)
+
+
 def compile_and_run(source, entry="main", args=None, step_limit=50_000_000):
     """Compile MiniC and execute; returns the ExecutionResult."""
     from repro.frontend import compile_source

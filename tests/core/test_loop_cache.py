@@ -28,16 +28,40 @@ from repro.perf import STATS
 from repro.robust.passmanager import PassManager
 from repro.tools.meta_pdg_embed import embed_pdg, load_embedded_pdg
 from repro.workloads import all_workloads
+from tests.conftest import insert_dead_add
 
-_BENCHMARKS = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks"
+_E2E = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
 )
-for _path in (_BENCHMARKS, os.path.join(_BENCHMARKS, "e2e")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
+if _E2E not in sys.path:
+    sys.path.insert(0, _E2E)
 
 import bigmod  # noqa: E402  (benchmarks/e2e: the bigmod generator)
-from bench_pdg_scaling import insert_dead_add, scaling_source  # noqa: E402
+
+
+def scaling_source(num_functions: int) -> str:
+    """A module of ``num_functions`` independent memory-heavy kernels."""
+    parts = []
+    for k in range(num_functions):
+        parts.append(f"""
+int data{k}[256];
+int aux{k}[256];
+
+int work{k}(int n) {{
+  int i;
+  int s;
+  s = 0;
+  for (i = 0; i < n; i = i + 1) {{
+    data{k}[i % 256] = i + {k};
+    aux{k}[i % 256] = data{k}[i % 256] * 2;
+    s = s + aux{k}[i % 256] - data{k}[(i + 7) % 256];
+  }}
+  return s;
+}}
+""")
+    calls = " + ".join(f"work{k}(64)" for k in range(num_functions))
+    parts.append(f"int main() {{ return {calls}; }}")
+    return "\n".join(parts)
 
 
 THREE_FUNCTIONS = """

@@ -31,6 +31,7 @@ from repro.tools.meta_pdg_embed import (
 )
 from repro.tools.pipeline import load
 from repro.workloads import all_workloads
+from tests.conftest import insert_dead_add
 
 
 def edge_multiset(pdg):
@@ -67,16 +68,6 @@ def positional_edges(pdg):
         )
         for edge in pdg.edges()
     )
-
-
-def insert_dead_add(fn) -> ir.Instruction:
-    """Mutate ``fn`` in place: a dead add before the entry terminator."""
-    block = fn.blocks[0]
-    inst = ir.BinaryOp("add", ir.const_int(1), ir.const_int(2), "dead")
-    inst.parent = block
-    block.instructions.insert(len(block.instructions) - 1, inst)
-    fn.assign_name(inst)
-    return inst
 
 
 def two_function_module():

@@ -11,7 +11,6 @@ from repro.experiments import (
     fig4_invariants,
     fig5_speedups,
     governing_iv_counts,
-    sec45_binary_size,
     table1,
     table2,
     table3,
@@ -156,13 +155,3 @@ class TestSpeedups:
         assert by_name["susan"]["doall"] > by_name["susan"]["gcc"]
         assert by_name["crc32"]["doall"] < 1.6
 
-
-class TestBinarySize:
-    def test_dead_reduces_sizes(self):
-        rows = sec45_binary_size()
-        average = sum(r["reduction_pct"] for r in rows) / len(rows)
-        assert all(r["size_after"] <= r["size_before"] for r in rows)
-        # The paper reports 6.3% average beyond -Oz; our library tail gives
-        # every workload removable code, so the average must be clearly
-        # positive.
-        assert average > 3.0

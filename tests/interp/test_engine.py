@@ -109,6 +109,9 @@ class TestDifferentialWorkloads:
         reference = _observables(module, "reference", workload.step_limit)
         compiled = _observables(module, "compiled", workload.step_limit)
         assert compiled == reference
+        # Same module again: the per-module code cache is hot.
+        warm = _observables(module, "compiled", workload.step_limit)
+        assert warm == reference
 
     def test_repeat_run_is_deterministic(self):
         module = get("blackscholes").compile()

@@ -161,12 +161,17 @@ class TestFaultInjectionStress:
     ):
         with serving(crash_dir=str(tmp_path)) as (client, server):
             _compile(client)
-            pid_before = server.supervisor.stats()["workers"][0]["pid"]
+            before = server.supervisor.stats()
+            pid_before = before["workers"][0]["pid"]
 
             status, body = client.post("/run", {
                 "session": "s", "name": "m", "faults": "serve_kill:1",
             })
             assert status == 502
+            # One kill is one restart and one error, nothing collateral.
+            after = server.supervisor.stats()["serve"]
+            assert after["restarts"] == before["serve"]["restarts"] + 1
+            assert after["errors"] == before["serve"]["errors"] + 1
             error = body["error"]
             assert error["kind"] == "WorkerCrashed"
             assert error["scope"] == "service"

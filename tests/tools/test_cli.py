@@ -62,6 +62,26 @@ class TestRun:
         expected = sum((i * 5) % 23 for i in range(300))
         assert str(expected) in captured.out
 
+    @pytest.mark.parametrize("before", [None, "compiled"])
+    def test_engine_flag_does_not_outlive_the_command(
+        self, demo_files, monkeypatch, before
+    ):
+        """``--engine`` selects the engine of this command only: the
+        caller's ``NOELLE_ENGINE`` is back afterwards."""
+        from repro.perf import STATS
+
+        _, ir_file, _ = demo_files
+        if before is None:
+            monkeypatch.delenv("NOELLE_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("NOELLE_ENGINE", before)
+        walked = STATS.get("engine.blocks_reference")
+        compiled = STATS.get("engine.blocks_compiled")
+        assert main(["--engine", "reference", "run", str(ir_file)]) == 0
+        assert STATS.get("engine.blocks_reference") > walked
+        assert STATS.get("engine.blocks_compiled") == compiled
+        assert os.environ.get("NOELLE_ENGINE") == before
+
 
 class TestParallelize:
     @pytest.mark.parametrize("technique", ["doall", "helix", "dswp"])
