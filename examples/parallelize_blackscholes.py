@@ -5,19 +5,9 @@ DOALL, and DSWP, and sweep the simulated core count.
 Run:  python examples/parallelize_blackscholes.py
 """
 
-from repro.core import Noelle
-from repro.core.profiler import Profiler
 from repro.interp import Interpreter
-from repro.runtime import ParallelMachine
-from repro.tools import remove_loop_carried_dependences
+from repro.tools.pipeline import TECHNIQUES, execute, load, parallelize
 from repro.workloads import get
-from repro.xforms import DOALL, DSWP, HELIX
-
-TECHNIQUES = {
-    "doall": lambda noelle, cores: DOALL(noelle, cores).run(0.02),
-    "helix": lambda noelle, cores: HELIX(noelle, cores).run(0.02),
-    "dswp": lambda noelle, cores: DSWP(noelle, num_stages=4).run(0.02),
-}
 
 
 def main() -> None:
@@ -28,16 +18,14 @@ def main() -> None:
     print(f"sequential (clang stand-in): {baseline.cycles} cycles, "
           f"output {baseline.output}")
 
-    for name, apply_technique in TECHNIQUES.items():
+    for name in TECHNIQUES:
         module = workload.compile()
-        noelle = Noelle(module)
-        noelle.attach_profile(Profiler(module).profile())
-        remove_loop_carried_dependences(noelle)
-        count = apply_technique(noelle, 12)
+        _, count = parallelize(
+            load(module), name, num_cores=12, minimum_hotness=0.02
+        )
         print(f"\n{name}: parallelized {count} loop(s)")
         for cores in (1, 2, 4, 8, 12, 24):
-            machine = ParallelMachine(module, num_cores=cores)
-            result = machine.run()
+            result = execute(module, num_cores=cores)
             assert result.trapped is None, result.trapped
             speedup = baseline.cycles / result.cycles
             print(f"  {cores:2d} cores: {speedup:5.2f}x "

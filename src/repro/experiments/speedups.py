@@ -4,36 +4,10 @@ from __future__ import annotations
 
 from ..baselines.conservative_parallelizer import ConservativeParallelizer
 from ..core.noelle import Noelle
-from ..core.profiler import Profiler
 from ..interp.interp import Interpreter
-from ..runtime.machine import ParallelMachine
-from ..tools.rm_lc_dependences import remove_loop_carried_dependences
+from ..tools.pipeline import execute, outputs_equivalent, parallelize
 from ..workloads import Workload, all_workloads, suite
 from ..xforms.dead import DeadFunctionEliminator
-from ..xforms.doall import DOALL
-from ..xforms.dswp import DSWP
-from ..xforms.helix import HELIX
-
-
-def _floats_close(a, b, rel: float = 1e-9) -> bool:
-    if not isinstance(a, float) or not isinstance(b, float):
-        return False
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) <= rel * scale
-
-
-def outputs_equivalent(a: list, b: list) -> bool:
-    """Exact for integers; tolerant for floats (parallel reductions
-    re-associate floating-point additions, as the paper's runtimes do)."""
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if isinstance(x, float) or isinstance(y, float):
-            if not _floats_close(float(x), float(y), rel=1e-6):
-                return False
-        elif x != y:
-            return False
-    return True
 
 
 def _sequential_baseline(workload: Workload):
@@ -52,28 +26,18 @@ def _parallelize_and_run(workload: Workload, technique: str, num_cores: int,
     """
     module = workload.compile()
     if technique in ("gcc", "icc"):
-        parallelizer = ConservativeParallelizer(module, num_cores)
-        count = parallelizer.run()
+        count = ConservativeParallelizer(module, num_cores).run()
     else:
-        noelle = Noelle(module)
-        profile = Profiler(module).profile()
-        noelle.attach_profile(profile)
-        remove_loop_carried_dependences(noelle)
-        if technique == "doall":
-            count = DOALL(noelle, num_cores).run(minimum_hotness=0.02)
-        elif technique == "helix":
-            count = HELIX(noelle, num_cores).run(minimum_hotness=0.02)
-        elif technique == "dswp":
-            count = DSWP(noelle, num_stages=4).run(minimum_hotness=0.02)
-        else:
-            raise ValueError(f"unknown technique {technique}")
-    machine = ParallelMachine(module, num_cores=num_cores,
-                              step_limit=workload.step_limit * 4)
-    result = machine.run()
+        _, count = parallelize(
+            Noelle(module), technique, num_cores=num_cores,
+            minimum_hotness=0.02,
+        )
+    result = execute(module, num_cores=num_cores,
+                     step_limit=workload.step_limit * 4)
     assert result.trapped is None, f"{workload.name}/{technique}: {result.trapped}"
-    matches = outputs_equivalent(result.output, baseline.output) and (
-        result.return_value == baseline.return_value
-        or _floats_close(result.return_value, baseline.return_value)
+    matches = outputs_equivalent(
+        result.output + [result.return_value],
+        baseline.output + [baseline.return_value],
     )
     speedup = baseline.cycles / result.cycles if result.cycles else 0.0
     return speedup, count, matches

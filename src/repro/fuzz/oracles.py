@@ -48,12 +48,13 @@ from ..ir import (
     verify_module,
     write_module,
 )
-from ..robust.passmanager import PassManager
-from ..runtime.machine import ParallelMachine
+from ..tools.pipeline import (
+    TECHNIQUES,
+    execute,
+    outputs_equivalent,
+    parallelize,
+)
 from .gen import GeneratedProgram
-
-#: Parallelizing techniques the parallel/checker oracles rotate over.
-TECHNIQUES = ("doall", "helix", "dswp")
 
 #: Step budget for full fuzz runs; generated programs finish in a few
 #: thousand steps, so hitting this means the input is invalid (the
@@ -162,19 +163,6 @@ def engine_divergence(program: GeneratedProgram) -> Divergence | None:
     return None
 
 
-def _outputs_match(a: list, b: list, rel: float = 1e-6) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if isinstance(x, float) or isinstance(y, float):
-            scale = max(abs(float(x)), abs(float(y)), 1.0)
-            if abs(float(x) - float(y)) > rel * scale:
-                return False
-        elif x != y:
-            return False
-    return True
-
-
 def transform_divergences(
     program: GeneratedProgram, technique: str, num_cores: int = 4
 ) -> list[Divergence]:
@@ -190,16 +178,10 @@ def transform_divergences(
         return []  # invalid input (engine oracle already vetted parity)
     par_module = compile_source(program.source, program.name)
     noelle = Noelle(par_module)
-    noelle.attach_profile(Profiler(par_module).profile())
-    manager = PassManager(noelle)
-    manager.run_registered("rm-lc-dependences")
-    options = (
-        {"num_cores": num_cores} if technique in ("doall", "helix") else {}
-    )
-    manager.run_registered(technique, **options)
+    manager, _ = parallelize(noelle, technique, num_cores=num_cores)
     rolled_back = [r.name for r in manager.rolled_back()]
     verify_module(par_module)
-    par = ParallelMachine(par_module, num_cores=num_cores).run()
+    par = execute(par_module, num_cores=num_cores)
     if bool(par.trapped) != bool(seq.trapped):
         divergences.append(
             Divergence(
@@ -209,7 +191,7 @@ def transform_divergences(
                 program,
             )
         )
-    elif not _outputs_match(par.output, seq.output):
+    elif not outputs_equivalent(par.output, seq.output):
         divergences.append(
             Divergence(
                 "parallel",

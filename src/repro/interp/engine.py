@@ -105,7 +105,7 @@ ENGINE_ENV = "NOELLE_ENGINE"
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 2
+EPLAN_VERSION = 3
 
 
 class EnginePlanError(Exception):
@@ -467,10 +467,12 @@ class _Compiler:
         w = ty.width
         if op in ("sdiv", "srem"):
             noun = "division" if op == "sdiv" else "remainder"
+            # Truncate toward zero (C semantics) in exact integer
+            # arithmetic: a float quotient is wrong above 2**53.
+            sym = "//" if op == "sdiv" else "%"
             raw = (
-                f"int(a{n} / b{n})"
-                if op == "sdiv"
-                else f"(a{n} - int(a{n} / b{n}) * b{n})"
+                f"(a{n} {sym} b{n} if (a{n} ^ b{n}) >= 0 "
+                f"else -(-a{n} {sym} b{n}))"
             )
             lines = [
                 f"a{n} = {a}",

@@ -55,7 +55,10 @@ from ..ir.values import (
     GlobalVariable,
     UndefValue,
     Value,
-    wrap_int,
+    eval_binary,
+    eval_cast,
+    eval_fcmp,
+    eval_icmp,
 )
 from ..perf import STATS
 
@@ -286,6 +289,10 @@ class ExecutionResult:
         self.cycles: int = 0
         self.steps: int = 0
         self.trapped: str | None = None
+        #: What cut the run short, when ``trapped`` is set: "MemoryTrap",
+        #: or "StepLimitExceeded" where a caller reports a budget kill
+        #: in-band (:func:`repro.tools.pipeline.execute`).
+        self.trap_kind: str | None = None
         #: CARAT statistics: guards executed.
         self.guard_count: int = 0
         #: COOS statistics: OS callbacks executed, and the cycle times at
@@ -400,6 +407,7 @@ class Interpreter:
             self.result.return_value = exit_program.code
         except MemoryTrap as trap:
             self.result.trapped = str(trap)
+            self.result.trap_kind = "MemoryTrap"
         return self.result
 
     def call_function(self, fn: Function, args: list[object]) -> object:
@@ -556,47 +564,10 @@ class Interpreter:
     def _binary(self, inst: BinaryOp, frame) -> object:
         a = self._value(inst.lhs, frame)
         b = self._value(inst.rhs, frame)
-        op = inst.opcode
-        if op.startswith("f"):
-            if op == "fadd":
-                return a + b
-            if op == "fsub":
-                return a - b
-            if op == "fmul":
-                return a * b
-            if op == "fdiv":
-                return a / b if b != 0 else float("inf")
-        ty = inst.type
-        assert isinstance(ty, IntType)
-        if op == "add":
-            raw = a + b
-        elif op == "sub":
-            raw = a - b
-        elif op == "mul":
-            raw = a * b
-        elif op == "sdiv":
-            if b == 0:
-                raise InterpError("division by zero")
-            raw = int(a / b)  # C semantics: truncate toward zero
-        elif op == "srem":
-            if b == 0:
-                raise InterpError("remainder by zero")
-            raw = a - int(a / b) * b
-        elif op == "and":
-            raw = a & b
-        elif op == "or":
-            raw = a | b
-        elif op == "xor":
-            raw = a ^ b
-        elif op == "shl":
-            raw = a << (b % ty.width)
-        elif op == "ashr":
-            raw = a >> (b % ty.width)
-        elif op == "lshr":
-            raw = (a & ((1 << ty.width) - 1)) >> (b % ty.width)
-        else:
-            raise InterpError(f"unknown binary op {op}")
-        return wrap_int(raw, ty)
+        try:
+            return eval_binary(inst.opcode, a, b, inst.type)
+        except (ZeroDivisionError, NotImplementedError) as error:
+            raise InterpError(str(error)) from None
 
     def _icmp(self, inst: ICmp, frame) -> int:
         a = self._value(inst.lhs, frame)
@@ -609,36 +580,13 @@ class Interpreter:
             if inst.predicate == "ne":
                 return int(a_key != b_key)
             raise InterpError("ordered comparison of function pointers")
-        predicate = inst.predicate
-        if predicate.startswith("u"):
-            width = inst.lhs.type.width if isinstance(inst.lhs.type, IntType) else 64
-            mask = (1 << width) - 1
-            a, b = a & mask, b & mask
-            predicate = "s" + predicate[1:]
-        return int(
-            {
-                "eq": a == b,
-                "ne": a != b,
-                "slt": a < b,
-                "sle": a <= b,
-                "sgt": a > b,
-                "sge": a >= b,
-            }[predicate]
-        )
+        width = inst.lhs.type.width if isinstance(inst.lhs.type, IntType) else 64
+        return eval_icmp(inst.predicate, a, b, width)
 
     def _fcmp(self, inst: FCmp, frame) -> int:
         a = self._value(inst.lhs, frame)
         b = self._value(inst.rhs, frame)
-        return int(
-            {
-                "oeq": a == b,
-                "one": a != b,
-                "olt": a < b,
-                "ole": a <= b,
-                "ogt": a > b,
-                "oge": a >= b,
-            }[inst.predicate]
-        )
+        return eval_fcmp(inst.predicate, a, b)
 
     def _elem_ptr(self, inst: ElemPtr, frame) -> int:
         address = self._as_address(self._value(inst.base, frame))
@@ -662,22 +610,10 @@ class Interpreter:
 
     def _cast(self, inst: Cast, frame) -> object:
         value = self._value(inst.value, frame)
-        op = inst.opcode
-        if op in ("bitcast", "ptrtoint", "inttoptr"):
-            return value
-        if op in ("trunc", "zext", "sext"):
-            ty = inst.type
-            assert isinstance(ty, IntType)
-            if op == "zext":
-                from_ty = inst.value.type
-                assert isinstance(from_ty, IntType)
-                value = value & ((1 << from_ty.width) - 1)
-            return wrap_int(value, ty)
-        if op == "sitofp":
-            return float(value)
-        if op == "fptosi":
-            return wrap_int(int(value), inst.type)
-        raise InterpError(f"unknown cast {op}")
+        try:
+            return eval_cast(inst.opcode, value, inst.value.type, inst.type)
+        except NotImplementedError as error:
+            raise InterpError(str(error)) from None
 
     def _as_address(self, value: object) -> int:
         if isinstance(value, _FunctionAddress):

@@ -9,6 +9,7 @@ are built from.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Iterator
 
 from .types import FunctionType, IntType, PointerType, Type
@@ -273,6 +274,94 @@ def _wrap_to_width(value: int, width: int) -> int:
 def wrap_int(value: int, ty: IntType) -> int:
     """Public helper used by the interpreter and constant folding."""
     return _wrap_to_width(value, ty.width)
+
+
+# -- instruction arithmetic --------------------------------------------------
+#
+# What an arithmetic instruction computes, defined once for the reference
+# walker (run-time values) and the constant folder (constants).  The
+# compiled engine's emitters are deliberately *not* derived from these:
+# they are the independent implementation the differential suite checks.
+
+def eval_binary(opcode: str, a, b, ty: Type):
+    """``opcode a, b`` at result type ``ty``; integer results wrap to its
+    width.  ``sdiv``/``srem`` truncate toward zero (C semantics) in exact
+    integer arithmetic and raise :class:`ZeroDivisionError` on a zero
+    divisor; an unknown opcode raises :class:`NotImplementedError`."""
+    if opcode == "fadd":
+        return a + b
+    if opcode == "fsub":
+        return a - b
+    if opcode == "fmul":
+        return a * b
+    if opcode == "fdiv":
+        return a / b if b != 0 else float("inf")
+    if opcode == "add":
+        raw = a + b
+    elif opcode == "sub":
+        raw = a - b
+    elif opcode == "mul":
+        raw = a * b
+    elif opcode == "sdiv":
+        if b == 0:
+            raise ZeroDivisionError("division by zero")
+        raw = a // b if (a ^ b) >= 0 else -(-a // b)
+    elif opcode == "srem":
+        if b == 0:
+            raise ZeroDivisionError("remainder by zero")
+        raw = a % b if (a ^ b) >= 0 else -(-a % b)
+    elif opcode == "and":
+        raw = a & b
+    elif opcode == "or":
+        raw = a | b
+    elif opcode == "xor":
+        raw = a ^ b
+    elif opcode == "shl":
+        raw = a << (b % ty.width)
+    elif opcode == "ashr":
+        raw = a >> (b % ty.width)
+    elif opcode == "lshr":
+        raw = (a & ((1 << ty.width) - 1)) >> (b % ty.width)
+    else:
+        raise NotImplementedError(f"unknown binary op {opcode}")
+    return _wrap_to_width(raw, ty.width)
+
+
+#: Comparison by predicate, less its signedness/orderedness prefix.
+_COMPARE = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+
+def eval_icmp(predicate: str, a: int, b: int, width: int) -> int:
+    """``icmp predicate a, b`` (0 or 1); unsigned predicates compare the
+    operands' ``width``-bit two's-complement patterns."""
+    if predicate[0] == "u":
+        mask = (1 << width) - 1
+        a, b = a & mask, b & mask
+    return int(_COMPARE[predicate[-2:]](a, b))
+
+
+def eval_fcmp(predicate: str, a: float, b: float) -> int:
+    """``fcmp predicate a, b`` (0 or 1), ordered predicates only."""
+    return int(_COMPARE[predicate[-2:]](a, b))
+
+
+def eval_cast(opcode: str, value, from_ty: Type, to_ty: Type):
+    """``opcode value`` from ``from_ty`` to ``to_ty``; an unknown opcode
+    raises :class:`NotImplementedError`."""
+    if opcode in ("bitcast", "ptrtoint", "inttoptr"):
+        return value
+    if opcode == "zext":
+        value &= (1 << from_ty.width) - 1
+    if opcode in ("trunc", "zext", "sext"):
+        return _wrap_to_width(value, to_ty.width)
+    if opcode == "sitofp":
+        return float(value)
+    if opcode == "fptosi":
+        return _wrap_to_width(int(value), to_ty.width)
+    raise NotImplementedError(f"unknown cast {opcode}")
 
 
 def const_int(value: int, width: int = 64) -> ConstantInt:

@@ -21,7 +21,7 @@ from ..ir.instructions import (
 )
 from ..ir.module import Function, Module
 from ..ir.types import IntType
-from ..ir.values import ConstantInt, Value, wrap_int
+from ..ir.values import ConstantInt, Value, eval_binary, eval_cast, eval_icmp
 
 
 def simplify_module(module: Module) -> bool:
@@ -61,7 +61,13 @@ def _fold(inst: Instruction) -> Value | None:
     if isinstance(inst, BinaryOp):
         lhs, rhs = inst.lhs, inst.rhs
         if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-            return _fold_int_binary(inst.opcode, lhs, rhs, inst.type)
+            try:
+                return ConstantInt(
+                    inst.type,
+                    eval_binary(inst.opcode, lhs.value, rhs.value, inst.type),
+                )
+            except (ZeroDivisionError, NotImplementedError):
+                return None  # left for the executor to trap on
         # Algebraic identities.
         if isinstance(rhs, ConstantInt) and rhs.value == 0 and inst.opcode in (
             "add",
@@ -93,28 +99,24 @@ def _fold(inst: Instruction) -> Value | None:
         ):
             return inst.lhs.value
         if isinstance(inst.lhs, ConstantInt) and isinstance(inst.rhs, ConstantInt):
-            a, b = inst.lhs.value, inst.rhs.value
-            outcome = {
-                "eq": a == b,
-                "ne": a != b,
-                "slt": a < b,
-                "sle": a <= b,
-                "sgt": a > b,
-                "sge": a >= b,
-                "ult": a < b,
-                "ule": a <= b,
-                "ugt": a > b,
-                "uge": a >= b,
-            }[inst.predicate]
-            return ConstantInt(IntType(1), int(outcome))
+            outcome = eval_icmp(
+                inst.predicate,
+                inst.lhs.value,
+                inst.rhs.value,
+                inst.lhs.type.width,
+            )
+            return ConstantInt(IntType(1), outcome)
     elif isinstance(inst, Cast):
         value = inst.value
-        if isinstance(value, ConstantInt) and inst.type.is_integer():
-            if inst.opcode in ("sext", "trunc"):
-                return ConstantInt(inst.type, value.value)
-            if inst.opcode == "zext":
-                from_width = value.type.width
-                return ConstantInt(inst.type, value.value & ((1 << from_width) - 1))
+        if (
+            isinstance(value, ConstantInt)
+            and inst.type.is_integer()
+            and inst.opcode in ("sext", "trunc", "zext")
+        ):
+            return ConstantInt(
+                inst.type,
+                eval_cast(inst.opcode, value.value, value.type, inst.type),
+            )
         if inst.opcode == "bitcast" and inst.type == value.type:
             return value
     elif isinstance(inst, Select):
@@ -123,41 +125,6 @@ def _fold(inst: Instruction) -> Value | None:
         if inst.true_value is inst.false_value:
             return inst.true_value
     return None
-
-
-def _fold_int_binary(
-    opcode: str, lhs: ConstantInt, rhs: ConstantInt, ty
-) -> ConstantInt | None:
-    a, b = lhs.value, rhs.value
-    if opcode == "add":
-        raw = a + b
-    elif opcode == "sub":
-        raw = a - b
-    elif opcode == "mul":
-        raw = a * b
-    elif opcode == "sdiv":
-        if b == 0:
-            return None
-        raw = int(a / b)
-    elif opcode == "srem":
-        if b == 0:
-            return None
-        raw = a - int(a / b) * b
-    elif opcode == "and":
-        raw = a & b
-    elif opcode == "or":
-        raw = a | b
-    elif opcode == "xor":
-        raw = a ^ b
-    elif opcode == "shl":
-        raw = a << (b % ty.width)
-    elif opcode == "ashr":
-        raw = a >> (b % ty.width)
-    elif opcode == "lshr":
-        raw = (a & ((1 << ty.width) - 1)) >> (b % ty.width)
-    else:
-        return None
-    return ConstantInt(ty, wrap_int(raw, ty))
 
 
 def eliminate_dead_code(fn: Function) -> bool:

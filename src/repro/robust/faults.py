@@ -18,7 +18,8 @@ share the same instrumented chokepoints:
 Plans and budgets are *armed* only while a transaction runs (see
 :func:`armed`); outside a transaction every chokepoint is a cheap no-op,
 which keeps ``NOELLE_FAULTS`` from perturbing code that never routes
-through the pass manager (the figure experiments, direct xform tests).
+through the pass manager (the Figure 3/4 experiments, direct xform
+tests; Figure 5 parallelizes through it like every other driver).
 
 This module must stay dependency-free (stdlib only): the IR verifier and
 the alias analyses import it, so importing anything from ``repro`` here

@@ -53,6 +53,9 @@ from .session import configure_worker, execute_job
 #: Default per-request wall-clock deadline (seconds).
 DEFAULT_DEADLINE_S = 30.0
 
+#: Largest request body the daemon will read (a bound on outside input).
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 class _Slot:
     """One worker slot: the process, its lock, and its history."""
@@ -372,6 +375,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def _reject(self, status: int, kind: str, message: str) -> None:
+        """Answer at the front door: no worker ever sees the request.
+        The body may be unread (its extent unknown, even), so the
+        connection is not reused."""
+        self.close_connection = True
+        self._respond(status, {"ok": False, "error": {
+            "kind": kind, "message": message,
+            "scope": "request", "retryable": False,
+        }})
+
     def do_GET(self):  # noqa: N802 - stdlib naming
         supervisor = self.server.supervisor
         if self.path == "/healthz":
@@ -380,10 +393,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             self._respond(200, supervisor.stats())
         else:
-            self._respond(404, {"ok": False, "error": {
-                "kind": "NotFound", "message": f"no route {self.path}",
-                "scope": "request", "retryable": False,
-            }})
+            self._reject(404, "NotFound", f"no route {self.path}")
 
     def do_POST(self):  # noqa: N802 - stdlib naming
         if self.path == "/shutdown":
@@ -393,20 +403,20 @@ class _Handler(BaseHTTPRequestHandler):
         path_op = self.path.lstrip("/")
         op = path_op if path_op in OPS else None
         if op is None and self.path not in ("/api", "/"):
-            self._respond(404, {"ok": False, "error": {
-                "kind": "NotFound", "message": f"no route {self.path}",
-                "scope": "request", "retryable": False,
-            }})
+            self._reject(404, "NotFound", f"no route {self.path}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if not 0 <= length <= MAX_BODY_BYTES:
+                raise ValueError(f"not in [0, {MAX_BODY_BYTES}]")
+        except ValueError as error:
+            self._reject(400, "BadRequest", f"invalid Content-Length: {error}")
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode() or "{}")
         except (ValueError, UnicodeDecodeError) as error:
-            self._respond(400, {"ok": False, "error": {
-                "kind": "BadRequest", "message": f"invalid JSON body: {error}",
-                "scope": "request", "retryable": False,
-            }})
+            self._reject(400, "BadRequest", f"invalid JSON body: {error}")
             return
         status, body = self.server.supervisor.handle(payload, op=op)
         self._respond(status, body)

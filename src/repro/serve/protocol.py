@@ -28,9 +28,12 @@ import traceback
 
 # -- exit codes (repro-noelle run, and the run op's result["exit_code"]) -------
 #
-# 0 success, 1 generic failure, 2 usage error (argparse); the codes
-# below are the documented failure taxonomy of program execution.
+# 0 success, 2 usage error (argparse); the codes below are the
+# documented failure taxonomy (``check`` and ``fuzz`` also return 1 when
+# they find something).
 
+#: The input was bad (see :data:`INPUT_ERROR_KINDS`): one line on stderr.
+EXIT_INPUT_ERROR = 1
 #: The program executed a memory trap (out-of-bounds, use-after-free...).
 EXIT_TRAP = 3
 #: The step budget ran out (``StepLimitExceeded``) — a budget kill, not
@@ -116,14 +119,30 @@ def service_error(
     return record
 
 
+#: Exception kinds that mean *the input was bad*, not that the compiler
+#: is: what each parser, decoder and loader raises on malformed bytes,
+#: plus the shapes of a malformed request.  The one table both front
+#: doors answer from — the daemon with HTTP 400, ``repro-noelle`` with
+#: one line on stderr and :data:`EXIT_INPUT_ERROR`.  A kind that is not
+#: listed is a bug and must look like one (HTTP 500, a traceback).
+INPUT_ERROR_KINDS = frozenset({
+    # MiniC front end
+    "LexError", "SyntaxErrorMiniC", "CodegenError", "LinkError",
+    # textual and binary IR
+    "ParseError", "VerificationError",
+    "BinFormatError", "BinTruncatedError", "BinVersionError",
+    # what was asked for is not there
+    "EntryNotFoundError", "KeyError",
+    # malformed request
+    "ProtocolError", "BadRequest",
+    # files that are missing, unreadable, or not text
+    "FileNotFoundError", "IsADirectoryError", "NotADirectoryError",
+    "PermissionError", "UnicodeDecodeError",
+})
+
 #: HTTP status per error kind (default 500).
 _STATUS_BY_KIND = {
-    "ProtocolError": 400,
-    "BadRequest": 400,
-    "EntryNotFoundError": 400,
-    "KeyError": 400,
-    "ParseError": 400,
-    "VerificationError": 400,
+    **dict.fromkeys(INPUT_ERROR_KINDS, 400),
     "DeadlineExceeded": 504,
     "WorkerCrashed": 502,
     "WorkerUnavailable": 503,
@@ -131,9 +150,23 @@ _STATUS_BY_KIND = {
     "TransientServeError": 503,
 }
 
+#: ``repro-noelle`` exit code per kind of exception that escapes a verb
+#: (None: a bug, propagate it).  A missing entry point keeps its own
+#: code, and a training run that outlives its budget is the budget kill
+#: ``run`` reports.
+_EXIT_BY_KIND = {
+    **dict.fromkeys(INPUT_ERROR_KINDS, EXIT_INPUT_ERROR),
+    "EntryNotFoundError": EXIT_ENTRY_NOT_FOUND,
+    "StepLimitExceeded": EXIT_STEP_LIMIT,
+}
+
 
 def status_for_error(record: dict) -> int:
     return _STATUS_BY_KIND.get(record.get("kind", ""), 500)
+
+
+def input_error_exit_code(kind: str) -> int | None:
+    return _EXIT_BY_KIND.get(kind)
 
 
 def trap_exit_code(trap_kind: str | None) -> int:

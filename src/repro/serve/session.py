@@ -4,7 +4,7 @@ This module runs *inside* a supervised worker process.  Each worker
 owns a dict of :class:`SessionState` namespaces; because the daemon
 routes a session to the same worker every time (session affinity), the
 modules, :class:`~repro.core.noelle.Noelle` facades (PDG shards, loop
-forests, alias memos), profiles, and per-module
+forests, alias memos), and per-module
 :class:`~repro.interp.engine.ExecutionEngine` code caches built for a
 session's first request stay resident and warm for every later request
 — the paper's build-once-amortize-everywhere economics applied to
@@ -28,17 +28,13 @@ import time
 
 from .. import cache
 from ..core.noelle import Noelle
-from ..core.profiler import Profiler
 from ..interp.engine import engine_mode
 from ..interp.interp import StepLimitExceeded
 from ..ir import print_module, verify_module
 from ..perf import STATS
 from ..robust import faults
-from ..robust.diagnostics import EntryNotFoundError
 from ..robust.faults import SERVE_SITES, FaultPlan, InjectedFault
-from ..robust.passmanager import PassManager
-from ..runtime.machine import ParallelMachine
-from ..tools.pipeline import load
+from ..tools.pipeline import execute, load, parallelize
 from .protocol import (
     WORKER_KILL_EXIT,
     ProtocolError,
@@ -57,8 +53,6 @@ class SessionState:
         self.noelles: dict[str, Noelle] = {}
         #: Content hash per module name (warm-compile detection).
         self.hashes: dict[str, str] = {}
-        #: Cached profiles, dropped whenever the module mutates.
-        self.profiles: dict[str, object] = {}
         #: How many non-compile ops have touched each module.
         self.touches: dict[str, int] = {}
 
@@ -209,7 +203,6 @@ def _op_compile(job: dict, state: SessionState) -> dict:
         state.modules[name] = module
         state.noelles[name] = load(module)
         state.hashes[name] = digest
-        state.profiles.pop(name, None)
         state.touches[name] = 0
         warm = False
     return {
@@ -239,34 +232,27 @@ def _op_parallelize(job: dict, state: SessionState) -> dict:
         if job.get("emit_ir"):
             response["ir"] = print_module(module)
         return response
-    technique = job["technique"]
-    profile = state.profiles.get(name) if name else None
-    if profile is None:
-        try:
-            profile = Profiler(module).profile(**_step_budget(job))
-        except StepLimitExceeded as error:
-            # The training run outran the request's budget: a budget
-            # kill reported in-band, exactly as the run op reports it.
-            response["trapped"] = str(error)
-            response["trap_kind"] = "StepLimitExceeded"
-            response["exit_code"] = trap_exit_code("StepLimitExceeded")
-            return response
-        if name:
-            state.profiles[name] = profile
-    noelle.attach_profile(profile)
-    manager = PassManager(noelle, crash_dir=job.get("crash_dir"))
-    manager.run_registered("rm-lc-dependences")
-    if technique == "dswp":
-        options = {"num_stages": job.get("stages") or 4}
-    else:
-        options = {"num_cores": job.get("cores") or 8}
-    options["minimum_hotness"] = job.get("min_hotness", 0.0)
-    result = manager.run_registered(technique, **options)
+    try:
+        manager, response["parallelized"] = parallelize(
+            noelle,
+            job["technique"],
+            num_cores=job.get("cores") or 8,
+            num_stages=job.get("stages") or 4,
+            minimum_hotness=job.get("min_hotness", 0.0),
+            crash_dir=job.get("crash_dir"),
+            step_limit=job.get("step_limit"),
+        )
+    except StepLimitExceeded as error:
+        # The training run outran the request's budget: a budget kill
+        # reported in-band, exactly as the run op reports it.
+        response["trapped"] = str(error)
+        response["trap_kind"] = "StepLimitExceeded"
+        response["exit_code"] = trap_exit_code("StepLimitExceeded")
+        return response
     if name:
-        # The module mutated: the cached profile no longer matches, and
-        # neither does the source hash — the next compile of the same
-        # text must rebuild, not keep the parallelized module.
-        state.profiles.pop(name, None)
+        # The module mutated: its source hash no longer matches — the
+        # next compile of the same text must rebuild, not keep the
+        # parallelized module.
         state.hashes.pop(name, None)
     response["rolled_back"] = [
         {
@@ -277,15 +263,9 @@ def _op_parallelize(job: dict, state: SessionState) -> dict:
         }
         for r in manager.rolled_back()
     ]
-    response["parallelized"] = result.value if result.ok else 0
     if job.get("emit_ir"):
         response["ir"] = print_module(module)
     return response
-
-
-def _step_budget(job: dict) -> dict:
-    """The request's ``step_limit`` as executor keyword arguments."""
-    return {"step_limit": job["step_limit"]} if job.get("step_limit") else {}
 
 
 def _json_value(value):
@@ -297,27 +277,16 @@ def _json_value(value):
 def _op_run(job: dict, state: SessionState) -> dict:
     module, _noelle, name, warm = _resolve(job, state)
     _service_checkpoint()
-    entry = job.get("entry") or "main"
-    fn = module.functions.get(entry)
-    if fn is None or fn.is_declaration():
-        raise EntryNotFoundError(
-            entry, sorted(f.name for f in module.defined_functions())
-        )
     degraded = job.get("mode") == "reference"
     engine = "reference" if degraded else job.get("engine")
-    machine = ParallelMachine(
-        module, num_cores=job.get("cores"), engine=engine, **_step_budget(job)
+    result = execute(
+        module,
+        job.get("entry") or "main",
+        job.get("args") or [],
+        num_cores=job.get("cores"),
+        engine=engine,
+        step_limit=job.get("step_limit"),
     )
-    trap_kind = None
-    try:
-        result = machine.run(entry, job.get("args") or [])
-    except StepLimitExceeded as error:
-        result = machine.result
-        result.trapped = str(error)
-        trap_kind = "StepLimitExceeded"
-    else:
-        if result.trapped is not None:
-            trap_kind = "MemoryTrap"
     # Share whatever this run compiled (engine plans) with sibling and
     # replacement workers.
     cache.publish_artifacts(module, _noelle)
@@ -327,8 +296,8 @@ def _op_run(job: dict, state: SessionState) -> dict:
         "cycles": result.cycles,
         "steps": result.steps,
         "trapped": result.trapped,
-        "trap_kind": trap_kind,
-        "exit_code": trap_exit_code(trap_kind),
+        "trap_kind": result.trap_kind,
+        "exit_code": trap_exit_code(result.trap_kind),
         "engine": engine_mode(engine),
         "degraded": "reference" if degraded else None,
         "warm": warm,

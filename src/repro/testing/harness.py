@@ -27,12 +27,16 @@ Reproduced features:
 from __future__ import annotations
 
 from .. import cache
-from ..core.profiler import Profiler
 from ..interp.interp import Interpreter
 from ..ir import verify_module
 from ..robust.passmanager import PassManager
-from ..runtime.machine import ParallelMachine
-from ..tools.pipeline import load
+from ..tools.pipeline import (
+    TECHNIQUES,
+    execute,
+    load,
+    outputs_equivalent,
+    parallelize,
+)
 from .corpus import MicroTest, build_corpus
 
 
@@ -81,47 +85,37 @@ class TestOutcome:
         return f"<{self.test.name} @ {self.config.name}: {status}>"
 
 
-def _tool_options(tool_name: str, config: ToolConfig) -> dict:
-    if tool_name in ("doall", "helix"):
-        return dict(
-            num_cores=config.num_cores,
-            minimum_hotness=config.minimum_hotness,
-            only_loop_id=config.force_loop_id,
-        )
-    if tool_name == "dswp":
-        return dict(
-            minimum_hotness=config.minimum_hotness,
-            only_loop_id=config.force_loop_id,
-        )
-    if tool_name == "perspective":
-        return dict(default_cores=config.num_cores)
-    return {}
+def _apply_tools(module, config: ToolConfig) -> list[str]:
+    """Run every configured tool as a pass-manager transaction; returns
+    the names of the tools that were rolled back.
 
-
-def _apply_tools(module, config: ToolConfig, crash_dir=None) -> PassManager:
-    """Run every configured tool as a pass-manager transaction.
-
-    A tool that crashes, hangs, or breaks the verifier is rolled back and
-    recorded on the returned manager; the remaining tools still run, so
-    one broken custom tool degrades a configuration instead of aborting
-    the whole corpus run.
+    A tool that crashes, hangs, or breaks the verifier is rolled back;
+    the remaining tools still run, so one broken custom tool degrades a
+    configuration instead of aborting the whole corpus run.
     """
     noelle = load(module)
-    needs_profile = bool(
-        {"doall", "helix", "dswp", "prvj", "prvjeeves", "perspective"}
-        & set(config.tools)
-    )
-    if needs_profile:
-        noelle.attach_profile(Profiler(module).profile())
-    manager = PassManager(noelle, crash_dir=crash_dir)
-    if config.rm_lc_dependences and (
-        {"doall", "helix", "dswp"} & set(config.tools)
-    ):
-        manager.run_registered("rm-lc-dependences")
+    if {"prvj", "prvjeeves", "perspective"} & set(config.tools):
+        noelle.run_profiler()
+    managers = [PassManager(noelle)]
     for tool_name in config.tools:
-        manager.run_registered(tool_name, **_tool_options(tool_name, config))
+        if tool_name in TECHNIQUES:
+            manager, _ = parallelize(
+                noelle,
+                tool_name,
+                num_cores=config.num_cores,
+                minimum_hotness=config.minimum_hotness,
+                only_loop_id=config.force_loop_id,
+                rm_lc_dependences=config.rm_lc_dependences,
+            )
+            managers.append(manager)
+        elif tool_name == "perspective":
+            managers[0].run_registered(
+                tool_name, default_cores=config.num_cores
+            )
+        else:
+            managers[0].run_registered(tool_name)
         noelle.invalidate()
-    return manager
+    return [r.name for m in managers for r in m.rolled_back()]
 
 
 def run_micro_test(test: MicroTest, config: ToolConfig) -> TestOutcome:
@@ -134,13 +128,12 @@ def run_micro_test(test: MicroTest, config: ToolConfig) -> TestOutcome:
         # with other workers/processes driving the same corpus.
         cache.publish_artifacts(reference_module)
         module = cache.cached_compile(test.source, test.name)
-        manager = _apply_tools(module, config)
-        outcome.rolled_back = [r.name for r in manager.rolled_back()]
+        outcome.rolled_back = _apply_tools(module, config)
         verify_module(module)
-        result = ParallelMachine(module, num_cores=config.num_cores).run()
+        result = execute(module, num_cores=config.num_cores)
         if result.trapped and not reference.trapped:
             outcome.detail = f"trap: {result.trapped}"
-        elif not _outputs_match(result.output, reference.output):
+        elif not outputs_equivalent(result.output, reference.output):
             outcome.detail = (
                 f"outputs differ: {result.output} vs {reference.output}"
             )
@@ -149,19 +142,6 @@ def run_micro_test(test: MicroTest, config: ToolConfig) -> TestOutcome:
     except Exception as error:  # a tool crash is a test failure, not ours
         outcome.detail = f"{type(error).__name__}: {error}"
     return outcome
-
-
-def _outputs_match(a: list, b: list, rel: float = 1e-6) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if isinstance(x, float) or isinstance(y, float):
-            scale = max(abs(float(x)), abs(float(y)), 1.0)
-            if abs(float(x) - float(y)) > rel * scale:
-                return False
-        elif x != y:
-            return False
-    return True
 
 
 def _run_pair(pair: tuple[MicroTest, ToolConfig]) -> TestOutcome:

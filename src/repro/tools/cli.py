@@ -13,10 +13,16 @@ Mirrors how the paper's users drive NOELLE from the shell (Figure 1):
     repro-noelle compile program.ir --emit binary -o program.nir
     repro-noelle cache stats                # artifact-cache maintenance
 
-Files: ``.mc`` MiniC sources, ``.ir`` textual IR, ``.nir`` binary IR.
-Every command that reads ``.ir`` also accepts ``.nir`` (dispatch is by
-content, not extension).  With ``NOELLE_CACHE_DIR`` set, loads go
-through the content-addressed artifact cache.
+Every verb that reads a program takes a ``.mc`` MiniC source, an ``.ir``
+textual or ``.nir`` binary IR file (told apart by content, not
+extension), or the name of a registered workload.  With
+``NOELLE_CACHE_DIR`` set, loads go through the content-addressed
+artifact cache.
+
+Bad input — a missing file, malformed MiniC/IR/``.nir``, a missing
+entry point, a training run that outlives its budget — is answered with
+one ``repro-noelle <verb>: <Kind>: <message>`` line on stderr and the
+documented exit code (``repro.serve.protocol``), never a traceback.
 """
 
 from __future__ import annotations
@@ -27,28 +33,18 @@ import sys
 
 from .. import cache
 from ..core.noelle import Noelle
-from ..core.profiler import Profiler
-from ..ir import (
-    Module,
-    is_binary_ir,
-    print_module,
-    verify_module,
-    write_module_file,
-)
+from ..ir import Module, print_module, verify_module, write_module_file
 from ..perf import STATS, stats_enabled
 from ..robust.passmanager import PassManager
-from ..runtime.machine import ParallelMachine
-from .pipeline import load, prof_coverage
+from .pipeline import (
+    TECHNIQUES,
+    execute,
+    load,
+    load_program,
+    parallelize,
+    prof_coverage,
+)
 from .whole_ir import whole_ir_from_files
-
-
-def _load_ir(path: str) -> Module:
-    """Load textual or binary IR, sniffing the binary magic."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if is_binary_ir(data):
-        return cache.load_ir_binary(data, path)
-    return cache.load_ir_text(data.decode("utf-8"), path)
 
 
 def _save_ir(module: Module, path: str | None) -> None:
@@ -72,44 +68,26 @@ def _cmd_whole_ir(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from ..interp.interp import StepLimitExceeded
-    from ..robust.diagnostics import EntryNotFoundError
-    from ..serve.protocol import (
-        EXIT_ENTRY_NOT_FOUND,
-        EXIT_STEP_LIMIT,
-        EXIT_TRAP,
-    )
+    from ..serve.protocol import trap_exit_code
 
-    module = _load_ir(args.input)
-    entry = args.entry or "main"
-    fn = module.functions.get(entry)
-    if fn is None or fn.is_declaration():
-        error = EntryNotFoundError(
-            entry, sorted(f.name for f in module.defined_functions())
-        )
-        print(f"repro-noelle run: {error}", file=sys.stderr)
-        return EXIT_ENTRY_NOT_FOUND
-    kwargs = {}
-    if args.step_limit is not None:
-        kwargs["step_limit"] = args.step_limit
-    machine = ParallelMachine(module, num_cores=args.cores, **kwargs)
-    try:
-        result = machine.run(entry)
-    except StepLimitExceeded as error:
-        for value in machine.result.output:
-            print(value)
-        print(f"STEP LIMIT: {error}", file=sys.stderr)
-        return EXIT_STEP_LIMIT
+    module = load_program(args.input)
+    result = execute(
+        module, args.entry or "main", num_cores=args.cores,
+        step_limit=args.step_limit,
+    )
     for value in result.output:
         print(value)
+    if result.trap_kind == "StepLimitExceeded":
+        print(f"STEP LIMIT: {result.trapped}", file=sys.stderr)
+        return trap_exit_code(result.trap_kind)
     # Next invocation (any process) hydrates instead of recompiling.
     cache.publish_artifacts(module)
     if result.trapped:
         print(f"TRAP: {result.trapped}", file=sys.stderr)
-        return EXIT_TRAP
-    print(f"[{result.cycles} cycles on {args.cores or 'default'} cores]",
-          file=sys.stderr)
-    return 0
+    else:
+        print(f"[{result.cycles} cycles on {args.cores or 'default'} cores]",
+              file=sys.stderr)
+    return trap_exit_code(result.trap_kind)
 
 
 def _cmd_serve(args) -> int:
@@ -152,7 +130,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    module = _load_ir(args.input)
+    module = load_program(args.input)
     profile = prof_coverage(module)
     noelle = load(module, profile=profile)
     print(f"{'function':20s} {'invocations':>12s} {'hotness':>8s}")
@@ -184,25 +162,16 @@ def _report_rollbacks(manager: PassManager) -> None:
 
 
 def _cmd_parallelize(args) -> int:
-    module = _load_ir(args.input)
-    noelle = load(module)
-    noelle.attach_profile(Profiler(module).profile())
-    manager = _manager_for(args, noelle)
-    manager.run_registered("rm-lc-dependences")
-    if args.technique == "doall":
-        result = manager.run_registered(
-            "doall", num_cores=args.cores, minimum_hotness=args.min_hotness
-        )
-    elif args.technique == "helix":
-        result = manager.run_registered(
-            "helix", num_cores=args.cores, minimum_hotness=args.min_hotness
-        )
-    else:
-        result = manager.run_registered(
-            "dswp", num_stages=args.stages, minimum_hotness=args.min_hotness
-        )
+    module = load_program(args.input)
+    manager, count = parallelize(
+        load(module),
+        args.technique,
+        num_cores=args.cores,
+        num_stages=args.stages,
+        minimum_hotness=args.min_hotness,
+        crash_dir=args.crash_dir,
+    )
     _report_rollbacks(manager)
-    count = result.value if result.ok else 0
     print(f"parallelized {count} loop(s) with {args.technique}",
           file=sys.stderr)
     verify_module(module)
@@ -211,7 +180,7 @@ def _cmd_parallelize(args) -> int:
 
 
 def _cmd_licm(args) -> int:
-    module = _load_ir(args.input)
+    module = load_program(args.input)
     manager = _manager_for(args, load(module))
     result = manager.run_registered("licm")
     _report_rollbacks(manager)
@@ -222,7 +191,7 @@ def _cmd_licm(args) -> int:
 
 
 def _cmd_dead(args) -> int:
-    module = _load_ir(args.input)
+    module = load_program(args.input)
     before = module.num_instructions()
     manager = _manager_for(args, load(module))
     result = manager.run_registered("dead")
@@ -238,40 +207,20 @@ def _cmd_dead(args) -> int:
     return 0
 
 
-def _load_any_module(path: str, verb: str) -> Module:
-    """Resolve an input: an .ir/.mc/.nir path or a workload name."""
-    if os.path.exists(path):
-        if path.endswith(".mc"):
-            return whole_ir_from_files([path], [])
-        return _load_ir(path)
-    from ..workloads import registry
-
-    try:
-        workload = registry.get(path)
-    except KeyError:
-        raise SystemExit(
-            f"repro-noelle {verb}: {path!r} is neither a file nor a "
-            f"registered workload"
-        )
-    return workload.compile()
-
-
 def _cmd_check(args) -> int:
     from ..checks import run_checkers, worst_severity
     from ..checks.diagnostics import has_errors
 
-    module = _load_any_module(args.input, "check")
+    module = load_program(args.input)
     noelle = load(module)
     if args.parallelize:
-        noelle.attach_profile(Profiler(module).profile())
-        manager = _manager_for(args, noelle)
-        manager.run_registered("rm-lc-dependences")
-        options = (
-            {"num_stages": args.stages}
-            if args.parallelize == "dswp"
-            else {"num_cores": args.cores}
+        manager, _ = parallelize(
+            noelle,
+            args.parallelize,
+            num_cores=args.cores,
+            num_stages=args.stages,
+            crash_dir=args.crash_dir,
         )
-        manager.run_registered(args.parallelize, **options)
         _report_rollbacks(manager)
     names = args.checkers.split(",") if args.checkers else None
     diagnostics = noelle.run_checks(names=names)
@@ -359,10 +308,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_compile(args) -> int:
     """Translate between MiniC / textual IR / binary IR."""
-    if args.input.endswith(".mc"):
-        module = whole_ir_from_files([args.input], [])
-    else:
-        module = _load_ir(args.input)
+    module = load_program(args.input)
     output = args.output
     emit = args.emit
     if emit is None:
@@ -413,7 +359,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    module = _load_ir(args.input)
+    module = load_program(args.input)
     noelle = load(module)
     pdg = noelle.pdg()
     print(f"module: {module.name}")
@@ -457,7 +403,7 @@ def _cmd_analyze(args) -> int:
     from ..core.induction import InductionVariableManager
     from ..ir.instructions import Load, Store
 
-    module = _load_any_module(args.input, "analyze")
+    module = load_program(args.input)
     noelle = load(module)
     loops = []
     for fn in module.defined_functions():
@@ -524,6 +470,9 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+_INPUT_HELP = "an .mc/.ir/.nir path or a workload name"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-noelle",
@@ -560,10 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="execute an IR file on the simulated machine; exit codes: "
-        "0 ok, 3 memory trap, 4 step-limit exceeded, 5 entry not found",
+        help="execute a program on the simulated machine; exit codes: "
+        "0 ok, 1 input error, 3 memory trap, 4 step-limit exceeded, "
+        "5 entry not found",
     )
-    run.add_argument("input")
+    run.add_argument("input", help=_INPUT_HELP)
     run.add_argument("--cores", type=int, default=None)
     run.add_argument("--entry", default=None, metavar="FN",
                      help="entry function (default: main)")
@@ -592,26 +542,25 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     profile = sub.add_parser("profile", help="noelle-prof-coverage summary")
-    profile.add_argument("input")
+    profile.add_argument("input", help=_INPUT_HELP)
     profile.set_defaults(func=_cmd_profile)
 
     par = sub.add_parser("parallelize", help="apply DOALL/HELIX/DSWP")
-    par.add_argument("input")
+    par.add_argument("input", help=_INPUT_HELP)
     par.add_argument("-o", "--output", default=None)
-    par.add_argument("--technique", choices=("doall", "helix", "dswp"),
-                     default="doall")
+    par.add_argument("--technique", choices=TECHNIQUES, default="doall")
     par.add_argument("--cores", type=int, default=12)
     par.add_argument("--stages", type=int, default=4)
     par.add_argument("--min-hotness", type=float, default=0.02)
     par.set_defaults(func=_cmd_parallelize)
 
     licm = sub.add_parser("licm", help="loop invariant code motion")
-    licm.add_argument("input")
+    licm.add_argument("input", help=_INPUT_HELP)
     licm.add_argument("-o", "--output", default=None)
     licm.set_defaults(func=_cmd_licm)
 
     dead = sub.add_parser("dead", help="dead function elimination")
-    dead.add_argument("input")
+    dead.add_argument("input", help=_INPUT_HELP)
     dead.add_argument("-o", "--output", default=None)
     dead.set_defaults(func=_cmd_dead)
 
@@ -620,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="translate between MiniC (.mc), textual IR (.ir), and "
         "binary IR (.nir)",
     )
-    compile_cmd.add_argument("input", help="an .mc, .ir, or .nir file")
+    compile_cmd.add_argument("input", help=_INPUT_HELP)
     compile_cmd.add_argument("-o", "--output", default=None)
     compile_cmd.add_argument(
         "--emit",
@@ -638,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.set_defaults(func=_cmd_cache)
 
     report = sub.add_parser("report", help="PDG/loop/IV summary of an IR file")
-    report.add_argument("input")
+    report.add_argument("input", help=_INPUT_HELP)
     report.set_defaults(func=_cmd_report)
 
     analyze = sub.add_parser(
@@ -646,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump per-loop symbolic analysis facts (induction variables, "
         "SCEV trip counts, dependence-test verdicts) as JSON",
     )
-    analyze.add_argument("input", help="an .ir/.mc/.nir path or a workload name")
+    analyze.add_argument("input", help=_INPUT_HELP)
     analyze.add_argument(
         "--loops",
         action="store_true",
@@ -660,10 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
         "IR file, MiniC file, or registered workload; exits non-zero on "
         "ERROR diagnostics",
     )
-    check.add_argument("input", help="an .ir/.mc path or a workload name")
+    check.add_argument("input", help=_INPUT_HELP)
     check.add_argument(
         "--parallelize",
-        choices=("doall", "helix", "dswp"),
+        choices=TECHNIQUES,
         default=None,
         help="parallelize first (profile + rm-lc-dependences + technique), "
         "then check the transformed module",
@@ -721,6 +670,15 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["NOELLE_ENGINE"] = args.engine
     try:
         status = args.func(args)
+    except Exception as error:
+        from ..serve.protocol import input_error_exit_code
+
+        kind = type(error).__name__
+        status = input_error_exit_code(kind)
+        if status is None:
+            raise  # not bad input: a bug, and it should look like one
+        print(f"repro-noelle {args.command}: {kind}: {error}",
+              file=sys.stderr)
     finally:
         # The choice is this command's, not the calling process's.
         if previous_engine is None:

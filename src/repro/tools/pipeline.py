@@ -1,4 +1,5 @@
-"""The remaining noelle-* tools and the pipeline driver (Figure 1).
+"""The remaining noelle-* tools, the verbs every driver is a shell over,
+and the pipeline driver (Figure 1).
 
 * ``noelle-prof-coverage``  -> :func:`prof_coverage`
 * ``noelle-meta-prof-embed`` -> :func:`meta_prof_embed`
@@ -8,24 +9,38 @@
 * ``noelle-linker``          -> :func:`link`
 * ``noelle-bin``             -> :class:`Binary` / :func:`make_binary`
 
-:func:`helix_pipeline` strings them together exactly as the paper's
+The verbs, each written once: :func:`load_program` (path or workload
+name -> module), :func:`execute` (run on the simulated machine; traps
+and budget kills in-band), :func:`parallelize` (training run ->
+``rm-lc-dependences`` -> DOALL/HELIX/DSWP, as transactions) and
+:func:`outputs_equivalent`.  The CLI, the serve worker, the test
+harness, the fuzz oracles and Figure 5 call them and keep only what is
+theirs: argument parsing and exit codes, JSON and session state,
+outcome records.
+
+:func:`helix_pipeline` strings the tools together exactly as the paper's
 Figure 1 does for the HELIX custom tool.
 """
 
 from __future__ import annotations
 
+import os
+
 from ..core.architecture import ArchitectureDescription
 from ..core.metadata import clean_noelle_metadata
 from ..core.noelle import Noelle
 from ..core.profiler import ProfileData, Profiler, embed_profile
-from ..interp.interp import ExecutionResult
-from ..ir import Module, link_modules, verify_module
+from ..interp.interp import ExecutionResult, StepLimitExceeded
+from ..ir import Module, is_binary_ir, link_modules, verify_module
 from ..perf import STATS
 from ..robust.diagnostics import EntryNotFoundError
 from ..robust.passmanager import DEFAULT_DEADLINE_S, PassManager
 from ..runtime.machine import ParallelMachine
 from .meta_pdg_embed import embed_pdg, load_embedded_pdg
-from .whole_ir import link_options_of
+from .whole_ir import link_options_of, whole_ir_from_files
+
+#: The parallelizing techniques :func:`parallelize` applies.
+TECHNIQUES = ("doall", "helix", "dswp")
 
 
 def prof_coverage(
@@ -92,9 +107,127 @@ def load(
     return noelle
 
 
+def load_program(path: str) -> Module:
+    """The one program loader: a ``.mc`` MiniC file (through
+    ``noelle-whole-IR``), an IR file — textual or binary, told apart by
+    content, loaded through the artifact cache — or, when no such file
+    exists, the name of a registered workload."""
+    if not os.path.exists(path):
+        from ..workloads import registry
+
+        try:
+            return registry.get(path).compile()
+        except KeyError:
+            raise FileNotFoundError(
+                f"{path!r} is neither a file nor a registered workload"
+            ) from None
+    if path.endswith(".mc"):
+        return whole_ir_from_files([path])
+    from .. import cache
+
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if is_binary_ir(data):
+        return cache.load_ir_binary(data, path)
+    return cache.load_ir_text(data.decode("utf-8"), path)
+
+
 def link(modules: list[Module], name: str = "linked") -> Module:
     """``noelle-linker``: combine modules, preserving noelle metadata."""
     return link_modules(modules, name)
+
+
+def execute(
+    module: Module,
+    entry: str = "main",
+    args: list[object] | None = None,
+    num_cores: int | None = None,
+    architecture: ArchitectureDescription | None = None,
+    engine: str | None = None,
+    step_limit: int | None = None,
+) -> ExecutionResult:
+    """Run ``entry`` on the simulated machine.
+
+    :class:`EntryNotFoundError` when ``entry`` is not a defined function.
+    A trap or an exhausted ``step_limit`` (None: the machine's own) is
+    not an exception: the partial result comes back with ``trapped`` and
+    ``trap_kind`` ("MemoryTrap" / "StepLimitExceeded") set.
+    """
+    fn = module.functions.get(entry)
+    if fn is None or fn.is_declaration():
+        raise EntryNotFoundError(
+            entry, sorted(f.name for f in module.defined_functions())
+        )
+    budget = {} if step_limit is None else {"step_limit": step_limit}
+    machine = ParallelMachine(
+        module, architecture, num_cores, engine=engine, **budget
+    )
+    try:
+        result = machine.run(entry, args)
+    except StepLimitExceeded as error:
+        result = machine.result
+        result.trapped = str(error)
+        result.trap_kind = "StepLimitExceeded"
+    result.parallel_executions = list(machine.executions)
+    return result
+
+
+def parallelize(
+    noelle: Noelle,
+    technique: str,
+    num_cores: int = 8,
+    num_stages: int = 4,
+    minimum_hotness: float = 0.0,
+    only_loop_id: int | None = None,
+    crash_dir: str | None = None,
+    step_limit: int | None = None,
+    rm_lc_dependences: bool = True,
+) -> tuple[PassManager, int]:
+    """Apply one of :data:`TECHNIQUES`; the one place that knows the recipe.
+
+    A training run comes first (bounded by ``step_limit``; its
+    :class:`StepLimitExceeded` propagates — nothing to roll back yet),
+    ``rm-lc-dependences`` precedes the technique, DSWP scales by
+    ``num_stages`` and the others by ``num_cores``, and both transforms
+    are :class:`PassManager` transactions.  Returns the manager (rolled-
+    back results, crash bundles) and the number of loops parallelized,
+    0 when the technique rolled back.
+    """
+    if technique not in TECHNIQUES:
+        raise ValueError(f"unknown technique {technique!r}")
+    budget = {} if step_limit is None else {"step_limit": step_limit}
+    noelle.attach_profile(Profiler(noelle.module).profile(**budget))
+    manager = PassManager(noelle, crash_dir=crash_dir)
+    if rm_lc_dependences:
+        manager.run_registered("rm-lc-dependences")
+    scale = (
+        {"num_stages": num_stages}
+        if technique == "dswp"
+        else {"num_cores": num_cores}
+    )
+    result = manager.run_registered(
+        technique,
+        minimum_hotness=minimum_hotness,
+        only_loop_id=only_loop_id,
+        **scale,
+    )
+    return manager, result.value if result.ok else 0
+
+
+def outputs_equivalent(a: list, b: list) -> bool:
+    """Whether two runs printed the same values: exact for integers,
+    relative 1e-6 for floats (parallel reductions re-associate
+    floating-point additions, as the paper's runtimes do)."""
+    if len(a) != len(b):
+        return False
+    for x, y in zip(a, b):
+        if isinstance(x, float) or isinstance(y, float):
+            scale = max(abs(float(x)), abs(float(y)), 1.0)
+            if abs(float(x) - float(y)) > 1e-6 * scale:
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 class Binary:
@@ -118,21 +251,10 @@ class Binary:
 
     def run(self, args: list[object] | None = None,
             entry: str = "main") -> ExecutionResult:
-        fn = self.module.functions.get(entry)
-        if fn is None or fn.is_declaration():
-            raise EntryNotFoundError(
-                entry,
-                sorted(f.name for f in self.module.defined_functions()),
-            )
-        machine = ParallelMachine(
-            self.module,
-            architecture=self.architecture,
-            num_cores=self.num_cores,
-            engine=self.engine,
+        return execute(
+            self.module, entry, args, self.num_cores, self.architecture,
+            self.engine,
         )
-        result = machine.run(entry, args)
-        result.parallel_executions = list(machine.executions)
-        return result
 
 
 def make_binary(

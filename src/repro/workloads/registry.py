@@ -78,6 +78,5 @@ def _ensure_loaded() -> None:
     global _LOADED
     if not _LOADED:
         _LOADED = True
-        # Self-registering suites.  (The generated families of
-        # `repro.workloads.generated` register only when asked to.)
+        # Self-registering suites.
         from . import mibench, parsec, spec  # noqa: F401

@@ -114,45 +114,3 @@ class TestBundleSchema:
             program_from_choices(payload["choices"]).source
             == payload["source"]
         )
-
-
-class TestGeneratedFamilies:
-    def test_register_unregister_round_trip(self):
-        from repro.workloads import registry
-        from repro.workloads.generated import (
-            register_generated,
-            unregister_generated,
-        )
-
-        before = len(registry.all_workloads())
-        try:
-            added = register_generated(
-                families=("independent",), per_family=2
-            )
-            assert len(added) == 2
-            assert len(registry.all_workloads()) == before + 2
-            # Idempotent.
-            register_generated(families=("independent",), per_family=2)
-            assert len(registry.all_workloads()) == before + 2
-        finally:
-            unregister_generated()
-        assert len(registry.all_workloads()) == before
-
-    @pytest.mark.slow
-    def test_generated_families_run_through_corpus(self):
-        from repro.testing.harness import ToolConfig, run_corpus
-        from repro.workloads.generated import (
-            as_micro_tests,
-            generated_workloads,
-        )
-
-        tests = as_micro_tests(
-            generated_workloads(
-                families=("independent", "reduction"), per_family=1
-            )
-        )
-        outcomes = run_corpus(
-            configs=[ToolConfig("doall", ["doall"])], tests=tests, jobs=2
-        )
-        failed = [o for o in outcomes if not o.passed]
-        assert failed == [], failed

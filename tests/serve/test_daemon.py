@@ -153,6 +153,64 @@ class TestLifecycle:
             assert server.supervisor.stats()["workers"][0]["jobs"] == 0
 
 
+    def test_malformed_content_length_is_a_400(self):
+        """A header the daemon cannot size the body from is answered,
+        not dropped: 400 BadRequest, nothing read, no traceback."""
+        import socket
+
+        from repro.serve.daemon import MAX_BODY_BYTES
+
+        def raw_post(address, content_length):
+            with socket.create_connection(address, timeout=30) as sock:
+                sock.sendall(
+                    b"POST /run HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + content_length + b"\r\n\r\n{}"
+                )
+                # Read exactly the reply: the daemon then closes with our
+                # body unread, which may reset rather than end the stream.
+                reply = sock.makefile("rb")
+                status = int(reply.readline().split()[1])
+                headers = {}
+                while (line := reply.readline().strip()):
+                    key, _, value = line.partition(b":")
+                    headers[key.lower()] = value.strip()
+                return status, json.loads(
+                    reply.read(int(headers[b"content-length"]))
+                )
+
+        with serving() as (client, server):
+            address = server.server_address[:2]
+            for header in (b"abc", b"-5", str(MAX_BODY_BYTES + 1).encode()):
+                status, body = raw_post(address, header)
+                assert status == 400, (header, body)
+                assert body["ok"] is False
+                assert body["error"]["kind"] == "BadRequest"
+                assert body["error"]["scope"] == "request"
+                assert "Content-Length" in body["error"]["message"]
+            assert server.supervisor.stats()["workers"][0]["jobs"] == 0
+            # A new connection is served as if nothing had happened.
+            _compile(client)
+            status, body = client.post("/run", {"session": "s", "name": "m"})
+            assert status == 200 and body["result"]["exit_code"] == 0
+
+    def test_bad_minic_is_a_400_not_a_500(self):
+        with serving() as (client, _server):
+            for source, kind in (
+                ("int main( {", "SyntaxErrorMiniC"),
+                ("int main() { return $; }", "LexError"),
+                ("int main() { return x; }", "CodegenError"),
+            ):
+                status, body = client.post("/compile", {
+                    "session": "s", "name": "m", "source": source,
+                })
+                assert status == 400, body
+                assert body["error"]["kind"] == kind
+                assert body["error"]["scope"] == "request"
+            status, body = client.get("/healthz")
+            assert status == 200 and body["status"] == "ok"
+
+
 class TestFaultInjectionStress:
     """Seeded faults kill workers mid-request; the daemon survives."""
 

@@ -298,9 +298,12 @@ class TestCheck:
         assert main(["check", "lbm"]) == 0
         assert "check:" in capsys.readouterr().err
 
-    def test_unknown_input_is_a_clean_error(self):
-        with pytest.raises(SystemExit, match="neither a file nor"):
-            main(["check", "no-such-workload"])
+    def test_unknown_input_is_a_clean_error(self, capsys):
+        assert main(["check", "no-such-workload"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-noelle check: ")
+        assert "neither a file nor" in err
+        assert len(err.splitlines()) == 1
 
     def test_parallelize_then_check(self, demo_files, capsys):
         if faults_enabled():
