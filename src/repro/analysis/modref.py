@@ -113,8 +113,17 @@ class ModRefAnalysis:
         return changed
 
     # -- queries -----------------------------------------------------------------
-    def function_effects(self, fn: Function) -> FunctionEffects:
-        return self.effects[id(fn)]
+    def function_effects(self, fn: Function) -> FunctionEffects | None:
+        """``fn``'s summary; None for a function defined after the solve.
+
+        A *declaration* first seen after the solve (a runtime intrinsic a
+        pass declared) is summarized on demand: what a declaration
+        touches follows from its name alone.
+        """
+        summary = self.effects.get(id(fn))
+        if summary is None and fn.is_declaration():
+            summary = self.effects[id(fn)] = self._initial_effects(fn)
+        return summary
 
     def call_mod_ref(self, call: Call, ptr: Value) -> ModRefResult:
         """May this call read/write the memory ``ptr`` points to?"""
@@ -126,7 +135,7 @@ class ModRefAnalysis:
             return ModRefResult.MOD_REF
         result = ModRefResult.NO_MOD_REF
         for callee in targets:
-            summary = self.effects.get(id(callee))
+            summary = self.function_effects(callee)
             if summary is None or summary.unknown:
                 # Unknown externals may touch escaped objects only.
                 if any(self.pointsto.escapes(o) for o in ptr_objects):

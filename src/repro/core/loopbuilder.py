@@ -61,10 +61,7 @@ class LoopBuilder:
         # Multiple entries: funnel them through a fresh block.
         pre = self.fn.add_block(f"{loop.header.name}.preheader")
         for phi in loop.header.phis():
-            funnel = Phi(phi.type, f"{phi.name}.pre")
-            funnel.parent = pre
-            pre.instructions.insert(0, funnel)
-            self.fn.assign_name(funnel)
+            funnel = pre.insert(0, Phi(phi.type, f"{phi.name}.pre"))
             for value, pred in list(phi.incoming()):
                 if not loop.contains_block(pred):
                     funnel.add_incoming(value, pred)
@@ -343,9 +340,7 @@ class LoopBuilder:
             entry_value = entry_map[id(phi)]
             latch_value = latch_map[id(phi)]
             phi.drop_all_operands()
-            header.instructions.remove(phi)
-            phi.parent = in_body
-            in_body.instructions.insert(0, phi)
+            phi.move_before(in_body.instructions[0])
             phi.add_incoming(entry_value, pre)
             phi.add_incoming(latch_value, latch)
 
@@ -360,10 +355,7 @@ class LoopBuilder:
 
         # Values observed after the loop: merge guard/latch views at the exit.
         for phi in live_out_phis:
-            exit_phi = Phi(phi.type, f"{phi.name}.lcssa")
-            exit_phi.parent = exit_block
-            exit_block.instructions.insert(0, exit_phi)
-            self.fn.assign_name(exit_phi)
+            exit_phi = exit_block.insert(0, Phi(phi.type, f"{phi.name}.lcssa"))
             for user in list(phi.users()):
                 if isinstance(user, Instruction) and not loop.contains(user):
                     if user is exit_phi:
@@ -562,10 +554,7 @@ class LoopBuilder:
         for phi in phis:
             latch_value = phi.incoming_value_for(latch)
             entry_value = value_map.get(id(latch_value), latch_value)
-            moved = Phi(phi.type, f"{phi.name}.w")
-            moved.parent = new_header
-            new_header.instructions.append(moved)
-            self.fn.assign_name(moved)
+            moved = new_header.append(Phi(phi.type, f"{phi.name}.w"))
             latch_map[id(phi)] = latch_value
             phi.replace_all_uses_with(moved)
             phi.erase_from_parent()
@@ -611,10 +600,7 @@ class LoopBuilder:
             if at_new_header is None:
                 continue
             at_peel = value_map.get(id(inst), inst)
-            exit_phi = Phi(inst.type, f"{inst.name}.out")
-            exit_phi.parent = exit_block
-            exit_block.instructions.insert(0, exit_phi)
-            self.fn.assign_name(exit_phi)
+            exit_phi = exit_block.insert(0, Phi(inst.type, f"{inst.name}.out"))
             for user in list(inst.users()):
                 if not isinstance(user, Instruction) or user is exit_phi:
                     continue

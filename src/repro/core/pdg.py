@@ -382,7 +382,7 @@ class PDG(DependenceGraph[Instruction]):
         other ``AliasAnalysis`` everything stays wildcard so no pair is
         pruned that the analysis might not have disproved.
         """
-        pointer = _pointer_operand(inst)
+        pointer = pointer_operand(inst)
         if pointer is None:
             return None  # calls: mod/ref reasoning happens per pair
         aa = self.aa
@@ -444,8 +444,8 @@ class PDG(DependenceGraph[Instruction]):
 
     def _query(self, a: Instruction, b: Instruction) -> bool | None:
         """May a and b touch the same memory?  None=no, True=must, False=may."""
-        pointer_a = _pointer_operand(a)
-        pointer_b = _pointer_operand(b)
+        pointer_a = pointer_operand(a)
+        pointer_b = pointer_operand(b)
         if pointer_a is not None and pointer_b is not None:
             result = self.aa.alias(pointer_a, pointer_b)
             if result is AliasResult.NO_ALIAS:
@@ -672,8 +672,8 @@ class LoopDG(DependenceGraph[Instruction]):
         stride, and same offset — then equal addresses imply equal
         iterations, so the dependence is intra-iteration only.
         """
-        address_src = _pointer_operand(src)
-        address_dst = _pointer_operand(dst)
+        address_src = pointer_operand(src)
+        address_dst = pointer_operand(dst)
         if address_src is None or address_dst is None:
             return True  # calls: stay conservative
         access_src = self._affine_access(address_src)
@@ -798,7 +798,8 @@ def _reverse_memory_kind(src: Instruction, dst: Instruction) -> str | None:
     return None
 
 
-def _pointer_operand(inst: Instruction) -> Value | None:
+def pointer_operand(inst: Instruction) -> Value | None:
+    """The address a load or store accesses; None for anything else."""
     if isinstance(inst, Load):
         return inst.pointer
     if isinstance(inst, Store):
@@ -829,7 +830,7 @@ def _call_footprint(effects, aa, call: Call):
     reads: set = set()
     writes: set = set()
     for callee in targets:
-        summary = effects.effects.get(id(callee))
+        summary = effects.function_effects(callee)
         if summary is None or summary.unknown:
             return None
         reads |= summary.reads

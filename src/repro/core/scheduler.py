@@ -198,9 +198,5 @@ class LoopScheduler(Scheduler):
             return False
         # Position at the top of the target instead of the end so the
         # original intra-body order is preserved.
-        inst.parent.instructions.remove(inst)
-        first = target.first_non_phi()
-        index = target.instructions.index(first) if first is not None else 0
-        target.instructions.insert(index, inst)
-        inst.parent = target
+        inst.move_before(target.first_non_phi())
         return True

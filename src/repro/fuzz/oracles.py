@@ -5,10 +5,11 @@
    steps/cycles counters, both for full runs and when a step budget
    cuts execution mid-program (the trap-site/boundary accounting the
    compiled engine corrects for).
-2. **parallel** — a DOALL/HELIX/DSWP parallelization committed by the
-   pass manager must preserve program output (floats compared with the
-   harness's relative tolerance), and the dynamic race oracle must stay
-   silent on it.
+2. **parallel** — a DOALL/HELIX/DSWP parallelization must commit (a
+   rollback that no armed fault plan and no step/deadline budget
+   explains is a transform that broke), must preserve program output
+   (floats compared with the harness's relative tolerance), and the
+   dynamic race oracle must stay silent on it.
 3. **binio** — ``print → parse → print`` must be a fixpoint and the
    binary ``.nir`` encoding must round-trip byte-identically, on a
    profile-metadata-rich module.
@@ -163,6 +164,10 @@ def engine_divergence(program: GeneratedProgram) -> Divergence | None:
     return None
 
 
+#: Rollback causes that are the budget's doing, not the transform's.
+_BUDGET_KINDS = ("StepLimitExceeded", "PassDeadlineExceeded")
+
+
 def transform_divergences(
     program: GeneratedProgram, technique: str, num_cores: int = 4
 ) -> list[Divergence]:
@@ -179,7 +184,18 @@ def transform_divergences(
     par_module = compile_source(program.source, program.name)
     noelle = Noelle(par_module)
     manager, _ = parallelize(noelle, technique, num_cores=num_cores)
-    rolled_back = [r.name for r in manager.rolled_back()]
+    rollbacks = manager.rolled_back()
+    rolled_back = [r.name for r in rollbacks]
+    for result in rollbacks:
+        if result.error.fault is None and result.error.kind not in _BUDGET_KINDS:
+            divergences.append(
+                Divergence(
+                    "parallel",
+                    f"{technique}: rolled back with no fault or budget to "
+                    f"explain it: {result.error}",
+                    program,
+                )
+            )
     verify_module(par_module)
     par = execute(par_module, num_cores=num_cores)
     if bool(par.trapped) != bool(seq.trapped):

@@ -50,6 +50,21 @@ class IRBuilder:
         self.block = inst.parent
         self.insert_before = inst
 
+    def position_after(self, inst: Instruction) -> None:
+        """Insert after ``inst`` — after its whole phi group when it is a
+        phi, so nothing lands between two phis."""
+        block = inst.parent
+        assert block is not None
+        if isinstance(inst, Phi):
+            following = block.first_non_phi()
+        else:
+            rest = block.instructions[inst.index_in_block() + 1:]
+            following = rest[0] if rest else None
+        if following is None:
+            self.position_at_end(block)
+        else:
+            self.position_before(following)
+
     def _insert(self, inst: Instruction) -> Instruction:
         assert self.block is not None, "builder has no insertion point"
         if self.insert_before is not None:
@@ -151,19 +166,9 @@ class IRBuilder:
     # -- misc ----------------------------------------------------------------------
     def phi(self, ty: Type, name: str = "") -> Phi:
         assert self.block is not None
-        node = Phi(ty, name)
-        # Phis must stay grouped at the top of the block.
-        node.parent = self.block
-        index = 0
-        for index, inst in enumerate(self.block.instructions):
-            if not isinstance(inst, Phi):
-                break
-        else:
-            index = len(self.block.instructions)
-        self.block.instructions.insert(index, node)
-        if self.block.parent is not None:
-            self.block.parent.assign_name(node)
-        return node
+        # Below the block's existing phis, above everything else.
+        index = sum(1 for _ in self.block.phis())
+        return self.block.insert(index, Phi(ty, name))
 
     def select(
         self, cond: Value, true_value: Value, false_value: Value, name: str = ""

@@ -32,13 +32,22 @@ class BasicBlock(Value):
         return None
 
     def append(self, inst: Instruction) -> Instruction:
-        inst.parent = self
-        self.instructions.append(inst)
-        if self.parent is not None:
-            self.parent.assign_name(inst)
-        return inst
+        return self.insert(len(self.instructions), inst)
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
+        """Place ``inst`` at ``index`` (0 <= index <= len).  Phis stay
+        grouped at the top of the block: a phi goes only below a phi, a
+        non-phi never above one."""
+        insts = self.instructions
+        if isinstance(inst, Phi):
+            misplaced = index > 0 and not isinstance(insts[index - 1], Phi)
+        else:
+            misplaced = index < len(insts) and isinstance(insts[index], Phi)
+        if misplaced:
+            raise ValueError(
+                f"{inst.opcode} at index {index} of %{self.name} would "
+                "split the block's phi group"
+            )
         inst.parent = self
         self.instructions.insert(index, inst)
         if self.parent is not None:

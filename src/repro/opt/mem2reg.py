@@ -44,7 +44,7 @@ def promote_allocas(fn: Function) -> int:
     frontier = dom.dominance_frontier()
     phi_sites: dict[int, dict[int, Phi]] = {}  # id(alloca) -> {id(block): phi}
     for alloca in promotable:
-        phi_sites[id(alloca)] = _insert_phis(fn, alloca, dom, frontier)
+        phi_sites[id(alloca)] = _insert_phis(alloca, dom, frontier)
     _rename(fn, dom, promotable, phi_sites)
     for alloca in promotable:
         for use in list(alloca.uses):
@@ -70,7 +70,7 @@ def _is_promotable(alloca: Alloca) -> bool:
 
 
 def _insert_phis(
-    fn: Function, alloca: Alloca, dom: DominatorTree, frontier: dict[int, set[int]]
+    alloca: Alloca, dom: DominatorTree, frontier: dict[int, set[int]]
 ) -> dict[int, Phi]:
     def_blocks: list[BasicBlock] = []
     for use in alloca.uses:
@@ -86,10 +86,9 @@ def _insert_phis(
             if frontier_id in phis:
                 continue
             frontier_block = dom.block_by_id(frontier_id)
-            phi = Phi(alloca.allocated_type, f"{alloca.name}.phi")
-            phi.parent = frontier_block
-            frontier_block.instructions.insert(0, phi)
-            fn.assign_name(phi)
+            phi = frontier_block.insert(
+                0, Phi(alloca.allocated_type, f"{alloca.name}.phi")
+            )
             phis[frontier_id] = phi
             if frontier_id not in processed:
                 processed.add(frontier_id)

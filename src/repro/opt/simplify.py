@@ -190,9 +190,7 @@ def merge_straightline_blocks(fn: Function) -> bool:
                 phi.erase_from_parent()
         term.erase_from_parent()
         for inst in list(succ.instructions):
-            succ.instructions.remove(inst)
-            inst.parent = block
-            block.instructions.append(inst)
+            inst.move_to_end(block)
         # Successor phis must now see `block` as the predecessor.
         new_term = block.terminator
         if new_term is not None:

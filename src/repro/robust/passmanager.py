@@ -306,7 +306,9 @@ def _licm():
 def _perspective(default_cores=12, max_rounds=5):
     from ..xforms.perspective import Perspective
 
-    return lambda noelle: Perspective(noelle, default_cores).run(max_rounds)
+    return lambda noelle: Perspective(noelle, default_cores).run(
+        max_rounds=max_rounds
+    )
 
 
 def _dead(roots=None):

@@ -149,7 +149,6 @@ class ParallelMachine(Interpreter):
         num_stages = int(args[2])
         execution = ParallelExecution("dswp", num_stages)
         per_stage: list[int] = []
-        values_pushed_before = self._total_queued()
         pushed_per_stage: list[int] = []
         for stage in range(num_stages):
             before = self.result.cycles
@@ -173,7 +172,6 @@ class ParallelMachine(Interpreter):
         execution.parallel_cycles = wall
         self.result.cycles += wall - total_work
         self.executions.append(execution)
-        del values_pushed_before
 
     def _total_queued(self) -> int:
         # Queues drain as they are consumed; track cumulative pushes by

@@ -133,10 +133,7 @@ def _promote(
     initial = builder.load(pointer, "promoted.init")
 
     # The carried value: a phi in the header.
-    phi = ir.Phi(load.type, "promoted")
-    phi.parent = loop.header
-    loop.header.instructions.insert(0, phi)
-    fn.assign_name(phi)
+    phi = loop.header.insert(0, ir.Phi(load.type, "promoted"))
     phi.add_incoming(initial, pre)
     for latch in loop.latches():
         phi.add_incoming(store.value, latch)

@@ -17,10 +17,29 @@ the guard calls.
 from __future__ import annotations
 
 from ..analysis.aa import underlying_object
+from ..analysis.scev import SCEVAddRec, SCEVConstant, ScalarEvolution
 from ..core.dataflow import DataFlowEngine, DataFlowProblem
+from ..core.induction import InductionVariableManager
+from ..core.loopbuilder import LoopBuilder
 from ..core.noelle import Noelle
+from ..core.pdg import pointer_operand
 from .. import ir
 from ..ir.intrinsics import declare_intrinsic
+
+
+def emit_guard(
+    builder: ir.IRBuilder,
+    guard: ir.Function,
+    pointer: ir.Value,
+    extent: ir.Value | None = None,
+    name: str = "guard.ptr",
+) -> None:
+    """``carat_guard(pointer, extent)`` at the builder's position;
+    ``extent`` defaults to the size of the pointee."""
+    if extent is None:
+        extent = ir.const_int(max(pointer.type.pointee.size_in_slots(), 1))
+    cast = builder.cast("bitcast", pointer, ir.PointerType(ir.I8), name)
+    builder.call(guard, [cast, extent])
 
 
 class CARATStats:
@@ -71,7 +90,7 @@ class CARAT:
         plan: list[tuple[ir.Instruction, ir.Value, ir.BasicBlock | None]] = []
         for block in fn.blocks:
             for inst in list(block.instructions):
-                pointer = self._guardable_pointer(inst)
+                pointer = pointer_operand(inst)
                 if pointer is None:
                     continue
                 stats.candidates += 1
@@ -117,10 +136,8 @@ class CARAT:
         intersection meet means a pointer is "available" only when checked
         on every incoming path — exactly the guard-elision condition.
         """
-        from ..core.dataflow import DataFlowEngine, DataFlowProblem
-
         def gen(inst: ir.Instruction) -> set:
-            pointer = self._guardable_pointer(inst)
+            pointer = pointer_operand(inst)
             return {id(pointer)} if pointer is not None else set()
 
         def kill(inst: ir.Instruction) -> set:
@@ -134,19 +151,11 @@ class CARAT:
 
         all_pointer_ids: set[int] = set()
         for inst in fn.instructions():
-            pointer = self._guardable_pointer(inst)
+            pointer = pointer_operand(inst)
             if pointer is not None:
                 all_pointer_ids.add(id(pointer))
         problem = DataFlowProblem("forward", gen, kill, meet="intersection")
         return DataFlowEngine().run(fn, problem)
-
-    @staticmethod
-    def _guardable_pointer(inst: ir.Instruction) -> ir.Value | None:
-        if isinstance(inst, ir.Load):
-            return inst.pointer
-        if isinstance(inst, ir.Store):
-            return inst.pointer
-        return None
 
     def _statically_safe(self, pointer: ir.Value) -> bool:
         """In-bounds accesses to identified allocations need no guard."""
@@ -163,7 +172,6 @@ class CARAT:
             return not isinstance(pointer, ir.Instruction) or isinstance(
                 pointer, (ir.Alloca,)
             )
-        offset = 0
         current: ir.Type = pointer.base.type.pointee
         indices = pointer.indices
         first = indices[0]
@@ -180,7 +188,6 @@ class CARAT:
                 current = current.fields[index.value]
             else:
                 return False
-        del offset
         return True
 
     def _affine_range_guard(self, info, inst: ir.Instruction, pointer: ir.Value):
@@ -191,8 +198,6 @@ class CARAT:
         per-iteration point guards.  Returns a deferred-insertion closure,
         or None when the access is not a recognizable affine walk.
         """
-        from ..analysis.scev import SCEVAddRec, SCEVConstant, ScalarEvolution
-
         loop = info.loop_of(inst.parent)
         if loop is None or not isinstance(pointer, ir.ElemPtr):
             return None
@@ -218,8 +223,6 @@ class CARAT:
         if step is None or step <= 0:
             return None
         # The loop must be governed by a compare against an invariant bound.
-        from ..core.induction import InductionVariableManager
-
         ivs = InductionVariableManager(loop)
         governing = ivs.governing_iv()
         if governing is None or governing.exit_compare is None:
@@ -236,8 +239,6 @@ class CARAT:
         if bound is None:
             return None
         # LB: create the canonical pre-header the range guard lives in.
-        from ..core.loopbuilder import LoopBuilder
-
         fn = inst.function()
         pre_header = LoopBuilder(fn).ensure_pre_header(loop)
         start_value = evolution.start.value
@@ -257,8 +258,7 @@ class CARAT:
             extent = builder.mul(
                 span, ir.const_int(max(stride_ty.size_in_slots(), 1)), "guard.extent"
             )
-            cast = builder.cast("bitcast", first, ir.PointerType(ir.I8), "guard.ptr")
-            builder.call(guard_fn, [cast, extent])
+            emit_guard(builder, guard_fn, first, extent)
 
         return insert
 
@@ -298,22 +298,8 @@ class CARAT:
         pointer: ir.Value,
         hoist_target: ir.BasicBlock | None,
     ) -> None:
-        size = ir.const_int(max(pointer.type.pointee.size_in_slots(), 1))
-        if hoist_target is not None:
-            block = hoist_target
-            position = (
-                block.instructions.index(block.terminator)
-                if block.terminator is not None
-                else len(block.instructions)
-            )
-        else:
-            block = inst.parent
-            position = block.instructions.index(inst)
-        cast = ir.Cast("bitcast", pointer, ir.PointerType(ir.I8), "guard.ptr")
-        call = ir.Call(guard, [cast, size])
-        fn = block.parent
-        for offset, new_inst in enumerate((cast, call)):
-            new_inst.parent = block
-            block.instructions.insert(position + offset, new_inst)
-            if fn is not None:
-                fn.assign_name(new_inst)
+        builder = ir.IRBuilder()
+        builder.position_before(
+            inst if hoist_target is None else hoist_target.terminator
+        )
+        emit_guard(builder, guard, pointer)

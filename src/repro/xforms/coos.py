@@ -121,13 +121,9 @@ class CompilerTiming:
     def _insert_hook_before_terminator(
         self, block: ir.BasicBlock, hook: ir.Function, estimate: int
     ) -> None:
-        term = block.terminator
-        call = ir.Call(hook, [ir.const_int(min(estimate, self.budget))])
-        call.parent = block
-        index = block.instructions.index(term) if term is not None else len(
-            block.instructions
-        )
-        block.instructions.insert(index, call)
+        builder = ir.IRBuilder()
+        builder.position_before(block.terminator)
+        builder.call(hook, [ir.const_int(min(estimate, self.budget))])
 
     def _hook_long_paths(
         self,

@@ -15,21 +15,18 @@ from ..core.loop import Loop
 from ..core.noelle import Noelle
 from .parallelizer_common import (
     LoopBoundary,
+    LoopTechnique,
     ParallelizationError,
     build_environment,
     chunk_cloned_loop,
+    chunkable_boundary,
     clone_loop_into_task,
     finish_task_with_reductions,
     replace_loop_with_dispatch,
-    run_rounds,
 )
 
-#: Exit predicates compatible with round-robin chunking (a core may step
-#: past the bound, so equality tests are unsafe).
-CHUNKABLE_PREDICATES = ("slt", "sle", "sgt", "sge", "ult", "ule", "ugt", "uge")
 
-
-class DOALL:
+class DOALL(LoopTechnique):
     """The DOALL technique."""
 
     name = "doall"
@@ -38,51 +35,31 @@ class DOALL:
         self.noelle = noelle
         self.default_cores = default_cores
 
-    # -- selection -----------------------------------------------------------------
-    def can_parallelize(self, loop: Loop) -> bool:
-        try:
-            self._check(loop)
-            return True
-        except ParallelizationError:
-            return False
+    def plan(
+        self, loop: Loop, speculated: frozenset[int] = frozenset()
+    ) -> LoopBoundary:
+        """The loop's boundary, when no dependence orders its iterations.
 
-    def _check(self, loop: Loop) -> LoopBoundary:
+        ``speculated`` holds the ids of carried edges a caller removes by
+        other means (Perspective validates them at run time).
+        """
         for scc in loop.sccdag.sccs:
-            if scc.is_sequential():
+            if scc.is_sequential() and any(
+                id(edge) not in speculated for edge in scc.carried_edges
+            ):
                 raise ParallelizationError(
                     "loop has a sequential SCC (loop-carried dependence)"
                 )
-        iv = loop.governing_iv()
-        if iv is None:
-            raise ParallelizationError("no governing induction variable")
-        if iv.constant_step() is None:
-            raise ParallelizationError("governing IV has a non-constant step")
-        if iv.exit_compare is None or iv.exit_compare.predicate not in (
-            CHUNKABLE_PREDICATES
-        ):
-            raise ParallelizationError("exit condition is not chunkable")
-        exiting = loop.structure.exiting_blocks()
-        if len(exiting) != 1:
-            raise ParallelizationError("loop has multiple exits")
-        boundary = LoopBoundary(loop)
-        if not boundary.only_reduction_live_outs():
-            raise ParallelizationError(
-                "loop has live-outs that are not reductions"
-            )
-        return boundary
+        return chunkable_boundary(loop)
 
-    # -- transformation -------------------------------------------------------------
-    def parallelize(self, loop: Loop) -> ir.Call:
-        """Parallelize ``loop`` in place; returns the dispatch call."""
-        boundary = self._check(loop)
+    def apply(self, loop: Loop, boundary: LoopBoundary) -> ir.Call:
         fn = loop.structure.function
         env = build_environment(self.noelle, boundary, "doall.env")
         skeleton = clone_loop_into_task(
-            self.noelle, boundary, env,
-            f"{loop.structure.function.name}.doall.task",
+            self.noelle, boundary, env, f"{fn.name}.doall.task"
         )
         chunk_cloned_loop(skeleton)
-        finish_task_with_reductions(self.noelle, skeleton, boundary, env)
+        finish_task_with_reductions(skeleton, boundary)
         skeleton.task.function.metadata["noelle.parallel"] = "doall"
         ir.verify_function(skeleton.task.function)
         call = replace_loop_with_dispatch(
@@ -91,13 +68,3 @@ class DOALL:
         )
         ir.verify_function(fn)
         return call
-
-    # -- whole-program driver -------------------------------------------------------------
-    def run(
-        self,
-        minimum_hotness: float = 0.0,
-        max_rounds: int = 10,
-        only_loop_id: int | None = None,
-    ) -> int:
-        """Parallelize every eligible (hot) loop; returns how many."""
-        return run_rounds(self, minimum_hotness, max_rounds, only_loop_id)

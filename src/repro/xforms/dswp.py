@@ -24,19 +24,26 @@ from __future__ import annotations
 from .. import ir
 from ..core.loop import Loop
 from ..core.noelle import Noelle
+from ..core.partitioner import SCCDAGPartitioner
+from ..core.task import Task, make_task_function
 from ..ir.intrinsics import declare_intrinsic
 from .parallelizer_common import (
     LoopBoundary,
+    LoopTechnique,
     ParallelizationError,
-    TaskSkeleton,
     build_environment,
     clone_loop_into_task,
+    finish_task_with_reductions,
     replace_loop_with_dispatch,
-    run_rounds,
+)
+
+#: The queue intrinsics, in declaration order.
+QUEUE_INTRINSICS = (
+    "queue_push_i64", "queue_pop_i64", "queue_push_f64", "queue_pop_f64"
 )
 
 
-class DSWP:
+class DSWP(LoopTechnique):
     """The DSWP technique."""
 
     name = "dswp"
@@ -46,14 +53,8 @@ class DSWP:
         self.num_stages = num_stages
 
     # -- selection ---------------------------------------------------------------------
-    def can_parallelize(self, loop: Loop) -> bool:
-        try:
-            self._plan(loop)
-            return True
-        except ParallelizationError:
-            return False
-
-    def _plan(self, loop: Loop):
+    def plan(self, loop: Loop):
+        """(boundary, control skeleton, the instructions of each stage)."""
         if len(loop.structure.exiting_blocks()) != 1:
             raise ParallelizationError("loop has multiple exits")
         boundary = LoopBoundary(loop)
@@ -65,8 +66,6 @@ class DSWP:
                 raise ParallelizationError(
                     "control skeleton touches memory; stages cannot replicate it"
                 )
-        from ..core.partitioner import SCCDAGPartitioner
-
         arch = self.noelle.architecture()
         partitioner = SCCDAGPartitioner(
             loop.sccdag, exclude={id(i) for i in skeleton}
@@ -116,20 +115,15 @@ class DSWP:
         return list(needed.values())
 
     # -- transformation -----------------------------------------------------------------
-    def parallelize(self, loop: Loop) -> ir.Call:
-        boundary, skeleton, stages = self._plan(loop)
+    def apply(self, loop: Loop, plan) -> ir.Call:
+        boundary, skeleton, stages = plan
         fn = loop.structure.function
         env = build_environment(self.noelle, boundary, "dswp.env")
-        stage_fns: list[ir.Function] = []
-        queue_counter = [0]
-        for stage_index in range(len(stages)):
-            stage_fn = self._build_stage(
-                boundary, env, skeleton, stages, stage_index, queue_counter
-            )
-            stage_fns.append(stage_fn)
+        stage_fns = [
+            self._build_stage(boundary, env, skeleton, stages, stage_index)
+            for stage_index in range(len(stages))
+        ]
         selector = self._build_selector(env, stage_fns, fn.name)
-        from ..core.task import Task
-
         task = Task(selector, env)
         call = replace_loop_with_dispatch(
             self.noelle, boundary, env, task, "noelle_dispatch_dswp",
@@ -148,7 +142,6 @@ class DSWP:
         skeleton: list[ir.Instruction],
         stages: list[list[ir.Instruction]],
         stage_index: int,
-        queue_counter: list[int],
     ) -> ir.Function:
         natural = boundary.natural
         fn_name = boundary.loop.structure.function.name
@@ -164,10 +157,10 @@ class DSWP:
             for inst in stage:
                 stage_of[id(inst)] = index
 
-        push_fn = declare_intrinsic(self.noelle.module, "queue_push_i64")
-        pop_fn = declare_intrinsic(self.noelle.module, "queue_pop_i64")
-        push_f64 = declare_intrinsic(self.noelle.module, "queue_push_f64")
-        pop_f64 = declare_intrinsic(self.noelle.module, "queue_pop_f64")
+        queues = {
+            name: declare_intrinsic(self.noelle.module, name)
+            for name in QUEUE_INTRINSICS
+        }
 
         # Queue ids must be deterministic across stages: derive from the
         # producer's position and the consumer stage.
@@ -192,9 +185,7 @@ class DSWP:
                     if user_stage is not None and user_stage != stage_index:
                         consumer_stages.add(user_stage)
             for consumer_stage in sorted(consumer_stages):
-                self._insert_push(
-                    clone, queue_id(inst, consumer_stage), push_fn, push_f64
-                )
+                self._push(queues, clone, queue_id(inst, consumer_stage))
 
         # Pass 2: replace other stages' values I consume with pops; erase
         # the rest of their instructions.  Only *kept* users (skeleton or
@@ -219,9 +210,7 @@ class DSWP:
                 if isinstance(u, ir.Instruction) and id(u) in kept_clone_ids
             ]
             if consumers_here and not clone.type.is_void():
-                pop = self._insert_pop(
-                    clone, queue_id(inst, stage_index), pop_fn, pop_f64
-                )
+                pop = self._pop(queues, clone, queue_id(inst, stage_index))
                 for user in consumers_here:
                     for index, operand in enumerate(user.operands):
                         if operand is clone:
@@ -234,108 +223,51 @@ class DSWP:
                 clone.erase_from_parent()
 
         # Reductions owned by this stage store their partials; others just ret.
-        self._finish_stage(task_skeleton, boundary, env, stage_of, stage_index)
+        finish_task_with_reductions(
+            task_skeleton, boundary, ir.const_int(0),
+            lambda reduction: stage_of.get(id(reduction.phi)) == stage_index,
+        )
         ir.verify_function(task_fn)
         return task_fn
 
-    def _insert_push(self, producer: ir.Instruction, qid: int, push_i64, push_f64):
-        block = producer.parent
-        assert block is not None
-        index = block.instructions.index(producer) + 1
+    @staticmethod
+    def _push(queues, producer: ir.Instruction, qid: int) -> None:
+        """Send ``producer`` down queue ``qid`` as soon as it exists."""
+        builder = ir.IRBuilder()
+        builder.position_after(producer)
         value: ir.Value = producer
-        inserts: list[ir.Instruction] = []
         if producer.type.is_float():
-            call = ir.Call(push_f64, [ir.const_int(qid), value])
+            push = queues["queue_push_f64"]
         else:
+            push = queues["queue_push_i64"]
             if producer.type.is_pointer():
-                cast = ir.Cast("ptrtoint", value, ir.I64, "q.cast")
-                inserts.append(cast)
-                value = cast
+                value = builder.cast("ptrtoint", producer, ir.I64, "q.cast")
             elif producer.type != ir.I64:
-                cast = ir.Cast("zext", value, ir.I64, "q.cast")
-                inserts.append(cast)
-                value = cast
-            call = ir.Call(push_i64, [ir.const_int(qid), value])
-        inserts.append(call)
-        fn = block.parent
-        for offset, inst in enumerate(inserts):
-            inst.parent = block
-            block.instructions.insert(index + offset, inst)
-            if fn is not None:
-                fn.assign_name(inst)
+                value = builder.cast("zext", producer, ir.I64, "q.cast")
+        builder.call(push, [ir.const_int(qid), value])
 
-    def _insert_pop(self, placeholder: ir.Instruction, qid: int, pop_i64, pop_f64):
-        """Materialize a pop at the placeholder's position; returns the value."""
-        block = placeholder.parent
-        assert block is not None
-        first_non_phi = block.first_non_phi()
-        anchor = (
-            first_non_phi
-            if isinstance(placeholder, ir.Phi) and first_non_phi is not None
-            else placeholder
-        )
-        index = block.instructions.index(anchor)
-        fn = block.parent
-        inserts: list[ir.Instruction] = []
-        if placeholder.type.is_float():
-            pop = ir.Call(pop_f64, [ir.const_int(qid)], "q.pop")
-            inserts.append(pop)
-            result: ir.Instruction = pop
+    @staticmethod
+    def _pop(queues, placeholder: ir.Instruction, qid: int) -> ir.Instruction:
+        """Receive queue ``qid`` where ``placeholder`` stood; returns the value."""
+        builder = ir.IRBuilder()
+        if isinstance(placeholder, ir.Phi):
+            builder.position_after(placeholder)
         else:
-            pop = ir.Call(pop_i64, [ir.const_int(qid)], "q.pop")
-            inserts.append(pop)
-            result = pop
-            if placeholder.type.is_pointer():
-                cast = ir.Cast("inttoptr", pop, placeholder.type, "q.val")
-                inserts.append(cast)
-                result = cast
-            elif placeholder.type != ir.I64 and placeholder.type.is_integer():
-                cast = ir.Cast("trunc", pop, placeholder.type, "q.val")
-                inserts.append(cast)
-                result = cast
-        for offset, inst in enumerate(inserts):
-            inst.parent = block
-            block.instructions.insert(index + offset, inst)
-            if fn is not None:
-                fn.assign_name(inst)
-        return result
-
-    def _finish_stage(
-        self, task_skeleton: TaskSkeleton, boundary: LoopBoundary, env,
-        stage_of: dict[int, int], stage_index: int,
-    ) -> None:
-        task_fn = task_skeleton.task.function
-        env_ptr, _, _ = task_fn.args
-        builder = ir.IRBuilder(task_skeleton.exit_block)
-        for position, reduction in enumerate(boundary.reductions):
-            if stage_of.get(id(reduction.phi)) != stage_index:
-                continue
-            cloned_phi = task_skeleton.clone_of(reduction.phi)
-            if not isinstance(cloned_phi, ir.Phi) or cloned_phi.parent is None:
-                continue
-            for index in range(1, len(cloned_phi.operands), 2):
-                if cloned_phi.operands[index] is task_skeleton.entry:
-                    cloned_phi.set_operand(
-                        index - 1, reduction.identity_constant()
-                    )
-            field_index = len(boundary.live_ins) + position
-            slot = builder.elem_ptr(
-                env_ptr,
-                [ir.const_int(0), ir.const_int(field_index), ir.const_int(0)],
-                f"red.slot{position}",
-            )
-            source = task_skeleton.clone_of(
-                boundary.reduction_exit_source(reduction)
-            )
-            builder.store(source, slot)
-        builder.ret()
+            builder.position_before(placeholder)
+        ty = placeholder.type
+        if ty.is_float():
+            return builder.call(queues["queue_pop_f64"], [ir.const_int(qid)], "q.pop")
+        pop = builder.call(queues["queue_pop_i64"], [ir.const_int(qid)], "q.pop")
+        if ty.is_pointer():
+            return builder.cast("inttoptr", pop, ty, "q.val")
+        if ty != ir.I64 and ty.is_integer():
+            return builder.cast("trunc", pop, ty, "q.val")
+        return pop
 
     def _build_selector(
         self, env, stage_fns: list[ir.Function], name_hint: str
     ) -> ir.Function:
         """One entry point that switches on the stage id."""
-        from ..core.task import make_task_function
-
         module = self.noelle.module
         selector = make_task_function(module, env, f"{name_hint}.dswp.task")
         selector.metadata["noelle.task"] = True
@@ -363,13 +295,3 @@ class DSWP:
         builder.switch(stage_id, done, cases)
         ir.verify_function(selector)
         return selector
-
-    # -- whole-program driver -------------------------------------------------------------
-    def run(
-        self,
-        minimum_hotness: float = 0.0,
-        max_rounds: int = 10,
-        only_loop_id: int | None = None,
-    ) -> int:
-        """Parallelize every eligible (hot) loop; returns how many."""
-        return run_rounds(self, minimum_hotness, max_rounds, only_loop_id)

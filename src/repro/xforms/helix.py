@@ -20,21 +20,21 @@ from ..core.loop import Loop
 from ..core.noelle import Noelle
 from ..core.sccdag import SCC
 from ..ir.intrinsics import declare_intrinsic
-from .doall import CHUNKABLE_PREDICATES
 from .parallelizer_common import (
     LoopBoundary,
+    LoopTechnique,
     ParallelizationError,
     TaskSkeleton,
     build_environment,
     chunk_cloned_loop,
+    chunkable_boundary,
     clone_loop_into_task,
     finish_task_with_reductions,
     replace_loop_with_dispatch,
-    run_rounds,
 )
 
 
-class HELIX:
+class HELIX(LoopTechnique):
     """The HELIX technique."""
 
     name = "helix"
@@ -44,33 +44,13 @@ class HELIX:
         self.default_cores = default_cores
 
     # -- selection ---------------------------------------------------------------------
-    def can_parallelize(self, loop: Loop) -> bool:
-        try:
-            self._check(loop)
-            return True
-        except ParallelizationError:
-            return False
-
-    def _check(self, loop: Loop) -> LoopBoundary:
-        iv = loop.governing_iv()
-        if iv is None:
-            raise ParallelizationError("no governing induction variable")
-        if iv.constant_step() is None:
-            raise ParallelizationError("governing IV has a non-constant step")
-        if iv.exit_compare is None or iv.exit_compare.predicate not in (
-            CHUNKABLE_PREDICATES
-        ):
-            raise ParallelizationError("exit condition is not chunkable")
-        if len(loop.structure.exiting_blocks()) != 1:
-            raise ParallelizationError("loop has multiple exits")
+    def plan(self, loop: Loop) -> LoopBoundary:
+        boundary = chunkable_boundary(loop)
         # The governing IV itself must not be trapped in a sequential SCC —
         # otherwise iterations cannot be precomputed per core.
-        iv_scc = loop.sccdag.scc_of(iv.phi)
+        iv_scc = loop.sccdag.scc_of(loop.governing_iv().phi)
         if iv_scc is not None and iv_scc.is_sequential():
             raise ParallelizationError("governing IV is inside a sequential SCC")
-        boundary = LoopBoundary(loop)
-        if not boundary.only_reduction_live_outs():
-            raise ParallelizationError("loop has non-reduction live-outs")
         self._check_segment_profitability(loop)
         return boundary
 
@@ -105,15 +85,14 @@ class HELIX:
             )
 
     # -- transformation -----------------------------------------------------------------
-    def parallelize(self, loop: Loop) -> ir.Call:
-        boundary = self._check(loop)
+    def apply(self, loop: Loop, boundary: LoopBoundary) -> ir.Call:
         fn = loop.structure.function
-        iv = loop.governing_iv()
         # Shrink the header first: fewer instructions on the critical path
-        # shortens every sequential segment anchored there (SCD).
+        # shortens every sequential segment anchored there (SCD).  The
+        # loop changed, so it is planned again.
         self.noelle.loop_scheduler(fn).shrink_header(loop.natural_loop)
         loop.invalidate()
-        boundary = self._check(loop)
+        boundary = self.plan(loop)
         sequential_sccs = loop.sccdag.sequential_sccs()
         env = build_environment(self.noelle, boundary, "helix.env")
         skeleton = clone_loop_into_task(
@@ -122,7 +101,7 @@ class HELIX:
         chunk_cloned_loop(skeleton)
         self._mark_sequential_segments(skeleton, sequential_sccs)
         self._mark_iteration_boundaries(skeleton, boundary)
-        finish_task_with_reductions(self.noelle, skeleton, boundary, env)
+        finish_task_with_reductions(skeleton, boundary)
         task_fn = skeleton.task.function
         task_fn.metadata["noelle.parallel"] = "helix"
         task_fn.metadata["noelle.helix.segments"] = len(sequential_sccs)
@@ -154,6 +133,7 @@ class HELIX:
         from ..core.dataflow import liveness
 
         task_liveness = liveness(skeleton.task.function)
+        builder = ir.IRBuilder()
         for segment_id, scc in enumerate(sequential_sccs):
             cloned = [
                 skeleton.clone_of(inst)
@@ -180,21 +160,13 @@ class HELIX:
                 if isinstance(last_inst, ir.Phi):
                     last_inst = ordered[-1]
                 seg_const = ir.const_int(segment_id)
-                begin_call = ir.Call(begin, [seg_const])
-                begin_call.parent = block
-                block.instructions.insert(
-                    block.instructions.index(first_inst), begin_call
-                )
-                end_call = ir.Call(end, [seg_const])
-                end_call.parent = block
+                builder.position_before(first_inst)
+                builder.call(begin, [seg_const])
                 if isinstance(last_inst, ir.TerminatorInst):
-                    block.instructions.insert(
-                        block.instructions.index(last_inst), end_call
-                    )
+                    builder.position_before(last_inst)
                 else:
-                    block.instructions.insert(
-                        block.instructions.index(last_inst) + 1, end_call
-                    )
+                    builder.position_after(last_inst)
+                builder.call(end, [seg_const])
 
     def _span_end(self, block, members, task_liveness) -> ir.Instruction:
         """Last instruction the segment span must cover in this block.
@@ -228,21 +200,7 @@ class HELIX:
         """Insert one ``helix_iter_boundary`` per back-edge traversal."""
         module = self.noelle.module
         marker = declare_intrinsic(module, "helix_iter_boundary")
+        builder = ir.IRBuilder()
         for latch in boundary.natural.latches():
-            cloned_latch = skeleton.block_map[id(latch)]
-            term = cloned_latch.terminator
-            call = ir.Call(marker, [])
-            call.parent = cloned_latch
-            cloned_latch.instructions.insert(
-                cloned_latch.instructions.index(term), call
-            )
-
-    # -- whole-program driver -------------------------------------------------------------
-    def run(
-        self,
-        minimum_hotness: float = 0.0,
-        max_rounds: int = 10,
-        only_loop_id: int | None = None,
-    ) -> int:
-        """Parallelize every eligible (hot) loop; returns how many."""
-        return run_rounds(self, minimum_hotness, max_rounds, only_loop_id)
+            builder.position_before(skeleton.block_map[id(latch)].terminator)
+            builder.call(marker, [])

@@ -13,7 +13,9 @@ abstractions:
    runtime dispatcher, combine the live-outs, and branch past the loop.
 
 The pieces that differ per technique (iteration scheduling, sequential
-segments, queues) live in the technique modules.
+segments, queues) live in the technique modules, behind one protocol
+(:class:`LoopTechnique`): ``plan`` decides legality once and returns what
+the code generator needs, ``apply`` transforms.
 """
 
 from __future__ import annotations
@@ -34,8 +36,53 @@ MAX_CORES = 64
 NUM_CORES_GLOBAL = "noelle.num_cores"
 
 
+#: Exit predicates compatible with round-robin chunking (a core may step
+#: past the bound, so equality tests are unsafe).
+CHUNKABLE_PREDICATES = ("slt", "sle", "sgt", "sge", "ult", "ule", "ugt", "uge")
+
+
 class ParallelizationError(Exception):
     """The loop cannot be parallelized by this technique."""
+
+
+class LoopTechnique:
+    """The plan -> apply protocol of the loop techniques.
+
+    A technique writes two methods.  ``plan(loop)`` decides legality and
+    profitability and returns whatever its code generator needs, or
+    raises :class:`ParallelizationError` carrying the reason;
+    ``apply(loop, plan)`` transforms the loop in place and returns the
+    dispatch call.  The rest is written here, once.
+    """
+
+    name = "<abstract>"
+    noelle: Noelle
+
+    def plan(self, loop: Loop):
+        raise NotImplementedError
+
+    def apply(self, loop: Loop, plan) -> ir.Call:
+        raise NotImplementedError
+
+    def can_parallelize(self, loop: Loop) -> bool:
+        try:
+            self.plan(loop)
+        except ParallelizationError:
+            return False
+        return True
+
+    def parallelize(self, loop: Loop) -> ir.Call:
+        """Parallelize ``loop`` in place; returns the dispatch call."""
+        return self.apply(loop, self.plan(loop))
+
+    def run(
+        self,
+        minimum_hotness: float = 0.0,
+        max_rounds: int = 10,
+        only_loop_id: int | None = None,
+    ) -> int:
+        """Parallelize every eligible (hot) loop; returns how many."""
+        return run_rounds(self, minimum_hotness, max_rounds, only_loop_id)
 
 
 class LoopBoundary:
@@ -85,6 +132,27 @@ class LoopBoundary:
                 return reduction.phi
             return update
         return reduction.phi
+
+
+def chunkable_boundary(loop: Loop) -> LoopBoundary:
+    """Legality of slicing ``loop`` by iterations (DOALL, HELIX): one
+    governing IV with a constant step and an ordering exit test, one
+    exit, and nothing but reductions live past the loop."""
+    iv = loop.governing_iv()
+    if iv is None:
+        raise ParallelizationError("no governing induction variable")
+    if iv.constant_step() is None:
+        raise ParallelizationError("governing IV has a non-constant step")
+    if iv.exit_compare is None or iv.exit_compare.predicate not in (
+        CHUNKABLE_PREDICATES
+    ):
+        raise ParallelizationError("exit condition is not chunkable")
+    if len(loop.structure.exiting_blocks()) != 1:
+        raise ParallelizationError("loop has multiple exits")
+    boundary = LoopBoundary(loop)
+    if not boundary.only_reduction_live_outs():
+        raise ParallelizationError("loop has live-outs that are not reductions")
+    return boundary
 
 
 def num_cores_global(module: ir.Module, default: int = 12) -> ir.GlobalVariable:
@@ -192,37 +260,48 @@ def clone_loop_into_task(
 
 
 def finish_task_with_reductions(
-    noelle: Noelle,
     skeleton: TaskSkeleton,
     boundary: LoopBoundary,
-    env: Environment,
+    slot: ir.Value | None = None,
+    owns=None,
 ) -> None:
     """Per-core reduction plumbing inside the task.
 
-    The cloned accumulator phi starts at the operator's identity; the final
-    per-core value is stored into this core's slot of the environment's
-    partial-result array.
+    The cloned accumulator phi starts at the operator's identity; its
+    final value is stored into slot ``slot`` (default: this core's) of
+    the environment's partial-result array.  ``owns(reduction)`` limits
+    the plumbing to the reductions this task computes (a DSWP stage).
     """
-    task_fn = skeleton.task.function
-    env_ptr, core_id, _ = task_fn.args
+    env_ptr, core_id, _ = skeleton.task.function.args
     builder = ir.IRBuilder(skeleton.exit_block)
     for position, reduction in enumerate(boundary.reductions):
+        if owns is not None and not owns(reduction):
+            continue
         cloned_phi = skeleton.clone_of(reduction.phi)
         assert isinstance(cloned_phi, ir.Phi)
         # Entry value becomes the identity.
         for index in range(1, len(cloned_phi.operands), 2):
             if cloned_phi.operands[index] is skeleton.entry:
                 cloned_phi.set_operand(index - 1, reduction.identity_constant())
-        field_index = len(boundary.live_ins) + position
-        slot = builder.elem_ptr(
-            env_ptr,
-            [ir.const_int(0), ir.const_int(field_index), core_id],
-            f"red.slot{position}",
+        target = _reduction_slot(
+            builder, boundary, env_ptr, position,
+            core_id if slot is None else slot, f"red.slot{position}",
         )
         builder.store(
-            skeleton.clone_of(boundary.reduction_exit_source(reduction)), slot
+            skeleton.clone_of(boundary.reduction_exit_source(reduction)), target
         )
     builder.ret()
+
+
+def _reduction_slot(
+    builder: ir.IRBuilder, boundary: LoopBoundary, env_ptr: ir.Value,
+    position: int, core: ir.Value, name: str,
+) -> ir.ElemPtr:
+    """Address of ``core``'s partial result of reduction ``position``."""
+    field_index = len(boundary.live_ins) + position
+    return builder.elem_ptr(
+        env_ptr, [ir.const_int(0), ir.const_int(field_index), core], name
+    )
 
 
 def replace_loop_with_dispatch(
@@ -257,87 +336,89 @@ def replace_loop_with_dispatch(
     cores_gv = num_cores_global(module, default_cores)
     num_cores = builder.load(cores_gv, "ncores")
 
+    def per_core_loop(prefix, core_name, test_name, next_name, carried, emit_body):
+        """``for core in range(num_cores)`` from the builder's block on,
+        leaving the builder in the loop's done block.  ``carried`` lists
+        (type, name, initial value) of values carried around the loop;
+        ``emit_body(core, phis)`` returns their next values.  Returns
+        the carried phis."""
+        entry = builder.block
+        header, body, done = (
+            fn.add_block(prefix + suffix) for suffix in ("", ".body", ".done")
+        )
+        builder.br(header)
+        builder.position_at_end(header)
+        core = builder.phi(ir.I64, core_name)
+        core.metadata["noelle.generated"] = True
+        phis = [builder.phi(ty, name) for ty, name, _ in carried]
+        test = builder.icmp("sge", core, num_cores, test_name)
+        builder.cond_br(test, done, body)
+        builder.position_at_end(body)
+        nexts = emit_body(core, phis)
+        next_core = builder.add(core, ir.const_int(1), next_name)
+        builder.br(header)
+        initials = [ir.const_int(0), *(initial for _, _, initial in carried)]
+        for phi, initial, following in zip(
+            [core, *phis], initials, [next_core, *nexts]
+        ):
+            phi.add_incoming(initial, entry)
+            phi.add_incoming(following, body)
+        builder.position_at_end(done)
+        return phis
+
+    reductions = list(enumerate(boundary.reductions))
+
     # Initialize every per-core partial-result slot to the reduction's
     # identity: a scheduler may hand fewer cores than requested (HELIX's
     # in-order replay uses one), and unwritten slots must be neutral.
-    if boundary.reductions:
-        init_header = fn.add_block("red.init")
-        init_body = fn.add_block("red.init.body")
-        init_done = fn.add_block("red.init.done")
-        builder.br(init_header)
-        builder.position_at_end(init_header)
-        init_phi = builder.phi(ir.I64, "red.init.core")
-        init_phi.metadata["noelle.generated"] = True
-        init_test = builder.icmp("sge", init_phi, num_cores, "red.init.done.test")
-        builder.cond_br(init_test, init_done, init_body)
-        builder.position_at_end(init_body)
-        for position, reduction in enumerate(boundary.reductions):
-            field_index = len(boundary.live_ins) + position
-            slot = builder.elem_ptr(
-                env_ptr,
-                [ir.const_int(0), ir.const_int(field_index), init_phi],
+    def init_slots(core, _):
+        for position, reduction in reductions:
+            slot = _reduction_slot(
+                builder, boundary, env_ptr, position, core,
                 f"red.init.slot{position}",
             )
             builder.store(reduction.identity_constant(), slot)
-        init_next = builder.add(init_phi, ir.const_int(1), "red.init.next")
-        builder.br(init_header)
-        init_phi.add_incoming(ir.const_int(0), pre)
-        init_phi.add_incoming(init_next, init_body)
-        builder.position_at_end(init_done)
-        dispatch_block = init_done
-    else:
-        dispatch_block = pre
+        return []
+
+    if reductions:
+        per_core_loop(
+            "red.init", "red.init.core", "red.init.done.test", "red.init.next",
+            [], init_slots,
+        )
 
     dispatcher = declare_intrinsic(module, dispatcher_name)
     dispatch_call = builder.call(dispatcher, [task.function, env_ptr, num_cores])
 
     # Combine the per-core partial results with a small runtime loop.
-    combined: dict[int, ir.Value] = {}
-    if boundary.reductions:
-        combine_header = fn.add_block("red.combine")
-        combine_body = fn.add_block("red.combine.body")
-        combine_done = fn.add_block("red.combine.done")
-        builder.br(combine_header)
-        builder.position_at_end(combine_header)
-        core_phi = builder.phi(ir.I64, "red.core")
-        core_phi.metadata["noelle.generated"] = True
-        acc_phis: list[ir.Phi] = []
-        for position, reduction in enumerate(boundary.reductions):
-            acc = builder.phi(reduction.phi.type, f"red.acc{position}")
-            acc_phis.append(acc)
-        done = builder.icmp("sge", core_phi, num_cores, "red.done")
-        builder.cond_br(done, combine_done, combine_body)
-        builder.position_at_end(combine_body)
-        next_accs: list[ir.Value] = []
-        for position, reduction in enumerate(boundary.reductions):
-            field_index = len(boundary.live_ins) + position
-            slot = builder.elem_ptr(
-                env_ptr,
-                [ir.const_int(0), ir.const_int(field_index), core_phi],
-                f"red.read{position}",
+    def combine_slots(core, accumulators):
+        totals = []
+        for position, reduction in reductions:
+            slot = _reduction_slot(
+                builder, boundary, env_ptr, position, core, f"red.read{position}"
             )
             partial = builder.load(slot, f"red.part{position}")
-            next_accs.append(
-                builder.binary(reduction.operator, acc_phis[position], partial,
-                               f"red.next{position}")
+            totals.append(
+                builder.binary(reduction.operator, accumulators[position],
+                               partial, f"red.next{position}")
             )
-        next_core = builder.add(core_phi, ir.const_int(1), "red.core.next")
-        builder.br(combine_header)
-        core_phi.add_incoming(ir.const_int(0), dispatch_block)
-        core_phi.add_incoming(next_core, combine_body)
-        for position, reduction in enumerate(boundary.reductions):
-            acc_phis[position].add_incoming(reduction.initial_value(), dispatch_block)
-            acc_phis[position].add_incoming(next_accs[position], combine_body)
-        builder.position_at_end(combine_done)
-        for position, reduction in enumerate(boundary.reductions):
-            combined[id(reduction.phi)] = acc_phis[position]
-            combined[id(reduction.exit_value())] = acc_phis[position]
-        final_block = combine_done
-    else:
-        final_block = pre
+        return totals
+
+    combined: dict[int, ir.Value] = {}
+    if reductions:
+        accumulators = per_core_loop(
+            "red.combine", "red.core", "red.done", "red.core.next",
+            [
+                (reduction.phi.type, f"red.acc{position}", reduction.initial_value())
+                for position, reduction in reductions
+            ],
+            combine_slots,
+        )
+        for position, reduction in reductions:
+            combined[id(reduction.phi)] = accumulators[position]
+            combined[id(reduction.exit_value())] = accumulators[position]
     builder.br(exit_block)
 
-    _rewire_after_loop(boundary, combined, exit_block, final_block)
+    _rewire_after_loop(boundary, combined, exit_block, builder.block)
     for block in list(natural.blocks):
         block.erase()
     return dispatch_call
@@ -430,9 +511,8 @@ def run_rounds(
     max_rounds: int = 10,
     only_loop_id: int | None = None,
 ) -> int:
-    """The whole-program driver DOALL, HELIX and DSWP share: parallelize
-    every eligible (hot) loop with ``technique`` (its ``noelle``,
-    ``can_parallelize`` and ``parallelize``); returns how many.
+    """The whole-program driver every :class:`LoopTechnique` shares:
+    parallelize every eligible (hot) loop; returns how many.
 
     One transformation per function per round (analyses go stale);
     rounds repeat with fresh analyses until nothing changes.
@@ -479,9 +559,11 @@ def _run_round(
             continue
         if loop.structure.depth() != 1:
             continue  # parallelize outermost eligible loops only
-        if not technique.can_parallelize(loop):
-            continue
-        technique.parallelize(loop)
+        try:
+            plan = technique.plan(loop)
+        except ParallelizationError:
+            continue  # a miss; its reason is the exception's message
+        technique.apply(loop, plan)
         # Outlining rewrote only this function (plus fresh task code):
         # drop its shard and the aggregates, keep points-to warm.
         noelle.invalidate(fn)

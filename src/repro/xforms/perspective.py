@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from ..core.loop import Loop
 from ..core.noelle import Noelle
-from ..core.profiler import ProfileData
+from ..core.pdg import pointer_operand
 from .. import ir
 from ..ir.intrinsics import declare_intrinsic
+from .carat import emit_guard
 from .doall import DOALL
-from .parallelizer_common import (
-    LoopBoundary,
-    ParallelizationError,
-    loop_is_stale,
-)
+from .parallelizer_common import LoopTechnique, ParallelizationError
 
 
 class Remedy:
@@ -43,7 +40,7 @@ class Remedy:
         return f"<remedy {self.kind} cost={self.cost}>"
 
 
-class Perspective:
+class Perspective(LoopTechnique):
     """Speculative DOALL with minimal-cost remedy planning."""
 
     name = "perspective"
@@ -53,12 +50,11 @@ class Perspective:
 
     def __init__(self, noelle: Noelle, default_cores: int = 12):
         self.noelle = noelle
-        self.default_cores = default_cores
         self._doall = DOALL(noelle, default_cores)
 
     # -- planning ------------------------------------------------------------------------
-    def plan(self, loop: Loop) -> list[Remedy] | None:
-        """The cheapest remedy set making ``loop`` DOALL, or None.
+    def remedies(self, loop: Loop) -> list[Remedy]:
+        """The cheapest remedy set making ``loop`` DOALL.
 
         Only *apparent* (may) dependences can be speculated away, and only
         when the profile never observed them manifest; *actual* (must)
@@ -71,135 +67,48 @@ class Perspective:
                 continue
             for edge in scc.carried_edges:
                 if not edge.is_memory:
-                    return None  # a register recurrence cannot be speculated
+                    raise ParallelizationError(
+                        "a register recurrence cannot be speculated"
+                    )
                 if edge.is_must:
-                    return None  # a proven dependence would misspeculate
+                    raise ParallelizationError(
+                        "a proven dependence would misspeculate"
+                    )
                 remedies.append(
                     Remedy(Remedy.SPECULATE, edge, self.VALIDATION_COST)
                 )
         if not remedies:
-            return None  # nothing to speculate: plain DOALL already works
+            raise ParallelizationError(
+                "nothing to speculate: plain DOALL already works"
+            )
         return remedies
 
-    def expected_benefit(self, loop: Loop, profile: ProfileData | None) -> bool:
-        """Is the remedy cost worth it?  (The Perspective planner's check.)"""
-        remedies = self.plan(loop)
-        if remedies is None:
-            return False
-        validation = sum(r.cost for r in remedies)
-        body_cost = loop.structure.num_instructions()
-        return validation < body_cost  # rough per-iteration comparison
+    def plan(self, loop: Loop):
+        """(remedies, DOALL's boundary with the remedied edges excluded)."""
+        remedies = self.remedies(loop)
+        # The Perspective planner's check: validating every iteration
+        # must cost less than running it (a rough per-iteration compare).
+        if sum(r.cost for r in remedies) >= loop.structure.num_instructions():
+            raise ParallelizationError("validation costs more than the loop body")
+        speculated = frozenset(id(r.edge) for r in remedies)
+        return remedies, self._doall.plan(loop, speculated)
 
     # -- transformation ---------------------------------------------------------------------
-    def can_parallelize(self, loop: Loop) -> bool:
-        remedies = self.plan(loop)
-        if remedies is None:
-            return False
-        return self._doall_after_speculation_ok(loop, remedies)
-
-    def _doall_after_speculation_ok(self, loop: Loop, remedies) -> bool:
-        speculated = {id(r.edge) for r in remedies}
-        for scc in loop.sccdag.sccs:
-            if scc.is_sequential():
-                remaining = [
-                    e for e in scc.carried_edges if id(e) not in speculated
-                ]
-                if remaining:
-                    return False
-        iv = loop.governing_iv()
-        if iv is None or iv.constant_step() is None or iv.exit_compare is None:
-            return False
-        if len(loop.structure.exiting_blocks()) != 1:
-            return False
-        try:
-            boundary = LoopBoundary(loop)
-        except Exception:
-            return False
-        return boundary.only_reduction_live_outs()
-
-    def parallelize(self, loop: Loop) -> ir.Call:
-        """Apply the plan: validate speculated accesses, then DOALL."""
-        remedies = self.plan(loop)
-        if remedies is None or not self._doall_after_speculation_ok(loop, remedies):
-            raise ParallelizationError("no profitable speculative plan")
+    def apply(self, loop: Loop, plan) -> ir.Call:
+        """Validate the speculated accesses, then DOALL."""
+        remedies, boundary = plan
         # Runtime validation: each speculated access gets a validation call
         # (the misspeculation detector's footprint — cost, not recovery;
         # recovery needs checkpointing the paper delegates to its runtime).
         validator = declare_intrinsic(self.noelle.module, "carat_guard")
+        builder = ir.IRBuilder()
         instrumented: set[int] = set()
         for remedy in remedies:
             for inst in (remedy.edge.src.value, remedy.edge.dst.value):
-                if id(inst) in instrumented:
-                    continue
-                pointer = self._pointer_of(inst)
-                if pointer is None:
+                pointer = pointer_operand(inst)
+                if pointer is None or id(inst) in instrumented:
                     continue
                 instrumented.add(id(inst))
-                self._instrument(validator, inst, pointer)
-        # Neutralize the speculated edges so DOALL's legality accepts.
-        for remedy in remedies:
-            scc = loop.sccdag.scc_of(remedy.edge.dst.value)
-            if scc is not None and remedy.edge in scc.carried_edges:
-                scc.carried_edges.remove(remedy.edge)
-        for scc in loop.sccdag.sccs:
-            if scc.is_sequential() and not scc.carried_edges:
-                scc.category = scc.INDEPENDENT
-        return self._doall.parallelize(loop)
-
-    @staticmethod
-    def _pointer_of(inst: ir.Instruction) -> ir.Value | None:
-        if isinstance(inst, ir.Load):
-            return inst.pointer
-        if isinstance(inst, ir.Store):
-            return inst.pointer
-        return None
-
-    def _instrument(
-        self, validator: ir.Function, inst: ir.Instruction, pointer: ir.Value
-    ) -> None:
-        block = inst.parent
-        assert block is not None
-        position = block.instructions.index(inst)
-        cast = ir.Cast("bitcast", pointer, ir.PointerType(ir.I8), "spec.ptr")
-        call = ir.Call(
-            validator, [cast, ir.const_int(pointer.type.pointee.size_in_slots())]
-        )
-        fn = block.parent
-        for offset, new_inst in enumerate((cast, call)):
-            new_inst.parent = block
-            block.instructions.insert(position + offset, new_inst)
-            if fn is not None:
-                fn.assign_name(new_inst)
-
-    # -- driver ---------------------------------------------------------------------------
-    def run(self, max_rounds: int = 5) -> int:
-        total = 0
-        for _ in range(max_rounds):
-            changed = 0
-            for loop in self.noelle.loops():
-                if loop_is_stale(loop):
-                    continue
-                fn = loop.structure.function
-                if fn.metadata.get("noelle.task"):
-                    continue
-                if any(
-                    phi.metadata.get("noelle.generated")
-                    for phi in loop.structure.header.phis()
-                ):
-                    continue
-                if loop.structure.depth() != 1:
-                    continue
-                if not self.can_parallelize(loop):
-                    continue
-                if not self.expected_benefit(loop, self.noelle.profile()):
-                    continue
-                self.parallelize(loop)
-                # Only this function changed: per-function invalidation
-                # keeps points-to and untouched shards warm for the rescan.
-                self.noelle.invalidate(fn)
-                changed += 1
-                break  # analyses stale: restart the scan
-            total += changed
-            if not changed:
-                break
-        return total
+                builder.position_before(inst)
+                emit_guard(builder, validator, pointer, name="spec.ptr")
+        return self._doall.apply(loop, boundary)

@@ -104,8 +104,6 @@ class PRVJeeves:
                         "sqrt", "exp", "log", "pow", "sin", "cos",
                     ):
                         demand = max(demand, 4)
-                if consumer.opcode in ("srem", "and"):
-                    demand = max(demand, 1)
                 worklist.append(consumer)
         return demand
 

@@ -138,9 +138,11 @@ class TimeSqueezer:
                 entries = loop.entries()
                 exits = loop.exit_blocks()
                 if len(entries) == 1:
-                    self._insert_clock(clock_set, entries[0], FAST_CLOCK, at_end=True)
+                    self._set_clock(clock_set, entries[0].terminator, FAST_CLOCK)
                     for exit_block in exits:
-                        self._insert_clock(clock_set, exit_block, SLOW_CLOCK, at_end=False)
+                        self._set_clock(
+                            clock_set, exit_block.first_non_phi(), SLOW_CLOCK
+                        )
                     stats.clock_changes_inserted += 1 + len(exits)
                     stats.fast_regions += 1
                     wrapped_blocks.update(id(b) for b in loop.blocks)
@@ -156,29 +158,16 @@ class TimeSqueezer:
                 else:
                     break
             if prefix >= 6:  # long enough to amortize two clock changes
-                self._wrap_prefix(clock_set, block, prefix)
+                first = block.first_non_phi()
+                after_prefix = block.instructions[first.index_in_block() + prefix]
+                self._set_clock(clock_set, first, FAST_CLOCK)
+                self._set_clock(clock_set, after_prefix, SLOW_CLOCK)
                 stats.clock_changes_inserted += 2
                 stats.fast_regions += 1
 
-    def _insert_clock(
-        self, clock_set: ir.Function, block: ir.BasicBlock, period: int, at_end: bool
-    ) -> None:
-        call = ir.Call(clock_set, [ir.const_int(period)])
-        call.parent = block
-        if at_end and block.terminator is not None:
-            index = block.instructions.index(block.terminator)
-        else:
-            first = block.first_non_phi()
-            index = block.instructions.index(first) if first is not None else 0
-        block.instructions.insert(index, call)
-
-    def _wrap_prefix(self, clock_set: ir.Function, block: ir.BasicBlock, prefix: int) -> None:
-        first = block.first_non_phi()
-        assert first is not None
-        start = block.instructions.index(first)
-        fast = ir.Call(clock_set, [ir.const_int(FAST_CLOCK)])
-        fast.parent = block
-        block.instructions.insert(start, fast)
-        slow = ir.Call(clock_set, [ir.const_int(SLOW_CLOCK)])
-        slow.parent = block
-        block.instructions.insert(start + prefix + 1, slow)
+    @staticmethod
+    def _set_clock(clock_set: ir.Function, before: ir.Instruction, period: int) -> None:
+        """``clock_set(period)`` right before ``before``."""
+        builder = ir.IRBuilder()
+        builder.position_before(before)
+        builder.call(clock_set, [ir.const_int(period)])

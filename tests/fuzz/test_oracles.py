@@ -1,5 +1,7 @@
 """Differential oracles: clean on healthy seeds, loud on planted bugs."""
 
+import pytest
+
 from repro.fuzz.driver import run_case
 from repro.fuzz.gen import GeneratedProgram, generate_program
 from repro.fuzz.oracles import (
@@ -9,7 +11,9 @@ from repro.fuzz.oracles import (
     deptest_divergence,
     run_oracles,
     technique_for,
+    transform_divergences,
 )
+from repro.robust import faults
 
 
 class TestOracleRotation:
@@ -124,6 +128,42 @@ class TestOraclesDetect:
         divergence = binio_divergence(program)
         assert divergence is not None
         assert divergence.oracle == "binio"
+
+    @pytest.mark.skipif(
+        faults.enabled_in_env(), reason="an armed fault explains any rollback"
+    )
+    def test_parallel_catches_an_unexplained_rollback(self, monkeypatch):
+        """A technique that emits invalid IR is rolled back by the pass
+        manager, and the program still prints the right values — which
+        is exactly how DSWP hid a misplaced push for ten PRs."""
+        from repro.xforms.doall import DOALL
+
+        real_apply = DOALL.apply
+
+        def unterminated(self, loop, plan):
+            call = real_apply(self, loop, plan)
+            call.parent.terminator.erase_from_parent()
+            return call
+
+        monkeypatch.setattr(DOALL, "apply", unterminated)
+        program = GeneratedProgram(
+            name="fill",
+            source="""
+int a[400];
+int main() {
+  int i;
+  for (i = 0; i < 400; i = i + 1) { a[i] = i * 3; }
+  return a[5];
+}
+""",
+            family="doall",
+            choices=(),
+            seed=0,
+        )
+        divergences = transform_divergences(program, "doall")
+        assert [d.oracle for d in divergences] == ["parallel"]
+        assert "rolled back" in divergences[0].detail
+        assert "VerificationError" in divergences[0].detail
 
     def test_divergence_records_carry_provenance(self):
         program = generate_program(17)

@@ -1,6 +1,9 @@
 """The evaluation's qualitative claims hold on workload subsets (the full
 sweeps live in benchmarks/)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -11,11 +14,13 @@ from repro.experiments import (
     fig4_invariants,
     fig5_speedups,
     governing_iv_counts,
+    spec_speedups,
     table1,
     table2,
     table3,
     table4,
 )
+from repro.robust import faults
 from repro.workloads import get
 
 
@@ -135,6 +140,35 @@ class TestFigures:
         # shape of Section 4.3.
         assert counts["noelle_total"] >= 0.8 * counts["loops_total"]
         assert counts["llvm_total"] < 0.3 * counts["noelle_total"]
+
+
+#: sha256 of ``json.dumps(rows, sort_keys=True)`` of each experiment over
+#: its full default workload set, with the default PDG.  "Every figure is
+#: byte-identical" is this test passing unedited.
+FIGURE_DIGESTS = {
+    "fig3_dependences": "12074603b8576d91274d7f08b8bae78a85f6975d9d96869bdf5b57f29c9d85ab",
+    "fig4_invariants": "f03ceee2f92da724d2a8580aafb61d442fa5f1c4a9987b2f82155ced37eae38e",
+    "governing_iv_counts": "825ba34ea92198a10b9b059ae05ca56616d3e13f1d2a624eb602a3c840a01ffe",
+    "fig5_speedups": "3f093005f38f474431136af0db0fec5083b94e4b235cabd812f5ab46870578ce",
+    "spec_speedups": "dbf7715a95faddac845aa6f377253ca5140d334b6365018fadbdb107ee0eb8b7",
+}
+
+
+@pytest.mark.skipif(
+    faults.enabled_in_env(),
+    reason="a rolled-back parallelization changes Figure 5's rows",
+)
+def test_every_figure_is_byte_identical(monkeypatch):
+    monkeypatch.delenv("NOELLE_DEPTEST", raising=False)
+    experiments = (fig3_dependences, fig4_invariants, governing_iv_counts,
+                   fig5_speedups, spec_speedups)
+    digests = {
+        experiment.__name__: hashlib.sha256(
+            json.dumps(experiment(), sort_keys=True).encode()
+        ).hexdigest()
+        for experiment in experiments
+    }
+    assert digests == FIGURE_DIGESTS
 
 
 @pytest.mark.slow
