@@ -35,6 +35,7 @@ miss an observed race.
 
 from __future__ import annotations
 
+from ..interp.interp import dispatched_task, intrinsic_table
 from ..ir.instructions import Call, Load, Phi, Store
 from ..ir.module import Function
 from ..runtime.machine import ParallelMachine
@@ -95,23 +96,19 @@ class RaceOracle(ParallelMachine):
         self._core_derived: dict[int, set[int]] = {}
 
     # -- region lifecycle ----------------------------------------------------------
-    def _call_parallel_intrinsic(self, name: str, args: list[object]) -> object:
-        kind = _DISPATCH_KINDS.get(name)
-        if kind is not None:
-            region = _Region(kind, self._task_of(args))
-            outer, self._region = self._region, region
-            try:
-                return super()._call_parallel_intrinsic(name, args)
-            finally:
-                self._region = outer
-                self._evaluate(region)
-        if (
-            name == "helix_iter_boundary"
-            and self._region is not None
-            and self._region.kind == "helix"
-        ):
+    def _dispatch(self, name: str, args: list[object]) -> object:
+        region = _Region(_DISPATCH_KINDS[name], dispatched_task(args))
+        outer, self._region = self._region, region
+        try:
+            return ParallelMachine.INTRINSICS[name][1](self, args)
+        finally:
+            self._region = outer
+            self._evaluate(region)
+
+    def _helix_iter_boundary(self, args: list[object]) -> None:
+        if self._region is not None and self._region.kind == "helix":
             self._region.iteration += 1
-        return super()._call_parallel_intrinsic(name, args)
+        super()._helix_iter_boundary(args)
 
     def call_function(self, fn: Function, args: list[object]) -> object:
         region = self._region
@@ -198,6 +195,16 @@ class RaceOracle(ParallelMachine):
                     region.kind, region.task.name, address, unit_a, unit_b
                 )
         return None
+
+
+def _logged(name: str):
+    return lambda st, args: st._dispatch(name, args)
+
+
+RaceOracle.INTRINSICS = intrinsic_table(ParallelMachine.INTRINSICS, {
+    **{name: _logged(name) for name in _DISPATCH_KINDS},
+    "helix_iter_boundary": RaceOracle._helix_iter_boundary,
+})
 
 
 def _segments_cover(reads_a, writes_a, reads_b, writes_b) -> bool:

@@ -153,7 +153,7 @@ def engine_divergence(program: GeneratedProgram) -> Divergence | None:
     if ref.exceeded or ref.error:
         return None  # invalid input; both engines already agreed on it
     # Boundary probes: cut execution mid-program and right before the
-    # end — the compiled engine's fused segments must charge steps at
+    # end — the compiled engine's charge units must charge steps at
     # exactly the same instruction the walker does.
     for limit in {max(1, ref.steps // 2), max(1, ref.steps - 1)}:
         div, _ = _compare_engines(

@@ -1,8 +1,8 @@
 """repro.interp — execution of the repro IR.
 
 Two engines share one observable semantics: the tree-walking reference
-interpreter (:mod:`repro.interp.interp`) and the compiled
-closure-threaded engine (:mod:`repro.interp.engine`), selected via the
+interpreter (:mod:`repro.interp.interp`) and the compiling engine
+(:mod:`repro.interp.engine`), selected via the
 ``NOELLE_ENGINE`` environment variable or the ``engine=`` argument.
 """
 

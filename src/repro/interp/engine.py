@@ -1,44 +1,51 @@
-"""Compiled execution engine: closure-threaded lowering of repro IR.
+"""Compiled execution engine: one generated Python function per IR function.
 
 The reference interpreter (:mod:`repro.interp.interp`) re-resolves every
 operand, re-dispatches on instruction class, and re-reads the cost table
 on every step.  This module removes all of that from the hot path by
-*compiling* each :class:`~repro.ir.module.Function` once:
+*compiling* each :class:`~repro.ir.module.Function` once, on its first
+call, to one Python function ``_fn(st, *args)``:
 
-* **slot frames** — SSA values get integer slot indices at compile time;
-  at run time the frame is a plain Python list (``regs``), so an operand
-  read is one indexed load instead of a dict probe keyed by ``id()``.
-  Slot 0 holds the frame's allocation list, slot 1 the return value.
-* **generated closures** — each instruction is rendered to Python source
-  with its operand slots and constants folded in as literals, and the
-  whole function body is ``exec``'d once; the resulting code objects are
-  the "direct-threaded" ops.
-* **straight-line segments** — each block is split into maximal runs of
-  call-free instructions.  A segment's step count and cycle cost are
-  pre-summed at compile time, so accounting is one addition per segment
-  instead of one per instruction.  Calls are singleton segments because
-  intrinsics observe ``result.cycles`` (``os_callback``, the HELIX
-  sequential markers) and can change the clock period (``clock_set``).
-* **exact trap accounting** — a fused segment charges its whole cost up
-  front; every raise site inside the generated code first gives back the
-  not-yet-executed remainder (compile-time constants, one cold
-  ``_giveback`` call), so a trapping run reports byte-identical
-  ``steps``/``cycles`` to the reference walker.
-* **exact step budgets** — before running a segment the engine checks
-  whether the whole segment fits under ``step_limit``; only the one
-  segment in which a run crosses its limit does not, and it runs
-  per instruction (charge, check, execute — the reference
-  :class:`~repro.interp.interp.StepLimitExceeded` boundary exactly).
-  Those per-instruction closures are not compiled with the function:
-  ``_seg_slow`` renders them from the IR the first time a segment needs
-  them, with the emitters that rendered the fused body.
-* **phi moves** — pre-scheduled per predecessor edge as one generated
-  mover function (values are all read before any slot is written, so
-  phi cycles stay atomic).  A phi group that crosses the limit moves
-  nothing: phis cost no cycles and the frame dies with the raise.
-* **profiling mode** — with ``Interpreter.block_profile`` set the run
-  loop bumps one CFG-edge counter per block and nothing else changes
-  (:class:`~repro.interp.interp.BlockProfile`).
+* **registers are locals** — every SSA value is a Python local
+  (``x<n>``), the IR arguments are the parameters, constants are folded
+  into the source as literals.
+* **control flow is inline** — the body is ``while True:`` over a local
+  block index ``b``, dispatched through a *binary* ``if b < mid`` tree
+  (depth log2 of the block count, so neither CPython's nesting limit nor
+  its recursive compiler bounds the size of a function); a terminator
+  assigns ``b``.  A block's phis are one tuple assignment on the CFG
+  edge that enters it (all sources are read before any destination is
+  written, so phi cycles stay atomic).
+* **accounting lives in two locals** — ``room`` mirrors ``step_limit -
+  result.steps`` and ``dc`` holds the cycles charged since the last
+  *sync*.  A *charge unit* (a run of instructions that a call or the
+  terminator ends, absorbing the block's phis when it is the first)
+  charges its pre-summed cost in one subtraction and one addition.  The
+  locals are written back to ``st.result`` before every call (intrinsics
+  observe ``result.cycles`` — ``os_callback``, the HELIX markers — and
+  ``clock_set`` changes the period), at ``ret``, and before every
+  ``raise``: each raise site first syncs minus the not-yet-executed
+  remainder of its unit (compile-time constants, one cold ``_sync``
+  call), so a trapping run reports byte-identical ``steps``/``cycles``
+  to the reference walker.
+* **exact step budgets** — the one unit that does not fit under
+  ``step_limit`` undoes nothing and executes nothing: it hands its
+  ``locals()`` to a per-instruction *tail* (charge, check, execute — the
+  reference :class:`~repro.interp.interp.StepLimitExceeded` boundary
+  exactly).  Tails are not compiled with the function:
+  :meth:`CompiledFunction.tail` renders one from the IR the first time a
+  run crosses its limit in that unit, with the emitters that rendered
+  the function, into a namespace of its own.  A tail always ends the run.
+* **profile** — one local counter per CFG edge, bumped where the edge is
+  taken and always on; the frame's exit folds the non-zero ones into
+  ``Interpreter.block_profile`` when one is set
+  (:class:`~repro.interp.interp.BlockProfile`) and their sum is
+  ``engine.blocks_compiled``.  A local ``at`` — set on the cold raise
+  paths and before each call — is the partial-frame position a
+  ``MemoryTrap`` or ``exit()`` unwinding through the frame records.
+* **known-int elision** — an optimistic fixpoint finds the SSA values
+  that can only ever hold a Python ``int``; the function-pointer and
+  non-integer-address checks are emitted for the others only.
 
 Compiled functions are cached in a module-versioned
 :class:`ExecutionEngine`, keyed by ``id(fn)`` with a strong reference to
@@ -105,7 +112,7 @@ ENGINE_ENV = "NOELLE_ENGINE"
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 3
+EPLAN_VERSION = 4
 
 
 class EnginePlanError(Exception):
@@ -147,6 +154,11 @@ _BINARY_EXPRS = {
     "lshr": "((({a}) & {m}) >> (({b}) % {w}))",
 }
 
+#: Casts whose result is an int whatever they are given; the pointer
+#: casts pass their operand through.
+_INT_CASTS = ("trunc", "sext", "zext", "fptosi")
+_COPY_CASTS = ("bitcast", "ptrtoint", "inttoptr")
+
 
 def engine_mode(explicit: str | None = None) -> str:
     """Resolve the engine mode: an explicit request wins, then the
@@ -160,84 +172,7 @@ def engine_mode(explicit: str | None = None) -> str:
     return mode
 
 
-class _Segment:
-    """A straight-line, call-free run of instructions inside one block.
-
-    ``fused`` executes the whole run in one generated function (used
-    after the pre-summed ``steps``/``cycles`` are charged in a single
-    addition).  ``ops`` — one closure per instruction, for the segment
-    in which a run crosses its step limit — stays empty until
-    ``_seg_slow`` first needs it and renders it from ``run``.
-    """
-
-    __slots__ = ("run", "costs", "steps", "cycles", "fused", "ops")
-
-    def __init__(self, run):
-        self.run = run
-        self.costs = tuple(INSTRUCTION_COSTS.get(i.opcode, 1) for i in run)
-        self.steps = len(run)
-        self.cycles = sum(self.costs)
-        self.fused = None
-        self.ops = ()
-
-
-class CompiledBlock:
-    """One basic block, lowered: its decomposition (leading phis,
-    segments, terminator) is fixed here, the generated functions are
-    attached by ``_wire``."""
-
-    __slots__ = (
-        "bb",
-        "nphis",
-        "phis",
-        "movers",
-        "segments",
-        "terminator",
-        "term_op",
-        "term_cost",
-    )
-
-    def __init__(self, bb):
-        self.bb = bb
-        phis, runs, self.terminator = _split_segments(bb)
-        self.nphis = len(phis)
-        self.phis = tuple(phis)
-        #: id(pred BasicBlock) -> generated mover; an edge some phi has
-        #: no incoming value for gets none (``_phis_slow`` raises).
-        self.movers = {}
-        self.segments = tuple(_Segment(run) for run in runs)
-        self.term_op = None
-        self.term_cost = (
-            INSTRUCTION_COSTS.get(self.terminator.opcode, 1)
-            if self.terminator is not None
-            else 0
-        )
-
-
-class CompiledFunction:
-    """A function lowered to slot-frame closures."""
-
-    __slots__ = (
-        "fn", "nslots", "arg_slots", "entry", "blocks", "refs",
-        "plan", "code",
-    )
-
-    def __init__(self, fn, nslots, arg_slots, entry, blocks, refs,
-                 plan=None, code=None):
-        self.fn = fn
-        self.nslots = nslots
-        self.arg_slots = arg_slots
-        self.entry = entry
-        self.blocks = blocks
-        #: Keep-alive references for objects whose id() is baked into
-        #: generated code (globals, callees) — id reuse would be fatal.
-        self.refs = refs
-        #: Process-independent wiring plan + generated code object; the
-        #: pair is everything :func:`hydrate_function` needs to rebuild
-        #: this CompiledFunction in another process without re-walking
-        #: the IR or re-running CPython's compile().
-        self.plan = plan
-        self.code = code
+# -- what generated code calls ---------------------------------------------------
 
 
 def _fa_cmp(predicate: str, a, b) -> int:
@@ -253,92 +188,267 @@ def _fa_cmp(predicate: str, a, b) -> int:
     return -1
 
 
-def _giveback(st, steps: int, cycles: int) -> None:
-    """Called by a trap site in a fused segment just before it raises:
-    return the pre-charged cost of the instructions after it."""
+def _sync(st, room: int, dc: int) -> None:
+    """Write a frame's accounting locals back to ``st`` — what a raise
+    site calls just before it raises, with the cost of the instructions
+    after it taken out of both arguments."""
     result = st.result
-    result.steps -= steps
-    if cycles:
-        result.cycles -= cycles
-        st.weighted_cycles -= cycles * st.clock_period
+    result.steps = st.step_limit - room
+    result.cycles += dc
+    st.weighted_cycles += dc * st.clock_period
 
 
-def _base_namespace() -> dict:
-    """The namespace every generated code object executes against."""
-    return {
-        "InterpError": InterpError,
-        "MemoryTrap": MemoryTrap,
-        "_FunctionAddress": _FunctionAddress,
-        "_fa_cmp": _fa_cmp,
-        "_giveback": _giveback,
-        "_INF": float("inf"),
-    }
+def _charge(st, cost: int) -> None:
+    """One instruction of a tail: the walker's ``_account``."""
+    result = st.result
+    result.steps += 1
+    if result.steps > st.step_limit:
+        raise StepLimitExceeded(f"exceeded {st.step_limit} steps")
+    result.cycles += cost
+    st.weighted_cycles += cost * st.clock_period
 
 
-def _split_segments(bb):
-    """Deterministic block decomposition (:class:`CompiledBlock`):
-    leading phis, then maximal call-free runs (calls are singletons),
-    stopping at the first terminator."""
+def _partial(st, block, at: int) -> None:
+    """The partial-frame record of a trap or ``exit()`` unwinding
+    through a frame that stood ``at`` instructions into ``block``."""
+    profile = st.block_profile
+    if profile is not None:
+        profile.partial.append((block, at))
+
+
+def _leave(st, edges, counts, allocs) -> None:
+    """A frame's exit, normal or not: free its stack, fold its edge
+    counters (``counts[0]`` is the entry's literal 1)."""
+    for alloc in allocs:
+        if alloc.alive:
+            st.memory.release(alloc.base)
+    STATS.count("engine.blocks_compiled", sum(counts))
+    profile = st.block_profile
+    if profile is not None:
+        table = profile.edges
+        for (src, dst), taken in zip(edges, counts):
+            if taken:
+                table[src][dst] += taken
+
+
+_HELPERS = {
+    "InterpError": InterpError,
+    "MemoryTrap": MemoryTrap,
+    "ExitProgram": ExitProgram,
+    "_FunctionAddress": _FunctionAddress,
+    "_fa_cmp": _fa_cmp,
+    "_sync": _sync,
+    "_charge": _charge,
+    "_partial": _partial,
+    "_leave": _leave,
+    "_INF": float("inf"),
+}
+
+
+def _namespace(engine: "ExecutionEngine", fn: Function, binds):
+    """The namespace generated code executes against: the helpers plus
+    every bind spec re-resolved against ``fn``'s module.  Returns it
+    with the keep-alive references for objects whose ``id()`` it holds
+    (id reuse would be fatal)."""
+    module = fn.parent
+    ns = dict(_HELPERS)
+    refs: list[object] = []
+    for name, spec in binds:
+        kind = spec[0]
+        if kind == "const":
+            ns[name] = spec[1]
+        elif kind == "inst":
+            ns[name] = fn.blocks[spec[1]].instructions[spec[2]]
+        elif kind == "globalid":
+            gv = module.globals.get(spec[1])
+            if gv is None:
+                raise EnginePlanError(
+                    f"plan references unknown global @{spec[1]}"
+                )
+            refs.append(gv)
+            ns[name] = id(gv)
+        elif kind in ("fa", "callee"):
+            target = module.functions.get(spec[1])
+            if target is None:
+                raise EnginePlanError(
+                    f"plan references unknown function @{spec[1]}"
+                )
+            ns[name] = engine.address_of(target) if kind == "fa" else target
+        else:
+            raise EnginePlanError(f"unknown bind spec {spec!r}")
+    return ns, refs
+
+
+class CompiledFunction:
+    """A function lowered to one generated Python function."""
+
+    __slots__ = ("engine", "fn", "func", "refs", "plan", "code", "tails")
+
+    def __init__(self, engine, fn, refs, plan, code):
+        self.engine = engine
+        self.fn = fn
+        #: ``func(st, *args)`` runs one call of ``fn`` on interpreter
+        #: state ``st``.
+        self.func = None
+        self.refs = refs
+        #: Process-independent plan + generated code object; the pair is
+        #: everything :func:`hydrate_function` needs to rebuild this
+        #: CompiledFunction in another process without re-walking the IR
+        #: or re-running CPython's compile().
+        self.plan = plan
+        self.code = code
+        #: unit key -> (code, namespace, block) of the tails rendered so
+        #: far; empty until a run crosses its step limit in ``fn``.
+        self.tails: dict[int, tuple] = {}
+
+    def tail(self, st, room: int, dc: int, key: int, frame: dict):
+        """Finish a run in the charge unit ``key`` that does not fit
+        under the step limit: per instruction, in the walker's order,
+        on the frame's ``locals()``.  Never returns."""
+        _sync(st, room, dc)
+        entry = self.tails.get(key)
+        if entry is None:
+            source, binds, block = _Compiler(self.fn).tail(key)
+            code = compile(source, f"<engine:{self.fn.name}:tail>", "exec")
+            # A namespace of its own: the names a fresh compiler binds
+            # are not the ones the function's code was compiled against.
+            ns, _refs = _namespace(self.engine, self.fn, binds)
+            entry = self.tails[key] = (code, ns, block)
+            STATS.count("engine.slow_segments")
+        code, ns, block = entry
+        try:
+            exec(code, ns, frame)
+        except MemoryTrap:
+            _partial(st, block, frame["at"])
+            raise
+        raise AssertionError("a tail ended under the step limit")
+
+
+def _split_units(bb):
+    """Deterministic block decomposition: the number of leading phis,
+    then the charge units — runs of instructions that a call or the
+    first terminator ends (what follows a terminator is dead)."""
     insts = bb.instructions
-    index = 0
-    phis = []
-    while index < len(insts) and isinstance(insts[index], Phi):
-        phis.append(insts[index])
-        index += 1
-    runs: list[list] = []
+    nphis = 0
+    while nphis < len(insts) and isinstance(insts[nphis], Phi):
+        nphis += 1
+    units: list[list] = []
     run: list = []
-    terminator = None
-    for inst in insts[index:]:
+    for inst in insts[nphis:]:
+        run.append(inst)
         if isinstance(inst, _TERMINATORS):
-            terminator = inst
             break
         if isinstance(inst, Call):
-            if run:
-                runs.append(run)
-                run = []
-            runs.append([inst])
-        else:
-            run.append(inst)
-    if run:
-        runs.append(run)
-    return phis, runs, terminator
+            units.append(run)
+            run = []
+    if run or not units:
+        units.append(run)
+    return nphis, units
+
+
+def _known_ints(fn: Function) -> set[int]:
+    """ids of the SSA values of ``fn`` that can only hold a Python int
+    (optimistic fixpoint).  Loads, calls, arguments and float results
+    stay unknown: memory is untyped and a pointer may be a function's
+    address or, through a ``bitcast``, a float."""
+    known: set[int] = set()
+    pending = []  # (instruction, the operands its result is made of)
+    for inst in fn.instructions():
+        inputs = None  # not an int, or not known to be
+        if isinstance(inst, BinaryOp):
+            if not inst.opcode.startswith("f"):
+                inputs = ()
+        elif isinstance(inst, (ICmp, FCmp, Alloca)):
+            inputs = ()
+        elif isinstance(inst, Cast):
+            if inst.opcode in _INT_CASTS:
+                inputs = ()
+            elif inst.opcode in _COPY_CASTS:
+                inputs = (inst.value,)
+        elif isinstance(inst, Select):
+            inputs = (inst.true_value, inst.false_value)
+        elif isinstance(inst, Phi):
+            inputs = [value for value, _ in inst.incoming()]
+        elif isinstance(inst, ElemPtr):
+            # The base is checked where it is used; a non-int index
+            # would make the sum a non-int.
+            inputs = inst.indices
+        if inputs is not None:
+            known.add(id(inst))
+            if inputs:
+                pending.append((inst, inputs))
+
+    def holds_int(v) -> bool:
+        return id(v) in known or isinstance(
+            v, (ConstantInt, ConstantNull, UndefValue, GlobalVariable)
+        )
+
+    changed = True
+    while changed:
+        changed = False
+        for inst, inputs in pending:
+            if id(inst) in known and not all(map(holds_int, inputs)):
+                known.discard(id(inst))
+                changed = True
+    return known
+
+
+#: The inline sync: a frame's accounting locals written back to ``st``.
+_SYNC = (
+    "result.steps = limit - room",
+    "result.cycles += dc",
+    "st.weighted_cycles += dc * st.clock_period",
+)
 
 
 class _Compiler:
-    """Lowers one Function to generated Python source, exec'd once."""
+    """Lowers one Function to generated Python source.  It resolves
+    nothing: what the source names is recorded as process-independent
+    bind specs for :func:`_namespace`."""
 
-    def __init__(self, engine: "ExecutionEngine", fn: Function):
-        self.engine = engine
+    def __init__(self, fn: Function):
         self.fn = fn
-        self.refs: list[object] = []
-        self.ns: dict[str, object] = _base_namespace()
         self._unique = 0
-        #: (ns name, spec) pairs for every process-specific object the
-        #: generated code reads from its namespace; specs are
-        #: process-independent and re-resolvable (see hydrate_function).
+        #: (name, spec) pairs for every process-specific object the
+        #: generated code reads from its namespace.
         self.binds: list[tuple[str, tuple]] = []
         self._global_names: dict[int, str] = {}
-        # Frame slots and block/instruction indices are a pure function
-        # of the IR: every compiler over ``fn`` — the compile and each
-        # later :meth:`slow_ops` — agrees on them.
+        #: (source block, target block) -> its counter's number; 0 is
+        #: the function entry.
+        self.edges: dict[tuple[int, int], int] = {}
+        # Local names, block indices and the unit table are a pure
+        # function of the IR: every compiler over ``fn`` — the
+        # compile and each later :meth:`tail` — agrees on them.
         self.slots: dict[int, int] = {}
         self._block_index: dict[int, int] = {}
-        self._inst_index: dict[int, tuple[int, int]] = {}
-        nslots = 2
-        arg_slots = []
+        #: (block index, leading phis charged, first position, run)
+        self.units: list[tuple[int, int, int, list]] = []
+        self._block_units: list[range] = []
+        self._nphis: list[int] = []
+        self._known = _known_ints(fn)
+        self._has_allocs = self._has_memory = False
+        nslots = 0
         for arg in fn.args:
             self.slots[id(arg)] = nslots
-            arg_slots.append(nslots)
             nslots += 1
         for bi, block in enumerate(fn.blocks):
             self._block_index[id(block)] = bi
-            for ii, inst in enumerate(block.instructions):
-                self._inst_index[id(inst)] = (bi, ii)
+            for inst in block.instructions:
                 if not inst.type.is_void():
                     self.slots[id(inst)] = nslots
                     nslots += 1
-        self.nslots = nslots
-        self.arg_slots = tuple(arg_slots)
+                if isinstance(inst, Alloca):
+                    self._has_allocs = True
+                elif isinstance(inst, (Load, Store)):
+                    self._has_memory = True
+            nphis, runs = _split_units(block)
+            self._nphis.append(nphis)
+            first = len(self.units)
+            position = nphis
+            for ui, run in enumerate(runs):
+                self.units.append((bi, 0 if ui else nphis, position, run))
+                position += len(run)
+            self._block_units.append(range(first, len(self.units)))
 
     # -- small helpers ---------------------------------------------------------
 
@@ -346,55 +456,52 @@ class _Compiler:
         self._unique += 1
         return f"{prefix}{self._unique}"
 
-    def _bind(self, obj, prefix: str = "_C", spec: tuple | None = None) -> str:
+    def _bind(self, prefix: str, spec: tuple) -> str:
         name = self._name(prefix)
-        self.ns[name] = obj
-        self.binds.append((name, spec if spec is not None else ("const", obj)))
+        self.binds.append((name, spec))
         return name
 
     def _expr(self, v) -> str:
-        """Render an operand: a slot read, or the constant folded in."""
+        """Render an operand: a local, or the constant folded in."""
         slot = self.slots.get(id(v))
         if slot is not None:
-            return f"regs[{slot}]"
+            return f"x{slot}"
         if isinstance(v, ConstantInt):
             return repr(v.value)
         if isinstance(v, ConstantFloat):
             x = v.value
             if x != x or x in (float("inf"), float("-inf")):
-                return self._bind(x)
+                return self._bind("_C", ("const", x))
             return repr(x)
         if isinstance(v, (ConstantNull, UndefValue)):
             return "0"
         if isinstance(v, GlobalVariable):
-            self.refs.append(v)
             # The global's id() is process-specific, so it lives in the
             # namespace (rebound on hydrate) instead of the source text.
             name = self._global_names.get(id(v))
             if name is None:
-                name = self._bind(id(v), "_G", ("globalid", v.name))
+                name = self._bind("_G", ("globalid", v.name))
                 self._global_names[id(v)] = name
             return f"st.globals[{name}]"
         if isinstance(v, Function):
-            self.refs.append(v)
-            return self._bind(
-                self.engine.address_of(v), "_FA", ("fa", v.name)
-            )
+            return self._bind("_FA", ("fa", v.name))
         raise InterpError(f"cannot evaluate {v!r}")
 
-    def _is_dynamic(self, v) -> bool:
-        """True when the operand could hold a function pointer at run
-        time (constants other than Functions never can)."""
-        return id(v) in self.slots
+    def _holds_int(self, v) -> bool:
+        """True when the operand is provably a Python int at run time,
+        so the checks for the other things a value can be are dead."""
+        return id(v) in self._known or isinstance(
+            v, (ConstantInt, ConstantNull, UndefValue, GlobalVariable)
+        )
 
     # -- instruction bodies ----------------------------------------------------
     #
-    # Each emitter returns body lines (indented relative to the def's
-    # body).  ``corr`` holds accounting-correction statements spliced in
-    # before every raise: a fused segment pre-charges its whole cost, so
-    # a trap at position k must give back the not-yet-executed tail to
-    # stay byte-identical with the reference interpreter.  The slow path
-    # passes an empty ``corr`` (it accounts per instruction already).
+    # Each emitter returns body lines.  ``corr`` holds the statements
+    # spliced in before every raise: a unit charges its whole cost up
+    # front, so a raise at position k must sync without the
+    # not-yet-executed remainder to stay byte-identical with the
+    # reference interpreter.  A tail passes an empty ``corr`` (it
+    # accounts per instruction already).
 
     def _raise(self, indent: str, corr: list[str], statement: str) -> list[str]:
         return [indent + line for line in corr] + [indent + statement]
@@ -405,17 +512,15 @@ class _Compiler:
         if isinstance(inst, ICmp):
             return self._emit_icmp(inst, n, corr)
         if isinstance(inst, FCmp):
-            d = self.slots[id(inst)]
             sym = _FCMP_SYMBOLS[inst.predicate]
             a, b = self._expr(inst.lhs), self._expr(inst.rhs)
-            return [f"regs[{d}] = 1 if ({a}) {sym} ({b}) else 0"]
+            return [f"{self._expr(inst)} = 1 if ({a}) {sym} ({b}) else 0"]
         if isinstance(inst, Alloca):
-            d = self.slots[id(inst)]
             size = inst.allocated_type.size_in_slots()
             return [
                 f"a{n} = st.memory.allocate({size}, 'stack')",
-                f"regs[0].append(a{n})",
-                f"regs[{d}] = a{n}.base",
+                f"allocs.append(a{n})",
+                f"{self._expr(inst)} = a{n}.base",
             ]
         if isinstance(inst, Load):
             return self._emit_load(inst, n, corr)
@@ -423,19 +528,19 @@ class _Compiler:
             return self._emit_store(inst, n, corr)
         if isinstance(inst, ElemPtr):
             return self._emit_elem_ptr(inst, n, corr)
-        if isinstance(inst, Call):
-            return self._emit_call(inst, n, corr)
         if isinstance(inst, Select):
-            d = self.slots[id(inst)]
             c = self._expr(inst.condition)
             t = self._expr(inst.true_value)
             f = self._expr(inst.false_value)
-            return [f"regs[{d}] = ({t}) if ({c}) else ({f})"]
+            return [f"{self._expr(inst)} = ({t}) if ({c}) else ({f})"]
         if isinstance(inst, Cast):
             return self._emit_cast(inst, n, corr)
         # Mirrors the reference walker's "cannot execute" arm (also hit
         # by a phi that is not in leading position).
-        name = self._bind(inst, "_X", ("inst", *self._inst_index[id(inst)]))
+        block = inst.parent
+        name = self._bind("_X", (
+            "inst", self._block_index[id(block)], block.instructions.index(inst),
+        ))
         return self._raise(
             "", corr, f"raise InterpError('cannot execute %r' % ({name},))"
         )
@@ -452,16 +557,16 @@ class _Compiler:
 
     def _emit_binary(self, inst, n, corr):
         op = inst.opcode
-        d = self.slots[id(inst)]
+        d = self._expr(inst)
         a, b = self._expr(inst.lhs), self._expr(inst.rhs)
         if op.startswith("f"):
             if op == "fdiv":
                 return [
                     f"b{n} = {b}",
-                    f"regs[{d}] = ({a}) / b{n} if b{n} != 0 else _INF",
+                    f"{d} = ({a}) / b{n} if b{n} != 0 else _INF",
                 ]
             sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-            return [f"regs[{d}] = ({a}) {sym} ({b})"]
+            return [f"{d} = ({a}) {sym} ({b})"]
         ty = inst.type
         assert isinstance(ty, IntType)
         w = ty.width
@@ -482,7 +587,7 @@ class _Compiler:
                     "    ", corr, f"raise InterpError('{noun} by zero')"
                 ),
             ]
-            lines += self._wrap(f"regs[{d}]", raw, w)
+            lines += self._wrap(d, raw, w)
             return lines
         template = _BINARY_EXPRS.get(op)
         if template is None:
@@ -490,10 +595,10 @@ class _Compiler:
                 "", corr, f"raise InterpError('unknown binary op {op}')"
             )
         raw = template.format(a=a, b=b, w=w, m=(1 << w) - 1)
-        return self._wrap(f"regs[{d}]", raw, w)
+        return self._wrap(d, raw, w)
 
     def _emit_icmp(self, inst, n, corr):
-        d = self.slots[id(inst)]
+        d = self._expr(inst)
         pred = inst.predicate
         a, b = self._expr(inst.lhs), self._expr(inst.rhs)
         if pred.startswith("u"):
@@ -515,12 +620,12 @@ class _Compiler:
                 return f"1 if ({x}) {sym} ({y}) else 0"
 
         checks = []
-        if self._is_dynamic(inst.lhs) or isinstance(inst.lhs, Function):
+        if not self._holds_int(inst.lhs):
             checks.append(f"a{n}.__class__ is _FunctionAddress")
-        if self._is_dynamic(inst.rhs) or isinstance(inst.rhs, Function):
+        if not self._holds_int(inst.rhs):
             checks.append(f"b{n}.__class__ is _FunctionAddress")
         if not checks:
-            return [f"regs[{d}] = " + compare(a, b)]
+            return [f"{d} = " + compare(a, b)]
         lines = [f"a{n} = {a}", f"b{n} = {b}"]
         lines.append("if " + " or ".join(checks) + ":")
         lines.append(f"    r{n} = _fa_cmp({pred!r}, a{n}, b{n})")
@@ -530,9 +635,9 @@ class _Compiler:
             corr,
             "raise InterpError('ordered comparison of function pointers')",
         )
-        lines.append(f"    regs[{d}] = r{n}")
+        lines.append(f"    {d} = r{n}")
         lines.append("else:")
-        lines.append(f"    regs[{d}] = " + compare(f"a{n}", f"b{n}"))
+        lines.append(f"    {d} = " + compare(f"a{n}", f"b{n}"))
         return lines
 
     def _address_of(self, pointer, n, corr) -> list[str]:
@@ -540,7 +645,7 @@ class _Compiler:
         ``Interpreter._as_address`` (checks elided for operands that are
         provably integers at compile time)."""
         lines = [f"a{n} = {self._expr(pointer)}"]
-        if self._is_dynamic(pointer) or isinstance(pointer, Function):
+        if not self._holds_int(pointer):
             lines.append(f"if a{n}.__class__ is not int:")
             lines.append(f"    if a{n}.__class__ is _FunctionAddress:")
             lines += self._raise(
@@ -556,10 +661,9 @@ class _Compiler:
         return lines
 
     def _emit_load(self, inst, n, corr):
-        d = self.slots[id(inst)]
         lines = self._address_of(inst.pointer, n, corr)
         lines.append("try:")
-        lines.append(f"    regs[{d}] = st.memory.slots[a{n}]")
+        lines.append(f"    {self._expr(inst)} = mem[a{n}]")
         lines.append("except KeyError:")
         lines += self._raise(
             "    ",
@@ -571,9 +675,8 @@ class _Compiler:
 
     def _emit_store(self, inst, n, corr):
         lines = self._address_of(inst.pointer, n, corr)
-        lines.append(f"m{n} = st.memory.slots")
-        lines.append(f"if a{n} in m{n}:")
-        lines.append(f"    m{n}[a{n}] = {self._expr(inst.value)}")
+        lines.append(f"if a{n} in mem:")
+        lines.append(f"    mem[a{n}] = {self._expr(inst.value)}")
         lines.append("else:")
         lines += self._raise(
             "    ",
@@ -583,7 +686,6 @@ class _Compiler:
         return lines
 
     def _emit_elem_ptr(self, inst, n, corr):
-        d = self.slots[id(inst)]
         lines = self._address_of(inst.base, n, corr)
         terms: list[str] = []
         constant = 0
@@ -619,321 +721,281 @@ class _Compiler:
                 )
         if constant or not terms:
             terms.append(str(constant))
-        lines.append(f"regs[{d}] = a{n} + " + " + ".join(terms))
+        lines.append(f"{self._expr(inst)} = a{n} + " + " + ".join(terms))
         return lines
 
-    def _emit_call(self, inst, n, corr):
+    def _emit_call(self, inst, n, corr, at: int):
+        """A call ends its unit: the frame's accounting is written back
+        before it (the callee and the intrinsics account on ``st``) and
+        read again after."""
         args = "[" + ", ".join(self._expr(a) for a in inst.args) + "]"
-        store = "" if inst.type.is_void() else f"regs[{self.slots[id(inst)]}] = "
+        store = "" if inst.type.is_void() else f"{self._expr(inst)} = "
         callee = inst.called_function()
+        lines = []
         if callee is not None:
-            self.refs.append(callee)
-            name = self._bind(callee, "_F", ("callee", callee.name))
-            return [f"{store}st.call_function({name}, {args})"]
-        lines = [f"t{n} = {self._expr(inst.callee)}"]
-        lines.append(f"if t{n}.__class__ is not _FunctionAddress:")
-        lines += self._raise(
-            "    ",
-            corr,
-            f"raise MemoryTrap('indirect call to non-function %r' % (t{n},))",
-        )
-        lines.append(f"{store}st.call_function(t{n}.fn, {args})")
-        return lines
+            target = self._bind("_F", ("callee", callee.name))
+        else:
+            target = f"t{n}.fn"
+            lines.append(f"t{n} = {self._expr(inst.callee)}")
+            lines.append(f"if t{n}.__class__ is not _FunctionAddress:")
+            lines += self._raise(
+                "    ",
+                corr,
+                f"raise MemoryTrap('indirect call to non-function %r' % (t{n},))",
+            )
+        return lines + [
+            *_SYNC,
+            f"at = {at}",
+            f"{store}st.call_function({target}, {args})",
+            "room = limit - result.steps",
+            "dc = 0",
+        ]
 
     def _emit_cast(self, inst, n, corr):
-        d = self.slots[id(inst)]
+        d = self._expr(inst)
         op = inst.opcode
         v = self._expr(inst.value)
-        if op in ("bitcast", "ptrtoint", "inttoptr"):
-            return [f"regs[{d}] = {v}"]
+        if op in _COPY_CASTS:
+            return [f"{d} = {v}"]
         if op in ("trunc", "sext"):
-            return self._wrap(f"regs[{d}]", f"({v})", inst.type.width)
+            return self._wrap(d, f"({v})", inst.type.width)
         if op == "zext":
             src_mask = (1 << inst.value.type.width) - 1
-            return self._wrap(
-                f"regs[{d}]", f"({v}) & {src_mask}", inst.type.width
-            )
+            return self._wrap(d, f"({v}) & {src_mask}", inst.type.width)
         if op == "sitofp":
-            return [f"regs[{d}] = float({v})"]
+            return [f"{d} = float({v})"]
         if op == "fptosi":
-            return self._wrap(f"regs[{d}]", f"int({v})", inst.type.width)
+            return self._wrap(d, f"int({v})", inst.type.width)
         return self._raise(
             "", corr, f"raise InterpError('unknown cast {op}')"
         )
 
-    def _emit_terminator(self, inst, block_names) -> list[str]:
-        if isinstance(inst, Branch):
-            return [f"return {block_names[id(inst.target)]}"]
-        if isinstance(inst, CondBranch):
-            c = self._expr(inst.condition)
-            t = block_names[id(inst.true_block)]
-            f = block_names[id(inst.false_block)]
-            return [f"return {t} if ({c}) else {f}"]
-        if isinstance(inst, Switch):
-            table = {}
-            cases = []
-            for const, target in inst.cases():
-                if const.value not in table:
-                    table[const.value] = self.ns[block_names[id(target)]]
-                    cases.append((const.value, self._block_index[id(target)]))
-            name = self._bind(table, "_SW", ("switch", tuple(cases)))
-            default = block_names[id(inst.default)]
-            return [f"return {name}.get({self._expr(inst.value)}, {default})"]
+    # -- control flow ----------------------------------------------------------
+
+    def _edge(self, src: int, target) -> list[str]:
+        """Take the CFG edge from block ``src``: bump its counter, move
+        the target's phis, set the block index."""
+        dst = self._block_index[id(target)]
+        counter = self.edges.setdefault((src, dst), len(self.edges) + 1)
+        lines = [f"e{counter} += 1"]
+        phis = target.instructions[:self._nphis[dst]]
+        if phis:
+            pred = self.fn.blocks[src]
+            try:
+                values = [
+                    self._expr(phi.incoming_value_for(pred)) for phi in phis
+                ]
+            except KeyError as error:  # a broken edge: the walker's error
+                return lines + [
+                    "_sync(st, room, dc)",
+                    f"raise KeyError({error.args[0]!r})",
+                ]
+            lines.append(
+                ", ".join(map(self._expr, phis)) + " = " + ", ".join(values)
+            )
+        lines.append(f"b = {dst}")
+        return lines
+
+    def _tree(self, var: str, leaves: list[list[str]], lo=0, hi=None):
+        """``leaves[var]`` as a binary tree of ``if var < mid``."""
+        if hi is None:
+            hi = len(leaves)
+        if hi - lo == 1:
+            return leaves[lo]
+        mid = (lo + hi) // 2
+        return [
+            f"if {var} < {mid}:",
+            *("    " + line for line in self._tree(var, leaves, lo, mid)),
+            "else:",
+            *("    " + line for line in self._tree(var, leaves, mid, hi)),
+        ]
+
+    def _emit_terminator(self, inst, src: int, n: str, corr) -> list[str]:
         if isinstance(inst, Ret):
-            if inst.value is None:
-                return ["return None"]
-            return [f"regs[1] = {self._expr(inst.value)}", "return None"]
-        assert isinstance(inst, Unreachable)
-        return ["raise InterpError('executed unreachable')"]
+            value = "None" if inst.value is None else self._expr(inst.value)
+            return [*_SYNC, f"return {value}"]
+        if isinstance(inst, Unreachable):
+            return self._raise(
+                "", corr, "raise InterpError('executed unreachable')"
+            )
+        if isinstance(inst, Branch):
+            return self._edge(src, inst.target)
+        if isinstance(inst, CondBranch):
+            if inst.true_block is inst.false_block:
+                return self._edge(src, inst.true_block)
+            return [
+                f"if {self._expr(inst.condition)}:",
+                *("    " + line for line in self._edge(src, inst.true_block)),
+                "else:",
+                *("    " + line for line in self._edge(src, inst.false_block)),
+            ]
+        assert isinstance(inst, Switch)
+        # One arm per distinct target; the first case of a value wins.
+        arms = {id(inst.default): inst.default}
+        table = {}
+        for const, target in inst.cases():
+            arms.setdefault(id(target), target)
+            table.setdefault(const.value, list(arms).index(id(target)))
+        leaves = [self._edge(src, target) for target in arms.values()]
+        if len(leaves) == 1:
+            return leaves[0]
+        name = self._bind("_SW", ("const", table))
+        return [
+            f"t{n} = {name}.get({self._expr(inst.value)}, 0)",
+            *self._tree(f"t{n}", leaves),
+        ]
 
     # -- function assembly -----------------------------------------------------
 
-    def _define(self, defs: list[tuple[str, list[str]]], filename: str):
-        """Compile ``(name, body lines)`` pairs into functions of
-        ``(st, regs)`` in the namespace; returns the code object."""
-        lines = []
-        for name, body in defs:
-            lines.append(f"def {name}(st, regs):")
-            lines.extend("    " + line for line in body)
-            lines.append("")
-        code = compile("\n".join(lines), filename, "exec")
-        exec(code, self.ns)
-        return code
+    @staticmethod
+    def _cost(inst) -> int:
+        return INSTRUCTION_COSTS.get(inst.opcode, 1)
 
-    def compile(self) -> CompiledFunction:
+    def _block(self, bi: int) -> list[str]:
+        """One block: per unit the charge, the tail site, the body."""
+        lines: list[str] = []
+        inst = None
+        for key in self._block_units[bi]:
+            _bi, nphis, position, run = self.units[key]
+            steps = nphis + len(run)
+            cycles = sum(map(self._cost, run))
+            if steps:
+                lines.append(f"room -= {steps}")
+                lines.append(
+                    f"if room < 0: _T(st, room + {steps}, dc, {key}, locals())"
+                )
+            if cycles:
+                lines.append(f"dc += {cycles}")
+            steps -= nphis
+            for position, inst in enumerate(run, position + 1):
+                steps -= 1
+                cycles -= self._cost(inst)
+                corr = [
+                    f"at = {position}",
+                    "_sync(st, room" + (f" + {steps}" if steps else "")
+                    + ", dc" + (f" - {cycles}" if cycles else "") + ")",
+                ]
+                n = self._name("")
+                if isinstance(inst, _TERMINATORS):
+                    lines += self._emit_terminator(inst, bi, n, corr)
+                elif isinstance(inst, Call):
+                    lines += self._emit_call(inst, n, corr, position)
+                else:
+                    lines += self._emit(inst, n, corr)
+        if not isinstance(inst, _TERMINATORS):
+            name = self.fn.blocks[bi].name
+            lines += [
+                "_sync(st, room, dc)",
+                f"raise AssertionError({f'block %{name} fell through'!r})",
+            ]
+        return lines
+
+    def compile(self):
+        """The plan and code object of ``fn`` (see :func:`hydrate_function`)."""
         fn = self.fn
-        compiled = [CompiledBlock(bb) for bb in fn.blocks]
-        block_names = {}
-        for i, cb in enumerate(compiled):
-            block_names[id(cb.bb)] = f"_B{i}"
-            self.ns[f"_B{i}"] = cb
-
-        defs: list[tuple[str, list[str]]] = []
-        plan_blocks: list[dict] = []
-        for cb in compiled:
-            plan_block = {
-                "nphis": cb.nphis, "movers": [], "segments": [], "term": None,
-            }
-            if cb.nphis:
-                self._schedule_phis(cb, defs, plan_block)
-            for seg in cb.segments:
-                fused_name = self._name("_s")
-                fused_body: list[str] = []
-                steps, cycles = seg.steps, seg.cycles
-                for seg_inst, cost in zip(seg.run, seg.costs):
-                    steps -= 1
-                    cycles -= cost
-                    corr = [f"_giveback(st, {steps}, {cycles})"] if steps else []
-                    fused_body += self._emit(seg_inst, self._name(""), corr)
-                defs.append((fused_name, fused_body))
-                plan_block["segments"].append(fused_name)
-            if cb.terminator is not None:
-                term_name = self._name("_t")
-                defs.append((
-                    term_name,
-                    self._emit_terminator(cb.terminator, block_names),
-                ))
-                plan_block["term"] = term_name
-            plan_blocks.append(plan_block)
-
-        code = self._define(defs, f"<engine:{fn.name}>")
-        _wire(compiled, plan_blocks, self.ns)
+        body = self._tree("b", [self._block(bi) for bi in range(len(fn.blocks))])
+        counters = [f"e{k}" for k in range(1, len(self.edges) + 1)]
+        params = "".join(f", x{i}=None" for i in range(len(fn.args)))
+        lines = [
+            f"def _fn(st{params}, *_extra):",
+            "    result = st.result",
+            "    limit = st.step_limit",
+            "    room = limit - result.steps",
+            "    " + " = ".join(["dc", "at", "b", *counters]) + " = 0",
+        ]
+        if self._has_memory:
+            lines.append("    mem = st.memory.slots")
+        if self._has_allocs:
+            lines.append("    allocs = []")
+        lines.append("    try:")
+        if self._nphis[0]:
+            lines.append("        raise AssertionError('phi in entry block')")
+        lines.append("        while True:")
+        lines.extend("            " + line for line in body)
+        lines += [
+            "    except (MemoryTrap, ExitProgram):",
+            # ``room`` is negative only while a tail runs, and a tail
+            # records its own position.
+            "        if room >= 0: _partial(st, _BB[b], at)",
+            "        raise",
+            "    finally:",
+            "        _leave(st, _E, (" + "".join(f"{c}, " for c in ["1", *counters])
+            + "), " + ("allocs" if self._has_allocs else "()") + ")",
+            "",
+        ]
+        code = compile("\n".join(lines), f"<engine:{fn.name}>", "exec")
         plan = {
             "version": EPLAN_VERSION,
-            "nslots": self.nslots,
-            "arg_slots": self.arg_slots,
+            "shape": _shape(fn),
             "binds": tuple(self.binds),
-            "blocks": plan_blocks,
+            "edges": tuple(self.edges),
         }
-        return CompiledFunction(
-            fn, self.nslots, self.arg_slots, compiled[0], tuple(compiled),
-            self.refs, plan, code,
-        )
+        return plan, code
 
-    def _schedule_phis(self, cb, defs, plan_block) -> None:
-        phis = cb.phis
-        preds = []
-        seen = set()
-        for phi in phis:
-            for _value, pred in phi.incoming():
-                if id(pred) not in seen:
-                    seen.add(id(pred))
-                    preds.append(pred)
-        for pred in preds:
-            try:
-                values = [phi.incoming_value_for(pred) for phi in phis]
-            except KeyError:
-                continue  # broken edge: no mover, ``_phis_slow`` raises
-            mover_name = self._name("_m")
-            if len(phis) == 1:
-                body = [
-                    f"regs[{self.slots[id(phis[0])]}] = "
-                    f"{self._expr(values[0])}"
-                ]
-            else:
-                # All sources are read before any destination is
-                # written, keeping the parallel phi move atomic.
-                body = [
-                    f"t{i} = {self._expr(value)}"
-                    for i, value in enumerate(values)
-                ]
-                body += [
-                    f"regs[{self.slots[id(phi)]}] = t{i}"
-                    for i, phi in enumerate(phis)
-                ]
-            defs.append((mover_name, body))
-            plan_block["movers"].append(
-                (self._block_index[id(pred)], mover_name)
-            )
-
-    def slow_ops(self, run) -> tuple:
-        """One closure per instruction of ``run``, rendered without
-        give-backs (``_seg_slow`` accounts per instruction).  Everything
-        they name is already pinned by the CompiledFunction's ``refs``:
-        the fused body of the same run names the same objects."""
-        defs = [
-            (f"_i{k}", self._emit(inst, str(k), []))
-            for k, inst in enumerate(run)
-        ]
-        self._define(defs, f"<engine:{self.fn.name}:slow>")
-        return tuple(self.ns[name] for name, _body in defs)
+    def tail(self, key: int):
+        """Source, binds and block of the per-instruction rendering of
+        unit ``key``: every item charged the walker's way, all but the
+        last executed — a tail runs only when the unit does not fit."""
+        bi, nphis, position, run = self.units[key]
+        lines = ["_charge(st, 0)"] * nphis
+        for position, inst in enumerate(run, position + 1):
+            lines.append(f"_charge(st, {self._cost(inst)})")
+            if inst is not run[-1]:
+                lines.append(f"at = {position}")
+                lines += self._emit(inst, str(position), [])
+        return "\n".join(lines) + "\n", self.binds, self.fn.blocks[bi]
 
 
-def _wire(compiled, plan_blocks, ns) -> None:
-    """Attach the generated functions to their blocks, as the plan names
-    them — the one wiring step of a compile and of a hydration."""
-    for cb, plan_block in zip(compiled, plan_blocks):
-        for seg, fused_name in zip(cb.segments, plan_block["segments"]):
-            seg.fused = ns[fused_name]
-        term_name = plan_block["term"]
-        cb.term_op = (
-            ns[term_name]
-            if term_name is not None
-            else _fell_through_raiser(cb.bb.name)
-        )
-        for pred_index, mover_name in plan_block["movers"]:
-            cb.movers[id(compiled[pred_index].bb)] = ns[mover_name]
-
-
-def _fell_through_raiser(block_name):
-    def raiser(st, regs):
-        raise AssertionError(f"block %{block_name} fell through")
-
-    return raiser
-
-
-def _phis_slow(st, block, prev):
-    """A phi group the run loop cannot move unchecked: entered without
-    a predecessor, over an edge some phi has no value for, or across the
-    step limit.  All three end the run, so nothing is moved — phis cost
-    no cycles and the frame dies with the raise; only the exception and
-    the reference's charge-then-check step count are observable."""
-    if prev is None:
-        raise AssertionError("phi in entry block")
-    for phi in block.phis:
-        phi.incoming_value_for(prev.bb)  # broken edge: the walker's KeyError
-    result = st.result
-    limit = st.step_limit
-    for _phi in block.phis:
-        result.steps += 1
-        if result.steps > limit:
-            raise StepLimitExceeded(f"exceeded {limit} steps")
+def _shape(fn: Function) -> tuple:
+    """What a plan must agree with ``fn`` on to be wired to it."""
+    return tuple(len(block.instructions) for block in fn.blocks)
 
 
 def hydrate_function(
     engine: "ExecutionEngine", fn: Function, plan: dict, code
 ) -> CompiledFunction:
-    """Rebuild a :class:`CompiledFunction` from a serialized plan.
+    """Build a :class:`CompiledFunction` from a plan and its code object
+    — the one wiring step of a compile and of a cache hydration.
 
-    The expensive parts of :meth:`_Compiler.compile` — walking the IR to
+    For a hydration the expensive parts of a compile — walking the IR to
     emit source and running CPython's ``compile()`` — are skipped
     entirely: ``code`` is the already-compiled code object (marshal'd by
-    the artifact cache) and ``plan`` carries the wiring (slots, segment
-    boundaries, phi movers, namespace bind specs) as indices into the
-    function's blocks/instructions.  Nothing of the slow path is in
-    either: ``_seg_slow`` renders it from ``fn`` like it does after a
-    compile.  Every process-specific value the
-    generated code needs (global ids, function addresses, callees,
-    switch tables) is re-resolved against ``fn``'s module here.
+    the artifact cache) and ``plan`` carries what it names as
+    process-independent specs (globals, function addresses, callees and
+    instructions by name or index; CFG edges by block index), resolved
+    against ``fn``'s module here.  Nothing of a tail is in either:
+    :meth:`CompiledFunction.tail` renders it from ``fn`` like it does
+    after a compile.
 
     Raises :class:`EnginePlanError` when the plan does not match ``fn``
     (stale or corrupt cache entry) — the caller recompiles.
     """
-    module = fn.parent
-    if module is None:
+    if fn.parent is None:
         raise EnginePlanError(f"function @{fn.name} has no parent module")
     if plan.get("version") != EPLAN_VERSION:
         raise EnginePlanError(
             f"plan version {plan.get('version')} != {EPLAN_VERSION}"
         )
     try:
-        if len(plan["blocks"]) != len(fn.blocks):
+        if tuple(plan["shape"]) != _shape(fn):
             raise EnginePlanError(
-                f"plan has {len(plan['blocks'])} blocks, @{fn.name} has "
-                f"{len(fn.blocks)}"
+                f"plan does not match the blocks of @{fn.name}"
             )
-        compiled = [CompiledBlock(bb) for bb in fn.blocks]
-        ns = _base_namespace()
-        for i, cb in enumerate(compiled):
-            ns[f"_B{i}"] = cb
-        refs: list[object] = []
-        for name, spec in plan["binds"]:
-            kind = spec[0]
-            if kind == "const":
-                ns[name] = spec[1]
-            elif kind == "globalid":
-                gv = module.globals.get(spec[1])
-                if gv is None:
-                    raise EnginePlanError(
-                        f"plan references unknown global @{spec[1]}"
-                    )
-                refs.append(gv)
-                ns[name] = id(gv)
-            elif kind == "fa":
-                target = module.functions.get(spec[1])
-                if target is None:
-                    raise EnginePlanError(
-                        f"plan references unknown function @{spec[1]}"
-                    )
-                refs.append(target)
-                ns[name] = engine.address_of(target)
-            elif kind == "callee":
-                target = module.functions.get(spec[1])
-                if target is None:
-                    raise EnginePlanError(
-                        f"plan references unknown function @{spec[1]}"
-                    )
-                refs.append(target)
-                ns[name] = target
-            elif kind == "inst":
-                ns[name] = fn.blocks[spec[1]].instructions[spec[2]]
-            elif kind == "switch":
-                ns[name] = {
-                    value: compiled[bi] for value, bi in spec[1]
-                }
-            else:
-                raise EnginePlanError(f"unknown bind spec {spec!r}")
-
+        ns, refs = _namespace(engine, fn, plan["binds"])
+        blocks = fn.blocks
+        ns["_BB"] = tuple(blocks)
+        ns["_E"] = ((None, blocks[0]),) + tuple(
+            (blocks[src], blocks[dst]) for src, dst in plan["edges"]
+        )
+        cf = CompiledFunction(engine, fn, refs, plan, code)
+        ns["_T"] = cf.tail
         exec(code, ns)
-
-        for cb, plan_block in zip(compiled, plan["blocks"]):
-            if (
-                len(cb.segments) != len(plan_block["segments"])
-                or cb.nphis != plan_block["nphis"]
-                or (cb.terminator is None) != (plan_block["term"] is None)
-            ):
-                raise EnginePlanError(
-                    f"plan does not match block %{cb.bb.name} of @{fn.name}"
-                )
-        _wire(compiled, plan["blocks"], ns)
+        cf.func = ns["_fn"]
     except EnginePlanError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as error:
         raise EnginePlanError(f"corrupt plan for @{fn.name}: {error}")
-    return CompiledFunction(
-        fn, plan["nslots"], tuple(plan["arg_slots"]), compiled[0],
-        tuple(compiled), refs, plan, code,
-    )
+    return cf
 
 
 class ExecutionEngine:
@@ -964,10 +1026,10 @@ class ExecutionEngine:
         cf = self.functions.get(id(fn))
         if cf is None:
             with STATS.timer("engine.compile"):
-                cf = _Compiler(self, fn).compile()
+                cf = hydrate_function(self, fn, *_Compiler(fn).compile())
             self.functions[id(fn)] = cf
             STATS.count("engine.compiles")
-            STATS.count("engine.blocks_lowered", len(cf.blocks))
+            STATS.count("engine.blocks_lowered", len(fn.blocks))
         return cf
 
     def adopt(self, fn: Function, plan: dict, code) -> CompiledFunction:
@@ -994,8 +1056,6 @@ class ExecutionEngine:
         self._addresses.clear()
         self.version += 1
 
-    # -- execution -------------------------------------------------------------
-
     def call(self, st, fn: Function, args: list[object]):
         """Execute one defined function on interpreter state ``st``."""
         cf = self.functions.get(id(fn))
@@ -1003,103 +1063,7 @@ class ExecutionEngine:
             cf = self.compiled(fn)
         else:
             STATS.count("engine.cache_hits")
-        regs = [None] * cf.nslots
-        allocs: list = []
-        regs[0] = allocs
-        for slot, value in zip(cf.arg_slots, args):
-            regs[slot] = value
-        try:
-            return self._run(st, cf, regs)
-        finally:
-            memory = st.memory
-            for alloc in allocs:
-                if alloc.alive:
-                    memory.release(alloc.base)
-
-    def _seg_slow(self, st, fn, seg, regs):
-        """Per-instruction execution of the segment in which a run
-        crosses its step limit: the exact reference accounting order
-        (charge, check, execute)."""
-        ops = seg.ops
-        if not ops:
-            ops = seg.ops = _Compiler(self, fn).slow_ops(seg.run)
-            STATS.count("engine.slow_segments")
-        result = st.result
-        limit = st.step_limit
-        costs = seg.costs
-        clock = st.clock_period
-        for i in range(len(ops)):
-            result.steps += 1
-            if result.steps > limit:
-                raise StepLimitExceeded(f"exceeded {limit} steps")
-            cost = costs[i]
-            result.cycles += cost
-            st.weighted_cycles += cost * clock
-            ops[i](st, regs)
-
-    def _run(self, st, cf, regs):
-        result = st.result
-        limit = st.step_limit
-        profile = st.block_profile
-        edges = profile.edges if profile is not None else None
-        block = cf.entry
-        prev = None
-        executed = 0
-        seg = None
-        base = 0  # result.steps when ``seg`` started
-        try:
-            while True:
-                executed += 1
-                if edges is not None:
-                    edges[prev and prev.bb][block.bb] += 1
-                nphis = block.nphis
-                if nphis:
-                    mover = (
-                        block.movers.get(id(prev.bb))
-                        if prev is not None
-                        else None
-                    )
-                    if mover is None or result.steps + nphis > limit:
-                        _phis_slow(st, block, prev)
-                    else:
-                        mover(st, regs)
-                        result.steps += nphis
-                for seg in block.segments:
-                    base = result.steps
-                    if base + seg.steps <= limit:
-                        result.steps = base + seg.steps
-                        cycles = seg.cycles
-                        result.cycles += cycles
-                        st.weighted_cycles += cycles * st.clock_period
-                        seg.fused(st, regs)
-                    else:
-                        self._seg_slow(st, cf.fn, seg, regs)
-                result.steps += 1
-                if result.steps > limit:
-                    raise StepLimitExceeded(f"exceeded {limit} steps")
-                cost = block.term_cost
-                result.cycles += cost
-                st.weighted_cycles += cost * st.clock_period
-                next_block = block.term_op(st, regs)
-                if next_block is None:
-                    return regs[1]
-                prev = block
-                block = next_block
-        except (MemoryTrap, ExitProgram):
-            # Partial-frame record (see ``BlockProfile``).  The trap
-            # sites already gave back the unexecuted tail, so what
-            # ``seg`` accounted is a subtraction; the cap makes a call
-            # segment its one instruction however long the callee ran.
-            if profile is not None:
-                accounted = block.nphis + min(result.steps - base, seg.steps)
-                for earlier in block.segments:
-                    if earlier is seg:
-                        break
-                    accounted += earlier.steps
-                profile.partial.append((block.bb, accounted))
-            raise
-        finally:
-            STATS.count("engine.blocks_compiled", executed)
+        return cf.func(st, *args)
 
 
 def engine_for(module: Module) -> ExecutionEngine:

@@ -22,7 +22,8 @@ Design points:
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
+from collections import defaultdict, deque
 
 from ..ir.instructions import (
     Alloca,
@@ -265,7 +266,8 @@ class _DeterministicPRNG:
 
 
 class BlockProfile:
-    """One profiled run's counters, bumped inline by both run loops.
+    """One profiled run's counters: the walker bumps them per block, a
+    compiled frame folds its local edge counters in when it exits.
 
     ``edges[src][dst]`` is how often block ``dst`` was entered from
     ``src`` (None: function entry) — the only thing counted per block;
@@ -325,6 +327,10 @@ def set_step_budget(limit: int | None) -> int | None:
 class Interpreter:
     """Executes one module."""
 
+    #: name -> (cycle cost, ``handler(st, args)``) of every runtime
+    #: intrinsic; filled in below the class (:func:`intrinsic_table`).
+    INTRINSICS: dict[str, tuple] = {}
+
     def __init__(
         self,
         module: Module,
@@ -340,7 +346,7 @@ class Interpreter:
         self.globals: dict[int, int] = {}  # id(GlobalVariable) -> base address
         self.prng = _DeterministicPRNG()
         self.result = ExecutionResult()
-        #: Optional :class:`BlockProfile` the run loops count into (the
+        #: Optional :class:`BlockProfile` the executors count into (the
         #: profiler's mode; runs at full speed on either executor).
         self.block_profile: BlockProfile | None = None
         #: Optional call observer(function) for profilers.
@@ -634,113 +640,125 @@ class Interpreter:
         return self.call_function(callee, args)
 
     def _call_intrinsic(self, fn: Function, args: list[object]) -> object:
-        name = fn.name
-        self.result.cycles += INTRINSIC_COSTS.get(name, 20)
-        self.weighted_cycles += INTRINSIC_COSTS.get(name, 20) * self.clock_period
-        import math
+        entry = self.INTRINSICS.get(fn.name)
+        cost = entry[0] if entry is not None else 20
+        self.result.cycles += cost
+        self.weighted_cycles += cost * self.clock_period
+        if entry is None:
+            raise InterpError(f"call to unknown external @{fn.name}")
+        return entry[1](self, args)
 
-        if name == "print_int":
-            self.result.output.append(int(args[0]))
-            return None
-        if name == "print_float":
-            self.result.output.append(float(args[0]))
-            return None
-        if name == "malloc":
-            return self.memory.allocate(int(args[0]), "heap").base
-        if name == "free":
-            self.memory.release(int(args[0]))
-            return None
-        if name == "sqrt":
-            return math.sqrt(args[0]) if args[0] >= 0 else float("nan")
-        if name == "exp":
-            return math.exp(min(args[0], 700.0))
-        if name == "log":
-            return math.log(args[0]) if args[0] > 0 else float("-inf")
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "pow":
-            return float(args[0]) ** float(args[1])
-        if name == "fabs":
-            return abs(args[0])
-        if name == "floor":
-            return math.floor(args[0])
-        if name == "rand":
-            return self.prng.mt_like()  # libc default stands in for "rand"
-        if name == "rand_lcg":
-            return self.prng.lcg()
-        if name == "rand_xorshift":
-            return self.prng.xorshift()
-        if name == "rand_mt":
-            return self.prng.mt_like()
-        if name == "rand_pcg":
-            return self.prng.pcg()
-        if name == "srand":
-            self.prng.seed(int(args[0]))
-            return None
-        if name == "os_callback":
-            self.result.callback_count += 1
-            self.result.callback_cycles.append(self.result.cycles)
-            return None
-        if name == "os_time_hook":
-            self.result.callback_count += 1
-            self.result.callback_cycles.append(self.result.cycles)
-            return None
-        if name == "carat_guard":
-            self.result.guard_count += 1
-            address, size = int(args[0]), int(args[1])
-            if not self.memory.is_valid(address, max(size, 1)):
-                raise MemoryTrap(f"CARAT guard caught invalid access at {address}")
-            return None
-        if name == "clock_set":
-            self.clock_period = int(args[0])
-            self.result.clock_changes.append(self.clock_period)
-            return None
-        if name == "exit":
-            raise ExitProgram(int(args[0]))
-        handled = self._call_parallel_intrinsic(name, args)
-        if handled is not NotImplemented:
-            return handled
-        raise InterpError(f"call to unknown external @{name}")
 
-    def _call_parallel_intrinsic(self, name: str, args: list[object]) -> object:
-        """Parallel-runtime intrinsics.
+def intrinsic_table(base: dict, handlers: dict) -> dict:
+    """``base`` with ``handlers`` (name -> ``handler(st, args)``) laid
+    over it, each paired with its :data:`INTRINSIC_COSTS` entry — the
+    one lookup ``Interpreter._call_intrinsic`` does per call.  Built
+    once per class: a subclass overrides entries, not a method."""
+    table = dict(base)
+    for name, handler in handlers.items():
+        table[name] = (INTRINSIC_COSTS[name], handler)
+    return table
 
-        The base interpreter provides *sequential* semantics: dispatchers
-        run every core's task back to back, queues are unbounded in-memory
-        deques, and HELIX markers are no-ops.  The simulated multicore
-        machine (:class:`repro.runtime.machine.ParallelMachine`) overrides
-        this to account per-core cycles and model the parallel schedule.
-        """
-        if name in ("noelle_dispatch_doall", "noelle_dispatch_helix",
-                    "noelle_dispatch_dswp"):
-            task_fn, env_address, num_cores = args[0], args[1], int(args[2])
-            if not isinstance(task_fn, _FunctionAddress):
-                raise MemoryTrap("dispatch of a non-function")
-            if name == "noelle_dispatch_helix":
-                # Sequential reference semantics: one core runs every
-                # iteration in order.
-                self.call_function(task_fn.fn, [env_address, 0, 1])
-            else:
-                for core in range(num_cores):
-                    self.call_function(task_fn.fn, [env_address, core, num_cores])
-            return None
-        if name == "queue_push_i64" or name == "queue_push_f64":
-            if int(args[0]) not in self._queues:
-                from collections import deque
 
-                self._queues[int(args[0])] = deque()
-            self._queues[int(args[0])].append(args[1])
-            return None
-        if name == "queue_pop_i64" or name == "queue_pop_f64":
-            queue = self._queues.get(int(args[0]))
-            if not queue:
-                raise InterpError(f"pop from empty queue {args[0]}")
-            return queue.popleft()
-        if name in ("helix_seq_begin", "helix_seq_end", "helix_iter_boundary"):
-            return None
-        return NotImplemented
+def _os_callback(st, args):
+    st.result.callback_count += 1
+    st.result.callback_cycles.append(st.result.cycles)
+
+
+def _carat_guard(st, args):
+    st.result.guard_count += 1
+    address, size = int(args[0]), int(args[1])
+    if not st.memory.is_valid(address, max(size, 1)):
+        raise MemoryTrap(f"CARAT guard caught invalid access at {address}")
+
+
+def _clock_set(st, args):
+    st.clock_period = int(args[0])
+    st.result.clock_changes.append(st.clock_period)
+
+
+def _exit(st, args):
+    raise ExitProgram(int(args[0]))
+
+
+def dispatched_task(args) -> Function:
+    """The task function a dispatch intrinsic was handed."""
+    if not isinstance(args[0], _FunctionAddress):
+        raise MemoryTrap("dispatch of a non-function")
+    return args[0].fn
+
+
+def _dispatch_every_core(st, args):
+    task, env_address, num_cores = dispatched_task(args), args[1], int(args[2])
+    for core in range(num_cores):
+        st.call_function(task, [env_address, core, num_cores])
+
+
+def _dispatch_one_core(st, args):
+    # HELIX's sequential reference semantics: one core runs every
+    # iteration in order.
+    st.call_function(dispatched_task(args), [args[1], 0, 1])
+
+
+def _queue_push(st, args):
+    queue = st._queues.get(int(args[0]))
+    if queue is None:
+        queue = st._queues[int(args[0])] = deque()
+    queue.append(args[1])
+
+
+def _queue_pop(st, args):
+    queue = st._queues.get(int(args[0]))
+    if not queue:
+        raise InterpError(f"pop from empty queue {args[0]}")
+    return queue.popleft()
+
+
+def _no_op(st, args):
+    return None
+
+
+#: The base interpreter gives the parallel runtime *sequential*
+#: semantics: dispatchers run every core's task back to back, queues are
+#: unbounded in-memory deques, and HELIX markers are no-ops.  The
+#: simulated multicore machine
+#: (:class:`repro.runtime.machine.ParallelMachine`) overrides those
+#: entries to account per-core cycles and model the parallel schedule.
+Interpreter.INTRINSICS = intrinsic_table({}, {
+    "print_int": lambda st, a: st.result.output.append(int(a[0])),
+    "print_float": lambda st, a: st.result.output.append(float(a[0])),
+    "malloc": lambda st, a: st.memory.allocate(int(a[0]), "heap").base,
+    "free": lambda st, a: st.memory.release(int(a[0])),
+    "sqrt": lambda st, a: math.sqrt(a[0]) if a[0] >= 0 else float("nan"),
+    "exp": lambda st, a: math.exp(min(a[0], 700.0)),
+    "log": lambda st, a: math.log(a[0]) if a[0] > 0 else float("-inf"),
+    "sin": lambda st, a: math.sin(a[0]),
+    "cos": lambda st, a: math.cos(a[0]),
+    "pow": lambda st, a: float(a[0]) ** float(a[1]),
+    "fabs": lambda st, a: abs(a[0]),
+    "floor": lambda st, a: math.floor(a[0]),
+    "rand": lambda st, a: st.prng.mt_like(),  # libc default stands in
+    "rand_lcg": lambda st, a: st.prng.lcg(),
+    "rand_xorshift": lambda st, a: st.prng.xorshift(),
+    "rand_mt": lambda st, a: st.prng.mt_like(),
+    "rand_pcg": lambda st, a: st.prng.pcg(),
+    "srand": lambda st, a: st.prng.seed(int(a[0])),
+    "os_callback": _os_callback,
+    "os_time_hook": _os_callback,
+    "carat_guard": _carat_guard,
+    "clock_set": _clock_set,
+    "exit": _exit,
+    "noelle_dispatch_doall": _dispatch_every_core,
+    "noelle_dispatch_dswp": _dispatch_every_core,
+    "noelle_dispatch_helix": _dispatch_one_core,
+    "queue_push_i64": _queue_push,
+    "queue_push_f64": _queue_push,
+    "queue_pop_i64": _queue_pop,
+    "queue_pop_f64": _queue_pop,
+    "helix_seq_begin": _no_op,
+    "helix_seq_end": _no_op,
+    "helix_iter_boundary": _no_op,
+})
 
 
 class _Return:

@@ -5,7 +5,7 @@ expensive paths of the abstraction layer (points-to solving, PDG shard
 construction, alias-query memoization, transform pipelines) and the
 execution engine (``engine.compiles``, the ``engine.compile`` timer,
 ``engine.cache_hits``, ``engine.invalidations``,
-``engine.slow_segments`` — segments whose per-instruction closures were
+``engine.slow_segments`` — charge units whose per-instruction tail was
 rendered because a run crossed its step limit inside them, zero for a
 run that stays under its limit — and the
 ``engine.blocks_compiled`` / ``engine.blocks_reference`` split showing

@@ -26,7 +26,7 @@ protocol collapses to single runs.
 from __future__ import annotations
 
 from ..core.architecture import ArchitectureDescription
-from ..interp.interp import Interpreter, MemoryTrap, _FunctionAddress
+from ..interp.interp import Interpreter, dispatched_task, intrinsic_table
 from ..ir.module import Module
 
 #: One-time cost of waking a worker core (thread-pool hand-off).
@@ -80,51 +80,36 @@ class ParallelMachine(Interpreter):
         self._segment_stack: list[tuple[int, int]] = []
         self._iter_start_cycles = 0
 
-    # -- dispatch ---------------------------------------------------------------------
-    def _call_parallel_intrinsic(self, name: str, args: list[object]) -> object:
-        if name == "noelle_dispatch_doall":
-            return self._dispatch_doall(args)
-        if name == "noelle_dispatch_dswp":
-            return self._dispatch_dswp(args)
-        if name == "noelle_dispatch_helix":
-            return self._dispatch_helix(args)
-        if name == "helix_seq_begin":
-            self._segment_stack.append((int(args[0]), self.result.cycles))
-            return None
-        if name == "helix_seq_end":
-            if self._segment_stack and self._helix_trace is not None:
-                seg_id, start = self._segment_stack.pop()
-                # Exclude the marker calls themselves from the segment.
-                marker_cost = self.costs.get("call", 10) + 1
-                span = max(0, self.result.cycles - start - marker_cost)
-                self._helix_trace[-1][seg_id] = (
-                    self._helix_trace[-1].get(seg_id, 0) + span
-                )
-            return None
-        if name == "helix_iter_boundary":
-            if self._helix_trace is not None:
-                self._helix_iter_costs.append(
-                    self.result.cycles - self._iter_start_cycles
-                )
-                self._iter_start_cycles = self.result.cycles
-                self._helix_trace.append({})
-            return None
-        return super()._call_parallel_intrinsic(name, args)
+    # -- HELIX markers ---------------------------------------------------------------
+    def _helix_seq_begin(self, args: list[object]) -> None:
+        self._segment_stack.append((int(args[0]), self.result.cycles))
+
+    def _helix_seq_end(self, args: list[object]) -> None:
+        if self._segment_stack and self._helix_trace is not None:
+            seg_id, start = self._segment_stack.pop()
+            # Exclude the marker calls themselves from the segment.
+            marker_cost = self.costs.get("call", 10) + 1
+            span = max(0, self.result.cycles - start - marker_cost)
+            self._helix_trace[-1][seg_id] = (
+                self._helix_trace[-1].get(seg_id, 0) + span
+            )
+
+    def _helix_iter_boundary(self, args: list[object]) -> None:
+        if self._helix_trace is not None:
+            self._helix_iter_costs.append(
+                self.result.cycles - self._iter_start_cycles
+            )
+            self._iter_start_cycles = self.result.cycles
+            self._helix_trace.append({})
 
     def _resolve_cores(self, requested: int) -> int:
         if self.num_cores_override is not None:
             return self.num_cores_override
         return min(requested, self.architecture.num_logical_cores)
 
-    def _task_of(self, args: list[object]):
-        task_fn = args[0]
-        if not isinstance(task_fn, _FunctionAddress):
-            raise MemoryTrap("dispatch of a non-function")
-        return task_fn.fn
-
     # -- DOALL -----------------------------------------------------------------------
     def _dispatch_doall(self, args: list[object]) -> None:
-        task = self._task_of(args)
+        task = dispatched_task(args)
         env_address = args[1]
         num_cores = self._resolve_cores(int(args[2]))
         execution = ParallelExecution("doall", num_cores)
@@ -144,7 +129,7 @@ class ParallelMachine(Interpreter):
 
     # -- DSWP -------------------------------------------------------------------------
     def _dispatch_dswp(self, args: list[object]) -> None:
-        task = self._task_of(args)
+        task = dispatched_task(args)
         env_address = args[1]
         num_stages = int(args[2])
         execution = ParallelExecution("dswp", num_stages)
@@ -180,7 +165,7 @@ class ParallelMachine(Interpreter):
 
     # -- HELIX -----------------------------------------------------------------------
     def _dispatch_helix(self, args: list[object]) -> None:
-        task = self._task_of(args)
+        task = dispatched_task(args)
         env_address = args[1]
         num_cores = self._resolve_cores(int(args[2]))
         execution = ParallelExecution("helix", num_cores)
@@ -238,3 +223,15 @@ class ParallelMachine(Interpreter):
             core_free[core] = clock
             finish = max(finish, clock)
         return finish
+
+
+#: The queue primitives keep the base interpreter's semantics; the
+#: dispatchers and the HELIX markers are where the machine model lives.
+ParallelMachine.INTRINSICS = intrinsic_table(Interpreter.INTRINSICS, {
+    "noelle_dispatch_doall": ParallelMachine._dispatch_doall,
+    "noelle_dispatch_dswp": ParallelMachine._dispatch_dswp,
+    "noelle_dispatch_helix": ParallelMachine._dispatch_helix,
+    "helix_seq_begin": ParallelMachine._helix_seq_begin,
+    "helix_seq_end": ParallelMachine._helix_seq_end,
+    "helix_iter_boundary": ParallelMachine._helix_iter_boundary,
+})

@@ -7,7 +7,9 @@ stale compiled code may survive a transform or a pass-manager rollback.
 """
 
 import marshal
+import os
 import pickle
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.noelle import Noelle
 from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter, InterpError, StepLimitExceeded
+from repro.interp.interp import BlockProfile
 from repro.interp.engine import engine_for, engine_mode, invalidate_module
 from repro.ir import parse_module
 from repro.perf import STATS
@@ -24,6 +27,14 @@ from repro.runtime.machine import ParallelMachine
 from repro.tools.rm_lc_dependences import remove_loop_carried_dependences
 from repro.workloads import all_workloads, get
 from repro.xforms.doall import DOALL
+
+_E2E = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "e2e"
+)
+if _E2E not in sys.path:
+    sys.path.insert(0, _E2E)
+
+import bigmod  # noqa: E402  (benchmarks/e2e: the bigmod generator)
 
 ENGINES = ("reference", "compiled")
 
@@ -121,13 +132,13 @@ class TestDifferentialWorkloads:
 
 
 class TestStepBudgetBoundary:
-    """Satellite: block-granular charging must hit *exactly* the same
+    """Unit-granular charging must hit *exactly* the same
     StepLimitExceeded points as the per-instruction reference."""
 
     def test_every_budget_boundary(self):
         module = compile_source(MIXED_SOURCE, "boundary")
         raised, _, _, _, steps, _, _ = _observables(module, "reference")
-        assert raised is None and steps > 50  # the sweep crosses segments
+        assert raised is None and steps > 50  # the sweep crosses units
         for limit in range(1, steps + 3):
             reference = _observables(module, "reference", limit)
             compiled = _observables(module, "compiled", limit)
@@ -282,49 +293,48 @@ def _hydrated_twin(module, text):
     return twin
 
 
-def _segments(module):
-    engine = engine_for(module)
-    return [
-        seg
-        for cf in engine.functions.values()
-        for block in cf.blocks
-        for seg in block.segments
-    ]
+def _code_names(code) -> set:
+    """Every name a code object, or one nested in it, refers to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def _tails(module) -> int:
+    return sum(len(cf.tails) for cf in engine_for(module).functions.values())
 
 
 class TestSlowPathOnDemand:
-    """The per-instruction closures of a segment exist only once a run
-    has crossed its step limit inside that segment."""
+    """Per-instruction code for a charge unit exists only once a run
+    has crossed its step limit inside that unit."""
 
     def test_fresh_compile_has_no_per_instruction_code(self):
         module = compile_source(MIXED_SOURCE, "lazy")
         engine = engine_for(module)
         for fn in module.defined_functions():
-            cf = engine.compiled(fn)
-            assert not [n for n in cf.code.co_names if n.startswith("_i")]
+            # ``_charge`` is what a tail accounts each instruction with.
+            assert "_charge" not in _code_names(engine.compiled(fn).code)
         slow0 = STATS.get("engine.slow_segments")
         _, _, _, _, steps, _, _ = _observables(module, "compiled")
-        assert all(seg.ops == () for seg in _segments(module))
         assert STATS.get("engine.slow_segments") == slow0
+        assert _tails(module) == 0
 
-        # Cross the limit inside some multi-instruction segment: that
-        # segment, and no other, gets its ops — once.
-        for limit in range(steps - 1, 0, -1):
-            raised = _observables(module, "compiled", limit)[0]
-            assert raised == f"StepLimitExceeded: exceeded {limit} steps"
-            if STATS.get("engine.slow_segments") > slow0:
-                break
-        built = [seg for seg in _segments(module) if seg.ops]
-        assert len(built) == 1 and len(built[0].ops) == built[0].steps
+        # Cross the limit: that unit, and no other, gets a tail — once.
+        limit = steps - 1
+        raised = _observables(module, "compiled", limit)[0]
+        assert raised == f"StepLimitExceeded: exceeded {limit} steps"
         assert STATS.get("engine.slow_segments") == slow0 + 1
         _observables(module, "compiled", limit)
         assert STATS.get("engine.slow_segments") == slow0 + 1
+        assert _tails(module) == 1
 
     def test_suite_flow_never_needs_it(self):
         """All 21 workloads through the Figure-1 flow under their own
         step limits (benchmarks/e2e ``suite_flow``, same technique
-        rotation) render no per-instruction closure: the copy that used
-        to be compiled eagerly served none of that traffic."""
+        rotation) render no tail: per-instruction code compiled eagerly
+        would serve none of that traffic."""
         slow0 = STATS.get("engine.slow_segments")
         for index, workload in enumerate(all_workloads()):
             module = workload.compile()
@@ -374,10 +384,10 @@ class TestSlowPathOnDemand:
 
 
 class TestTrapGiveback:
-    """A trap at any position of a fused segment leaves the walker's
-    accounting: the site gives back exactly the unexecuted tail."""
+    """A trap at any position of a charge unit leaves the walker's
+    accounting: the site syncs without exactly the unexecuted rest."""
 
-    #: The first seven instructions of the one segment; every trap
+    #: The first seven instructions of the one unit; every trap
     #: operand is a dynamic value, so no check is folded away at
     #: compile time.
     SETUP = """
@@ -426,9 +436,8 @@ class TestTrapGiveback:
         assert reference[0] or reference[3]  # it does trap
         assert reference[4] == 7 + position + 1  # SETUP, pads, the trap
         assert _observables(module, "compiled") == reference
-        # one fused segment: the give-back was the only correction
-        (block,) = engine_for(module).compiled(module.functions["main"]).blocks
-        assert len(block.segments) == 1 and block.segments[0].ops == ()
+        # the sync at the raise site was the only correction
+        assert _tails(module) == 0
         twin = _hydrated_twin(module, text)
         assert _observables(twin, "compiled") == reference
 
@@ -505,3 +514,287 @@ other:
         assert self.failure(module, "compiled", limit) == reference
         twin = _hydrated_twin(module, text)
         assert self.failure(twin, "compiled", limit) == reference
+
+
+def _sweep(module, text=None):
+    """Every step limit on ``module``'s one engine against the walker,
+    then the unbounded run on that same engine."""
+    reference = _observables(module, "reference")
+    steps = reference[4]
+    for limit in range(1, steps + 2):
+        expected = _observables(module, "reference", limit)
+        assert _observables(module, "compiled", limit) == expected, limit
+    assert _observables(module, "compiled") == reference
+    if text is not None:
+        twin = _hydrated_twin(module, text)
+        for limit in range(1, steps + 2):
+            expected = _observables(module, "reference", limit)
+            assert _observables(twin, "compiled", limit) == expected, limit
+    return reference
+
+
+class TestTails:
+    """Rendering a tail leaves the function's own code as it was."""
+
+    #: The function names @a first; the unit after the first call names
+    #: @b and @c.  A tail of that unit numbers what it binds from one
+    #: again, so rendered into the function's namespace it would rebind
+    #: the function's name for @a — and every later run would read @c.
+    TEXT = """
+@a = global [4 x i64]
+@b = global [4 x i64]
+@c = global [4 x i64]
+
+define @main() -> i64 {
+entry:
+  %pa = elem_ptr [4 x i64]* @a, i64 0, i64 1
+  store i64 7, i64* %pa
+  call void @print_int(i64 1)
+  %pb = elem_ptr [4 x i64]* @b, i64 0, i64 1
+  %pc = elem_ptr [4 x i64]* @c, i64 0, i64 1
+  store i64 1, i64* %pb
+  store i64 2, i64* %pc
+  %v = load i64, i64* %pa
+  call void @print_int(i64 %v)
+  ret i64 %v
+}
+
+declare @print_int(i64 %v) -> void
+"""
+
+    def test_sweep_then_unbounded_on_one_engine(self):
+        module = parse_module(self.TEXT)
+        slow0 = STATS.get("engine.slow_segments")
+        reference = _sweep(module, self.TEXT)
+        assert reference[0] is None and reference[1] == [1, 7]
+        assert STATS.get("engine.slow_segments") == slow0 + 2 * 3
+
+    def test_phis_directly_followed_by_a_call(self):
+        """The unit is the phis plus the call: crossed in either, the
+        phis are charged once and the call never runs."""
+        text = """
+define @bump(i64 %x) -> i64 {
+entry:
+  %y = add i64 %x, i64 3
+  ret i64 %y
+}
+
+define @main() -> i64 {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %next, %loop ]
+  %acc = phi i64 [ 1, %entry ], [ %sum, %loop ]
+  %r = call i64 @bump(i64 %acc)
+  call void @print_int(i64 %r)
+  %sum = add i64 %acc, i64 %r
+  %next = add i64 %i, i64 1
+  %more = icmp slt i64 %next, i64 3
+  br i1 %more, label %loop, label %done
+done:
+  ret i64 %sum
+}
+
+declare @print_int(i64 %v) -> void
+"""
+        module = parse_module(text)
+        reference = _sweep(module, text)
+        assert reference[0] is None and reference[1] == [4, 8, 16]
+
+
+class TestControlFlowShapes:
+    def test_switch_with_duplicate_targets_and_phis(self):
+        text = """
+define @pick(i64 %k) -> i64 {
+entry:
+  switch i64 %k, label %other [i64 1, label %low i64 2, label %low i64 3, label %join i64 1, label %other i64 4, label %join]
+low:
+  br label %join
+other:
+  br label %join
+join:
+  %v = phi i64 [ 10, %entry ], [ 20, %low ], [ 30, %other ]
+  %w = phi i64 [ %k, %entry ], [ 0, %low ], [ 1, %other ]
+  %r = add i64 %v, i64 %w
+  ret i64 %r
+}
+
+define @main() -> i64 {
+entry:
+  br label %loop
+loop:
+  %k = phi i64 [ 0, %entry ], [ %next, %loop ]
+  %r = call i64 @pick(i64 %k)
+  call void @print_int(i64 %r)
+  %next = add i64 %k, i64 1
+  %more = icmp slt i64 %next, i64 6
+  br i1 %more, label %loop, label %done
+done:
+  ret i64 0
+}
+
+declare @print_int(i64 %v) -> void
+"""
+        module = parse_module(text)
+        reference = _sweep(module, text)
+        assert reference[1] == [31, 20, 20, 13, 14, 31]
+        counts = {}
+        for engine in ENGINES:
+            interp = Interpreter(module, engine=engine)
+            interp.block_profile = BlockProfile()
+            interp.run()
+            counts[engine] = sorted(
+                (src.name if src else "", dst.name, taken)
+                for src, targets in interp.block_profile.edges.items()
+                for dst, taken in targets.items()
+            )
+        assert counts["compiled"] == counts["reference"]
+        assert ("entry", "join", 2) in counts["compiled"]
+
+    def test_three_thousand_blocks(self):
+        """The block dispatch is a binary tree: its depth, not the
+        block count, is what CPython's compiler and parser see."""
+        blocks = 3000
+        lines = ["define @main() -> i64 {", "entry:", "  br label %b0"]
+        for i in range(blocks):
+            prev = f"%v{i - 1}" if i else "7"
+            lines += [
+                f"b{i}:",
+                f"  %v{i} = add i64 {prev}, i64 {i % 5}",
+                f"  br label %b{i + 1}" if i + 1 < blocks else f"  ret i64 %v{i}",
+            ]
+        module = parse_module("\n".join(lines + ["}", ""]))
+        reference = _observables(module, "reference")
+        assert reference[0] is None and reference[4] == 2 * blocks + 1
+        assert _observables(module, "compiled") == reference
+        for limit in (1, blocks, 2 * blocks):
+            assert _observables(module, "compiled", limit) == _observables(
+                module, "reference", limit
+            )
+
+    def test_phi_out_of_leading_position(self):
+        text = """
+define @main() -> i64 {
+entry:
+  br label %next
+next:
+  %a = add i64 1, i64 2
+  %x = phi i64 [ 5, %entry ]
+  ret i64 %x
+}
+"""
+        module = parse_module(text)
+        reference = _observables(module, "reference")
+        assert reference[0].startswith("InterpError: cannot execute <Phi: %x")
+        assert _observables(module, "compiled") == reference
+        twin = _hydrated_twin(module, text)
+        assert _observables(twin, "compiled") == reference
+
+    @pytest.mark.parametrize("args", ([5], [5, 6], [5, 6, 7]))
+    def test_arity_mismatch(self, args):
+        """Like the walker's ``zip``: a missing actual is only an error
+        where it is used, an extra one is dropped."""
+        text = """
+define @f(i64 %a, i64 %b) -> i64 {
+entry:
+  %r = add i64 %a, i64 1
+  ret i64 %r
+}
+"""
+        runs = []
+        for engine in ENGINES:
+            interp = Interpreter(parse_module(text), engine=engine)
+            result = interp.run("f", args)
+            runs.append((result.return_value, result.steps, result.cycles))
+        assert runs[0] == runs[1] == (6, 2, 2)
+
+
+class TestFunctionPointerAsInteger:
+    """``ptrtoint`` of a function's address is still that function
+    wherever an integer may flow: known-int elision must keep every
+    check such a value can reach."""
+
+    PRELUDE = """
+@cell = global [2 x i64]
+
+define @one() -> i64 {
+entry:
+  ret i64 1
+}
+
+define @main(i64 %n) -> i64 {
+entry:
+  %raw = ptrtoint i64 ()* @one to i64
+  %flag = icmp sgt i64 %n, i64 0
+  br i1 %flag, label %left, label %right
+left:
+  br label %join
+right:
+  br label %join
+join:
+  %viaphi = phi i64 [ %raw, %left ], [ %raw, %right ]
+  %viasel = select i1 %flag, i64 %viaphi, i64 %raw
+  %ptr = inttoptr i64 %viasel to i64*
+  %slot = elem_ptr [2 x i64]* @cell, i64 0, i64 1
+  store i64 5, i64* %slot
+"""
+    SINKS = {
+        "icmp_eq": "%c = icmp eq i64 %viasel, i64 %raw\n  %z = zext i1 %c to i64\n  ret i64 %z",
+        "icmp_ordered": "%c = icmp slt i64 %viasel, i64 %n\n  %z = zext i1 %c to i64\n  ret i64 %z",
+        "load": "%v = load i64, i64* %ptr\n  ret i64 %v",
+        "store": "store i64 1, i64* %ptr\n  ret i64 0",
+        "elem_ptr": "%q = elem_ptr i64* %ptr, i64 1\n  ret i64 0",
+        "indirect_call": "%f = inttoptr i64 %viasel to i64 ()*\n  %v = call i64 %f()\n  ret i64 %v",
+        "int_is_no_function": "%f = inttoptr i64 %n to i64 ()*\n  %v = call i64 %f()\n  ret i64 %v",
+    }
+    EXPECTED = {
+        "icmp_eq": (None, 1, None),
+        "icmp_ordered": (
+            "InterpError: ordered comparison of function pointers", None, None,
+        ),
+        "load": (None, None, "dereference of a function pointer"),
+        "store": (None, None, "dereference of a function pointer"),
+        "elem_ptr": (None, None, "dereference of a function pointer"),
+        "indirect_call": (None, 1, None),
+        "int_is_no_function": (None, None, "indirect call to non-function 1"),
+    }
+
+    @staticmethod
+    def outcome(module, engine):
+        interp = Interpreter(module, engine=engine)
+        interp.block_profile = BlockProfile()
+        raised = None
+        try:
+            interp.run("main", [1])
+        except InterpError as error:
+            raised = f"{type(error).__name__}: {error}"
+        result = interp.result
+        return (
+            raised, result.return_value, result.trapped, result.steps,
+            result.cycles, interp.weighted_cycles,
+            [(block.name, at) for block, at in interp.block_profile.partial],
+        )
+
+    @pytest.mark.parametrize("sink", sorted(SINKS))
+    def test_sink(self, sink):
+        text = self.PRELUDE + "  " + self.SINKS[sink] + "\n}\n"
+        module = parse_module(text)
+        reference = self.outcome(module, "reference")
+        assert reference[:3] == self.EXPECTED[sink]
+        assert self.outcome(module, "compiled") == reference
+        assert self.outcome(_hydrated_twin(module, text), "compiled") == reference
+
+
+def test_compiled_code_size_gate():
+    """What ``compile()`` is paid for, and what the artifact cache
+    writes and reads, is bytes of code — and bytes do not vary by
+    runner.  The corpus is ``cache_coldwarm``'s: the registry plus the
+    seed-1 ``bigmod``; plan v3 compiled it to 2 345 857 bytes."""
+    modules = [workload.compile() for workload in all_workloads()]
+    modules.append(compile_source(bigmod.generate(1, 6000), "bigmod"))
+    total = 0
+    for module in modules:
+        engine = engine_for(module)
+        for fn in module.defined_functions():
+            total += len(marshal.dumps(engine.compiled(fn).code))
+    assert total <= 2_000_000

@@ -5,11 +5,14 @@ import pytest
 from repro import ir
 from repro.frontend import compile_source
 from repro.interp import (
+    INTRINSIC_COSTS,
     Interpreter,
+    InterpError,
     MemoryTrap,
     StepLimitExceeded,
     run_module,
 )
+from repro.runtime.machine import ParallelMachine
 from tests.conftest import compile_and_run
 
 
@@ -234,3 +237,33 @@ int main() {
         slow = Interpreter(module2)  # default clock period 10
         slow.run()
         assert fast.weighted_cycles < slow.weighted_cycles
+
+    @pytest.mark.parametrize("engine", ("reference", "compiled"))
+    def test_unknown_external_is_charged_then_refused(self, engine):
+        module = ir.parse_module(
+            "define @main() -> i64 {\nentry:\n  %v = call i64 @mystery()\n"
+            "  ret i64 %v\n}\n\ndeclare @mystery() -> i64\n"
+        )
+        interp = Interpreter(module, engine=engine)
+        with pytest.raises(InterpError, match="unknown external @mystery$"):
+            interp.run()
+        # the call's 10 cycles, then the default 20 of an external
+        assert (interp.result.steps, interp.result.cycles) == (1, 30)
+
+    def test_one_handler_table_per_class(self):
+        """Every costed intrinsic has a handler in each table (the drift
+        between the two is the classic bug); the machine overrides the
+        dispatchers and HELIX markers and inherits the rest."""
+        base, machine = Interpreter.INTRINSICS, ParallelMachine.INTRINSICS
+        assert set(base) == set(machine) == set(INTRINSIC_COSTS)
+        overridden = {name for name in base if machine[name] != base[name]}
+        assert overridden == {
+            "noelle_dispatch_doall", "noelle_dispatch_dswp",
+            "noelle_dispatch_helix", "helix_seq_begin", "helix_seq_end",
+            "helix_iter_boundary",
+        }
+        assert all(
+            cost == INTRINSIC_COSTS[name]
+            for table in (base, machine)
+            for name, (cost, _handler) in table.items()
+        )
