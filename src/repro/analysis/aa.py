@@ -40,7 +40,11 @@ class ModRefResult(enum.Flag):
 class AliasAnalysis:
     """Interface every alias analysis implements."""
 
-    def alias(self, a: Value, b: Value) -> AliasResult:
+    def alias(self, a: Value, b: Value, obj_a: Value | None = None,
+              obj_b: Value | None = None) -> AliasResult:
+        """How ``a`` and ``b`` may overlap.  A caller that already knows
+        ``underlying_object`` of either pointer passes it as ``obj_a`` /
+        ``obj_b``; the answer is the same either way."""
         raise NotImplementedError
 
     def mod_ref(self, inst: Instruction, ptr: Value) -> ModRefResult:
@@ -59,24 +63,30 @@ class AliasMemo:
     depends on their offsets, so the entry is keyed by the concrete value
     pair instead.
 
-    Keys are ``id()`` pairs; every entry pins strong references to the
-    keyed values so a garbage-collected instruction can never recycle an
-    id into a stale hit.  The memo stays valid across per-function PDG
+    Keys are ``id()`` pairs; the memo pins a strong reference to every
+    keyed value so a garbage-collected instruction can never recycle an
+    id into a stale hit.  Verdicts and pins live in two flat dicts, so an
+    entry adds no object the cyclic collector has to traverse.  The memo
+    stays valid across per-function PDG
     invalidation: dependence facts for surviving values cannot be
     weakened by in-place transformation (new values get fresh ids and
     therefore fresh, conservatively computed entries).
+
+    The underlying objects are the caller's to derive: a PDG shard build
+    derives each memory instruction's once and passes them to every
+    ``alias`` query it makes; any other query derives them per call.
     """
 
-    __slots__ = ("_cache",)
+    __slots__ = ("_cache", "_pinned")
 
     def __init__(self) -> None:
-        #: key -> (result, pin_a, pin_b)
-        self._cache: dict[tuple[int, int], tuple] = {}
+        self._cache: dict[tuple[int, int], AliasResult] = {}
+        #: id -> value, for every value an id of a key names.
+        self._pinned: dict[int, Value] = {}
 
-    def key_of(self, a: Value, b: Value):
-        """The cache key for the pair plus the values the entry must pin."""
-        obj_a = underlying_object(a)
-        obj_b = underlying_object(b)
+    def key_of(self, a: Value, b: Value, obj_a: Value, obj_b: Value):
+        """The cache key for the pair plus the values the entry must pin;
+        ``obj_a``/``obj_b`` are the pointers' underlying objects."""
         if obj_a is obj_b:
             ka, kb, pin_a, pin_b = id(a), id(b), a, b
         else:
@@ -85,14 +95,16 @@ class AliasMemo:
         return key, pin_a, pin_b
 
     def lookup(self, key) -> "AliasResult | None":
-        entry = self._cache.get(key)
-        return entry[0] if entry is not None else None
+        return self._cache.get(key)
 
     def store(self, key, result: "AliasResult", pin_a: Value, pin_b: Value) -> None:
-        self._cache[key] = (result, pin_a, pin_b)
+        self._cache[key] = result
+        self._pinned[id(pin_a)] = pin_a
+        self._pinned[id(pin_b)] = pin_b
 
     def clear(self) -> None:
         self._cache.clear()
+        self._pinned.clear()
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -175,28 +187,31 @@ class BasicAliasAnalysis(AliasAnalysis):
     def __init__(self) -> None:
         self._memo = AliasMemo()
 
-    def alias(self, a: Value, b: Value) -> AliasResult:
+    def alias(self, a: Value, b: Value, obj_a: Value | None = None,
+              obj_b: Value | None = None) -> AliasResult:
         _fault_checkpoint("alias_query")
         STATS.count("aa.basic.queries")
-        key, pin_a, pin_b = self._memo.key_of(a, b)
+        if obj_a is None:
+            obj_a = underlying_object(a)
+        if obj_b is None:
+            obj_b = underlying_object(b)
+        key, pin_a, pin_b = self._memo.key_of(a, b, obj_a, obj_b)
         cached = self._memo.lookup(key)
         if cached is not None:
             STATS.count("aa.basic.memo_hits")
             return cached
-        result = self._alias_uncached(a, b)
+        result = self._alias_uncached(a, b, obj_a, obj_b)
         self._memo.store(key, result, pin_a, pin_b)
         return result
 
-    def _alias_uncached(self, a: Value, b: Value) -> AliasResult:
+    def _alias_uncached(self, a: Value, b: Value, obj_a: Value,
+                        obj_b: Value) -> AliasResult:
         a_stripped = strip_pointer_casts(a)
         b_stripped = strip_pointer_casts(b)
         if a_stripped is b_stripped:
             return AliasResult.MUST_ALIAS
         if isinstance(a_stripped, ConstantNull) or isinstance(b_stripped, ConstantNull):
             return AliasResult.NO_ALIAS
-
-        obj_a = underlying_object(a_stripped)
-        obj_b = underlying_object(b_stripped)
 
         if obj_a is obj_b:
             # Use the original pointers: their pointee types carry the

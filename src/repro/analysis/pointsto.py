@@ -42,6 +42,7 @@ from .aa import (
     BasicAliasAnalysis,
     ModRefResult,
     strip_pointer_casts,
+    underlying_object,
 )
 
 
@@ -347,23 +348,30 @@ class AndersenAliasAnalysis(AliasAnalysis):
         self._basic = BasicAliasAnalysis()
         self._memo = AliasMemo()
 
-    def alias(self, a: Value, b: Value) -> AliasResult:
+    def alias(self, a: Value, b: Value, obj_a: Value | None = None,
+              obj_b: Value | None = None) -> AliasResult:
         _fault_checkpoint("alias_query")
         STATS.count("aa.andersen.queries")
-        key, pin_a, pin_b = self._memo.key_of(a, b)
+        if obj_a is None:
+            obj_a = underlying_object(a)
+        if obj_b is None:
+            obj_b = underlying_object(b)
+        key, pin_a, pin_b = self._memo.key_of(a, b, obj_a, obj_b)
         cached = self._memo.lookup(key)
         if cached is not None:
             STATS.count("aa.andersen.memo_hits")
             return cached
-        result = self._alias_uncached(a, b)
+        result = self._alias_uncached(a, b, obj_a, obj_b)
         self._memo.store(key, result, pin_a, pin_b)
         return result
 
-    def _alias_uncached(self, a: Value, b: Value) -> AliasResult:
-        basic = self._basic.alias(a, b)
+    def _alias_uncached(self, a: Value, b: Value, obj_a: Value,
+                        obj_b: Value) -> AliasResult:
+        basic = self._basic.alias(a, b, obj_a, obj_b)
         if basic in (AliasResult.NO_ALIAS, AliasResult.MUST_ALIAS):
             return basic
-        if not self.pointsto.may_alias(a, b):
+        # A pointer's points-to set is its underlying object's.
+        if not self.pointsto.may_alias(obj_a, obj_b):
             return AliasResult.NO_ALIAS
         return AliasResult.MAY_ALIAS
 

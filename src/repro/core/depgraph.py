@@ -11,6 +11,13 @@ The graph also distinguishes *internal* from *external* nodes: internal
 nodes belong to the code region the graph describes (e.g. a loop), external
 nodes are its live-ins/live-outs — exactly the split a parallelizing
 transformation needs.
+
+An edge is an immutable fact.  A derived graph (a projection, a loop's
+dependence graph) *links* the edges it shares with the graph it came from
+instead of copying them: each graph owns its nodes and its own
+``id(value) -> [edges]`` adjacency maps, and nothing points back from an
+edge or a node to a graph, so a dropped graph is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -21,7 +28,15 @@ T = TypeVar("T", bound=Hashable)
 
 
 class DGEdge(Generic[T]):
-    """A directed dependence from ``src`` to ``dst`` (dst depends on src)."""
+    """A directed dependence from ``src`` to ``dst`` (dst depends on src).
+
+    Set once, at construction, and shared by every graph that contains
+    it.  ``src`` and ``dst`` are the nodes of the graph that *created*
+    the edge, so their ``is_internal`` describes that graph only: an edge
+    a loop dependence graph links from the PDG has PDG nodes at both ends,
+    and ``edge.src.is_internal`` says nothing about the loop.  Ask the
+    graph (``graph.node_of(edge.src.value)``) instead.
+    """
 
     __slots__ = ("src", "dst", "kind", "data_kind", "is_memory", "is_must",
                  "is_loop_carried", "distance")
@@ -35,6 +50,7 @@ class DGEdge(Generic[T]):
         is_memory: bool = False,
         is_must: bool = False,
         is_loop_carried: bool = False,
+        distance: int | None = None,
     ):
         if kind not in ("data", "control"):
             raise ValueError(f"bad edge kind {kind!r}")
@@ -50,7 +66,7 @@ class DGEdge(Generic[T]):
         self.is_loop_carried = is_loop_carried
         #: Proven iteration distance of a carried memory dependence, when
         #: the dependence-test engine derived one (NOELLE_DEPTEST=1).
-        self.distance: int | None = None
+        self.distance = distance
 
     def is_data(self) -> bool:
         return self.kind == "data"
@@ -70,15 +86,17 @@ class DGEdge(Generic[T]):
 
 
 class DGNode(Generic[T]):
-    """A node wrapping one value of the instantiating type."""
+    """A node wrapping one value of the instantiating type.
 
-    __slots__ = ("value", "is_internal", "outgoing", "incoming")
+    Adjacency lives in the graph, not here: see
+    :meth:`DependenceGraph.dependences_of` / ``dependents_of``.
+    """
+
+    __slots__ = ("value", "is_internal")
 
     def __init__(self, value: T, is_internal: bool = True):
         self.value = value
         self.is_internal = is_internal
-        self.outgoing: list[DGEdge[T]] = []
-        self.incoming: list[DGEdge[T]] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "internal" if self.is_internal else "external"
@@ -90,16 +108,20 @@ class DependenceGraph(Generic[T]):
 
     def __init__(self) -> None:
         self._nodes: dict[int, DGNode[T]] = {}
+        #: id(value) -> edges leaving / entering it, in insertion order; a
+        #: node without edges in that direction has no entry.
+        self._out: dict[int, list[DGEdge[T]]] = {}
+        self._in: dict[int, list[DGEdge[T]]] = {}
         self._edges: list[DGEdge[T]] = []
 
     # -- nodes --------------------------------------------------------------------
     def add_node(self, value: T, internal: bool = True) -> DGNode[T]:
-        node = self._nodes.get(id(value))
+        key = id(value)
+        node = self._nodes.get(key)
         if node is None:
-            node = DGNode(value, internal)
-            self._nodes[id(value)] = node
-        else:
-            node.is_internal = node.is_internal or internal
+            node = self._nodes[key] = DGNode(value, internal)
+        elif internal:
+            node.is_internal = True
         return node
 
     def node_of(self, value: T) -> DGNode[T] | None:
@@ -121,12 +143,10 @@ class DependenceGraph(Generic[T]):
         return len(self._nodes)
 
     def remove_node(self, value: T) -> None:
-        node = self._nodes.pop(id(value), None)
-        if node is None:
+        key = id(value)
+        if self._nodes.pop(key, None) is None:
             return
-        for edge in list(node.outgoing):
-            self.remove_edge(edge)
-        for edge in list(node.incoming):
+        for edge in self._out.pop(key, []) + self._in.pop(key, []):
             self.remove_edge(edge)
 
     # -- edges ---------------------------------------------------------------------
@@ -139,32 +159,43 @@ class DependenceGraph(Generic[T]):
         is_memory: bool = False,
         is_must: bool = False,
         is_loop_carried: bool = False,
+        distance: int | None = None,
     ) -> DGEdge[T]:
-        src_node = self._nodes.get(id(src))
-        if src_node is None:
-            src_node = self.add_node(src)
-        dst_node = self._nodes.get(id(dst))
-        if dst_node is None:
-            dst_node = self.add_node(dst)
-        edge = DGEdge(
-            src_node,
-            dst_node,
-            kind,
-            data_kind,
-            is_memory,
-            is_must,
-            is_loop_carried,
-        )
-        src_node.outgoing.append(edge)
-        dst_node.incoming.append(edge)
-        self._edges.append(edge)
+        """Create an edge of this graph (endpoints missing so far are
+        added as internal nodes)."""
+        src_node = self._nodes.get(id(src)) or self.add_node(src)
+        dst_node = self._nodes.get(id(dst)) or self.add_node(dst)
+        edge = DGEdge(src_node, dst_node, kind, data_kind, is_memory, is_must,
+                      is_loop_carried, distance)
+        self._link(edge)
         return edge
 
+    def _link(self, edge: DGEdge[T]) -> None:
+        """Make ``edge`` an edge of this graph; both endpoints are nodes."""
+        self._adjoin(edge)
+        self._edges.append(edge)
+
+    def _adjoin(self, edge: DGEdge[T]) -> None:
+        """Enter ``edge`` in the adjacency maps."""
+        key = id(edge.src.value)
+        edges = self._out.get(key)
+        if edges is None:
+            self._out[key] = [edge]
+        else:
+            edges.append(edge)
+        key = id(edge.dst.value)
+        edges = self._in.get(key)
+        if edges is None:
+            self._in[key] = [edge]
+        else:
+            edges.append(edge)
+
     def remove_edge(self, edge: DGEdge[T]) -> None:
-        if edge in edge.src.outgoing:
-            edge.src.outgoing.remove(edge)
-        if edge in edge.dst.incoming:
-            edge.dst.incoming.remove(edge)
+        for adjacency, value in ((self._out, edge.src.value),
+                                 (self._in, edge.dst.value)):
+            edges = adjacency.get(id(value))
+            if edges is not None and edge in edges:
+                edges.remove(edge)
         if edge in self._edges:
             self._edges.remove(edge)
 
@@ -175,21 +206,16 @@ class DependenceGraph(Generic[T]):
         return len(self._edges)
 
     def edges_between(self, src: T, dst: T) -> list[DGEdge[T]]:
-        src_node = self._nodes.get(id(src))
-        if src_node is None:
-            return []
-        return [e for e in src_node.outgoing if e.dst.value is dst]
+        return [e for e in self._out.get(id(src), ()) if e.dst.value is dst]
 
     # -- dependence queries --------------------------------------------------------
     def dependences_of(self, value: T) -> list[DGEdge[T]]:
         """Edges from values ``value`` depends on (its incoming edges)."""
-        node = self._nodes.get(id(value))
-        return list(node.incoming) if node is not None else []
+        return list(self._in.get(id(value), ()))
 
     def dependents_of(self, value: T) -> list[DGEdge[T]]:
         """Edges to values that depend on ``value``."""
-        node = self._nodes.get(id(value))
-        return list(node.outgoing) if node is not None else []
+        return list(self._out.get(id(value), ()))
 
     # -- derived graphs --------------------------------------------------------------
     def subgraph(self, internal_values: list[T]) -> "DependenceGraph[T]":
@@ -198,7 +224,7 @@ class DependenceGraph(Generic[T]):
         Nodes outside the set that touch it are kept as *external* nodes —
         they are the region's live-ins/live-outs.
         """
-        return self._project(internal_values, self._edges)
+        return self._project(internal_values, self.edges())
 
     def _project(
         self, internal_values: list[T], edges: "list[DGEdge[T]]"
@@ -207,7 +233,8 @@ class DependenceGraph(Generic[T]):
 
         The caller guarantees ``edges`` contains every edge touching the
         internal set (subclasses that shard their edge lists — the PDG —
-        use this to project without scanning unrelated shards).
+        use this to project without scanning unrelated shards).  The
+        projection links this graph's edges; it copies none.
         """
         internal_ids = {id(v) for v in internal_values}
         result: DependenceGraph[T] = DependenceGraph()
@@ -215,24 +242,16 @@ class DependenceGraph(Generic[T]):
             if id(value) in self._nodes:
                 result.add_node(value, internal=True)
         for edge in edges:
-            src_in = id(edge.src.value) in internal_ids
-            dst_in = id(edge.dst.value) in internal_ids
+            src, dst = edge.src.value, edge.dst.value
+            src_in = id(src) in internal_ids
+            dst_in = id(dst) in internal_ids
             if not (src_in or dst_in):
                 continue
             if not src_in:
-                result.add_node(edge.src.value, internal=False)
+                result.add_node(src, internal=False)
             if not dst_in:
-                result.add_node(edge.dst.value, internal=False)
-            copied = result.add_edge(
-                edge.src.value,
-                edge.dst.value,
-                edge.kind,
-                edge.data_kind,
-                edge.is_memory,
-                edge.is_must,
-                edge.is_loop_carried,
-            )
-            copied.distance = edge.distance
+                result.add_node(dst, internal=False)
+            result._link(edge)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

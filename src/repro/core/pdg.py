@@ -19,7 +19,9 @@ Since no dependence edge crosses a function boundary (calls are
 summarized by mod/ref inside the caller), a shard can be dropped and
 rebuilt in isolation — `Noelle.invalidate(fn)` uses exactly that to make
 the transform→invalidate→re-query cycle pay for one function instead of
-the whole module.
+the whole module.  A shard owns its function's edges: the PDG keeps no
+module-wide edge list, only its adjacency maps, so dropping a shard is
+popping its nodes' entries and letting reference counting free the rest.
 
 A shard is also the unit of persistence.  ``export_shard(fn)`` renders
 one as position-indexed plain data and ``adopt_shard(fn, payload)``
@@ -42,7 +44,9 @@ From the program PDG a pass can request *function* and *loop* dependence
 graphs.  Requesting a loop dependence graph triggers the loop-centric
 refinements the paper describes: loop-carried classification of register
 and memory dependences (using scalar evolution on the access addresses) and
-live-in/live-out computation via internal/external nodes.
+live-in/live-out computation via internal/external nodes.  Both link the
+shard's edge objects; a loop dependence graph creates only the edges that
+differ — the carried ones and their reversed twins.
 """
 
 from __future__ import annotations
@@ -71,9 +75,13 @@ from .depgraph import DependenceGraph, DGEdge, DGNode
 
 
 class _Shard:
-    """One function's slice of the PDG: its nodes, edges, and counters."""
+    """One function's slice of the PDG: its nodes, edges, and counters.
 
-    __slots__ = ("fn", "node_ids", "edges", "queries", "disproved")
+    The only owner of its edges: every PDG edge is in exactly one shard.
+    """
+
+    __slots__ = ("fn", "node_ids", "edges", "queries", "disproved",
+                 "__weakref__")
 
     def __init__(self, fn: Function):
         self.fn = fn
@@ -97,6 +105,7 @@ class PDG(DependenceGraph[Instruction]):
 
     def __init__(self, module: Module, aa, partition: bool = True):
         super().__init__()
+        del self._edges  # a PDG's edges live only in its shards
         self.module = module
         self.aa = aa
         self.partition = partition
@@ -106,7 +115,13 @@ class PDG(DependenceGraph[Instruction]):
         self._memory_queries = 0
         self._memory_disproved = 0
         self._shards: dict[int, _Shard] = {}
-        self._materializing = False
+        #: The shard being built or adopted: new edges go into it.
+        self._building: _Shard | None = None
+        #: id(fn) -> shard whose edges are not in the adjacency maps yet.
+        #: Most consumers read a shard's edge list whole (projections, loop
+        #: dependence graphs), so the maps are filled on the first
+        #: per-value query after a build, not by the build.
+        self._unindexed: dict[int, _Shard] = {}
         #: Per-shard symbolic dependence tester (NOELLE_DEPTEST=1 only);
         #: live only while its shard builds, so invalidation stays warm.
         self._deptest: FunctionDepTest | None = None
@@ -114,7 +129,7 @@ class PDG(DependenceGraph[Instruction]):
     # -- shard lifecycle ---------------------------------------------------------------
     def materialize(self) -> None:
         """Build every missing shard (the eager full-module build)."""
-        if self._materializing:
+        if self._building is not None:
             return
         current = {id(fn) for fn in self.module.defined_functions()}
         for stale_id in [fid for fid in self._shards if fid not in current]:
@@ -123,35 +138,49 @@ class PDG(DependenceGraph[Instruction]):
             self._ensure_function(fn)
 
     def _ensure_function(self, fn: Function | None) -> None:
-        if fn is None or self._materializing:
+        if fn is None or self._building is not None:
             return
         if id(fn) in self._shards or fn.is_declaration():
             return
         if not isinstance(self.aa, AliasAnalysis):
             self.aa = self.aa()
-        self._materializing = True
-        try:
-            STATS.count("pdg.shard_builds")
-            with STATS.timer("pdg.build_shard"):
-                self._build_function(fn)
-        finally:
-            self._materializing = False
+        STATS.count("pdg.shard_builds")
+        with STATS.timer("pdg.build_shard"):
+            self._build_function(fn)
 
     def _ensure_value(self, value) -> None:
         if isinstance(value, Instruction):
             self._ensure_function(_function_of(value))
 
+    def _shard_of(self, fn: Function) -> _Shard | None:
+        """``fn``'s shard, built first if needed; None for declarations."""
+        self._ensure_function(fn)
+        return self._shards.get(id(fn))
+
+    def _index_shards(self) -> None:
+        """Enter the edges of every shard built since the last per-value
+        query into the adjacency maps (a shard still building waits)."""
+        for key, shard in list(self._unindexed.items()):
+            if shard is not self._building:
+                for edge in shard.edges:
+                    self._adjoin(edge)
+                del self._unindexed[key]
+
     def invalidate_function(self, fn: Function) -> bool:
-        """Drop ``fn``'s shard (rebuilt on next query); False if absent."""
+        """Drop ``fn``'s shard (rebuilt on next query); False if absent.
+
+        Every edge touching the shard's nodes is the shard's own, so
+        popping the nodes' adjacency entries unlinks all of them.
+        """
         shard = self._shards.pop(id(fn), None)
         if shard is None:
             return False
         STATS.count("pdg.shard_invalidations")
+        self._unindexed.pop(id(fn), None)
         for node_id in shard.node_ids:
             self._nodes.pop(node_id, None)
-        if shard.edges:
-            dropped = {id(e) for e in shard.edges}
-            self._edges = [e for e in self._edges if id(e) not in dropped]
+            self._out.pop(node_id, None)
+            self._in.pop(node_id, None)
         self._memory_queries -= shard.queries
         self._memory_disproved -= shard.disproved
         return True
@@ -159,6 +188,9 @@ class PDG(DependenceGraph[Instruction]):
     def built_functions(self) -> list[Function]:
         """Functions whose shard is currently materialized."""
         return [shard.fn for shard in self._shards.values()]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<PDG {len(self._shards)} shards, {len(self._nodes)} nodes>"
 
     # -- Figure 3 counters -------------------------------------------------------------
     @property
@@ -199,12 +231,13 @@ class PDG(DependenceGraph[Instruction]):
         return super().num_nodes()
 
     def edges(self) -> list[DGEdge[Instruction]]:
+        """Every shard's edges, shards in build order."""
         self.materialize()
-        return super().edges()
+        return [edge for shard in self._shards.values() for edge in shard.edges]
 
     def num_edges(self) -> int:
         self.materialize()
-        return super().num_edges()
+        return sum(len(shard.edges) for shard in self._shards.values())
 
     def node_of(self, value) -> DGNode[Instruction] | None:
         self._ensure_value(value)
@@ -216,15 +249,18 @@ class PDG(DependenceGraph[Instruction]):
 
     def dependences_of(self, value) -> list[DGEdge[Instruction]]:
         self._ensure_value(value)
+        self._index_shards()
         return super().dependences_of(value)
 
     def dependents_of(self, value) -> list[DGEdge[Instruction]]:
         self._ensure_value(value)
+        self._index_shards()
         return super().dependents_of(value)
 
     def edges_between(self, src, dst) -> list[DGEdge[Instruction]]:
         self._ensure_value(src)
         self._ensure_value(dst)
+        self._index_shards()
         return super().edges_between(src, dst)
 
     def subgraph(self, internal_values: list[Instruction]) -> DependenceGraph[Instruction]:
@@ -245,42 +281,47 @@ class PDG(DependenceGraph[Instruction]):
                 fns.append(fn)
         edges: list[DGEdge[Instruction]] = []
         for fn in fns:
-            self._ensure_function(fn)
-            shard = self._shards.get(id(fn))
+            shard = self._shard_of(fn)
             if shard is not None:
                 edges.extend(shard.edges)
         return self._project(internal_values, edges)
 
     # -- construction ------------------------------------------------------------
+    def _link(self, edge: DGEdge[Instruction]) -> None:
+        """PDG edges are created only while a shard builds, and go into it."""
+        self._building.edges.append(edge)
+
     def _open_shard(self, fn: Function, insts: list[Instruction]) -> _Shard:
-        """Register ``fn``'s shard with its nodes and, so far, no edges."""
-        shard = self._shards[id(fn)] = _Shard(fn)
+        """Register ``fn``'s shard with its nodes and, so far, no edges;
+        edges created from now on go into it."""
+        shard = self._shards[id(fn)] = self._unindexed[id(fn)] = _Shard(fn)
         for inst in insts:
             self.add_node(inst, internal=True)
         shard.node_ids = [id(inst) for inst in insts]
+        self._building = shard
         return shard
 
     def _build_function(self, fn: Function) -> None:
         queries_before = self._memory_queries
         disproved_before = self._memory_disproved
-        edges_before = len(self._edges)
         instructions = list(fn.instructions())
         shard = self._open_shard(fn, instructions)
-        self._deptest = FunctionDepTest(fn) if deptest_enabled() else None
         try:
+            self._deptest = FunctionDepTest(fn) if deptest_enabled() else None
             self._add_register_dependences(instructions)
             self._add_memory_dependences(instructions)
             self._add_control_dependences(fn)
         finally:
             self._deptest = None
-        shard.edges = self._edges[edges_before:]
+            self._building = None
         shard.queries = self._memory_queries - queries_before
         shard.disproved = self._memory_disproved - disproved_before
 
     def _add_register_dependences(self, instructions: list[Instruction]) -> None:
+        nodes = self._nodes
         for inst in instructions:
             for operand in inst.operands:
-                if isinstance(operand, Instruction) and self.has_node(operand):
+                if isinstance(operand, Instruction) and id(operand) in nodes:
                     self.add_edge(
                         operand, inst, "data", "RAW", is_memory=False, is_must=True
                     )
@@ -290,12 +331,11 @@ class PDG(DependenceGraph[Instruction]):
         total = len(memory_insts)
         if total < 2:
             return
-        # Classify each instruction once (read/write flags are reused for
-        # every pair it participates in).
-        reads = [i.may_read_memory() for i in memory_insts]
-        writes = [i.may_write_memory() for i in memory_insts]
+        # Classify each instruction once: its read/write flags, address
+        # and the address's underlying object serve every pair it is in.
+        accesses = [_Access(inst) for inst in memory_insts]
         regions = (
-            self._partition_regions(memory_insts)
+            self._partition_regions(accesses)
             if self.partition
             else [None] * total
         )
@@ -306,7 +346,7 @@ class PDG(DependenceGraph[Instruction]):
                 wildcard.append(index)
             else:
                 groups.setdefault(region, []).append(index)
-        self._count_pruned_pairs(groups, writes)
+        self._count_pruned_pairs(groups, accesses)
         # Enumerate the surviving pairs in the seed's program order: an
         # instruction pairs with later members of its own region and with
         # later wildcards (calls and untracked pointers overlap anything).
@@ -317,13 +357,10 @@ class PDG(DependenceGraph[Instruction]):
             else:
                 later = _merged_after(groups[region], wildcard, i)
             for j in later:
-                self._memory_pair(
-                    memory_insts[i], memory_insts[j],
-                    reads[i], writes[i], reads[j], writes[j],
-                )
+                self._memory_pair(accesses[i], accesses[j])
 
     def _count_pruned_pairs(
-        self, groups: dict[int, list[int]], writes: list[bool]
+        self, groups: dict[int, list[int]], accesses: list["_Access"]
     ) -> None:
         """Account for cross-region pairs that are never enumerated.
 
@@ -336,7 +373,7 @@ class PDG(DependenceGraph[Instruction]):
         sum_n = sum_n2 = sum_ro = sum_ro2 = 0
         for members in groups.values():
             n = len(members)
-            read_only = sum(1 for index in members if not writes[index])
+            read_only = sum(1 for index in members if not accesses[index].writes)
             sum_n += n
             sum_n2 += n * n
             sum_ro += read_only
@@ -348,7 +385,7 @@ class PDG(DependenceGraph[Instruction]):
         self._memory_disproved += pruned
         STATS.count("pdg.pairs_pruned", cross_pairs)
 
-    def _partition_regions(self, memory_insts: list[Instruction]) -> list[int | None]:
+    def _partition_regions(self, accesses: list["_Access"]) -> list[int | None]:
         """Union overlapping memory footprints into region labels.
 
         Returns one label per instruction; ``None`` marks a wildcard (a
@@ -357,7 +394,7 @@ class PDG(DependenceGraph[Instruction]):
         (non-None) labels have provably disjoint footprints under
         ``self.aa``.
         """
-        footprints = [self._footprint(inst) for inst in memory_insts]
+        footprints = [self._footprint(access) for access in accesses]
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -375,49 +412,41 @@ class PDG(DependenceGraph[Instruction]):
                     parent[find(obj_id)] = find(first)
         return [find(fp[0]) if fp else None for fp in footprints]
 
-    def _footprint(self, inst: Instruction) -> list[int] | None:
+    def _footprint(self, access: "_Access") -> list[int] | None:
         """Object ids the instruction may touch; None when unbounded.
 
         Only the two known AA implementations are partitioned — for any
         other ``AliasAnalysis`` everything stays wildcard so no pair is
         pruned that the analysis might not have disproved.
         """
-        pointer = pointer_operand(inst)
-        if pointer is None:
+        if access.pointer is None:
             return None  # calls: mod/ref reasoning happens per pair
         aa = self.aa
         if type(aa) is AndersenAliasAnalysis:
-            pts = aa.pointsto.points_to(pointer)
+            # The points-to set of an address is its underlying object's.
+            pts = aa.pointsto.points_to(access.obj)
             if not pts or aa.pointsto.unknown in pts:
                 return None
             return [id(obj) for obj in pts]
         if type(aa) is BasicAliasAnalysis:
-            obj = underlying_object(pointer)
-            if is_identified_object(obj):
-                return [id(obj)]
+            if is_identified_object(access.obj):
+                return [id(access.obj)]
             return None
         return None
 
-    def _memory_pair(
-        self,
-        a: Instruction,
-        b: Instruction,
-        reads_a: bool,
-        writes_a: bool,
-        reads_b: bool,
-        writes_b: bool,
-    ) -> None:
+    def _memory_pair(self, access_a: "_Access", access_b: "_Access") -> None:
         """Add memory dependence edges between an instruction pair.
 
         The pair is unordered in program terms (they may execute in either
         order across loop iterations), so both directions are considered.
-        The read/write flags are classified once per instruction by the
-        partitioning pass and passed in.
         """
+        writes_a, writes_b = access_a.writes, access_b.writes
         if not writes_a and not writes_b:
             return  # read-read pairs carry no dependence
+        reads_a, reads_b = access_a.reads, access_b.reads
+        a, b = access_a.inst, access_b.inst
         self._memory_queries += 1
-        result = self._query(a, b)
+        result = self._query(access_a, access_b)
         if result is None:
             self._memory_disproved += 1
             return
@@ -442,12 +471,13 @@ class PDG(DependenceGraph[Instruction]):
         if reads_a and writes_b:
             self.add_edge(a, b, "data", "WAR", is_memory=True, is_must=is_must)
 
-    def _query(self, a: Instruction, b: Instruction) -> bool | None:
+    def _query(self, access_a: "_Access", access_b: "_Access") -> bool | None:
         """May a and b touch the same memory?  None=no, True=must, False=may."""
-        pointer_a = pointer_operand(a)
-        pointer_b = pointer_operand(b)
+        a, b = access_a.inst, access_b.inst
+        pointer_a, pointer_b = access_a.pointer, access_b.pointer
         if pointer_a is not None and pointer_b is not None:
-            result = self.aa.alias(pointer_a, pointer_b)
+            result = self.aa.alias(pointer_a, pointer_b,
+                                   access_a.obj, access_b.obj)
             if result is AliasResult.NO_ALIAS:
                 return None
             return result is AliasResult.MUST_ALIAS
@@ -485,8 +515,7 @@ class PDG(DependenceGraph[Instruction]):
         an edge names an instruction ``fn`` no longer holds (the body
         was rewritten without invalidating the shard).
         """
-        self._ensure_function(fn)
-        shard = self._shards[id(fn)]
+        shard = self._shard_of(fn)
         position = {id(inst): i for i, inst in enumerate(fn.instructions())}
         edges = []
         for edge in shard.edges:
@@ -530,13 +559,15 @@ class PDG(DependenceGraph[Instruction]):
             ):
                 if not (0 <= src_i < count and 0 <= dst_i < count):
                     raise ValueError("edge endpoint out of range")
-                shard.edges.append(self.add_edge(
+                self.add_edge(
                     insts[src_i], insts[dst_i], kind, data_kind, is_memory,
                     is_must,
-                ))
+                )
         except (KeyError, TypeError, ValueError):
             self.invalidate_function(fn)  # drops a half-installed shard
             return False
+        finally:
+            self._building = None
         shard.queries = queries
         shard.disproved = disproved
         self._memory_queries += queries
@@ -551,7 +582,6 @@ class PDG(DependenceGraph[Instruction]):
 
     def loop_dependence_graph(self, loop: NaturalLoop) -> "LoopDG":
         """The loop's dependence graph, refined with loop-carried analysis."""
-        self._ensure_function(loop.header.parent)
         return LoopDG(self, loop)
 
 
@@ -599,46 +629,51 @@ class LoopDG(DependenceGraph[Instruction]):
         #: address id -> its affine decomposition: an address takes part
         #: in one pair per memory edge, and is decomposed once.
         self._affine: dict[int, tuple | None] = {}
-        internal = list(loop.instructions())
-        internal_ids = {id(i) for i in internal}
-        base = pdg.subgraph(internal)
-        for node in base.nodes():
-            self.add_node(node.value, internal=node.is_internal)
-        for edge in base.edges():
-            carried = False
+        # One pass over the function's shard: the loop's instructions are
+        # the internal nodes, every other endpoint of an edge touching them
+        # is external.  Edges that stay as they are in the PDG are linked;
+        # only the carried ones (and their reversed twins) are created.
+        # The shard's nodes are all internal *to the PDG*, so whether an
+        # endpoint is inside the loop is asked of ``internal_ids``.
+        shard_edges = pdg._shard_of(loop.header.parent).edges
+        pdg_nodes = pdg._nodes
+        internal_ids: set[int] = set()
+        for inst in loop.instructions():
+            if id(inst) in pdg_nodes:
+                self.add_node(inst, internal=True)
+            internal_ids.add(id(inst))
+        for edge in shard_edges:
+            src, dst = edge.src.value, edge.dst.value
+            src_in = id(src) in internal_ids
+            dst_in = id(dst) in internal_ids
+            if not (src_in and dst_in):
+                if src_in:
+                    self.add_node(dst, internal=False)
+                    self._link(edge)
+                elif dst_in:
+                    self.add_node(src, internal=False)
+                    self._link(edge)
+                continue
             self._carried_distance = None
-            if edge.dst.is_internal and edge.src.is_internal:
-                carried = self._is_loop_carried(edge)
-            added = self.add_edge(
-                edge.src.value,
-                edge.dst.value,
-                edge.kind,
-                edge.data_kind,
-                edge.is_memory,
-                edge.is_must,
-                is_loop_carried=carried,
-            )
-            added.distance = self._carried_distance if carried else edge.distance
+            if not self._is_loop_carried(edge):
+                self._link(edge)
+                continue
+            distance = self._carried_distance
+            self.add_edge(src, dst, edge.kind, edge.data_kind, edge.is_memory,
+                          edge.is_must, True, distance)
             # A carried memory conflict is direction-free: the later
             # instruction of one iteration conflicts with the earlier one of
             # the next.  The program-order PDG only has the forward edge, so
             # materialize the reverse carried edge here (e.g. the store→load
             # RAW of ``b[i] = b[i-1]``).
-            if carried and edge.is_memory and edge.is_data():
-                src, dst = edge.src.value, edge.dst.value
+            if edge.is_memory and edge.is_data():
                 reverse_kind = _reverse_memory_kind(dst, src)
                 if reverse_kind is not None:
-                    reverse = self.add_edge(
-                        dst,
-                        src,
-                        "data",
-                        reverse_kind,
-                        is_memory=True,
-                        is_must=edge.is_must,
-                        is_loop_carried=True,
+                    self.add_edge(
+                        dst, src, "data", reverse_kind, is_memory=True,
+                        is_must=edge.is_must, is_loop_carried=True,
+                        distance=None if distance is None else -distance,
                     )
-                    if added.distance is not None:
-                        reverse.distance = -added.distance
 
     # -- loop-carried classification ----------------------------------------------
     def _is_loop_carried(self, edge: DGEdge[Instruction]) -> bool:
@@ -781,7 +816,7 @@ class LoopDG(DependenceGraph[Instruction]):
         return result
 
     def loop_carried_edges(self) -> list[DGEdge[Instruction]]:
-        return [e for e in self.edges() if e.is_loop_carried]
+        return [e for e in self._edges if e.is_loop_carried]
 
     def has_loop_carried_data_dependences(self) -> bool:
         return any(e.is_data() for e in self.loop_carried_edges())
@@ -805,6 +840,21 @@ def pointer_operand(inst: Instruction) -> Value | None:
     if isinstance(inst, Store):
         return inst.pointer
     return None
+
+
+class _Access:
+    """A memory instruction as one shard build pairs it: its read/write
+    flags, its address (None for calls) and the address's underlying
+    object — the alias memo's key — derived once per build."""
+
+    __slots__ = ("inst", "reads", "writes", "pointer", "obj")
+
+    def __init__(self, inst: Instruction):
+        self.inst = inst
+        self.reads = inst.may_read_memory()
+        self.writes = inst.may_write_memory()
+        self.pointer = pointer_operand(inst)
+        self.obj = None if self.pointer is None else underlying_object(self.pointer)
 
 
 def _calls_independent(aa: AliasAnalysis, a: Call, b: Call) -> bool:

@@ -15,7 +15,7 @@ instances of its instructions across iterations of one loop invocation:
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import deque
 
 from ..analysis.loopinfo import NaturalLoop
 from ..ir.instructions import Instruction
@@ -78,12 +78,17 @@ class SCCDAG(DependenceGraph[SCC]):
 
     # -- condensation ---------------------------------------------------------------
     def _condense(self) -> None:
-        internal = [n.value for n in self.loop_dg.internal_nodes()]
+        # Whether an endpoint is inside the loop is the LDG's to say (its
+        # linked edges carry PDG nodes), hence ``internal_ids``.
+        loop_dg = self.loop_dg
+        internal = [n.value for n in loop_dg.internal_nodes()]
         internal_ids = {id(v) for v in internal}
-        successors: dict[int, list[Instruction]] = {id(v): [] for v in internal}
-        for edge in self.loop_dg.edges():
-            if id(edge.src.value) in internal_ids and id(edge.dst.value) in internal_ids:
-                successors[id(edge.src.value)].append(edge.dst.value)
+        out = loop_dg._out
+        successors: dict[int, list[Instruction]] = {
+            id(v): [e.dst.value for e in out.get(id(v), ())
+                    if id(e.dst.value) in internal_ids]
+            for v in internal
+        }
         components = _tarjan(internal, successors)
         for component in components:
             scc = SCC(component)
@@ -93,7 +98,7 @@ class SCCDAG(DependenceGraph[SCC]):
                 self._scc_of[id(inst)] = scc
         # DAG edges between distinct SCCs; carried edges recorded per SCC.
         seen_pairs: set[tuple[int, int]] = set()
-        for edge in self.loop_dg.edges():
+        for edge in loop_dg._edges:
             src_scc = self._scc_of.get(id(edge.src.value))
             dst_scc = self._scc_of.get(id(edge.dst.value))
             if src_scc is None or dst_scc is None:
@@ -201,22 +206,29 @@ class SCCDAG(DependenceGraph[SCC]):
         return [s for s in self.sccs if s.is_independent()]
 
     def topological_order(self) -> list[SCC]:
-        """SCCs ordered so every DAG edge goes forward — DSWP's stage order."""
-        in_degree: dict[int, int] = {id(s): 0 for s in self.sccs}
-        adjacency: dict[int, list[SCC]] = {id(s): [] for s in self.sccs}
-        for edge in self.edges():
-            adjacency[id(edge.src.value)].append(edge.dst.value)
-            in_degree[id(edge.dst.value)] += 1
-        ready = [s for s in self.sccs if in_degree[id(s)] == 0]
+        """SCCs ordered so every DAG edge goes forward — DSWP's stage order.
+
+        Kahn's algorithm, first-ready first.  The condensation of a graph
+        is acyclic by construction, so a cycle here is a broken SCCDAG.
+        """
+        in_degree: dict[int, int] = {
+            id(s): len(self._in.get(id(s), ())) for s in self.sccs
+        }
+        ready = deque(s for s in self.sccs if in_degree[id(s)] == 0)
         order: list[SCC] = []
         while ready:
-            scc = ready.pop(0)
+            scc = ready.popleft()
             order.append(scc)
-            for succ in adjacency[id(scc)]:
+            for edge in self._out.get(id(scc), ()):
+                succ = edge.dst.value
                 in_degree[id(succ)] -= 1
                 if in_degree[id(succ)] == 0:
                     ready.append(succ)
-        assert len(order) == len(self.sccs), "SCCDAG has a cycle"
+        if len(order) != len(self.sccs):
+            raise RuntimeError(
+                f"SCCDAG has a cycle: {len(self.sccs) - len(order)} of "
+                f"{len(self.sccs)} SCCs are never ready"
+            )
         return order
 
 

@@ -36,6 +36,7 @@ from .instructions import (
 from .module import BasicBlock, Function, Module
 from .types import (
     DOUBLE,
+    LABEL,
     VOID,
     ArrayType,
     FunctionType,
@@ -61,48 +62,58 @@ class ParseError(Exception):
         super().__init__(prefix + message)
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<float>-?\d+\.\d+(e[+-]?\d+)?)    # float literal
-  | (?P<int>-?\d+)                        # integer literal
-  | (?P<global>@[\w.$-]+)                 # @name
-  | (?P<local>%[\w.$-]+)                  # %name
-  | (?P<word>[A-Za-z_][\w.]*)             # keyword / opcode / type
-  | (?P<punct>\.\.\.|->|[()\[\]{}=,*:])   # punctuation
-    """,
-    re.VERBOSE,
-)
+#: One token; the alternatives are tried in order, first match wins.
+_TOKEN = r"""
+    -?\d+\.\d+(?:e[+-]?\d+)?       # float literal
+  | -?\d+                          # integer literal
+  | @[\w.$-]+                      # @name
+  | %[\w.$-]+                      # %name
+  | [A-Za-z_][\w.]*                # keyword / opcode / type
+  | \.\.\.|->|[()\[\]{}=,*:]       # punctuation
+"""
+_TOKEN_RE = re.compile(_TOKEN, re.VERBOSE)
+#: A line in one ``findall``: each item is a token, a ``;`` comment
+#: running to the end of the line, or — where no token starts — the rest
+#: of the line from the offending character on.  Only the last item can
+#: be either of the latter two, since both run to the end of the line.
+_SCAN_RE = re.compile(r"\s*(" + _TOKEN + r"|;.*|\S.*)", re.VERBOSE | re.DOTALL)
+_MODULE_HEADER_RE = re.compile(r";\s*module\s+(\S+)$")
+_STRUCT_DEF_RE = re.compile(r"%([\w.$-]+)\s*=\s*type\b")
+_INT_TYPE_RE = re.compile(r"i\d+")
+_FLOAT_RE = re.compile(r"-?\d+\.\d+(e[+-]?\d+)?")
+_INT_RE = re.compile(r"-?\d+")
+_LABEL_RE = re.compile(r"([\w.$-]+):")
+_KEYWORD_TYPES: dict[str, Type] = {"void": VOID, "double": DOUBLE, "label": LABEL}
 
 
 def _tokenize(text: str, line_no: int) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == ";":
-            break
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {ch!r}", line_no)
-        tokens.append(match.group(0))
-        pos = match.end()
+    tokens = _SCAN_RE.findall(text)
+    if tokens:
+        last = tokens[-1]
+        if last[0] == ";":
+            tokens.pop()
+        elif _TOKEN_RE.fullmatch(last) is None:
+            # Were the rest of the line one token, it would have matched.
+            raise ParseError(f"unexpected character {last[0]!r}", line_no)
     return tokens
 
 
 class _TokenStream:
+    """One line's tokens, read left to right.  Takes ownership of
+    ``tokens`` and ends it with a ``None`` sentinel, so reading never
+    needs a bounds check."""
+
     def __init__(self, tokens: list[str], line_no: int):
+        tokens.append(None)
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self) -> str:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token is None:
             raise ParseError("unexpected end of line", self.line_no)
         self.pos += 1
@@ -114,13 +125,13 @@ class _TokenStream:
             raise ParseError(f"expected {token!r}, got {got!r}", self.line_no)
 
     def accept(self, token: str) -> bool:
-        if self.peek() == token:
+        if self.tokens[self.pos] == token:
             self.pos += 1
             return True
         return False
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is None
 
 
 def parse_module(text: str, name: str | None = None) -> Module:
@@ -137,7 +148,7 @@ def parse_module(text: str, name: str | None = None) -> Module:
             stripped = raw.strip()
             if not stripped:
                 continue
-            match = re.match(r";\s*module\s+(\S+)$", stripped)
+            match = _MODULE_HEADER_RE.match(stripped)
             if match:
                 name = match.group(1)
             break
@@ -146,7 +157,7 @@ def parse_module(text: str, name: str | None = None) -> Module:
     # their definition line.
     for raw in lines:
         stripped = raw.strip()
-        match = re.match(r"%([\w.$-]+)\s*=\s*type\b", stripped)
+        match = _STRUCT_DEF_RE.match(stripped)
         if match:
             module.add_struct(match.group(1))
     parser = _ModuleParser(module, lines)
@@ -272,15 +283,9 @@ def _parse_signature(
 def _parse_type(stream: _TokenStream, module: Module) -> Type:
     token = stream.next()
     base: Type
-    if token == "void":
-        base = VOID
-    elif token == "double":
-        base = DOUBLE
-    elif token == "label":
-        from .types import LABEL
-
-        base = LABEL
-    elif re.fullmatch(r"i\d+", token):
+    if token in _KEYWORD_TYPES:
+        base = _KEYWORD_TYPES[token]
+    elif _INT_TYPE_RE.fullmatch(token):
         base = IntType(int(token[1:]))
     elif token.startswith("%"):
         name = token[1:]
@@ -295,9 +300,13 @@ def _parse_type(stream: _TokenStream, module: Module) -> Type:
         base = ArrayType(element, count)
     else:
         raise ParseError(f"expected a type, got {token!r}", stream.line_no)
-    # Function-type suffix: `T (params...)`.
+    # Pointer and function-type suffixes: `T*`, `T (params...)`.
     while True:
-        if stream.peek() == "(" and _looks_like_function_type(stream):
+        suffix = stream.peek()
+        if suffix == "*":
+            stream.pos += 1
+            base = PointerType(base)
+        elif suffix == "(" and _looks_like_function_type(stream):
             stream.expect("(")
             params: list[Type] = []
             vararg = False
@@ -311,9 +320,6 @@ def _parse_type(stream: _TokenStream, module: Module) -> Type:
                         break
                 stream.expect(")")
             base = FunctionType(base, params, vararg)
-        elif stream.peek() == "*":
-            stream.next()
-            base = PointerType(base)
         else:
             return base
 
@@ -321,12 +327,12 @@ def _parse_type(stream: _TokenStream, module: Module) -> Type:
 def _looks_like_function_type(stream: _TokenStream) -> bool:
     """Disambiguate ``T (...)`` function types from call argument lists."""
     # The next token after '(' must start a type or be ')' or '...'.
-    nxt = stream.tokens[stream.pos + 1] if stream.pos + 1 < len(stream.tokens) else None
+    nxt = stream.tokens[stream.pos + 1]
     if nxt is None:
         return False
     return (
         nxt in (")", "...", "void", "double", "label", "[")
-        or bool(re.fullmatch(r"i\d+", nxt))
+        or bool(_INT_TYPE_RE.fullmatch(nxt))
         or nxt.startswith("%") and nxt[1:] and not nxt[1:].isdigit()
     )
 
@@ -356,9 +362,9 @@ def _parse_constant(stream: _TokenStream, ty: Type) -> Value:
         return ConstantNull(ty)
     if token == "undef":
         return UndefValue(ty)
-    if re.fullmatch(r"-?\d+\.\d+(e[+-]?\d+)?", token):
+    if _FLOAT_RE.fullmatch(token):
         return ConstantFloat(ty, float(token))
-    if re.fullmatch(r"-?\d+", token):
+    if _INT_RE.fullmatch(token):
         if ty.is_float():
             return ConstantFloat(ty, float(token))
         return ConstantInt(ty, int(token))
@@ -384,7 +390,7 @@ class _FunctionBodyParser:
     def run(self) -> None:
         # First pass: create all blocks so branches can resolve forward.
         for line_no, line in self.body:
-            match = re.fullmatch(r"([\w.$-]+):", line)
+            match = _LABEL_RE.fullmatch(line)
             if match:
                 name = match.group(1)
                 if name in self.blocks:
@@ -395,7 +401,7 @@ class _FunctionBodyParser:
                 self.blocks[name] = block
         current: BasicBlock | None = None
         for line_no, line in self.body:
-            match = re.fullmatch(r"([\w.$-]+):", line)
+            match = _LABEL_RE.fullmatch(line)
             if match:
                 current = self.blocks[match.group(1)]
                 continue

@@ -31,7 +31,12 @@ objects from the facade instead of minting them; the ``sccdag.build``
 timer; and the ``loop.invariants`` timer around Algorithm 2's walk over
 a whole loop), plus ``pdg.embedded_stale`` — times ``noelle-load``
 declined an embedded PDG because the module no longer prints as it did
-when the shards were computed.  Two ways to see the numbers:
+when the shards were computed.  The printed table ends with three rows
+no code counts: ``gc.gen0.passes`` / ``gc.gen1.passes`` /
+``gc.gen2.passes``, the cyclic collector's passes per generation since
+the process started, read from ``gc.get_stats()`` when the table is
+printed (a full collection is a ``gen2`` pass).  Two ways to see the
+numbers:
 
 * set ``NOELLE_STATS=1`` in the environment — a table is printed to
   stderr when the process exits;
@@ -48,6 +53,7 @@ the two ``perf_counter`` calls per measurement are noise.
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import sys
 import time
@@ -118,6 +124,10 @@ class PerfStats:
             for name in sorted(self.counters):
                 print(f"{name.ljust(width)}  {self.counters[name]:12d}",
                       file=stream)
+        print(f"{'collector'.ljust(14)}  {'passes':>12s}", file=stream)
+        for generation, stats in enumerate(gc.get_stats()):
+            name = f"gc.gen{generation}.passes"
+            print(f"{name.ljust(14)}  {stats['collections']:12d}", file=stream)
 
 
 #: The process-wide stats registry every subsystem reports into.

@@ -185,7 +185,7 @@ def test_warm_hydration_is_byte_identical(store):
         return sorted(
             (str(e.src.value), str(e.dst.value), e.kind, e.data_kind,
              e.is_memory, e.is_must)
-            for e in pdg._edges
+            for e in pdg.edges()
         )
 
     assert edges(warm_pdg) == edges(fresh_pdg)

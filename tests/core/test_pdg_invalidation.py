@@ -194,7 +194,7 @@ def test_a_payload_that_does_not_fit_is_refused_and_built_on_demand():
         target = PDG(module, no_alias_analysis)
         assert not target.adopt_shard(first, bad)
         assert target.built_functions() == []
-        assert target._nodes == {} and target._edges == []
+        assert target._nodes == {} and target._out == {} and target._in == {}
     # Through a carrier: the one function whose payload was refused
     # builds on demand, the other stays adopted.
     embed_pdg(module, source)

@@ -156,3 +156,54 @@ int main() {
         )
         counted = sum(len(s.instructions) for s in dag.sccs)
         assert counted == loop.structure.num_instructions()
+
+
+def list_queue_topological_order(dag):
+    """The reference order: Kahn's algorithm over the edge list, ready
+    SCCs taken first-in first-out from a plain list."""
+    in_degree = {id(s): 0 for s in dag.sccs}
+    adjacency = {id(s): [] for s in dag.sccs}
+    for edge in dag.edges():
+        adjacency[id(edge.src.value)].append(edge.dst.value)
+        in_degree[id(edge.dst.value)] += 1
+    ready = [s for s in dag.sccs if in_degree[id(s)] == 0]
+    order = []
+    while ready:
+        scc = ready.pop(0)
+        order.append(scc)
+        for succ in adjacency[id(scc)]:
+            in_degree[id(succ)] -= 1
+            if in_degree[id(succ)] == 0:
+                ready.append(succ)
+    return order
+
+
+class TestTopologicalOrder:
+    def test_order_is_unchanged_on_every_workload_loop(self):
+        from repro.workloads import all_workloads
+
+        loops = 0
+        for workload in all_workloads():
+            for loop in Noelle(workload.compile()).loops():
+                dag = loop.sccdag
+                assert dag.topological_order() == list_queue_topological_order(dag)
+                loops += 1
+        assert loops > 40
+
+    def test_a_cycle_is_an_error_not_an_assert(self):
+        import pytest
+
+        _, dag = sccdag_of(
+            """
+int a[40];
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 40; i = i + 1) { s = s + a[i] * 3; }
+  return s;
+}
+"""
+        )
+        edge = dag.edges()[0]
+        dag.add_edge(edge.dst.value, edge.src.value, "control")
+        with pytest.raises(RuntimeError, match="SCCDAG has a cycle"):
+            dag.topological_order()

@@ -158,6 +158,26 @@ class TestReports:
         assert "main" in out
         assert "hotness" in out
 
+    def test_stats_table_ends_with_collector_passes(self, demo_files, capsys,
+                                                     monkeypatch):
+        import gc
+
+        _, ir_file, _ = demo_files
+        # With NOELLE_STATS set the table is printed at exit instead.
+        monkeypatch.delenv("NOELLE_STATS", raising=False)
+        assert main(["--stats", "report", str(ir_file)]) == 0
+        err = capsys.readouterr().err
+        rows = dict(
+            line.split() for line in err.splitlines()
+            if line.startswith("gc.gen")
+        )
+        assert list(rows) == [f"gc.gen{g}.passes" for g in range(3)]
+        # Read when printed: the process's passes so far, never more.
+        for generation, stats in enumerate(gc.get_stats()):
+            assert 0 <= int(rows[f"gc.gen{generation}.passes"]) <= (
+                stats["collections"]
+            )
+
 
 class TestOneDoor:
     """Every analysis verb takes its facade from ``noelle-load``: a
