@@ -2,8 +2,9 @@
 
 A :class:`RaceOracle` is a :class:`~repro.runtime.machine.ParallelMachine`
 that records every load/store executed inside a parallel region (via the
-interpreter's ``memory_observer`` hook, which forces the reference
-walker) and attributes each access to its *concurrency unit*:
+interpreter's ``memory_observer`` hook, which runs on the compiled
+engine like any other execution) and attributes each access to its
+*concurrency unit*:
 
 * DOALL — the worker core (``task(env, core, n)`` argument);
 * DSWP — the pipeline stage (``task(env, stage, n)`` argument);
@@ -88,7 +89,6 @@ class RaceOracle(ParallelMachine):
     """ParallelMachine that logs per-unit memory accesses and finds races."""
 
     def __init__(self, module, **kwargs):
-        kwargs.setdefault("engine", "reference")
         super().__init__(module, **kwargs)
         self.memory_observer = self._observe
         self.races: list[DynamicRace] = []

@@ -19,7 +19,7 @@
    programs instead of registry workloads.
 5. **deptest** — every symbolic dependence-test verdict
    (:mod:`repro.analysis.deptest`) is validated against the actual
-   addresses the reference walker touches: a PROVEN_INDEPENDENT pair
+   addresses an observed run touches: a PROVEN_INDEPENDENT pair
    must never access a common address within one loop execution, and a
    PROVEN_DEPENDENT pair with a proven distance may only conflict at
    exactly that iteration gap.
@@ -405,8 +405,8 @@ def deptest_divergence(program: GeneratedProgram) -> Divergence | None:
     within one execution of its loop; every PROVEN_DEPENDENT pair with a
     proven distance ``d`` may only conflict at exactly that iteration
     gap.  Claims are enumerated statically (independently of the
-    ``NOELLE_DEPTEST`` flag) and validated against the reference
-    walker's memory trace.
+    ``NOELLE_DEPTEST`` flag) and validated against the observed memory
+    trace of a run.
     """
     module = compile_source(program.source, program.name)
     claims: list[_DepClaim] = []
@@ -432,9 +432,7 @@ def deptest_divergence(program: GeneratedProgram) -> Divergence | None:
     if not claims:
         return None
     recorder = _DepRecorder(claims)
-    interp = Interpreter(
-        module, step_limit=FUZZ_STEP_LIMIT, engine="reference"
-    )
+    interp = Interpreter(module, step_limit=FUZZ_STEP_LIMIT)
     interp.edge_observer = recorder.on_edge
     interp.memory_observer = recorder.on_access
     try:

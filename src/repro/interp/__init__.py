@@ -1,13 +1,13 @@
 """repro.interp — execution of the repro IR.
 
-Two engines share one observable semantics: the tree-walking reference
-interpreter (:mod:`repro.interp.interp`) and the compiling engine
-(:mod:`repro.interp.engine`), selected via the
-``NOELLE_ENGINE`` environment variable or the ``engine=`` argument.
+Programs run on the compiling engine (:mod:`repro.interp.engine`),
+observers included.  The tree-walking interpreter
+(:mod:`repro.interp.interp`) is its reference, with one observable
+semantics between them; it runs only where ``engine="reference"`` asks
+for it.
 """
 
 from .engine import (
-    ENGINE_ENV,
     ExecutionEngine,
     engine_for,
     engine_mode,
@@ -25,7 +25,6 @@ from .interp import (
 )
 
 __all__ = [
-    "ENGINE_ENV",
     "ExecutionEngine",
     "INSTRUCTION_COSTS",
     "INTRINSIC_COSTS",

@@ -46,6 +46,12 @@ call, to one Python function ``_fn(st, *args)``:
 * **known-int elision** — an optimistic fixpoint finds the SSA values
   that can only ever hold a Python ``int``; the function-pointer and
   non-integer-address checks are emitted for the others only.
+* **observers** — compiled with the ``observed`` flag, the same emitters
+  also call the interpreter's ``memory_observer(kind, address, inst)``
+  on every load and store (after the address checks, before the
+  invalid-address trap: the walker's order) and its
+  ``edge_observer(src, dst)`` on every CFG edge (before the phi move).
+  Without the flag not one character of the source changes.
 
 Compiled functions are cached in a module-versioned
 :class:`ExecutionEngine`, keyed by ``id(fn)`` with a strong reference to
@@ -57,17 +63,12 @@ transactional pass manager's rollback path via
 :func:`invalidate_module`, so a rolled-back module never executes stale
 code.
 
-The switch between engines is ``NOELLE_ENGINE``:
-
-* ``compiled`` (default) — interpreters route defined-function calls
-  through the engine;
-* ``reference`` — the tree-walking interpreter runs everything, serving
-  as the differential-testing oracle.
+This engine is the one executor a program runs on.  The tree-walking
+interpreter is its reference, built only by an explicit
+``engine="reference"``.
 """
 
 from __future__ import annotations
-
-import os
 
 from ..ir.instructions import (
     Alloca,
@@ -105,9 +106,6 @@ from .interp import (
     StepLimitExceeded,
     _FunctionAddress,
 )
-
-#: Environment variable selecting the execution engine.
-ENGINE_ENV = "NOELLE_ENGINE"
 
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
@@ -161,10 +159,9 @@ _COPY_CASTS = ("bitcast", "ptrtoint", "inttoptr")
 
 
 def engine_mode(explicit: str | None = None) -> str:
-    """Resolve the engine mode: an explicit request wins, then the
-    ``NOELLE_ENGINE`` environment variable, then ``compiled``."""
-    mode = explicit if explicit is not None else os.environ.get(ENGINE_ENV, "")
-    mode = mode or "compiled"
+    """Resolve the engine mode: ``compiled`` unless ``reference`` is
+    asked for explicitly."""
+    mode = explicit or "compiled"
     if mode not in _MODES:
         raise ValueError(
             f"unknown engine mode {mode!r} (expected one of {_MODES})"
@@ -231,6 +228,10 @@ def _leave(st, edges, counts, allocs) -> None:
                 table[src][dst] += taken
 
 
+def _ignore(*_event) -> None:
+    """What observed code calls in place of an observer that is unset."""
+
+
 _HELPERS = {
     "InterpError": InterpError,
     "MemoryTrap": MemoryTrap,
@@ -241,6 +242,7 @@ _HELPERS = {
     "_charge": _charge,
     "_partial": _partial,
     "_leave": _leave,
+    "_ignore": _ignore,
     "_INF": float("inf"),
 }
 
@@ -282,11 +284,15 @@ def _namespace(engine: "ExecutionEngine", fn: Function, binds):
 class CompiledFunction:
     """A function lowered to one generated Python function."""
 
-    __slots__ = ("engine", "fn", "func", "refs", "plan", "code", "tails")
+    __slots__ = (
+        "engine", "fn", "observed", "func", "refs", "plan", "code", "tails",
+    )
 
-    def __init__(self, engine, fn, refs, plan, code):
+    def __init__(self, engine, fn, refs, plan, code, observed=False):
         self.engine = engine
         self.fn = fn
+        #: Compiled with the observer calls (tails are rendered with them).
+        self.observed = observed
         #: ``func(st, *args)`` runs one call of ``fn`` on interpreter
         #: state ``st``.
         self.func = None
@@ -308,7 +314,7 @@ class CompiledFunction:
         _sync(st, room, dc)
         entry = self.tails.get(key)
         if entry is None:
-            source, binds, block = _Compiler(self.fn).tail(key)
+            source, binds, block = _Compiler(self.fn, self.observed).tail(key)
             code = compile(source, f"<engine:{self.fn.name}:tail>", "exec")
             # A namespace of its own: the names a fresh compiler binds
             # are not the ones the function's code was compiled against.
@@ -404,10 +410,12 @@ _SYNC = (
 class _Compiler:
     """Lowers one Function to generated Python source.  It resolves
     nothing: what the source names is recorded as process-independent
-    bind specs for :func:`_namespace`."""
+    bind specs for :func:`_namespace`.  ``observed`` adds the observer
+    calls; it changes nothing else."""
 
-    def __init__(self, fn: Function):
+    def __init__(self, fn: Function, observed: bool = False):
         self.fn = fn
+        self.observed = observed
         self._unique = 0
         #: (name, spec) pairs for every process-specific object the
         #: generated code reads from its namespace.
@@ -487,6 +495,13 @@ class _Compiler:
             return self._bind("_FA", ("fa", v.name))
         raise InterpError(f"cannot evaluate {v!r}")
 
+    def _inst(self, inst) -> str:
+        """The instruction object itself, bound by position."""
+        block = inst.parent
+        return self._bind("_X", (
+            "inst", self._block_index[id(block)], block.instructions.index(inst),
+        ))
+
     def _holds_int(self, v) -> bool:
         """True when the operand is provably a Python int at run time,
         so the checks for the other things a value can be are dead."""
@@ -537,10 +552,7 @@ class _Compiler:
             return self._emit_cast(inst, n, corr)
         # Mirrors the reference walker's "cannot execute" arm (also hit
         # by a phi that is not in leading position).
-        block = inst.parent
-        name = self._bind("_X", (
-            "inst", self._block_index[id(block)], block.instructions.index(inst),
-        ))
+        name = self._inst(inst)
         return self._raise(
             "", corr, f"raise InterpError('cannot execute %r' % ({name},))"
         )
@@ -660,8 +672,15 @@ class _Compiler:
             )
         return lines
 
+    def _observe_access(self, kind: str, inst, n) -> list[str]:
+        """The memory observer's call on the checked address ``a{n}``."""
+        if not self.observed:
+            return []
+        return [f"_MO({kind!r}, a{n}, {self._inst(inst)})"]
+
     def _emit_load(self, inst, n, corr):
         lines = self._address_of(inst.pointer, n, corr)
+        lines += self._observe_access("load", inst, n)
         lines.append("try:")
         lines.append(f"    {self._expr(inst)} = mem[a{n}]")
         lines.append("except KeyError:")
@@ -675,6 +694,7 @@ class _Compiler:
 
     def _emit_store(self, inst, n, corr):
         lines = self._address_of(inst.pointer, n, corr)
+        lines += self._observe_access("store", inst, n)
         lines.append(f"if a{n} in mem:")
         lines.append(f"    mem[a{n}] = {self._expr(inst.value)}")
         lines.append("else:")
@@ -773,11 +793,13 @@ class _Compiler:
     # -- control flow ----------------------------------------------------------
 
     def _edge(self, src: int, target) -> list[str]:
-        """Take the CFG edge from block ``src``: bump its counter, move
-        the target's phis, set the block index."""
+        """Take the CFG edge from block ``src``: bump its counter, tell
+        the edge observer, move the target's phis, set the block index."""
         dst = self._block_index[id(target)]
         counter = self.edges.setdefault((src, dst), len(self.edges) + 1)
         lines = [f"e{counter} += 1"]
+        if self.observed:
+            lines.append(f"_EO(_BB[{src}], _BB[{dst}])")
         phis = target.instructions[:self._nphis[dst]]
         if phis:
             pred = self.fn.blocks[src]
@@ -903,6 +925,9 @@ class _Compiler:
             "    room = limit - result.steps",
             "    " + " = ".join(["dc", "at", "b", *counters]) + " = 0",
         ]
+        if self.observed:  # read per frame: the namespace is per function
+            lines.append("    _MO = st.memory_observer or _ignore")
+            lines.append("    _EO = st.edge_observer or _ignore")
         if self._has_memory:
             lines.append("    mem = st.memory.slots")
         if self._has_allocs:
@@ -952,7 +977,8 @@ def _shape(fn: Function) -> tuple:
 
 
 def hydrate_function(
-    engine: "ExecutionEngine", fn: Function, plan: dict, code
+    engine: "ExecutionEngine", fn: Function, plan: dict, code,
+    observed: bool = False,
 ) -> CompiledFunction:
     """Build a :class:`CompiledFunction` from a plan and its code object
     — the one wiring step of a compile and of a cache hydration.
@@ -987,7 +1013,7 @@ def hydrate_function(
         ns["_E"] = ((None, blocks[0]),) + tuple(
             (blocks[src], blocks[dst]) for src, dst in plan["edges"]
         )
-        cf = CompiledFunction(engine, fn, refs, plan, code)
+        cf = CompiledFunction(engine, fn, refs, plan, code, observed)
         ns["_T"] = cf.tail
         exec(code, ns)
         cf.func = ns["_fn"]
@@ -1006,10 +1032,15 @@ class ExecutionEngine:
     the strong ref pins the id).  ``version`` counts full invalidations;
     the pass manager's rollback path bumps it so code compiled before a
     rollback can never run after one.
+
+    Observed code (:meth:`call_observed`) lives in a table of its own,
+    ``observed``: invalidated with ``functions``, never adopted from
+    the artifact cache and never published to it.
     """
 
     def __init__(self) -> None:
         self.functions: dict[int, CompiledFunction] = {}
+        self.observed: dict[int, CompiledFunction] = {}
         self.version = 0
         self._addresses: dict[int, _FunctionAddress] = {}
 
@@ -1022,12 +1053,14 @@ class ExecutionEngine:
             self._addresses[id(fn)] = address
         return address
 
-    def compiled(self, fn: Function) -> CompiledFunction:
-        cf = self.functions.get(id(fn))
+    def compiled(self, fn: Function, observed: bool = False) -> CompiledFunction:
+        table = self.observed if observed else self.functions
+        cf = table.get(id(fn))
         if cf is None:
             with STATS.timer("engine.compile"):
-                cf = hydrate_function(self, fn, *_Compiler(fn).compile())
-            self.functions[id(fn)] = cf
+                plan, code = _Compiler(fn, observed).compile()
+                cf = hydrate_function(self, fn, plan, code, observed)
+            table[id(fn)] = cf
             STATS.count("engine.compiles")
             STATS.count("engine.blocks_lowered", len(fn.blocks))
         return cf
@@ -1046,13 +1079,16 @@ class ExecutionEngine:
 
     def invalidate(self, fn: Function | None = None) -> None:
         """Drop one function's code (``fn``) or everything (None)."""
+        tables = (self.functions, self.observed)
         if fn is not None:
-            if self.functions.pop(id(fn), None) is not None:
-                STATS.count("engine.invalidations")
+            for table in tables:
+                if table.pop(id(fn), None) is not None:
+                    STATS.count("engine.invalidations")
             return
-        if self.functions:
-            STATS.count("engine.invalidations", len(self.functions))
-        self.functions.clear()
+        for table in tables:
+            if table:
+                STATS.count("engine.invalidations", len(table))
+            table.clear()
         self._addresses.clear()
         self.version += 1
 
@@ -1061,6 +1097,15 @@ class ExecutionEngine:
         cf = self.functions.get(id(fn))
         if cf is None:
             cf = self.compiled(fn)
+        else:
+            STATS.count("engine.cache_hits")
+        return cf.func(st, *args)
+
+    def call_observed(self, st, fn: Function, args: list[object]):
+        """:meth:`call` on the code that calls ``st``'s observers."""
+        cf = self.observed.get(id(fn))
+        if cf is None:
+            cf = self.compiled(fn, observed=True)
         else:
             STATS.count("engine.cache_hits")
         return cf.func(st, *args)

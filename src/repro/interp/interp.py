@@ -1,10 +1,14 @@
-"""Reference interpreter for the repro IR.
+"""Interpreter state and the reference walker for the repro IR.
 
-Executes whole modules, playing the role of "running the binary" in the
-paper's evaluation: the profilers (``noelle-prof-coverage``) run programs
-under this interpreter, and the simulated multicore machine
-(:mod:`repro.runtime.machine`) executes parallelized tasks with it while
-accounting cycles.
+An :class:`Interpreter` executes whole modules, playing the role of
+"running the binary" in the paper's evaluation: the profilers
+(``noelle-prof-coverage``) run programs through it, and the simulated
+multicore machine (:mod:`repro.runtime.machine`) executes parallelized
+tasks with it while accounting cycles.  It holds the run's state —
+memory, result, observers, intrinsics — and hands every defined
+function to the compiled engine (:mod:`repro.interp.engine`); the
+tree walk below runs only for ``engine="reference"``, the reference the
+engine is tested against.
 
 Design points:
 
@@ -351,27 +355,60 @@ class Interpreter:
         self.block_profile: BlockProfile | None = None
         #: Optional call observer(function) for profilers.
         self.call_observer = None
-        #: Optional CFG-edge observer(from_block, to_block) and memory
-        #: observer(kind, address, instruction) with kind "load"/"store",
-        #: for the dynamic oracles.  Setting either forces the reference
-        #: walker (the compiled engine calls back into neither).
-        self.edge_observer = None
-        self.memory_observer = None
         #: Current simulated clock period (TIME squeezer experiments).
         self.clock_period = 10
         #: Accumulated energy-ish metric: cycles * clock period.
         self.weighted_cycles = 0
         self._queues: dict[int, object] = {}
         #: The compiled execution engine routing this interpreter's
-        #: defined-function calls, or None for the reference walker.
-        #: Resolution order: explicit ``engine=`` argument, then the
-        #: NOELLE_ENGINE environment variable, then "compiled".
+        #: defined-function calls, or None for the reference walker
+        #: (``engine="reference"``; None and "compiled" compile).
         from .engine import engine_for, engine_mode
 
         self.engine = (
             engine_for(module) if engine_mode(engine) == "compiled" else None
         )
+        self._memory_observer = self._edge_observer = None
+        self._route()
         self._init_globals()
+
+    # -- observers --------------------------------------------------------------
+    #
+    # Setting an observer picks, once, the engine's code that calls it;
+    # a call pays for no test of whether anyone observes.
+
+    @property
+    def memory_observer(self):
+        """Optional ``observer(kind, address, instruction)``, kind
+        "load"/"store", called after the address checks and before the
+        access (so also for the access that traps), for the dynamic
+        oracles.  The accounting on ``result`` is not current inside it."""
+        return self._memory_observer
+
+    @memory_observer.setter
+    def memory_observer(self, observer) -> None:
+        self._memory_observer = observer
+        self._route()
+
+    @property
+    def edge_observer(self):
+        """Optional ``observer(from_block, to_block)``, called for every
+        CFG edge taken, before the target's phis are read."""
+        return self._edge_observer
+
+    @edge_observer.setter
+    def edge_observer(self, observer) -> None:
+        self._edge_observer = observer
+        self._route()
+
+    def _route(self) -> None:
+        engine = self.engine
+        if engine is None:
+            self._run_compiled = None
+        elif self._memory_observer is None and self._edge_observer is None:
+            self._run_compiled = engine.call
+        else:
+            self._run_compiled = engine.call_observed
 
     # -- setup ------------------------------------------------------------------
     def _init_globals(self) -> None:
@@ -421,12 +458,9 @@ class Interpreter:
             self.call_observer(fn)
         if fn.is_declaration():
             return self._call_intrinsic(fn, args)
-        if (
-            self.engine is not None
-            and self.memory_observer is None
-            and self.edge_observer is None
-        ):
-            return self.engine.call(self, fn, args)
+        run_compiled = self._run_compiled
+        if run_compiled is not None:
+            return run_compiled(self, fn, args)
         frame: dict[int, object] = {}
         for formal, actual in zip(fn.args, args):
             frame[id(formal)] = actual
@@ -472,8 +506,8 @@ class Interpreter:
                         next_block = outcome
                         break
                 assert next_block is not None, f"block %{block.name} fell through"
-                if self.edge_observer is not None:
-                    self.edge_observer(block, next_block)
+                if self._edge_observer is not None:
+                    self._edge_observer(block, next_block)
                 prev_block, block = block, next_block
         except (MemoryTrap, ExitProgram):
             if profile is not None:  # both start in ``_execute(inst)``
@@ -527,13 +561,13 @@ class Interpreter:
             frame[id(inst)] = alloc.base
         elif isinstance(inst, Load):
             address = self._as_address(self._value(inst.pointer, frame))
-            if self.memory_observer is not None:
-                self.memory_observer("load", address, inst)
+            if self._memory_observer is not None:
+                self._memory_observer("load", address, inst)
             frame[id(inst)] = self.memory.read(address)
         elif isinstance(inst, Store):
             address = self._as_address(self._value(inst.pointer, frame))
-            if self.memory_observer is not None:
-                self.memory_observer("store", address, inst)
+            if self._memory_observer is not None:
+                self._memory_observer("store", address, inst)
             self.memory.write(address, self._value(inst.value, frame))
         elif isinstance(inst, ElemPtr):
             frame[id(inst)] = self._elem_ptr(inst, frame)

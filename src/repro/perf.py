@@ -9,7 +9,9 @@ execution engine (``engine.compiles``, the ``engine.compile`` timer,
 rendered because a run crossed its step limit inside them, zero for a
 run that stays under its limit — and the
 ``engine.blocks_compiled`` / ``engine.blocks_reference`` split showing
-which engine actually executed each run's blocks), plus the artifact
+which engine actually executed each run's blocks — the second counts
+only runs on a walker built explicitly with ``engine="reference"``,
+since observed runs compile too), plus the artifact
 cache (``cache.hits`` / ``cache.misses`` for content-addressed module
 lookups, ``cache.bytes_read`` / ``cache.bytes_written``,
 ``cache.pdg_shards_hydrated`` / ``cache.engine_plans_hydrated``,

@@ -261,12 +261,6 @@ def validate_request(payload: object, op: str | None = None) -> dict:
             )
         request["technique"] = technique
 
-    engine = request.get("engine")
-    if engine is not None and engine not in ("compiled", "reference"):
-        raise ProtocolError(
-            f"unknown engine {engine!r}; expected compiled/reference"
-        )
-
     mode = request.get("mode")
     if mode is not None and mode not in DEGRADED_MODES.values():
         raise ProtocolError(f"unknown mode {mode!r}")

@@ -28,7 +28,6 @@ import time
 
 from .. import cache
 from ..core.noelle import Noelle
-from ..interp.engine import engine_mode
 from ..interp.interp import StepLimitExceeded
 from ..ir import print_module, verify_module
 from ..perf import STATS
@@ -278,7 +277,7 @@ def _op_run(job: dict, state: SessionState) -> dict:
     module, _noelle, name, warm = _resolve(job, state)
     _service_checkpoint()
     degraded = job.get("mode") == "reference"
-    engine = "reference" if degraded else job.get("engine")
+    engine = "reference" if degraded else "compiled"
     result = execute(
         module,
         job.get("entry") or "main",
@@ -298,7 +297,7 @@ def _op_run(job: dict, state: SessionState) -> dict:
         "trapped": result.trapped,
         "trap_kind": result.trap_kind,
         "exit_code": trap_exit_code(result.trap_kind),
-        "engine": engine_mode(engine),
+        "engine": engine,
         "degraded": "reference" if degraded else None,
         "warm": warm,
     }

@@ -28,7 +28,6 @@ documented exit code (``repro.serve.protocol``), never a traceback.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .. import cache
@@ -485,14 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(equivalent to NOELLE_STATS=1)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("compiled", "reference"),
-        default=None,
-        help="execution engine for every program run this invocation "
-        "makes (profiling, transforms, 'run'); equivalent to setting "
-        "NOELLE_ENGINE",
-    )
-    parser.add_argument(
         "--crash-dir",
         default=None,
         metavar="DIR",
@@ -662,12 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    previous_engine = os.environ.get("NOELLE_ENGINE")
-    if args.engine is not None:
-        # Set before any interpreter is constructed: every run this
-        # command performs (including profiling inside transforms)
-        # resolves its engine from the environment.
-        os.environ["NOELLE_ENGINE"] = args.engine
     try:
         status = args.func(args)
     except Exception as error:
@@ -679,12 +664,6 @@ def main(argv: list[str] | None = None) -> int:
             raise  # not bad input: a bug, and it should look like one
         print(f"repro-noelle {args.command}: {kind}: {error}",
               file=sys.stderr)
-    finally:
-        # The choice is this command's, not the calling process's.
-        if previous_engine is None:
-            os.environ.pop("NOELLE_ENGINE", None)
-        else:
-            os.environ["NOELLE_ENGINE"] = previous_engine
     if args.stats and not stats_enabled():
         # NOELLE_STATS=1 already reports via atexit; avoid printing twice.
         STATS.report()

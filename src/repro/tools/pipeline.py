@@ -146,7 +146,8 @@ def execute(
     engine: str | None = None,
     step_limit: int | None = None,
 ) -> ExecutionResult:
-    """Run ``entry`` on the simulated machine.
+    """Run ``entry`` on the simulated machine, compiled unless ``engine``
+    is "reference" (serve's degraded ``run``, and the tests).
 
     :class:`EntryNotFoundError` when ``entry`` is not a defined function.
     A trap or an exhausted ``step_limit`` (None: the machine's own) is
@@ -233,27 +234,23 @@ def outputs_equivalent(a: list, b: list) -> bool:
 class Binary:
     """``noelle-bin``'s output: an executable program image.
 
-    Runs on the simulated machine; the link options embedded by
-    ``noelle-whole-IR`` select the runtime pieces (parallel dispatch).
+    Runs on the simulated machine, compiled like every product run; the
+    link options embedded by ``noelle-whole-IR`` select the runtime
+    pieces (parallel dispatch).
     """
 
     def __init__(self, module: Module, num_cores: int | None = None,
-                 architecture: ArchitectureDescription | None = None,
-                 engine: str | None = None):
+                 architecture: ArchitectureDescription | None = None):
         verify_module(module)
         self.module = module
         self.num_cores = num_cores
         self.architecture = architecture
-        #: Execution engine of the image ("compiled"/"reference"); None
-        #: defers to the NOELLE_ENGINE environment variable.
-        self.engine = engine
         self.link_options = link_options_of(module)
 
     def run(self, args: list[object] | None = None,
             entry: str = "main") -> ExecutionResult:
         return execute(
-            self.module, entry, args, self.num_cores, self.architecture,
-            self.engine,
+            self.module, entry, args, self.num_cores, self.architecture
         )
 
 
@@ -261,10 +258,9 @@ def make_binary(
     module: Module,
     num_cores: int | None = None,
     architecture: ArchitectureDescription | None = None,
-    engine: str | None = None,
 ) -> Binary:
     """``noelle-bin``: finalize a module into a runnable image."""
-    return Binary(module, num_cores, architecture, engine)
+    return Binary(module, num_cores, architecture)
 
 
 def helix_pipeline(

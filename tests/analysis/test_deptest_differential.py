@@ -174,7 +174,7 @@ def test_static_verdicts_are_dynamically_consistent(workload, monkeypatch):
     if not claims:
         pytest.skip(f"{workload}: nothing proven, nothing to validate")
     recorder = _DepRecorder(claims)
-    interp = Interpreter(module, step_limit=50_000_000, engine="reference")
+    interp = Interpreter(module, step_limit=50_000_000)
     interp.edge_observer = recorder.on_edge
     interp.memory_observer = recorder.on_access
     try:

@@ -21,9 +21,6 @@ from repro.workloads import get
 def store(tmp_path, monkeypatch):
     root = tmp_path / "cache"
     monkeypatch.setenv("NOELLE_CACHE_DIR", str(root))
-    # Engine plans only exist under the compiled engine; pin it so the
-    # plan-file assertions hold in the NOELLE_ENGINE=reference matrix.
-    monkeypatch.setenv("NOELLE_ENGINE", "compiled")
     yield cache.get_store()
 
 

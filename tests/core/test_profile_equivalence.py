@@ -10,12 +10,14 @@ listing per program; the listing's sha256 must not move, under either
 executor.
 """
 
+import functools
 import hashlib
 import json
 import os
 
 import pytest
 
+from repro.core import profiler
 from repro.core.profiler import Profiler, embed_profile
 from repro.frontend import compile_source
 from repro.fuzz.gen import SHAPES, generate_program
@@ -162,17 +164,26 @@ def _golden() -> dict:
         return json.load(handle)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.fixture
+def engine(request, monkeypatch):
+    """The executor every ``Profiler`` in the test profiles on: the
+    product's, or the walker built explicitly."""
+    monkeypatch.setattr(
+        profiler, "Interpreter",
+        functools.partial(Interpreter, engine=request.param),
+    )
+    return request.param
+
+
+@pytest.mark.parametrize("engine", ENGINES, indirect=True)
 @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
-def test_workload_profile_matches_recorded_digest(name, engine, monkeypatch):
-    monkeypatch.setenv("NOELLE_ENGINE", engine)
+def test_workload_profile_matches_recorded_digest(name, engine):
     assert _profile_digests(get(name).compile()) == _golden()["workloads"][name]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, indirect=True)
 @pytest.mark.parametrize("name", sorted(PARTIAL_BLOCK_SOURCES))
-def test_partial_block_counts(name, engine, monkeypatch):
-    monkeypatch.setenv("NOELLE_ENGINE", engine)
+def test_partial_block_counts(name, engine):
     module = compile_source(PARTIAL_BLOCK_SOURCES[name], name)
     data = Profiler(module).profile()
     listing = canonical_listing(module, data).split("\n")
@@ -207,12 +218,11 @@ def test_partial_block_shapes():
     assert after_call.trapped is not None and "store" in after_call.trapped
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, indirect=True)
 @pytest.mark.parametrize("family", SHAPES)
-def test_fuzz_families_profile_identically(family, engine, monkeypatch):
+def test_fuzz_families_profile_identically(family, engine):
     """7 families x 20 seeds: both executors produce the recorded
     listings, hence the same ``ProfileData`` as each other."""
-    monkeypatch.setenv("NOELLE_ENGINE", engine)
     assert _fuzz_digest(family) == _golden()["fuzz"][family]
 
 

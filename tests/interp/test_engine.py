@@ -6,6 +6,7 @@ step/cycle/weighted-cycle accounting at *every* budget boundary — and no
 stale compiled code may survive a transform or a pass-manager rollback.
 """
 
+import functools
 import marshal
 import os
 import pickle
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 from repro import cache, ir
+from repro.core import profiler
 from repro.core.noelle import Noelle
 from repro.core.profiler import Profiler
 from repro.frontend import compile_source
@@ -87,22 +89,15 @@ def _observables(module, engine, step_limit=50_000_000):
 
 
 class TestEngineSelection:
-    def test_mode_resolution(self, monkeypatch):
-        monkeypatch.delenv("NOELLE_ENGINE", raising=False)
+    def test_mode_resolution(self):
         assert engine_mode() == "compiled"
-        monkeypatch.setenv("NOELLE_ENGINE", "reference")
-        assert engine_mode() == "reference"
-        assert engine_mode("compiled") == "compiled"  # explicit wins
-        monkeypatch.setenv("NOELLE_ENGINE", "jit")
+        assert engine_mode("compiled") == "compiled"
+        assert engine_mode("reference") == "reference"
         with pytest.raises(ValueError, match="jit"):
-            engine_mode()
-
-    def test_interpreter_honors_env(self, monkeypatch):
+            engine_mode("jit")
         module = compile_source("int main() { return 1; }")
-        monkeypatch.setenv("NOELLE_ENGINE", "reference")
-        assert Interpreter(module).engine is None
-        monkeypatch.setenv("NOELLE_ENGINE", "compiled")
         assert Interpreter(module).engine is not None
+        assert Interpreter(module, engine="reference").engine is None
 
     def test_shared_engine_per_module(self):
         module = compile_source("int main() { return 1; }")
@@ -199,7 +194,10 @@ class TestParallelMachineEquivalence:
     def test_profiler_counts_match(self, monkeypatch):
         counts = {}
         for engine in ENGINES:
-            monkeypatch.setenv("NOELLE_ENGINE", engine)
+            monkeypatch.setattr(
+                profiler, "Interpreter",
+                functools.partial(Interpreter, engine=engine),
+            )
             module = compile_source(MIXED_SOURCE, "prof")
             profile = Profiler(module).profile()
             counts[engine] = {
@@ -361,7 +359,6 @@ class TestSlowPathOnDemand:
         process published and this one only loaded: every function
         adopted from the store, none compiled here."""
         monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("NOELLE_ENGINE", "compiled")
         cold = cache.cached_compile(MIXED_SOURCE, "boundary")
         Interpreter(cold).run()
         cache.publish_artifacts(cold)

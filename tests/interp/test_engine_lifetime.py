@@ -8,8 +8,6 @@ reference cycle.  Nothing process-wide may keep either side alive.
 import gc
 import weakref
 
-import pytest
-
 from repro import cache
 from repro.core.noelle import Noelle
 from repro.core.profiler import Profiler
@@ -22,11 +20,6 @@ from repro.serve.session import configure_worker, execute_job
 from repro.tools.rm_lc_dependences import remove_loop_carried_dependences
 from repro.workloads import get
 from repro.xforms.doall import DOALL
-
-
-@pytest.fixture(autouse=True)
-def compiled_engine(monkeypatch):
-    monkeypatch.setenv("NOELLE_ENGINE", "compiled")
 
 
 def _dies(make) -> bool:

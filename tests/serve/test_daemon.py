@@ -24,19 +24,21 @@ from repro.workloads import registry
 
 pytestmark = pytest.mark.timeout(300)
 
-#: A program slow enough (tens of millions of reference-interpreter
-#: steps) to blow any sub-second deadline, for the deadline-kill test.
+#: A program slow enough to blow any sub-second deadline on the compiled
+#: engine, for the deadline-kill test: 10^12 iterations, run under a step
+#: limit that does not end it first.
 SLOW_SOURCE = """
 int main() {
   int i = 0;
   int s = 0;
-  while (i < 30000000) {
+  while (i < 1000000000000) {
     s = s + i;
     i = i + 1;
   }
   return s;
 }
 """
+SLOW_STEP_LIMIT = 10 ** 15
 
 
 class Client:
@@ -273,8 +275,8 @@ class TestFaultInjectionStress:
             _compile(client, name="slow", source=SLOW_SOURCE)
             started = time.monotonic()
             status, body = client.post("/run", {
-                "session": "s", "name": "slow", "engine": "reference",
-                "deadline_s": 1.0,
+                "session": "s", "name": "slow",
+                "step_limit": SLOW_STEP_LIMIT, "deadline_s": 1.0,
             })
             elapsed = time.monotonic() - started
             assert status == 504

@@ -72,10 +72,6 @@ class TestValidateRequest:
                 {"op": "parallelize", "name": "m", "technique": "magic"}
             )
 
-    def test_engine_validation(self):
-        with pytest.raises(ProtocolError, match="engine"):
-            validate_request({"op": "run", "name": "m", "engine": "jit"})
-
     def test_args_must_be_numbers(self):
         validate_request({"op": "run", "name": "m", "args": [1, 2.5]})
         with pytest.raises(ProtocolError, match="args"):
