@@ -17,7 +17,7 @@ from collections import defaultdict
 
 from ..analysis.loopinfo import NaturalLoop
 from ..interp.interp import INSTRUCTION_COSTS, BlockProfile, Interpreter
-from ..ir.instructions import Instruction
+from ..ir.instructions import Call, Instruction
 from ..ir.module import BasicBlock, Function, Module
 
 PROFILE_COUNT_KEY = "noelle.prof.count"
@@ -36,30 +36,43 @@ class ProfileData:
         self._inclusive_cache: dict[int, float] | None = None
 
     # -- recording ------------------------------------------------------------------
-    def record_call(self, fn: Function) -> None:
-        self.invocation_counts[id(fn)] += 1
-
     def record_blocks(self, counters: BlockProfile) -> None:
-        """Derive every other number from a run's edge counters: a block
-        ran once per edge taken into it, and an instruction once per run
-        of its block, less once per frame that stopped short of it."""
+        """Derive every number from a run's counters: a block ran once
+        per edge taken into it, and an instruction once per run of its
+        block, less once per frame that stopped short of it.  A defined
+        function ran once per entry edge; a declaration once per
+        executed direct call of it, plus the calls to it through a
+        pointer that the executors counted."""
         entries: dict[BasicBlock, int] = defaultdict(int)
+        invocations = self.invocation_counts
         for src, targets in counters.edges.items():
             for dst, taken in targets.items():
                 entries[dst] += taken
-                if src is not None:
+                if src is None:
+                    invocations[id(dst.parent)] += taken
+                else:
                     self.edge_counts[(id(src), id(dst))] = taken
+        calls = []
         for block, count in entries.items():
             self.block_counts[id(block)] = count
             cost = 0
             for inst in block.instructions:
                 self.instruction_counts[id(inst)] = count
                 cost += INSTRUCTION_COSTS.get(inst.opcode, 1)
+                if isinstance(inst, Call):
+                    calls.append(inst)
             self.total_weight += count * cost
         for block, accounted in counters.partial:
             for inst in block.instructions[accounted:]:
                 self.instruction_counts[id(inst)] -= 1
                 self.total_weight -= INSTRUCTION_COSTS.get(inst.opcode, 1)
+        for inst in calls:
+            callee = inst.called_function()
+            if callee is not None and callee.is_declaration():
+                invocations[id(callee)] += self.instruction_counts[id(inst)]
+        for fn, taken in counters.indirect.items():
+            if fn.is_declaration():
+                invocations[id(fn)] += taken
 
     # -- instruction/block queries -------------------------------------------------
     def count_of(self, inst: Instruction) -> int:
@@ -89,8 +102,6 @@ class ProfileData:
 
     def inclusive_weight_of_instructions(self, instructions) -> float:
         """Weighted work of the region *including* its callees' time."""
-        from ..ir.instructions import Call
-
         weight = float(self.weight_of_instructions(instructions))
         for inst in instructions:
             if isinstance(inst, Call):
@@ -108,8 +119,6 @@ class ProfileData:
         round distributes the same finite total weight.
         """
         if self._inclusive_cache is None:
-            from ..ir.instructions import Call
-
             own: dict[int, float] = {}
             for candidate in self.module.defined_functions():
                 invocations = max(self.function_invocations(candidate), 1)
@@ -194,8 +203,6 @@ class ProfileData:
 
     def average_callee_invocations(self, caller: Function, callee: Function) -> float:
         """Average number of times one invocation of ``caller`` calls ``callee``."""
-        from ..ir.instructions import Call
-
         caller_count = self.function_invocations(caller)
         if caller_count == 0:
             return 0.0
@@ -221,7 +228,6 @@ class Profiler:
         data = ProfileData(self.module)
         interp = Interpreter(self.module, step_limit=step_limit)
         interp.block_profile = BlockProfile()
-        interp.call_observer = data.record_call
         interp.run(function_name, args)
         data.record_blocks(interp.block_profile)
         return data

@@ -28,6 +28,16 @@ call, to one Python function ``_fn(st, *args)``:
   remainder of its unit (compile-time constants, one cold ``_sync``
   call), so a trapping run reports byte-identical ``steps``/``cycles``
   to the reference walker.
+* **calls are Python calls** — a direct call to a defined function is
+  one call through the callee's *cell* (``_D<k>[0](st, x1, x2)``), a
+  list the :class:`ExecutionEngine` owns per callee and per code table
+  whose first slot holds the callee's ``func``, or a trampoline that
+  compiles the callee, fills the cell and calls it.  A call to a known
+  intrinsic adds the intrinsic's cost to ``dc`` before the sync and
+  calls its handler through ``st.INTRINSICS``: that table is per
+  interpreter class while the engine is per module, so no handler is
+  baked into the namespace.  Indirect calls and unknown externals go
+  through ``st.call_function``.
 * **exact step budgets** — the one unit that does not fit under
   ``step_limit`` undoes nothing and executes nothing: it hands its
   ``locals()`` to a per-instruction *tail* (charge, check, execute — the
@@ -37,12 +47,14 @@ call, to one Python function ``_fn(st, *args)``:
   run crosses its limit in that unit, with the emitters that rendered
   the function, into a namespace of its own.  A tail always ends the run.
 * **profile** — one local counter per CFG edge, bumped where the edge is
-  taken and always on; the frame's exit folds the non-zero ones into
-  ``Interpreter.block_profile`` when one is set
-  (:class:`~repro.interp.interp.BlockProfile`) and their sum is
-  ``engine.blocks_compiled``.  A local ``at`` — set on the cold raise
-  paths and before each call — is the partial-frame position a
-  ``MemoryTrap`` or ``exit()`` unwinding through the frame records.
+  taken and always on.  The frame's exit adds their sum to
+  ``st.blocks_compiled`` (``engine.blocks_compiled``, flushed once per
+  ``Interpreter.run``) and, only when ``Interpreter.block_profile`` is
+  set (:class:`~repro.interp.interp.BlockProfile`), folds the non-zero
+  ones into it; an indirect call counts its target there too.  A local
+  ``at`` — set on the cold raise paths and before each call — is the
+  partial-frame position a ``MemoryTrap`` or ``exit()`` unwinding
+  through the frame records.
 * **known-int elision** — an optimistic fixpoint finds the SSA values
   that can only ever hold a Python ``int``; the function-pointer and
   non-integer-address checks are emitted for the others only.
@@ -60,8 +72,9 @@ hangs off its module (``Module.engine``, reached through
 :func:`engine_for`), so the two are collected together; invalidation is
 wired into ``Noelle.invalidate(fn)``, ``Noelle.adopt_pdg()`` and the
 transactional pass manager's rollback path via
-:func:`invalidate_module`, so a rolled-back module never executes stale
-code.
+:func:`invalidate_module`, which also re-arms (one function) or drops
+(all) the cells direct calls go through, so a rolled-back module never
+executes stale code.
 
 This engine is the one executor a program runs on.  The tree-walking
 interpreter is its reference, built only by an explicit
@@ -100,6 +113,7 @@ from ..ir.values import (
 from ..perf import STATS
 from .interp import (
     INSTRUCTION_COSTS,
+    INTRINSIC_COSTS,
     ExitProgram,
     InterpError,
     MemoryTrap,
@@ -110,7 +124,7 @@ from .interp import (
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 4
+EPLAN_VERSION = 5
 
 
 class EnginePlanError(Exception):
@@ -213,19 +227,20 @@ def _partial(st, block, at: int) -> None:
         profile.partial.append((block, at))
 
 
-def _leave(st, edges, counts, allocs) -> None:
-    """A frame's exit, normal or not: free its stack, fold its edge
-    counters (``counts[0]`` is the entry's literal 1)."""
+def _release(st, allocs) -> None:
+    """Free a frame's stack on its exit, normal or not."""
     for alloc in allocs:
         if alloc.alive:
             st.memory.release(alloc.base)
-    STATS.count("engine.blocks_compiled", sum(counts))
-    profile = st.block_profile
-    if profile is not None:
-        table = profile.edges
-        for (src, dst), taken in zip(edges, counts):
-            if taken:
-                table[src][dst] += taken
+
+
+def _fold(profile, edges, counts) -> None:
+    """Fold a frame's edge counters into ``profile`` (``counts[0]`` is
+    the entry's literal 1)."""
+    table = profile.edges
+    for (src, dst), taken in zip(edges, counts):
+        if taken:
+            table[src][dst] += taken
 
 
 def _ignore(*_event) -> None:
@@ -241,17 +256,21 @@ _HELPERS = {
     "_sync": _sync,
     "_charge": _charge,
     "_partial": _partial,
-    "_leave": _leave,
+    "_release": _release,
+    "_fold": _fold,
     "_ignore": _ignore,
     "_INF": float("inf"),
 }
 
 
-def _namespace(engine: "ExecutionEngine", fn: Function, binds):
+def _namespace(
+    engine: "ExecutionEngine", fn: Function, binds, observed: bool = False
+):
     """The namespace generated code executes against: the helpers plus
-    every bind spec re-resolved against ``fn``'s module.  Returns it
-    with the keep-alive references for objects whose ``id()`` it holds
-    (id reuse would be fatal)."""
+    every bind spec re-resolved against ``fn``'s module, a direct callee
+    to its cell for ``observed`` code or for the other.  Returns it with
+    the keep-alive references for objects whose ``id()`` it holds (id
+    reuse would be fatal)."""
     module = fn.parent
     ns = dict(_HELPERS)
     refs: list[object] = []
@@ -269,13 +288,22 @@ def _namespace(engine: "ExecutionEngine", fn: Function, binds):
                 )
             refs.append(gv)
             ns[name] = id(gv)
-        elif kind in ("fa", "callee"):
+        elif kind in ("fa", "callee", "direct"):
             target = module.functions.get(spec[1])
             if target is None:
                 raise EnginePlanError(
                     f"plan references unknown function @{spec[1]}"
                 )
-            ns[name] = engine.address_of(target) if kind == "fa" else target
+            if kind == "fa":
+                ns[name] = engine.address_of(target)
+            elif kind == "callee":
+                ns[name] = target
+            elif target.is_declaration():
+                raise EnginePlanError(
+                    f"plan calls @{spec[1]} directly, which has no body"
+                )
+            else:
+                ns[name] = engine.cell(target, observed)
         else:
             raise EnginePlanError(f"unknown bind spec {spec!r}")
     return ns, refs
@@ -318,7 +346,7 @@ class CompiledFunction:
             code = compile(source, f"<engine:{self.fn.name}:tail>", "exec")
             # A namespace of its own: the names a fresh compiler binds
             # are not the ones the function's code was compiled against.
-            ns, _refs = _namespace(self.engine, self.fn, binds)
+            ns, _refs = _namespace(self.engine, self.fn, binds, self.observed)
             entry = self.tails[key] = (code, ns, block)
             STATS.count("engine.slow_segments")
         code, ns, block = entry
@@ -421,6 +449,7 @@ class _Compiler:
         #: generated code reads from its namespace.
         self.binds: list[tuple[str, tuple]] = []
         self._global_names: dict[int, str] = {}
+        self._cell_names: dict[int, str] = {}
         #: (source block, target block) -> its counter's number; 0 is
         #: the function entry.
         self.edges: dict[tuple[int, int], int] = {}
@@ -501,6 +530,14 @@ class _Compiler:
         return self._bind("_X", (
             "inst", self._block_index[id(block)], block.instructions.index(inst),
         ))
+
+    def _cell(self, callee: Function) -> str:
+        """The name of the cell a direct call to ``callee`` goes through."""
+        name = self._cell_names.get(id(callee))
+        if name is None:
+            name = self._bind("_D", ("direct", callee.name))
+            self._cell_names[id(callee)] = name
+        return name
 
     def _holds_int(self, v) -> bool:
         """True when the operand is provably a Python int at run time,
@@ -747,15 +784,18 @@ class _Compiler:
     def _emit_call(self, inst, n, corr, at: int):
         """A call ends its unit: the frame's accounting is written back
         before it (the callee and the intrinsics account on ``st``) and
-        read again after."""
-        args = "[" + ", ".join(self._expr(a) for a in inst.args) + "]"
+        read again after.  A defined callee is called through its cell;
+        a known intrinsic's cost joins the sync, where the walker
+        charges it too, and its handler comes from ``st``'s class.  An
+        indirect call, counted by target into the block profile, and an
+        unknown external go through ``st.call_function``."""
+        args = [self._expr(a) for a in inst.args]
+        listed = "[" + ", ".join(args) + "]"
         store = "" if inst.type.is_void() else f"{self._expr(inst)} = "
         callee = inst.called_function()
         lines = []
-        if callee is not None:
-            target = self._bind("_F", ("callee", callee.name))
-        else:
-            target = f"t{n}.fn"
+        counted = []
+        if callee is None:
             lines.append(f"t{n} = {self._expr(inst.callee)}")
             lines.append(f"if t{n}.__class__ is not _FunctionAddress:")
             lines += self._raise(
@@ -763,10 +803,25 @@ class _Compiler:
                 corr,
                 f"raise MemoryTrap('indirect call to non-function %r' % (t{n},))",
             )
+            counted = [
+                "if st.block_profile is not None:",
+                f"    st.block_profile.indirect[t{n}.fn] += 1",
+            ]
+            call = f"st.call_function(t{n}.fn, {listed})"
+        elif not callee.is_declaration():
+            call = f"{self._cell(callee)}[0](" + ", ".join(["st", *args]) + ")"
+        elif callee.name in INTRINSIC_COSTS:
+            if INTRINSIC_COSTS[callee.name]:
+                lines.append(f"dc += {INTRINSIC_COSTS[callee.name]}")
+            call = f"st.INTRINSICS[{callee.name!r}][1](st, {listed})"
+        else:
+            target = self._bind("_F", ("callee", callee.name))
+            call = f"st.call_function({target}, {listed})"
         return lines + [
             *_SYNC,
             f"at = {at}",
-            f"{store}st.call_function({target}, {args})",
+            *counted,
+            store + call,
             "room = limit - result.steps",
             "dc = 0",
         ]
@@ -912,8 +967,9 @@ class _Compiler:
             ]
         return lines
 
-    def compile(self):
-        """The plan and code object of ``fn`` (see :func:`hydrate_function`)."""
+    def source(self) -> str:
+        """The generated source of ``fn``, one ``def _fn``.  Rendering it
+        fills ``binds`` and ``edges``: one compiler renders it once."""
         fn = self.fn
         body = self._tree("b", [self._block(bi) for bi in range(len(fn.blocks))])
         counters = [f"e{k}" for k in range(1, len(self.edges) + 1)]
@@ -944,14 +1000,32 @@ class _Compiler:
             "        if room >= 0: _partial(st, _BB[b], at)",
             "        raise",
             "    finally:",
-            "        _leave(st, _E, (" + "".join(f"{c}, " for c in ["1", *counters])
-            + "), " + ("allocs" if self._has_allocs else "()") + ")",
+        ]
+        # The exit calls nothing unless the frame owns stack or a
+        # profile is being taken.  The sum goes in slices: CPython's
+        # compiler recurses once per ``+`` of an expression.
+        terms = ["1", *counters]
+        for start in range(0, len(terms), 64):
+            lines.append(
+                "        st.blocks_compiled += "
+                + " + ".join(terms[start:start + 64])
+            )
+        if self._has_allocs:
+            lines.append("        _release(st, allocs)")
+        lines += [
+            "        if st.block_profile is not None:",
+            "            _fold(st.block_profile, _E, ("
+            + "".join(f"{c}, " for c in terms) + "))",
             "",
         ]
-        code = compile("\n".join(lines), f"<engine:{fn.name}>", "exec")
+        return "\n".join(lines)
+
+    def compile(self):
+        """The plan and code object of ``fn`` (see :func:`hydrate_function`)."""
+        code = compile(self.source(), f"<engine:{self.fn.name}>", "exec")
         plan = {
             "version": EPLAN_VERSION,
-            "shape": _shape(fn),
+            "shape": _shape(self.fn),
             "binds": tuple(self.binds),
             "edges": tuple(self.edges),
         }
@@ -1007,7 +1081,7 @@ def hydrate_function(
             raise EnginePlanError(
                 f"plan does not match the blocks of @{fn.name}"
             )
-        ns, refs = _namespace(engine, fn, plan["binds"])
+        ns, refs = _namespace(engine, fn, plan["binds"], observed)
         blocks = fn.blocks
         ns["_BB"] = tuple(blocks)
         ns["_E"] = ((None, blocks[0]),) + tuple(
@@ -1036,13 +1110,48 @@ class ExecutionEngine:
     Observed code (:meth:`call_observed`) lives in a table of its own,
     ``observed``: invalidated with ``functions``, never adopted from
     the artifact cache and never published to it.
+
+    Each table has its cells (:meth:`cell`): what a direct call in that
+    table's code goes through.  Whatever replaces or drops a function's
+    code re-arms its cells, so a caller that stays compiled never calls
+    stale code; a full invalidation drops every cell with the code that
+    named them.
     """
 
     def __init__(self) -> None:
         self.functions: dict[int, CompiledFunction] = {}
         self.observed: dict[int, CompiledFunction] = {}
+        #: id(fn) -> ``fn``'s cell, for ``functions`` / ``observed`` code.
+        self.cells: dict[int, list] = {}
+        self.observed_cells: dict[int, list] = {}
         self.version = 0
         self._addresses: dict[int, _FunctionAddress] = {}
+
+    def cell(self, fn: Function, observed: bool = False) -> list:
+        """The cell direct calls to ``fn`` go through: ``[entry, fn]``,
+        ``entry(st, *args)`` being ``fn``'s compiled ``func`` — until the
+        first call through it, a trampoline that compiles ``fn`` and
+        fills the cell.  ``fn`` pins the id the cell is keyed by."""
+        cells = self.observed_cells if observed else self.cells
+        cell = cells.get(id(fn))
+        if cell is None:
+            cell = cells[id(fn)] = [None, fn]
+            self._arm(cell, observed)
+        return cell
+
+    def _arm(self, cell: list, observed: bool) -> None:
+        def trampoline(st, *args):
+            func = cell[0] = self.compiled(cell[1], observed).func
+            return func(st, *args)
+
+        cell[0] = trampoline
+
+    def _rearm(self, fn: Function) -> None:
+        """Put trampolines back into ``fn``'s cells: its code changed."""
+        for cells, observed in ((self.cells, False), (self.observed_cells, True)):
+            cell = cells.get(id(fn))
+            if cell is not None:
+                self._arm(cell, observed)
 
     def address_of(self, fn: Function) -> _FunctionAddress:
         """A canonical function-pointer value per Function (semantics
@@ -1074,6 +1183,7 @@ class ExecutionEngine:
         with STATS.timer("engine.hydrate"):
             cf = hydrate_function(self, fn, plan, code)
         self.functions[id(fn)] = cf
+        self._rearm(fn)
         STATS.count("engine.hydrations")
         return cf
 
@@ -1084,11 +1194,14 @@ class ExecutionEngine:
             for table in tables:
                 if table.pop(id(fn), None) is not None:
                     STATS.count("engine.invalidations")
+            self._rearm(fn)
             return
         for table in tables:
             if table:
                 STATS.count("engine.invalidations", len(table))
             table.clear()
+        self.cells.clear()
+        self.observed_cells.clear()
         self._addresses.clear()
         self.version += 1
 

@@ -278,12 +278,15 @@ class BlockProfile:
     an instruction ran as often as its block.  The partial-frame rule
     keeps that exact: every frame a memory trap or ``exit()`` unwinds
     through mid-block appends ``(block, leading instructions
-    accounted)`` to ``partial``, innermost first.
+    accounted)`` to ``partial``, innermost first.  ``indirect[fn]`` is
+    how often ``fn`` was called through a pointer: the one call count a
+    declaration, which has no blocks, cannot get from its call sites.
     """
 
     def __init__(self) -> None:
         self.edges = defaultdict(lambda: defaultdict(int))
         self.partial: list[tuple[BasicBlock, int]] = []
+        self.indirect: dict[Function, int] = defaultdict(int)
 
 
 class ExecutionResult:
@@ -296,7 +299,8 @@ class ExecutionResult:
         self.steps: int = 0
         self.trapped: str | None = None
         #: What cut the run short, when ``trapped`` is set: "MemoryTrap",
-        #: or "StepLimitExceeded" where a caller reports a budget kill
+        #: "StackOverflow" (calls nested deeper than the host's stack), or
+        #: "StepLimitExceeded" where a caller reports a budget kill
         #: in-band (:func:`repro.tools.pipeline.execute`).
         self.trap_kind: str | None = None
         #: CARAT statistics: guards executed.
@@ -353,8 +357,9 @@ class Interpreter:
         #: Optional :class:`BlockProfile` the executors count into (the
         #: profiler's mode; runs at full speed on either executor).
         self.block_profile: BlockProfile | None = None
-        #: Optional call observer(function) for profilers.
-        self.call_observer = None
+        #: Blocks compiled frames ran in this run so far; added to
+        #: ``engine.blocks_compiled`` once, when :meth:`run` ends.
+        self.blocks_compiled = 0
         #: Current simulated clock period (TIME squeezer experiments).
         self.clock_period = 10
         #: Accumulated energy-ish metric: cycles * clock period.
@@ -451,11 +456,18 @@ class Interpreter:
         except MemoryTrap as trap:
             self.result.trapped = str(trap)
             self.result.trap_kind = "MemoryTrap"
+        except RecursionError:
+            # The program's calls nested deeper than the host's stack:
+            # its fault, like a memory trap, and reported as one.
+            self.result.trapped = "call stack exhausted: calls nested too deep"
+            self.result.trap_kind = "StackOverflow"
+        finally:
+            if self.blocks_compiled:
+                STATS.count("engine.blocks_compiled", self.blocks_compiled)
+                self.blocks_compiled = 0
         return self.result
 
     def call_function(self, fn: Function, args: list[object]) -> object:
-        if self.call_observer is not None:
-            self.call_observer(fn)
         if fn.is_declaration():
             return self._call_intrinsic(fn, args)
         run_compiled = self._run_compiled
@@ -665,12 +677,15 @@ class Interpreter:
     # -- calls -----------------------------------------------------------------
     def _call(self, inst: Call, frame) -> object:
         callee = inst.called_function()
-        if callee is None:
+        indirect = callee is None
+        if indirect:
             target = self._value(inst.callee, frame)
             if not isinstance(target, _FunctionAddress):
                 raise MemoryTrap(f"indirect call to non-function {target!r}")
             callee = target.fn
         args = [self._value(a, frame) for a in inst.args]
+        if indirect and self.block_profile is not None:
+            self.block_profile.indirect[callee] += 1
         return self.call_function(callee, args)
 
     def _call_intrinsic(self, fn: Function, args: list[object]) -> object:
@@ -686,8 +701,9 @@ class Interpreter:
 def intrinsic_table(base: dict, handlers: dict) -> dict:
     """``base`` with ``handlers`` (name -> ``handler(st, args)``) laid
     over it, each paired with its :data:`INTRINSIC_COSTS` entry — the
-    one lookup ``Interpreter._call_intrinsic`` does per call.  Built
-    once per class: a subclass overrides entries, not a method."""
+    one lookup an intrinsic call does (``Interpreter._call_intrinsic``,
+    or ``st.INTRINSICS[name][1]`` in compiled code).  Built once per
+    class: a subclass overrides entries, not a method."""
     table = dict(base)
     for name, handler in handlers.items():
         table[name] = (INTRINSIC_COSTS[name], handler)

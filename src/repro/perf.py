@@ -4,14 +4,18 @@ Named counters and timers with near-zero overhead, threaded through the
 expensive paths of the abstraction layer (points-to solving, PDG shard
 construction, alias-query memoization, transform pipelines) and the
 execution engine (``engine.compiles``, the ``engine.compile`` timer,
-``engine.cache_hits``, ``engine.invalidations``,
+``engine.cache_hits`` — entries through ``ExecutionEngine.call`` that
+found their code compiled: run entries, dispatched tasks and indirect
+calls, never a direct call, which goes through its callee's cell —
+``engine.invalidations``,
 ``engine.slow_segments`` — charge units whose per-instruction tail was
 rendered because a run crossed its step limit inside them, zero for a
 run that stays under its limit — and the
 ``engine.blocks_compiled`` / ``engine.blocks_reference`` split showing
-which engine actually executed each run's blocks — the second counts
-only runs on a walker built explicitly with ``engine="reference"``,
-since observed runs compile too), plus the artifact
+which engine actually executed each run's blocks — the first is kept on
+the interpreter and added once per ``Interpreter.run``, the second
+counts only runs on a walker built explicitly with
+``engine="reference"``, since observed runs compile too), plus the artifact
 cache (``cache.hits`` / ``cache.misses`` for content-addressed module
 lookups, ``cache.bytes_read`` / ``cache.bytes_written``,
 ``cache.pdg_shards_hydrated`` / ``cache.engine_plans_hydrated``,

@@ -152,7 +152,8 @@ def execute(
     :class:`EntryNotFoundError` when ``entry`` is not a defined function.
     A trap or an exhausted ``step_limit`` (None: the machine's own) is
     not an exception: the partial result comes back with ``trapped`` and
-    ``trap_kind`` ("MemoryTrap" / "StepLimitExceeded") set.
+    ``trap_kind`` ("MemoryTrap" / "StackOverflow" / "StepLimitExceeded")
+    set.
     """
     fn = module.functions.get(entry)
     if fn is None or fn.is_declaration():

@@ -786,7 +786,8 @@ def test_compiled_code_size_gate():
     """What ``compile()`` is paid for, and what the artifact cache
     writes and reads, is bytes of code — and bytes do not vary by
     runner.  The corpus is ``cache_coldwarm``'s: the registry plus the
-    seed-1 ``bigmod``; plan v3 compiled it to 2 345 857 bytes."""
+    seed-1 ``bigmod``; plan v3 compiled it to 2 345 857 bytes, v4 to
+    1 696 272 and v5 to 1 724 058 (the gate: v5 plus 10 %)."""
     modules = [workload.compile() for workload in all_workloads()]
     modules.append(compile_source(bigmod.generate(1, 6000), "bigmod"))
     total = 0
@@ -794,4 +795,4 @@ def test_compiled_code_size_gate():
         engine = engine_for(module)
         for fn in module.defined_functions():
             total += len(marshal.dumps(engine.compiled(fn).code))
-    assert total <= 2_000_000
+    assert total <= 1_896_000
