@@ -40,11 +40,13 @@ class ModRefResult(enum.Flag):
 class AliasAnalysis:
     """Interface every alias analysis implements."""
 
-    def alias(self, a: Value, b: Value, obj_a: Value | None = None,
-              obj_b: Value | None = None) -> AliasResult:
-        """How ``a`` and ``b`` may overlap.  A caller that already knows
-        ``underlying_object`` of either pointer passes it as ``obj_a`` /
-        ``obj_b``; the answer is the same either way."""
+    def alias(self, a: Value, b: Value) -> AliasResult:
+        """How the pointers ``a`` and ``b`` may overlap."""
+        return self.alias_addresses(Address(a), Address(b))
+
+    def alias_addresses(self, a: "Address", b: "Address") -> AliasResult:
+        """`alias` for pointers whose `Address` the caller derived once
+        for many queries; the answer is the same either way."""
         raise NotImplementedError
 
     def mod_ref(self, inst: Instruction, ptr: Value) -> ModRefResult:
@@ -72,9 +74,9 @@ class AliasMemo:
     weakened by in-place transformation (new values get fresh ids and
     therefore fresh, conservatively computed entries).
 
-    The underlying objects are the caller's to derive: a PDG shard build
-    derives each memory instruction's once and passes them to every
-    ``alias`` query it makes; any other query derives them per call.
+    The underlying objects come from the pointers' `Address`: a PDG
+    shard build derives each memory instruction's once and passes it to
+    every query it makes; any other query derives them per call.
     """
 
     __slots__ = ("_cache", "_pinned")
@@ -84,13 +86,13 @@ class AliasMemo:
         #: id -> value, for every value an id of a key names.
         self._pinned: dict[int, Value] = {}
 
-    def key_of(self, a: Value, b: Value, obj_a: Value, obj_b: Value):
-        """The cache key for the pair plus the values the entry must pin;
-        ``obj_a``/``obj_b`` are the pointers' underlying objects."""
-        if obj_a is obj_b:
-            ka, kb, pin_a, pin_b = id(a), id(b), a, b
+    def key_of(self, a: "Address", b: "Address"):
+        """The cache key for the pair plus the values the entry must pin."""
+        if a.obj is b.obj:
+            pin_a, pin_b = a.pointer, b.pointer
         else:
-            ka, kb, pin_a, pin_b = id(obj_a), id(obj_b), obj_a, obj_b
+            pin_a, pin_b = a.obj, b.obj
+        ka, kb = id(pin_a), id(pin_b)
         key = (ka, kb) if ka <= kb else (kb, ka)
         return key, pin_a, pin_b
 
@@ -119,6 +121,30 @@ def strip_pointer_casts(value: Value) -> Value:
             value = value.base
         else:
             return value
+
+
+_UNKNOWN = object()
+
+
+class Address:
+    """A pointer as alias queries see it: the pointer, its casts stripped,
+    its underlying object, and (on first use) its constant slot offset
+    from that object.  Derived once per pointer that takes part in many
+    queries (a PDG shard build does it once per memory instruction)."""
+
+    __slots__ = ("pointer", "stripped", "obj", "_offset")
+
+    def __init__(self, pointer: Value):
+        self.pointer = pointer
+        self.stripped = strip_pointer_casts(pointer)
+        self.obj = underlying_object(self.stripped)
+        self._offset = _UNKNOWN
+
+    def offset(self) -> int | None:
+        """`_constant_slot_offset` of the pointer."""
+        if self._offset is _UNKNOWN:
+            self._offset = _constant_slot_offset(self.stripped)
+        return self._offset
 
 
 def underlying_object(value: Value) -> Value:
@@ -187,35 +213,29 @@ class BasicAliasAnalysis(AliasAnalysis):
     def __init__(self) -> None:
         self._memo = AliasMemo()
 
-    def alias(self, a: Value, b: Value, obj_a: Value | None = None,
-              obj_b: Value | None = None) -> AliasResult:
+    def alias_addresses(self, a: Address, b: Address) -> AliasResult:
         _fault_checkpoint("alias_query")
         STATS.count("aa.basic.queries")
-        if obj_a is None:
-            obj_a = underlying_object(a)
-        if obj_b is None:
-            obj_b = underlying_object(b)
-        key, pin_a, pin_b = self._memo.key_of(a, b, obj_a, obj_b)
+        key, pin_a, pin_b = self._memo.key_of(a, b)
         cached = self._memo.lookup(key)
         if cached is not None:
             STATS.count("aa.basic.memo_hits")
             return cached
-        result = self._alias_uncached(a, b, obj_a, obj_b)
+        result = self._alias_uncached(a, b)
         self._memo.store(key, result, pin_a, pin_b)
         return result
 
-    def _alias_uncached(self, a: Value, b: Value, obj_a: Value,
-                        obj_b: Value) -> AliasResult:
-        a_stripped = strip_pointer_casts(a)
-        b_stripped = strip_pointer_casts(b)
-        if a_stripped is b_stripped:
+    def _alias_uncached(self, a: Address, b: Address) -> AliasResult:
+        if a.stripped is b.stripped:
             return AliasResult.MUST_ALIAS
-        if isinstance(a_stripped, ConstantNull) or isinstance(b_stripped, ConstantNull):
+        if isinstance(a.stripped, ConstantNull) or isinstance(b.stripped, ConstantNull):
             return AliasResult.NO_ALIAS
 
+        obj_a, obj_b = a.obj, b.obj
         if obj_a is obj_b:
-            # Use the original pointers: their pointee types carry the
-            # access sizes the range-overlap refinement needs.
+            # The addresses keep the original pointers: their pointee
+            # types carry the access sizes the range-overlap refinement
+            # needs.
             return self._same_object_alias(a, b)
 
         # Two distinct identified allocations never overlap.
@@ -232,17 +252,19 @@ class BasicAliasAnalysis(AliasAnalysis):
                     return AliasResult.NO_ALIAS
         return AliasResult.MAY_ALIAS
 
-    def _same_object_alias(self, a: Value, b: Value) -> AliasResult:
+    def _same_object_alias(self, address_a: Address,
+                           address_b: Address) -> AliasResult:
         """Refine aliasing of two pointers into the same base object.
 
         When both pointers sit at a compile-time slot offset from the base,
         their access ranges either coincide (must), overlap (may), or are
         disjoint (no alias).
         """
-        offset_a = _constant_slot_offset(a)
-        offset_b = _constant_slot_offset(b)
+        offset_a = address_a.offset()
+        offset_b = address_b.offset()
         if offset_a is None or offset_b is None:
             return AliasResult.MAY_ALIAS
+        a, b = address_a.pointer, address_b.pointer
         size_a = a.type.pointee.size_in_slots() if a.type.is_pointer() else 1
         size_b = b.type.pointee.size_in_slots() if b.type.is_pointer() else 1
         if offset_a == offset_b and size_a == size_b:

@@ -36,13 +36,13 @@ from ..ir.values import Argument, GlobalVariable, Value
 from ..perf import STATS
 from ..robust.faults import checkpoint as _fault_checkpoint
 from .aa import (
+    Address,
     AliasAnalysis,
     AliasMemo,
     AliasResult,
     BasicAliasAnalysis,
     ModRefResult,
     strip_pointer_casts,
-    underlying_object,
 )
 
 
@@ -348,30 +348,24 @@ class AndersenAliasAnalysis(AliasAnalysis):
         self._basic = BasicAliasAnalysis()
         self._memo = AliasMemo()
 
-    def alias(self, a: Value, b: Value, obj_a: Value | None = None,
-              obj_b: Value | None = None) -> AliasResult:
+    def alias_addresses(self, a: Address, b: Address) -> AliasResult:
         _fault_checkpoint("alias_query")
         STATS.count("aa.andersen.queries")
-        if obj_a is None:
-            obj_a = underlying_object(a)
-        if obj_b is None:
-            obj_b = underlying_object(b)
-        key, pin_a, pin_b = self._memo.key_of(a, b, obj_a, obj_b)
+        key, pin_a, pin_b = self._memo.key_of(a, b)
         cached = self._memo.lookup(key)
         if cached is not None:
             STATS.count("aa.andersen.memo_hits")
             return cached
-        result = self._alias_uncached(a, b, obj_a, obj_b)
+        result = self._alias_uncached(a, b)
         self._memo.store(key, result, pin_a, pin_b)
         return result
 
-    def _alias_uncached(self, a: Value, b: Value, obj_a: Value,
-                        obj_b: Value) -> AliasResult:
-        basic = self._basic.alias(a, b, obj_a, obj_b)
+    def _alias_uncached(self, a: Address, b: Address) -> AliasResult:
+        basic = self._basic.alias_addresses(a, b)
         if basic in (AliasResult.NO_ALIAS, AliasResult.MUST_ALIAS):
             return basic
         # A pointer's points-to set is its underlying object's.
-        if not self.pointsto.may_alias(obj_a, obj_b):
+        if not self.pointsto.may_alias(a.obj, b.obj):
             return AliasResult.NO_ALIAS
         return AliasResult.MAY_ALIAS
 

@@ -18,6 +18,14 @@ instead of copying them: each graph owns its nodes and its own
 ``id(value) -> [edges]`` adjacency maps, and nothing points back from an
 edge or a node to a graph, so a dropped graph is freed by reference
 counting alone.
+
+Every graph follows one lazy-index rule: a build writes a node table and
+an edge list in build order, nothing else.  Each adjacency map is filled
+on the first per-value query that needs its direction — the in-map by
+``dependences_of``, the out-map by ``dependents_of`` and
+``edges_between`` — and takes in the edges added since on every later
+one.  A consumer that reads the edge list whole (a projection, a loop's
+condensation) never pays for either map.
 """
 
 from __future__ import annotations
@@ -108,11 +116,16 @@ class DependenceGraph(Generic[T]):
 
     def __init__(self) -> None:
         self._nodes: dict[int, DGNode[T]] = {}
-        #: id(value) -> edges leaving / entering it, in insertion order; a
-        #: node without edges in that direction has no entry.
+        #: Every edge, in build order: the only thing a build writes.
+        self._edges: list[DGEdge[T]] = []
+        #: id(value) -> edges leaving / entering it, in build order; a
+        #: node without edges in that direction has no entry.  Filled by
+        #: `_adjacency`, never by a build.
         self._out: dict[int, list[DGEdge[T]]] = {}
         self._in: dict[int, list[DGEdge[T]]] = {}
-        self._edges: list[DGEdge[T]] = []
+        #: How many of ``_edges`` the out- / in-map has taken in.
+        self._indexed_out = 0
+        self._indexed_in = 0
 
     # -- nodes --------------------------------------------------------------------
     def add_node(self, value: T, internal: bool = True) -> DGNode[T]:
@@ -142,13 +155,6 @@ class DependenceGraph(Generic[T]):
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    def remove_node(self, value: T) -> None:
-        key = id(value)
-        if self._nodes.pop(key, None) is None:
-            return
-        for edge in self._out.pop(key, []) + self._in.pop(key, []):
-            self.remove_edge(edge)
-
     # -- edges ---------------------------------------------------------------------
     def add_edge(
         self,
@@ -172,32 +178,7 @@ class DependenceGraph(Generic[T]):
 
     def _link(self, edge: DGEdge[T]) -> None:
         """Make ``edge`` an edge of this graph; both endpoints are nodes."""
-        self._adjoin(edge)
         self._edges.append(edge)
-
-    def _adjoin(self, edge: DGEdge[T]) -> None:
-        """Enter ``edge`` in the adjacency maps."""
-        key = id(edge.src.value)
-        edges = self._out.get(key)
-        if edges is None:
-            self._out[key] = [edge]
-        else:
-            edges.append(edge)
-        key = id(edge.dst.value)
-        edges = self._in.get(key)
-        if edges is None:
-            self._in[key] = [edge]
-        else:
-            edges.append(edge)
-
-    def remove_edge(self, edge: DGEdge[T]) -> None:
-        for adjacency, value in ((self._out, edge.src.value),
-                                 (self._in, edge.dst.value)):
-            edges = adjacency.get(id(value))
-            if edges is not None and edge in edges:
-                edges.remove(edge)
-        if edge in self._edges:
-            self._edges.remove(edge)
 
     def edges(self) -> list[DGEdge[T]]:
         return list(self._edges)
@@ -206,16 +187,40 @@ class DependenceGraph(Generic[T]):
         return len(self._edges)
 
     def edges_between(self, src: T, dst: T) -> list[DGEdge[T]]:
-        return [e for e in self._out.get(id(src), ()) if e.dst.value is dst]
+        return [e for e in self._adjacency(True).get(id(src), ())
+                if e.dst.value is dst]
+
+    # -- the lazy index --------------------------------------------------------------
+    def _unindexed(self, outgoing: bool) -> list[DGEdge[T]]:
+        """The edges the out-map (``outgoing``) or in-map has not taken
+        in yet, in build order; they count as taken in from now on."""
+        edges = self._edges
+        if outgoing:
+            start, self._indexed_out = self._indexed_out, len(edges)
+        else:
+            start, self._indexed_in = self._indexed_in, len(edges)
+        return edges[start:] if start else edges
+
+    def _adjacency(self, outgoing: bool) -> dict[int, list[DGEdge[T]]]:
+        """The out-map (``outgoing``) or in-map, brought up to date."""
+        index = self._out if outgoing else self._in
+        for edge in self._unindexed(outgoing):
+            key = id(edge.src.value if outgoing else edge.dst.value)
+            entry = index.get(key)
+            if entry is None:
+                index[key] = [edge]
+            else:
+                entry.append(edge)
+        return index
 
     # -- dependence queries --------------------------------------------------------
     def dependences_of(self, value: T) -> list[DGEdge[T]]:
         """Edges from values ``value`` depends on (its incoming edges)."""
-        return list(self._in.get(id(value), ()))
+        return list(self._adjacency(False).get(id(value), ()))
 
     def dependents_of(self, value: T) -> list[DGEdge[T]]:
         """Edges to values that depend on ``value``."""
-        return list(self._out.get(id(value), ()))
+        return list(self._adjacency(True).get(id(value), ()))
 
     # -- derived graphs --------------------------------------------------------------
     def subgraph(self, internal_values: list[T]) -> "DependenceGraph[T]":

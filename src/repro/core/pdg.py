@@ -20,7 +20,9 @@ summarized by mod/ref inside the caller), a shard can be dropped and
 rebuilt in isolation — `Noelle.invalidate(fn)` uses exactly that to make
 the transform→invalidate→re-query cycle pay for one function instead of
 the whole module.  A shard owns its function's edges: the PDG keeps no
-module-wide edge list, only its adjacency maps, so dropping a shard is
+module-wide edge list.  Its adjacency maps follow the one lazy-index rule
+of every dependence graph (see ``depgraph``): a built shard enters a map
+on the first per-value query of that direction, so dropping a shard is
 popping its nodes' entries and letting reference counting free the rest.
 
 A shard is also the unit of persistence.  ``export_shard(fn)`` renders
@@ -46,7 +48,9 @@ refinements the paper describes: loop-carried classification of register
 and memory dependences (using scalar evolution on the access addresses) and
 live-in/live-out computation via internal/external nodes.  Both link the
 shard's edge objects; a loop dependence graph creates only the edges that
-differ — the carried ones and their reversed twins.
+differ — the carried ones and their reversed twins — and, like every
+dependence graph here, fills its adjacency maps only when a per-value
+query asks for them.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from bisect import bisect_right
 from typing import Iterator
 
 from ..analysis.aa import (
+    Address,
     AliasAnalysis,
     AliasResult,
     BasicAliasAnalysis,
@@ -117,11 +122,10 @@ class PDG(DependenceGraph[Instruction]):
         self._shards: dict[int, _Shard] = {}
         #: The shard being built or adopted: new edges go into it.
         self._building: _Shard | None = None
-        #: id(fn) -> shard whose edges are not in the adjacency maps yet.
-        #: Most consumers read a shard's edge list whole (projections, loop
-        #: dependence graphs), so the maps are filled on the first
-        #: per-value query after a build, not by the build.
-        self._unindexed: dict[int, _Shard] = {}
+        #: id(fn) -> shard whose edges the out- / in-map has not taken in
+        #: yet (what `_unindexed` hands the shared lazy index).
+        self._pending_out: dict[int, _Shard] = {}
+        self._pending_in: dict[int, _Shard] = {}
         #: Per-shard symbolic dependence tester (NOELLE_DEPTEST=1 only);
         #: live only while its shard builds, so invalidation stays warm.
         self._deptest: FunctionDepTest | None = None
@@ -157,14 +161,16 @@ class PDG(DependenceGraph[Instruction]):
         self._ensure_function(fn)
         return self._shards.get(id(fn))
 
-    def _index_shards(self) -> None:
-        """Enter the edges of every shard built since the last per-value
-        query into the adjacency maps (a shard still building waits)."""
-        for key, shard in list(self._unindexed.items()):
+    def _unindexed(self, outgoing: bool) -> list[DGEdge[Instruction]]:
+        """The edges of every shard built since the map last took any in
+        (a shard still building waits)."""
+        pending = self._pending_out if outgoing else self._pending_in
+        edges: list[DGEdge[Instruction]] = []
+        for key, shard in list(pending.items()):
             if shard is not self._building:
-                for edge in shard.edges:
-                    self._adjoin(edge)
-                del self._unindexed[key]
+                edges += shard.edges
+                del pending[key]
+        return edges
 
     def invalidate_function(self, fn: Function) -> bool:
         """Drop ``fn``'s shard (rebuilt on next query); False if absent.
@@ -176,7 +182,8 @@ class PDG(DependenceGraph[Instruction]):
         if shard is None:
             return False
         STATS.count("pdg.shard_invalidations")
-        self._unindexed.pop(id(fn), None)
+        self._pending_out.pop(id(fn), None)
+        self._pending_in.pop(id(fn), None)
         for node_id in shard.node_ids:
             self._nodes.pop(node_id, None)
             self._out.pop(node_id, None)
@@ -249,18 +256,15 @@ class PDG(DependenceGraph[Instruction]):
 
     def dependences_of(self, value) -> list[DGEdge[Instruction]]:
         self._ensure_value(value)
-        self._index_shards()
         return super().dependences_of(value)
 
     def dependents_of(self, value) -> list[DGEdge[Instruction]]:
         self._ensure_value(value)
-        self._index_shards()
         return super().dependents_of(value)
 
     def edges_between(self, src, dst) -> list[DGEdge[Instruction]]:
         self._ensure_value(src)
         self._ensure_value(dst)
-        self._index_shards()
         return super().edges_between(src, dst)
 
     def subgraph(self, internal_values: list[Instruction]) -> DependenceGraph[Instruction]:
@@ -294,7 +298,8 @@ class PDG(DependenceGraph[Instruction]):
     def _open_shard(self, fn: Function, insts: list[Instruction]) -> _Shard:
         """Register ``fn``'s shard with its nodes and, so far, no edges;
         edges created from now on go into it."""
-        shard = self._shards[id(fn)] = self._unindexed[id(fn)] = _Shard(fn)
+        shard = self._shards[id(fn)] = _Shard(fn)
+        self._pending_out[id(fn)] = self._pending_in[id(fn)] = shard
         for inst in insts:
             self.add_node(inst, internal=True)
         shard.node_ids = [id(inst) for inst in insts]
@@ -419,18 +424,19 @@ class PDG(DependenceGraph[Instruction]):
         other ``AliasAnalysis`` everything stays wildcard so no pair is
         pruned that the analysis might not have disproved.
         """
-        if access.pointer is None:
+        if access.address is None:
             return None  # calls: mod/ref reasoning happens per pair
+        obj = access.address.obj
         aa = self.aa
         if type(aa) is AndersenAliasAnalysis:
             # The points-to set of an address is its underlying object's.
-            pts = aa.pointsto.points_to(access.obj)
+            pts = aa.pointsto.points_to(obj)
             if not pts or aa.pointsto.unknown in pts:
                 return None
-            return [id(obj) for obj in pts]
+            return [id(target) for target in pts]
         if type(aa) is BasicAliasAnalysis:
-            if is_identified_object(access.obj):
-                return [id(access.obj)]
+            if is_identified_object(obj):
+                return [id(obj)]
             return None
         return None
 
@@ -474,20 +480,19 @@ class PDG(DependenceGraph[Instruction]):
     def _query(self, access_a: "_Access", access_b: "_Access") -> bool | None:
         """May a and b touch the same memory?  None=no, True=must, False=may."""
         a, b = access_a.inst, access_b.inst
-        pointer_a, pointer_b = access_a.pointer, access_b.pointer
-        if pointer_a is not None and pointer_b is not None:
-            result = self.aa.alias(pointer_a, pointer_b,
-                                   access_a.obj, access_b.obj)
+        address_a, address_b = access_a.address, access_b.address
+        if address_a is not None and address_b is not None:
+            result = self.aa.alias_addresses(address_a, address_b)
             if result is AliasResult.NO_ALIAS:
                 return None
             return result is AliasResult.MUST_ALIAS
         # At least one side is a call: use mod/ref.
-        if isinstance(a, Call) and pointer_b is not None:
-            if self.aa.mod_ref(a, pointer_b) is ModRefResult.NO_MOD_REF:
+        if isinstance(a, Call) and address_b is not None:
+            if self.aa.mod_ref(a, address_b.pointer) is ModRefResult.NO_MOD_REF:
                 return None
             return False
-        if isinstance(b, Call) and pointer_a is not None:
-            if self.aa.mod_ref(b, pointer_a) is ModRefResult.NO_MOD_REF:
+        if isinstance(b, Call) and address_a is not None:
+            if self.aa.mod_ref(b, address_a.pointer) is ModRefResult.NO_MOD_REF:
                 return None
             return False
         if isinstance(a, Call) and isinstance(b, Call):
@@ -614,7 +619,12 @@ class LoopDG(DependenceGraph[Instruction]):
     """Dependence graph of one loop with loop-carried classification.
 
     Internal nodes are the loop's instructions; external nodes are the
-    producers of live-ins and the consumers of live-outs.
+    producers of live-ins and the consumers of live-outs.  Built in one
+    pass over the function's shard that writes the node table and the
+    edge list only: an edge the loop does not re-classify is linked, a
+    carried one (and its reversed memory twin) is created, and the
+    adjacency maps wait for a per-value query (the invariant manager
+    asks for the in-map; nothing on a compile asks for the out-map).
     """
 
     def __init__(self, pdg: PDG, loop: NaturalLoop):
@@ -624,68 +634,68 @@ class LoopDG(DependenceGraph[Instruction]):
         self._scev = ScalarEvolution(loop)
         #: Lazy symbolic dependence tester (NOELLE_DEPTEST=1 only).
         self._deptester: DependenceTester | None = None
-        #: Distance side-channel from _memory_dep_carried to the edge.
-        self._carried_distance: int | None = None
-        #: address id -> its affine decomposition: an address takes part
-        #: in one pair per memory edge, and is decomposed once.
+        #: instruction id -> its address's affine decomposition: an
+        #: access takes part in one pair per memory edge, and is
+        #: decomposed once.
         self._affine: dict[int, tuple | None] = {}
-        # One pass over the function's shard: the loop's instructions are
-        # the internal nodes, every other endpoint of an edge touching them
-        # is external.  Edges that stay as they are in the PDG are linked;
-        # only the carried ones (and their reversed twins) are created.
         # The shard's nodes are all internal *to the PDG*, so whether an
         # endpoint is inside the loop is asked of ``internal_ids``.
         shard_edges = pdg._shard_of(loop.header.parent).edges
         pdg_nodes = pdg._nodes
+        nodes = self._nodes
+        edges = self._edges
         internal_ids: set[int] = set()
         for inst in loop.instructions():
             if id(inst) in pdg_nodes:
-                self.add_node(inst, internal=True)
+                nodes[id(inst)] = DGNode(inst, True)
             internal_ids.add(id(inst))
+        deptest = deptest_enabled()
         for edge in shard_edges:
             src, dst = edge.src.value, edge.dst.value
             src_in = id(src) in internal_ids
             dst_in = id(dst) in internal_ids
             if not (src_in and dst_in):
-                if src_in:
-                    self.add_node(dst, internal=False)
-                    self._link(edge)
-                elif dst_in:
-                    self.add_node(src, internal=False)
-                    self._link(edge)
+                if src_in or dst_in:
+                    outside = dst if src_in else src
+                    if id(outside) not in nodes:
+                        nodes[id(outside)] = DGNode(outside, False)
+                    edges.append(edge)
                 continue
-            self._carried_distance = None
-            if not self._is_loop_carried(edge):
-                self._link(edge)
+            distance = None
+            if edge.kind == "control":
+                carried = False
+            elif edge.is_memory:
+                carried = self._memory_dep_carried(src, dst)
+                if carried and deptest:
+                    carried, distance = self._deptest_carried(src, dst)
+            else:
+                carried = self._register_dep_carried(src, dst)
+            if not carried:
+                edges.append(edge)
                 continue
-            distance = self._carried_distance
-            self.add_edge(src, dst, edge.kind, edge.data_kind, edge.is_memory,
-                          edge.is_must, True, distance)
+            src_node, dst_node = nodes[id(src)], nodes[id(dst)]
+            edges.append(DGEdge(src_node, dst_node, edge.kind, edge.data_kind,
+                                edge.is_memory, edge.is_must, True, distance))
             # A carried memory conflict is direction-free: the later
             # instruction of one iteration conflicts with the earlier one of
             # the next.  The program-order PDG only has the forward edge, so
             # materialize the reverse carried edge here (e.g. the store→load
             # RAW of ``b[i] = b[i-1]``).
-            if edge.is_memory and edge.is_data():
+            if edge.is_memory:
                 reverse_kind = _reverse_memory_kind(dst, src)
                 if reverse_kind is not None:
-                    self.add_edge(
-                        dst, src, "data", reverse_kind, is_memory=True,
-                        is_must=edge.is_must, is_loop_carried=True,
-                        distance=None if distance is None else -distance,
-                    )
+                    edges.append(DGEdge(
+                        dst_node, src_node, "data", reverse_kind, True,
+                        edge.is_must, True,
+                        None if distance is None else -distance,
+                    ))
+
+    def _unindexed(self, outgoing: bool) -> list[DGEdge[Instruction]]:
+        if outgoing and not self._indexed_out and self._edges:
+            STATS.count("loop.ldg_out_maps")
+        return super()._unindexed(outgoing)
 
     # -- loop-carried classification ----------------------------------------------
-    def _is_loop_carried(self, edge: DGEdge[Instruction]) -> bool:
-        if edge.is_control():
-            return False
-        if not edge.is_memory:
-            return self._register_dep_carried(edge.src.value, edge.dst.value)
-        carried = self._memory_dep_carried(edge.src.value, edge.dst.value)
-        if carried and deptest_enabled():
-            return self._deptest_carried(edge.src.value, edge.dst.value)
-        return carried
-
     def _register_dep_carried(self, src: Instruction, dst: Instruction) -> bool:
         """A register dependence is carried iff it flows around the back edge.
 
@@ -705,15 +715,14 @@ class LoopDG(DependenceGraph[Instruction]):
         Disproves the carried case when both accesses address
         ``base + iv*stride`` with the same base object, same non-zero
         stride, and same offset — then equal addresses imply equal
-        iterations, so the dependence is intra-iteration only.
+        iterations, so the dependence is intra-iteration only.  A call,
+        or an address with no affine form, stays conservative.
         """
-        address_src = pointer_operand(src)
-        address_dst = pointer_operand(dst)
-        if address_src is None or address_dst is None:
-            return True  # calls: stay conservative
-        access_src = self._affine_access(address_src)
-        access_dst = self._affine_access(address_dst)
-        if access_src is None or access_dst is None:
+        access_src = self._affine_access(src)
+        if access_src is None:
+            return True
+        access_dst = self._affine_access(dst)
+        if access_dst is None:
             return True
         base_src, start_src, step_src = access_src
         base_dst, start_dst, step_dst = access_dst
@@ -723,24 +732,25 @@ class LoopDG(DependenceGraph[Instruction]):
             return False
         return True
 
-    def _deptest_carried(self, src: Instruction, dst: Instruction) -> bool:
+    def _deptest_carried(
+        self, src: Instruction, dst: Instruction
+    ) -> tuple[bool, int | None]:
         """Refine a still-carried verdict with the symbolic dependence tests.
 
         Only consulted under NOELLE_DEPTEST=1.  Returns the refined
-        carried flag and stashes a proven iteration distance (if any) in
-        ``self._carried_distance`` for the edge being built.
+        carried flag and the proven iteration distance, if any.
         """
         if self._deptester is None:
             self._deptester = DependenceTester(self.loop)
         carried, distance = self._deptester.carried(src, dst)
         if not carried:
             STATS.count("deptest.carried_disproved")
-            return False
-        self._carried_distance = distance
-        return True
+            return False, None
+        return True, distance
 
-    def _affine_access(self, address: Value):
-        """Decompose an address into (base object, start key, iv stride).
+    def _affine_access(self, inst: Instruction):
+        """Decompose ``inst``'s address into (base object, start key, iv
+        stride); None for a call or an address with no affine form.
 
         The start key combines the constant part of the starting offset
         with the identities of its symbolic (loop-invariant) parts, so two
@@ -748,12 +758,14 @@ class LoopDG(DependenceGraph[Instruction]):
         the start is not a literal constant.
         """
         try:
-            return self._affine[id(address)]
+            return self._affine[id(inst)]
         except KeyError:
-            access = self._affine[id(address)] = self._decompose(address)
+            access = self._affine[id(inst)] = self._decompose(
+                pointer_operand(inst)
+            )
             return access
 
-    def _decompose(self, address: Value):
+    def _decompose(self, address: Value | None):
         if not isinstance(address, ElemPtr):
             return None
         base = underlying_object(address)
@@ -844,17 +856,18 @@ def pointer_operand(inst: Instruction) -> Value | None:
 
 class _Access:
     """A memory instruction as one shard build pairs it: its read/write
-    flags, its address (None for calls) and the address's underlying
-    object — the alias memo's key — derived once per build."""
+    flags and its address (None for calls) as the alias analysis reads it
+    — stripped pointer, underlying object, slot offset — derived once per
+    build."""
 
-    __slots__ = ("inst", "reads", "writes", "pointer", "obj")
+    __slots__ = ("inst", "reads", "writes", "address")
 
     def __init__(self, inst: Instruction):
         self.inst = inst
         self.reads = inst.may_read_memory()
         self.writes = inst.may_write_memory()
-        self.pointer = pointer_operand(inst)
-        self.obj = None if self.pointer is None else underlying_object(self.pointer)
+        pointer = pointer_operand(inst)
+        self.address = None if pointer is None else Address(pointer)
 
 
 def _calls_independent(aa: AliasAnalysis, a: Call, b: Call) -> bool:

@@ -11,6 +11,15 @@ instances of its instructions across iterations of one loop invocation:
   reduction (e.g. ``s += work(d)``): cloning the accumulator removes the
   dependence; the reduction descriptor is attached to the node.
 * **Sequential** — instances must execute in iteration order.
+
+The condensation reads the loop dependence graph's edge list, never its
+adjacency maps: it numbers the internal nodes, derives integer successor
+lists in one pass over the edges and runs Tarjan over those integers.
+The same pass records each SCC's carried edges and the distinct pairs of
+SCCs an edge connects; the DAG's own edges are created from those pairs
+only when ``edges()``, ``topological_order()`` or a per-value query asks
+(DSWP's partitioner does; classification, DOALL, HELIX and the
+invariant and induction-variable managers never do).
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from collections import deque
 from ..analysis.loopinfo import NaturalLoop
 from ..ir.instructions import Instruction
 from ..perf import STATS
-from .depgraph import DependenceGraph, DGEdge
+from .depgraph import DependenceGraph, DGEdge, DGNode
 from .pdg import LoopDG
 from .reduction import ReductionDescriptor, match_reduction
 
@@ -34,7 +43,8 @@ class SCC:
 
     def __init__(self, instructions: list[Instruction]):
         self.instructions = instructions
-        self._ids = {id(i) for i in instructions}
+        #: Member ids, built on the first `contains`.
+        self._ids: set[int] | None = None
         self.category = SCC.INDEPENDENT
         self.reduction: ReductionDescriptor | None = None
         #: True when this SCC embodies an affine induction variable: its
@@ -45,6 +55,8 @@ class SCC:
         self.carried_edges: list[DGEdge[Instruction]] = []
 
     def contains(self, inst: Instruction) -> bool:
+        if self._ids is None:
+            self._ids = {id(i) for i in self.instructions}
         return id(inst) in self._ids
 
     def is_independent(self) -> bool:
@@ -64,7 +76,12 @@ class SCC:
 
 
 class SCCDAG(DependenceGraph[SCC]):
-    """The DAG of SCCs of one loop, with per-node classification."""
+    """The DAG of SCCs of one loop, with per-node classification.
+
+    Its edges between SCCs are created on first use (see the module
+    docstring); ``sccdag.edge_builds`` counts the graphs that created
+    them.
+    """
 
     def __init__(self, loop_dg: LoopDG, loop: NaturalLoop | None = None):
         super().__init__()
@@ -72,6 +89,10 @@ class SCCDAG(DependenceGraph[SCC]):
         self.loop = loop or loop_dg.loop
         self.sccs: list[SCC] = []
         self._scc_of: dict[int, SCC] = {}
+        #: (source SCC index, destination SCC index, the first loop edge
+        #: between them) per connected pair, in loop edge order; None once
+        #: the DAG edges exist.
+        self._pairs: list[tuple[int, int, DGEdge[Instruction]]] | None = []
         with STATS.timer("sccdag.build"):
             self._condense()
             self._classify()
@@ -79,43 +100,78 @@ class SCCDAG(DependenceGraph[SCC]):
     # -- condensation ---------------------------------------------------------------
     def _condense(self) -> None:
         # Whether an endpoint is inside the loop is the LDG's to say (its
-        # linked edges carry PDG nodes), hence ``internal_ids``.
+        # linked edges carry PDG nodes), hence the numbering of its
+        # internal nodes.
         loop_dg = self.loop_dg
         internal = [n.value for n in loop_dg.internal_nodes()]
-        internal_ids = {id(v) for v in internal}
-        out = loop_dg._out
-        successors: dict[int, list[Instruction]] = {
-            id(v): [e.dst.value for e in out.get(id(v), ())
-                    if id(e.dst.value) in internal_ids]
-            for v in internal
-        }
-        components = _tarjan(internal, successors)
-        for component in components:
-            scc = SCC(component)
-            self.sccs.append(scc)
-            self.add_node(scc, internal=True)
-            for inst in component:
-                self._scc_of[id(inst)] = scc
-        # DAG edges between distinct SCCs; carried edges recorded per SCC.
-        seen_pairs: set[tuple[int, int]] = set()
+        number = {id(value): k for k, value in enumerate(internal)}
+        successors: list[list[int]] = [[] for _ in internal]
+        inner: list[tuple[int, int, DGEdge[Instruction]]] = []
         for edge in loop_dg._edges:
-            src_scc = self._scc_of.get(id(edge.src.value))
-            dst_scc = self._scc_of.get(id(edge.dst.value))
-            if src_scc is None or dst_scc is None:
+            src = number.get(id(edge.src.value))
+            if src is None:
                 continue
-            if src_scc is dst_scc:
+            dst = number.get(id(edge.dst.value))
+            if dst is None:
+                continue
+            successors[src].append(dst)
+            inner.append((src, dst, edge))
+        component_of, components = _tarjan(successors)
+        sccs = self.sccs
+        nodes = self._nodes
+        for members in components:
+            scc = SCC([internal[k] for k in members])
+            sccs.append(scc)
+            nodes[id(scc)] = DGNode(scc, True)
+        self._scc_of = {
+            id(value): sccs[component_of[k]] for k, value in enumerate(internal)
+        }
+        # Carried edges recorded per SCC; one DAG edge per distinct pair.
+        pairs = self._pairs
+        seen_pairs: set[int] = set()
+        width = len(sccs)
+        for src, dst, edge in inner:
+            src_scc, dst_scc = component_of[src], component_of[dst]
+            if src_scc == dst_scc:
                 if edge.is_loop_carried:
-                    src_scc.carried_edges.append(edge)
+                    sccs[src_scc].carried_edges.append(edge)
                 continue
             if edge.is_loop_carried:
                 # A carried edge between two SCCs still orders their
                 # instances; record it on the consumer side.
-                dst_scc.carried_edges.append(edge)
-            pair = (id(src_scc), id(dst_scc))
+                sccs[dst_scc].carried_edges.append(edge)
+            pair = src_scc * width + dst_scc
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
-                self.add_edge(src_scc, dst_scc, edge.kind, edge.data_kind,
-                              edge.is_memory, edge.is_must, edge.is_loop_carried)
+                pairs.append((src_scc, dst_scc, edge))
+
+    def _build_edges(self) -> None:
+        """Create the DAG edges between SCCs, once."""
+        pairs = self._pairs
+        if pairs is None:
+            return
+        self._pairs = None
+        STATS.count("sccdag.edge_builds")
+        nodes = self._nodes
+        sccs = self.sccs
+        for src, dst, edge in pairs:
+            self._edges.append(DGEdge(
+                nodes[id(sccs[src])], nodes[id(sccs[dst])], edge.kind,
+                edge.data_kind, edge.is_memory, edge.is_must,
+                edge.is_loop_carried,
+            ))
+
+    def edges(self) -> list[DGEdge[SCC]]:
+        self._build_edges()
+        return super().edges()
+
+    def num_edges(self) -> int:
+        self._build_edges()
+        return super().num_edges()
+
+    def _unindexed(self, outgoing: bool) -> list[DGEdge[SCC]]:
+        self._build_edges()
+        return super()._unindexed(outgoing)
 
     # -- classification ----------------------------------------------------------------
     def _classify(self) -> None:
@@ -211,15 +267,17 @@ class SCCDAG(DependenceGraph[SCC]):
         Kahn's algorithm, first-ready first.  The condensation of a graph
         is acyclic by construction, so a cycle here is a broken SCCDAG.
         """
+        incoming = self._adjacency(False)
+        outgoing = self._adjacency(True)
         in_degree: dict[int, int] = {
-            id(s): len(self._in.get(id(s), ())) for s in self.sccs
+            id(s): len(incoming.get(id(s), ())) for s in self.sccs
         }
         ready = deque(s for s in self.sccs if in_degree[id(s)] == 0)
         order: list[SCC] = []
         while ready:
             scc = ready.popleft()
             order.append(scc)
-            for edge in self._out.get(id(scc), ()):
+            for edge in outgoing.get(id(scc), ()):
                 succ = edge.dst.value
                 in_degree[id(succ)] -= 1
                 if in_degree[id(succ)] == 0:
@@ -232,54 +290,61 @@ class SCCDAG(DependenceGraph[SCC]):
         return order
 
 
-def _tarjan(
-    values: list[Instruction], successors: dict[int, list[Instruction]]
-) -> list[list[Instruction]]:
-    """Iterative Tarjan SCC; components returned in reverse topological order."""
-    index_counter = 0
-    indices: dict[int, int] = {}
-    lowlinks: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[Instruction] = []
-    components: list[list[Instruction]] = []
+def _tarjan(successors: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Iterative Tarjan SCC over nodes ``0 .. n-1``, roots in index order.
 
-    for root in values:
-        if id(root) in indices:
+    Returns each node's component number and the components (members in
+    the order they leave the stack), in reverse topological order.
+    """
+    count = len(successors)
+    unvisited = -1
+    indices = [unvisited] * count
+    lowlinks = [0] * count
+    on_stack = [False] * count
+    component_of = [0] * count
+    stack: list[int] = []
+    components: list[list[int]] = []
+    index_counter = 0
+
+    for root in range(count):
+        if indices[root] != unvisited:
             continue
-        work: list[tuple[Instruction, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
-            value, child_index = work[-1]
+            node, child_index = work[-1]
             if child_index == 0:
-                indices[id(value)] = index_counter
-                lowlinks[id(value)] = index_counter
+                indices[node] = lowlinks[node] = index_counter
                 index_counter += 1
-                stack.append(value)
-                on_stack.add(id(value))
+                stack.append(node)
+                on_stack[node] = True
             advanced = False
-            children = successors.get(id(value), [])
+            children = successors[node]
             while child_index < len(children):
                 child = children[child_index]
                 child_index += 1
-                if id(child) not in indices:
-                    work[-1] = (value, child_index)
+                if indices[child] == unvisited:
+                    work[-1] = (node, child_index)
                     work.append((child, 0))
                     advanced = True
                     break
-                if id(child) in on_stack:
-                    lowlinks[id(value)] = min(lowlinks[id(value)], indices[id(child)])
+                if on_stack[child] and indices[child] < lowlinks[node]:
+                    lowlinks[node] = indices[child]
             if advanced:
                 continue
             work.pop()
-            if lowlinks[id(value)] == indices[id(value)]:
-                component: list[Instruction] = []
+            if lowlinks[node] == indices[node]:
+                number = len(components)
+                component: list[int] = []
                 while True:
-                    node = stack.pop()
-                    on_stack.discard(id(node))
-                    component.append(node)
-                    if node is value:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component_of[member] = number
+                    component.append(member)
+                    if member == node:
                         break
                 components.append(component)
             if work:
-                parent, _ = work[-1]
-                lowlinks[id(parent)] = min(lowlinks[id(parent)], lowlinks[id(value)])
-    return components
+                parent = work[-1][0]
+                if lowlinks[node] < lowlinks[parent]:
+                    lowlinks[parent] = lowlinks[node]
+    return component_of, components

@@ -33,9 +33,14 @@ loop abstractions (``loop.ldg_builds`` — loop dependence graphs
 constructed, at most one per loop per function version — under the
 ``loop.build_ldg`` timer; ``loop.cache_hits`` — times ``Noelle.loops()``
 / ``loop_forest()`` / ``loop_of()`` served a function's ``Loop``
-objects from the facade instead of minting them; the ``sccdag.build``
-timer; and the ``loop.invariants`` timer around Algorithm 2's walk over
-a whole loop), plus ``pdg.embedded_stale`` — times ``noelle-load``
+objects from the facade instead of minting them;
+``loop.ldg_out_maps`` — loop dependence graphs whose out-map a query
+filled, zero on a compile that runs only LICM and DOALL; the
+``sccdag.build`` timer; ``sccdag.edge_builds`` — aSCCDAGs whose edges
+between SCCs were created, which only ``edges()``,
+``topological_order()`` and per-value queries (DSWP's partitioner) do;
+and the ``loop.invariants`` timer around Algorithm 2's walk over a
+whole loop), plus ``pdg.embedded_stale`` — times ``noelle-load``
 declined an embedded PDG because the module no longer prints as it did
 when the shards were computed.  The printed table ends with three rows
 no code counts: ``gc.gen0.passes`` / ``gc.gen1.passes`` /

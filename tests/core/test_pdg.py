@@ -37,13 +37,6 @@ class TestDependenceGraphTemplate:
         assert externals == {"a", "c"}
         assert sub.num_edges() == 2
 
-    def test_remove_node_drops_edges(self):
-        graph = DependenceGraph()
-        graph.add_edge("a", "b", "control")
-        graph.remove_node("a")
-        assert graph.num_edges() == 0
-        assert not graph.has_node("a")
-
     def test_dependences_and_dependents(self):
         graph = DependenceGraph()
         graph.add_edge("a", "b", "data", "RAW")
