@@ -24,10 +24,18 @@ call, to one Python function ``_fn(st, *args)``:
   locals are written back to ``st.result`` before every call (intrinsics
   observe ``result.cycles`` — ``os_callback``, the HELIX markers — and
   ``clock_set`` changes the period), at ``ret``, and before every
-  ``raise``: each raise site first syncs minus the not-yet-executed
-  remainder of its unit (compile-time constants, one cold ``_sync``
-  call), so a trapping run reports byte-identical ``steps``/``cycles``
-  to the reference walker.
+  ``raise``.  A cold raise site is ``at = N`` and one statement,
+  ``raise _trap(st, room + K, dc - C, <exception>)``: the helper syncs
+  minus the not-yet-executed remainder of the unit (the compile-time
+  constants ``K``, ``C``) and hands the exception back, so a trapping
+  run reports byte-identical ``steps``/``cycles`` to the reference
+  walker.
+* **operand traps** — an integer instruction given a float raises the
+  host's ``TypeError`` on the line that assigns its local.  A function
+  with such lines catches it once, and :func:`_operand_fault` maps the
+  line to its instruction's site (a ``const`` bind of line -> ``(at,
+  K, C)``) and raises the walker's ``OperandTrap`` from there; any other
+  ``TypeError`` propagates untouched.
 * **calls are Python calls** — a direct call to a defined function is
   one call through the callee's *cell* (``_D<k>[0](st, x1, x2)``), a
   list the :class:`ExecutionEngine` owns per callee and per code table
@@ -56,8 +64,24 @@ call, to one Python function ``_fn(st, *args)``:
   partial-frame position a ``MemoryTrap`` or ``exit()`` unwinding
   through the frame records.
 * **known-int elision** — an optimistic fixpoint finds the SSA values
-  that can only ever hold a Python ``int``; the function-pointer and
-  non-integer-address checks are emitted for the others only.
+  that can only ever hold a Python ``int``.  The function-pointer test
+  of ``icmp`` and the address test (one ``_bad_address`` call names
+  what the address is instead) are emitted for the others only.  A
+  result that is an int whenever it evaluates — known-int operands, or
+  an expression that raises on anything else (``&``, ``|``, ``^``,
+  shifts, ``zext``) — wraps in one statement with an in-range fast path,
+  ``x = w_ if -H <= (w_ := raw) < H else (w_ + H & M) - H``; any other
+  keeps the mask-first two statements, whose ``&`` raises the walker's
+  ``TypeError`` on a float.  A result in range of every int operand
+  (``&`` of a non-negative constant, ``lshr`` by a constant, ``zext``,
+  ``srem`` by a positive constant) is not wrapped at all; a constant
+  divisor is not tested for zero.  An ``icmp`` of two known ints read
+  only by the branch after it is that branch's test, with no local.
+* **no copies** — operands are read where they are used; only a
+  global's address is copied, where it is read twice, and a pointer
+  cast has no local at all.  Scratch values share ``a_``, ``b_``,
+  ``r_``, ``t_`` and ``w_``, each read only by the instruction that
+  wrote it.
 * **observers** — compiled with the ``observed`` flag, the same emitters
   also call the interpreter's ``memory_observer(kind, address, inst)``
   on every load and store (after the address checks, before the
@@ -84,6 +108,7 @@ interpreter is its reference, built only by an explicit
 from __future__ import annotations
 
 from ..ir.instructions import (
+    INT_BINARY_OPS,
     Alloca,
     BinaryOp,
     Branch,
@@ -113,18 +138,20 @@ from ..ir.values import (
 from ..perf import STATS
 from .interp import (
     INSTRUCTION_COSTS,
+    INT_TO_INT_CASTS,
     INTRINSIC_COSTS,
     ExitProgram,
     InterpError,
     MemoryTrap,
     StepLimitExceeded,
     _FunctionAddress,
+    _operand_trap,
 )
 
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 5
+EPLAN_VERSION = 6
 
 
 class EnginePlanError(Exception):
@@ -172,6 +199,12 @@ _INT_CASTS = ("trunc", "sext", "zext", "fptosi")
 _COPY_CASTS = ("bitcast", "ptrtoint", "inttoptr")
 
 
+def _is_copy(inst) -> bool:
+    """A cast that passes its operand through: it has no local, and
+    what reads it reads the operand."""
+    return isinstance(inst, Cast) and inst.opcode in _COPY_CASTS
+
+
 def engine_mode(explicit: str | None = None) -> str:
     """Resolve the engine mode: ``compiled`` unless ``reference`` is
     asked for explicitly."""
@@ -200,13 +233,54 @@ def _fa_cmp(predicate: str, a, b) -> int:
 
 
 def _sync(st, room: int, dc: int) -> None:
-    """Write a frame's accounting locals back to ``st`` — what a raise
-    site calls just before it raises, with the cost of the instructions
-    after it taken out of both arguments."""
+    """Write a frame's accounting locals back to ``st``."""
     result = st.result
     result.steps = st.step_limit - room
     result.cycles += dc
     st.weighted_cycles += dc * st.clock_period
+
+
+def _trap(st, room: int, dc: int, error: Exception) -> Exception:
+    """A cold raise site's one call: sync, with the cost of the
+    instructions after the site taken out of ``room`` and ``dc``, and
+    hand back ``error`` to raise."""
+    _sync(st, room, dc)
+    return error
+
+
+def _bad_address(value) -> MemoryTrap:
+    """The trap of an address that is not an int, in the words of
+    ``Interpreter._as_address``."""
+    if value.__class__ is _FunctionAddress:
+        return MemoryTrap("dereference of a function pointer")
+    return MemoryTrap(f"non-integer address {value!r}")
+
+
+def _int_instruction(inst) -> bool:
+    """True for the instructions that stop with an ``OperandTrap`` when
+    an operand is not an int: the integer binary ops, the unsigned
+    ``icmp`` (the signed ones compare anything) and the integer casts."""
+    if isinstance(inst, BinaryOp):
+        return inst.opcode in INT_BINARY_OPS
+    if isinstance(inst, ICmp):
+        return inst.predicate[0] == "u"
+    return isinstance(inst, Cast) and inst.opcode in INT_TO_INT_CASTS
+
+
+def _operand_fault(st, room: int, dc: int, block, error, sites) -> None:
+    """A ``TypeError`` caught by a frame: when the frame's own code
+    raised it on a line of ``sites`` (line -> the ``(at, steps,
+    cycles)`` of an integer instruction's assignment), raise that
+    instruction's ``OperandTrap`` from its site; else return, and the
+    frame re-raises ``error``."""
+    tb = error.__traceback__
+    site = sites.get(tb.tb_lineno) if tb.tb_next is None else None
+    if site is None:
+        return
+    at, steps, cycles = site
+    _sync(st, room + steps, dc - cycles)
+    _partial(st, block, at)
+    raise _operand_trap(block.instructions[at - 1]) from None
 
 
 def _charge(st, cost: int) -> None:
@@ -253,7 +327,9 @@ _HELPERS = {
     "ExitProgram": ExitProgram,
     "_FunctionAddress": _FunctionAddress,
     "_fa_cmp": _fa_cmp,
-    "_sync": _sync,
+    "_trap": _trap,
+    "_bad_address": _bad_address,
+    "_operand_fault": _operand_fault,
     "_charge": _charge,
     "_partial": _partial,
     "_release": _release,
@@ -355,6 +431,14 @@ class CompiledFunction:
         except MemoryTrap:
             _partial(st, block, frame["at"])
             raise
+        except TypeError:
+            # ``at`` names the instruction that raised it: a tail sets
+            # it before each one.
+            inst = block.instructions[frame["at"] - 1]
+            if not _int_instruction(inst):
+                raise
+            _partial(st, block, frame["at"])
+            raise _operand_trap(inst) from None
         raise AssertionError("a tail ended under the step limit")
 
 
@@ -453,6 +537,12 @@ class _Compiler:
         #: (source block, target block) -> its counter's number; 0 is
         #: the function entry.
         self.edges: dict[tuple[int, int], int] = {}
+        #: local -> the ``(at, steps, cycles)`` site of the integer
+        #: instruction that assigns it, for those whose operands may
+        #: not be ints (see :func:`_operand_fault`).
+        self._operand_sites: dict[str, tuple[int, int, int]] = {}
+        #: id of a fused ``icmp`` -> its test, read by its branch.
+        self._tests: dict[int, str] = {}
         # Local names, block indices and the unit table are a pure
         # function of the IR: every compiler over ``fn`` — the
         # compile and each later :meth:`tail` — agrees on them.
@@ -471,7 +561,7 @@ class _Compiler:
         for bi, block in enumerate(fn.blocks):
             self._block_index[id(block)] = bi
             for inst in block.instructions:
-                if not inst.type.is_void():
+                if not (inst.type.is_void() or _is_copy(inst)):
                     self.slots[id(inst)] = nslots
                     nslots += 1
                 if isinstance(inst, Alloca):
@@ -489,12 +579,9 @@ class _Compiler:
 
     # -- small helpers ---------------------------------------------------------
 
-    def _name(self, prefix: str) -> str:
-        self._unique += 1
-        return f"{prefix}{self._unique}"
-
     def _bind(self, prefix: str, spec: tuple) -> str:
-        name = self._name(prefix)
+        self._unique += 1
+        name = f"{prefix}{self._unique}"
         self.binds.append((name, spec))
         return name
 
@@ -522,7 +609,20 @@ class _Compiler:
             return f"st.globals[{name}]"
         if isinstance(v, Function):
             return self._bind("_FA", ("fa", v.name))
+        if _is_copy(v):
+            return self._expr(v.value)
         raise InterpError(f"cannot evaluate {v!r}")
+
+    def _operand(self, v, scratch: str, lines: list[str], tested=False) -> str:
+        """``v`` as an expression to read more than once: a local, a
+        literal or a bound name as it is.  A global's address, itself an
+        expression, is copied to ``scratch`` — and so is anything but a
+        name when its ``__class__`` is ``tested``."""
+        expr = self._expr(v)
+        if expr.startswith("st.globals[") or tested and not expr.isidentifier():
+            lines.append(f"{scratch} = {expr}")
+            return scratch
+        return expr
 
     def _inst(self, inst) -> str:
         """The instruction object itself, bound by position."""
@@ -548,21 +648,33 @@ class _Compiler:
 
     # -- instruction bodies ----------------------------------------------------
     #
-    # Each emitter returns body lines.  ``corr`` holds the statements
-    # spliced in before every raise: a unit charges its whole cost up
-    # front, so a raise at position k must sync without the
-    # not-yet-executed remainder to stay byte-identical with the
-    # reference interpreter.  A tail passes an empty ``corr`` (it
-    # accounts per instruction already).
+    # Each emitter returns body lines.  ``site`` is where a raise in the
+    # instruction stands: ``(at, steps, cycles)``, its position in the
+    # block and the not-yet-executed remainder of its unit.  A unit
+    # charges its whole cost up front, so a raise must sync without that
+    # remainder to stay byte-identical with the reference interpreter.
+    # A tail passes None: it accounts per instruction and sets ``at``.
+    # Scratch values live in ``a_``, ``b_``, ``r_``, ``t_`` and ``w_``,
+    # each read only by the instruction that wrote it.
 
-    def _raise(self, indent: str, corr: list[str], statement: str) -> list[str]:
-        return [indent + line for line in corr] + [indent + statement]
+    @staticmethod
+    def _raise(indent: str, site, error: str) -> list[str]:
+        """Raise the exception ``error`` (an expression) at ``site``."""
+        if site is None:
+            return [f"{indent}raise {error}"]
+        at, steps, cycles = site
+        room = f"room + {steps}" if steps else "room"
+        dc = f"dc - {cycles}" if cycles else "dc"
+        return [
+            f"{indent}at = {at}",
+            f"{indent}raise _trap(st, {room}, {dc}, {error})",
+        ]
 
-    def _emit(self, inst, n: str, corr: list[str]) -> list[str]:
+    def _emit(self, inst, site) -> list[str]:
         if isinstance(inst, BinaryOp):
-            return self._emit_binary(inst, n, corr)
+            return self._emit_binary(inst, site)
         if isinstance(inst, ICmp):
-            return self._emit_icmp(inst, n, corr)
+            return self._emit_icmp(inst, site)
         if isinstance(inst, FCmp):
             sym = _FCMP_SYMBOLS[inst.predicate]
             a, b = self._expr(inst.lhs), self._expr(inst.rhs)
@@ -570,180 +682,213 @@ class _Compiler:
         if isinstance(inst, Alloca):
             size = inst.allocated_type.size_in_slots()
             return [
-                f"a{n} = st.memory.allocate({size}, 'stack')",
-                f"allocs.append(a{n})",
-                f"{self._expr(inst)} = a{n}.base",
+                f"a_ = st.memory.allocate({size}, 'stack')",
+                "allocs.append(a_)",
+                f"{self._expr(inst)} = a_.base",
             ]
         if isinstance(inst, Load):
-            return self._emit_load(inst, n, corr)
+            return self._emit_load(inst, site)
         if isinstance(inst, Store):
-            return self._emit_store(inst, n, corr)
+            return self._emit_store(inst, site)
         if isinstance(inst, ElemPtr):
-            return self._emit_elem_ptr(inst, n, corr)
+            return self._emit_elem_ptr(inst, site)
         if isinstance(inst, Select):
             c = self._expr(inst.condition)
             t = self._expr(inst.true_value)
             f = self._expr(inst.false_value)
             return [f"{self._expr(inst)} = ({t}) if ({c}) else ({f})"]
         if isinstance(inst, Cast):
-            return self._emit_cast(inst, n, corr)
+            return self._emit_cast(inst, site)
         # Mirrors the reference walker's "cannot execute" arm (also hit
         # by a phi that is not in leading position).
         name = self._inst(inst)
         return self._raise(
-            "", corr, f"raise InterpError('cannot execute %r' % ({name},))"
+            "", site, f"InterpError('cannot execute %r' % ({name},))"
         )
 
-    def _wrap(self, target: str, raw: str, width: int) -> list[str]:
-        """Inline ``wrap_int``: mask to width, then signed adjustment."""
+    @staticmethod
+    def _wrap(
+        target: str, raw: str, width: int, is_int: bool, in_range=False
+    ) -> list[str]:
+        """Inline ``wrap_int``.  A ``raw`` that is an int whenever it
+        evaluates (``is_int``: its operands are, or it raises on
+        anything else) is one statement with an in-range fast path, or
+        no wrap when it is ``in_range`` of every int operand.  Any other
+        masks first, so a float raises the walker's ``TypeError`` there,
+        then adjusts the sign."""
         full = 1 << width
         half = full >> 1
         mask = full - 1
+        if in_range:
+            return [f"{target} = {raw}"]
+        if is_int:
+            return [
+                f"{target} = w_ if {-half} <= (w_ := {raw}) < {half} "
+                f"else (w_ + {half} & {mask}) - {half}"
+            ]
         return [
             f"{target} = {raw} & {mask}",
             f"{target} = {target} - {full} if {target} >= {half} else {target}",
         ]
 
-    def _emit_binary(self, inst, n, corr):
+    def _emit_binary(self, inst, site):
         op = inst.opcode
         d = self._expr(inst)
-        a, b = self._expr(inst.lhs), self._expr(inst.rhs)
         if op.startswith("f"):
+            a = self._expr(inst.lhs)
             if op == "fdiv":
-                return [
-                    f"b{n} = {b}",
-                    f"{d} = ({a}) / b{n} if b{n} != 0 else _INF",
-                ]
+                lines: list[str] = []
+                b = self._operand(inst.rhs, "b_", lines)
+                return lines + [f"{d} = ({a}) / {b} if {b} != 0 else _INF"]
             sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-            return [f"{d} = ({a}) {sym} ({b})"]
+            return [f"{d} = ({a}) {sym} ({self._expr(inst.rhs)})"]
         ty = inst.type
         assert isinstance(ty, IntType)
         w = ty.width
+        ints = self._holds_int(inst.lhs) and self._holds_int(inst.rhs)
+        rhs = inst.rhs.value if isinstance(inst.rhs, ConstantInt) else None
         if op in ("sdiv", "srem"):
-            noun = "division" if op == "sdiv" else "remainder"
             # Truncate toward zero (C semantics) in exact integer
             # arithmetic: a float quotient is wrong above 2**53.
             sym = "//" if op == "sdiv" else "%"
-            raw = (
-                f"(a{n} {sym} b{n} if (a{n} ^ b{n}) >= 0 "
-                f"else -(-a{n} {sym} b{n}))"
-            )
-            lines = [
-                f"a{n} = {a}",
-                f"b{n} = {b}",
-                f"if b{n} == 0:",
-                *self._raise(
-                    "    ", corr, f"raise InterpError('{noun} by zero')"
-                ),
-            ]
-            lines += self._wrap(d, raw, w)
-            return lines
+            lines = []
+            a = self._operand(inst.lhs, "a_", lines)
+            b = self._operand(inst.rhs, "b_", lines)
+            if not rhs:
+                noun = "division" if op == "sdiv" else "remainder"
+                lines.append(f"if {b} == 0:")
+                lines += self._raise(
+                    "    ", site, f"InterpError('{noun} by zero')"
+                )
+            # Whether the signs differ: ``^`` tells, and raises on
+            # anything but ints; by a positive constant, an int
+            # dividend's own sign tells.
+            if ints and rhs and rhs > 0:
+                sign = f"{a} >= 0"
+            else:
+                sign = f"({a} ^ {b}) >= 0"
+            raw = f"({a} {sym} {b} if {sign} else -(-{a} {sym} {b}))"
+            # A remainder is smaller than a positive divisor.
+            in_range = op == "srem" and rhs is not None and rhs > 0
+            return lines + self._wrap(d, raw, w, True, in_range)
         template = _BINARY_EXPRS.get(op)
         if template is None:
             return self._raise(
-                "", corr, f"raise InterpError('unknown binary op {op}')"
+                "", site, f"InterpError('unknown binary op {op}')"
             )
-        raw = template.format(a=a, b=b, w=w, m=(1 << w) - 1)
-        return self._wrap(d, raw, w)
-
-    def _emit_icmp(self, inst, n, corr):
-        d = self._expr(inst)
-        pred = inst.predicate
         a, b = self._expr(inst.lhs), self._expr(inst.rhs)
-        if pred.startswith("u"):
-            width = (
-                inst.lhs.type.width
-                if isinstance(inst.lhs.type, IntType)
-                else 64
-            )
-            mask = (1 << width) - 1
-            sym = _ICMP_SYMBOLS["s" + pred[1:]]
+        raw = template.format(a=a, b=b, w=w, m=(1 << w) - 1)
+        # ``&`` of a non-negative constant is at most that constant, and
+        # a logical shift by one or more bits is below 2**(w-1).
+        lhs = inst.lhs.value if isinstance(inst.lhs, ConstantInt) else None
+        in_range = (
+            op == "and" and any(c is not None and c >= 0 for c in (lhs, rhs))
+            or op == "lshr" and rhs is not None and rhs % w != 0
+        )
+        # Only ``+``, ``-`` and ``*`` take a float without complaint.
+        is_int = ints or op not in ("add", "sub", "mul")
+        return self._wrap(d, raw, w, is_int, in_range)
 
-            def compare(x, y):
-                return f"1 if ({x}) & {mask} {sym} ({y}) & {mask} else 0"
+    def _compare(self, inst, a: str, b: str) -> str:
+        """``icmp``'s test of the operand expressions ``a`` and ``b``."""
+        pred = inst.predicate
+        if pred[0] != "u":
+            return f"({a}) {_ICMP_SYMBOLS[pred]} ({b})"
+        width = (
+            inst.lhs.type.width if isinstance(inst.lhs.type, IntType) else 64
+        )
+        mask = (1 << width) - 1
+        sym = _ICMP_SYMBOLS["s" + pred[1:]]
+        return f"({a}) & {mask} {sym} ({b}) & {mask}"
 
-        else:
-            sym = _ICMP_SYMBOLS[pred]
-
-            def compare(x, y):
-                return f"1 if ({x}) {sym} ({y}) else 0"
-
+    def _emit_icmp(self, inst, site):
+        d = self._expr(inst)
+        lines: list[str] = []
         checks = []
-        if not self._holds_int(inst.lhs):
-            checks.append(f"a{n}.__class__ is _FunctionAddress")
-        if not self._holds_int(inst.rhs):
-            checks.append(f"b{n}.__class__ is _FunctionAddress")
+        operands = []
+        for v, scratch in ((inst.lhs, "a_"), (inst.rhs, "b_")):
+            if self._holds_int(v):
+                operands.append(self._expr(v))
+            else:
+                operands.append(self._operand(v, scratch, lines, tested=True))
+                checks.append(f"{operands[-1]}.__class__ is _FunctionAddress")
+        a, b = operands
+        test = f"1 if {self._compare(inst, a, b)} else 0"
         if not checks:
-            return [f"{d} = " + compare(a, b)]
-        lines = [f"a{n} = {a}", f"b{n} = {b}"]
+            return [f"{d} = {test}"]
         lines.append("if " + " or ".join(checks) + ":")
-        lines.append(f"    r{n} = _fa_cmp({pred!r}, a{n}, b{n})")
-        lines.append(f"    if r{n} < 0:")
+        lines.append(f"    r_ = _fa_cmp({inst.predicate!r}, {a}, {b})")
+        lines.append("    if r_ < 0:")
         lines += self._raise(
             "        ",
-            corr,
-            "raise InterpError('ordered comparison of function pointers')",
+            site,
+            "InterpError('ordered comparison of function pointers')",
         )
-        lines.append(f"    {d} = r{n}")
+        lines.append(f"    {d} = r_")
         lines.append("else:")
-        lines.append(f"    {d} = " + compare(f"a{n}", f"b{n}"))
+        lines.append(f"    {d} = {test}")
         return lines
 
-    def _address_of(self, pointer, n, corr) -> list[str]:
-        """Materialize ``a{n}`` as a validated address, mirroring
-        ``Interpreter._as_address`` (checks elided for operands that are
-        provably integers at compile time)."""
-        lines = [f"a{n} = {self._expr(pointer)}"]
-        if not self._holds_int(pointer):
-            lines.append(f"if a{n}.__class__ is not int:")
-            lines.append(f"    if a{n}.__class__ is _FunctionAddress:")
-            lines += self._raise(
-                "        ",
-                corr,
-                "raise MemoryTrap('dereference of a function pointer')",
-            )
-            lines += self._raise(
-                "    ",
-                corr,
-                f"raise MemoryTrap('non-integer address %r' % (a{n},))",
-            )
-        return lines
+    def _fuses(self, inst, following) -> bool:
+        """An ``icmp`` of two ints that only the branch ``following`` it
+        reads: the branch tests it in place, and it has no local."""
+        return (
+            isinstance(inst, ICmp)
+            and isinstance(following, CondBranch)
+            and following.condition is inst
+            and inst.num_uses() == 1
+            and self._holds_int(inst.lhs)
+            and self._holds_int(inst.rhs)
+        )
 
-    def _observe_access(self, kind: str, inst, n) -> list[str]:
-        """The memory observer's call on the checked address ``a{n}``."""
+    def _address(self, pointer, site, lines: list[str], reads=1) -> str:
+        """The expression of ``pointer`` as a checked address, mirroring
+        ``Interpreter._as_address``; the check is elided for an operand
+        that provably holds an int.  A global's address, an expression,
+        is copied to ``a_`` when the caller ``reads`` it twice."""
+        if self._holds_int(pointer):
+            if reads > 1:
+                return self._operand(pointer, "a_", lines)
+            return self._expr(pointer)
+        a = self._operand(pointer, "a_", lines, tested=True)
+        lines.append(f"if {a}.__class__ is not int:")
+        lines += self._raise("    ", site, f"_bad_address({a})")
+        return a
+
+    def _observe_access(self, kind: str, inst, a: str) -> list[str]:
+        """The memory observer's call on the checked address ``a``."""
         if not self.observed:
             return []
-        return [f"_MO({kind!r}, a{n}, {self._inst(inst)})"]
+        return [f"_MO({kind!r}, {a}, {self._inst(inst)})"]
 
-    def _emit_load(self, inst, n, corr):
-        lines = self._address_of(inst.pointer, n, corr)
-        lines += self._observe_access("load", inst, n)
+    def _emit_load(self, inst, site):
+        lines: list[str] = []
+        a = self._address(inst.pointer, site, lines)
+        lines += self._observe_access("load", inst, a)
         lines.append("try:")
-        lines.append(f"    {self._expr(inst)} = mem[a{n}]")
+        lines.append(f"    {self._expr(inst)} = mem[{a}]")
         lines.append("except KeyError:")
         lines += self._raise(
-            "    ",
-            corr,
-            f"raise MemoryTrap('load from invalid address %d' % a{n}) "
-            "from None",
+            "    ", site, f"MemoryTrap('load from invalid address %d' % {a})"
         )
+        lines[-1] += " from None"
         return lines
 
-    def _emit_store(self, inst, n, corr):
-        lines = self._address_of(inst.pointer, n, corr)
-        lines += self._observe_access("store", inst, n)
-        lines.append(f"if a{n} in mem:")
-        lines.append(f"    mem[a{n}] = {self._expr(inst.value)}")
+    def _emit_store(self, inst, site):
+        lines: list[str] = []
+        a = self._address(inst.pointer, site, lines, reads=2)
+        lines += self._observe_access("store", inst, a)
+        lines.append(f"if {a} in mem:")
+        lines.append(f"    mem[{a}] = {self._expr(inst.value)}")
         lines.append("else:")
         lines += self._raise(
-            "    ",
-            corr,
-            f"raise MemoryTrap('store to invalid address %d' % a{n})",
+            "    ", site, f"MemoryTrap('store to invalid address %d' % {a})"
         )
         return lines
 
-    def _emit_elem_ptr(self, inst, n, corr):
-        lines = self._address_of(inst.base, n, corr)
+    def _emit_elem_ptr(self, inst, site):
+        lines: list[str] = []
+        a = self._address(inst.base, site, lines)
         terms: list[str] = []
         constant = 0
 
@@ -772,16 +917,14 @@ class _Compiler:
                 current = current.fields[index_value.value]
             else:
                 return lines + self._raise(
-                    "",
-                    corr,
-                    f"raise InterpError('bad elem_ptr into {current}')",
+                    "", site, f"InterpError('bad elem_ptr into {current}')"
                 )
         if constant or not terms:
             terms.append(str(constant))
-        lines.append(f"{self._expr(inst)} = a{n} + " + " + ".join(terms))
+        lines.append(f"{self._expr(inst)} = {a} + " + " + ".join(terms))
         return lines
 
-    def _emit_call(self, inst, n, corr, at: int):
+    def _emit_call(self, inst, site):
         """A call ends its unit: the frame's accounting is written back
         before it (the callee and the intrinsics account on ``st``) and
         read again after.  A defined callee is called through its cell;
@@ -793,21 +936,21 @@ class _Compiler:
         listed = "[" + ", ".join(args) + "]"
         store = "" if inst.type.is_void() else f"{self._expr(inst)} = "
         callee = inst.called_function()
-        lines = []
+        lines: list[str] = []
         counted = []
         if callee is None:
-            lines.append(f"t{n} = {self._expr(inst.callee)}")
-            lines.append(f"if t{n}.__class__ is not _FunctionAddress:")
+            t = self._operand(inst.callee, "t_", lines, tested=True)
+            lines.append(f"if {t}.__class__ is not _FunctionAddress:")
             lines += self._raise(
                 "    ",
-                corr,
-                f"raise MemoryTrap('indirect call to non-function %r' % (t{n},))",
+                site,
+                f"MemoryTrap('indirect call to non-function %r' % ({t},))",
             )
             counted = [
                 "if st.block_profile is not None:",
-                f"    st.block_profile.indirect[t{n}.fn] += 1",
+                f"    st.block_profile.indirect[{t}.fn] += 1",
             ]
-            call = f"st.call_function(t{n}.fn, {listed})"
+            call = f"st.call_function({t}.fn, {listed})"
         elif not callee.is_declaration():
             call = f"{self._cell(callee)}[0](" + ", ".join(["st", *args]) + ")"
         elif callee.name in INTRINSIC_COSTS:
@@ -819,31 +962,34 @@ class _Compiler:
             call = f"st.call_function({target}, {listed})"
         return lines + [
             *_SYNC,
-            f"at = {at}",
+            f"at = {site[0]}",
             *counted,
             store + call,
             "room = limit - result.steps",
             "dc = 0",
         ]
 
-    def _emit_cast(self, inst, n, corr):
+    def _emit_cast(self, inst, site):
+        if _is_copy(inst):
+            return []  # its uses read its operand
         d = self._expr(inst)
         op = inst.opcode
         v = self._expr(inst.value)
-        if op in _COPY_CASTS:
-            return [f"{d} = {v}"]
         if op in ("trunc", "sext"):
-            return self._wrap(d, f"({v})", inst.type.width)
+            return self._wrap(
+                d, f"({v})", inst.type.width, self._holds_int(inst.value)
+            )
         if op == "zext":
-            src_mask = (1 << inst.value.type.width) - 1
-            return self._wrap(d, f"({v}) & {src_mask}", inst.type.width)
+            width = inst.value.type.width
+            return self._wrap(
+                d, f"({v}) & {(1 << width) - 1}", inst.type.width, True,
+                width < inst.type.width,
+            )
         if op == "sitofp":
             return [f"{d} = float({v})"]
         if op == "fptosi":
-            return self._wrap(d, f"int({v})", inst.type.width)
-        return self._raise(
-            "", corr, f"raise InterpError('unknown cast {op}')"
-        )
+            return self._wrap(d, f"int({v})", inst.type.width, True)
+        return self._raise("", site, f"InterpError('unknown cast {op}')")
 
     # -- control flow ----------------------------------------------------------
 
@@ -864,8 +1010,7 @@ class _Compiler:
                 ]
             except KeyError as error:  # a broken edge: the walker's error
                 return lines + [
-                    "_sync(st, room, dc)",
-                    f"raise KeyError({error.args[0]!r})",
+                    f"raise _trap(st, room, dc, KeyError({error.args[0]!r}))"
                 ]
             lines.append(
                 ", ".join(map(self._expr, phis)) + " = " + ", ".join(values)
@@ -887,21 +1032,22 @@ class _Compiler:
             *("    " + line for line in self._tree(var, leaves, mid, hi)),
         ]
 
-    def _emit_terminator(self, inst, src: int, n: str, corr) -> list[str]:
+    def _emit_terminator(self, inst, src: int, site) -> list[str]:
         if isinstance(inst, Ret):
             value = "None" if inst.value is None else self._expr(inst.value)
             return [*_SYNC, f"return {value}"]
         if isinstance(inst, Unreachable):
             return self._raise(
-                "", corr, "raise InterpError('executed unreachable')"
+                "", site, "InterpError('executed unreachable')"
             )
         if isinstance(inst, Branch):
             return self._edge(src, inst.target)
         if isinstance(inst, CondBranch):
             if inst.true_block is inst.false_block:
                 return self._edge(src, inst.true_block)
+            test = self._tests.get(id(inst.condition))
             return [
-                f"if {self._expr(inst.condition)}:",
+                f"if {test or self._expr(inst.condition)}:",
                 *("    " + line for line in self._edge(src, inst.true_block)),
                 "else:",
                 *("    " + line for line in self._edge(src, inst.false_block)),
@@ -918,8 +1064,8 @@ class _Compiler:
             return leaves[0]
         name = self._bind("_SW", ("const", table))
         return [
-            f"t{n} = {name}.get({self._expr(inst.value)}, 0)",
-            *self._tree(f"t{n}", leaves),
+            f"t_ = {name}.get({self._expr(inst.value)}, 0)",
+            *self._tree("t_", leaves),
         ]
 
     # -- function assembly -----------------------------------------------------
@@ -944,27 +1090,27 @@ class _Compiler:
             if cycles:
                 lines.append(f"dc += {cycles}")
             steps -= nphis
-            for position, inst in enumerate(run, position + 1):
+            for index, inst in enumerate(run):
                 steps -= 1
                 cycles -= self._cost(inst)
-                corr = [
-                    f"at = {position}",
-                    "_sync(st, room" + (f" + {steps}" if steps else "")
-                    + ", dc" + (f" - {cycles}" if cycles else "") + ")",
-                ]
-                n = self._name("")
+                site = (position + index + 1, steps, cycles)
                 if isinstance(inst, _TERMINATORS):
-                    lines += self._emit_terminator(inst, bi, n, corr)
+                    lines += self._emit_terminator(inst, bi, site)
                 elif isinstance(inst, Call):
-                    lines += self._emit_call(inst, n, corr, position)
+                    lines += self._emit_call(inst, site)
+                elif index + 1 < len(run) and self._fuses(inst, run[index + 1]):
+                    a, b = self._expr(inst.lhs), self._expr(inst.rhs)
+                    self._tests[id(inst)] = self._compare(inst, a, b)
                 else:
-                    lines += self._emit(inst, n, corr)
+                    lines += self._emit(inst, site)
+                    if _int_instruction(inst) and not all(
+                        map(self._holds_int, inst.operands)
+                    ):
+                        self._operand_sites[self._expr(inst)] = site
         if not isinstance(inst, _TERMINATORS):
             name = self.fn.blocks[bi].name
-            lines += [
-                "_sync(st, room, dc)",
-                f"raise AssertionError({f'block %{name} fell through'!r})",
-            ]
+            error = f"AssertionError({f'block %{name} fell through'!r})"
+            lines.append(f"raise _trap(st, room, dc, {error})")
         return lines
 
     def source(self) -> str:
@@ -999,8 +1145,24 @@ class _Compiler:
             # records its own position.
             "        if room >= 0: _partial(st, _BB[b], at)",
             "        raise",
-            "    finally:",
         ]
+        # An integer instruction given a float raises TypeError on the
+        # line that assigns its local; the lines of those that may be
+        # given one map to their sites.
+        sites = {}
+        if self._operand_sites:
+            for lineno, line in enumerate(lines, 1):
+                site = self._operand_sites.get(line.lstrip().partition(" ")[0])
+                if site is not None:
+                    sites[lineno] = site
+        if sites:
+            name = self._bind("_OS", ("const", sites))
+            lines += [
+                "    except TypeError as error:",
+                f"        _operand_fault(st, room, dc, _BB[b], error, {name})",
+                "        raise",
+            ]
+        lines.append("    finally:")
         # The exit calls nothing unless the frame owns stack or a
         # profile is being taken.  The sum goes in slices: CPython's
         # compiler recurses once per ``+`` of an expression.
@@ -1041,7 +1203,7 @@ class _Compiler:
             lines.append(f"_charge(st, {self._cost(inst)})")
             if inst is not run[-1]:
                 lines.append(f"at = {position}")
-                lines += self._emit(inst, str(position), [])
+                lines += self._emit(inst, None)
         return "\n".join(lines) + "\n", self.binds, self.fn.blocks[bi]
 
 

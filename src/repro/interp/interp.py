@@ -39,6 +39,7 @@ from ..ir.instructions import (
     ElemPtr,
     FCmp,
     ICmp,
+    INT_BINARY_OPS,
     Instruction,
     Load,
     Phi,
@@ -155,6 +156,22 @@ class InterpError(Exception):
 
 class MemoryTrap(InterpError):
     """An access to unallocated or freed memory."""
+
+
+class OperandTrap(MemoryTrap):
+    """An integer instruction given a value that is not an integer — a
+    float or a function's address that a cast passed through.  It ends
+    the run like a memory trap, as the program's own fault."""
+
+
+#: The casts from an integer to an integer: with the integer binary ops
+#: and ``icmp``, the instructions an :class:`OperandTrap` stops.
+INT_TO_INT_CASTS = ("trunc", "zext", "sext")
+
+
+def _operand_trap(inst: Instruction) -> OperandTrap:
+    """What integer instruction ``inst`` raises on a non-integer operand."""
+    return OperandTrap(f"non-integer operand to {inst.opcode}")
 
 
 class StepLimitExceeded(InterpError):
@@ -455,7 +472,7 @@ class Interpreter:
             self.result.return_value = exit_program.code
         except MemoryTrap as trap:
             self.result.trapped = str(trap)
-            self.result.trap_kind = "MemoryTrap"
+            self.result.trap_kind = type(trap).__name__
         except RecursionError:
             # The program's calls nested deeper than the host's stack:
             # its fault, like a memory trap, and reported as one.
@@ -620,6 +637,10 @@ class Interpreter:
             return eval_binary(inst.opcode, a, b, inst.type)
         except (ZeroDivisionError, NotImplementedError) as error:
             raise InterpError(str(error)) from None
+        except TypeError:
+            if inst.opcode not in INT_BINARY_OPS:
+                raise
+            raise _operand_trap(inst) from None
 
     def _icmp(self, inst: ICmp, frame) -> int:
         a = self._value(inst.lhs, frame)
@@ -633,7 +654,10 @@ class Interpreter:
                 return int(a_key != b_key)
             raise InterpError("ordered comparison of function pointers")
         width = inst.lhs.type.width if isinstance(inst.lhs.type, IntType) else 64
-        return eval_icmp(inst.predicate, a, b, width)
+        try:
+            return eval_icmp(inst.predicate, a, b, width)
+        except TypeError:
+            raise _operand_trap(inst) from None
 
     def _fcmp(self, inst: FCmp, frame) -> int:
         a = self._value(inst.lhs, frame)
@@ -666,6 +690,10 @@ class Interpreter:
             return eval_cast(inst.opcode, value, inst.value.type, inst.type)
         except NotImplementedError as error:
             raise InterpError(str(error)) from None
+        except TypeError:
+            if inst.opcode not in INT_TO_INT_CASTS:
+                raise
+            raise _operand_trap(inst) from None
 
     def _as_address(self, value: object) -> int:
         if isinstance(value, _FunctionAddress):

@@ -159,11 +159,11 @@ class TestFastPath:
         ))
         module = parse_module(text)
         cf = engine_for(module).compiled(module.functions["main"])
-        assert EPLAN_VERSION == 5
+        assert EPLAN_VERSION == 6
         twin = parse_module(text)
-        with pytest.raises(EnginePlanError, match="plan version 4 != 5"):
+        with pytest.raises(EnginePlanError, match="plan version 5 != 6"):
             engine_for(twin).adopt(
-                twin.functions["main"], {**cf.plan, "version": 4}, cf.code
+                twin.functions["main"], {**cf.plan, "version": 5}, cf.code
             )
         compiles = STATS.get("engine.compiles")
         assert _printed(twin) == [6]

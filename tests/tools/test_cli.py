@@ -396,6 +396,22 @@ class TestRunExitCodes:
         assert code == EXIT_TRAP
         assert "TRAP" in capsys.readouterr().err
 
+    def test_float_in_an_integer_instruction_is_3(self, tmp_path, capsys):
+        from repro.serve.protocol import EXIT_TRAP
+
+        ir_file = tmp_path / "bitcast.ir"
+        ir_file.write_text(
+            "define @main() -> i64 {\n"
+            "entry:\n"
+            "  %d = sitofp i64 3 to double\n"
+            "  %i = bitcast double %d to i64\n"
+            "  %r = add i64 %i, i64 1\n"
+            "  ret i64 %r\n"
+            "}\n"
+        )
+        assert main(["run", str(ir_file)]) == EXIT_TRAP
+        assert capsys.readouterr().err == "TRAP: non-integer operand to add\n"
+
     def test_explicit_entry_runs_it(self, tmp_path, capsys):
         source = tmp_path / "lib.mc"
         source.write_text(
