@@ -4,7 +4,8 @@ A :class:`RaceOracle` is a :class:`~repro.runtime.machine.ParallelMachine`
 that records every load/store executed inside a parallel region (via the
 interpreter's ``memory_observer`` hook, which runs on the compiled
 engine like any other execution) and attributes each access to its
-*concurrency unit*:
+*concurrency unit*, which the open region's record
+(:attr:`~repro.interp.interp.ParallelExecution.unit`) names:
 
 * DOALL — the worker core (``task(env, core, n)`` argument);
 * DSWP — the pipeline stage (``task(env, stage, n)`` argument);
@@ -12,7 +13,7 @@ engine like any other execution) and attributes each access to its
   markers (iterations land on cores round-robin, so two different
   iterations may run concurrently).
 
-After each region the access log is scanned for conflicts: the same
+When a region closes its access log is scanned for conflicts: the same
 address touched by two different units with at least one write.  For
 HELIX, a conflict is exempt when every conflicting access pair executed
 under a common sequential segment id (the segment serializes them); no
@@ -36,16 +37,13 @@ miss an observed race.
 
 from __future__ import annotations
 
-from ..interp.interp import dispatched_task, intrinsic_table
+from ..interp.interp import ParallelExecution
 from ..ir.instructions import Call, Load, Phi, Store
 from ..ir.module import Function
 from ..runtime.machine import ParallelMachine
 
-_DISPATCH_KINDS = {
-    "noelle_dispatch_doall": "doall",
-    "noelle_dispatch_helix": "helix",
-    "noelle_dispatch_dswp": "dswp",
-}
+#: What a region's unit is called in a :class:`DynamicRace`.
+_UNIT_NAMES = {"doall": "core", "dswp": "stage", "helix": "iter"}
 
 
 class DynamicRace:
@@ -71,20 +69,6 @@ class DynamicRace:
         return f"<DynamicRace {self}>"
 
 
-class _Region:
-    """Access log of one in-flight parallel dispatch."""
-
-    __slots__ = ("kind", "task", "iteration", "current_unit", "accesses")
-
-    def __init__(self, kind: str, task: Function):
-        self.kind = kind
-        self.task = task
-        self.iteration = 0
-        self.current_unit = None
-        # address -> unit -> [set of read segment-sets, set of write ones]
-        self.accesses: dict[int, dict[tuple, list[set]]] = {}
-
-
 class RaceOracle(ParallelMachine):
     """ParallelMachine that logs per-unit memory accesses and finds races."""
 
@@ -92,54 +76,44 @@ class RaceOracle(ParallelMachine):
         super().__init__(module, **kwargs)
         self.memory_observer = self._observe
         self.races: list[DynamicRace] = []
-        self._region: _Region | None = None
+        # id(region) -> (region, address -> unit -> [set of read
+        # segment-sets, set of write ones]) of the regions not yet evaluated.
+        self._logs: dict[int, tuple[ParallelExecution, dict]] = {}
         self._core_derived: dict[int, set[int]] = {}
 
     # -- region lifecycle ----------------------------------------------------------
-    def _dispatch(self, name: str, args: list[object]) -> object:
-        region = _Region(_DISPATCH_KINDS[name], dispatched_task(args))
-        outer, self._region = self._region, region
+    def _close_region(self, region: ParallelExecution) -> None:
+        super()._close_region(region)
+        logged = self._logs.pop(id(region), None)
+        if logged is not None:
+            self._evaluate(*logged)
+
+    def run(self, *args, **kwargs):
         try:
-            return ParallelMachine.INTRINSICS[name][1](self, args)
+            return super().run(*args, **kwargs)
         finally:
-            self._region = outer
-            self._evaluate(region)
-
-    def _helix_iter_boundary(self, args: list[object]) -> None:
-        if self._region is not None and self._region.kind == "helix":
-            self._region.iteration += 1
-        super()._helix_iter_boundary(args)
-
-    def call_function(self, fn: Function, args: list[object]) -> object:
-        region = self._region
-        if region is not None and fn is region.task:
-            previous = region.current_unit
-            if region.kind == "doall":
-                region.current_unit = ("core", int(args[1]))
-            elif region.kind == "dswp":
-                region.current_unit = ("stage", int(args[1]))
-            else:
-                region.current_unit = "helix"  # resolved per access
-            try:
-                return super().call_function(fn, args)
-            finally:
-                region.current_unit = previous
-        return super().call_function(fn, args)
+            # A trap, exit() or the step limit ends regions that never
+            # close; they are evaluated innermost first.
+            for logged in reversed(list(self._logs.values())):
+                self._evaluate(*logged)
+            self._logs.clear()
 
     # -- observation ---------------------------------------------------------------
     def _observe(self, kind: str, address: int, inst) -> None:
-        region = self._region
-        if region is None or region.current_unit is None:
+        region = self.region
+        if region is None:
             return
         if region.kind == "helix":
             if id(inst) in self._core_derived_accesses(region.task):
                 return  # per-core storage; see the module docstring
-            unit = ("iter", region.iteration)
-            segments = frozenset(seg for seg, _ in self._segment_stack)
+            segments = frozenset(seg for seg, _ in region.open_segments)
         else:
-            unit = region.current_unit
             segments = frozenset()
-        slot = region.accesses.setdefault(address, {})
+        logged = self._logs.get(id(region))
+        if logged is None:
+            logged = self._logs[id(region)] = (region, {})
+        slot = logged[1].setdefault(address, {})
+        unit = (_UNIT_NAMES[region.kind], region.unit)
         reads, writes = slot.setdefault(unit, [set(), set()])
         (writes if kind == "store" else reads).add(segments)
 
@@ -166,45 +140,35 @@ class RaceOracle(ParallelMachine):
         return accesses
 
     # -- conflict evaluation --------------------------------------------------------
-    def _evaluate(self, region: _Region) -> None:
-        for address, by_unit in region.accesses.items():
-            race = self._first_conflict(region, address, by_unit)
+    def _evaluate(self, region: ParallelExecution, accesses: dict) -> None:
+        for address, by_unit in accesses.items():
+            race = _first_conflict(region, address, by_unit)
             if race is not None:
                 self.races.append(race)
 
-    @staticmethod
-    def _first_conflict(region, address, by_unit):
-        """The first conflicting unit pair on ``address``, if any.
 
-        One :class:`DynamicRace` per racy address is enough ground truth
-        for the differential test; enumerating every unit pair would be
-        quadratic in the iteration count for a racy accumulator.
-        """
-        units = list(by_unit.items())
-        for i in range(len(units)):
-            unit_a, (reads_a, writes_a) = units[i]
-            for j in range(i + 1, len(units)):
-                unit_b, (reads_b, writes_b) = units[j]
-                if not writes_a and not writes_b:
-                    continue
-                if region.kind == "helix" and _segments_cover(
-                    reads_a, writes_a, reads_b, writes_b
-                ):
-                    continue
-                return DynamicRace(
-                    region.kind, region.task.name, address, unit_a, unit_b
-                )
-        return None
+def _first_conflict(region, address, by_unit):
+    """The first conflicting unit pair on ``address``, if any.
 
-
-def _logged(name: str):
-    return lambda st, args: st._dispatch(name, args)
-
-
-RaceOracle.INTRINSICS = intrinsic_table(ParallelMachine.INTRINSICS, {
-    **{name: _logged(name) for name in _DISPATCH_KINDS},
-    "helix_iter_boundary": RaceOracle._helix_iter_boundary,
-})
+    One :class:`DynamicRace` per racy address is enough ground truth
+    for the differential test; enumerating every unit pair would be
+    quadratic in the iteration count for a racy accumulator.
+    """
+    units = list(by_unit.items())
+    for i in range(len(units)):
+        unit_a, (reads_a, writes_a) = units[i]
+        for j in range(i + 1, len(units)):
+            unit_b, (reads_b, writes_b) = units[j]
+            if not writes_a and not writes_b:
+                continue
+            if region.kind == "helix" and _segments_cover(
+                reads_a, writes_a, reads_b, writes_b
+            ):
+                continue
+            return DynamicRace(
+                region.kind, region.task.name, address, unit_a, unit_b
+            )
+    return None
 
 
 def _segments_cover(reads_a, writes_a, reads_b, writes_b) -> bool:

@@ -42,10 +42,8 @@ call, to one Python function ``_fn(st, *args)``:
   whose first slot holds the callee's ``func``, or a trampoline that
   compiles the callee, fills the cell and calls it.  A call to a known
   intrinsic adds the intrinsic's cost to ``dc`` before the sync and
-  calls its handler through ``st.INTRINSICS``: that table is per
-  interpreter class while the engine is per module, so no handler is
-  baked into the namespace.  Indirect calls and unknown externals go
-  through ``st.call_function``.
+  calls its handler through ``st.INTRINSICS``.  Indirect calls and
+  unknown externals go through ``st.call_function``.
 * **exact step budgets** — the one unit that does not fit under
   ``step_limit`` undoes nothing and executes nothing: it hands its
   ``locals()`` to a per-instruction *tail* (charge, check, execute — the
@@ -929,7 +927,7 @@ class _Compiler:
         before it (the callee and the intrinsics account on ``st``) and
         read again after.  A defined callee is called through its cell;
         a known intrinsic's cost joins the sync, where the walker
-        charges it too, and its handler comes from ``st``'s class.  An
+        charges it too, and its handler comes from ``st.INTRINSICS``.  An
         indirect call, counted by target into the block profile, and an
         unknown external go through ``st.call_function``."""
         args = [self._expr(a) for a in inst.args]

@@ -306,6 +306,58 @@ class BlockProfile:
         self.indirect: dict[Function, int] = defaultdict(int)
 
 
+class ParallelExecution:
+    """The raw facts of one parallel region, as it ran: every unit in
+    order on one simulated core.  A unit is a DOALL core's or a DSWP
+    stage's call of the task; HELIX runs every iteration in one call and
+    marks the iterations and sequential segments inside it.
+    :func:`repro.runtime.schedule` prices a record on an architecture."""
+
+    __slots__ = (
+        "kind", "task", "num_cores", "unit_cycles", "queued",
+        "iteration_cycles", "segment_cycles", "open_segments",
+        "iteration_start",
+    )
+
+    def __init__(self, kind: str, task: Function | None, num_cores: int):
+        self.kind = kind  # "doall" | "dswp" | "helix"
+        self.task = task
+        #: The cores it was given; DSWP: its stages.
+        self.num_cores = num_cores
+        #: Cycles of each unit.
+        self.unit_cycles: list[int] = []
+        #: Values queued by each unit (what a DSWP stage forwards).
+        self.queued: list[int] = []
+        #: HELIX: the cycles of each iteration, and for each iteration the
+        #: cycles inside each sequential segment (segment id -> cycles).
+        #: While the region runs the last dict is the open iteration's.
+        self.iteration_cycles: list[int] = []
+        self.segment_cycles: list[dict[int, int]] = [{}]
+        #: While the region runs: (segment id, cycles) of each begun and
+        #: not yet ended segment, and the cycles the iteration began at.
+        self.open_segments: list[tuple[int, int]] = []
+        self.iteration_start = 0
+
+    @property
+    def sequential_cycles(self) -> int:
+        """The region's work: its units' cycles back to back."""
+        return sum(self.unit_cycles)
+
+    @property
+    def unit(self) -> int:
+        """The unit running now: the core or stage index, or HELIX's
+        iteration index."""
+        if self.kind == "helix":
+            return len(self.iteration_cycles)
+        return len(self.unit_cycles)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<{self.kind} x{self.num_cores}: {self.sequential_cycles} cycles "
+            f"in {len(self.unit_cycles)} unit(s)>"
+        )
+
+
 class ExecutionResult:
     """Everything observable from one program run."""
 
@@ -328,9 +380,9 @@ class ExecutionResult:
         self.callback_cycles: list[int] = []
         #: TIME statistics: clock changes executed.
         self.clock_changes: list[int] = []
-        #: Parallel-region timing breakdowns (populated by the simulated
-        #: machine / noelle-bin; empty under the plain interpreter).
-        self.parallel_executions: list = []
+        #: One :class:`ParallelExecution` per parallel region, in the
+        #: order the regions closed, under every executor.
+        self.parallel_executions: list[ParallelExecution] = []
 
 
 #: Process-wide cap applied to every new interpreter's step limit.  The
@@ -353,8 +405,8 @@ class Interpreter:
     """Executes one module."""
 
     #: name -> (cycle cost, ``handler(st, args)``) of every runtime
-    #: intrinsic; filled in below the class (:func:`intrinsic_table`).
-    INTRINSICS: dict[str, tuple] = {}
+    #: intrinsic, for every interpreter class; filled in below the class.
+    INTRINSICS: dict[str, tuple]
 
     def __init__(
         self,
@@ -382,6 +434,8 @@ class Interpreter:
         #: Accumulated energy-ish metric: cycles * clock period.
         self.weighted_cycles = 0
         self._queues: dict[int, object] = {}
+        #: The innermost parallel region running now, or None.
+        self.region: ParallelExecution | None = None
         #: The compiled execution engine routing this interpreter's
         #: defined-function calls, or None for the reference walker
         #: (``engine="reference"``; None and "compiled" compile).
@@ -483,6 +537,15 @@ class Interpreter:
                 STATS.count("engine.blocks_compiled", self.blocks_compiled)
                 self.blocks_compiled = 0
         return self.result
+
+    # -- parallel regions -------------------------------------------------------
+    def _resolve_cores(self, requested: int) -> int:
+        """The cores a DOALL or HELIX dispatch asking for ``requested`` gets."""
+        return requested
+
+    def _close_region(self, region: ParallelExecution) -> None:
+        """``region`` ran to its end; its record joins the result."""
+        self.result.parallel_executions.append(region)
 
     def call_function(self, fn: Function, args: list[object]) -> object:
         if fn.is_declaration():
@@ -726,18 +789,6 @@ class Interpreter:
         return entry[1](self, args)
 
 
-def intrinsic_table(base: dict, handlers: dict) -> dict:
-    """``base`` with ``handlers`` (name -> ``handler(st, args)``) laid
-    over it, each paired with its :data:`INTRINSIC_COSTS` entry — the
-    one lookup an intrinsic call does (``Interpreter._call_intrinsic``,
-    or ``st.INTRINSICS[name][1]`` in compiled code).  Built once per
-    class: a subclass overrides entries, not a method."""
-    table = dict(base)
-    for name, handler in handlers.items():
-        table[name] = (INTRINSIC_COSTS[name], handler)
-    return table
-
-
 def _os_callback(st, args):
     st.result.callback_count += 1
     st.result.callback_cycles.append(st.result.cycles)
@@ -759,23 +810,84 @@ def _exit(st, args):
     raise ExitProgram(int(args[0]))
 
 
-def dispatched_task(args) -> Function:
+def _dispatched_task(args) -> Function:
     """The task function a dispatch intrinsic was handed."""
     if not isinstance(args[0], _FunctionAddress):
         raise MemoryTrap("dispatch of a non-function")
     return args[0].fn
 
 
-def _dispatch_every_core(st, args):
-    task, env_address, num_cores = dispatched_task(args), args[1], int(args[2])
-    for core in range(num_cores):
-        st.call_function(task, [env_address, core, num_cores])
+def _run_region(st, kind, task, env, num_cores, units):
+    """Run ``task(env, u, units)`` for each unit ``u`` in order, as one
+    parallel region, and record its raw facts."""
+    region = ParallelExecution(kind, task, num_cores)
+    outer, st.region = st.region, region
+    result = st.result
+    try:
+        for unit in range(units):
+            start = region.iteration_start = result.cycles
+            queued = _total_queued(st)
+            st.call_function(task, [env, unit, units])
+            region.unit_cycles.append(result.cycles - start)
+            region.queued.append(max(0, _total_queued(st) - queued))
+    finally:
+        st.region = outer
+    # The cycles after the last iteration boundary are no iteration's.
+    del region.segment_cycles[len(region.iteration_cycles):]
+    st._close_region(region)
 
 
-def _dispatch_one_core(st, args):
+def _total_queued(st) -> int:
+    # Queues drain as they are consumed; track cumulative pushes by
+    # summing lengths (approximation: sampled before pops happen).
+    return sum(len(q) for q in st._queues.values())
+
+
+def _dispatch_doall(st, args):
+    task = _dispatched_task(args)
+    cores = st._resolve_cores(int(args[2]))
+    _run_region(st, "doall", task, args[1], cores, cores)
+
+
+def _dispatch_dswp(st, args):
+    task = _dispatched_task(args)
+    stages = int(args[2])
+    _run_region(st, "dswp", task, args[1], stages, stages)
+
+
+def _dispatch_helix(st, args):
     # HELIX's sequential reference semantics: one core runs every
-    # iteration in order.
-    st.call_function(dispatched_task(args), [args[1], 0, 1])
+    # iteration in order; the schedule spreads them over the cores.
+    task = _dispatched_task(args)
+    _run_region(st, "helix", task, args[1], st._resolve_cores(int(args[2])), 1)
+
+
+#: The end marker's call, charged before its handler reads the clock: a
+#: segment's cycles exclude it (the begin marker's precede the reading).
+_SEGMENT_MARKER_CYCLES = INSTRUCTION_COSTS["call"] + INTRINSIC_COSTS["helix_seq_end"]
+
+
+def _helix_seq_begin(st, args):
+    region = st.region
+    if region is not None:
+        region.open_segments.append((int(args[0]), st.result.cycles))
+
+
+def _helix_seq_end(st, args):
+    region = st.region
+    if region is not None and region.open_segments:
+        seg_id, start = region.open_segments.pop()
+        span = max(0, st.result.cycles - start - _SEGMENT_MARKER_CYCLES)
+        segments = region.segment_cycles[-1]
+        segments[seg_id] = segments.get(seg_id, 0) + span
+
+
+def _helix_iter_boundary(st, args):
+    region = st.region
+    if region is not None:
+        region.iteration_cycles.append(st.result.cycles - region.iteration_start)
+        region.iteration_start = st.result.cycles
+        region.segment_cycles.append({})
 
 
 def _queue_push(st, args):
@@ -792,17 +904,13 @@ def _queue_pop(st, args):
     return queue.popleft()
 
 
-def _no_op(st, args):
-    return None
-
-
-#: The base interpreter gives the parallel runtime *sequential*
-#: semantics: dispatchers run every core's task back to back, queues are
-#: unbounded in-memory deques, and HELIX markers are no-ops.  The
-#: simulated multicore machine
-#: (:class:`repro.runtime.machine.ParallelMachine`) overrides those
-#: entries to account per-core cycles and model the parallel schedule.
-Interpreter.INTRINSICS = intrinsic_table({}, {
+#: Every interpreter class runs the parallel runtime the same way:
+#: dispatchers run each unit's task back to back and record the region
+#: (:func:`_run_region`), queues are unbounded in-memory deques, and the
+#: HELIX markers record iterations and segments on the open region.  The
+#: simulated multicore machine (:class:`repro.runtime.machine.ParallelMachine`)
+#: prices each region when it closes.
+_HANDLERS = {
     "print_int": lambda st, a: st.result.output.append(int(a[0])),
     "print_float": lambda st, a: st.result.output.append(float(a[0])),
     "malloc": lambda st, a: st.memory.allocate(int(a[0]), "heap").base,
@@ -826,17 +934,20 @@ Interpreter.INTRINSICS = intrinsic_table({}, {
     "carat_guard": _carat_guard,
     "clock_set": _clock_set,
     "exit": _exit,
-    "noelle_dispatch_doall": _dispatch_every_core,
-    "noelle_dispatch_dswp": _dispatch_every_core,
-    "noelle_dispatch_helix": _dispatch_one_core,
+    "noelle_dispatch_doall": _dispatch_doall,
+    "noelle_dispatch_dswp": _dispatch_dswp,
+    "noelle_dispatch_helix": _dispatch_helix,
     "queue_push_i64": _queue_push,
     "queue_push_f64": _queue_push,
     "queue_pop_i64": _queue_pop,
     "queue_pop_f64": _queue_pop,
-    "helix_seq_begin": _no_op,
-    "helix_seq_end": _no_op,
-    "helix_iter_boundary": _no_op,
-})
+    "helix_seq_begin": _helix_seq_begin,
+    "helix_seq_end": _helix_seq_end,
+    "helix_iter_boundary": _helix_iter_boundary,
+}
+Interpreter.INTRINSICS = {
+    name: (INTRINSIC_COSTS[name], handler) for name, handler in _HANDLERS.items()
+}
 
 
 class _Return:

@@ -1,5 +1,12 @@
-"""repro.runtime — the simulated multicore machine and parallel runtime."""
+"""repro.runtime — the simulated multicore machine and its cost model."""
 
-from .machine import FORK_OVERHEAD, JOIN_OVERHEAD, ParallelExecution, ParallelMachine
+from .machine import ParallelExecution, ParallelMachine
+from .schedule import FORK_OVERHEAD, JOIN_OVERHEAD, schedule
 
-__all__ = ["FORK_OVERHEAD", "JOIN_OVERHEAD", "ParallelExecution", "ParallelMachine"]
+__all__ = [
+    "FORK_OVERHEAD",
+    "JOIN_OVERHEAD",
+    "ParallelExecution",
+    "ParallelMachine",
+    "schedule",
+]

@@ -170,7 +170,6 @@ def execute(
         result = machine.result
         result.trapped = str(error)
         result.trap_kind = "StepLimitExceeded"
-    result.parallel_executions = list(machine.executions)
     return result
 
 

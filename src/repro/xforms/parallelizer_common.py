@@ -531,7 +531,7 @@ def run_rounds(
 def _run_round(
     technique, minimum_hotness: float, only_loop_id: int | None
 ) -> int:
-    from ..runtime.machine import FORK_OVERHEAD
+    from ..runtime.schedule import FORK_OVERHEAD
 
     noelle = technique.noelle
     profile = noelle.profile()

@@ -12,6 +12,7 @@ from repro.interp import (
     StepLimitExceeded,
     run_module,
 )
+from repro.checks.oracle import RaceOracle
 from repro.runtime.machine import ParallelMachine
 from tests.conftest import compile_and_run
 
@@ -251,19 +252,19 @@ int main() {
         assert (interp.result.steps, interp.result.cycles) == (1, 30)
 
     def test_one_handler_table_per_class(self):
-        """Every costed intrinsic has a handler in each table (the drift
-        between the two is the classic bug); the machine overrides the
-        dispatchers and HELIX markers and inherits the rest."""
-        base, machine = Interpreter.INTRINSICS, ParallelMachine.INTRINSICS
-        assert set(base) == set(machine) == set(INTRINSIC_COSTS)
-        overridden = {name for name in base if machine[name] != base[name]}
-        assert overridden == {
-            "noelle_dispatch_doall", "noelle_dispatch_dswp",
-            "noelle_dispatch_helix", "helix_seq_begin", "helix_seq_end",
-            "helix_iter_boundary",
-        }
+        """One table serves every interpreter class: it has a handler,
+        at its cost, for every costed intrinsic, and no subclass (the
+        machine, the race oracle) lays a table of its own over it."""
+        table = Interpreter.INTRINSICS
+        assert set(table) == set(INTRINSIC_COSTS)
         assert all(
             cost == INTRINSIC_COSTS[name]
-            for table in (base, machine)
             for name, (cost, _handler) in table.items()
         )
+        subclasses, pending = set(), [Interpreter]
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                subclasses.add(cls)
+                pending.append(cls)
+        assert {ParallelMachine, RaceOracle} <= subclasses
+        assert not [c for c in subclasses if "INTRINSICS" in vars(c)]

@@ -4,7 +4,7 @@ from repro.core import Noelle
 from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter
-from repro.runtime import FORK_OVERHEAD, ParallelMachine
+from repro.runtime import FORK_OVERHEAD, ParallelMachine, schedule
 from repro.tools import remove_loop_carried_dependences
 from repro.xforms import DOALL, DSWP, HELIX
 from tests.conftest import outputs_match
@@ -40,8 +40,8 @@ class TestDoallModel:
         machine = ParallelMachine(module, num_cores=4)
         machine.run()
         execution = [e for e in machine.executions if e.kind == "doall"][0]
-        assert execution.parallel_cycles < execution.sequential_cycles
-        assert execution.parallel_cycles > FORK_OVERHEAD
+        assert schedule(execution, machine.architecture) < execution.sequential_cycles
+        assert schedule(execution, machine.architecture) > FORK_OVERHEAD
 
     def test_more_cores_less_wall_time(self):
         results = {}
@@ -50,7 +50,7 @@ class TestDoallModel:
             machine = ParallelMachine(module, num_cores=cores)
             machine.run()
             execution = [e for e in machine.executions if e.kind == "doall"][0]
-            results[cores] = execution.parallel_cycles
+            results[cores] = schedule(execution, machine.architecture)
         assert results[8] < results[2]
 
     def test_single_core_close_to_sequential(self):
@@ -100,7 +100,7 @@ int main() {
         machine.run()
         execution = [e for e in machine.executions if e.kind == "helix"][0]
         # The histogram segment serializes; speedup exists but is partial.
-        assert execution.parallel_cycles < execution.sequential_cycles
+        assert schedule(execution, machine.architecture) < execution.sequential_cycles
 
     def test_latency_sensitivity(self):
         from repro.core.architecture import ArchitectureDescription
@@ -112,7 +112,7 @@ int main() {
             machine = ParallelMachine(module, architecture=arch, num_cores=6)
             machine.run()
             execution = [e for e in machine.executions if e.kind == "helix"][0]
-            wall[latency] = execution.parallel_cycles
+            wall[latency] = schedule(execution, machine.architecture)
         # Slower interconnect -> longer sequential-segment chain.
         assert wall[200] > wall[10]
 
@@ -142,7 +142,7 @@ int main() {
         machine = ParallelMachine(module)
         machine.run()
         execution = [e for e in machine.executions if e.kind == "dswp"][0]
-        assert execution.parallel_cycles < execution.sequential_cycles
+        assert schedule(execution, machine.architecture) < execution.sequential_cycles
 
 
 class TestBaseInterpreterFallback:
