@@ -1,6 +1,9 @@
 """Simulated-machine tests: dispatch timing models and the cores knob."""
 
+import pytest
+
 from repro.core import Noelle
+from repro.core.architecture import ArchitectureDescription
 from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter
@@ -103,16 +106,16 @@ int main() {
         assert schedule(execution, machine.architecture) < execution.sequential_cycles
 
     def test_latency_sensitivity(self):
-        from repro.core.architecture import ArchitectureDescription
-
-        wall = {}
-        for latency in (10, 200):
-            module = prepare(self.HISTOGRAM, "helix")
-            arch = ArchitectureDescription(12, default_latency=latency)
-            machine = ParallelMachine(module, architecture=arch, num_cores=6)
-            machine.run()
-            execution = [e for e in machine.executions if e.kind == "helix"][0]
-            wall[latency] = schedule(execution, machine.architecture)
+        module = prepare(self.HISTOGRAM, "helix")
+        machine = ParallelMachine(module, num_cores=6)
+        machine.run()
+        execution = [e for e in machine.executions if e.kind == "helix"][0]
+        wall = {
+            latency: schedule(execution, ArchitectureDescription(
+                12, default_latency=latency
+            ))
+            for latency in (10, 200)
+        }
         # Slower interconnect -> longer sequential-segment chain.
         assert wall[200] > wall[10]
 
@@ -145,6 +148,30 @@ int main() {
         assert schedule(execution, machine.architecture) < execution.sequential_cycles
 
 
+@pytest.mark.parametrize("source, technique", [
+    (DOALL_SOURCE, "doall"),
+    (TestHelixModel.HISTOGRAM, "helix"),
+    (TestDswpModel.PIPELINE, "dswp"),
+])
+def test_execute_once_schedule_many(source, technique):
+    """One run priced at each latency gives the cycles of a fresh
+    machine run at that latency."""
+    module = prepare(source, technique)
+    machine = ParallelMachine(module, num_cores=6)
+    result = machine.run()
+    # Cycles outside the regions, then each region at its schedule.
+    outside = result.cycles - sum(
+        schedule(e, machine.architecture) for e in machine.executions
+    )
+    assert {e.kind for e in machine.executions} == {technique}
+    for latency in (5, 40, 640):
+        arch = ArchitectureDescription(12, default_latency=latency)
+        priced = outside + sum(schedule(e, arch) for e in machine.executions)
+        fresh = ParallelMachine(module, architecture=arch, num_cores=6).run()
+        assert priced == fresh.cycles
+        assert fresh.output == result.output
+
+
 class TestBaseInterpreterFallback:
     def test_parallel_intrinsics_work_without_machine(self):
         """The plain interpreter gives sequential reference semantics."""
@@ -153,3 +180,29 @@ class TestBaseInterpreterFallback:
         result = Interpreter(module).run()
         assert result.trapped is None
         assert outputs_match(result.output, baseline.output)
+
+    @pytest.mark.parametrize("source, technique", [
+        (DOALL_SOURCE, "doall"),
+        (TestHelixModel.HISTOGRAM, "helix"),
+        (TestDswpModel.PIPELINE, "dswp"),
+    ])
+    def test_same_regions_as_the_machine(self, source, technique):
+        """Both run a region the same way and record the same facts;
+        only the machine charges the schedule."""
+        module = prepare(source, technique)
+        plain = Interpreter(module).run()
+        machine = ParallelMachine(module)
+        priced = machine.run()
+
+        def facts(result):
+            return [
+                (e.kind, e.num_cores, e.unit_cycles, e.queued,
+                 e.iteration_cycles, e.segment_cycles)
+                for e in result.parallel_executions
+            ]
+
+        assert facts(plain) and facts(plain) == facts(priced)
+        assert priced.cycles - plain.cycles == sum(
+            schedule(e, machine.architecture) - e.sequential_cycles
+            for e in machine.executions
+        )
