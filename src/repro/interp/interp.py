@@ -326,7 +326,7 @@ class ParallelExecution:
         self.num_cores = num_cores
         #: Cycles of each unit.
         self.unit_cycles: list[int] = []
-        #: Values queued by each unit (what a DSWP stage forwards).
+        #: Values each unit pushed on a queue (what a DSWP stage forwards).
         self.queued: list[int] = []
         #: HELIX: the cycles of each iteration, and for each iteration the
         #: cycles inside each sequential segment (segment id -> cycles).
@@ -826,21 +826,14 @@ def _run_region(st, kind, task, env, num_cores, units):
     try:
         for unit in range(units):
             start = region.iteration_start = result.cycles
-            queued = _total_queued(st)
+            region.queued.append(0)
             st.call_function(task, [env, unit, units])
             region.unit_cycles.append(result.cycles - start)
-            region.queued.append(max(0, _total_queued(st) - queued))
     finally:
         st.region = outer
     # The cycles after the last iteration boundary are no iteration's.
     del region.segment_cycles[len(region.iteration_cycles):]
     st._close_region(region)
-
-
-def _total_queued(st) -> int:
-    # Queues drain as they are consumed; track cumulative pushes by
-    # summing lengths (approximation: sampled before pops happen).
-    return sum(len(q) for q in st._queues.values())
 
 
 def _dispatch_doall(st, args):
@@ -895,6 +888,9 @@ def _queue_push(st, args):
     if queue is None:
         queue = st._queues[int(args[0])] = deque()
     queue.append(args[1])
+    region = st.region
+    if region is not None:
+        region.queued[-1] += 1
 
 
 def _queue_pop(st, args):

@@ -149,7 +149,7 @@ FIGURE_DIGESTS = {
     "fig3_dependences": "12074603b8576d91274d7f08b8bae78a85f6975d9d96869bdf5b57f29c9d85ab",
     "fig4_invariants": "f03ceee2f92da724d2a8580aafb61d442fa5f1c4a9987b2f82155ced37eae38e",
     "governing_iv_counts": "825ba34ea92198a10b9b059ae05ca56616d3e13f1d2a624eb602a3c840a01ffe",
-    "fig5_speedups": "3f093005f38f474431136af0db0fec5083b94e4b235cabd812f5ab46870578ce",
+    "fig5_speedups": "d38c2fe8c8a52cb00b9e68b509a2f51cc956e7ba887dd5622ef796df66a3b139",
     "spec_speedups": "dbf7715a95faddac845aa6f377253ca5140d334b6365018fadbdb107ee0eb8b7",
 }
 

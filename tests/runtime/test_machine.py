@@ -147,6 +147,15 @@ int main() {
         execution = [e for e in machine.executions if e.kind == "dswp"][0]
         assert schedule(execution, machine.architecture) < execution.sequential_cycles
 
+    def test_every_push_is_traffic(self):
+        """The middle stage pops a value per iteration and pushes one:
+        the queues never grow while it runs, but it forwards 500 values."""
+        module = prepare(self.PIPELINE, "dswp")
+        machine = ParallelMachine(module)
+        machine.run()
+        execution = [e for e in machine.executions if e.kind == "dswp"][0]
+        assert execution.queued == [500, 500, 0]
+
 
 @pytest.mark.parametrize("source, technique", [
     (DOALL_SOURCE, "doall"),
