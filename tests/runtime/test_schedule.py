@@ -4,7 +4,7 @@ is worked out in the comments, with no module and no interpreter."""
 import pytest
 
 from repro.core.architecture import ArchitectureDescription
-from repro.runtime import FORK_OVERHEAD, JOIN_OVERHEAD, ParallelExecution, schedule
+from repro.runtime import ParallelExecution, schedule
 
 
 def record(kind, num_cores, **facts):
@@ -18,10 +18,6 @@ def arch(latency=40, bandwidth=8.0):
     return ArchitectureDescription(
         12, default_latency=latency, default_bandwidth=bandwidth
     )
-
-
-def test_overheads():
-    assert (FORK_OVERHEAD, JOIN_OVERHEAD) == (1500, 300)
 
 
 def test_doall_is_the_slowest_core_plus_fork_and_join():
