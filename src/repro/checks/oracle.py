@@ -76,26 +76,26 @@ class RaceOracle(ParallelMachine):
         super().__init__(module, **kwargs)
         self.memory_observer = self._observe
         self.races: list[DynamicRace] = []
-        # id(region) -> (region, address -> unit -> [set of read
-        # segment-sets, set of write ones]) of the regions not yet evaluated.
-        self._logs: dict[int, tuple[ParallelExecution, dict]] = {}
+        # region -> address -> unit -> [set of read segment-sets, set of
+        # write ones], for the regions not yet evaluated.
+        self._logs: dict[ParallelExecution, dict] = {}
         self._core_derived: dict[int, set[int]] = {}
 
     # -- region lifecycle ----------------------------------------------------------
     def _close_region(self, region: ParallelExecution) -> None:
         super()._close_region(region)
-        logged = self._logs.pop(id(region), None)
-        if logged is not None:
-            self._evaluate(*logged)
+        accesses = self._logs.pop(region, None)
+        if accesses is not None:
+            self._evaluate(region, accesses)
 
     def run(self, *args, **kwargs):
         try:
             return super().run(*args, **kwargs)
         finally:
             # A trap, exit() or the step limit ends regions that never
-            # close; they are evaluated innermost first.
-            for logged in reversed(list(self._logs.values())):
-                self._evaluate(*logged)
+            # close; they are evaluated here.
+            for region, accesses in reversed(list(self._logs.items())):
+                self._evaluate(region, accesses)
             self._logs.clear()
 
     # -- observation ---------------------------------------------------------------
@@ -109,10 +109,10 @@ class RaceOracle(ParallelMachine):
             segments = frozenset(seg for seg, _ in region.open_segments)
         else:
             segments = frozenset()
-        logged = self._logs.get(id(region))
-        if logged is None:
-            logged = self._logs[id(region)] = (region, {})
-        slot = logged[1].setdefault(address, {})
+        accesses = self._logs.get(region)
+        if accesses is None:
+            accesses = self._logs[region] = {}
+        slot = accesses.setdefault(address, {})
         unit = (_UNIT_NAMES[region.kind], region.unit)
         reads, writes = slot.setdefault(unit, [set(), set()])
         (writes if kind == "store" else reads).add(segments)

@@ -1,8 +1,10 @@
 """The dynamic race oracle: observation, attribution, exemptions."""
 
+import pytest
+
 from repro.checks.oracle import RaceOracle
 from repro.frontend import compile_source
-from repro.interp import Interpreter
+from repro.interp import Interpreter, StepLimitExceeded
 from tests.checks.fixtures import (
     DOALL_SOURCE,
     HELIX_KERNEL_SOURCE,
@@ -67,3 +69,18 @@ def test_one_race_per_address_keeps_the_log_bounded():
     oracle.run()
     addresses = [race.address for race in oracle.races]
     assert len(addresses) == len(set(addresses))
+
+
+def test_region_cut_short_is_still_evaluated():
+    # The step limit stops the run inside the racy HELIX region, so the
+    # region never closes; the races it showed are reported anyway.
+    module, noelle = build_helix_fixture()
+    drop_sequential_segments(module, noelle)
+    full = RaceOracle(module, num_cores=4)
+    full.run()
+    oracle = RaceOracle(module, num_cores=4, step_limit=full.result.steps * 3 // 4)
+    with pytest.raises(StepLimitExceeded):
+        oracle.run()
+    assert oracle.executions == []
+    assert oracle.races
+    assert {race.kind for race in oracle.races} == {"helix"}
