@@ -41,9 +41,13 @@ call, to one Python function ``_fn(st, *args)``:
   list the :class:`ExecutionEngine` owns per callee and per code table
   whose first slot holds the callee's ``func``, or a trampoline that
   compiles the callee, fills the cell and calls it.  A call to a known
-  intrinsic adds the intrinsic's cost to ``dc`` before the sync and
-  calls its handler through ``st.INTRINSICS``.  Indirect calls and
-  unknown externals go through ``st.call_function``.
+  intrinsic adds the intrinsic's cost to ``dc`` before the sync.  The
+  seven parallel-region intrinsics — the HELIX iteration and segment
+  markers and, for a constant queue id, the queue push/pop — are then
+  code that updates the open region's record and the queues as their
+  handlers do; any other intrinsic calls its handler through
+  ``st.INTRINSICS``.  Indirect calls and unknown externals go through
+  ``st.call_function``.
 * **exact step budgets** — the one unit that does not fit under
   ``step_limit`` undoes nothing and executes nothing: it hands its
   ``locals()`` to a per-instruction *tail* (charge, check, execute — the
@@ -105,6 +109,8 @@ interpreter is its reference, built only by an explicit
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..ir.instructions import (
     INT_BINARY_OPS,
     Alloca,
@@ -138,6 +144,7 @@ from .interp import (
     INSTRUCTION_COSTS,
     INT_TO_INT_CASTS,
     INTRINSIC_COSTS,
+    _SEGMENT_MARKER_CYCLES,
     ExitProgram,
     InterpError,
     MemoryTrap,
@@ -149,7 +156,7 @@ from .interp import (
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 6
+EPLAN_VERSION = 7
 
 
 class EnginePlanError(Exception):
@@ -333,6 +340,7 @@ _HELPERS = {
     "_release": _release,
     "_fold": _fold,
     "_ignore": _ignore,
+    "_deque": deque,
     "_INF": float("inf"),
 }
 
@@ -927,9 +935,10 @@ class _Compiler:
         before it (the callee and the intrinsics account on ``st``) and
         read again after.  A defined callee is called through its cell;
         a known intrinsic's cost joins the sync, where the walker
-        charges it too, and its handler comes from ``st.INTRINSICS``.  An
-        indirect call, counted by target into the block profile, and an
-        unknown external go through ``st.call_function``."""
+        charges it too; a region marker is then code (:meth:`_marker`),
+        and any other intrinsic's handler comes from ``st.INTRINSICS``.
+        An indirect call, counted by target into the block profile, and
+        an unknown external go through ``st.call_function``."""
         args = [self._expr(a) for a in inst.args]
         listed = "[" + ", ".join(args) + "]"
         store = "" if inst.type.is_void() else f"{self._expr(inst)} = "
@@ -954,6 +963,9 @@ class _Compiler:
         elif callee.name in INTRINSIC_COSTS:
             if INTRINSIC_COSTS[callee.name]:
                 lines.append(f"dc += {INTRINSIC_COSTS[callee.name]}")
+            marker = self._marker(callee.name, inst.args, store)
+            if marker is not None:
+                return lines + [*_SYNC, *marker, "dc = 0"]
             call = f"st.INTRINSICS[{callee.name!r}][1](st, {listed})"
         else:
             target = self._bind("_F", ("callee", callee.name))
@@ -966,6 +978,64 @@ class _Compiler:
             "room = limit - result.steps",
             "dc = 0",
         ]
+
+    def _marker(self, name: str, args, store: str) -> list[str] | None:
+        """The region intrinsic ``name`` as code that runs after the
+        call's sync, or None for any other intrinsic and for a queue or
+        segment id that is not a constant.  Each mirrors its handler in
+        :mod:`repro.interp.interp`, which stays the spec: it updates the
+        open region's record, or the interpreter's queues, the same way.
+        It calls nothing that can unwind through the frame but the
+        empty-queue ``InterpError``, so it sets no ``at``, and it leaves
+        the step count as it is, so ``room`` is not read back."""
+        first = args[0] if args else None
+        qid = first.value if isinstance(first, ConstantInt) else None
+        if name == "helix_iter_boundary":
+            lines = [
+                "r_ = st.region",
+                "if r_ is not None:",
+                "    t_ = result.cycles",
+                "    r_.iteration_cycles.append(t_ - r_.iteration_start)",
+                "    r_.iteration_start = t_",
+                "    r_.segment_cycles.append({})",
+            ]
+        elif name == "helix_seq_end":
+            lines = [
+                "r_ = st.region",
+                "if r_ is not None and r_.open_segments:",
+                "    a_, b_ = r_.open_segments.pop()",
+                "    w_ = r_.segment_cycles[-1]",
+                "    w_[a_] = w_.get(a_, 0) + max(0, result.cycles - b_ - "
+                f"{_SEGMENT_MARKER_CYCLES})",
+            ]
+        elif qid is None:
+            return None
+        elif name == "helix_seq_begin":
+            lines = [
+                "r_ = st.region",
+                "if r_ is not None:",
+                f"    r_.open_segments.append(({qid}, result.cycles))",
+            ]
+        elif name in ("queue_push_i64", "queue_push_f64") and len(args) > 1:
+            lines = [
+                f"t_ = st._queues.get({qid})",
+                f"if t_ is None: t_ = st._queues[{qid}] = _deque()",
+                f"t_.append({self._expr(args[1])})",
+                "r_ = st.region",
+                "if r_ is not None: r_.queued[-1] += 1",
+            ]
+        elif name in ("queue_pop_i64", "queue_pop_f64"):
+            error = repr(f"pop from empty queue {qid}")
+            return [
+                f"t_ = st._queues.get({qid})",
+                f"if not t_: raise InterpError({error})",
+                store + "t_.popleft()",
+            ]
+        else:
+            return None
+        if store:  # a marker's handler returns None
+            lines.append(store + "None")
+        return lines
 
     def _emit_cast(self, inst, site):
         if _is_copy(inst):

@@ -34,6 +34,8 @@ class ParallelMachine(Interpreter):
         step_limit: int = 200_000_000,
         engine: str | None = None,
     ):
+        if num_cores is not None and num_cores < 1:
+            raise ValueError(f"num_cores must be >= 1, got {num_cores}")
         super().__init__(module, step_limit=step_limit, engine=engine)
         self.architecture = architecture or ArchitectureDescription.haswell_like()
         #: Override of the core count; None uses the dispatch argument.

@@ -14,13 +14,20 @@ architectures:
 * **DSWP** — the slowest stage (steady-state throughput), one latency
   per stage boundary to fill the pipeline, and every value a stage
   queued paying bandwidth [Ottoni et al., MICRO'05].
-* **HELIX** — a discrete-event replay: iteration ``i`` runs on core
-  ``i % N``, and each of its sequential segments waits for the same
-  segment of iteration ``i-1`` plus one signal latency [Campanoni et
-  al., CGO'12].
+* **HELIX** — iteration ``i`` runs on core ``i % N``, and each of its
+  sequential segments waits for the same segment of iteration ``i-1``
+  plus one signal latency [Campanoni et al., CGO'12].  A core's clock
+  only grows, so the wall time is the latest core's clock, and an
+  iteration with no segment only adds its cycles to its core: with no
+  segment anywhere the wall time is ``max(sum(iteration_cycles[c::N])
+  for c in range(N))``.  Otherwise only the iterations with segments are
+  replayed event by event; the cost grows with the segments, not the
+  iterations.
 """
 
 from __future__ import annotations
+
+from itertools import compress, count
 
 #: One-time cost of waking a worker core (thread-pool hand-off).
 FORK_OVERHEAD = 1500
@@ -53,24 +60,34 @@ def _dswp(execution, architecture) -> int:
 
 
 def _helix(execution, latency: int) -> int:
-    """Replay the HELIX schedule over the measured per-iteration costs.
+    """The HELIX schedule over the measured per-iteration costs.
 
     Iteration ``i`` runs on core ``i % N``.  Its parallel portion starts
     when the core frees up; each sequential segment additionally waits
     for the same segment of iteration ``i-1`` plus one signal latency.
+    Between two iterations with segments, a core's iterations with none
+    run back to back: their cycles are added as one slice sum.
     """
     num_cores = max(1, execution.num_cores)
+    costs = execution.iteration_cycles
+    segment_cycles = execution.segment_cycles
+    if len(costs) != len(segment_cycles):
+        raise ValueError(
+            f"{len(costs)} iteration(s) but {len(segment_cycles)} "
+            f"segment record(s)"
+        )
     core_free = [0] * num_cores
+    # core -> the first of its iterations not yet on its clock
+    pending = list(range(num_cores))
     segment_done: dict[int, int] = {}
-    finish = 0
-    for index, (cost, segments) in enumerate(
-        zip(execution.iteration_cycles, execution.segment_cycles, strict=True)
-    ):
+    for index in compress(count(), segment_cycles):
+        segments = segment_cycles[index]
         core = index % num_cores
-        sequential = sum(segments.values())
+        clock = core_free[core] + sum(costs[pending[core]:index:num_cores])
+        pending[core] = index + num_cores
         # Parallel half runs as soon as the core is free; split around
         # the segments pessimistically as parallel-then-sequential.
-        clock = core_free[core] + max(0, cost - sequential)
+        clock += max(0, costs[index] - sum(segments.values()))
         for seg_id in sorted(segments):
             ready = segment_done.get(seg_id, 0)
             if ready:
@@ -79,5 +96,7 @@ def _helix(execution, latency: int) -> int:
             clock += segments[seg_id]
             segment_done[seg_id] = clock
         core_free[core] = clock
-        finish = max(finish, clock)
-    return finish
+    return max(
+        free + sum(costs[first::num_cores])
+        for free, first in zip(core_free, pending)
+    )

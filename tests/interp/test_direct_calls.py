@@ -2,8 +2,9 @@
 
 A direct call to a defined function goes through the callee's cell in
 the module's :class:`~repro.interp.engine.ExecutionEngine`, and a call
-to a known intrinsic calls its handler with the cost already charged;
-only indirect calls and unknown externals take ``st.call_function``.
+to a known intrinsic calls its handler with the cost already charged,
+or is code when it is a parallel-region marker; only indirect calls and
+unknown externals take ``st.call_function``.
 No cell may run code its function no longer has, invocation counts stay
 exact without a per-call observer, and recursion deeper than the host's
 stack is a trap.
@@ -127,13 +128,40 @@ class TestStaleCells:
         assert not engine.cells and not engine.observed_cells
 
 
+#: The parallel-region intrinsics, emitted as code with no handler call.
+REGION_MARKERS = (
+    "helix_iter_boundary", "helix_seq_begin", "helix_seq_end",
+    "queue_push_i64", "queue_push_f64", "queue_pop_i64", "queue_pop_f64",
+)
+
+
 def _call_kind(inst) -> str:
     callee = inst.called_function()
     if callee is not None and not callee.is_declaration():
         return "direct"
+    if callee is not None and callee.name in REGION_MARKERS:
+        return "marker"
     if callee is not None and callee.name in INTRINSIC_COSTS:
         return "intrinsic"
     return "slow"  # through a pointer, or an unknown external
+
+
+def _assert_fast_paths(module) -> list[str]:
+    """Check every call of ``module``'s generated code against its kind;
+    returns the kinds."""
+    seen = []
+    for fn in module.defined_functions():
+        kinds = [
+            _call_kind(inst)
+            for inst in fn.instructions()
+            if isinstance(inst, Call)
+        ]
+        source = _Compiler(fn).source()
+        assert source.count("st.call_function(") == kinds.count("slow")
+        assert source.count("[0](st") == kinds.count("direct")
+        assert source.count("st.INTRINSICS[") == kinds.count("intrinsic")
+        seen += kinds
+    return seen
 
 
 class TestFastPath:
@@ -141,17 +169,18 @@ class TestFastPath:
     def test_only_indirect_and_unknown_calls_leave_generated_code(
         self, workload
     ):
+        _assert_fast_paths(workload.compile())
+
+    @pytest.mark.parametrize("technique", ["helix", "dswp"])
+    @pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
+    def test_no_region_marker_calls_a_handler(self, workload, technique):
         module = workload.compile()
-        for fn in module.defined_functions():
-            kinds = [
-                _call_kind(inst)
-                for inst in fn.instructions()
-                if isinstance(inst, Call)
-            ]
-            source = _Compiler(fn).source()
-            assert source.count("st.call_function(") == kinds.count("slow")
-            assert source.count("[0](st") == kinds.count("direct")
-            assert source.count("st.INTRINSICS[") == kinds.count("intrinsic")
+        _, count = pipeline.parallelize(pipeline.load(module), technique)
+        assert count > 0
+        kinds = _assert_fast_paths(module)
+        # Every HELIX task marks its iterations; a DSWP pipeline may
+        # forward no value.
+        assert "marker" in kinds or technique == "dswp"
 
     def test_previous_plan_version_is_refused_then_compiled_once(self):
         text = print_module(compile_source(
@@ -159,11 +188,11 @@ class TestFastPath:
         ))
         module = parse_module(text)
         cf = engine_for(module).compiled(module.functions["main"])
-        assert EPLAN_VERSION == 6
+        assert EPLAN_VERSION == 7
         twin = parse_module(text)
-        with pytest.raises(EnginePlanError, match="plan version 5 != 6"):
+        with pytest.raises(EnginePlanError, match="plan version 6 != 7"):
             engine_for(twin).adopt(
-                twin.functions["main"], {**cf.plan, "version": 5}, cf.code
+                twin.functions["main"], {**cf.plan, "version": 6}, cf.code
             )
         compiles = STATS.get("engine.compiles")
         assert _printed(twin) == [6]

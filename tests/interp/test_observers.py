@@ -4,9 +4,10 @@ An interpreter with a ``memory_observer`` or an ``edge_observer`` set
 runs the engine's *observed* code.  Against the reference walker, every
 run here must give the identical memory-event list ``(kind, address,
 inst)``, the identical edge-event list, and the same ``steps``,
-``cycles`` and ``output`` — on the 21 registry workloads (sequential,
-and on the simulated machine after DOALL, HELIX and DSWP), the seven fuzz
-families, the four programs that unwind through partial blocks, and
+``cycles``, ``output`` and region records — on the 21 registry
+workloads (sequential, and on the simulated machine after DOALL, HELIX
+and DSWP, where the unobserved product code must match too), the
+seven fuzz families, the four programs that unwind through partial blocks, and
 every step limit of one small loop — while not one block runs on the
 walker (``engine.blocks_reference`` +0).
 """
@@ -79,6 +80,7 @@ def observed_run(module, engine, machine=Interpreter, **options):
         "return_value": result.return_value,
         "steps": result.steps,
         "cycles": result.cycles,
+        "records": region_records(result),
         "memory": trace.memory,
         "edges": trace.edges,
     }
@@ -112,13 +114,32 @@ def test_workload_sequential(name):
     assert run["trapped"] is None and len(run["edges"]) > 0
 
 
+def region_records(result) -> list[tuple]:
+    """Every field of every :class:`ParallelExecution` of a run."""
+    return [
+        (e.kind, e.num_cores, e.unit_cycles, e.queued,
+         e.iteration_cycles, e.segment_cycles)
+        for e in result.parallel_executions
+    ]
+
+
 @pytest.mark.parametrize("technique", pipeline.TECHNIQUES)
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_on_the_machine_after(name, technique):
+    """Also the product code, unobserved, whose region markers are
+    inline: the walker's run records every region the same way."""
     module = get(name).compile()
-    pipeline.parallelize(pipeline.load(module), technique)
+    _, count = pipeline.parallelize(pipeline.load(module), technique)
+    assert count > 0
     run = assert_observed_alike(module, ParallelMachine)
     assert run["trapped"] is None
+    compiled = ParallelMachine(module)
+    compiled.run()
+    result = compiled.result
+    assert region_records(result) == run["records"]
+    assert (result.output, result.steps, result.cycles) == (
+        run["output"], run["steps"], run["cycles"]
+    )
 
 
 @pytest.mark.parametrize("family", SHAPES)

@@ -74,6 +74,13 @@ class TestDoallModel:
         assert outputs_match(result.output, baseline.output)
 
 
+    @pytest.mark.parametrize("cores", [0, -3])
+    def test_no_cores_is_refused(self, cores):
+        # A region on no core would run none of its units.
+        with pytest.raises(ValueError, match="num_cores must be >= 1"):
+            ParallelMachine(compile_source(DOALL_SOURCE), num_cores=cores)
+
+
 class TestHelixModel:
     HISTOGRAM = """
 int hist[16];

@@ -1,10 +1,19 @@
 """The machine model on hand-built records: every expected number below
-is worked out in the comments, with no module and no interpreter."""
+is worked out in the comments, with no module and no interpreter.  The
+HELIX schedule is also checked against a replay of every iteration on
+seeded random records."""
+
+import random
 
 import pytest
 
 from repro.core.architecture import ArchitectureDescription
-from repro.runtime import ParallelExecution, schedule
+from repro.runtime import (
+    FORK_OVERHEAD,
+    JOIN_OVERHEAD,
+    ParallelExecution,
+    schedule,
+)
 
 
 def record(kind, num_cores, **facts):
@@ -110,3 +119,59 @@ def test_helix_needs_one_segment_dict_per_iteration():
 def test_unknown_kind_is_refused():
     with pytest.raises(ValueError, match="unknown parallel region kind"):
         schedule(record("spmd", 2), arch())
+
+
+def replayed_helix(execution, latency):
+    """The HELIX schedule as a discrete-event replay of every iteration:
+    the spec :func:`schedule` must agree with."""
+    num_cores = max(1, execution.num_cores)
+    core_free = [0] * num_cores
+    segment_done = {}
+    finish = 0
+    for index, (cost, segments) in enumerate(
+        zip(execution.iteration_cycles, execution.segment_cycles, strict=True)
+    ):
+        core = index % num_cores
+        sequential = sum(segments.values())
+        clock = core_free[core] + max(0, cost - sequential)
+        for seg_id in sorted(segments):
+            ready = segment_done.get(seg_id, 0)
+            if ready:
+                ready += latency
+            clock = max(clock, ready)
+            clock += segments[seg_id]
+            segment_done[seg_id] = clock
+        core_free[core] = clock
+        finish = max(finish, clock)
+    return finish
+
+
+def random_helix_record(rng, num_cores, density):
+    """Up to 80 iterations; each has segments with probability
+    ``density``, and its cycles may fall short of its segments'."""
+    iterations = rng.randrange(81)
+    segment_cycles = [
+        {
+            seg_id: rng.randrange(60)
+            for seg_id in rng.sample(range(4), rng.randint(1, 3))
+        }
+        if rng.random() < density else {}
+        for _ in range(iterations)
+    ]
+    return record(
+        "helix", num_cores,
+        iteration_cycles=[rng.randrange(200) for _ in range(iterations)],
+        segment_cycles=segment_cycles,
+    )
+
+
+@pytest.mark.parametrize("density", [0, 0.1, 0.5, 1])
+@pytest.mark.parametrize("latency", [0, 1, 20, 500])
+def test_helix_equals_the_replay_of_every_iteration(latency, density):
+    rng = random.Random(f"{latency}/{density}")
+    for _ in range(150):
+        execution = random_helix_record(rng, rng.randint(1, 24), density)
+        overhead = FORK_OVERHEAD + JOIN_OVERHEAD * execution.num_cores
+        assert schedule(execution, arch(latency=latency)) == (
+            replayed_helix(execution, latency) + overhead
+        )

@@ -184,6 +184,8 @@ class BadInput(NamedTuple):
     exit_code: int
     #: The same input as a serve request, where the daemon takes such input.
     request: dict | None = None
+    #: Options after the file name.
+    options: tuple[str, ...] = ()
 
 
 UNVERIFIABLE_IR = "define @main() -> i64 {\nentry:\n  %x = add i64 1, i64 2\n}\n"
@@ -225,6 +227,20 @@ BAD_INPUTS = {
     "parallelize-outlives-budget": BadInput(
         "parallelize", "spin.mc", SPINS, "StepLimitExceeded", EXIT_STEP_LIMIT,
     ),
+    # A core count below 1 would run a region on no core at all.
+    "run-on-zero-cores": BadInput(
+        "run", "ok.mc", CLEAN, "ProtocolError", EXIT_INPUT_ERROR,
+        {"op": "run", "ir": _ir_text(CLEAN), "cores": 0}, ("--cores", "0"),
+    ),
+    "parallelize-for-negative-cores": BadInput(
+        "parallelize", "ok.mc", CLEAN, "ProtocolError", EXIT_INPUT_ERROR,
+        {"op": "parallelize", "ir": _ir_text(CLEAN), "cores": -3},
+        ("--cores", "-3"),
+    ),
+    "check-on-zero-cores": BadInput(
+        "check", "ok.mc", CLEAN, "ProtocolError", EXIT_INPUT_ERROR,
+        {"op": "check", "ir": _ir_text(CLEAN), "cores": 0}, ("--cores", "0"),
+    ),
 }
 
 
@@ -240,7 +256,7 @@ class TestInputErrorTable:
         )
         previous = interp.set_step_budget(10_000)
         try:
-            status = main([bad.verb, path])
+            status = main([bad.verb, path, *bad.options])
         finally:
             interp.set_step_budget(previous)
         captured = capsys.readouterr()
