@@ -40,6 +40,7 @@ import os
 from math import gcd
 
 from ..ir.instructions import Cast, ElemPtr, Instruction, Load, Store
+from ..ir.ranges import affine_range
 from ..ir.types import ArrayType, StructType
 from ..ir.values import ConstantInt, Value
 from ..perf import STATS
@@ -267,7 +268,16 @@ class DependenceTester:
             term = _Affine()
             term.const = index.value
             return term
-        return _decompose(self.scev.evolution_of(index), self.loop)
+        evolution = self.scev.evolution_of(index)
+        # A narrow index's evolution is its value only while it fits the
+        # index's width (the i64 one is assumed not to wrap).
+        width = index.type.width
+        if width < 64 and not (
+            isinstance(evolution, SCEVAddRec)
+            and self.scev.addrec_range(evolution, width) is not None
+        ):
+            return None
+        return _decompose(evolution, self.loop)
 
     # -- the tests ----------------------------------------------------------------
     def test_pair(
@@ -368,15 +378,13 @@ class DependenceTester:
         """Inclusive slot range the access spans over all iterations."""
         if access.syms:
             return None
-        if access.stride == 0:
-            return (access.const, access.const + access.size - 1)
-        if self.trip is None or self.trip <= 0:
-            return None
-        last = access.const + access.stride * (self.trip - 1)
-        return (
-            min(access.const, last),
-            max(access.const, last) + access.size - 1,
+        # Slot offsets are unbounded integers: no width to leave.
+        span = affine_range(
+            access.const, access.stride, self.trip if access.stride else 1
         )
+        if span is None:
+            return None
+        return (span[0], span[1] + access.size - 1)
 
     # -- consumers' shapes ---------------------------------------------------------
     def carried(

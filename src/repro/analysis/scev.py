@@ -14,6 +14,11 @@ exit compares (``trip_count``), bounds an add-recurrence's value range
 over those iterations (``addrec_range``), and folds ``srem`` by a
 constant away when the dividend's range provably stays inside
 ``[0, modulus)`` — the form every generated workload's subscripts take.
+Their arithmetic is :mod:`repro.ir.ranges`, under its width rule: a
+closed form is the value only while it fits the IR type's width, so no
+trip count or range is claimed for a recurrence that wraps first.  A
+64-bit one with an unknown trip is assumed not to wrap (MiniC's ``int``
+is ``i64``, and C leaves signed overflow undefined).
 
 Every SCEV node compares *structurally*: two independently-derived
 evolutions of the same shape are equal and hash together, so they can key
@@ -27,6 +32,7 @@ through different query paths compare equal.
 from __future__ import annotations
 
 from ..ir.instructions import BinaryOp, CmpInst, CondBranch, Instruction, Phi
+from ..ir.ranges import affine_range, first_exit
 from ..ir.values import ConstantInt, Value
 from .loopinfo import NaturalLoop
 
@@ -287,7 +293,7 @@ class ScalarEvolution:
         if isinstance(lhs, SCEVConstant):
             return SCEVConstant(_srem(lhs.value, modulus))
         if isinstance(lhs, SCEVAddRec):
-            bounds = self.addrec_range(lhs)
+            bounds = self.addrec_range(lhs, value.type.width)
             if bounds is not None:
                 low, high = bounds
                 if 0 <= low and high < modulus:
@@ -309,7 +315,8 @@ class ScalarEvolution:
         conditional branch must compare an affine recurrence with constant
         start and step against a constant bound, with a predicate that
         forces the exit the first time it fails.  Returns None for
-        multi-exit loops, symbolic bounds, or non-monotone exits.
+        multi-exit loops, symbolic bounds, non-monotone exits, or an exit
+        recurrence that wraps before it fails.
         """
         if self._trip is _UNSET:
             self._trip = self._compute_trip_count()
@@ -351,8 +358,9 @@ class ScalarEvolution:
         """First iteration i >= 0 where the continue condition fails.
 
         The compare's IV-side operand evaluates to ``start + step*i`` in
-        iteration i (its add-recurrence around this loop), so the first
-        failure is a closed form when the predicate is monotone.
+        iteration i (its add-recurrence around this loop) until it leaves
+        the operands' width, so the first failure is a closed form when
+        the predicate is monotone and nothing wraps before it.
         """
         predicate, start, step, bound = self._normalized_exit(compare) or (
             None, None, None, None
@@ -363,7 +371,8 @@ class ScalarEvolution:
             predicate = _NEGATED_PREDICATE.get(predicate)
             if predicate is None:
                 return None
-        return _first_failure(predicate, start, step, bound)
+        width = compare.lhs.type.width
+        return first_exit(predicate, start, step, bound, width)
 
     def _normalized_exit(self, compare: CmpInst):
         """(predicate, start, step, bound) with the recurrence on the left."""
@@ -388,13 +397,13 @@ class ScalarEvolution:
 
     # -- value ranges --------------------------------------------------------------
     def addrec_range(
-        self, addrec: SCEVAddRec, trip: int | None = None
+        self, addrec: SCEVAddRec, width: int
     ) -> tuple[int, int] | None:
         """Inclusive (min, max) of the recurrence over the loop's iterations.
 
-        Needs a constant start and step plus a known trip count (passed in
-        or derived from the exit compare).  None when any is unknown or
-        the loop provably never runs.
+        Needs a constant start and step plus a known trip count.  None
+        when any is unknown, the loop provably never runs, or a value
+        leaves ``width`` bits (the width of the IR value it evolves).
         """
         if addrec.loop is not self.loop:
             return None
@@ -402,12 +411,7 @@ class ScalarEvolution:
         step = addrec.constant_step()
         if start is None or step is None:
             return None
-        if trip is None:
-            trip = self.trip_count()
-        if trip is None or trip <= 0:
-            return None
-        last = start + step * (trip - 1)
-        return (min(start, last), max(start, last))
+        return affine_range(start, step, self.trip_count(), width)
 
 
 #: icmp predicate under operand swap (a pred b  <=>  b pred' a).
@@ -421,57 +425,6 @@ _NEGATED_PREDICATE = {
     "eq": "ne", "ne": "eq",
     "slt": "sge", "sle": "sgt", "sgt": "sle", "sge": "slt",
 }
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _first_failure(
-    predicate: str, start: int, step: int, bound: int
-) -> int | None:
-    """First i >= 0 where ``(start + step*i) predicate bound`` is False.
-
-    None when the condition never fails (or failure is not forced by
-    monotonicity — e.g. a decreasing value tested with ``slt``, which only
-    fails through wraparound we do not model).
-    """
-    if predicate == "slt":
-        if start >= bound:
-            return 0
-        if step <= 0:
-            return None
-        return _ceil_div(bound - start, step)
-    if predicate == "sle":
-        if start > bound:
-            return 0
-        if step <= 0:
-            return None
-        return _ceil_div(bound - start + 1, step)
-    if predicate == "sgt":
-        if start <= bound:
-            return 0
-        if step >= 0:
-            return None
-        return _ceil_div(start - bound, -step)
-    if predicate == "sge":
-        if start < bound:
-            return 0
-        if step >= 0:
-            return None
-        return _ceil_div(start - bound + 1, -step)
-    if predicate == "ne":
-        if start == bound:
-            return 0
-        if step == 0:
-            return None
-        quotient, remainder = divmod(bound - start, step)
-        if remainder != 0 or quotient < 0:
-            return None  # the value steps over the bound: never equal
-        return quotient
-    if predicate == "eq":
-        return None if step == 0 and start == bound else (1 if start == bound else 0)
-    return None  # unsigned predicates: not modelled
 
 
 def _srem(value: int, modulus: int) -> int:

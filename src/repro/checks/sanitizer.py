@@ -113,22 +113,20 @@ class MemorySanitizer(Checker):
     # -- static bounds -------------------------------------------------------------
     def _check_bounds(self, fn, noelle) -> list[Diagnostic]:
         diagnostics = []
-        symbolic = _SymbolicBounds(fn, noelle) if deptest_enabled() else None
+        range_of = deptest_enabled() and _recurrence_ranges(fn, noelle)
         for inst in fn.instructions():
             if not isinstance(inst, ElemPtr):
                 continue
-            problem = _fold_indices(inst)
-            if problem is not None:
-                severity = (
-                    "error" if _directly_dereferenced(inst) else "warning"
-                )
-            elif symbolic is not None:
-                problem = symbolic.check(inst)
-                # The escaping iterations may be guarded inside the loop,
-                # so a range proof never claims more than a WARNING.
-                severity = "warning"
-            if problem is None:
+            finding = _out_of_bounds(inst, range_of)
+            if finding is None:
                 continue
+            problem, constant = finding
+            # The escaping iterations of a range may be guarded inside
+            # the loop, so a range proof never claims more than a WARNING.
+            severity = (
+                "error" if constant and _directly_dereferenced(inst)
+                else "warning"
+            )
             diagnostics.append(
                 Diagnostic(
                     self.name,
@@ -142,118 +140,75 @@ class MemorySanitizer(Checker):
         return diagnostics
 
 
-class _SymbolicBounds:
-    """SCEV-range bounds proofs for loop-varying elem_ptr indices."""
+def _recurrence_ranges(fn, noelle):
+    """``range_of(elem_ptr, index)``: the index's SCEV range over the
+    iterations of the elem_ptr's loop, or None."""
+    engines: dict = {}
 
-    def __init__(self, fn, noelle):
-        self.fn = fn
-        self._noelle = noelle
-        self._info = None
-        self._engines: dict[int, ScalarEvolution] = {}
-        self._pinned: dict[int, object] = {}
-
-    def _loop_of(self, inst):
-        if self._info is None:
-            if self._noelle is not None:
-                self._info = self._noelle.loop_info(self.fn)
-            else:
-                from ..analysis.loopinfo import LoopInfo
-
-                self._info = LoopInfo(self.fn)
-        return self._info.loop_of(inst.parent)
-
-    def _scev_of(self, loop) -> ScalarEvolution:
-        engine = self._engines.get(id(loop))
-        if engine is None:
-            engine = ScalarEvolution(loop, fold_srem=True)
-            self._engines[id(loop)] = engine
-            self._pinned[id(loop)] = loop
-        return engine
-
-    def check(self, inst: ElemPtr) -> str | None:
-        """OOB description when an index's iteration range escapes."""
-        loop = self._loop_of(inst)
+    def range_of(inst: ElemPtr, index) -> tuple[int, int] | None:
+        loop = noelle.loop_info(fn).loop_of(inst.parent)
         if loop is None:
             return None
-        base = inst.base
-        while isinstance(base, Cast):
-            base = base.value
-        if isinstance(base, (Alloca, GlobalVariable)):
-            allocated = base.allocated_type
-        else:
+        if loop not in engines:
+            engines[loop] = ScalarEvolution(loop, fold_srem=True)
+        evolution = engines[loop].evolution_of(index)
+        if not isinstance(evolution, SCEVAddRec):
             return None
-        scev = self._scev_of(loop)
-        current = allocated
-        for index in inst.indices[1:]:
-            if isinstance(current, ArrayType):
-                bounds = self._index_bounds(scev, index)
-                if bounds is not None:
-                    low, high = bounds
-                    if low < 0 or high >= current.count:
-                        return (
-                            f"index range [{low}, {high}] over the loop's "
-                            f"iterations escapes [0, {current.count}) of "
-                            f"{current} in {base.ref()}"
-                        )
-                current = current.element
-            elif isinstance(current, StructType):
-                if not isinstance(index, ConstantInt):
-                    return None
-                if not 0 <= index.value < len(current.fields):
-                    return None
-                current = current.fields[index.value]
-            else:
-                return None
-        return None
+        return engines[loop].addrec_range(evolution, index.type.width)
 
-    @staticmethod
-    def _index_bounds(scev: ScalarEvolution, index) -> tuple[int, int] | None:
-        if isinstance(index, ConstantInt):
-            return (index.value, index.value)
-        evolution = scev.evolution_of(index)
-        if isinstance(evolution, SCEVAddRec):
-            return scev.addrec_range(evolution)
-        return None
+    return range_of
 
 
-def _fold_indices(inst: ElemPtr) -> str | None:
-    """Description of the OOB condition, or None for in-bounds/unknown."""
+def _out_of_bounds(inst: ElemPtr, range_of) -> tuple[str, bool] | None:
+    """(description, found by a constant index) of the OOB condition, or
+    None for in-bounds/unknown.  Each array index is asked for its range:
+    a point for a constant, else ``range_of``'s when there is one.  A
+    constant finding anywhere in the chain wins over a range finding."""
     base = inst.base
     while isinstance(base, Cast):
         base = base.value
-    if isinstance(base, Alloca):
-        allocated = base.allocated_type
-    elif isinstance(base, GlobalVariable):
-        allocated = base.allocated_type
-    else:
+    if not isinstance(base, (Alloca, GlobalVariable)):
         return None  # derived pointer: allocation extent unknown here
-    indices = inst.indices
-    first = indices[0]
+    allocated = base.allocated_type
+    first = inst.indices[0]
     if isinstance(first, ConstantInt) and first.value != 0:
         return (
             f"leading index {first.value} steps off the single "
-            f"{allocated} object {base.ref()}"
+            f"{allocated} object {base.ref()}",
+            True,
         )
+    escaping = None
     current = allocated
-    for index in indices[1:]:
+    for index in inst.indices[1:]:
         if isinstance(current, ArrayType):
-            if isinstance(index, ConstantInt) and not (
-                0 <= index.value < current.count
-            ):
-                return (
-                    f"index {index.value} outside [0, {current.count}) "
-                    f"of {current} in {base.ref()}"
+            span = None
+            if isinstance(index, ConstantInt):
+                span = (index.value, index.value)
+            elif range_of and escaping is None:
+                span = range_of(inst, index)
+            if span and not 0 <= span[0] <= span[1] < current.count:
+                if isinstance(index, ConstantInt):
+                    return (
+                        f"index {index.value} outside [0, {current.count}) "
+                        f"of {current} in {base.ref()}",
+                        True,
+                    )
+                escaping = (
+                    f"index range [{span[0]}, {span[1]}] over the loop's "
+                    f"iterations escapes [0, {current.count}) of "
+                    f"{current} in {base.ref()}",
+                    False,
                 )
             current = current.element
         elif isinstance(current, StructType):
             if not isinstance(index, ConstantInt):
-                return None  # verifier rejects this; don't double-report
+                break  # verifier rejects this; don't double-report
             if not 0 <= index.value < len(current.fields):
-                return None
+                break
             current = current.fields[index.value]
         else:
-            return None  # scalar level: nothing left to index
-    return None
+            break  # scalar level: nothing left to index
+    return escaping
 
 
 def _directly_dereferenced(inst: ElemPtr) -> bool:

@@ -131,6 +131,7 @@ from ..ir.instructions import (
     Unreachable,
 )
 from ..ir.module import Function, Module
+from ..ir.ranges import fits, result_range, span_of
 from ..ir.types import ArrayType, IntType, StructType
 from ..ir.values import (
     ConstantFloat,
@@ -719,7 +720,8 @@ class _Compiler:
         """Inline ``wrap_int``.  A ``raw`` that is an int whenever it
         evaluates (``is_int``: its operands are, or it raises on
         anything else) is one statement with an in-range fast path, or
-        no wrap when it is ``in_range`` of every int operand.  Any other
+        no wrap when it is ``in_range`` of every int operand (as
+        :mod:`repro.ir.ranges` proves it).  Any other
         masks first, so a float raises the walker's ``TypeError`` there,
         then adjusts the sign."""
         full = 1 << width
@@ -753,6 +755,9 @@ class _Compiler:
         w = ty.width
         ints = self._holds_int(inst.lhs) and self._holds_int(inst.rhs)
         rhs = inst.rhs.value if isinstance(inst.rhs, ConstantInt) else None
+        in_range = fits(
+            result_range(op, span_of(inst.lhs, w), span_of(inst.rhs, w), w), w
+        )
         if op in ("sdiv", "srem"):
             # Truncate toward zero (C semantics) in exact integer
             # arithmetic: a float quotient is wrong above 2**53.
@@ -774,8 +779,6 @@ class _Compiler:
             else:
                 sign = f"({a} ^ {b}) >= 0"
             raw = f"({a} {sym} {b} if {sign} else -(-{a} {sym} {b}))"
-            # A remainder is smaller than a positive divisor.
-            in_range = op == "srem" and rhs is not None and rhs > 0
             return lines + self._wrap(d, raw, w, True, in_range)
         template = _BINARY_EXPRS.get(op)
         if template is None:
@@ -784,13 +787,6 @@ class _Compiler:
             )
         a, b = self._expr(inst.lhs), self._expr(inst.rhs)
         raw = template.format(a=a, b=b, w=w, m=(1 << w) - 1)
-        # ``&`` of a non-negative constant is at most that constant, and
-        # a logical shift by one or more bits is below 2**(w-1).
-        lhs = inst.lhs.value if isinstance(inst.lhs, ConstantInt) else None
-        in_range = (
-            op == "and" and any(c is not None and c >= 0 for c in (lhs, rhs))
-            or op == "lshr" and rhs is not None and rhs % w != 0
-        )
         # Only ``+``, ``-`` and ``*`` take a float without complaint.
         is_int = ints or op not in ("add", "sub", "mul")
         return self._wrap(d, raw, w, is_int, in_range)
@@ -1049,9 +1045,10 @@ class _Compiler:
             )
         if op == "zext":
             width = inst.value.type.width
+            unwrapped = result_range(op, span_of(inst.value, width), None, width)
             return self._wrap(
                 d, f"({v}) & {(1 << width) - 1}", inst.type.width, True,
-                width < inst.type.width,
+                fits(unwrapped, inst.type.width),
             )
         if op == "sitofp":
             return [f"{d} = float({v})"]

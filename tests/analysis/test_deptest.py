@@ -23,7 +23,9 @@ from repro.analysis.scev import (
     ScalarEvolution,
 )
 from repro.frontend import compile_source
+from repro.interp import Interpreter
 from repro.ir.instructions import Load, Store
+from tests.conftest import WRAPPING_INDEX_IR, WRAPPING_TRIP_IR
 
 
 def loop_of(source, fn_name="main", loop_index=0):
@@ -188,7 +190,53 @@ class TestTripCounts:
         assert isinstance(evolution, SCEVAddRec)
         # i takes 2, 5, 8, 11 — trip 4, range [2, 11].
         assert scev.trip_count() == 4
-        assert scev.addrec_range(evolution) == (2, 11)
+        assert scev.addrec_range(evolution, 64) == (2, 11)
+
+    def test_wrapping_narrow_iv_has_no_trip_and_no_range(self):
+        # 100, 110, 120, then 130 wraps to -126 < 126: the body runs 105
+        # times, not the closed form's 3.
+        module = ir.parse_module(WRAPPING_TRIP_IR)
+        loop = LoopInfo(module.get_function("main")).loops()[0]
+        scev = ScalarEvolution(loop, fold_srem=True)
+        assert scev.trip_count() is None
+        phi = next(iter(loop.header.phis()))
+        assert scev.addrec_range(scev.evolution_of(phi), 8) is None
+        # The load of iteration k+3 reads iteration k's store.
+        loads, stores = loop_accesses(loop)
+        verdict = DependenceTester(loop, scev=scev).test_pair(
+            loads[0], stores[0]
+        )
+        assert not verdict.is_independent
+
+
+class TestNarrowIndices:
+    def test_index_that_wraps_is_not_linearized(self):
+        # The trip is unknown, yet the i8 indices wrap after 86
+        # iterations: their slot offsets are not 151 + 3*i and 150 + 3*i.
+        module = ir.parse_module(WRAPPING_INDEX_IR)
+        assert Interpreter(module).run().return_value == 602
+        loop = LoopInfo(module.get_function("main")).loops()[0]
+        tester = DependenceTester(loop)
+        assert tester.trip is None
+        loads, stores = loop_accesses(loop)
+        assert tester.access_of(loads[0]) is None
+        assert tester.test_pair(loads[0], stores[0]).kind == UNKNOWN
+
+    def test_index_that_fits_over_the_trip_is_linearized(self):
+        # 0, 10, ..., 120 exits on 120 without wrapping; %j spans
+        # [-30, 80].
+        source = WRAPPING_TRIP_IR.replace("[ 100,", "[ 0,")
+        module = ir.parse_module(source.replace("i8 126", "i8 120"))
+        loop = LoopInfo(module.get_function("main")).loops()[0]
+        tester = DependenceTester(loop)
+        assert tester.trip == 12
+        loads, stores = loop_accesses(loop)
+        assert tester.access_of(loads[0]).describe() == (
+            "@a[120 + 10*i] size 1"
+        )
+        verdict = tester.test_pair(loads[0], stores[0])
+        assert verdict.kind == PROVEN_DEPENDENT
+        assert verdict.distance == -3
 
 
 class TestSremFolding:

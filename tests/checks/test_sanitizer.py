@@ -150,3 +150,50 @@ class TestBounds:
         builder.ret(builder.load(ptr, "v"))
         ir.verify_module(module)
         assert sanitize(module) == []
+
+
+#: A loop whose index runs 0..9 over rows of four: the range escapes.
+SYMBOLIC_LOOP = """
+@grid = global [4 x [4 x i64]]
+define @main() -> i64 {{
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %body ]
+  %cmp = icmp slt i64 %i, i64 10
+  br i1 %cmp, label %body, label %exit
+body:
+  %p = elem_ptr [4 x [4 x i64]]* @grid, i64 0, i64 {row}, i64 {column}
+  store i64 1, i64* %p
+  %i.next = add i64 %i, i64 1
+  br label %header
+exit:
+  ret i64 0
+}}
+"""
+
+
+class TestSymbolicBounds:
+    """Under NOELLE_DEPTEST=1 an index's range over the loop is checked."""
+
+    def findings(self, monkeypatch, row, column):
+        monkeypatch.setenv("NOELLE_DEPTEST", "1")
+        module = ir.parse_module(SYMBOLIC_LOOP.format(row=row, column=column))
+        return [d for d in sanitize(module) if "out of bounds" in d.message]
+
+    def test_escaping_recurrence_is_a_warning(self, monkeypatch):
+        findings = self.findings(monkeypatch, "%i", "0")
+        assert [d.severity for d in findings] == ["warning"]
+        assert findings[0].message == (
+            "elem_ptr %p is statically out of bounds: index range [0, 9] "
+            "over the loop's iterations escapes [0, 4) of [4 x [4 x i64]] "
+            "in @grid"
+        )
+
+    def test_constant_finding_wins_over_a_symbolic_one(self, monkeypatch):
+        findings = self.findings(monkeypatch, "%i", "7")
+        assert [d.severity for d in findings] == ["error"]
+        assert findings[0].message == (
+            "elem_ptr %p is statically out of bounds: index 7 outside "
+            "[0, 4) of [4 x i64] in @grid"
+        )

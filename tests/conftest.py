@@ -78,3 +78,59 @@ def outputs_match(a, b, rel=1e-9):
         elif x != y:
             return False
     return True
+
+
+#: An i8 IV that steps 100, 110, 120 and then wraps: ``slt 126`` first
+#: fails on iteration 105, and the load reads what the store wrote three
+#: iterations earlier.
+WRAPPING_TRIP_IR = """
+@a = global [300 x i64]
+define @main() -> i64 {
+entry:
+  %base = elem_ptr [300 x i64]* @a, i64 0, i64 150
+  br label %header
+header:
+  %i = phi i8 [ 100, %entry ], [ %i.next, %body ]
+  %cmp = icmp slt i8 %i, i8 126
+  br i1 %cmp, label %body, label %exit
+body:
+  %j = add i8 %i, i8 -30
+  %src = elem_ptr i64* %base, i8 %j
+  %v = load i64, i64* %src
+  %w = add i64 %v, i64 1
+  %dst = elem_ptr i64* %base, i8 %i
+  store i64 %w, i64* %dst
+  %i.next = add i8 %i, i8 10
+  br label %header
+exit:
+  ret i64 0
+}
+"""
+
+#: An i8 IV stepping by 3 until it equals 1, which it does only after
+#: wrapping (171 iterations): 86 loads read a 7 stored 85 iterations
+#: earlier, so it returns 602.
+WRAPPING_INDEX_IR = """
+@a = global [300 x i64]
+define @main() -> i64 {
+entry:
+  %base = elem_ptr [300 x i64]* @a, i64 0, i64 150
+  br label %header
+header:
+  %i = phi i8 [ 0, %entry ], [ %i.next, %body ]
+  %s = phi i64 [ 0, %entry ], [ %s.next, %body ]
+  %cmp = icmp ne i8 %i, i8 1
+  br i1 %cmp, label %body, label %exit
+body:
+  %j = add i8 %i, i8 1
+  %src = elem_ptr i64* %base, i8 %j
+  %v = load i64, i64* %src
+  %s.next = add i64 %s, i64 %v
+  %dst = elem_ptr i64* %base, i8 %i
+  store i64 7, i64* %dst
+  %i.next = add i8 %i, i8 3
+  br label %header
+exit:
+  ret i64 %s
+}
+"""

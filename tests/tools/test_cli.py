@@ -4,6 +4,7 @@ import pytest
 
 from repro.robust.faults import enabled_in_env as faults_enabled
 from repro.tools.cli import main
+from tests.conftest import WRAPPING_INDEX_IR, WRAPPING_TRIP_IR
 
 DEMO_SOURCE = """
 int data[300];
@@ -287,6 +288,25 @@ int main() {
         assert main(["analyze", "crc32", "--loops"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert any(l["trip_count"] == 256 for l in report["loops"])
+
+    @pytest.mark.parametrize(
+        "program", [WRAPPING_TRIP_IR, WRAPPING_INDEX_IR],
+        ids=["wrapping-trip", "wrapping-index"],
+    )
+    def test_wrapping_i8_loop_has_no_trip_and_no_independence(
+        self, program, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "wrap.ir"
+        path.write_text(program)
+        assert main(["analyze", str(path)]) == 0
+        (loop,) = json.loads(capsys.readouterr().out)["loops"]
+        assert loop["trip_count"] is None
+        by_kind = {a["kind"]: a["id"] for a in loop["memory_accesses"]}
+        verdicts = {(t["a"], t["b"]): t for t in loop["dependence_tests"]}
+        pair = verdicts[(by_kind["load"], by_kind["store"])]
+        assert pair["verdict"] == "unknown"
 
 
 class TestCheck:
