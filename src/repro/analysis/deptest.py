@@ -29,9 +29,13 @@ with different soundness obligations:
   constant affine forms qualify (symbols may change between loop
   executions, re-aligning the accesses).  This prunes PDG shard edges.
 
-Everything is gated behind ``NOELLE_DEPTEST=1`` (read dynamically, like
-``NOELLE_STATS``); the default build never consults this module, keeping
-figure outputs byte-identical to the seed.
+The default loop dependence graph consults only the linearizer
+(:meth:`DependenceTester.intra_iteration`): an edge whose endpoints
+linearize to the same object, symbols, constant and non-zero stride — at
+least both access sizes in magnitude — is intra-iteration, the
+distance-0 case of strong SIV.  The tests themselves refine loop-carried edges and prune
+PDG shard edges only under ``NOELLE_DEPTEST=1`` (read dynamically, like
+``NOELLE_STATS``).
 """
 
 from __future__ import annotations
@@ -44,13 +48,13 @@ from ..ir.ranges import affine_range
 from ..ir.types import ArrayType, StructType
 from ..ir.values import ConstantInt, Value
 from ..perf import STATS
-from .aa import underlying_object
 from .loopinfo import NaturalLoop
 from .scev import (
     SCEV,
     SCEVAddRec,
     SCEVConstant,
     ScalarEvolution,
+    _Sym,
     evolution_is_invariant,
 )
 
@@ -96,19 +100,28 @@ _INDEPENDENT = "independent"
 class AffineAccess:
     """One access linearized to ``base + const + syms + stride*i`` slots."""
 
-    __slots__ = ("inst", "base", "const", "syms", "stride", "size")
+    __slots__ = ("inst", "base", "const", "syms", "stride", "size", "intra_key")
 
     def __init__(self, inst, base, const: int, syms, stride: int, size: int):
         self.inst = inst
         self.base = base
         self.const = const
-        #: Canonical symbolic offset: tuple of (SCEV, coefficient), sorted
-        #: by hash — SCEV nodes compare structurally, so equal symbolic
-        #: offsets from two accesses cancel exactly.
+        #: Canonical symbolic offset: tuple of (SCEV, coefficient) in
+        #: printed order — SCEV nodes compare structurally, so equal
+        #: symbolic offsets from two accesses cancel exactly.
         self.syms = syms
         self.stride = stride
         #: Slots the access touches ([const.., const+size) at iteration 0).
         self.size = size
+        #: Equal keys prove two accesses conflict only within one
+        #: iteration (strong SIV at distance 0): a stride at least the
+        #: access size keeps each iteration's slots apart.  None when the
+        #: stride is zero or shorter than the access.
+        self.intra_key = (
+            (base, const, syms, stride)
+            if stride != 0 and abs(stride) >= size
+            else None
+        )
 
     def describe(self) -> str:
         parts = [str(self.const)]
@@ -129,79 +142,72 @@ class _Affine:
         self.syms: dict[SCEV, int] = {}
         self.stride = 0
 
-    def add_scaled(self, other: "_Affine", scale: int) -> None:
-        self.const += other.const * scale
-        self.stride += other.stride * scale
-        for sym, coefficient in other.syms.items():
-            total = self.syms.get(sym, 0) + coefficient * scale
+    def add(self, scev: SCEV | None, loop: NaturalLoop, scale: int) -> bool:
+        """Add ``scale`` times the evolution's constant, symbolic-invariant
+        and stride parts; False when it is not affine around ``loop``."""
+        if isinstance(scev, SCEVConstant):
+            self.const += scev.value * scale
+            return True
+        if isinstance(scev, SCEVAddRec):
+            step = scev.constant_step()
+            if scev.loop is not loop or step is None:
+                return False
+            stride = self.stride
+            if not self.add(scev.start, loop, scale) or self.stride != stride:
+                return False  # the start must not move with the loop
+            self.stride += step * scale
+            return True
+        if isinstance(scev, _Sym) and scev.opcode in ("add", "sub"):
+            rhs_scale = -scale if scev.opcode == "sub" else scale
+            return self.add(scev.lhs, loop, scale) and self.add(
+                scev.rhs, loop, rhs_scale
+            )
+        if isinstance(scev, _Sym) and scev.opcode == "mul":
+            for const, other in ((scev.lhs, scev.rhs), (scev.rhs, scev.lhs)):
+                if isinstance(const, SCEVConstant):
+                    return self.add(other, loop, scale * const.value)
+            # fall through: an opaque invariant product is one symbol
+        if evolution_is_invariant(scev):
+            total = self.syms.get(scev, 0) + scale
             if total:
-                self.syms[sym] = total
+                self.syms[scev] = total
             else:
-                self.syms.pop(sym, None)
+                self.syms.pop(scev, None)
+            return True
+        return False
 
     def canonical_syms(self) -> tuple:
+        if not self.syms:
+            return ()
+        # By printed form, which names no address: the order is stable
+        # across runs.  Two distinct symbols print alike only if their
+        # values share a name; the hash then breaks the tie, so equal
+        # symbol sets still give equal tuples.
         return tuple(
-            sorted(self.syms.items(), key=lambda item: (hash(item[0]), item[1]))
+            sorted(
+                self.syms.items(),
+                key=lambda item: (repr(item[0]), hash(item[0])),
+            )
         )
-
-
-def _decompose(scev: SCEV | None, loop: NaturalLoop) -> _Affine | None:
-    """Split an evolution into constant + symbolic-invariant + stride parts."""
-    from .scev import _Sym
-
-    if scev is None:
-        return None
-    affine = _Affine()
-    if isinstance(scev, SCEVConstant):
-        affine.const = scev.value
-        return affine
-    if isinstance(scev, SCEVAddRec):
-        if scev.loop is not loop:
-            return None
-        step = scev.constant_step()
-        if step is None:
-            return None
-        start = _decompose(scev.start, loop)
-        if start is None or start.stride != 0:
-            return None
-        affine.add_scaled(start, 1)
-        affine.stride += step
-        return affine
-    if isinstance(scev, _Sym) and scev.opcode in ("add", "sub"):
-        lhs = _decompose(scev.lhs, loop)
-        rhs = _decompose(scev.rhs, loop)
-        if lhs is None or rhs is None:
-            return None
-        affine.add_scaled(lhs, 1)
-        affine.add_scaled(rhs, -1 if scev.opcode == "sub" else 1)
-        return affine
-    if isinstance(scev, _Sym) and scev.opcode == "mul":
-        for const, other in ((scev.lhs, scev.rhs), (scev.rhs, scev.lhs)):
-            if isinstance(const, SCEVConstant):
-                inner = _decompose(other, loop)
-                if inner is None:
-                    return None
-                affine.add_scaled(inner, const.value)
-                return affine
-        # fall through: an opaque invariant product is one symbol
-    if evolution_is_invariant(scev):
-        affine.syms[scev] = 1
-        return affine
-    return None
 
 
 class DependenceTester:
     """ZIV / strong-SIV / GCD dependence tests for one loop's accesses."""
 
-    def __init__(self, loop: NaturalLoop, scev: ScalarEvolution | None = None):
+    def __init__(self, loop: NaturalLoop):
         self.loop = loop
-        self.scev = scev if scev is not None else ScalarEvolution(
-            loop, fold_srem=True
-        )
-        self.trip = self.scev.trip_count()
+        self.scev = ScalarEvolution(loop)
         self._accesses: dict[int, AffineAccess | None] = {}
+        #: instruction id -> its access's ``intra_key``: an access takes
+        #: part in one pair per memory edge of a loop dependence graph.
+        self._intra_keys: dict[int, tuple | None] = {}
         #: Pin id-keyed instructions (the alias-memo convention).
         self._pinned: dict[int, Instruction] = {}
+
+    @property
+    def trip(self) -> int | None:
+        """The loop's trip count, derived on first use (SCEV caches it)."""
+        return self.scev.trip_count()
 
     # -- access linearization ------------------------------------------------------
     def access_of(self, inst: Instruction) -> AffineAccess | None:
@@ -221,7 +227,6 @@ class DependenceTester:
             pointer = inst.pointer
         else:
             return None
-        base = underlying_object(pointer)
         size = (
             pointer.type.pointee.size_in_slots()
             if pointer.type.is_pointer()
@@ -229,24 +234,23 @@ class DependenceTester:
         )
         offset = _Affine()
         while True:
+            # The walk of ``aa.underlying_object``: through bitcasts and
+            # elem_ptrs to the base object.
             while isinstance(pointer, Cast):
+                if pointer.opcode != "bitcast":
+                    return None  # a pointer made from an integer
                 pointer = pointer.value
-            if pointer is base:
-                break
             if not isinstance(pointer, ElemPtr):
-                return None  # phi-selected or loaded pointer: not affine
+                break
             current = pointer.base.type.pointee
             indices = pointer.indices
-            term = self._index_affine(indices[0])
-            if term is None:
+            if not self._add_index(offset, indices[0], current.size_in_slots()):
                 return None
-            offset.add_scaled(term, current.size_in_slots())
             for index in indices[1:]:
                 if isinstance(current, ArrayType):
-                    term = self._index_affine(index)
-                    if term is None:
+                    scale = current.element.size_in_slots()
+                    if not self._add_index(offset, index, scale):
                         return None
-                    offset.add_scaled(term, current.element.size_in_slots())
                     current = current.element
                 elif isinstance(current, StructType):
                     if not isinstance(index, ConstantInt):
@@ -259,15 +263,14 @@ class DependenceTester:
                     return None
             pointer = pointer.base
         return AffineAccess(
-            inst, base, offset.const, offset.canonical_syms(), offset.stride,
-            size,
+            inst, pointer, offset.const, offset.canonical_syms(),
+            offset.stride, size,
         )
 
-    def _index_affine(self, index: Value) -> _Affine | None:
+    def _add_index(self, offset: _Affine, index: Value, scale: int) -> bool:
         if isinstance(index, ConstantInt):
-            term = _Affine()
-            term.const = index.value
-            return term
+            offset.const += index.value * scale
+            return True
         evolution = self.scev.evolution_of(index)
         # A narrow index's evolution is its value only while it fits the
         # index's width (the i64 one is assumed not to wrap).
@@ -276,8 +279,25 @@ class DependenceTester:
             isinstance(evolution, SCEVAddRec)
             and self.scev.addrec_range(evolution, width) is not None
         ):
-            return None
-        return _decompose(evolution, self.loop)
+            return False
+        return offset.add(evolution, self.loop, scale)
+
+    def intra_iteration(self, a: Instruction, b: Instruction) -> bool:
+        """True when ``a`` and ``b`` can touch common slots only within
+        one iteration: their ``intra_key``s are equal.  Calls and
+        non-affine addresses answer False."""
+        key = self._intra_key(a)
+        return key is not None and key == self._intra_key(b)
+
+    def _intra_key(self, inst: Instruction) -> tuple | None:
+        try:
+            return self._intra_keys[id(inst)]
+        except KeyError:
+            access = self.access_of(inst)
+            key = self._intra_keys[id(inst)] = (
+                None if access is None else access.intra_key
+            )
+            return key
 
     # -- the tests ----------------------------------------------------------------
     def test_pair(
@@ -340,10 +360,11 @@ class DependenceTester:
         # delta + stride*(j - i) lands in (-size_b, size_a).  Enumerate
         # the offsets in that window on a's residue class.
         distances = []
+        trip = self.trip
         for offset in range(-(size_b - 1), size_a):
             if (offset - delta) % stride == 0:
                 distance = (offset - delta) // stride
-                if self.trip is not None and abs(distance) >= self.trip:
+                if trip is not None and abs(distance) >= trip:
                     continue  # farther apart than the loop ever runs
                 distances.append(distance)
         if not distances:

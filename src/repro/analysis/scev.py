@@ -137,20 +137,13 @@ class _Sym(SCEV):
 class ScalarEvolution:
     """Per-loop symbolic evolution analysis.
 
-    ``fold_srem`` controls the range-proof rewrite of ``x srem m`` to
-    ``x``: it defaults to the ``NOELLE_DEPTEST`` environment flag so the
-    default build keeps the seed's (weaker) evolutions byte-for-byte,
-    while the dependence-test configuration sees through the modulo
-    guards generated subscripts carry.
+    ``x srem m`` by a positive constant evolves as ``x`` whenever ``x``'s
+    range over the loop provably stays inside ``[0, m)``, so subscripts
+    behind the modulo guards generated programs carry stay affine.
     """
 
-    def __init__(self, loop: NaturalLoop, fold_srem: bool | None = None):
+    def __init__(self, loop: NaturalLoop):
         self.loop = loop
-        if fold_srem is None:
-            from .deptest import deptest_enabled
-
-            fold_srem = deptest_enabled()
-        self.fold_srem = fold_srem
         self._cache: dict[int, SCEV | None] = {}
         #: Strong references pinning every id-keyed value (the alias-memo
         #: convention: an id key must never outlive its object).
@@ -182,11 +175,7 @@ class ScalarEvolution:
             if lhs is None or rhs is None:
                 return None
             return self._combine(value.opcode, lhs, rhs)
-        if (
-            self.fold_srem
-            and isinstance(value, BinaryOp)
-            and value.opcode == "srem"
-        ):
+        if isinstance(value, BinaryOp) and value.opcode == "srem":
             return self._srem_evolution(value)
         return None
 

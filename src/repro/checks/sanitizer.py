@@ -150,7 +150,7 @@ def _recurrence_ranges(fn, noelle):
         if loop is None:
             return None
         if loop not in engines:
-            engines[loop] = ScalarEvolution(loop, fold_srem=True)
+            engines[loop] = ScalarEvolution(loop)
         evolution = engines[loop].evolution_of(index)
         if not isinstance(evolution, SCEVAddRec):
             return None

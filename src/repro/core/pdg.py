@@ -45,7 +45,7 @@ disproved, which is exactly what the alias analysis would have concluded.
 From the program PDG a pass can request *function* and *loop* dependence
 graphs.  Requesting a loop dependence graph triggers the loop-centric
 refinements the paper describes: loop-carried classification of register
-and memory dependences (using scalar evolution on the access addresses) and
+and memory dependences (the dependence tester's address linearization) and
 live-in/live-out computation via internal/external nodes.  Both link the
 shard's edge objects; a loop dependence graph creates only the edges that
 differ — the carried ones and their reversed twins — and, like every
@@ -65,16 +65,14 @@ from ..analysis.aa import (
     BasicAliasAnalysis,
     ModRefResult,
     is_identified_object,
-    underlying_object,
 )
 from ..analysis.controldep import ControlDependence
 from ..analysis.deptest import DependenceTester, FunctionDepTest, deptest_enabled
 from ..analysis.loopinfo import NaturalLoop
 from ..analysis.pointsto import AndersenAliasAnalysis
-from ..analysis.scev import SCEVAddRec, SCEVConstant, SCEVUnknown, ScalarEvolution
-from ..ir.instructions import Call, ElemPtr, Instruction, Load, Phi, Store
+from ..ir.instructions import Call, Instruction, Load, Phi, Store
 from ..ir.module import Function, Module
-from ..ir.values import Argument, Constant, ConstantInt, Value
+from ..ir.values import Argument, Constant, Value
 from ..perf import STATS
 from .depgraph import DependenceGraph, DGEdge, DGNode
 
@@ -631,13 +629,10 @@ class LoopDG(DependenceGraph[Instruction]):
         super().__init__()
         self.pdg = pdg
         self.loop = loop
-        self._scev = ScalarEvolution(loop)
-        #: Lazy symbolic dependence tester (NOELLE_DEPTEST=1 only).
-        self._deptester: DependenceTester | None = None
-        #: instruction id -> its address's affine decomposition: an
-        #: access takes part in one pair per memory edge, and is
-        #: decomposed once.
-        self._affine: dict[int, tuple | None] = {}
+        #: The graph's dependence tester, built on the first memory edge
+        #: between two of the loop's instructions; it owns the graph's
+        #: one scalar evolution.
+        self._tester: DependenceTester | None = None
         # The shard's nodes are all internal *to the PDG*, so whether an
         # endpoint is inside the loop is asked of ``internal_ids``.
         shard_edges = pdg._shard_of(loop.header.parent).edges
@@ -650,6 +645,7 @@ class LoopDG(DependenceGraph[Instruction]):
                 nodes[id(inst)] = DGNode(inst, True)
             internal_ids.add(id(inst))
         deptest = deptest_enabled()
+        tester = None
         for edge in shard_edges:
             src, dst = edge.src.value, edge.dst.value
             src_in = id(src) in internal_ids
@@ -665,9 +661,13 @@ class LoopDG(DependenceGraph[Instruction]):
             if edge.kind == "control":
                 carried = False
             elif edge.is_memory:
-                carried = self._memory_dep_carried(src, dst)
+                if tester is None:
+                    tester = self._tester = DependenceTester(loop)
+                carried = not tester.intra_iteration(src, dst)
                 if carried and deptest:
-                    carried, distance = self._deptest_carried(src, dst)
+                    carried, distance = tester.carried(src, dst)
+                    if not carried:
+                        STATS.count("deptest.carried_disproved")
             else:
                 carried = self._register_dep_carried(src, dst)
             if not carried:
@@ -708,93 +708,6 @@ class LoopDG(DependenceGraph[Instruction]):
             if value is src and self.loop.contains_block(pred):
                 return True
         return False
-
-    def _memory_dep_carried(self, src: Instruction, dst: Instruction) -> bool:
-        """Decide whether a memory dependence can cross iterations.
-
-        Disproves the carried case when both accesses address
-        ``base + iv*stride`` with the same base object, same non-zero
-        stride, and same offset — then equal addresses imply equal
-        iterations, so the dependence is intra-iteration only.  A call,
-        or an address with no affine form, stays conservative.
-        """
-        access_src = self._affine_access(src)
-        if access_src is None:
-            return True
-        access_dst = self._affine_access(dst)
-        if access_dst is None:
-            return True
-        base_src, start_src, step_src = access_src
-        base_dst, start_dst, step_dst = access_dst
-        if base_src is not base_dst:
-            return True  # different bases that still may-alias: conservative
-        if step_src == step_dst and step_src != 0 and start_src == start_dst:
-            return False
-        return True
-
-    def _deptest_carried(
-        self, src: Instruction, dst: Instruction
-    ) -> tuple[bool, int | None]:
-        """Refine a still-carried verdict with the symbolic dependence tests.
-
-        Only consulted under NOELLE_DEPTEST=1.  Returns the refined
-        carried flag and the proven iteration distance, if any.
-        """
-        if self._deptester is None:
-            self._deptester = DependenceTester(self.loop)
-        carried, distance = self._deptester.carried(src, dst)
-        if not carried:
-            STATS.count("deptest.carried_disproved")
-            return False, None
-        return True, distance
-
-    def _affine_access(self, inst: Instruction):
-        """Decompose ``inst``'s address into (base object, start key, iv
-        stride); None for a call or an address with no affine form.
-
-        The start key combines the constant part of the starting offset
-        with the identities of its symbolic (loop-invariant) parts, so two
-        accesses starting at e.g. ``width + 1`` compare equal even though
-        the start is not a literal constant.
-        """
-        try:
-            return self._affine[id(inst)]
-        except KeyError:
-            access = self._affine[id(inst)] = self._decompose(
-                pointer_operand(inst)
-            )
-            return access
-
-    def _decompose(self, address: Value | None):
-        if not isinstance(address, ElemPtr):
-            return None
-        base = underlying_object(address)
-        const_start = 0
-        symbolic_parts: list[int] = []
-        stride = 0
-        for index in address.indices:
-            if isinstance(index, ConstantInt):
-                const_start += index.value
-                continue
-            evolution = self._scev.evolution_of(index)
-            if isinstance(evolution, SCEVAddRec):
-                step = evolution.constant_step()
-                if step is None:
-                    return None
-                stride += step
-                start = evolution.start
-                if isinstance(start, SCEVConstant):
-                    const_start += start.value
-                elif isinstance(start, SCEVUnknown):
-                    symbolic_parts.append(id(start.value))
-                else:
-                    return None
-            elif isinstance(evolution, SCEVUnknown):
-                return None  # invariant but iteration-independent index
-            else:
-                return None
-        start_key = (const_start, tuple(sorted(symbolic_parts)))
-        return base, start_key, stride
 
     # -- region boundary -------------------------------------------------------------
     def live_in_values(self) -> list[Value]:

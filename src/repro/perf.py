@@ -26,8 +26,10 @@ lookups, ``cache.bytes_read`` / ``cache.bytes_written``,
 ``deptest.proven_independent`` / ``deptest.proven_dependent`` /
 ``deptest.unknown`` verdict split, ``deptest.pdg_pairs_pruned`` /
 ``deptest.pdg_edges_pruned`` for PDG memory edges removed under
-``NOELLE_DEPTEST=1``, ``deptest.carried_disproved`` for loop-carried
-classifications refuted by a proven distance, and the
+``NOELLE_DEPTEST=1``, ``deptest.carried_disproved`` for memory edges
+the default loop dependence graph leaves carried and the tests then
+prove intra-iteration or absent — a pair the default graph's distance-0
+match already keeps within one iteration is never counted — and the
 ``deptest.query`` timer around carried-dependence queries), plus the
 loop abstractions (``loop.ldg_builds`` — loop dependence graphs
 constructed, at most one per loop per function version — under the

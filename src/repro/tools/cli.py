@@ -398,7 +398,6 @@ def _cmd_analyze(args) -> int:
     import json
 
     from ..analysis.deptest import DependenceTester
-    from ..analysis.scev import ScalarEvolution
     from ..core.induction import InductionVariableManager
     from ..ir.instructions import Load, Store
 
@@ -407,8 +406,7 @@ def _cmd_analyze(args) -> int:
     loops = []
     for fn in module.defined_functions():
         for natural in noelle.loop_info(fn).loops():
-            scev = ScalarEvolution(natural, fold_srem=True)
-            tester = DependenceTester(natural, scev=scev)
+            tester = DependenceTester(natural)
             manager = InductionVariableManager(natural)
             ivs = [
                 {
@@ -458,7 +456,7 @@ def _cmd_analyze(args) -> int:
                     "function": fn.name,
                     "header": natural.header.name,
                     "depth": natural.depth(),
-                    "trip_count": scev.trip_count(),
+                    "trip_count": tester.trip,
                     "induction_variables": ivs,
                     "memory_accesses": access_facts,
                     "dependence_tests": tests,

@@ -13,6 +13,7 @@ from repro.analysis.deptest import (
     UNKNOWN,
     DependenceTester,
     FunctionDepTest,
+    _Affine,
     deptest_enabled,
 )
 from repro.analysis.loopinfo import LoopInfo
@@ -87,7 +88,7 @@ int main(int n) {
 }
 """
         )
-        scev = ScalarEvolution(loop, fold_srem=True)
+        scev = ScalarEvolution(loop)
         subs = [
             inst
             for inst in loop.instructions()
@@ -114,7 +115,7 @@ int main() {
 }
 """
         )
-        scev = ScalarEvolution(loop, fold_srem=True)
+        scev = ScalarEvolution(loop)
         adds = [
             inst
             for inst in loop.instructions()
@@ -130,7 +131,7 @@ int main() {
 class TestTripCounts:
     def scev_for(self, source):
         _, loop = loop_of(source)
-        return ScalarEvolution(loop, fold_srem=True)
+        return ScalarEvolution(loop)
 
     def test_upward_slt(self):
         scev = self.scev_for(
@@ -184,7 +185,7 @@ class TestTripCounts:
             "int a[64]; int main() { int i;"
             " for (i = 2; i < 12; i = i + 3) { a[i] = 1; } return a[2]; }"
         )
-        scev = ScalarEvolution(loop, fold_srem=True)
+        scev = ScalarEvolution(loop)
         phi = next(iter(loop.header.phis()))
         evolution = scev.evolution_of(phi)
         assert isinstance(evolution, SCEVAddRec)
@@ -197,15 +198,13 @@ class TestTripCounts:
         # times, not the closed form's 3.
         module = ir.parse_module(WRAPPING_TRIP_IR)
         loop = LoopInfo(module.get_function("main")).loops()[0]
-        scev = ScalarEvolution(loop, fold_srem=True)
+        scev = ScalarEvolution(loop)
         assert scev.trip_count() is None
         phi = next(iter(loop.header.phis()))
         assert scev.addrec_range(scev.evolution_of(phi), 8) is None
         # The load of iteration k+3 reads iteration k's store.
         loads, stores = loop_accesses(loop)
-        verdict = DependenceTester(loop, scev=scev).test_pair(
-            loads[0], stores[0]
-        )
+        verdict = DependenceTester(loop).test_pair(loads[0], stores[0])
         assert not verdict.is_independent
 
 
@@ -249,9 +248,9 @@ int main() {{
 }}
 """
 
-    def evolution_of_index(self, source, fold_srem):
+    def evolution_of_index(self, source):
         module, loop = loop_of(source)
-        scev = ScalarEvolution(loop, fold_srem=fold_srem)
+        scev = ScalarEvolution(loop)
         srems = [
             inst
             for inst in loop.instructions()
@@ -261,25 +260,83 @@ int main() {{
         return scev.evolution_of(srems[0])
 
     def test_in_range_modulo_folds_away(self):
-        evolution = self.evolution_of_index(
-            self.SOURCE.format(bound=10), fold_srem=True
-        )
+        evolution = self.evolution_of_index(self.SOURCE.format(bound=10))
         assert isinstance(evolution, SCEVAddRec)
         assert evolution.constant_step() == 1
 
     def test_wrapping_modulo_does_not_fold(self):
         # i reaches 17 > 15: the modulo genuinely wraps, so folding it
         # away would be unsound — the engine must refuse.
-        evolution = self.evolution_of_index(
-            self.SOURCE.format(bound=18), fold_srem=True
-        )
+        evolution = self.evolution_of_index(self.SOURCE.format(bound=18))
         assert not isinstance(evolution, SCEVAddRec)
 
-    def test_fold_disabled_keeps_seed_behaviour(self):
-        evolution = self.evolution_of_index(
-            self.SOURCE.format(bound=10), fold_srem=False
+    def test_fold_does_not_depend_on_the_deptest_flag(self, monkeypatch):
+        # The default loop dependence graph reads these evolutions too.
+        monkeypatch.delenv("NOELLE_DEPTEST", raising=False)
+        evolution = self.evolution_of_index(self.SOURCE.format(bound=10))
+        assert isinstance(evolution, SCEVAddRec)
+
+
+class TestSymbolOrder:
+    """Symbolic terms sort by printed form, not by identity hashes."""
+
+    SOURCE = (
+        "int a[100];"
+        " int f(int n, int m) {{ int i;"
+        "  for (i = 0; i < 10; i = i + 1) {{ a[{store}] = a[{load}] + 1; }}"
+        "  return a[0]; }}"
+        " int main() {{ return f(1, 2); }}"
+    )
+
+    def accesses(self, store, load):
+        module = compile_source(self.SOURCE.format(store=store, load=load))
+        loop = LoopInfo(module.get_function("f")).loops()[0]
+        tester = DependenceTester(loop)
+        loads, stores = loop_accesses(loop)
+        return tester.access_of(stores[0]), tester.access_of(loads[0])
+
+    def test_either_source_order_prints_one_form(self):
+        store, load = self.accesses("n + m + i", "m + n + i")
+        expected = "@a[0 + 1*unknown(%m) + 1*unknown(%n) + 1*i] size 1"
+        assert store.describe() == load.describe() == expected
+        assert store.syms == load.syms
+
+    def test_insertion_order_does_not_reach_the_canonical_form(self):
+        store, _ = self.accesses("n - m + i", "i")
+        (first, c1), (second, c2) = store.syms
+        assert (repr(first), c1, repr(second), c2) == (
+            "unknown(%m)", -1, "unknown(%n)", 1
         )
-        assert not isinstance(evolution, SCEVAddRec)
+        forward, backward = _Affine(), _Affine()
+        forward.syms = {first: c1, second: c2}
+        backward.syms = {second: c2, first: c1}
+        assert forward.canonical_syms() == backward.canonical_syms()
+
+
+class TestLazyTrip:
+    def test_trip_count_is_derived_on_first_use(self, monkeypatch):
+        calls = []
+        original = ScalarEvolution._compute_trip_count
+
+        def counting(self):
+            calls.append(self.loop)
+            return original(self)
+
+        monkeypatch.setattr(ScalarEvolution, "_compute_trip_count", counting)
+        _, loop, tester = make_tester(
+            "int a[100]; int main() { int i;"
+            " for (i = 0; i < 50; i = i + 1) { a[i] = a[i] + 1; }"
+            " return a[0]; }"
+        )
+        loads, stores = loop_accesses(loop)
+        assert tester.access_of(loads[0]).intra_key is not None
+        assert tester.access_of(loads[0]).intra_key == (
+            tester.access_of(stores[0]).intra_key
+        )
+        assert calls == []
+        assert tester.trip == 50
+        assert tester.trip == 50
+        assert len(calls) == 1
 
 
 class TestVerdicts:

@@ -243,11 +243,50 @@ class TestDoallUnlock:
         assert STATS.get("deptest.pdg_pairs_pruned") > 0
         assert STATS.get("deptest.pdg_edges_pruned") > 0
         # The loop-scope carried path fires where the function-scope
-        # pruning cannot (symbolic offsets that only cancel per-run).
+        # pruning cannot (symbolic offsets that only cancel per-run) and
+        # the default graph's distance-0 match does not (the constants
+        # differ; the stride's parity separates them).
         STATS.reset()
-        program = generate_program(5)
-        module = compile_source(program.source, program.name)
+        module = compile_source(
+            "int a[300];"
+            " int f(int n) { int i;"
+            "  for (i = 0; i < 100; i = i + 1) { a[2*i + n + 1] = a[2*i + n] + 1; }"
+            "  return a[n]; }"
+            " int main() { print_int(f(3)); return 0; }"
+        )
         noelle = Noelle(module)
         for loop in noelle.loops():
             loop.is_doall()
         assert STATS.get("deptest.carried_disproved") > 0
+
+    def test_default_graph_makes_the_distance_zero_proof(self, monkeypatch):
+        """Generated program 5's ``cells[i % 4].lo`` read and write:
+        the flag-off loop dependence graph already keeps the pair
+        within one iteration, so the flag has nothing left to disprove."""
+        monkeypatch.delenv("NOELLE_DEPTEST", raising=False)
+        program = generate_program(5)
+        module = compile_source(program.source, program.name)
+
+        def field_lo(inst):
+            return inst.pointer.name.startswith("lo.addr")
+
+        pairs = []
+        for loop in Noelle(module).loops():
+            insts = list(loop.natural_loop.instructions())
+            loads = [i for i in insts if isinstance(i, Load) and field_lo(i)]
+            stores = [i for i in insts if isinstance(i, Store) and field_lo(i)]
+            if loads and stores:
+                pairs.append((loop, loads, stores))
+        assert len(pairs) == 1
+        loop, loads, stores = pairs[0]
+        accesses = {id(i) for i in loads + stores}
+        edges = [
+            e
+            for e in loop.dependence_graph.edges()
+            if e.is_memory
+            and id(e.src.value) in accesses
+            and id(e.dst.value) in accesses
+            and e.src.value is not e.dst.value
+        ]
+        assert edges
+        assert not any(e.is_loop_carried for e in edges)

@@ -308,6 +308,29 @@ int main() {
         pair = verdicts[(by_kind["load"], by_kind["store"])]
         assert pair["verdict"] == "unknown"
 
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # fluidanimate's subscripts carry two symbolic terms, and an
+        # instruction's identity hash must not decide their order.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-m", "repro.tools.cli", "analyze",
+                     "fluidanimate"],
+                    env=env, capture_output=True, check=True,
+                ).stdout
+            )
+        assert len(outputs) == 1
+        assert b"1*unknown(%t) + -1*unknown(%width)" in outputs.pop()
+
 
 class TestCheck:
     def test_clean_ir_exits_zero(self, demo_files, capsys):
