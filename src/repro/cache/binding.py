@@ -28,7 +28,6 @@ import os
 import weakref
 
 from ..core.pdg import PDG
-from ..frontend.codegen import compile_source
 from ..interp.engine import EnginePlanError, engine_for, existing_engine
 from ..ir import parse_module, print_module, read_module, verify_module
 from ..ir.module import Function, Module
@@ -88,6 +87,8 @@ class ModuleCacheBinding:
         self.key = key
         self.module = module
         self.dirty: set[str] = set()
+        #: Functions whose PDG shard was adopted from this entry: on disk.
+        self.hydrated: set[str] = set()
 
     def invalidate_function(self, fn: Function) -> None:
         self.dirty.add(fn.name)
@@ -99,7 +100,11 @@ class ModuleCacheBinding:
             return 0
         published = 0
         for fn in pdg.built_functions():
-            if fn.name in self.dirty or fn.parent is not self.module:
+            if (
+                fn.name in self.dirty
+                or fn.name in self.hydrated
+                or fn.parent is not self.module
+            ):
                 continue
             payload = pdg.export_shard(fn)
             if payload is None:
@@ -158,6 +163,7 @@ def attach(noelle) -> ModuleCacheBinding | None:
                     if fn.name not in shards:
                         continue
                     if pdg.adopt_shard(fn, shards[fn.name]):
+                        binding.hydrated.add(fn.name)
                         STATS.count("cache.pdg_shards_hydrated")
                     else:
                         # Does not fit the code it is filed under: make
@@ -268,6 +274,8 @@ def _verified(module: Module) -> Module:
 
 def cached_compile(source: str, name: str = "minic") -> Module:
     """`compile_source` with a content-addressed warm path."""
+    from ..frontend.codegen import compile_source
+
     return _load("src", name, source, lambda: compile_source(source, name))
 
 

@@ -27,81 +27,15 @@ IDs / metadata            :mod:`repro.core.metadata`
 ========================  ==========================================
 
 :class:`repro.core.noelle.Noelle` is the demand-driven facade tying them
-together.
+together, and the one name this package exports.  Everything else is
+imported from its module (``from repro.core.pdg import PDG``): importing
+the package loads the facade and what a loaded module needs (the PDG,
+loops and their analyses), never the transform-only abstractions —
+call graph, environments, tasks, data-flow engine, scheduler, loop
+builder, partitioner, islands, IV stepper, reductions — which load when
+something builds them.
 """
 
-from .architecture import ArchitectureDescription
-from .callgraph import CallEdge, CallGraph
-from .dataflow import (
-    DataFlowEngine,
-    DataFlowProblem,
-    DataFlowResult,
-    liveness,
-    reaching_definitions,
-)
-from .depgraph import DependenceGraph, DGEdge, DGNode
-from .environment import Environment, EnvironmentBuilder
-from .forest import Forest, TreeNode
-from .induction import InductionVariable, InductionVariableManager
-from .invariants import InvariantManager
-from .islands import connected_components, dependence_graph_islands
-from .ivstepper import InductionVariableStepper, IVStepperError
-from .loop import Loop
-from .loopbuilder import LoopBuilder
-from .loopstructure import LoopStructure
-from .metadata import IDAssigner, clean_noelle_metadata
 from .noelle import Noelle
-from .partitioner import Partition, SCCDAGPartitioner
-from .pdg import PDG, LoopDG
-from .profiler import ProfileData, Profiler, embed_profile
-from .reduction import ReductionDescriptor, match_reduction
-from .sccdag import SCC, SCCDAG
-from .scheduler import BasicBlockScheduler, LoopScheduler, Scheduler
-from .task import Task, make_task_function
 
-__all__ = [
-    "ArchitectureDescription",
-    "CallEdge",
-    "CallGraph",
-    "DataFlowEngine",
-    "DataFlowProblem",
-    "DataFlowResult",
-    "liveness",
-    "reaching_definitions",
-    "DependenceGraph",
-    "DGEdge",
-    "DGNode",
-    "Environment",
-    "EnvironmentBuilder",
-    "Forest",
-    "TreeNode",
-    "InductionVariable",
-    "InductionVariableManager",
-    "InvariantManager",
-    "connected_components",
-    "dependence_graph_islands",
-    "InductionVariableStepper",
-    "IVStepperError",
-    "Loop",
-    "LoopBuilder",
-    "LoopStructure",
-    "IDAssigner",
-    "clean_noelle_metadata",
-    "Noelle",
-    "Partition",
-    "SCCDAGPartitioner",
-    "PDG",
-    "LoopDG",
-    "ProfileData",
-    "Profiler",
-    "embed_profile",
-    "ReductionDescriptor",
-    "match_reduction",
-    "SCC",
-    "SCCDAG",
-    "BasicBlockScheduler",
-    "LoopScheduler",
-    "Scheduler",
-    "Task",
-    "make_task_function",
-]
+__all__ = ["Noelle"]

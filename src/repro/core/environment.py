@@ -15,6 +15,7 @@ the parallelizers need.
 from __future__ import annotations
 
 from .. import ir
+from ..ir.builder import IRBuilder
 
 
 class Environment:
@@ -69,12 +70,12 @@ class EnvironmentBuilder:
         return Environment(struct, live_ins, live_outs)
 
     # -- caller side -------------------------------------------------------------
-    def allocate(self, builder: ir.IRBuilder, env: Environment) -> ir.Value:
+    def allocate(self, builder: IRBuilder, env: Environment) -> ir.Value:
         """Allocate one environment instance at the builder's position."""
         return builder.alloca(env.struct, "env")
 
     def store_live_ins(
-        self, builder: ir.IRBuilder, env: Environment, env_ptr: ir.Value
+        self, builder: IRBuilder, env: Environment, env_ptr: ir.Value
     ) -> None:
         """Populate the live-in fields from the surrounding code's values."""
         for value in env.live_ins:
@@ -82,7 +83,7 @@ class EnvironmentBuilder:
 
     def store_field(
         self,
-        builder: ir.IRBuilder,
+        builder: IRBuilder,
         env: Environment,
         env_ptr: ir.Value,
         key: ir.Value,
@@ -96,7 +97,7 @@ class EnvironmentBuilder:
 
     def load_field(
         self,
-        builder: ir.IRBuilder,
+        builder: IRBuilder,
         env: Environment,
         env_ptr: ir.Value,
         key: ir.Value,

@@ -10,6 +10,7 @@ by ``num_cores * chunk`` and starts at ``start + core_id * chunk``.
 from __future__ import annotations
 
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..ir.instructions import BinaryOp, Instruction, Phi
 from ..ir.values import Value
 from .induction import InductionVariable
@@ -75,7 +76,7 @@ class InductionVariableStepper:
                 return
         raise IVStepperError(f"IV {phi.ref()} has no entry edge")
 
-    def reverse_step(self, builder: ir.IRBuilder) -> None:
+    def reverse_step(self, builder: IRBuilder) -> None:
         """Negate the step (loop rotation's direction reversal)."""
         index = self.current_step_operand_index()
         old_step = self.update.operands[index]
@@ -89,7 +90,7 @@ class InductionVariableStepper:
 
     def chunk_for_core(
         self,
-        builder: ir.IRBuilder,
+        builder: IRBuilder,
         core_id: Value,
         num_cores: Value,
     ) -> None:

@@ -14,24 +14,28 @@ PDG: :meth:`Noelle.invalidate` treats it like one it computed.
 
 from __future__ import annotations
 
-from ..analysis.aa import AliasAnalysis, BasicAliasAnalysis
-from ..analysis.dominators import DominatorTree, PostDominatorTree
-from ..analysis.loopinfo import LoopInfo, NaturalLoop
+from typing import TYPE_CHECKING
+
+from ..analysis.aa import AliasAnalysis
 from ..analysis.pointsto import AndersenAliasAnalysis, PointsToAnalysis
 from ..interp.engine import invalidate_module
 from ..ir.module import Function, Module
 from ..perf import STATS
-from .architecture import ArchitectureDescription
-from .callgraph import CallGraph
-from .dataflow import DataFlowEngine
-from .environment import EnvironmentBuilder
-from .forest import Forest
-from .loop import Loop
-from .loopbuilder import LoopBuilder
-from .metadata import IDAssigner
 from .pdg import PDG
-from .profiler import ProfileData, Profiler
-from .scheduler import BasicBlockScheduler, LoopScheduler, Scheduler
+
+if TYPE_CHECKING:  # each method imports what it builds, when it builds it
+    from ..analysis.dominators import DominatorTree, PostDominatorTree
+    from ..analysis.loopinfo import LoopInfo, NaturalLoop
+    from .architecture import ArchitectureDescription
+    from .callgraph import CallGraph
+    from .dataflow import DataFlowEngine
+    from .environment import EnvironmentBuilder
+    from .forest import Forest
+    from .loop import Loop
+    from .loopbuilder import LoopBuilder
+    from .metadata import IDAssigner
+    from .profiler import ProfileData
+    from .scheduler import BasicBlockScheduler, LoopScheduler, Scheduler
 
 
 class _FunctionLoops:
@@ -45,6 +49,8 @@ class _FunctionLoops:
     __slots__ = ("info", "loops")
 
     def __init__(self, fn: Function):
+        from ..analysis.loopinfo import LoopInfo
+
         self.info = LoopInfo(fn)
         #: header block id -> Loop, outermost first; None until asked for.
         self.loops: dict[int, Loop] | None = None
@@ -122,13 +128,19 @@ class Noelle:
 
     def call_graph(self) -> CallGraph:
         if self._callgraph is None:
+            from .callgraph import CallGraph
+
             self._callgraph = CallGraph(self.module, self.points_to())
         return self._callgraph
 
     def dominators(self, fn: Function) -> DominatorTree:
+        from ..analysis.dominators import DominatorTree
+
         return DominatorTree(fn)
 
     def post_dominators(self, fn: Function) -> PostDominatorTree:
+        from ..analysis.dominators import PostDominatorTree
+
         return PostDominatorTree(fn)
 
     # -- loops --------------------------------------------------------------------------
@@ -152,6 +164,8 @@ class Noelle:
         """
         record = self._loop_record(fn)
         if record.loops is None:
+            from .loop import Loop
+
             pdg = self.pdg()
             record.loops = {
                 id(natural.header): Loop(natural, pdg)
@@ -203,6 +217,8 @@ class Noelle:
 
     def loop_forest(self, fn: Function) -> Forest[Loop]:
         """The loop-nesting forest of ``fn`` over canonical loops (FR)."""
+        from .forest import Forest
+
         forest: Forest[Loop] = Forest()
         loops = self._loops_of(fn)
         for loop in loops.values():  # outermost first
@@ -213,26 +229,38 @@ class Noelle:
         return forest
 
     def loop_builder(self, fn: Function) -> LoopBuilder:
+        from .loopbuilder import LoopBuilder
+
         return LoopBuilder(fn)
 
     # -- engines & builders -----------------------------------------------------------
     def dataflow_engine(self) -> DataFlowEngine:
         if self._dfe is None:
+            from .dataflow import DataFlowEngine
+
             self._dfe = DataFlowEngine()
         return self._dfe
 
     def environment_builder(self) -> EnvironmentBuilder:
         if self._env_builder is None:
+            from .environment import EnvironmentBuilder
+
             self._env_builder = EnvironmentBuilder(self.module)
         return self._env_builder
 
     def scheduler(self, fn: Function) -> Scheduler:
+        from .scheduler import Scheduler
+
         return Scheduler(fn, self.pdg())
 
     def basic_block_scheduler(self, fn: Function) -> BasicBlockScheduler:
+        from .scheduler import BasicBlockScheduler
+
         return BasicBlockScheduler(fn, self.pdg())
 
     def loop_scheduler(self, fn: Function) -> LoopScheduler:
+        from .scheduler import LoopScheduler
+
         return LoopScheduler(fn, self.pdg())
 
     # -- checkers -----------------------------------------------------------------------
@@ -246,6 +274,8 @@ class Noelle:
     # -- metadata, profiles, architecture ------------------------------------------------
     def ids(self) -> IDAssigner:
         if self._ids is None:
+            from .metadata import IDAssigner
+
             self._ids = IDAssigner(self.module)
         return self._ids
 
@@ -257,12 +287,16 @@ class Noelle:
         self._loops = None  # hotness ordering changed; the loops stay
 
     def run_profiler(self, args: list[object] | None = None) -> ProfileData:
+        from .profiler import Profiler
+
         profile = Profiler(self.module).profile(args=args)
         self.attach_profile(profile)
         return profile
 
     def architecture(self) -> ArchitectureDescription:
         if self._architecture is None:
+            from .architecture import ArchitectureDescription
+
             self._architecture = ArchitectureDescription.haswell_like()
         return self._architecture
 

@@ -56,7 +56,7 @@ query asks for them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..analysis.aa import (
     Address,
@@ -66,15 +66,16 @@ from ..analysis.aa import (
     ModRefResult,
     is_identified_object,
 )
-from ..analysis.controldep import ControlDependence
-from ..analysis.deptest import DependenceTester, FunctionDepTest, deptest_enabled
-from ..analysis.loopinfo import NaturalLoop
 from ..analysis.pointsto import AndersenAliasAnalysis
 from ..ir.instructions import Call, Instruction, Load, Phi, Store
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, Value
 from ..perf import STATS
 from .depgraph import DependenceGraph, DGEdge, DGNode
+
+if TYPE_CHECKING:  # imported where a shard or a loop's graph is built
+    from ..analysis.deptest import DependenceTester, FunctionDepTest
+    from ..analysis.loopinfo import NaturalLoop
 
 
 class _Shard:
@@ -305,6 +306,8 @@ class PDG(DependenceGraph[Instruction]):
         return shard
 
     def _build_function(self, fn: Function) -> None:
+        from ..analysis.deptest import FunctionDepTest, deptest_enabled
+
         queries_before = self._memory_queries
         disproved_before = self._memory_disproved
         instructions = list(fn.instructions())
@@ -500,6 +503,8 @@ class PDG(DependenceGraph[Instruction]):
         return False
 
     def _add_control_dependences(self, fn: Function) -> None:
+        from ..analysis.controldep import ControlDependence
+
         cd = ControlDependence(fn)
         for block in fn.blocks:
             controllers = cd.controlling_terminators(block)
@@ -626,6 +631,8 @@ class LoopDG(DependenceGraph[Instruction]):
     """
 
     def __init__(self, pdg: PDG, loop: NaturalLoop):
+        from ..analysis.deptest import DependenceTester, deptest_enabled
+
         super().__init__()
         self.pdg = pdg
         self.loop = loop

@@ -25,13 +25,16 @@ invariant and induction-variable managers never do).
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from ..analysis.loopinfo import NaturalLoop
 from ..ir.instructions import Instruction
 from ..perf import STATS
 from .depgraph import DependenceGraph, DGEdge, DGNode
 from .pdg import LoopDG
-from .reduction import ReductionDescriptor, match_reduction
+
+if TYPE_CHECKING:
+    from .reduction import ReductionDescriptor
 
 
 class SCC:
@@ -175,7 +178,8 @@ class SCCDAG(DependenceGraph[SCC]):
 
     # -- classification ----------------------------------------------------------------
     def _classify(self) -> None:
-        from ..analysis.scev import SCEVAddRec, ScalarEvolution
+        from ..analysis.scev import ScalarEvolution
+        from .reduction import match_reduction
 
         scev = ScalarEvolution(self.loop)
         for scc in self.sccs:

@@ -15,6 +15,7 @@ governing-induction-variable experiment in Section 4.3.
 from __future__ import annotations
 
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..ir.intrinsics import INTRINSICS, declare_intrinsic
 from . import ast
 from .parser import parse_program
@@ -59,7 +60,7 @@ def compile_source(source: str, module_name: str = "minic") -> ir.Module:
 class CodeGenerator:
     def __init__(self, module_name: str = "minic"):
         self.module = ir.Module(module_name)
-        self.builder = ir.IRBuilder()
+        self.builder = IRBuilder()
         self.fn: ir.Function | None = None
         self.locals: dict[str, _LValue] = {}
         self.local_types: dict[str, ir.Type] = {}

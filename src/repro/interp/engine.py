@@ -30,12 +30,17 @@ call, to one Python function ``_fn(st, *args)``:
   constants ``K``, ``C``) and hands the exception back, so a trapping
   run reports byte-identical ``steps``/``cycles`` to the reference
   walker.
-* **operand traps** — an integer instruction given a float raises the
-  host's ``TypeError`` on the line that assigns its local.  A function
-  with such lines catches it once, and :func:`_operand_fault` maps the
-  line to its instruction's site (a ``const`` bind of line -> ``(at,
-  K, C)``) and raises the walker's ``OperandTrap`` from there; any other
-  ``TypeError`` propagates untouched.
+* **one trap table** — a load is one line, ``x = mem[a]``, whose
+  invalid address raises the host's ``KeyError``; an integer instruction
+  given a float raises the host's ``TypeError`` on the line that assigns
+  its local.  A function with such lines catches both once, and
+  :func:`_fault` maps the raising line to its instruction's site (a
+  ``const`` bind of line -> ``(at, K, C)``); the instruction decides the
+  trap — the walker's invalid-address ``MemoryTrap`` for a load's
+  ``KeyError``, its ``OperandTrap`` for an integer instruction's
+  ``TypeError`` — raised from the site.  Any other ``KeyError`` or
+  ``TypeError`` (a callee's, an intrinsic handler's) propagates
+  untouched.
 * **calls are Python calls** — a direct call to a defined function is
   one call through the callee's *cell* (``_D<k>[0](st, x1, x2)``), a
   list the :class:`ExecutionEngine` owns per callee and per code table
@@ -68,7 +73,9 @@ call, to one Python function ``_fn(st, *args)``:
 * **known-int elision** — an optimistic fixpoint finds the SSA values
   that can only ever hold a Python ``int``.  The function-pointer test
   of ``icmp`` and the address test (one ``_bad_address`` call names
-  what the address is instead) are emitted for the others only.  A
+  what the address is instead) are emitted for the others only, and the
+  address test once per block: at a pointer's first use there, which
+  every later use in the block follows.  A
   result that is an int whenever it evaluates — known-int operands, or
   an expression that raises on anything else (``&``, ``|``, ``^``,
   shifts, ``zext``) — wraps in one statement with an in-range fast path,
@@ -157,7 +164,7 @@ from .interp import (
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 7
+EPLAN_VERSION = 8
 
 
 class EnginePlanError(Exception):
@@ -273,20 +280,30 @@ def _int_instruction(inst) -> bool:
     return isinstance(inst, Cast) and inst.opcode in INT_TO_INT_CASTS
 
 
-def _operand_fault(st, room: int, dc: int, block, error, sites) -> None:
-    """A ``TypeError`` caught by a frame: when the frame's own code
-    raised it on a line of ``sites`` (line -> the ``(at, steps,
-    cycles)`` of an integer instruction's assignment), raise that
-    instruction's ``OperandTrap`` from its site; else return, and the
-    frame re-raises ``error``."""
+def _fault(st, room: int, dc: int, block, error, sites) -> None:
+    """A ``TypeError`` or ``KeyError`` caught by a frame: when the
+    frame's own code raised it on a line of ``sites`` (line -> the
+    ``(at, steps, cycles)`` of a load or an integer instruction), raise
+    the trap of that instruction from its site — a load's ``KeyError``
+    is its invalid address, an integer instruction's ``TypeError`` its
+    ``OperandTrap``; else return, and the frame re-raises ``error``."""
     tb = error.__traceback__
     site = sites.get(tb.tb_lineno) if tb.tb_next is None else None
     if site is None:
         return
     at, steps, cycles = site
+    inst = block.instructions[at - 1]
+    if inst.__class__ is Load:
+        if not isinstance(error, KeyError):
+            return
+        trap = MemoryTrap(f"load from invalid address {error.args[0]}")
+    elif isinstance(error, TypeError):
+        trap = _operand_trap(inst)
+    else:
+        return
     _sync(st, room + steps, dc - cycles)
     _partial(st, block, at)
-    raise _operand_trap(block.instructions[at - 1]) from None
+    raise trap from None
 
 
 def _charge(st, cost: int) -> None:
@@ -335,7 +352,7 @@ _HELPERS = {
     "_fa_cmp": _fa_cmp,
     "_trap": _trap,
     "_bad_address": _bad_address,
-    "_operand_fault": _operand_fault,
+    "_fault": _fault,
     "_charge": _charge,
     "_partial": _partial,
     "_release": _release,
@@ -544,10 +561,12 @@ class _Compiler:
         #: (source block, target block) -> its counter's number; 0 is
         #: the function entry.
         self.edges: dict[tuple[int, int], int] = {}
-        #: local -> the ``(at, steps, cycles)`` site of the integer
-        #: instruction that assigns it, for those whose operands may
-        #: not be ints (see :func:`_operand_fault`).
-        self._operand_sites: dict[str, tuple[int, int, int]] = {}
+        #: local -> the ``(at, steps, cycles)`` site of the load, or of
+        #: the integer instruction whose operands may not be ints, that
+        #: assigns it (see :func:`_fault`).
+        self._sites: dict[str, tuple[int, int, int]] = {}
+        #: ids of the pointers whose address test the current block ran.
+        self._tested: set[int] = set()
         #: id of a fused ``icmp`` -> its test, read by its branch.
         self._tests: dict[int, str] = {}
         # Local names, block indices and the unit table are a pure
@@ -847,11 +866,14 @@ class _Compiler:
         """The expression of ``pointer`` as a checked address, mirroring
         ``Interpreter._as_address``; the check is elided for an operand
         that provably holds an int.  A global's address, an expression,
-        is copied to ``a_`` when the caller ``reads`` it twice."""
-        if self._holds_int(pointer):
+        is copied to ``a_`` when the caller ``reads`` it twice.  A pointer
+        is tested at its first use in a block only: every later use
+        there runs after that test passed."""
+        if self._holds_int(pointer) or id(pointer) in self._tested:
             if reads > 1:
                 return self._operand(pointer, "a_", lines)
             return self._expr(pointer)
+        self._tested.add(id(pointer))
         a = self._operand(pointer, "a_", lines, tested=True)
         lines.append(f"if {a}.__class__ is not int:")
         lines += self._raise("    ", site, f"_bad_address({a})")
@@ -864,17 +886,21 @@ class _Compiler:
         return [f"_MO({kind!r}, {a}, {self._inst(inst)})"]
 
     def _emit_load(self, inst, site):
+        """One line, whose ``KeyError`` the trap table maps to ``site``;
+        a tail (no site) catches it in place."""
         lines: list[str] = []
         a = self._address(inst.pointer, site, lines)
         lines += self._observe_access("load", inst, a)
-        lines.append("try:")
-        lines.append(f"    {self._expr(inst)} = mem[{a}]")
-        lines.append("except KeyError:")
-        lines += self._raise(
-            "    ", site, f"MemoryTrap('load from invalid address %d' % {a})"
-        )
-        lines[-1] += " from None"
-        return lines
+        d = self._expr(inst)
+        if site is not None:
+            self._sites[d] = site
+            return lines + [f"{d} = mem[{a}]"]
+        return lines + [
+            "try:",
+            f"    {d} = mem[{a}]",
+            "except KeyError:",
+            f"    raise MemoryTrap('load from invalid address %d' % {a}) from None",
+        ]
 
     def _emit_store(self, inst, site):
         lines: list[str] = []
@@ -1143,6 +1169,7 @@ class _Compiler:
         """One block: per unit the charge, the tail site, the body."""
         lines: list[str] = []
         inst = None
+        self._tested.clear()
         for key in self._block_units[bi]:
             _bi, nphis, position, run = self.units[key]
             steps = nphis + len(run)
@@ -1171,7 +1198,7 @@ class _Compiler:
                     if _int_instruction(inst) and not all(
                         map(self._holds_int, inst.operands)
                     ):
-                        self._operand_sites[self._expr(inst)] = site
+                        self._sites[self._expr(inst)] = site
         if not isinstance(inst, _TERMINATORS):
             name = self.fn.blocks[bi].name
             error = f"AssertionError({f'block %{name} fell through'!r})"
@@ -1211,20 +1238,20 @@ class _Compiler:
             "        if room >= 0: _partial(st, _BB[b], at)",
             "        raise",
         ]
-        # An integer instruction given a float raises TypeError on the
-        # line that assigns its local; the lines of those that may be
-        # given one map to their sites.
+        # A load's invalid address raises KeyError, and an integer
+        # instruction given a float TypeError, on the line that assigns
+        # its local: the trap table maps those lines to their sites.
         sites = {}
-        if self._operand_sites:
+        if self._sites:
             for lineno, line in enumerate(lines, 1):
-                site = self._operand_sites.get(line.lstrip().partition(" ")[0])
+                site = self._sites.get(line.lstrip().partition(" ")[0])
                 if site is not None:
                     sites[lineno] = site
         if sites:
-            name = self._bind("_OS", ("const", sites))
+            name = self._bind("_TS", ("const", sites))
             lines += [
-                "    except TypeError as error:",
-                f"        _operand_fault(st, room, dc, _BB[b], error, {name})",
+                "    except (TypeError, KeyError) as error:",
+                f"        _fault(st, room, dc, _BB[b], error, {name})",
                 "        raise",
             ]
         lines.append("    finally:")

@@ -1,44 +1,9 @@
 """repro.robust — transactional pass execution, fault injection, crash bundles.
 
-Only the stdlib-only halves (``faults``, ``diagnostics``) are imported
-eagerly: the IR verifier and the alias analyses import this package, so
-pulling in ``passmanager`` (which imports ``repro.ir``) at module scope
-would be a circular import.  ``PassManager`` and friends are resolved
-lazily on first attribute access.
+The package exports nothing; import from the submodule that holds the
+name.  ``faults`` (budgets, fault plans, the ``checkpoint`` hook) is
+stdlib-only and is what the IR verifier and the alias analyses import,
+so a process that only loads and runs a module pays for it alone;
+``diagnostics`` (crash bundles, ``TransformError``) and ``passmanager``
+(``PassManager``, ``build_pass``) load when a transform runs.
 """
-
-from . import faults
-from .diagnostics import CrashBundle, EntryNotFoundError, TransformError
-from .faults import (
-    Budget,
-    FaultPlan,
-    InjectedFault,
-    PassDeadlineExceeded,
-    checkpoint,
-    enabled_in_env,
-)
-
-_LAZY = ("PassManager", "PassResult", "PASS_BUILDERS", "PASS_ALIASES",
-         "build_pass", "DEFAULT_DEADLINE_S")
-
-__all__ = [
-    "faults",
-    "Budget",
-    "CrashBundle",
-    "EntryNotFoundError",
-    "FaultPlan",
-    "InjectedFault",
-    "PassDeadlineExceeded",
-    "TransformError",
-    "checkpoint",
-    "enabled_in_env",
-    *_LAZY,
-]
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import passmanager
-
-        return getattr(passmanager, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -67,8 +67,6 @@ def _cmd_whole_ir(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from ..serve.protocol import trap_exit_code
-
     module = load_program(args.input)
     result = execute(
         module, args.entry or "main", num_cores=args.cores,
@@ -78,14 +76,18 @@ def _cmd_run(args) -> int:
         print(value)
     if result.trap_kind == "StepLimitExceeded":
         print(f"STEP LIMIT: {result.trapped}", file=sys.stderr)
-        return trap_exit_code(result.trap_kind)
-    # Next invocation (any process) hydrates instead of recompiling.
-    cache.publish_artifacts(module)
-    if result.trapped:
-        print(f"TRAP: {result.trapped}", file=sys.stderr)
     else:
-        print(f"[{result.cycles} cycles on {args.cores or 'default'} cores]",
-              file=sys.stderr)
+        # Next invocation (any process) hydrates instead of recompiling.
+        cache.publish_artifacts(module)
+        if result.trap_kind is None:
+            print(f"[{result.cycles} cycles on {args.cores or 'default'} cores]",
+                  file=sys.stderr)
+            return 0
+        print(f"TRAP: {result.trapped}", file=sys.stderr)
+    # Only a run that stopped needs the exit-code table, which lives in
+    # the serve protocol: the daemon's run op reports the same codes.
+    from ..serve.protocol import trap_exit_code
+
     return trap_exit_code(result.trap_kind)
 
 

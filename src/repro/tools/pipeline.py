@@ -31,7 +31,8 @@ from ..core.metadata import clean_noelle_metadata
 from ..core.noelle import Noelle
 from ..core.profiler import ProfileData, Profiler, embed_profile
 from ..interp.interp import ExecutionResult, StepLimitExceeded
-from ..ir import Module, is_binary_ir, link_modules, verify_module
+from ..ir import Module, is_binary_ir, verify_module
+from ..ir.linker import link_modules
 from ..perf import STATS
 from ..robust.diagnostics import EntryNotFoundError
 from ..robust.passmanager import DEFAULT_DEADLINE_S, PassManager

@@ -16,6 +16,7 @@ from ..analysis.aa import AliasResult
 from ..analysis.loopinfo import LoopInfo, NaturalLoop
 from ..core.noelle import Noelle
 from .. import ir
+from ..ir.builder import IRBuilder
 
 
 def remove_loop_carried_dependences(noelle: Noelle) -> int:
@@ -128,7 +129,7 @@ def _promote(
     exits = lb.ensure_dedicated_exits(loop)
 
     # Initial value: read the cell once before the loop.
-    builder = ir.IRBuilder()
+    builder = IRBuilder()
     builder.position_before(pre.terminator)
     initial = builder.load(pointer, "promoted.init")
 
@@ -153,7 +154,7 @@ def _promote(
     dom = DominatorTree(fn)
     for exit_block in exits:
         exiting_preds = exit_block.predecessors()
-        exit_builder = ir.IRBuilder()
+        exit_builder = IRBuilder()
         first = exit_block.first_non_phi()
         if first is not None:
             exit_builder.position_before(first)

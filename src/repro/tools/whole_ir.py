@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import os
 
-from ..frontend.codegen import compile_source
-from ..ir import Module, link_modules, parse_module, verify_module
+from ..ir import Module, parse_module, verify_module
+from ..ir.linker import link_modules
 
 LINK_OPTIONS_KEY = "noelle.link.options"
 
@@ -23,6 +23,8 @@ def whole_ir_from_sources(
     name: str = "whole-program",
 ) -> Module:
     """Compile + link source *texts* into one verified module."""
+    from ..frontend.codegen import compile_source
+
     modules = [
         compile_source(text, f"tu{index}") for index, text in enumerate(sources)
     ]
@@ -44,6 +46,8 @@ def whole_ir_from_files(
             module = parse_module(text, stem)
             verify_module(module)
         else:
+            from ..frontend.codegen import compile_source
+
             module = compile_source(text, stem)
         modules.append(module)
     return _combine(modules, link_options, name)

@@ -24,11 +24,12 @@ from ..core.loopbuilder import LoopBuilder
 from ..core.noelle import Noelle
 from ..core.pdg import pointer_operand
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..ir.intrinsics import declare_intrinsic
 
 
 def emit_guard(
-    builder: ir.IRBuilder,
+    builder: IRBuilder,
     guard: ir.Function,
     pointer: ir.Value,
     extent: ir.Value | None = None,
@@ -245,7 +246,7 @@ class CARAT:
         stride_ty = pointer.type.pointee
 
         def insert(guard_fn: ir.Function) -> None:
-            builder = ir.IRBuilder()
+            builder = IRBuilder()
             builder.position_before(pre_header.terminator)
             start_indices: list[ir.Value] = []
             for i, index in enumerate(indices):
@@ -298,7 +299,7 @@ class CARAT:
         pointer: ir.Value,
         hoist_target: ir.BasicBlock | None,
     ) -> None:
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         builder.position_before(
             inst if hoist_target is None else hoist_target.terminator
         )

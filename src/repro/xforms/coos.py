@@ -17,6 +17,7 @@ from __future__ import annotations
 from ..core.noelle import Noelle
 from ..interp.interp import INSTRUCTION_COSTS, INTRINSIC_COSTS
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..ir.intrinsics import declare_intrinsic
 
 
@@ -121,7 +122,7 @@ class CompilerTiming:
     def _insert_hook_before_terminator(
         self, block: ir.BasicBlock, hook: ir.Function, estimate: int
     ) -> None:
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         builder.position_before(block.terminator)
         builder.call(hook, [ir.const_int(min(estimate, self.budget))])
 

@@ -22,6 +22,7 @@ Construction (all from NOELLE abstractions):
 from __future__ import annotations
 
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..core.loop import Loop
 from ..core.noelle import Noelle
 from ..core.partitioner import SCCDAGPartitioner
@@ -233,7 +234,7 @@ class DSWP(LoopTechnique):
     @staticmethod
     def _push(queues, producer: ir.Instruction, qid: int) -> None:
         """Send ``producer`` down queue ``qid`` as soon as it exists."""
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         builder.position_after(producer)
         value: ir.Value = producer
         if producer.type.is_float():
@@ -249,7 +250,7 @@ class DSWP(LoopTechnique):
     @staticmethod
     def _pop(queues, placeholder: ir.Instruction, qid: int) -> ir.Instruction:
         """Receive queue ``qid`` where ``placeholder`` stood; returns the value."""
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         if isinstance(placeholder, ir.Phi):
             builder.position_after(placeholder)
         else:
@@ -278,7 +279,7 @@ class DSWP(LoopTechnique):
         env_ptr, stage_id, num_stages = selector.args
         entry = selector.add_block("entry")
         done = selector.add_block("done")
-        builder = ir.IRBuilder(done)
+        builder = IRBuilder(done)
         builder.ret()
         blocks = []
         for index, stage_fn in enumerate(stage_fns):

@@ -16,6 +16,7 @@ latency in the schedule.
 from __future__ import annotations
 
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..core.loop import Loop
 from ..core.noelle import Noelle
 from ..core.sccdag import SCC
@@ -133,7 +134,7 @@ class HELIX(LoopTechnique):
         from ..core.dataflow import liveness
 
         task_liveness = liveness(skeleton.task.function)
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         for segment_id, scc in enumerate(sequential_sccs):
             cloned = [
                 skeleton.clone_of(inst)
@@ -200,7 +201,7 @@ class HELIX(LoopTechnique):
         """Insert one ``helix_iter_boundary`` per back-edge traversal."""
         module = self.noelle.module
         marker = declare_intrinsic(module, "helix_iter_boundary")
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         for latch in boundary.natural.latches():
             builder.position_before(skeleton.block_map[id(latch)].terminator)
             builder.call(marker, [])

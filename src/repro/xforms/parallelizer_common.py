@@ -21,6 +21,7 @@ the code generator needs, ``apply`` transforms.
 from __future__ import annotations
 
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..core.environment import Environment
 from ..core.loop import Loop
 from ..core.loopbuilder import LoopBuilder
@@ -222,7 +223,7 @@ def clone_loop_into_task(
     task_fn.metadata["noelle.task"] = True
     task = Task(task_fn, env)
     entry = task_fn.add_block("task.entry")
-    builder = ir.IRBuilder(entry)
+    builder = IRBuilder(entry)
     env_ptr = task_fn.args[0]
     value_map: dict[int, ir.Value] = {}
     envb = noelle.environment_builder()
@@ -273,7 +274,7 @@ def finish_task_with_reductions(
     the plumbing to the reductions this task computes (a DSWP stage).
     """
     env_ptr, core_id, _ = skeleton.task.function.args
-    builder = ir.IRBuilder(skeleton.exit_block)
+    builder = IRBuilder(skeleton.exit_block)
     for position, reduction in enumerate(boundary.reductions):
         if owns is not None and not owns(reduction):
             continue
@@ -294,7 +295,7 @@ def finish_task_with_reductions(
 
 
 def _reduction_slot(
-    builder: ir.IRBuilder, boundary: LoopBoundary, env_ptr: ir.Value,
+    builder: IRBuilder, boundary: LoopBoundary, env_ptr: ir.Value,
     position: int, core: ir.Value, name: str,
 ) -> ir.ElemPtr:
     """Address of ``core``'s partial result of reduction ``position``."""
@@ -329,7 +330,7 @@ def replace_loop_with_dispatch(
     exit_block = exit_blocks[0]
 
     pre.terminator.erase_from_parent()
-    builder = ir.IRBuilder(pre)
+    builder = IRBuilder(pre)
     envb = noelle.environment_builder()
     env_ptr = envb.allocate(builder, env)
     envb.store_live_ins(builder, env, env_ptr)
@@ -476,7 +477,7 @@ def chunk_cloned_loop(skeleton: "TaskSkeleton") -> None:
     if governing is None:
         raise ParallelizationError("cloned loop lost its governing IV")
     stepper = InductionVariableStepper(governing)
-    builder = ir.IRBuilder()
+    builder = IRBuilder()
     builder.position_before(skeleton.entry.terminator)
     stepper.chunk_for_core(builder, core_id, num_cores)
 

@@ -20,6 +20,7 @@ from ..core.loop import Loop
 from ..core.noelle import Noelle
 from ..core.pdg import pointer_operand
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..ir.intrinsics import declare_intrinsic
 from .carat import emit_guard
 from .doall import DOALL
@@ -101,7 +102,7 @@ class Perspective(LoopTechnique):
         # (the misspeculation detector's footprint — cost, not recovery;
         # recovery needs checkpointing the paper delegates to its runtime).
         validator = declare_intrinsic(self.noelle.module, "carat_guard")
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         instrumented: set[int] = set()
         for remedy in remedies:
             for inst in (remedy.edge.src.value, remedy.edge.dst.value):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from ..core.islands import dependence_graph_islands
 from ..core.noelle import Noelle
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..ir.intrinsics import declare_intrinsic
 
 #: Clock periods (abstract time units per cycle): aggressive vs safe.
@@ -168,6 +169,6 @@ class TimeSqueezer:
     @staticmethod
     def _set_clock(clock_set: ir.Function, before: ir.Instruction, period: int) -> None:
         """``clock_set(period)`` right before ``before``."""
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         builder.position_before(before)
         builder.call(clock_set, [ir.const_int(period)])

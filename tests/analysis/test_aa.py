@@ -1,6 +1,7 @@
 """Alias analysis tests: basic AA rules and Andersen points-to."""
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.analysis.aa import AliasResult, BasicAliasAnalysis, ModRefResult
 from repro.analysis.pointsto import AndersenAliasAnalysis, PointsToAnalysis
 from repro.frontend import compile_source
@@ -18,7 +19,7 @@ class TestBasicAA:
         self.aa = BasicAliasAnalysis()
         self.module = ir.Module("m")
         self.fn = self.module.add_function("f", ir.FunctionType(ir.VOID, []))
-        self.builder, _ = ir.build_function(self.fn)
+        self.builder, _ = build_function(self.fn)
 
     def test_distinct_allocas_no_alias(self):
         a = self.builder.alloca(ir.I64, "a")
@@ -70,7 +71,7 @@ class TestBasicAA:
         module = ir.Module("m3")
         ptr_ty = ir.PointerType(ir.I64)
         fn = module.add_function("g", ir.FunctionType(ir.VOID, [ptr_ty]), ["p"])
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         local = builder.alloca(ir.I64, "local")
         builder.store(ir.const_int(1), local)
         builder.ret()
@@ -82,7 +83,7 @@ class TestBasicAA:
         ptr_ty = ir.PointerType(ir.I64)
         sink = module.declare_function("sink", ir.FunctionType(ir.VOID, [ptr_ty]))
         fn = module.add_function("g", ir.FunctionType(ir.VOID, [ptr_ty]), ["p"])
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         local = builder.alloca(ir.I64, "local")
         builder.call(sink, [local])  # escapes!
         builder.ret()
@@ -163,7 +164,7 @@ int main() {
         ptr_ty = ir.PointerType(ir.I64)
         unknown = module.declare_function("mystery", ir.FunctionType(ir.VOID, [ptr_ty]))
         fn = module.add_function("main", ir.FunctionType(ir.I64, []))
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         local = builder.alloca(ir.I64, "x")
         builder.call(unknown, [local])
         loaded = builder.load(local, "v")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.checks import (
     SEVERITIES,
     CheckFailure,
@@ -74,7 +75,7 @@ class TestRegistry:
 def make_dead_value_module():
     module = ir.Module("m")
     fn = module.add_function("f", ir.FunctionType(ir.I64, [ir.I64]), ["n"])
-    builder, _ = ir.build_function(fn)
+    builder, _ = build_function(fn)
     builder.add(fn.args[0], ir.const_int(1), "dead")
     builder.ret(fn.args[0])
     ir.verify_module(module)

@@ -1,6 +1,7 @@
 """IR lint: unreachable blocks, dead values, non-canonical phis."""
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.checks.lint import IRLint
 from repro.core import Noelle
 from tests.conftest import build_count_loop
@@ -18,7 +19,7 @@ def test_canonical_loop_is_clean():
 def test_unreachable_block_is_a_warning():
     module = ir.Module("m")
     fn = module.add_function("f", ir.FunctionType(ir.VOID, []))
-    builder, _ = ir.build_function(fn)
+    builder, _ = build_function(fn)
     builder.ret()
     orphan = fn.add_block("orphan")
     builder.position_at_end(orphan)
@@ -33,7 +34,7 @@ def test_unreachable_block_is_a_warning():
 def test_dead_value_is_an_info():
     module = ir.Module("m")
     fn = module.add_function("f", ir.FunctionType(ir.I64, [ir.I64]), ["n"])
-    builder, _ = ir.build_function(fn)
+    builder, _ = build_function(fn)
     dead = builder.add(fn.args[0], ir.const_int(1), "dead")
     builder.ret(fn.args[0])
     ir.verify_module(module)
@@ -46,7 +47,7 @@ def test_dead_value_is_an_info():
 def test_single_incoming_phi_is_an_info():
     module = ir.Module("m")
     fn = module.add_function("f", ir.FunctionType(ir.I64, [ir.I64]), ["n"])
-    builder, entry = ir.build_function(fn)
+    builder, entry = build_function(fn)
     tail = fn.add_block("tail")
     builder.br(tail)
     builder.position_at_end(tail)
@@ -62,7 +63,7 @@ def test_single_incoming_phi_is_an_info():
 def test_identical_incoming_values_are_an_info():
     module = ir.Module("m")
     fn = module.add_function("f", ir.FunctionType(ir.I64, [ir.I64]), ["n"])
-    builder, entry = ir.build_function(fn)
+    builder, entry = build_function(fn)
     then = fn.add_block("then")
     join = fn.add_block("join")
     cond = builder.icmp("eq", fn.args[0], ir.const_int(0), "cond")
@@ -84,7 +85,7 @@ def test_lint_never_errors():
     # A module combining all three smells still yields no ERROR findings.
     module = ir.Module("m")
     fn = module.add_function("f", ir.FunctionType(ir.I64, [ir.I64]), ["n"])
-    builder, _ = ir.build_function(fn)
+    builder, _ = build_function(fn)
     builder.add(fn.args[0], ir.const_int(1), "dead")
     builder.ret(fn.args[0])
     orphan = fn.add_block("orphan")

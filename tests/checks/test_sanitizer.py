@@ -1,6 +1,7 @@
 """Memory sanitizer: use-before-init and static out-of-bounds."""
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.checks.sanitizer import MemorySanitizer
 from repro.core import Noelle
 
@@ -11,7 +12,7 @@ def sanitize(module):
 
 def scalar_fn(module):
     fn = module.add_function("f", ir.FunctionType(ir.I64, [ir.I64]), ["n"])
-    builder, entry = ir.build_function(fn)
+    builder, entry = build_function(fn)
     return fn, builder, entry
 
 
@@ -85,7 +86,7 @@ class TestUseBeforeInit:
         init = module.add_function(
             "init", ir.FunctionType(ir.VOID, [ir.pointer_to(ir.I64)]), ["p"]
         )
-        init_builder, _ = ir.build_function(init)
+        init_builder, _ = build_function(init)
         init_builder.store(ir.const_int(3), init.args[0])
         init_builder.ret()
         fn, builder, _ = scalar_fn(module)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ir
+from repro.ir.builder import build_function
 
 
 def build_count_loop(module_name="m", n=10, while_shaped=True):
@@ -12,7 +13,7 @@ def build_count_loop(module_name="m", n=10, while_shaped=True):
     """
     module = ir.Module(module_name)
     fn = module.add_function("sum", ir.FunctionType(ir.I64, [ir.I64]), ["n"])
-    builder, entry = ir.build_function(fn)
+    builder, entry = build_function(fn)
     header = fn.add_block("header")
     body = fn.add_block("body")
     exit_block = fn.add_block("exit")

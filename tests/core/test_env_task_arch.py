@@ -1,6 +1,7 @@
 """Environment, Task, and Architecture abstraction tests."""
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.core.architecture import ArchitectureDescription
 from repro.core.environment import EnvironmentBuilder
 from repro.core.task import Task, make_task_function
@@ -36,7 +37,7 @@ class TestEnvironment:
         module = ir.Module("envrt")
         envb = EnvironmentBuilder(module)
         fn = module.add_function("main", ir.FunctionType(ir.I64, []))
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         seed = builder.add(ir.const_int(20), ir.const_int(22), "seed")
         env = envb.create([seed], [], "rt")
         env_ptr = envb.allocate(builder, env)

@@ -4,8 +4,9 @@ and the SCCDAG partitioner."""
 import pytest
 
 from repro import ir
-from repro.core import Noelle, SCCDAGPartitioner
+from repro.core import Noelle
 from repro.core.loopstructure import LoopStructure
+from repro.core.partitioner import SCCDAGPartitioner
 from repro.frontend import compile_source
 from repro.perf import STATS
 

@@ -23,6 +23,7 @@ from repro.analysis.aa import BasicAliasAnalysis
 from repro.analysis.pointsto import AndersenAliasAnalysis
 from repro.core.noelle import Noelle
 from repro.core.pdg import PDG
+from repro.ir.builder import build_function
 from repro.perf import STATS
 from repro.tools.meta_pdg_embed import (
     PDG_SHARDS_KEY,
@@ -75,7 +76,7 @@ def two_function_module():
     module = ir.Module("twofn")
     for name in ("first", "second"):
         fn = module.add_function(name, ir.FunctionType(ir.I64, []), [])
-        builder, _entry = ir.build_function(fn)
+        builder, _entry = build_function(fn)
         cell = builder.alloca(ir.I64, f"{name}.cell")
         builder.store(ir.const_int(7), cell)
         loaded = builder.load(cell, f"{name}.val")

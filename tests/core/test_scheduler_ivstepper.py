@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ir
+from repro.ir.builder import IRBuilder
 from repro.core import Noelle
 from repro.core.ivstepper import InductionVariableStepper, IVStepperError
 from repro.frontend import compile_source
@@ -166,7 +167,7 @@ int main() {
         # away; instead verify the arithmetic rewiring on a copy.
         index = stepper.current_step_operand_index()
         before = stepper.update.operands[index]
-        builder = ir.IRBuilder()
+        builder = IRBuilder()
         builder.position_before(stepper.update)
         stepper.reverse_step(builder)
         after = stepper.update.operands[index]
@@ -190,7 +191,7 @@ int main() {
             )
             stepper = InductionVariableStepper(iv)
             pre = loop.structure.pre_header()
-            builder = ir.IRBuilder()
+            builder = IRBuilder()
             builder.position_before(pre.terminator)
             stepper.chunk_for_core(
                 builder, ir.const_int(core), ir.const_int(3)

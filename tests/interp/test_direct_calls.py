@@ -188,11 +188,11 @@ class TestFastPath:
         ))
         module = parse_module(text)
         cf = engine_for(module).compiled(module.functions["main"])
-        assert EPLAN_VERSION == 7
+        assert EPLAN_VERSION == 8
         twin = parse_module(text)
-        with pytest.raises(EnginePlanError, match="plan version 6 != 7"):
+        with pytest.raises(EnginePlanError, match="plan version 7 != 8"):
             engine_for(twin).adopt(
-                twin.functions["main"], {**cf.plan, "version": 6}, cf.code
+                twin.functions["main"], {**cf.plan, "version": 7}, cf.code
             )
         compiles = STATS.get("engine.compiles")
         assert _printed(twin) == [6]

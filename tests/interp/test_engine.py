@@ -21,7 +21,12 @@ from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter, InterpError, StepLimitExceeded
 from repro.interp.interp import BlockProfile
-from repro.interp.engine import engine_for, engine_mode, invalidate_module
+from repro.interp.engine import (
+    _Compiler,
+    engine_for,
+    engine_mode,
+    invalidate_module,
+)
 from repro.ir import parse_module
 from repro.perf import STATS
 from repro.robust.passmanager import PassManager
@@ -822,9 +827,10 @@ entry:
     }
 
     @staticmethod
-    def outcome(module, engine, step_limit=50_000_000):
+    def outcome(module, engine, step_limit=50_000_000, memory_observer=None):
         interp = Interpreter(module, step_limit=step_limit, engine=engine)
         interp.block_profile = BlockProfile()
+        interp.memory_observer = memory_observer
         raised = None
         try:
             interp.run()
@@ -872,13 +878,187 @@ entry:
                 Interpreter(parse_module(text), engine=engine).run()
 
 
+class TestTrapTable:
+    """A load is one line, ``x = mem[a]``, and the function's one trap
+    table maps the line its ``KeyError`` comes from to the load's site:
+    the walker's "load from invalid address" with its steps, cycles and
+    partial frames, however the function runs.  Any other ``KeyError``
+    is not a trap, and a pointer is tested once per block."""
+
+    #: ``@f`` has operand-trap lines (integer instructions on a loaded
+    #: value) beside its loads; the bad address is dynamic.
+    PROGRAM = """
+@a = global [4 x i64]
+
+define @f() -> i64 {
+entry:
+  %base = elem_ptr [4 x i64]* @a, i64 0, i64 0
+  %n = load i64, i64* %base
+  %p0 = add i64 %n, i64 1
+  %big = add i64 %n, i64 999999
+  %oob = inttoptr i64 %big to i64*
+  %p1 = mul i64 %n, i64 3
+  %v = load i64, i64* %oob
+  %p2 = add i64 %v, i64 2
+  ret i64 %p2
+}
+
+define @main() -> i64 {
+entry:
+  %s = add i64 0, i64 2
+  %v = call i64 @f()
+  ret i64 %v
+}
+"""
+
+    @staticmethod
+    def outcome(module, engine, step_limit=50_000_000, observed=False):
+        """``TestNonIntegerOperand``'s outcome, then the memory events
+        an observer saw (observed code runs only with one set)."""
+        events = []
+        observer = (lambda *event: events.append(event)) if observed else None
+        return (
+            *TestNonIntegerOperand.outcome(module, engine, step_limit, observer),
+            events,
+        )
+
+    def test_one_table_maps_loads_and_operand_lines(self):
+        module = parse_module(self.PROGRAM)
+        fn = module.functions["f"]
+        cf = engine_for(module).compiled(fn)
+        (table,) = [
+            spec[1] for name, spec in cf.plan["binds"] if name.startswith("_TS")
+        ]
+        sites = {at for at, _steps, _cycles in table.values()}
+        opcodes = sorted(fn.blocks[0].instructions[at - 1].opcode for at in sites)
+        assert opcodes == ["add", "add", "add", "load", "load", "mul"]
+        assert "except KeyError" not in _Compiler(fn).source()
+
+    def test_compiled_and_hydrated(self):
+        module = parse_module(self.PROGRAM)
+        reference = self.outcome(module, "reference")
+        assert reference[:3] == (
+            None, "load from invalid address 999999", "MemoryTrap"
+        )
+        # innermost first: the load's position, then the call's
+        assert reference[6] == [("entry", 7), ("entry", 2)]
+        assert self.outcome(module, "compiled") == reference
+        twin = _hydrated_twin(module, self.PROGRAM)
+        assert self.outcome(twin, "compiled") == reference
+
+    def test_observed(self):
+        """The observer sees the bad load before it traps, as the
+        walker's does."""
+        module = parse_module(self.PROGRAM)
+        reference = self.outcome(module, "reference", observed=True)
+        assert reference[7][-1][:2] == ("load", 999999)
+        assert self.outcome(module, "compiled", observed=True) == reference
+
+    def test_every_budget_boundary(self):
+        """Across the limit the load runs in a tail, which catches its
+        own ``KeyError``."""
+        module = parse_module(self.PROGRAM)
+        for limit in range(1, 14):
+            for observed in (False, True):
+                reference = self.outcome(module, "reference", limit, observed)
+                compiled = self.outcome(module, "compiled", limit, observed)
+                assert compiled == reference, (limit, observed)
+        assert _tails(module) > 0
+
+    @pytest.mark.parametrize("where", ["intrinsic", "callee"])
+    def test_other_key_errors_propagate_unchanged(self, where):
+        """A ``KeyError`` from an intrinsic's handler — raised in this
+        frame's call, or in a callee's — is the host error it was, even
+        with an address for its key."""
+        text = """
+@a = global [4 x i64]
+
+define @g(i64* %p) -> i64 {
+entry:
+  %n = load i64, i64* %p
+  call void @print_int(i64 %n)
+  %m = add i64 %n, i64 1
+  ret i64 %m
+}
+
+define @main() -> i64 {
+entry:
+  %base = elem_ptr [4 x i64]* @a, i64 0, i64 0
+  %n = load i64, i64* %base
+  %k = add i64 %n, i64 1
+  call void @print_int(i64 %k)
+  %v = call i64 @g(i64* %base)
+  ret i64 %v
+}
+
+declare @print_int(i64 %arg0) -> void io
+"""
+        error = KeyError(12345)
+        calls = []
+
+        def handler(st, args):
+            calls.append(args)
+            if where == "intrinsic" or len(calls) == 2:
+                raise error
+
+        for engine in ENGINES:
+            calls.clear()
+            interp = Interpreter(parse_module(text), engine=engine)
+            interp.INTRINSICS = {
+                **Interpreter.INTRINSICS,
+                "print_int": (Interpreter.INTRINSICS["print_int"][0], handler),
+            }
+            with pytest.raises(KeyError) as raised:
+                interp.run()
+            assert raised.value is error
+            assert interp.result.trapped is None
+            assert len(calls) == (1 if where == "intrinsic" else 2)
+
+    def test_a_pointer_is_tested_once_per_block(self):
+        """N loads of one pointer in a block: one ``__class__`` test,
+        at the first; a function's address traps there."""
+        text = """
+define @f(i64* %p) -> i64 {
+entry:
+  %a = load i64, i64* %p
+  %b = load i64, i64* %p
+  %c = load i64, i64* %p
+  %ab = add i64 %a, i64 %b
+  %s = add i64 %ab, i64 %c
+  br label %next
+next:
+  %d = load i64, i64* %p
+  store i64 %s, i64* %p
+  %t = add i64 %s, i64 %d
+  ret i64 %t
+}
+
+define @main() -> i64 {
+entry:
+  %fp = bitcast i64 ()* @main to i64*
+  %v = call i64 @f(i64* %fp)
+  ret i64 %v
+}
+"""
+        module = parse_module(text)
+        source = _Compiler(module.functions["f"]).source()
+        assert source.count("__class__") == 2  # one per block
+        reference = self.outcome(module, "reference")
+        assert reference[:3] == (
+            None, "dereference of a function pointer", "MemoryTrap"
+        )
+        assert reference[6] == [("entry", 1), ("entry", 2)]
+        assert self.outcome(module, "compiled") == reference
+
+
 def test_compiled_code_size_gate():
     """What ``compile()`` is paid for, and what the artifact cache
     writes and reads, is bytes of code — and bytes do not vary by
     runner.  The corpus is ``cache_coldwarm``'s: the registry plus the
     seed-1 ``bigmod``; plan v3 compiled it to 2 345 857 bytes, v4 to
-    1 696 272, v5 to 1 724 058 and v6 to 1 478 596 (the gate: v6 plus
-    10 %)."""
+    1 696 272, v5 to 1 724 058, v6 to 1 478 596, v7 (operand traps)
+    to 1 478 596 and v8 (one trap table, address tests once per block)
+    to 1 039 262 (the gate: v8 plus 10 %)."""
     modules = [workload.compile() for workload in all_workloads()]
     modules.append(compile_source(bigmod.generate(1, 6000), "bigmod"))
     total = 0
@@ -886,4 +1066,4 @@ def test_compiled_code_size_gate():
         engine = engine_for(module)
         for fn in module.defined_functions():
             total += len(marshal.dumps(engine.compiled(fn).code))
-    assert total <= 1_627_000
+    assert total <= 1_143_200

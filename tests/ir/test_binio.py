@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro import ir
+from repro.ir.builder import IRBuilder
 from repro.ir import binio
 from repro.ir.binio import (
     BinFormatError,
@@ -59,8 +60,8 @@ def test_roundtrip_preserves_naming_state():
     # fresh names allocate identically after a round trip
     block = fn.blocks[0]
     block2 = fn2.blocks[0]
-    builder = ir.IRBuilder(block)
-    builder2 = ir.IRBuilder(block2)
+    builder = IRBuilder(block)
+    builder2 = IRBuilder(block2)
     a = builder.add(ir.const_int(1), ir.const_int(2))
     b = builder2.add(ir.const_int(1), ir.const_int(2))
     assert a.name == b.name

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ir
+from repro.ir.builder import IRBuilder, build_function
 from repro.ir.intrinsics import (
     ALLOCATOR_INTRINSICS,
     INTRINSICS,
@@ -17,7 +18,7 @@ class TestBuilderPositioning:
     def setup_method(self):
         self.module = ir.Module("b")
         self.fn = self.module.add_function("f", ir.FunctionType(ir.I64, []))
-        self.builder, self.entry = ir.build_function(self.fn)
+        self.builder, self.entry = build_function(self.fn)
 
     def test_position_before_inserts_in_order(self):
         a = self.builder.add(ir.const_int(1), ir.const_int(2), "a")
@@ -55,7 +56,7 @@ class TestBuilderPositioning:
             assert isinstance(inst, ir.BinaryOp)
 
     def test_insert_without_position_fails(self):
-        detached = ir.IRBuilder()
+        detached = IRBuilder()
         with pytest.raises(AssertionError):
             detached.add(ir.const_int(1), ir.const_int(2))
 

@@ -5,7 +5,7 @@ import pytest
 from repro import ir
 from repro.frontend import compile_source
 from repro.interp import run_module
-from repro.ir import LinkError, link_modules
+from repro.ir.linker import LinkError, link_modules
 
 
 def test_definition_resolves_declaration():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.ir import (
     I64,
     VOID,
@@ -105,7 +106,7 @@ class TestFunction:
     def test_unique_instruction_names(self):
         module = Module("m")
         fn = module.add_function("f", FunctionType(I64, []))
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         a = builder.add(const_int(1), const_int(2), "x")
         b = builder.add(const_int(3), const_int(4), "x")
         assert a.name != b.name
@@ -113,7 +114,7 @@ class TestFunction:
     def test_argument_names_reserved(self):
         module = Module("m")
         fn = module.add_function("f", FunctionType(I64, [I64]), ["x"])
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         inst = builder.add(fn.args[0], const_int(1), "x")
         assert inst.name != "x"
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.ir import ParseError, parse_module, print_module, verify_module
 from tests.conftest import build_count_loop
 
@@ -33,7 +34,7 @@ class TestRoundTrip:
         module = ir.Module("s")
         st = module.add_struct("point", [ir.I64, ir.I64])
         fn = module.add_function("f", ir.FunctionType(ir.I64, []))
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         slot = builder.alloca(st, "p")
         field = builder.elem_ptr(slot, [ir.const_int(0), ir.const_int(1)], "y")
         builder.store(ir.const_int(3), field)
@@ -45,10 +46,10 @@ class TestRoundTrip:
     def test_function_pointers(self):
         module = ir.Module("fp")
         callee = module.add_function("callee", ir.FunctionType(ir.I64, [ir.I64]), ["x"])
-        cb, _ = ir.build_function(callee)
+        cb, _ = build_function(callee)
         cb.ret(callee.args[0])
         fn = module.add_function("caller", ir.FunctionType(ir.I64, []))
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         slot = builder.alloca(ir.PointerType(callee.function_type), "fp")
         builder.store(callee, slot)
         loaded = builder.load(slot, "target")
@@ -60,7 +61,7 @@ class TestRoundTrip:
     def test_switch_and_casts(self):
         module = ir.Module("sw")
         fn = module.add_function("f", ir.FunctionType(ir.I64, [ir.I64]), ["x"])
-        builder, entry = ir.build_function(fn)
+        builder, entry = build_function(fn)
         one = fn.add_block("one")
         other = fn.add_block("other")
         builder.switch(fn.args[0], other, [(ir.ConstantInt(ir.I64, 1), one)])
@@ -85,7 +86,7 @@ class TestRoundTrip:
     def test_select_and_float_ops(self):
         module = ir.Module("fl")
         fn = module.add_function("f", ir.FunctionType(ir.DOUBLE, [ir.DOUBLE]), ["x"])
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         doubled = builder.fmul(fn.args[0], ir.const_float(2.0), "d")
         is_big = builder.fcmp("ogt", doubled, ir.const_float(10.0), "big")
         result = builder.select(is_big, doubled, fn.args[0], "sel")
@@ -96,7 +97,7 @@ class TestRoundTrip:
     def test_negative_and_null_constants(self):
         module = ir.Module("n")
         fn = module.add_function("f", ir.FunctionType(ir.I64, []))
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         ptr_ty = ir.PointerType(ir.I64)
         slot = builder.alloca(ptr_ty, "s")
         builder.store(ir.ConstantNull(ir.PointerType(ir.I64)), slot)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ir
+from repro.ir.builder import build_function
 from repro.ir import (
     I8,
     I64,
@@ -43,14 +44,14 @@ class TestBlockStructure:
 
     def test_missing_terminator(self):
         module, fn = make_fn()
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         builder.add(const_int(1), const_int(2))
         with pytest.raises(VerificationError, match="terminator"):
             verify_function(fn)
 
     def test_terminator_in_middle(self):
         module, fn = make_fn(VOID)
-        builder, entry = ir.build_function(fn)
+        builder, entry = build_function(fn)
         builder.ret()
         # Append manually past the terminator.
         inst = BinaryOp("add", const_int(1), const_int(2))
@@ -67,7 +68,7 @@ class TestBlockStructure:
         other_module, other_fn = make_fn(VOID, name="g")
         foreign = other_fn.add_block("far")
         foreign.append(Ret())
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         builder.br(foreign)
         with pytest.raises(VerificationError, match="not in this function"):
             verify_function(fn)
@@ -115,7 +116,7 @@ class TestPhiRules:
 class TestTypeRules:
     def test_binary_operand_mismatch(self):
         module, fn = make_fn(VOID)
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         bad = BinaryOp("add", const_int(1), const_int(1))
         bad.set_operand(1, ir.ConstantInt(I8, 1))
         bad.parent = builder.block
@@ -126,7 +127,7 @@ class TestTypeRules:
 
     def test_store_type_mismatch(self):
         module, fn = make_fn(VOID)
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         slot = builder.alloca(I64)
         store = builder.store(const_int(1), slot)
         store.set_operand(0, ir.ConstantInt(I8, 1))
@@ -136,14 +137,14 @@ class TestTypeRules:
 
     def test_ret_type_mismatch(self):
         module, fn = make_fn(I64)
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         builder.ret(ir.const_float(1.0))
         with pytest.raises(VerificationError, match="ret"):
             verify_function(fn)
 
     def test_ret_void_in_value_function(self):
         module, fn = make_fn(I64)
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         builder.ret()
         with pytest.raises(VerificationError, match="ret"):
             verify_function(fn)
@@ -152,7 +153,7 @@ class TestTypeRules:
         module = Module("m")
         callee = module.add_function("callee", FunctionType(VOID, [I64]))
         fn = module.add_function("f", FunctionType(VOID, []))
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         call = builder.call(callee, [const_int(1)])
         call.set_operand(1, ir.const_float(1.0))
         builder.ret()
@@ -161,7 +162,7 @@ class TestTypeRules:
 
     def test_cond_br_requires_i1(self):
         module, fn = make_fn(VOID)
-        builder, entry = ir.build_function(fn)
+        builder, entry = build_function(fn)
         b = fn.add_block("b")
         b.append(Ret())
         branch = CondBranch(const_bool(True), b, b)
@@ -174,7 +175,7 @@ class TestTypeRules:
 class TestSSADominance:
     def test_use_before_def_same_block(self):
         module, fn = make_fn()
-        builder, entry = ir.build_function(fn)
+        builder, entry = build_function(fn)
         a = builder.add(const_int(1), const_int(2), "a")
         b = builder.add(a, const_int(3), "b")
         builder.ret(b)
@@ -186,7 +187,7 @@ class TestSSADominance:
 
     def test_use_not_dominated(self):
         module, fn = make_fn()
-        builder, entry = ir.build_function(fn)
+        builder, entry = build_function(fn)
         then_block = fn.add_block("then")
         else_block = fn.add_block("else")
         builder.cond_br(const_bool(True), then_block, else_block)
@@ -202,7 +203,7 @@ class TestSSADominance:
         module = Module("m")
         f = module.add_function("f", FunctionType(I64, [I64]), ["x"])
         g = module.add_function("g", FunctionType(I64, [I64]), ["y"])
-        builder, _ = ir.build_function(f)
+        builder, _ = build_function(f)
         builder.ret(g.args[0])
         with pytest.raises(VerificationError, match="another function"):
             verify_function(f)
@@ -214,7 +215,7 @@ class TestSSADominance:
 
     def test_non_phi_self_use_rejected(self):
         module, fn = make_fn()
-        builder, _ = ir.build_function(fn)
+        builder, _ = build_function(fn)
         a = builder.add(const_int(1), const_int(2), "a")
         builder.ret(a)
         a.set_operand(1, a)
