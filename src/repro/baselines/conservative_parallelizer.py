@@ -38,9 +38,9 @@ class ConservativeParallelizer:
 
     name = "gcc-icc-baseline"
 
-    def __init__(self, module: Module, default_cores: int = 12):
+    def __init__(self, module: Module, num_cores: int = 12):
         self.module = module
-        self.default_cores = default_cores
+        self.num_cores = num_cores
         # The whole point: the baseline sees only basic AA.
         self._weak_noelle = Noelle(module)
         self._weak_noelle._aa = BasicAliasAnalysis()
@@ -76,7 +76,7 @@ class ConservativeParallelizer:
     def run(self) -> int:
         """Attempt to parallelize every outermost loop; returns successes."""
         parallelized = 0
-        doall = DOALL(self._weak_noelle, self.default_cores)
+        doall = DOALL(self._weak_noelle, self.num_cores)
         for loop in self._weak_noelle.loops():
             fn = loop.structure.function
             if fn.metadata.get("noelle.task"):

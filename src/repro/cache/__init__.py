@@ -17,7 +17,6 @@ from .binding import (
     load_ir_text,
     module_key,
     publish_artifacts,
-    remember_key,
 )
 from .store import CACHE_DIR_ENV, KEY_SALT, ArtifactStore
 
@@ -34,5 +33,4 @@ __all__ = [
     "load_ir_text",
     "module_key",
     "publish_artifacts",
-    "remember_key",
 ]

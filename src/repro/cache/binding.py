@@ -66,10 +66,6 @@ def module_key(module: Module) -> str | None:
     return _KEYS.get(module)
 
 
-def remember_key(module: Module, key: str) -> None:
-    _KEYS[module] = key
-
-
 # -- facade binding ----------------------------------------------------------
 
 

@@ -26,6 +26,7 @@ graceful degradation instead of a stack trace and a corrupt module.
 from __future__ import annotations
 
 import copy
+import importlib
 
 from ..interp import interp as _interp
 from ..interp.engine import invalidate_module
@@ -177,9 +178,8 @@ class PassManager:
             raise CheckFailure(result.diagnostics)
 
     def run_registered(self, name: str, **options) -> PassResult:
-        """Run a pass from :data:`PASS_BUILDERS` by name (transactional)."""
-        canonical, body = build_pass(name, **options)
-        return self.run(canonical, body)
+        """Run a pass from :data:`PASSES` by name (transactional)."""
+        return self.run(*build_pass(name, **options))
 
     # -- snapshot / restore --------------------------------------------------------
 
@@ -269,112 +269,49 @@ class PassManager:
 
 # -- the pass registry -------------------------------------------------------------
 #
-# Builders are factories: options in, a ``body(noelle)`` callable out.
-# Imports happen inside each builder so loading the pass manager never
-# drags in every transform (and never cycles through repro.core).
+# One row per pass: where its class lives, imported when the pass is built
+# so loading the pass manager never drags in every transform (and never
+# cycles through repro.core).  The registry declares no option of its own:
+# a pass's constructor and ``run`` are the one home of each option and its
+# default.
 
-def _doall(num_cores=8, minimum_hotness=0.0, only_loop_id=None, max_rounds=10):
-    from ..xforms.doall import DOALL
-
-    return lambda noelle: DOALL(noelle, num_cores).run(
-        minimum_hotness, max_rounds=max_rounds, only_loop_id=only_loop_id
-    )
-
-
-def _dswp(num_stages=4, minimum_hotness=0.0, only_loop_id=None, max_rounds=10):
-    from ..xforms.dswp import DSWP
-
-    return lambda noelle: DSWP(noelle, num_stages).run(
-        minimum_hotness, max_rounds=max_rounds, only_loop_id=only_loop_id
-    )
-
-
-def _helix(num_cores=8, minimum_hotness=0.0, only_loop_id=None, max_rounds=10):
-    from ..xforms.helix import HELIX
-
-    return lambda noelle: HELIX(noelle, num_cores).run(
-        minimum_hotness, max_rounds=max_rounds, only_loop_id=only_loop_id
-    )
-
-
-def _licm():
-    from ..xforms.licm import LICM
-
-    return lambda noelle: LICM(noelle).run()
-
-
-def _perspective(default_cores=12, max_rounds=5):
-    from ..xforms.perspective import Perspective
-
-    return lambda noelle: Perspective(noelle, default_cores).run(
-        max_rounds=max_rounds
-    )
-
-
-def _dead(roots=None):
-    from ..xforms.dead import DeadFunctionEliminator
-
-    return lambda noelle: DeadFunctionEliminator(noelle, roots).run()
-
-
-def _coos(budget_cycles=400):
-    from ..xforms.coos import CompilerTiming
-
-    return lambda noelle: CompilerTiming(noelle, budget_cycles).run()
-
-
-def _prvjeeves(hotness_threshold=0.01):
-    from ..xforms.prvjeeves import PRVJeeves
-
-    return lambda noelle: PRVJeeves(noelle, hotness_threshold).run()
-
-
-def _timesqueezer():
-    from ..xforms.timesqueezer import TimeSqueezer
-
-    return lambda noelle: TimeSqueezer(noelle).run()
-
-
-def _carat():
-    from ..xforms.carat import CARAT
-
-    return lambda noelle: CARAT(noelle).run()
-
-
-def _rm_lc_dependences():
-    from ..tools.rm_lc_dependences import remove_loop_carried_dependences
-
-    return remove_loop_carried_dependences
-
-
-PASS_BUILDERS = {
-    "doall": _doall,
-    "dswp": _dswp,
-    "helix": _helix,
-    "licm": _licm,
-    "perspective": _perspective,
-    "dead": _dead,
-    "coos": _coos,
-    "prvjeeves": _prvjeeves,
-    "timesqueezer": _timesqueezer,
-    "carat": _carat,
-    "rm-lc-dependences": _rm_lc_dependences,
-}
-
-#: Short names the harness and CLI historically use.
-PASS_ALIASES = {
-    "prvj": "prvjeeves",
-    "time": "timesqueezer",
-    "time-squeezer": "timesqueezer",
-    "rm_lc_dependences": "rm-lc-dependences",
+PASSES = {
+    "doall": ("..xforms.doall", "DOALL"),
+    "dswp": ("..xforms.dswp", "DSWP"),
+    "helix": ("..xforms.helix", "HELIX"),
+    "licm": ("..xforms.licm", "LICM"),
+    "perspective": ("..xforms.perspective", "Perspective"),
+    "dead": ("..xforms.dead", "DeadFunctionEliminator"),
+    "coos": ("..xforms.coos", "CompilerTiming"),
+    "prvjeeves": ("..xforms.prvjeeves", "PRVJeeves"),
+    "timesqueezer": ("..xforms.timesqueezer", "TimeSqueezer"),
+    "carat": ("..xforms.carat", "CARAT"),
+    "rm-lc-dependences": (
+        "..tools.rm_lc_dependences", "RemoveLoopCarriedDependences"
+    ),
 }
 
 
 def build_pass(name: str, **options):
-    """Resolve ``name`` to ``(canonical_name, body)``; raises ValueError
-    for unknown passes *before* any transaction starts."""
-    canonical = PASS_ALIASES.get(name, name)
-    builder = PASS_BUILDERS.get(canonical)
-    if builder is None:
+    """Build pass ``name`` from ``options``: ``(name, body)``, where
+    ``body(noelle)`` runs it over a facade.
+
+    The options that the pass's ``run`` takes go to ``run`` and the rest to
+    its constructor, which runs here: an unknown name, an option the pass
+    does not take or a value its constructor refuses raises before any
+    transaction starts.
+    """
+    if name not in PASSES:
         raise ValueError(f"unknown tool {name!r}")
-    return canonical, builder(**options)
+    module, attribute = PASSES[name]
+    cls = getattr(importlib.import_module(module, __package__), attribute)
+    code = cls.run.__code__
+    takes = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+    run_options = {key: options.pop(key) for key in list(options) if key in takes}
+    tool = cls(None, **options)
+
+    def body(noelle):
+        tool.noelle = noelle
+        return tool.run(**run_options)
+
+    return name, body

@@ -50,19 +50,17 @@ class ToolConfig:
         num_cores: int = 8,
         minimum_hotness: float = 0.0,
         force_loop_id: int | None = None,
-        rm_lc_dependences: bool = True,
     ):
         self.name = name
         #: Tool names in application order; any of: "licm", "dead",
-        #: "carat", "coos", "time", "prvj", "perspective", "doall",
-        #: "helix", "dswp" (aliases resolve via the pass registry).
+        #: "carat", "coos", "timesqueezer", "prvjeeves", "perspective",
+        #: "doall", "helix", "dswp" (the pass registry's names).
         self.tools = tools
         self.num_cores = num_cores
         self.minimum_hotness = minimum_hotness
         #: When set, parallelizing tools touch only the loop with this
         #: NOELLE loop ID (surgical testing).
         self.force_loop_id = force_loop_id
-        self.rm_lc_dependences = rm_lc_dependences
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ToolConfig {self.name}: {'+'.join(self.tools)}>"
@@ -94,7 +92,7 @@ def _apply_tools(module, config: ToolConfig) -> list[str]:
     configuration instead of aborting the whole corpus run.
     """
     noelle = load(module)
-    if {"prvj", "prvjeeves", "perspective"} & set(config.tools):
+    if {"prvjeeves", "perspective"} & set(config.tools):
         noelle.run_profiler()
     managers = [PassManager(noelle)]
     for tool_name in config.tools:
@@ -105,13 +103,10 @@ def _apply_tools(module, config: ToolConfig) -> list[str]:
                 num_cores=config.num_cores,
                 minimum_hotness=config.minimum_hotness,
                 only_loop_id=config.force_loop_id,
-                rm_lc_dependences=config.rm_lc_dependences,
             )
             managers.append(manager)
         elif tool_name == "perspective":
-            managers[0].run_registered(
-                tool_name, default_cores=config.num_cores
-            )
+            managers[0].run_registered(tool_name, num_cores=config.num_cores)
         else:
             managers[0].run_registered(tool_name)
         noelle.invalidate()

@@ -651,19 +651,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_cores(args) -> None:
-    """A verb's ``--cores`` below 1 is bad input, as it is to serve."""
-    cores = getattr(args, "cores", None)
-    if cores is not None and cores < 1:
-        from ..serve.protocol import ProtocolError
+def _check_widths(args) -> None:
+    """A verb's ``--cores`` or ``--stages`` below 1 is bad input, as it is
+    to serve."""
+    for flag in ("cores", "stages"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            from ..serve.protocol import ProtocolError
 
-        raise ProtocolError(f"--cores must be >= 1, got {cores}")
+            raise ProtocolError(f"--{flag} must be >= 1, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_cores(args)
+        _check_widths(args)
         status = args.func(args)
     except Exception as error:
         from ..serve.protocol import input_error_exit_code

@@ -35,7 +35,7 @@ from ..ir import Module, is_binary_ir, verify_module
 from ..ir.linker import link_modules
 from ..perf import STATS
 from ..robust.diagnostics import EntryNotFoundError
-from ..robust.passmanager import DEFAULT_DEADLINE_S, PassManager
+from ..robust.passmanager import PassManager, build_pass
 from ..runtime.machine import ParallelMachine
 from .meta_pdg_embed import embed_pdg, load_embedded_pdg
 from .whole_ir import link_options_of, whole_ir_from_files
@@ -83,7 +83,6 @@ def load(
     module: Module,
     architecture: ArchitectureDescription | None = None,
     profile: ProfileData | None = None,
-    minimum_hotness: float = 0.0,
 ) -> Noelle:
     """``noelle-load``: bring the layer up *without computing* anything.
 
@@ -95,7 +94,7 @@ def load(
     Every driver (CLI verbs, serve sessions, the test harness, the
     Figure 1 pipeline) takes its facade from here.
     """
-    noelle = Noelle(module, architecture, profile, minimum_hotness)
+    noelle = Noelle(module, architecture, profile)
     embedded = load_embedded_pdg(module, noelle.alias_analysis)
     if embedded is not None:
         noelle.adopt_pdg(embedded)
@@ -183,36 +182,37 @@ def parallelize(
     only_loop_id: int | None = None,
     crash_dir: str | None = None,
     step_limit: int | None = None,
-    rm_lc_dependences: bool = True,
 ) -> tuple[PassManager, int]:
     """Apply one of :data:`TECHNIQUES`; the one place that knows the recipe.
 
-    A training run comes first (bounded by ``step_limit``; its
-    :class:`StepLimitExceeded` propagates — nothing to roll back yet),
-    ``rm-lc-dependences`` precedes the technique, DSWP scales by
-    ``num_stages`` and the others by ``num_cores``, and both transforms
-    are :class:`PassManager` transactions.  Returns the manager (rolled-
-    back results, crash bundles) and the number of loops parallelized,
-    0 when the technique rolled back.
+    The technique is built first, so a width below 1 raises
+    :class:`ValueError` with the module untouched.  A training run comes
+    next (bounded by ``step_limit``; its :class:`StepLimitExceeded`
+    propagates — nothing to roll back yet), ``rm-lc-dependences``
+    precedes the technique, DSWP scales by ``num_stages`` and the others
+    by ``num_cores``, and both transforms are :class:`PassManager`
+    transactions.  Returns the manager (rolled-back results, crash
+    bundles) and the number of loops parallelized, 0 when the technique
+    rolled back.
     """
     if technique not in TECHNIQUES:
         raise ValueError(f"unknown technique {technique!r}")
-    budget = {} if step_limit is None else {"step_limit": step_limit}
-    noelle.attach_profile(Profiler(noelle.module).profile(**budget))
-    manager = PassManager(noelle, crash_dir=crash_dir)
-    if rm_lc_dependences:
-        manager.run_registered("rm-lc-dependences")
     scale = (
         {"num_stages": num_stages}
         if technique == "dswp"
         else {"num_cores": num_cores}
     )
-    result = manager.run_registered(
+    _, body = build_pass(
         technique,
         minimum_hotness=minimum_hotness,
         only_loop_id=only_loop_id,
         **scale,
     )
+    budget = {} if step_limit is None else {"step_limit": step_limit}
+    noelle.attach_profile(Profiler(noelle.module).profile(**budget))
+    manager = PassManager(noelle, crash_dir=crash_dir)
+    manager.run_registered("rm-lc-dependences")
+    result = manager.run(technique, body)
     return manager, result.value if result.ok else 0
 
 
@@ -269,10 +269,6 @@ def helix_pipeline(
     training_args: list[object] | None = None,
     num_cores: int = 12,
     minimum_hotness: float = 0.001,
-    crash_dir: str | None = None,
-    fault_plan="env",
-    deadline_s: float | None = DEFAULT_DEADLINE_S,
-    step_budget: int | None = None,
     pass_manager: PassManager | None = None,
 ) -> Module:
     """The Figure 1 compilation flow, end to end.
@@ -284,10 +280,12 @@ def helix_pipeline(
 
     Both transforms run as :class:`PassManager` transactions: a pass that
     crashes, times out, or fails verification is rolled back to its
-    byte-identical pre-pass snapshot (a crash bundle lands in
-    ``crash_dir``) and compilation continues with the surviving module —
-    one bad optimization degrades, it does not abort.  Pass an explicit
-    ``pass_manager`` to inspect results and bundles afterwards.
+    byte-identical pre-pass snapshot (with a crash bundle) and compilation
+    continues with the surviving module — one bad optimization degrades,
+    it does not abort.  Pass an explicit ``pass_manager`` to configure the
+    transactions (crash directory, deadline, step budget, fault plan) or
+    to inspect results and bundles afterwards.  HELIX skips the loops
+    colder than ``minimum_hotness``.
     """
     from .whole_ir import whole_ir_from_sources
 
@@ -299,13 +297,7 @@ def helix_pipeline(
         noelle = Noelle(module, profile=profile)
         manager = pass_manager
         if manager is None:
-            manager = PassManager(
-                noelle,
-                crash_dir=crash_dir,
-                deadline_s=deadline_s,
-                step_budget=step_budget,
-                fault_plan=fault_plan,
-            )
+            manager = PassManager(noelle)
         else:
             manager.rebind(noelle)
         manager.run_registered("rm-lc-dependences")
@@ -316,7 +308,7 @@ def helix_pipeline(
         with STATS.timer("pipeline.pdg_embed"):
             embed_pdg(module)
         architecture = measure_architecture(num_cores)
-        manager.rebind(load(module, architecture, profile, minimum_hotness))
+        manager.rebind(load(module, architecture, profile))
         with STATS.timer("pipeline.transform"):
             manager.run_registered(
                 "helix", num_cores=num_cores, minimum_hotness=minimum_hotness

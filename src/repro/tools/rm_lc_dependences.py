@@ -41,6 +41,16 @@ def remove_loop_carried_dependences(noelle: Noelle) -> int:
     return promoted
 
 
+class RemoveLoopCarriedDependences:
+    """The tool as the pass manager runs every pass: built, then ``run``."""
+
+    def __init__(self, noelle: Noelle):
+        self.noelle = noelle
+
+    def run(self) -> int:
+        return remove_loop_carried_dependences(self.noelle)
+
+
 def _promote_scalar_cell(noelle: Noelle, fn: ir.Function, loop: NaturalLoop) -> bool:
     """Find one promotable memory accumulator in ``loop`` and promote it."""
     aa = noelle.alias_analysis()

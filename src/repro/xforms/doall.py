@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .. import ir
 from ..core.loop import Loop
-from ..core.noelle import Noelle
 from .parallelizer_common import (
     LoopBoundary,
     LoopTechnique,
@@ -30,10 +29,6 @@ class DOALL(LoopTechnique):
     """The DOALL technique."""
 
     name = "doall"
-
-    def __init__(self, noelle: Noelle, default_cores: int = 12):
-        self.noelle = noelle
-        self.default_cores = default_cores
 
     def plan(
         self, loop: Loop, speculated: frozenset[int] = frozenset()
@@ -64,7 +59,7 @@ class DOALL(LoopTechnique):
         ir.verify_function(skeleton.task.function)
         call = replace_loop_with_dispatch(
             self.noelle, boundary, env, skeleton.task,
-            "noelle_dispatch_doall", self.default_cores,
+            "noelle_dispatch_doall", self.num_cores,
         )
         ir.verify_function(fn)
         return call

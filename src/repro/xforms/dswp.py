@@ -33,6 +33,7 @@ from .parallelizer_common import (
     LoopTechnique,
     ParallelizationError,
     build_environment,
+    check_width,
     clone_loop_into_task,
     finish_task_with_reductions,
     replace_loop_with_dispatch,
@@ -51,7 +52,7 @@ class DSWP(LoopTechnique):
 
     def __init__(self, noelle: Noelle, num_stages: int = 4):
         self.noelle = noelle
-        self.num_stages = num_stages
+        self.num_stages = check_width("num_stages", num_stages)
 
     # -- selection ---------------------------------------------------------------------
     def plan(self, loop: Loop):

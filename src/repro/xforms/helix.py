@@ -18,7 +18,6 @@ from __future__ import annotations
 from .. import ir
 from ..ir.builder import IRBuilder
 from ..core.loop import Loop
-from ..core.noelle import Noelle
 from ..core.sccdag import SCC
 from ..ir.intrinsics import declare_intrinsic
 from .parallelizer_common import (
@@ -39,10 +38,6 @@ class HELIX(LoopTechnique):
     """The HELIX technique."""
 
     name = "helix"
-
-    def __init__(self, noelle: Noelle, default_cores: int = 12):
-        self.noelle = noelle
-        self.default_cores = default_cores
 
     # -- selection ---------------------------------------------------------------------
     def plan(self, loop: Loop) -> LoopBoundary:
@@ -109,7 +104,7 @@ class HELIX(LoopTechnique):
         ir.verify_function(task_fn)
         call = replace_loop_with_dispatch(
             self.noelle, boundary, env, skeleton.task,
-            "noelle_dispatch_helix", self.default_cores,
+            "noelle_dispatch_helix", self.num_cores,
         )
         ir.verify_function(fn)
         return call

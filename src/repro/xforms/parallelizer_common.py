@@ -54,10 +54,22 @@ class LoopTechnique:
     raises :class:`ParallelizationError` carrying the reason;
     ``apply(loop, plan)`` transforms the loop in place and returns the
     dispatch call.  The rest is written here, once.
+
+    The constructor is the one home of a technique's width: the core
+    count parallelized code starts with (the ``noelle.num_cores``
+    global, which the machine may override).  DSWP scales by stages and
+    brings its own.
     """
 
     name = "<abstract>"
     noelle: Noelle
+
+    #: How many rounds :meth:`run` makes at most.
+    MAX_ROUNDS = 10
+
+    def __init__(self, noelle: Noelle, num_cores: int = 12):
+        self.noelle = noelle
+        self.num_cores = check_width("num_cores", num_cores)
 
     def plan(self, loop: Loop):
         raise NotImplementedError
@@ -77,13 +89,30 @@ class LoopTechnique:
         return self.apply(loop, self.plan(loop))
 
     def run(
-        self,
-        minimum_hotness: float = 0.0,
-        max_rounds: int = 10,
-        only_loop_id: int | None = None,
+        self, minimum_hotness: float = 0.0, only_loop_id: int | None = None
     ) -> int:
-        """Parallelize every eligible (hot) loop; returns how many."""
-        return run_rounds(self, minimum_hotness, max_rounds, only_loop_id)
+        """Parallelize every eligible (hot) loop; returns how many.
+
+        One transformation per function per round (analyses go stale);
+        rounds repeat with fresh analyses until nothing changes.
+        """
+        total = 0
+        for _ in range(self.MAX_ROUNDS):
+            changed = _run_round(self, minimum_hotness, only_loop_id)
+            total += changed
+            if not changed:
+                break
+            if only_loop_id is not None:
+                break  # surgical mode transforms at most one loop
+        return total
+
+
+def check_width(option: str, value: int) -> int:
+    """``value``, a core or stage count; below 1 the dispatched task would
+    never run the loop, so it is refused."""
+    if value < 1:
+        raise ValueError(f"{option} must be >= 1, got {value}")
+    return value
 
 
 class LoopBoundary:
@@ -156,7 +185,7 @@ def chunkable_boundary(loop: Loop) -> LoopBoundary:
     return boundary
 
 
-def num_cores_global(module: ir.Module, default: int = 12) -> ir.GlobalVariable:
+def num_cores_global(module: ir.Module, default: int) -> ir.GlobalVariable:
     """The runtime-tunable core-count knob read by parallelized code."""
     existing = module.globals.get(NUM_CORES_GLOBAL)
     if existing is not None:
@@ -311,7 +340,7 @@ def replace_loop_with_dispatch(
     env: Environment,
     task: Task,
     dispatcher_name: str,
-    default_cores: int = 12,
+    default_cores: int,
 ) -> ir.Call:
     """Rewrite the original function: env setup, dispatch, combine, branch.
 
@@ -504,29 +533,6 @@ def invocation_is_profitable(loop: Loop, profile, overhead_cycles: int) -> bool:
     weight = profile.inclusive_weight_of_instructions(list(natural.instructions()))
     per_invocation = weight / invocations
     return per_invocation >= 2.0 * overhead_cycles
-
-
-def run_rounds(
-    technique,
-    minimum_hotness: float = 0.0,
-    max_rounds: int = 10,
-    only_loop_id: int | None = None,
-) -> int:
-    """The whole-program driver every :class:`LoopTechnique` shares:
-    parallelize every eligible (hot) loop; returns how many.
-
-    One transformation per function per round (analyses go stale);
-    rounds repeat with fresh analyses until nothing changes.
-    """
-    total = 0
-    for _ in range(max_rounds):
-        changed = _run_round(technique, minimum_hotness, only_loop_id)
-        total += changed
-        if not changed:
-            break
-        if only_loop_id is not None:
-            break  # surgical mode transforms at most one loop
-    return total
 
 
 def _run_round(

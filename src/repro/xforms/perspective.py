@@ -17,14 +17,13 @@ task generation, and dispatch all come from the NOELLE layer.
 from __future__ import annotations
 
 from ..core.loop import Loop
-from ..core.noelle import Noelle
 from ..core.pdg import pointer_operand
 from .. import ir
 from ..ir.builder import IRBuilder
 from ..ir.intrinsics import declare_intrinsic
 from .carat import emit_guard
 from .doall import DOALL
-from .parallelizer_common import LoopTechnique, ParallelizationError
+from .parallelizer_common import ParallelizationError
 
 
 class Remedy:
@@ -41,7 +40,7 @@ class Remedy:
         return f"<remedy {self.kind} cost={self.cost}>"
 
 
-class Perspective(LoopTechnique):
+class Perspective(DOALL):
     """Speculative DOALL with minimal-cost remedy planning."""
 
     name = "perspective"
@@ -49,9 +48,7 @@ class Perspective(LoopTechnique):
     #: Per-iteration validation cost of one speculated access (cycles).
     VALIDATION_COST = 6
 
-    def __init__(self, noelle: Noelle, default_cores: int = 12):
-        self.noelle = noelle
-        self._doall = DOALL(noelle, default_cores)
+    MAX_ROUNDS = 5
 
     # -- planning ------------------------------------------------------------------------
     def remedies(self, loop: Loop) -> list[Remedy]:
@@ -92,7 +89,7 @@ class Perspective(LoopTechnique):
         if sum(r.cost for r in remedies) >= loop.structure.num_instructions():
             raise ParallelizationError("validation costs more than the loop body")
         speculated = frozenset(id(r.edge) for r in remedies)
-        return remedies, self._doall.plan(loop, speculated)
+        return remedies, super().plan(loop, speculated)
 
     # -- transformation ---------------------------------------------------------------------
     def apply(self, loop: Loop, plan) -> ir.Call:
@@ -112,4 +109,4 @@ class Perspective(LoopTechnique):
                 instrumented.add(id(inst))
                 builder.position_before(inst)
                 emit_guard(builder, validator, pointer, name="spec.ptr")
-        return self._doall.apply(loop, boundary)
+        return super().apply(loop, boundary)

@@ -5,6 +5,7 @@ the sequential program prints on each executor, built explicitly."""
 import pytest
 
 from repro.checks import has_errors, run_checkers
+from repro.robust.passmanager import PassManager
 from repro.tools.pipeline import execute, helix_pipeline, outputs_equivalent
 from repro.workloads.registry import all_workloads, get
 
@@ -19,7 +20,7 @@ def test_checker_suite_clean_before_and_after_helix(workload, engine):
     sequential = execute(module)
 
     parallel = helix_pipeline([descriptor.source], num_cores=4,
-                              fault_plan=None)
+                              pass_manager=PassManager(None, fault_plan=None))
     after = run_checkers(parallel)
     assert not has_errors(after), [str(d) for d in after]
     result = execute(parallel, num_cores=4, engine=engine)

@@ -73,7 +73,7 @@ int main() {
         module = compile_source(self.SOURCE)
         noelle = self._weak_noelle(module)
         noelle.run_profiler()
-        perspective = Perspective(noelle, default_cores=12)
+        perspective = Perspective(noelle, num_cores=12)
         count = perspective.run()
         assert count >= 1, "Perspective found no speculative plan"
         machine = ParallelMachine(module, num_cores=12)

@@ -77,10 +77,50 @@ class TestSuccessPath:
             canonical, body = build_pass(name)
             assert canonical == name
             assert callable(body)
-        # Harness/CLI aliases resolve to the same passes.
-        assert build_pass("prvj")[0] == "prvjeeves"
-        assert build_pass("time")[0] == "timesqueezer"
-        assert build_pass("rm_lc_dependences")[0] == "rm-lc-dependences"
+        # Each pass has one name: the old aliases are unknown tools.
+        for alias in ("prvj", "time", "time-squeezer", "rm_lc_dependences"):
+            with pytest.raises(ValueError, match="unknown tool"):
+                build_pass(alias)
+
+    def test_options_reach_the_pass_and_are_checked_when_built(self):
+        """``build_pass`` hands options to the pass: the widths the e2e
+        benchmarks pass go through, and an option the pass does not take
+        or a width below 1 fails before any transaction starts."""
+        assert build_pass("doall", num_cores=4)[0] == "doall"
+        assert build_pass("helix", num_cores=4, minimum_hotness=0.1)[0] == "helix"
+        assert build_pass("dswp", num_stages=3, only_loop_id=0)[0] == "dswp"
+        assert build_pass("perspective", num_cores=12)[0] == "perspective"
+        manager, module = fresh_manager()
+        before = print_module(module)
+        for name, options in [("doall", {"num_core": 4}),
+                              ("dswp", {"num_cores": 4}),
+                              ("licm", {"minimum_hotness": 0.1})]:
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                manager.run_registered(name, **options)
+        for name, options in [("doall", {"num_cores": 0}),
+                              ("helix", {"num_cores": -1}),
+                              ("perspective", {"num_cores": 0}),
+                              ("dswp", {"num_stages": 0})]:
+            with pytest.raises(ValueError, match="must be >= 1"):
+                manager.run_registered(name, **options)
+        assert manager.results == []
+        assert print_module(module) == before
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_technique_constructors_refuse_a_width_below_one(self, width):
+        from repro.xforms.doall import DOALL
+        from repro.xforms.dswp import DSWP
+        from repro.xforms.helix import HELIX
+        from repro.xforms.perspective import Perspective
+
+        noelle = Noelle(compile_source(SOURCE, "demo"))
+        for technique in (DOALL, HELIX, Perspective):
+            with pytest.raises(ValueError, match="num_cores must be >= 1"):
+                technique(noelle, width)
+            assert technique(noelle, 1).num_cores == 1
+        with pytest.raises(ValueError, match="num_stages must be >= 1"):
+            DSWP(noelle, width)
+        assert DSWP(noelle, 1).num_stages == 1
 
 
 class TestRollback:

@@ -87,6 +87,26 @@ class TestParallelize:
         expected = sum((i * 5) % 23 for i in range(300))
         assert str(expected) in captured.out
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["parallelize", "crc32", "--technique", "dswp"], "--stages", "0"),
+        (["parallelize", "crc32", "--technique", "doall"], "--cores", "0"),
+        (["check", "crc32", "--parallelize", "dswp"], "--stages", "-1"),
+    ])
+    def test_width_below_one_is_bad_input(self, argv, flag, value, tmp_path,
+                                          capsys):
+        """A dispatch over no core or stage never runs the loop: each
+        width is refused before anything is written."""
+        out = tmp_path / "par.ir"
+        output = ["-o", str(out)] if argv[0] == "parallelize" else []
+        assert main(argv + [flag, value] + output) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro-noelle {argv[0]}: ProtocolError: "
+            f"{flag} must be >= 1, got {value}"
+        ]
+        assert not out.exists()
+
 
 class TestOptimizers:
     def test_licm(self, tmp_path, capsys):

@@ -25,7 +25,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.session import configure_worker, execute_job
 from repro.tools.cli import main
-from repro.tools.pipeline import TECHNIQUES, make_binary
+from repro.tools.pipeline import (
+    TECHNIQUES, execute, load, make_binary, parallelize,
+)
 from repro.workloads import registry
 
 
@@ -73,6 +75,27 @@ class TestParallelizeParity:
         assert _below_header(reply["result"]["ir"]) == _below_header(
             out.read_text()
         )
+
+
+class TestWidthBelowOne:
+    """A core or stage count below 1 would commit a loop that never runs;
+    ``parallelize`` refuses it before the training run, and the module
+    still prints its reference output."""
+
+    @pytest.mark.parametrize("workload", ["crc32", "blackscholes"])
+    @pytest.mark.parametrize("technique, width", [
+        ("doall", {"num_cores": 0}), ("dswp", {"num_stages": 0}),
+    ])
+    def test_parallelize_refuses_it(self, workload, technique, width):
+        reference = execute(registry.get(workload).compile())
+        module = registry.get(workload).compile()
+        noelle = load(module)
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            parallelize(noelle, technique, **width)
+        assert noelle.profile() is None  # no training run
+        result = execute(module)
+        assert result.trapped is None
+        assert result.output == reference.output
 
 
 CLEAN = "int main() { print_int(6 * 7); print_float(1.5); return 3; }"
@@ -240,6 +263,18 @@ BAD_INPUTS = {
     "check-on-zero-cores": BadInput(
         "check", "ok.mc", CLEAN, "ProtocolError", EXIT_INPUT_ERROR,
         {"op": "check", "ir": _ir_text(CLEAN), "cores": 0}, ("--cores", "0"),
+    ),
+    # ... and a stage count below 1 would pipeline a loop over no stage.
+    "dswp-on-zero-stages": BadInput(
+        "parallelize", "ok.mc", CLEAN, "ProtocolError", EXIT_INPUT_ERROR,
+        {"op": "parallelize", "ir": _ir_text(CLEAN), "technique": "dswp",
+         "stages": 0},
+        ("--technique", "dswp", "--stages", "0"),
+    ),
+    "check-dswp-on-negative-stages": BadInput(
+        "check", "ok.mc", CLEAN, "ProtocolError", EXIT_INPUT_ERROR,
+        {"op": "check", "ir": _ir_text(CLEAN), "stages": -1},
+        ("--parallelize", "dswp", "--stages", "-1"),
     ),
 }
 
