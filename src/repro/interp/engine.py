@@ -10,12 +10,19 @@ call, to one Python function ``_fn(st, *args)``:
   (``x<n>``), the IR arguments are the parameters, constants are folded
   into the source as literals.
 * **control flow is inline** — the body is ``while True:`` over a local
-  block index ``b``, dispatched through a *binary* ``if b < mid`` tree
+  block index ``b``, dispatched through a *binary* ``if b < key`` tree
   (depth log2 of the block count, so neither CPython's nesting limit nor
   its recursive compiler bounds the size of a function); a terminator
-  assigns ``b``.  A block's phis are one tuple assignment on the CFG
-  edge that enters it (all sources are read before any destination is
-  written, so phi cycles stay atomic).
+  assigns ``b``.  A block whose one predecessor is another block runs
+  *in place*: rendered once, inside the branch of that predecessor that
+  enters it, after the edge's counter, phi move and ``b``, so the loop
+  goes round the tree only to enter a block with several predecessors
+  (or none, or itself).  Only those are leaves of the tree, keyed by
+  block index.  :data:`_NESTING_CAP` bounds how deep a leaf's in-place
+  blocks nest; the block past it is a leaf of its own.  A block's phis
+  are one tuple assignment on the CFG edge that enters it (all sources
+  are read before any destination is written, so phi cycles stay
+  atomic).
 * **accounting lives in two locals** — ``room`` mirrors ``step_limit -
   result.steps`` and ``dc`` holds the cycles charged since the last
   *sync*.  A *charge unit* (a run of instructions that a call or the
@@ -175,6 +182,13 @@ class EnginePlanError(Exception):
 _MODES = ("compiled", "reference")
 
 _TERMINATORS = (Branch, CondBranch, Switch, Ret, Unreachable)
+
+#: How deep a block may run in place: the levels of in-place blocks and
+#: of the branches they sit under, counted from their dispatch leaf.  A
+#: block past it is a leaf of its own.  It bounds both the indentation
+#: of the source (CPython refuses 100 levels) and the compiler's own
+#: recursion along a chain of blocks.
+_NESTING_CAP = 32
 
 _ICMP_SYMBOLS = {
     "eq": "==",
@@ -580,6 +594,12 @@ class _Compiler:
         self._nphis: list[int] = []
         self._known = _known_ints(fn)
         self._has_allocs = self._has_memory = False
+        #: Indices of the blocks rendered so far (each is rendered once),
+        #: and of the leaves of the dispatch tree, which :meth:`source`
+        #: fills.
+        self._rendered: set[int] = set()
+        self.leaves: list[int] = []
+        preds: dict[int, set[int]] = {}  # id(block) -> its predecessors
         nslots = 0
         for arg in fn.args:
             self.slots[id(arg)] = nslots
@@ -596,12 +616,23 @@ class _Compiler:
                     self._has_memory = True
             nphis, runs = _split_units(block)
             self._nphis.append(nphis)
+            # The terminator the code runs: what follows it is dead.
+            term = runs[-1][-1] if runs[-1] else None
+            if isinstance(term, _TERMINATORS):
+                for target in term.successors():
+                    preds.setdefault(id(target), set()).add(bi)
             first = len(self.units)
             position = nphis
             for ui, run in enumerate(runs):
                 self.units.append((bi, 0 if ui else nphis, position, run))
                 position += len(run)
             self._block_units.append(range(first, len(self.units)))
+        #: The blocks that may run in place: every one but the entry
+        #: whose one predecessor is not itself.
+        self._in_place = {
+            bi for bi, block in enumerate(fn.blocks)
+            if bi and len(p := preds.get(id(block), ())) == 1 and bi not in p
+        }
 
     # -- small helpers ---------------------------------------------------------
 
@@ -1084,9 +1115,12 @@ class _Compiler:
 
     # -- control flow ----------------------------------------------------------
 
-    def _edge(self, src: int, target) -> list[str]:
+    def _edge(self, src: int, target, depth: int) -> list[str]:
         """Take the CFG edge from block ``src``: bump its counter, tell
-        the edge observer, move the target's phis, set the block index."""
+        the edge observer, move the target's phis, set the block index.
+        A target whose one predecessor is ``src`` then runs in place,
+        unless the edge already nests ``depth`` levels deep in its leaf
+        (see :data:`_NESTING_CAP`)."""
         dst = self._block_index[id(target)]
         counter = self.edges.setdefault((src, dst), len(self.edges) + 1)
         lines = [f"e{counter} += 1"]
@@ -1107,23 +1141,30 @@ class _Compiler:
                 ", ".join(map(self._expr, phis)) + " = " + ", ".join(values)
             )
         lines.append(f"b = {dst}")
+        if (
+            dst in self._in_place
+            and dst not in self._rendered
+            and depth < _NESTING_CAP
+        ):
+            lines += self._block(dst, depth + 1)
         return lines
 
-    def _tree(self, var: str, leaves: list[list[str]], lo=0, hi=None):
-        """``leaves[var]`` as a binary tree of ``if var < mid``."""
+    def _tree(self, var: str, leaves: list[tuple], lo=0, hi=None):
+        """``leaves``, ``(key, lines)`` pairs in key order, as a binary
+        tree of ``if var < key`` that runs the lines of ``var``'s key."""
         if hi is None:
             hi = len(leaves)
         if hi - lo == 1:
-            return leaves[lo]
+            return leaves[lo][1]
         mid = (lo + hi) // 2
         return [
-            f"if {var} < {mid}:",
+            f"if {var} < {leaves[mid][0]}:",
             *("    " + line for line in self._tree(var, leaves, lo, mid)),
             "else:",
             *("    " + line for line in self._tree(var, leaves, mid, hi)),
         ]
 
-    def _emit_terminator(self, inst, src: int, site) -> list[str]:
+    def _emit_terminator(self, inst, src: int, site, depth: int) -> list[str]:
         if isinstance(inst, Ret):
             value = "None" if inst.value is None else self._expr(inst.value)
             return [*_SYNC, f"return {value}"]
@@ -1132,16 +1173,18 @@ class _Compiler:
                 "", site, "InterpError('executed unreachable')"
             )
         if isinstance(inst, Branch):
-            return self._edge(src, inst.target)
+            return self._edge(src, inst.target, depth)
         if isinstance(inst, CondBranch):
             if inst.true_block is inst.false_block:
-                return self._edge(src, inst.true_block)
+                return self._edge(src, inst.true_block, depth)
             test = self._tests.get(id(inst.condition))
+            true = self._edge(src, inst.true_block, depth + 1)
+            false = self._edge(src, inst.false_block, depth + 1)
             return [
                 f"if {test or self._expr(inst.condition)}:",
-                *("    " + line for line in self._edge(src, inst.true_block)),
+                *("    " + line for line in true),
                 "else:",
-                *("    " + line for line in self._edge(src, inst.false_block)),
+                *("    " + line for line in false),
             ]
         assert isinstance(inst, Switch)
         # One arm per distinct target; the first case of a value wins.
@@ -1150,13 +1193,14 @@ class _Compiler:
         for const, target in inst.cases():
             arms.setdefault(id(target), target)
             table.setdefault(const.value, list(arms).index(id(target)))
-        leaves = [self._edge(src, target) for target in arms.values()]
+        depth += (len(arms) - 1).bit_length()  # the levels of its tree
+        leaves = [self._edge(src, target, depth) for target in arms.values()]
         if len(leaves) == 1:
             return leaves[0]
         name = self._bind("_SW", ("const", table))
         return [
             f"t_ = {name}.get({self._expr(inst.value)}, 0)",
-            *self._tree("t_", leaves),
+            *self._tree("t_", list(enumerate(leaves))),
         ]
 
     # -- function assembly -----------------------------------------------------
@@ -1165,8 +1209,10 @@ class _Compiler:
     def _cost(inst) -> int:
         return INSTRUCTION_COSTS.get(inst.opcode, 1)
 
-    def _block(self, bi: int) -> list[str]:
-        """One block: per unit the charge, the tail site, the body."""
+    def _block(self, bi: int, depth: int = 0) -> list[str]:
+        """One block, ``depth`` levels into its leaf: per unit the
+        charge, the tail site, the body."""
+        self._rendered.add(bi)
         lines: list[str] = []
         inst = None
         self._tested.clear()
@@ -1187,7 +1233,7 @@ class _Compiler:
                 cycles -= self._cost(inst)
                 site = (position + index + 1, steps, cycles)
                 if isinstance(inst, _TERMINATORS):
-                    lines += self._emit_terminator(inst, bi, site)
+                    lines += self._emit_terminator(inst, bi, site, depth)
                 elif isinstance(inst, Call):
                     lines += self._emit_call(inst, site)
                 elif index + 1 < len(run) and self._fuses(inst, run[index + 1]):
@@ -1207,9 +1253,19 @@ class _Compiler:
 
     def source(self) -> str:
         """The generated source of ``fn``, one ``def _fn``.  Rendering it
-        fills ``binds`` and ``edges``: one compiler renders it once."""
+        fills ``binds``, ``edges`` and ``leaves``: one compiler renders
+        it once."""
         fn = self.fn
-        body = self._tree("b", [self._block(bi) for bi in range(len(fn.blocks))])
+        blocks = range(len(fn.blocks))
+        # The leaves: the blocks that cannot run in place, then any
+        # block those left unrendered — past the nesting cap, behind a
+        # broken edge, or on an unreachable cycle.
+        leaves = {}
+        for bi in [*(b for b in blocks if b not in self._in_place), *blocks]:
+            if bi not in self._rendered:
+                leaves[bi] = self._block(bi)
+        self.leaves = sorted(leaves)
+        body = self._tree("b", sorted(leaves.items()))
         counters = [f"e{k}" for k in range(1, len(self.edges) + 1)]
         params = "".join(f", x{i}=None" for i in range(len(fn.args)))
         lines = [

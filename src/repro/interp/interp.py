@@ -369,8 +369,9 @@ class ExecutionResult:
         self.trapped: str | None = None
         #: What cut the run short, when ``trapped`` is set: "MemoryTrap",
         #: "StackOverflow" (calls nested deeper than the host's stack), or
-        #: "StepLimitExceeded" where a caller reports a budget kill
-        #: in-band (:func:`repro.tools.pipeline.execute`).
+        #: "InterpError" (any other runtime error: a division by zero, an
+        #: executed ``unreachable``) and "StepLimitExceeded" where a
+        #: caller reports them in-band (:func:`repro.tools.pipeline.execute`).
         self.trap_kind: str | None = None
         #: CARAT statistics: guards executed.
         self.guard_count: int = 0

@@ -30,7 +30,7 @@ from ..core.architecture import ArchitectureDescription
 from ..core.metadata import clean_noelle_metadata
 from ..core.noelle import Noelle
 from ..core.profiler import ProfileData, Profiler, embed_profile
-from ..interp.interp import ExecutionResult, StepLimitExceeded
+from ..interp.interp import ExecutionResult, InterpError
 from ..ir import Module, is_binary_ir, verify_module
 from ..ir.linker import link_modules
 from ..perf import STATS
@@ -150,10 +150,11 @@ def execute(
     is "reference" (serve's degraded ``run``, and the tests).
 
     :class:`EntryNotFoundError` when ``entry`` is not a defined function.
-    A trap or an exhausted ``step_limit`` (None: the machine's own) is
-    not an exception: the partial result comes back with ``trapped`` and
-    ``trap_kind`` ("MemoryTrap" / "StackOverflow" / "StepLimitExceeded")
-    set.
+    A trap, any other runtime error of the program (a division by zero,
+    an executed ``unreachable``) or an exhausted ``step_limit`` (None:
+    the machine's own) is not an exception: the partial result comes
+    back with ``trapped`` and ``trap_kind`` ("MemoryTrap" /
+    "StackOverflow" / "InterpError" / "StepLimitExceeded") set.
     """
     fn = module.functions.get(entry)
     if fn is None or fn.is_declaration():
@@ -166,10 +167,10 @@ def execute(
     )
     try:
         result = machine.run(entry, args)
-    except StepLimitExceeded as error:
+    except InterpError as error:
         result = machine.result
         result.trapped = str(error)
-        result.trap_kind = "StepLimitExceeded"
+        result.trap_kind = type(error).__name__
     return result
 
 

@@ -56,8 +56,26 @@ class LICM:
         # INV already guarantees every dependence is satisfied outside the
         # loop; only speculation safety remains (traps must not be
         # introduced on the zero-iteration path).
-        return [i for i in invariants if i.opcode not in ("sdiv", "srem", "load")
-                or self._runs_every_iteration(loop, i)]
+        chosen = {
+            id(i): i for i in invariants
+            if i.opcode not in ("sdiv", "srem", "load")
+            or self._runs_every_iteration(loop, i)
+        }
+        # An invariant that reads one left in the loop stays there too,
+        # and so on through its own users: drop until nothing changes.
+        contains = loop.structure.contains
+        changed = True
+        while changed:
+            changed = False
+            for inst in list(chosen.values()):
+                if any(
+                    isinstance(op, Instruction) and id(op) not in chosen
+                    and contains(op)
+                    for op in inst.operands
+                ):
+                    del chosen[id(inst)]
+                    changed = True
+        return list(chosen.values())
 
     def _runs_every_iteration(self, loop, inst: Instruction) -> bool:
         dom = self.noelle.dominators(loop.structure.function)

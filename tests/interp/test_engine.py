@@ -70,9 +70,10 @@ int main() {
 """
 
 
-def _observables(module, engine, step_limit=50_000_000):
+def _observables(module, engine, step_limit=50_000_000, block_profile=None):
     """Everything the engines must agree on, as one comparable tuple."""
     interp = Interpreter(module, step_limit=step_limit, engine=engine)
+    interp.block_profile = block_profile
     raised = None
     try:
         result = interp.run()
@@ -654,8 +655,10 @@ declare @print_int(i64 %v) -> void
         assert ("entry", "join", 2) in counts["compiled"]
 
     def test_three_thousand_blocks(self):
-        """The block dispatch is a binary tree: its depth, not the
-        block count, is what CPython's compiler and parser see."""
+        """The block dispatch is a binary tree, and a chain of blocks
+        runs in place only up to the nesting cap: neither CPython's
+        compiler and parser nor the engine's own recursion sees the
+        block count."""
         blocks = 3000
         lines = ["define @main() -> i64 {", "entry:", "  br label %b0"]
         for i in range(blocks):
@@ -709,6 +712,186 @@ entry:
             result = interp.run("f", args)
             runs.append((result.return_value, result.steps, result.cycles))
         assert runs[0] == runs[1] == (6, 2, 2)
+
+
+def _profiled(module, engine, step_limit=50_000_000):
+    """:func:`_observables` under a block profile, then its edges and
+    partial frames by block name."""
+    profile = BlockProfile()
+    observed = _observables(module, engine, step_limit, profile)
+    edges = sorted(
+        (src.name if src else "", dst.name, taken)
+        for src, targets in profile.edges.items()
+        for dst, taken in targets.items()
+    )
+    partial = [(block.name, at) for block, at in profile.partial]
+    return (*observed, edges, partial)
+
+
+def _chain(blocks: int) -> str:
+    """``main`` as a chain of ``blocks`` blocks, each the one predecessor
+    of the next and branching to it on a test that holds: the chain
+    nests one branch deeper per block."""
+    lines = ["define @main() -> i64 {", "entry:", "  br label %b0"]
+    for i in range(blocks):
+        prev = f"%v{i - 1}" if i else "7"
+        following = f"b{i + 1}" if i + 1 < blocks else "done"
+        lines += [
+            f"b{i}:",
+            f"  %v{i} = add i64 {prev}, i64 {i % 5}",
+            f"  %c{i} = icmp sgt i64 %v{i}, i64 0",
+            f"  br i1 %c{i}, label %{following}, label %out",
+        ]
+    lines += [
+        "out:", "  ret i64 -1",
+        "done:", f"  ret i64 %v{blocks - 1}",
+        "}", "",
+    ]
+    return "\n".join(lines)
+
+
+class TestInPlaceBlocks:
+    """A block whose one predecessor branches to it runs inside that
+    branch, not as a leaf of the dispatch tree: the walker's output,
+    steps, cycles, edge profile and partial frames stay the same."""
+
+    SHARED_TARGETS = """
+define @pick(i64 %k) -> i64 {
+entry:
+  switch i64 %k, label %other [i64 1, label %two i64 2, label %two]
+two:
+  %a = add i64 %k, i64 10
+  br label %join
+other:
+  %c = icmp slt i64 %k, i64 4
+  br i1 %c, label %same, label %same
+same:
+  %b = mul i64 %k, i64 3
+  br label %join
+join:
+  %v = phi i64 [ %a, %two ], [ %b, %same ]
+  ret i64 %v
+}
+
+define @main() -> i64 {
+entry:
+  br label %loop
+loop:
+  %k = phi i64 [ 0, %entry ], [ %next, %loop ]
+  %r = call i64 @pick(i64 %k)
+  call void @print_int(i64 %r)
+  %next = add i64 %k, i64 1
+  %more = icmp slt i64 %next, i64 6
+  br i1 %more, label %loop, label %done
+done:
+  ret i64 0
+}
+
+declare @print_int(i64 %v) -> void
+"""
+
+    def test_switch_cases_and_both_arms_on_one_block(self):
+        module = parse_module(self.SHARED_TARGETS)
+        fn = module.functions["pick"]
+        compiler = _Compiler(fn)
+        compiler.source()
+        names = [fn.blocks[bi].name for bi in compiler.leaves]
+        assert names == ["entry", "join"]  # two, other and same in place
+        reference = _sweep(module, self.SHARED_TARGETS)
+        assert reference[1] == [0, 11, 12, 9, 12, 15]
+        expected = _profiled(module, "reference")
+        assert _profiled(module, "compiled") == expected
+        assert ("entry", "two", 2) in expected[7]
+        assert ("other", "same", 4) in expected[7]
+
+    TRAPS_IN_PLACE = """
+@a = global [4 x i64]
+
+define @main() -> i64 {
+entry:
+  %base = elem_ptr [4 x i64]* @a, i64 0, i64 0
+  %n = load i64, i64* %base
+  %c = icmp eq i64 %n, i64 0
+  br i1 %c, label %bad, label %fine
+bad:
+  %big = add i64 %n, i64 999999
+  %oob = inttoptr i64 %big to i64*
+  %pad = mul i64 %n, i64 3
+  %v = load i64, i64* %oob
+  %w = add i64 %v, i64 %pad
+  ret i64 %w
+fine:
+  ret i64 1
+}
+"""
+
+    def test_memory_trap_names_the_in_place_block(self):
+        module = parse_module(self.TRAPS_IN_PLACE)
+        compiler = _Compiler(module.functions["main"])
+        compiler.source()
+        assert compiler.leaves == [0]
+        expected = _profiled(module, "reference")
+        assert expected[3] == "load from invalid address 999999"
+        assert expected[8] == [("bad", 4)]
+        assert _profiled(module, "compiled") == expected
+
+    def test_step_limit_inside_an_in_place_block(self):
+        """Every limit, the ones that run out in ``bad`` among them."""
+        module = parse_module(self.TRAPS_IN_PLACE)
+        reference = _sweep(module, self.TRAPS_IN_PLACE)
+        for limit in range(1, reference[4] + 1):
+            expected = _profiled(module, "reference", limit)
+            assert _profiled(module, "compiled", limit) == expected, limit
+
+    def test_unreachable_cycle_of_single_predecessor_blocks(self):
+        text = """
+define @main() -> i64 {
+entry:
+  %x = add i64 2, i64 3
+  ret i64 %x
+left:
+  %y = add i64 %z, i64 1
+  br label %right
+right:
+  %z = phi i64 [ %y, %left ]
+  br label %left
+}
+"""
+        module = parse_module(text)
+        compiler = _Compiler(module.functions["main"])
+        source = compiler.source()
+        assert compiler.leaves == [0, 1]  # entry, and left for the cycle
+        assert source.count("b = 2") == 1  # right renders once
+        reference = _observables(module, "reference")
+        assert reference[2] == 5
+        assert _observables(module, "compiled") == reference
+
+    @pytest.mark.parametrize("blocks", (150, 1000))
+    def test_deep_chain_falls_back_to_leaves(self, blocks):
+        module = parse_module(_chain(blocks))
+        reference = _observables(module, "reference")
+        assert reference[0] is None and reference[4] == 3 * blocks + 2
+        assert _observables(module, "compiled") == reference
+        for limit in (1, blocks, 3 * blocks):
+            assert _observables(module, "compiled", limit) == _observables(
+                module, "reference", limit
+            )
+        assert _profiled(module, "compiled") == _profiled(module, "reference")
+        compiler = _Compiler(module.functions["main"])
+        compiler.source()
+        assert 2 < len(compiler.leaves) < blocks
+
+    def test_crc32_make_table_dispatches_no_single_predecessor_block(self):
+        fn = get("crc32").compile().functions["make_table"]
+        compiler = _Compiler(fn)
+        compiler.source()
+        single = {
+            bi for bi, block in enumerate(fn.blocks)
+            if bi and len(block.predecessors()) == 1
+            and block not in block.predecessors()
+        }
+        assert single  # for.body, for.end, do.end, if.then, if.else
+        assert not single & set(compiler.leaves)
 
 
 class TestFunctionPointerAsInteger:

@@ -324,6 +324,46 @@ class TestInputErrorTableOverServe:
         assert supervisor.stats()["workers"][0]["restarts"] == 0
 
 
+# -- (c) a runtime error of the program is a trap -------------------------------
+
+#: IR whose ``main`` stops with a runtime error that is not a memory
+#: trap: the program's fault, reported like one, not bad input.
+RUNTIME_ERRORS = {
+    "division-by-zero": (
+        "define @main() -> i64 {\nentry:\n"
+        "  %x = sdiv i64 1, i64 0\n  ret i64 %x\n}\n",
+        "division by zero",
+    ),
+    "unreachable": (
+        "define @main() -> i64 {\nentry:\n  unreachable\n}\n",
+        "executed unreachable",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNTIME_ERRORS))
+class TestRuntimeErrorIsATrap:
+    def test_cli_prints_one_line(self, case, tmp_path, capsys):
+        text, message = RUNTIME_ERRORS[case]
+        path = _write(tmp_path, "program.ir", text)
+        capsys.readouterr()
+        assert main(["run", path]) == EXIT_TRAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"TRAP: {message}\n"
+
+    def test_daemon_answers_in_band(self, case, supervisor):
+        text, message = RUNTIME_ERRORS[case]
+        request = {"op": "run", "ir": text, "session": f"runtime-{case}"}
+        status, body = supervisor.handle(request)
+        assert status == 200, body
+        result = body["result"]
+        assert result["trapped"] == message
+        assert result["trap_kind"] == "InterpError"
+        assert result["exit_code"] == EXIT_TRAP
+        assert supervisor.stats()["workers"][0]["restarts"] == 0
+
+
 def test_a_bug_still_looks_like_one(tmp_path, monkeypatch):
     """An exception that is not in the table is not bad input: both
     doors let it through as the failure it is."""

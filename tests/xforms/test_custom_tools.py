@@ -89,6 +89,48 @@ int main() {
         assert hoisted >= 1
         assert run(module).return_value == baseline.return_value
 
+    # ``g[1]`` is invariant but runs on every third iteration only, so
+    # it stays; ``x * 7 + 3`` reads it and must stay with it.
+    # ``factor * 3`` is a safe hoist in the same loop.
+    GUARDED = """
+int factor = 5;
+int g[4];
+int a[100];
+int main() {
+  int i; int s = 0;
+  g[1] = 4;
+  for (i = 0; i < 100; i = i + 1) {
+    int k = factor * 3;
+    if (i % 3 == 0) { int x = g[1]; int y = x * 7 + 3; a[i] = y; }
+    s = s + a[i] + k;
+  }
+  print_int(s);
+  return a[99];
+}
+"""
+
+    def test_users_of_a_guarded_load_stay_with_it(self):
+        baseline = run(compile_source(self.GUARDED))
+        module = compile_source(self.GUARDED)
+        hoisted = LICM(Noelle(module)).run()
+        ir.verify_module(module)
+        assert hoisted >= 1
+        result = run(module)
+        assert (result.output, result.return_value) == (
+            baseline.output, baseline.return_value,
+        )
+
+    def test_guarded_load_keeps_the_pass_committed(self):
+        from repro.robust.passmanager import PassManager
+
+        module = compile_source(self.GUARDED)
+        baseline = run(compile_source(self.GUARDED))
+        manager = PassManager(Noelle(module), fault_plan=None)
+        result = manager.run_registered("licm")
+        assert result.ok and not result.rolled_back, result.error
+        assert result.value >= 1  # factor * 3
+        assert run(module).output == baseline.output
+
 
 class TestDEAD:
     SOURCE = """
