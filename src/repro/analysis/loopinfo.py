@@ -5,9 +5,18 @@ in a nesting forest.  This is the raw CFG-level information; NOELLE's
 ``LoopStructure`` abstraction (:mod:`repro.core.loopstructure`) wraps one of
 these loops with header/pre-header/latch/exit queries and user-controlled
 lifetime.
+
+A loop owns its ``children`` but not its ``parent``: the up-link is a
+weak reference.  ``LoopInfo`` holds every loop (through ``top_level`` and
+its block map), so ``parent`` answers for as long as the ``LoopInfo``
+lives, and a dropped ``LoopInfo`` is freed by reference counting instead
+of leaving a parent/children cycle per nested loop for the cyclic
+collector.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from ..ir.module import BasicBlock, Function
 from .dominators import DominatorTree
@@ -20,8 +29,17 @@ class NaturalLoop:
         self.header = header
         self.blocks: list[BasicBlock] = [header]
         self._block_ids: set[int] = {id(header)}
-        self.parent: "NaturalLoop | None" = None
+        self._parent: "weakref.ref[NaturalLoop] | None" = None
         self.children: list["NaturalLoop"] = []
+
+    @property
+    def parent(self) -> "NaturalLoop | None":
+        """The smallest loop strictly containing this one, if any."""
+        return self._parent() if self._parent is not None else None
+
+    @parent.setter
+    def parent(self, loop: "NaturalLoop | None") -> None:
+        self._parent = weakref.ref(loop) if loop is not None else None
 
     def add_block(self, block: BasicBlock) -> None:
         if id(block) not in self._block_ids:

@@ -31,7 +31,7 @@ from ..core.pdg import PDG
 from ..interp.engine import EnginePlanError, engine_for, existing_engine
 from ..ir import parse_module, print_module, read_module, verify_module
 from ..ir.module import Function, Module
-from ..perf import STATS
+from ..perf import STATS, gc_paused
 from .store import CACHE_DIR_ENV, ArtifactStore
 
 #: Process-wide store singleton, keyed by the env var's current value so
@@ -153,7 +153,7 @@ def attach(noelle) -> ModuleCacheBinding | None:
     if noelle._pdg is None:
         shards = store.load_pdg_shards(key)
         if shards:
-            with STATS.timer("cache.hydrate_pdg"):
+            with STATS.timer("cache.hydrate_pdg"), gc_paused:
                 pdg = PDG(module, noelle.alias_analysis)
                 for fn in module.defined_functions():
                     if fn.name not in shards:

@@ -7,11 +7,20 @@ to outermost, or a loop transformation deleting a loop).
 
 The canonical instance is the loop-nesting forest, built from the NOELLE
 loop abstraction so every tree node carries a :class:`repro.core.loop.Loop`.
+
+A node owns its children and not its parent: the up-link is a weak
+reference, and no traversal keeps a recursive closure.  A forest that is
+dropped therefore holds no reference cycle, and reference counting frees
+it at once together with every ``Loop`` it carried (each with its LDG and
+aSCCDAG), instead of leaving them for the cyclic collector.  Whoever
+holds the forest holds every node through ``roots`` and the node map, so
+``parent`` always answers while the forest lives.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterator, TypeVar
+import weakref
+from typing import Generic, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -19,8 +28,16 @@ T = TypeVar("T")
 class TreeNode(Generic[T]):
     def __init__(self, value: T):
         self.value = value
-        self.parent: "TreeNode[T] | None" = None
+        self._parent: "weakref.ref[TreeNode[T]] | None" = None
         self.children: list["TreeNode[T]"] = []
+
+    @property
+    def parent(self) -> "TreeNode[T] | None":
+        return self._parent() if self._parent is not None else None
+
+    @parent.setter
+    def parent(self, node: "TreeNode[T] | None") -> None:
+        self._parent = weakref.ref(node) if node is not None else None
 
     def depth(self) -> int:
         depth = 0
@@ -88,14 +105,14 @@ class Forest(Generic[T]):
         return [n for n in self.nodes() if not n.children]
 
     def bottom_up(self) -> list[TreeNode[T]]:
-        """Nodes ordered children-before-parents (innermost loops first)."""
-        order: list[TreeNode[T]] = []
-        def visit(node: TreeNode[T]) -> None:
-            for child in node.children:
-                visit(child)
-            order.append(node)
-        for root in self.roots:
-            visit(root)
+        """Nodes ordered children-before-parents (innermost loops first):
+        the post-order that visits roots and children left to right.
+
+        ``nodes()`` yields exactly the reverse of that order, so no
+        recursion is needed however deep the forest nests.
+        """
+        order = list(self.nodes())
+        order.reverse()
         return order
 
     def num_nodes(self) -> int:

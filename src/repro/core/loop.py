@@ -13,7 +13,7 @@ function version however many tools ask.
 from __future__ import annotations
 
 from ..analysis.loopinfo import NaturalLoop
-from ..perf import STATS
+from ..perf import STATS, gc_paused
 from .induction import InductionVariableManager
 from .invariants import InvariantManager
 from .loopstructure import LoopStructure
@@ -39,14 +39,15 @@ class Loop:
     def dependence_graph(self) -> LoopDG:
         if self._ldg is None:
             STATS.count("loop.ldg_builds")
-            with STATS.timer("loop.build_ldg"):
+            with STATS.timer("loop.build_ldg"), gc_paused:
                 self._ldg = self.pdg.loop_dependence_graph(self._natural)
         return self._ldg
 
     @property
     def sccdag(self) -> SCCDAG:
         if self._sccdag is None:
-            self._sccdag = SCCDAG(self.dependence_graph, self._natural)
+            with gc_paused:
+                self._sccdag = SCCDAG(self.dependence_graph, self._natural)
         return self._sccdag
 
     @property

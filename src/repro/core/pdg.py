@@ -70,7 +70,7 @@ from ..analysis.pointsto import AndersenAliasAnalysis
 from ..ir.instructions import Call, Instruction, Load, Phi, Store
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, Value
-from ..perf import STATS
+from ..perf import STATS, gc_paused
 from .depgraph import DependenceGraph, DGEdge, DGNode
 
 if TYPE_CHECKING:  # imported where a shard or a loop's graph is built
@@ -148,7 +148,7 @@ class PDG(DependenceGraph[Instruction]):
         if not isinstance(self.aa, AliasAnalysis):
             self.aa = self.aa()
         STATS.count("pdg.shard_builds")
-        with STATS.timer("pdg.build_shard"):
+        with STATS.timer("pdg.build_shard"), gc_paused:
             self._build_function(fn)
 
     def _ensure_value(self, value) -> None:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import struct
 
+from ..perf import gc_paused
 from .instructions import (
     CAST_OPS,
     FCMP_PREDICATES,
@@ -1001,7 +1002,8 @@ def read_module(data: bytes) -> Module:
     :class:`BinFormatError` for any other malformed content.
     """
     try:
-        return _ModuleReader(data).read()
+        with gc_paused:
+            return _ModuleReader(data).read()
     except BinFormatError:
         raise
     except (ValueError, TypeError, KeyError, IndexError) as error:

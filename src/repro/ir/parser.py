@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from ..perf import gc_paused
 from .instructions import (
     CAST_OPS,
     FCMP_PREDICATES,
@@ -134,6 +135,7 @@ class _TokenStream:
         return self.tokens[self.pos] is None
 
 
+@gc_paused
 def parse_module(text: str, name: str | None = None) -> Module:
     """Parse a complete module from text.
 

@@ -61,6 +61,19 @@ tests assert on them, e.g. that per-function PDG invalidation rebuilds
 only the mutated shard).  Timers are also always live; they only wrap
 coarse-grained units (a whole shard build, a whole points-to solve), so
 the two ``perf_counter`` calls per measurement are noise.
+
+``gc_paused`` keeps CPython's cyclic collector off while a bulk builder
+runs.  The collector starts a pass after a fixed number of container
+allocations, so a builder that allocates a large live structure pays
+for passes that re-walk every live object and can find no garbage.
+The builders that allocate such a structure and leave no reference
+cycle behind run under it: a PDG shard build (``PDG._ensure_function``)
+and the cache's shard adoption (``cache.hydrate_pdg``), a loop's
+dependence graph (``Loop.dependence_graph``) and aSCCDAG
+(``Loop.sccdag``), and the two module readers (``ir.parse_module``,
+``ir.read_module``).  The front end is not paused: mem2reg and
+simplify leave cyclic IR garbage, which a paused collector would let
+pile up.
 """
 
 from __future__ import annotations
@@ -69,8 +82,9 @@ import atexit
 import gc
 import os
 import sys
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import ContextDecorator, contextmanager
 from typing import Iterator, TextIO
 
 
@@ -145,6 +159,40 @@ class PerfStats:
 
 #: The process-wide stats registry every subsystem reports into.
 STATS = PerfStats()
+
+
+class _CollectorPause(ContextDecorator):
+    """Keeps the cyclic collector off while a bulk builder runs.
+
+    Re-entrant and shared by every thread: the outermost entry disables
+    the collector if it was enabled, and the exit that brings the depth
+    back to zero enables it again, whether the block ended normally or
+    by an exception.  A collector that was already off stays off.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> "_CollectorPause":
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+#: ``with gc_paused:`` (or ``@gc_paused``) around code that allocates a
+#: large live structure and leaves no reference cycle behind.
+gc_paused = _CollectorPause()
 
 
 def stats_enabled() -> bool:

@@ -1,9 +1,23 @@
 """Shared fixtures and IR-construction helpers for the test suite."""
 
+import gc
+
 import pytest
 
 from repro import ir
 from repro.ir.builder import build_function
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_as_found():
+    """Fail a test that ends with the cyclic collector off when it started
+    on: every builder that pauses it must resume it on every exit,
+    including an injected fault raised inside the paused build."""
+    enabled = gc.isenabled()
+    yield
+    if enabled and not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic collector disabled")
 
 
 def build_count_loop(module_name="m", n=10, while_shaped=True):

@@ -10,14 +10,27 @@ acyclic object graphs.
 * A PDG's edges live in its shards, and ``PDG.edges()`` lists them in
   the order a module-wide list appended-to by builds and filtered by
   invalidations would have.
+* Real tool runs keep that promise: after LICM, TimeSqueezer and DOALL,
+  invalidating every function and dropping the facade leaves the
+  collector no analysis object to find.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
+from repro.analysis.loopinfo import LoopInfo, NaturalLoop
+from repro.analysis.scev import ScalarEvolution
+from repro.core.depgraph import DGEdge, DGNode
+from repro.core.forest import Forest, TreeNode
+from repro.core.invariants import InvariantManager
+from repro.core.loop import Loop
 from repro.core.noelle import Noelle
+from repro.core.pdg import LoopDG
+from repro.core.sccdag import SCC, SCCDAG
+from repro.robust.passmanager import PassManager
 from repro.workloads import all_workloads, get
 from tests.conftest import insert_dead_add
 
@@ -114,6 +127,42 @@ def test_dropped_ldg_and_invalidated_shard_are_freed_by_refcount():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+#: What no tool run may leave for the cyclic collector.  The IR and the
+#: engine's CompiledFunction <-> namespace pair are cycles by design.
+ANALYSIS_TYPES = (
+    Loop, LoopDG, SCCDAG, SCC, DGEdge, DGNode, TreeNode, Forest,
+    NaturalLoop, LoopInfo, InvariantManager, ScalarEvolution,
+)
+
+
+@pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
+def test_tool_runs_leave_no_analysis_for_the_collector(workload):
+    module = workload.compile()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        noelle = Noelle(module)
+        manager = PassManager(noelle, fault_plan=None, checks=False)
+        for name, options in (
+            ("licm", {}), ("timesqueezer", {}), ("doall", {"num_cores": 8}),
+        ):
+            assert manager.run_registered(name, **options).ok
+        for fn in module.defined_functions():
+            noelle.invalidate(fn)
+        del noelle, manager
+        gc.collect()
+        left = Counter(
+            type(obj).__name__ for obj in gc.garbage
+            if isinstance(obj, ANALYSIS_TYPES)
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == Counter()
 
 
 def test_pdg_edges_keep_the_module_list_order_across_invalidation():

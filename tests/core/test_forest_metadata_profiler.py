@@ -1,5 +1,8 @@
 """Forest (FR), deterministic IDs, metadata, and profiler (PRO) tests."""
 
+import gc
+import weakref
+
 from repro.core import Noelle
 from repro.core.forest import Forest
 from repro.core.metadata import IDAssigner, clean_noelle_metadata
@@ -26,8 +29,11 @@ class TestForest:
     def test_bottom_up_order(self):
         forest = self._forest()
         order = [n.value for n in forest.bottom_up()]
-        assert order.index("grandchild") < order.index("child1")
-        assert order.index("child1") < order.index("root")
+        assert order == ["grandchild", "child1", "child2", "root"]
+        # LICM hoists in this order: it is the recursive post-order.
+        for forest in self._hand_built():
+            order = [n.value for n in forest.bottom_up()]
+            assert order == self._recursive_post_order(forest)
 
     def test_remove_reconnects_children(self):
         forest = self._forest()
@@ -48,6 +54,61 @@ class TestForest:
         forest = self._forest()
         forest.remove("not-there")
         assert forest.num_nodes() == 4
+
+    @staticmethod
+    def _recursive_post_order(forest):
+        """Children before parents, by recursion."""
+        order = []
+
+        def visit(node):
+            for child in node.children:
+                visit(child)
+            order.append(node.value)
+
+        for root in forest.roots:
+            visit(root)
+        return order
+
+    def _hand_built(self):
+        single = Forest()
+        single.add("only")
+        wide = Forest()
+        for value, parent in (
+            ("r0", None), ("r0.a", "r0"), ("r0.b", "r0"),
+            ("r1", None), ("r1.a", "r1"), ("r1.b", "r1"), ("r1.c", "r1"),
+            ("r1.b.x", "r1.b"), ("r1.b.y", "r1.b"), ("r1.b.x.1", "r1.b.x"),
+            ("r2", None), ("r2.a", "r2"),
+        ):
+            wide.add(value, parent)
+        dissolved = self._forest()
+        dissolved.add("grandchild2", "child1")
+        dissolved.add("child3", "root")
+        dissolved.remove("child1")
+        return [Forest(), single, self._forest(), wide, dissolved]
+
+    def test_bottom_up_of_a_deep_chain(self):
+        chain = list(range(5000))
+        forest = Forest()
+        forest.add(chain[0])
+        for depth in range(1, len(chain)):
+            forest.add(chain[depth], chain[depth - 1])
+        order = [n.value for n in forest.bottom_up()]
+        assert order == chain[::-1]
+        assert forest.node_of(chain[-1]).depth() == 4999
+
+    def test_a_dropped_forest_is_freed_by_refcount(self):
+        forest = self._forest()
+        node = forest.node_of("grandchild")
+        assert node.parent is forest.node_of("child1")
+        ref = weakref.ref(forest.node_of("root"))
+        gc.collect()
+        gc.disable()
+        try:
+            del forest, node
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 SOURCE = """
