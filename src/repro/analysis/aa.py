@@ -38,7 +38,22 @@ class ModRefResult(enum.Flag):
 
 
 class AliasAnalysis:
-    """Interface every alias analysis implements."""
+    """Interface every alias analysis implements.
+
+    A subclass answers a pointer pair in `_alias_uncached`; the base
+    class memoizes those answers in an :class:`AliasMemo` and counts every
+    query under ``queries_counter`` (and each one the memo answered under
+    ``hits_counter``).  A PDG shard build reads the memo directly, asks
+    `answer` for the pairs it does not hold, and adds its query counts
+    once per shard; every query visits the ``alias_query`` fault site.
+    """
+
+    #: The ``aa.<name>.*`` counters this analysis reports under.
+    queries_counter: str
+    hits_counter: str
+
+    def __init__(self) -> None:
+        self.memo = AliasMemo()
 
     def alias(self, a: Value, b: Value) -> AliasResult:
         """How the pointers ``a`` and ``b`` may overlap."""
@@ -47,6 +62,23 @@ class AliasAnalysis:
     def alias_addresses(self, a: "Address", b: "Address") -> AliasResult:
         """`alias` for pointers whose `Address` the caller derived once
         for many queries; the answer is the same either way."""
+        _fault_checkpoint("alias_query")
+        STATS.count(self.queries_counter)
+        key = AliasMemo.key_of(a, b)
+        cached = self.memo.verdicts.get(key)
+        if cached is not None:
+            STATS.count(self.hits_counter)
+            return cached
+        return self.answer(a, b, key)
+
+    def answer(self, a: "Address", b: "Address", key) -> AliasResult:
+        """Answer a pair the memo does not hold (``key`` is its
+        `AliasMemo.key_of`), and memoize the answer."""
+        result = self._alias_uncached(a, b)
+        self.memo.store(key, result, a, b)
+        return result
+
+    def _alias_uncached(self, a: "Address", b: "Address") -> AliasResult:
         raise NotImplementedError
 
     def mod_ref(self, inst: Instruction, ptr: Value) -> ModRefResult:
@@ -65,51 +97,43 @@ class AliasMemo:
     depends on their offsets, so the entry is keyed by the concrete value
     pair instead.
 
-    Keys are ``id()`` pairs; the memo pins a strong reference to every
-    keyed value so a garbage-collected instruction can never recycle an
-    id into a stale hit.  Verdicts and pins live in two flat dicts, so an
-    entry adds no object the cyclic collector has to traverse.  The memo
-    stays valid across per-function PDG
+    Keys are ``id()`` pairs, smaller id first; the memo pins a strong
+    reference to every keyed value so a garbage-collected instruction can
+    never recycle an id into a stale hit.  Verdicts and pins live in two
+    flat dicts, so an entry adds no object the cyclic collector has to
+    traverse.  The memo stays valid across per-function PDG
     invalidation: dependence facts for surviving values cannot be
     weakened by in-place transformation (new values get fresh ids and
     therefore fresh, conservatively computed entries).
 
     The underlying objects come from the pointers' `Address`: a PDG
-    shard build derives each memory instruction's once and passes it to
-    every query it makes; any other query derives them per call.
+    shard build derives each memory instruction's once, computes
+    `key_of` from the ids it keeps, and reads ``verdicts`` itself; any
+    other query goes through `AliasAnalysis.alias_addresses`.
     """
 
-    __slots__ = ("_cache", "_pinned")
+    __slots__ = ("verdicts", "_pinned")
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[int, int], AliasResult] = {}
+        #: key -> verdict.
+        self.verdicts: dict[tuple[int, int], AliasResult] = {}
         #: id -> value, for every value an id of a key names.
         self._pinned: dict[int, Value] = {}
 
-    def key_of(self, a: "Address", b: "Address"):
-        """The cache key for the pair plus the values the entry must pin."""
+    @staticmethod
+    def key_of(a: "Address", b: "Address") -> tuple[int, int]:
+        """The cache key of the pair: its two pins' ids, smaller first."""
         if a.obj is b.obj:
-            pin_a, pin_b = a.pointer, b.pointer
+            ka, kb = id(a.pointer), id(b.pointer)
         else:
-            pin_a, pin_b = a.obj, b.obj
-        ka, kb = id(pin_a), id(pin_b)
-        key = (ka, kb) if ka <= kb else (kb, ka)
-        return key, pin_a, pin_b
+            ka, kb = id(a.obj), id(b.obj)
+        return (ka, kb) if ka <= kb else (kb, ka)
 
-    def lookup(self, key) -> "AliasResult | None":
-        return self._cache.get(key)
-
-    def store(self, key, result: "AliasResult", pin_a: Value, pin_b: Value) -> None:
-        self._cache[key] = result
-        self._pinned[id(pin_a)] = pin_a
-        self._pinned[id(pin_b)] = pin_b
-
-    def clear(self) -> None:
-        self._cache.clear()
-        self._pinned.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
+    def store(self, key, result: AliasResult, a: "Address", b: "Address") -> None:
+        self.verdicts[key] = result
+        pins = (a.pointer, b.pointer) if a.obj is b.obj else (a.obj, b.obj)
+        for pin in pins:
+            self._pinned[id(pin)] = pin
 
 
 def strip_pointer_casts(value: Value) -> Value:
@@ -210,20 +234,8 @@ def _alloca_does_not_escape(alloca: Alloca) -> bool:
 class BasicAliasAnalysis(AliasAnalysis):
     """Intraprocedural, stateless alias rules — the LLVM-grade baseline."""
 
-    def __init__(self) -> None:
-        self._memo = AliasMemo()
-
-    def alias_addresses(self, a: Address, b: Address) -> AliasResult:
-        _fault_checkpoint("alias_query")
-        STATS.count("aa.basic.queries")
-        key, pin_a, pin_b = self._memo.key_of(a, b)
-        cached = self._memo.lookup(key)
-        if cached is not None:
-            STATS.count("aa.basic.memo_hits")
-            return cached
-        result = self._alias_uncached(a, b)
-        self._memo.store(key, result, pin_a, pin_b)
-        return result
+    queries_counter = "aa.basic.queries"
+    hits_counter = "aa.basic.memo_hits"
 
     def _alias_uncached(self, a: Address, b: Address) -> AliasResult:
         if a.stripped is b.stripped:

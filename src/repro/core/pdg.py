@@ -42,6 +42,17 @@ queried.  The Figure 3 counters keep paper-comparable semantics — every
 pruned pair that would have been queried is counted as queried *and*
 disproved, which is exactly what the alias analysis would have concluded.
 
+A shard is built in one pass over its node table: register, memory and
+control edges are constructed from the nodes it holds and appended to
+the shard's edge list, with no `add_edge` call.  The memory pair loop
+walks a reader only past the later writers (read-read pairs carry no
+dependence), answers a pair from the alias analysis's memo itself and
+calls into the analysis only on a miss; every such query still visits the
+``alias_query`` fault site.  Its counts (the Figure 3 ones, the
+``aa.*`` queries and memo hits, the ``deptest.pdg_*`` prunings) are kept
+in locals and added to the shard, the graph and ``STATS`` once, when the
+loop ends — by an injected fault too.
+
 From the program PDG a pass can request *function* and *loop* dependence
 graphs.  Requesting a loop dependence graph triggers the loop-centric
 refinements the paper describes: loop-carried classification of register
@@ -56,7 +67,7 @@ query asks for them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..analysis.aa import (
     Address,
@@ -71,6 +82,7 @@ from ..ir.instructions import Call, Instruction, Load, Phi, Store
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, Value
 from ..perf import STATS, gc_paused
+from ..robust.faults import checkpoint as _fault_checkpoint
 from .depgraph import DependenceGraph, DGEdge, DGNode
 
 if TYPE_CHECKING:  # imported where a shard or a loop's graph is built
@@ -125,9 +137,6 @@ class PDG(DependenceGraph[Instruction]):
         #: yet (what `_unindexed` hands the shared lazy index).
         self._pending_out: dict[int, _Shard] = {}
         self._pending_in: dict[int, _Shard] = {}
-        #: Per-shard symbolic dependence tester (NOELLE_DEPTEST=1 only);
-        #: live only while its shard builds, so invalidation stays warm.
-        self._deptest: FunctionDepTest | None = None
 
     # -- shard lifecycle ---------------------------------------------------------------
     def materialize(self) -> None:
@@ -290,92 +299,204 @@ class PDG(DependenceGraph[Instruction]):
         return self._project(internal_values, edges)
 
     # -- construction ------------------------------------------------------------
-    def _link(self, edge: DGEdge[Instruction]) -> None:
-        """PDG edges are created only while a shard builds, and go into it."""
-        self._building.edges.append(edge)
-
-    def _open_shard(self, fn: Function, insts: list[Instruction]) -> _Shard:
+    # A shard build writes its edges straight into the shard's list, each
+    # endpoint taken from the node table `_open_shard` wrote; nothing in
+    # it goes through `add_edge`.
+    def _open_shard(
+        self, fn: Function, insts: list[Instruction]
+    ) -> tuple[_Shard, list[DGNode[Instruction]]]:
         """Register ``fn``'s shard with its nodes and, so far, no edges;
-        edges created from now on go into it."""
+        also returns the nodes in instruction order."""
         shard = self._shards[id(fn)] = _Shard(fn)
         self._pending_out[id(fn)] = self._pending_in[id(fn)] = shard
-        for inst in insts:
-            self.add_node(inst, internal=True)
+        table = [self.add_node(inst, internal=True) for inst in insts]
         shard.node_ids = [id(inst) for inst in insts]
         self._building = shard
-        return shard
+        return shard, table
 
     def _build_function(self, fn: Function) -> None:
         from ..analysis.deptest import FunctionDepTest, deptest_enabled
 
-        queries_before = self._memory_queries
-        disproved_before = self._memory_disproved
         instructions = list(fn.instructions())
-        shard = self._open_shard(fn, instructions)
+        shard, table = self._open_shard(fn, instructions)
         try:
-            self._deptest = FunctionDepTest(fn) if deptest_enabled() else None
-            self._add_register_dependences(instructions)
-            self._add_memory_dependences(instructions)
-            self._add_control_dependences(fn)
+            self._add_register_dependences(instructions, table, shard.edges)
+            self._add_memory_dependences(
+                shard, instructions,
+                FunctionDepTest(fn) if deptest_enabled() else None,
+            )
+            self._add_control_dependences(fn, shard.edges)
         finally:
-            self._deptest = None
             self._building = None
-        shard.queries = self._memory_queries - queries_before
-        shard.disproved = self._memory_disproved - disproved_before
 
-    def _add_register_dependences(self, instructions: list[Instruction]) -> None:
-        nodes = self._nodes
-        for inst in instructions:
+    def _add_register_dependences(
+        self, instructions: list[Instruction],
+        table: list[DGNode[Instruction]], edges: list[DGEdge[Instruction]],
+    ) -> None:
+        # The node table is keyed by the ids of live instructions, so an
+        # operand's id is in it only if the operand is one of them.
+        node_of = self._nodes.get
+        append = edges.append
+        for inst, node in zip(instructions, table):
             for operand in inst.operands:
-                if isinstance(operand, Instruction) and id(operand) in nodes:
-                    self.add_edge(
-                        operand, inst, "data", "RAW", is_memory=False, is_must=True
-                    )
+                src = node_of(id(operand))
+                if src is not None:
+                    append(DGEdge(src, node, "data", "RAW", False, True))
 
-    def _add_memory_dependences(self, instructions: list[Instruction]) -> None:
+    def _add_memory_dependences(
+        self, shard: _Shard, instructions: list[Instruction],
+        deptest: FunctionDepTest | None,
+    ) -> None:
+        """Query every surviving memory pair and add its edges: one loop
+        for both alias analyses, with ``NOELLE_DEPTEST=1`` or without.
+
+        A pair of addresses is looked up in the alias analysis's memo
+        here, under the key `AliasMemo.key_of` would compute; only a miss
+        calls into the analysis.  Each such query still visits the
+        ``alias_query`` fault site, in pair order.  The counts — the
+        Figure 3 ones and the ``aa.*`` / ``deptest.pdg_*`` ones — are
+        tallied in locals and added once, when the loop ends, however it
+        ends.
+        """
         memory_insts = [i for i in instructions if i.touches_memory()]
         total = len(memory_insts)
         if total < 2:
             return
         # Classify each instruction once: its read/write flags, address
         # and the address's underlying object serve every pair it is in.
-        accesses = [_Access(inst) for inst in memory_insts]
+        nodes = self._nodes
+        accesses = [_Access(inst, nodes[id(inst)]) for inst in memory_insts]
         regions = (
             self._partition_regions(accesses)
             if self.partition
             else [None] * total
         )
+        # Each region's members and the wildcards (calls and untracked
+        # pointers, which overlap anything), in program order; then the
+        # same lists holding writers only, which are all a reader pairs
+        # with: read-read pairs carry no dependence.
         groups: dict[int, list[int]] = {}
         wildcard: list[int] = []
+        group_writers: dict[int, list[int]] = {}
+        wildcard_writers: list[int] = []
+        writers: list[int] = []
         for index, region in enumerate(regions):
             if region is None:
                 wildcard.append(index)
             else:
                 groups.setdefault(region, []).append(index)
-        self._count_pruned_pairs(groups, accesses)
-        # Enumerate the surviving pairs in the seed's program order: an
-        # instruction pairs with later members of its own region and with
-        # later wildcards (calls and untracked pointers overlap anything).
-        for i in range(total):
-            region = regions[i]
-            if region is None:
-                later: Iterator[int] = iter(range(i + 1, total))
-            else:
-                later = _merged_after(groups[region], wildcard, i)
-            for j in later:
-                self._memory_pair(accesses[i], accesses[j])
+            if accesses[index].writes:
+                writers.append(index)
+                if region is None:
+                    wildcard_writers.append(index)
+                else:
+                    group_writers.setdefault(region, []).append(index)
+        aa = self.aa
+        verdict_of = aa.memo.verdicts.get
+        answer = aa.answer
+        no_alias = AliasResult.NO_ALIAS
+        must_alias = AliasResult.MUST_ALIAS
+        append = shard.edges.append
+        queries = disproved = self._pruned_pairs(groups, accesses)
+        aa_queries = aa_hits = tested_pairs = tested_edges = 0
+        try:
+            # Enumerate the surviving pairs in the seed's program order: an
+            # instruction pairs with later members of its own region and
+            # with later wildcards (a wildcard, with every later one).
+            for i in range(total):
+                first = accesses[i]
+                region = regions[i]
+                reads_a, writes_a = first.reads, first.writes
+                later: Iterable[int]
+                if not writes_a:
+                    later = (
+                        writers[bisect_right(writers, i):] if region is None
+                        else _merged_after(group_writers.get(region, []),
+                                           wildcard_writers, i)
+                    )
+                elif region is None:
+                    later = range(i + 1, total)
+                else:
+                    later = _merged_after(groups[region], wildcard, i)
+                address_a, node_a = first.address, first.node
+                obj_a, pointer_a = first.obj_id, first.pointer_id
+                for j in later:
+                    second = accesses[j]
+                    writes_b = second.writes
+                    queries += 1
+                    address_b = second.address
+                    if address_a is not None and address_b is not None:
+                        if obj_a == second.obj_id:
+                            ka, kb = pointer_a, second.pointer_id
+                        else:
+                            ka, kb = obj_a, second.obj_id
+                        key = (ka, kb) if ka <= kb else (kb, ka)
+                        _fault_checkpoint("alias_query")
+                        aa_queries += 1
+                        verdict = verdict_of(key)
+                        if verdict is None:
+                            verdict = answer(address_a, address_b, key)
+                        else:
+                            aa_hits += 1
+                        if verdict is no_alias:
+                            disproved += 1
+                            continue
+                        is_must = verdict is must_alias
+                    elif _calls_apart(aa, first, second):
+                        disproved += 1
+                        continue
+                    else:
+                        is_must = False
+                    reads_b = second.reads
+                    if deptest is not None and deptest.proves_independent(
+                        first.inst, second.inst
+                    ):
+                        # The symbolic dependence tests disproved the pair
+                        # the alias analysis could not: keep Figure 3
+                        # semantics (queried and disproved), add no edges.
+                        disproved += 1
+                        tested_pairs += 1
+                        tested_edges += (
+                            int(writes_a and reads_b)
+                            + int(writes_a and writes_b)
+                            + int(reads_a and writes_b)
+                        )
+                        continue
+                    node_b = second.node
+                    if writes_a and reads_b:
+                        append(DGEdge(node_a, node_b, "data", "RAW", True,
+                                      is_must))
+                    if writes_a and writes_b:
+                        append(DGEdge(node_a, node_b, "data", "WAW", True,
+                                      is_must))
+                    if reads_a and writes_b:
+                        append(DGEdge(node_a, node_b, "data", "WAR", True,
+                                      is_must))
+        finally:
+            shard.queries = queries
+            shard.disproved = disproved
+            self._memory_queries += queries
+            self._memory_disproved += disproved
+            if aa_queries:
+                STATS.count(aa.queries_counter, aa_queries)
+            if aa_hits:
+                STATS.count(aa.hits_counter, aa_hits)
+            if tested_pairs:
+                STATS.count("deptest.pdg_pairs_pruned", tested_pairs)
+                STATS.count("deptest.pdg_edges_pruned", tested_edges)
 
-    def _count_pruned_pairs(
+    def _pruned_pairs(
         self, groups: dict[int, list[int]], accesses: list["_Access"]
-    ) -> None:
-        """Account for cross-region pairs that are never enumerated.
+    ) -> int:
+        """How many queries the cross-region pairs, which are never
+        enumerated, stand for (``pdg.pairs_pruned`` counts the pairs).
 
         Each such pair is provably NO_ALIAS under the configured AA, so
         the seed's loop would have counted it as queried and disproved
         (when at least one side writes) — keep those semantics exactly.
         """
         if len(groups) < 2:
-            return
+            return 0
         sum_n = sum_n2 = sum_ro = sum_ro2 = 0
         for members in groups.values():
             n = len(members)
@@ -386,10 +507,8 @@ class PDG(DependenceGraph[Instruction]):
             sum_ro2 += read_only * read_only
         cross_pairs = (sum_n * sum_n - sum_n2) // 2
         cross_read_only = (sum_ro * sum_ro - sum_ro2) // 2
-        pruned = cross_pairs - cross_read_only
-        self._memory_queries += pruned
-        self._memory_disproved += pruned
         STATS.count("pdg.pairs_pruned", cross_pairs)
+        return cross_pairs - cross_read_only
 
     def _partition_regions(self, accesses: list["_Access"]) -> list[int | None]:
         """Union overlapping memory footprints into region labels.
@@ -441,78 +560,23 @@ class PDG(DependenceGraph[Instruction]):
             return None
         return None
 
-    def _memory_pair(self, access_a: "_Access", access_b: "_Access") -> None:
-        """Add memory dependence edges between an instruction pair.
-
-        The pair is unordered in program terms (they may execute in either
-        order across loop iterations), so both directions are considered.
-        """
-        writes_a, writes_b = access_a.writes, access_b.writes
-        if not writes_a and not writes_b:
-            return  # read-read pairs carry no dependence
-        reads_a, reads_b = access_a.reads, access_b.reads
-        a, b = access_a.inst, access_b.inst
-        self._memory_queries += 1
-        result = self._query(access_a, access_b)
-        if result is None:
-            self._memory_disproved += 1
-            return
-        if self._deptest is not None and self._deptest.proves_independent(a, b):
-            # The symbolic dependence tests disproved the pair the alias
-            # analysis could not: keep Figure 3 semantics (queried and
-            # disproved) and add no edges.
-            self._memory_disproved += 1
-            STATS.count("deptest.pdg_pairs_pruned")
-            STATS.count(
-                "deptest.pdg_edges_pruned",
-                int(writes_a and reads_b)
-                + int(writes_a and writes_b)
-                + int(reads_a and writes_b),
-            )
-            return
-        is_must = result
-        if writes_a and reads_b:
-            self.add_edge(a, b, "data", "RAW", is_memory=True, is_must=is_must)
-        if writes_a and writes_b:
-            self.add_edge(a, b, "data", "WAW", is_memory=True, is_must=is_must)
-        if reads_a and writes_b:
-            self.add_edge(a, b, "data", "WAR", is_memory=True, is_must=is_must)
-
-    def _query(self, access_a: "_Access", access_b: "_Access") -> bool | None:
-        """May a and b touch the same memory?  None=no, True=must, False=may."""
-        a, b = access_a.inst, access_b.inst
-        address_a, address_b = access_a.address, access_b.address
-        if address_a is not None and address_b is not None:
-            result = self.aa.alias_addresses(address_a, address_b)
-            if result is AliasResult.NO_ALIAS:
-                return None
-            return result is AliasResult.MUST_ALIAS
-        # At least one side is a call: use mod/ref.
-        if isinstance(a, Call) and address_b is not None:
-            if self.aa.mod_ref(a, address_b.pointer) is ModRefResult.NO_MOD_REF:
-                return None
-            return False
-        if isinstance(b, Call) and address_a is not None:
-            if self.aa.mod_ref(b, address_a.pointer) is ModRefResult.NO_MOD_REF:
-                return None
-            return False
-        if isinstance(a, Call) and isinstance(b, Call):
-            if _calls_independent(self.aa, a, b):
-                return None
-            return False
-        return False
-
-    def _add_control_dependences(self, fn: Function) -> None:
+    def _add_control_dependences(
+        self, fn: Function, edges: list[DGEdge[Instruction]]
+    ) -> None:
         from ..analysis.controldep import ControlDependence
 
+        nodes = self._nodes
+        append = edges.append
         cd = ControlDependence(fn)
         for block in fn.blocks:
             controllers = cd.controlling_terminators(block)
             if not controllers:
                 continue
+            targets = [nodes[id(inst)] for inst in block.instructions]
             for term in controllers:
-                for inst in block.instructions:
-                    self.add_edge(term, inst, "control")
+                src = nodes[id(term)]
+                for dst in targets:
+                    append(DGEdge(src, dst, "control"))
 
     # -- the shard codec ---------------------------------------------------------------
     def export_shard(self, fn: Function) -> dict | None:
@@ -561,16 +625,15 @@ class PDG(DependenceGraph[Instruction]):
                 return False
             queries = int(payload["queries"])
             disproved = int(payload["disproved"])
-            shard = self._open_shard(fn, insts)
+            shard, table = self._open_shard(fn, insts)
+            append = shard.edges.append
             for src_i, dst_i, kind, data_kind, is_memory, is_must in (
                 payload["edges"]
             ):
                 if not (0 <= src_i < count and 0 <= dst_i < count):
                     raise ValueError("edge endpoint out of range")
-                self.add_edge(
-                    insts[src_i], insts[dst_i], kind, data_kind, is_memory,
-                    is_must,
-                )
+                append(DGEdge(table[src_i], table[dst_i], kind, data_kind,
+                              is_memory, is_must))
         except (KeyError, TypeError, ValueError):
             self.invalidate_function(fn)  # drops a half-installed shard
             return False
@@ -641,29 +704,32 @@ class LoopDG(DependenceGraph[Instruction]):
         #: one scalar evolution.
         self._tester: DependenceTester | None = None
         # The shard's nodes are all internal *to the PDG*, so whether an
-        # endpoint is inside the loop is asked of ``internal_ids``.
+        # endpoint is inside the loop is asked of ``internal``: the PDG
+        # nodes of the loop's instructions, hashed by identity.
         shard_edges = pdg._shard_of(loop.header.parent).edges
         pdg_nodes = pdg._nodes
         nodes = self._nodes
-        edges = self._edges
-        internal_ids: set[int] = set()
+        append = self._edges.append
+        internal: set[DGNode[Instruction]] = set()
         for inst in loop.instructions():
-            if id(inst) in pdg_nodes:
+            node = pdg_nodes.get(id(inst))
+            if node is not None:
                 nodes[id(inst)] = DGNode(inst, True)
-            internal_ids.add(id(inst))
+                internal.add(node)
         deptest = deptest_enabled()
         tester = None
         for edge in shard_edges:
-            src, dst = edge.src.value, edge.dst.value
-            src_in = id(src) in internal_ids
-            dst_in = id(dst) in internal_ids
+            src_node, dst_node = edge.src, edge.dst
+            src_in = src_node in internal
+            dst_in = dst_node in internal
             if not (src_in and dst_in):
                 if src_in or dst_in:
-                    outside = dst if src_in else src
+                    outside = (dst_node if src_in else src_node).value
                     if id(outside) not in nodes:
                         nodes[id(outside)] = DGNode(outside, False)
-                    edges.append(edge)
+                    append(edge)
                 continue
+            src, dst = src_node.value, dst_node.value
             distance = None
             if edge.kind == "control":
                 carried = False
@@ -678,11 +744,11 @@ class LoopDG(DependenceGraph[Instruction]):
             else:
                 carried = self._register_dep_carried(src, dst)
             if not carried:
-                edges.append(edge)
+                append(edge)
                 continue
             src_node, dst_node = nodes[id(src)], nodes[id(dst)]
-            edges.append(DGEdge(src_node, dst_node, edge.kind, edge.data_kind,
-                                edge.is_memory, edge.is_must, True, distance))
+            append(DGEdge(src_node, dst_node, edge.kind, edge.data_kind,
+                          edge.is_memory, edge.is_must, True, distance))
             # A carried memory conflict is direction-free: the later
             # instruction of one iteration conflicts with the earlier one of
             # the next.  The program-order PDG only has the forward edge, so
@@ -691,7 +757,7 @@ class LoopDG(DependenceGraph[Instruction]):
             if edge.is_memory:
                 reverse_kind = _reverse_memory_kind(dst, src)
                 if reverse_kind is not None:
-                    edges.append(DGEdge(
+                    append(DGEdge(
                         dst_node, src_node, "data", reverse_kind, True,
                         edge.is_must, True,
                         None if distance is None else -distance,
@@ -775,19 +841,39 @@ def pointer_operand(inst: Instruction) -> Value | None:
 
 
 class _Access:
-    """A memory instruction as one shard build pairs it: its read/write
-    flags and its address (None for calls) as the alias analysis reads it
-    — stripped pointer, underlying object, slot offset — derived once per
-    build."""
+    """A memory instruction as one shard build pairs it: its node, its
+    read/write flags and its address (None for calls) as the alias
+    analysis reads it — stripped pointer, underlying object, slot offset
+    — with the ids the memo key is made of, derived once per build."""
 
-    __slots__ = ("inst", "reads", "writes", "address")
+    __slots__ = ("inst", "node", "reads", "writes", "address", "obj_id",
+                 "pointer_id")
 
-    def __init__(self, inst: Instruction):
+    def __init__(self, inst: Instruction, node: DGNode[Instruction]):
         self.inst = inst
+        self.node = node
         self.reads = inst.may_read_memory()
         self.writes = inst.may_write_memory()
         pointer = pointer_operand(inst)
-        self.address = None if pointer is None else Address(pointer)
+        if pointer is None:
+            self.address = self.obj_id = self.pointer_id = None
+        else:
+            self.address = Address(pointer)
+            self.obj_id = id(self.address.obj)
+            self.pointer_id = id(pointer)
+
+
+def _calls_apart(aa: AliasAnalysis, first: _Access, second: _Access) -> bool:
+    """For a pair with a call on one side at least: does mod/ref prove
+    that the two touch disjoint memory?"""
+    a, b = first.inst, second.inst
+    if isinstance(a, Call) and second.address is not None:
+        return aa.mod_ref(a, second.address.pointer) is ModRefResult.NO_MOD_REF
+    if isinstance(b, Call) and first.address is not None:
+        return aa.mod_ref(b, first.address.pointer) is ModRefResult.NO_MOD_REF
+    if isinstance(a, Call) and isinstance(b, Call):
+        return _calls_independent(aa, a, b)
+    return False
 
 
 def _calls_independent(aa: AliasAnalysis, a: Call, b: Call) -> bool:

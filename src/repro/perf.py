@@ -97,6 +97,8 @@ class PerfStats:
         self.timers: dict[str, list[float]] = {}
 
     # -- counters ---------------------------------------------------------------------
+    # A PDG shard build adds its ``aa.*`` query and memo-hit counts and its
+    # ``deptest.pdg_*`` prunings once per shard, when its pair loop ends.
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 

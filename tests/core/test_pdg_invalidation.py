@@ -210,6 +210,51 @@ def test_a_payload_that_does_not_fit_is_refused_and_built_on_demand():
     assert loaded.export_shard(first) == good
 
 
+@pytest.mark.parametrize("malformed", [
+    pytest.param(lambda n: {"edge": (0, 1, "memory", None, False, False)},
+                 id="bad-kind"),
+    pytest.param(lambda n: {"edge": (0, 1, "data", "RAR", True, True)},
+                 id="bad-data-kind"),
+    pytest.param(lambda n: {"edge": (0, n, "data", "RAW", False, True)},
+                 id="endpoint-out-of-range"),
+    pytest.param(lambda n: {"edge": (0, 1, "data", "RAW")},
+                 id="short-tuple"),
+    pytest.param(lambda n: {"queries": "many"}, id="non-int-queries"),
+])
+def test_a_malformed_record_is_refused_whole(malformed):
+    # The bad record follows every good edge, so a refusal that kept
+    # what it had installed so far would leave a half-built shard.
+    module = two_function_module()
+    first, _second = module.defined_functions()
+    good = PDG(module, AndersenAliasAnalysis(module)).export_shard(first)
+    assert good["edges"]
+    fault = malformed(good["ninsts"])
+    payload = {**good, "edges": list(good["edges"])}
+    if "edge" in fault:
+        payload["edges"].append(fault["edge"])
+    else:
+        payload["queries"] = fault["queries"]
+    supplied = []
+
+    def supplier():
+        supplied.append(True)
+        return AndersenAliasAnalysis(module)
+
+    target = PDG(module, supplier)
+    assert not target.adopt_shard(first, payload)
+    assert target.built_functions() == []
+    assert target._nodes == {} and target._out == {} and target._in == {}
+    assert target._pending_out == {} and target._pending_in == {}
+    assert supplied == []
+    # The function then builds on demand, to the shard that was exported.
+    builds = STATS.get("pdg.shard_builds")
+    assert target.export_shard(first) == good
+    assert STATS.get("pdg.shard_builds") == builds + 1
+    assert target.memory_queries == sum(
+        target.export_shard(fn)["queries"] for fn in module.defined_functions()
+    )
+
+
 # -- per-function invalidation --------------------------------------------------------
 
 

@@ -173,7 +173,12 @@ class TestFastPath:
 
     @pytest.mark.parametrize("technique", ["helix", "dswp"])
     @pytest.mark.parametrize("workload", all_workloads(), ids=lambda w: w.name)
-    def test_no_region_marker_calls_a_handler(self, workload, technique):
+    def test_no_region_marker_calls_a_handler(
+        self, workload, technique, monkeypatch
+    ):
+        # The parallelized input is built with no fault plan armed: an
+        # injected fault would roll the technique back.
+        monkeypatch.delenv("NOELLE_FAULTS", raising=False)
         module = workload.compile()
         _, count = pipeline.parallelize(pipeline.load(module), technique)
         assert count > 0

@@ -125,9 +125,12 @@ def region_records(result) -> list[tuple]:
 
 @pytest.mark.parametrize("technique", pipeline.TECHNIQUES)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_workload_on_the_machine_after(name, technique):
+def test_workload_on_the_machine_after(name, technique, monkeypatch):
     """Also the product code, unobserved, whose region markers are
     inline: the walker's run records every region the same way."""
+    # The parallelized input is built with no fault plan armed: an
+    # injected fault would roll the technique back.
+    monkeypatch.delenv("NOELLE_FAULTS", raising=False)
     module = get(name).compile()
     _, count = pipeline.parallelize(pipeline.load(module), technique)
     assert count > 0
