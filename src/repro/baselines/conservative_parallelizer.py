@@ -22,11 +22,10 @@ parallelizes (almost) nothing — which is exactly why gcc and icc sit at
 from __future__ import annotations
 
 from ..analysis.aa import BasicAliasAnalysis
-from ..analysis.loopinfo import LoopInfo
 from ..core.loop import Loop
 from ..core.noelle import Noelle
-from ..core.pdg import PDG
 from ..ir.instructions import Call
+from ..ir.intrinsics import generated_functions, is_generated_loop
 from ..ir.module import Module
 from ..xforms.doall import DOALL
 from ..xforms.parallelizer_common import ParallelizationError
@@ -77,9 +76,10 @@ class ConservativeParallelizer:
         """Attempt to parallelize every outermost loop; returns successes."""
         parallelized = 0
         doall = DOALL(self._weak_noelle, self.num_cores)
+        generated = generated_functions(self._weak_noelle.module)
         for loop in self._weak_noelle.loops():
             fn = loop.structure.function
-            if fn.metadata.get("noelle.task"):
+            if fn in generated or is_generated_loop(loop.natural_loop.instructions()):
                 continue
             if loop.structure.depth() != 1:
                 continue

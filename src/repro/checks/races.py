@@ -15,11 +15,9 @@ stages are either absent or covered by the construct's synchronization:
   accesses in two different stage functions (which run concurrently)
   are findings unless points-to/AA proves them disjoint.
 
-Constructs are discovered *structurally* — calls to the
-``noelle_dispatch_*`` runtime entry points, DSWP stages through the
-selector's ``switch`` — because metadata does not survive a
-print/parse round-trip; the ``noelle.parallel`` metadata the
-transforms attach is a refinement, not the source of truth.
+Constructs are found from the IR alone, as every tool finds generated
+code (:func:`repro.ir.intrinsics.find_parallel_constructs`); metadata
+plays no part.
 
 Severity policy (calibrated against the dynamic oracle, see
 ``tests/checks/test_differential.py``): a *must*-alias unsynchronized
@@ -42,84 +40,18 @@ races when no sequential segment covers them across cores.
 from __future__ import annotations
 
 from ..analysis.aa import AliasResult, ModRefResult, underlying_object
-from ..ir.instructions import Alloca, Call, Cast, ElemPtr, Load, Store, Switch
-from ..ir.module import Function, Module
+from ..ir.instructions import Alloca, Call, Cast, ElemPtr, Load, Store
+from ..ir.intrinsics import calls_parallel_runtime, find_parallel_constructs
+from ..ir.module import Function
 from ..ir.values import ConstantInt
 from .base import Checker, register_checker
 from .diagnostics import Diagnostic
-
-#: Runtime dispatch entry points, keyed by callee name.
-PARALLEL_DISPATCHES = {
-    "noelle_dispatch_doall": "doall",
-    "noelle_dispatch_helix": "helix",
-    "noelle_dispatch_dswp": "dswp",
-}
-
-#: Callee-name prefixes of the synchronization/runtime intrinsics; their
-#: "memory effects" model the runtime, not the program under analysis.
-SYNC_PREFIXES = ("helix_seq_", "helix_iter_", "queue_push_", "queue_pop_",
-                 "noelle_dispatch_")
-
-
-class ParallelConstruct:
-    """One discovered parallel region: the dispatch and its task code."""
-
-    __slots__ = ("kind", "call", "task", "host", "stages")
-
-    def __init__(self, kind: str, call: Call, task: Function, host: Function,
-                 stages: list[tuple[int, Function]] | None = None):
-        self.kind = kind            # "doall" | "helix" | "dswp"
-        self.call = call            # the noelle_dispatch_* call
-        self.task = task            # task (doall/helix) or selector (dswp)
-        self.host = host            # function containing the dispatch
-        self.stages = stages or []  # [(stage index, stage fn)] for dswp
-
 
 def _called_name(inst) -> str | None:
     if not isinstance(inst, Call):
         return None
     callee = inst.called_function()
     return callee.name if callee is not None else None
-
-
-def _is_sync_intrinsic(inst) -> bool:
-    name = _called_name(inst)
-    return name is not None and name.startswith(SYNC_PREFIXES)
-
-
-def find_parallel_constructs(module: Module) -> list[ParallelConstruct]:
-    """Discover every dispatched parallel region in ``module``."""
-    constructs: list[ParallelConstruct] = []
-    for fn in module.defined_functions():
-        for inst in fn.instructions():
-            kind = PARALLEL_DISPATCHES.get(_called_name(inst) or "")
-            if kind is None:
-                continue
-            task = inst.args[0]
-            if not isinstance(task, Function) or task.is_declaration():
-                continue
-            stages = _dswp_stages(task) if kind == "dswp" else None
-            constructs.append(ParallelConstruct(kind, inst, task, fn, stages))
-    return constructs
-
-
-def _dswp_stages(selector: Function) -> list[tuple[int, Function]]:
-    """Recover the stage functions from the selector's dispatch switch."""
-    stages: list[tuple[int, Function]] = []
-    for inst in selector.instructions():
-        if not isinstance(inst, Switch):
-            continue
-        for const, block in inst.cases():
-            for candidate in block.instructions:
-                callee = (
-                    candidate.called_function()
-                    if isinstance(candidate, Call) else None
-                )
-                if callee is not None and not callee.is_declaration():
-                    stages.append((const.value, callee))
-                    break
-        break
-    return stages
 
 
 def segment_spans(fn: Function) -> dict[int, frozenset]:
@@ -241,7 +173,7 @@ class RaceChecker(Checker):
                 if not edge.is_memory or not edge.is_data():
                     continue
                 src, dst = edge.src.value, edge.dst.value
-                if _is_sync_intrinsic(src) or _is_sync_intrinsic(dst):
+                if calls_parallel_runtime(src) or calls_parallel_runtime(dst):
                     continue
                 root_src = _address_root(src)
                 root_dst = _address_root(dst)
@@ -331,7 +263,7 @@ class RaceChecker(Checker):
     def _memory_instructions(fn: Function) -> list:
         result = []
         for inst in fn.instructions():
-            if not inst.touches_memory() or _is_sync_intrinsic(inst):
+            if not inst.touches_memory() or calls_parallel_runtime(inst):
                 continue
             result.append(inst)
         return result

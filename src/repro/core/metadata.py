@@ -60,7 +60,10 @@ class IDAssigner:
 def clean_noelle_metadata(module: Module) -> int:
     """Strip all ``noelle.*`` metadata (the ``noelle-meta-clean`` tool).
 
-    Returns how many metadata entries were removed.
+    Tools find generated code from the IR alone
+    (:func:`repro.ir.intrinsics.generated_functions`), so stripping does
+    not change what a later tool parallelizes.  Returns how many metadata
+    entries were removed.
     """
     removed = 0
     for key in [k for k in module.metadata if str(k).startswith("noelle.")]:

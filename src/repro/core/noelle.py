@@ -64,13 +64,10 @@ class Noelle:
         module: Module,
         architecture: ArchitectureDescription | None = None,
         profile: ProfileData | None = None,
-        minimum_hotness: float = 0.0,
     ):
         self.module = module
         self._architecture = architecture
         self._profile = profile
-        #: Loops colder than this are not offered to transformation tools.
-        self.minimum_hotness = minimum_hotness
         self._aa: AliasAnalysis | None = None
         self._pdg: PDG | None = None
         self._callgraph: CallGraph | None = None
@@ -176,12 +173,9 @@ class Noelle:
         return record.loops
 
     def loops(self) -> list[Loop]:
-        """Every loop of the program as a canonical :class:`Loop` (hot-first).
-
-        When a profile is attached, loops colder than ``minimum_hotness``
-        are filtered out — the paper's "minimum hotness required to
-        consider a loop".  ``loop_id`` numbers the loops in module order,
-        before that filter, every time the list is assembled.
+        """Every loop of the program as a canonical :class:`Loop`, hottest
+        first when a profile is attached.  ``loop_id`` numbers the loops
+        in module order every time the list is assembled.
         """
         if self._loops is None:
             result: list[Loop] = []
@@ -190,12 +184,6 @@ class Noelle:
                     loop.structure.loop_id = len(result)
                     result.append(loop)
             if self._profile is not None:
-                result = [
-                    loop
-                    for loop in result
-                    if self._profile.loop_hotness(loop.natural_loop)
-                    >= self.minimum_hotness
-                ]
                 result.sort(
                     key=lambda l: -self._profile.loop_hotness(l.natural_loop)
                 )

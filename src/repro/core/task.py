@@ -23,9 +23,6 @@ class Task:
         self.environment = environment
         #: Map from original instructions to their clones inside the task.
         self.clones: dict[int, ir.Instruction] = {}
-        #: Free-form attributes set by the parallelization technique
-        #: (e.g. the sequential segments for HELIX, queues for DSWP).
-        self.attributes: dict[str, object] = {}
 
     def clone_of(self, inst: ir.Instruction) -> ir.Instruction | None:
         return self.clones.get(id(inst))
@@ -46,4 +43,8 @@ def make_task_function(
     while name in module.functions:
         index += 1
         name = f"{name_hint}{index}"
-    return module.add_function(name, fnty, ["env", "core_id", "num_cores"])
+    fn = module.add_function(name, fnty, ["env", "core_id", "num_cores"])
+    # No tool reads this (generated code is found from the IR); the
+    # bigmod_analysis benchmark picks its re-query kernels by it.
+    fn.metadata["noelle.task"] = True
+    return fn

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from ..core.architecture import ArchitectureDescription
 from ..interp.interp import Interpreter, ParallelExecution
+from ..ir.intrinsics import NUM_CORES_GLOBAL
 from ..ir.module import Module
 from .schedule import schedule
 
@@ -44,7 +45,7 @@ class ParallelMachine(Interpreter):
         # the override must be visible there too, or the reduction-combining
         # code would disagree with the dispatcher about the core count.
         if num_cores is not None:
-            knob = module.globals.get("noelle.num_cores")
+            knob = module.globals.get(NUM_CORES_GLOBAL)
             if knob is not None:
                 self.memory.write(self.globals[id(knob)], num_cores)
         #: The parallel regions run so far: ``result.parallel_executions``.

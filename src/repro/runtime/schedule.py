@@ -23,6 +23,9 @@ architectures:
   for c in range(N))``.  Otherwise only the iterations with segments are
   replayed event by event; the cost grows with the segments, not the
   iterations.
+
+A record whose price would beat its work spread over its cores, such as
+a HELIX record whose iterations closed in a nested region, is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from itertools import compress, count
 FORK_OVERHEAD = 1500
 #: Cost of joining one worker at the end of a parallel invocation.
 JOIN_OVERHEAD = 300
+
+
+class UnpricedRegion(ValueError):
+    """A record whose price would beat its work spread over its cores."""
 
 
 def schedule(execution, architecture) -> int:
@@ -47,7 +54,13 @@ def schedule(execution, architecture) -> int:
         wall = _helix(execution, architecture.default_latency)
     else:
         raise ValueError(f"unknown parallel region kind {kind!r}")
-    return wall + FORK_OVERHEAD + JOIN_OVERHEAD * execution.num_cores
+    wall += FORK_OVERHEAD + JOIN_OVERHEAD * execution.num_cores
+    if wall * max(1, execution.num_cores) < execution.sequential_cycles:
+        raise UnpricedRegion(
+            f"{kind} region of {execution.sequential_cycles} cycles "
+            f"({len(execution.iteration_cycles)} iteration(s) closed) cannot "
+            f"run in {wall} cycles on {execution.num_cores} core(s)")
+    return wall
 
 
 def _dswp(execution, architecture) -> int:

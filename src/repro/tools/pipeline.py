@@ -37,6 +37,7 @@ from ..perf import STATS
 from ..robust.diagnostics import EntryNotFoundError
 from ..robust.passmanager import PassManager, build_pass
 from ..runtime.machine import ParallelMachine
+from ..runtime.schedule import UnpricedRegion
 from .meta_pdg_embed import embed_pdg, load_embedded_pdg
 from .whole_ir import link_options_of, whole_ir_from_files
 
@@ -153,8 +154,8 @@ def execute(
     A trap, any other runtime error of the program (a division by zero,
     an executed ``unreachable``) or an exhausted ``step_limit`` (None:
     the machine's own) is not an exception: the partial result comes
-    back with ``trapped`` and ``trap_kind`` ("MemoryTrap" /
-    "StackOverflow" / "InterpError" / "StepLimitExceeded") set.
+    back with ``trapped`` and ``trap_kind`` ("MemoryTrap" / "StackOverflow"
+    / "InterpError" / "StepLimitExceeded" / "UnpricedRegion") set.
     """
     fn = module.functions.get(entry)
     if fn is None or fn.is_declaration():
@@ -167,7 +168,7 @@ def execute(
     )
     try:
         result = machine.run(entry, args)
-    except InterpError as error:
+    except (InterpError, UnpricedRegion) as error:
         result = machine.result
         result.trapped = str(error)
         result.trap_kind = type(error).__name__

@@ -25,7 +25,7 @@ from ..core.noelle import Noelle
 from ..core.pdg import pointer_operand
 from .. import ir
 from ..ir.builder import IRBuilder
-from ..ir.intrinsics import declare_intrinsic
+from ..ir.intrinsics import declare_intrinsic, generated_functions
 
 
 def emit_guard(
@@ -74,10 +74,10 @@ class CARAT:
 
     def run(self) -> CARATStats:
         stats = CARATStats()
+        generated = generated_functions(self.noelle.module)
         for fn in list(self.noelle.module.defined_functions()):
-            if fn.metadata.get("noelle.task"):
-                continue
-            self.run_on_function(fn, stats)
+            if fn not in generated:
+                self.run_on_function(fn, stats)
         return stats
 
     def run_on_function(self, fn: ir.Function, stats: CARATStats) -> None:

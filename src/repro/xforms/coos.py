@@ -18,7 +18,7 @@ from ..core.noelle import Noelle
 from ..interp.interp import INSTRUCTION_COSTS, INTRINSIC_COSTS
 from .. import ir
 from ..ir.builder import IRBuilder
-from ..ir.intrinsics import declare_intrinsic
+from ..ir.intrinsics import declare_intrinsic, generated_functions
 
 
 class CompilerTiming:
@@ -34,10 +34,10 @@ class CompilerTiming:
     def run(self) -> int:
         """Inject hooks module-wide; returns how many were inserted."""
         inserted = 0
+        generated = generated_functions(self.noelle.module)
         for fn in list(self.noelle.module.defined_functions()):
-            if fn.metadata.get("noelle.task"):
-                continue
-            inserted += self.run_on_function(fn)
+            if fn not in generated:
+                inserted += self.run_on_function(fn)
         return inserted
 
     def run_on_function(self, fn: ir.Function) -> int:

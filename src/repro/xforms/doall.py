@@ -55,7 +55,6 @@ class DOALL(LoopTechnique):
         )
         chunk_cloned_loop(skeleton)
         finish_task_with_reductions(skeleton, boundary)
-        skeleton.task.function.metadata["noelle.parallel"] = "doall"
         ir.verify_function(skeleton.task.function)
         call = replace_loop_with_dispatch(
             self.noelle, boundary, env, skeleton.task,

@@ -272,11 +272,6 @@ class DSWP(LoopTechnique):
         """One entry point that switches on the stage id."""
         module = self.noelle.module
         selector = make_task_function(module, env, f"{name_hint}.dswp.task")
-        selector.metadata["noelle.task"] = True
-        selector.metadata["noelle.parallel"] = "dswp"
-        for index, stage_fn in enumerate(stage_fns):
-            stage_fn.metadata["noelle.parallel"] = "dswp.stage"
-            stage_fn.metadata["noelle.dswp.stage"] = index
         env_ptr, stage_id, num_stages = selector.args
         entry = selector.add_block("entry")
         done = selector.add_block("done")

@@ -98,10 +98,7 @@ class HELIX(LoopTechnique):
         self._mark_sequential_segments(skeleton, sequential_sccs)
         self._mark_iteration_boundaries(skeleton, boundary)
         finish_task_with_reductions(skeleton, boundary)
-        task_fn = skeleton.task.function
-        task_fn.metadata["noelle.parallel"] = "helix"
-        task_fn.metadata["noelle.helix.segments"] = len(sequential_sccs)
-        ir.verify_function(task_fn)
+        ir.verify_function(skeleton.task.function)
         call = replace_loop_with_dispatch(
             self.noelle, boundary, env, skeleton.task,
             "noelle_dispatch_helix", self.num_cores,

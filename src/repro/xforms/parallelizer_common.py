@@ -28,13 +28,16 @@ from ..core.loopbuilder import LoopBuilder
 from ..core.noelle import Noelle
 from ..core.reduction import ReductionDescriptor
 from ..core.task import Task, make_task_function
-from ..ir.intrinsics import declare_intrinsic
+from ..ir.intrinsics import (
+    NUM_CORES_GLOBAL,
+    declare_intrinsic,
+    generated_functions,
+    is_generated_loop,
+)
 
 #: Upper bound on cores a parallelized binary supports (partial-result
 #: array sizing); the paper's platform has 24 logical cores.
 MAX_CORES = 64
-
-NUM_CORES_GLOBAL = "noelle.num_cores"
 
 
 #: Exit predicates compatible with round-robin chunking (a core may step
@@ -185,16 +188,6 @@ def chunkable_boundary(loop: Loop) -> LoopBoundary:
     return boundary
 
 
-def num_cores_global(module: ir.Module, default: int) -> ir.GlobalVariable:
-    """The runtime-tunable core-count knob read by parallelized code."""
-    existing = module.globals.get(NUM_CORES_GLOBAL)
-    if existing is not None:
-        return existing
-    return module.add_global(
-        NUM_CORES_GLOBAL, ir.I64, ir.ConstantInt(ir.I64, default)
-    )
-
-
 def build_environment(
     noelle: Noelle, boundary: LoopBoundary, name_hint: str
 ) -> Environment:
@@ -249,7 +242,6 @@ def clone_loop_into_task(
     """
     module = noelle.module
     task_fn = make_task_function(module, env, name_hint)
-    task_fn.metadata["noelle.task"] = True
     task = Task(task_fn, env)
     entry = task_fn.add_block("task.entry")
     builder = IRBuilder(entry)
@@ -363,7 +355,10 @@ def replace_loop_with_dispatch(
     envb = noelle.environment_builder()
     env_ptr = envb.allocate(builder, env)
     envb.store_live_ins(builder, env, env_ptr)
-    cores_gv = num_cores_global(module, default_cores)
+    # The runtime-tunable core-count knob, one per module.
+    cores_gv = module.globals.get(NUM_CORES_GLOBAL) or module.add_global(
+        NUM_CORES_GLOBAL, ir.I64, ir.const_int(default_cores)
+    )
     num_cores = builder.load(cores_gv, "ncores")
 
     def per_core_loop(prefix, core_name, test_name, next_name, carried, emit_body):
@@ -379,7 +374,6 @@ def replace_loop_with_dispatch(
         builder.br(header)
         builder.position_at_end(header)
         core = builder.phi(ir.I64, core_name)
-        core.metadata["noelle.generated"] = True
         phis = [builder.phi(ty, name) for ty, name, _ in carried]
         test = builder.icmp("sge", core, num_cores, test_name)
         builder.cond_br(test, done, body)
@@ -511,11 +505,6 @@ def chunk_cloned_loop(skeleton: "TaskSkeleton") -> None:
     stepper.chunk_for_core(builder, core_id, num_cores)
 
 
-def loop_is_stale(loop: Loop) -> bool:
-    """True when a transformation already deleted this loop's blocks."""
-    return loop.structure.header.parent is None
-
-
 def invocation_is_profitable(loop: Loop, profile, overhead_cycles: int) -> bool:
     """Does one loop invocation amortize the parallel-region overhead?
 
@@ -544,21 +533,17 @@ def _run_round(
     profile = noelle.profile()
     parallelized = 0
     transformed_functions: set[int] = set()
+    generated = generated_functions(noelle.module)
     for loop in noelle.loops():
-        if loop_is_stale(loop):
+        if loop.structure.header.parent is None:
             continue  # erased by an earlier transformation this round
         if only_loop_id is not None and loop.structure.loop_id != only_loop_id:
             continue  # surgical testing: only the requested loop
         fn = loop.structure.function
         if id(fn) in transformed_functions:
             continue  # loop info of this function is stale now
-        if fn.metadata.get("noelle.task"):
-            continue  # never re-parallelize generated task bodies
-        if any(
-            phi.metadata.get("noelle.generated")
-            for phi in loop.structure.header.phis()
-        ):
-            continue  # runtime glue (e.g. reduction combining) stays serial
+        if fn in generated or is_generated_loop(loop.natural_loop.instructions()):
+            continue  # generated tasks and runtime glue stay as they are
         if profile is not None:
             if profile.loop_hotness(loop.natural_loop) < minimum_hotness:
                 continue

@@ -20,7 +20,7 @@ from ..core.islands import dependence_graph_islands
 from ..core.noelle import Noelle
 from .. import ir
 from ..ir.builder import IRBuilder
-from ..ir.intrinsics import declare_intrinsic
+from ..ir.intrinsics import declare_intrinsic, generated_functions
 
 #: Clock periods (abstract time units per cycle): aggressive vs safe.
 FAST_CLOCK = 8
@@ -59,10 +59,10 @@ class TimeSqueezer:
 
     def run(self) -> TimeSqueezerStats:
         stats = TimeSqueezerStats()
+        generated = generated_functions(self.noelle.module)
         for fn in list(self.noelle.module.defined_functions()):
-            if fn.metadata.get("noelle.task"):
-                continue
-            self.run_on_function(fn, stats)
+            if fn not in generated:
+                self.run_on_function(fn, stats)
         return stats
 
     def run_on_function(self, fn: ir.Function, stats: TimeSqueezerStats) -> None:

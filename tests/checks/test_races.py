@@ -1,8 +1,9 @@
 """Static race detector: construct discovery, segments, verdicts."""
 
 from repro.checks import run_checkers
-from repro.checks.races import find_parallel_constructs, segment_spans
-from repro.ir import parse_module, print_module
+from repro.checks.races import segment_spans
+from repro.ir import Switch, parse_module, print_module
+from repro.ir.intrinsics import find_parallel_constructs
 from tests.checks.fixtures import (
     DOALL_SOURCE,
     PIPELINE_SOURCE,
@@ -22,19 +23,23 @@ class TestDiscovery:
         assert len(helix) == 1
         assert helix[0].task.name == TASK_NAME
         assert helix[0].host.name == "kernel"
-        # The transform also records its work as metadata — a refinement
-        # for tooling, not the checker's source of truth.
-        assert helix[0].task.metadata.get("noelle.parallel") == "helix"
-        assert helix[0].task.metadata.get("noelle.helix.segments") >= 1
+        assert helix[0].stages == []
+        # Each sequential segment is one helix_seq_begin id in the task.
+        segment_ids = {
+            call.args[0].value
+            for call in segment_marker_calls(helix[0].task)
+            if call.called_function().name == "helix_seq_begin"
+        }
+        assert len(segment_ids) >= 1
 
-    def test_doall_construct_and_metadata(self):
+    def test_doall_construct_found_structurally(self):
         module, _, count = parallelize_source(DOALL_SOURCE, "doall")
         assert count >= 1
         doall = [c for c in find_parallel_constructs(module)
                  if c.kind == "doall"]
-        assert doall
+        assert len(doall) == count
         for construct in doall:
-            assert construct.task.metadata.get("noelle.parallel") == "doall"
+            assert construct.call.called_function().name == "noelle_dispatch_doall"
             assert construct.stages == []
 
     def test_dswp_stages_recovered_from_selector(self):
@@ -43,13 +48,18 @@ class TestDiscovery:
         dswp = [c for c in find_parallel_constructs(module) if c.kind == "dswp"]
         assert dswp
         construct = dswp[0]
-        assert construct.task.metadata.get("noelle.parallel") == "dswp"
         assert len(construct.stages) >= 1
-        indices = [index for index, _ in construct.stages]
-        assert indices == sorted(indices)
-        for index, stage_fn in construct.stages:
-            assert stage_fn.metadata.get("noelle.parallel") == "dswp.stage"
-            assert stage_fn.metadata.get("noelle.dswp.stage") == index
+        # The stage index is the selector's switch case that calls it.
+        (switch,) = [
+            inst for inst in construct.task.instructions()
+            if isinstance(inst, Switch)
+        ]
+        called = {
+            const.value: block.instructions[0].called_function()
+            for const, block in switch.cases()
+        }
+        assert construct.stages == sorted(called.items())
+        assert len({fn.name for _, fn in construct.stages}) == len(called)
 
     def test_discovery_survives_print_parse_roundtrip(self):
         # Metadata does not round-trip through the printer; structural

@@ -24,6 +24,7 @@ from repro.analysis.loopinfo import LoopInfo
 from repro.core.noelle import Noelle
 from repro.core.pdg import PDG
 from repro.frontend import compile_source
+from repro.ir.intrinsics import generated_functions
 from repro.perf import STATS
 from repro.robust.passmanager import PassManager
 from repro.tools.meta_pdg_embed import embed_pdg, load_embedded_pdg
@@ -261,10 +262,7 @@ class TestIdentity:
         noelle = self.noelle
         manager = PassManager(noelle, fault_plan=None, checks=False)
         assert manager.run_registered("doall").value >= 1
-        tasks = [
-            fn for fn in self.module.defined_functions()
-            if fn.metadata.get("noelle.task")
-        ]
+        tasks = generated_functions(self.module)
         assert tasks
         functions = {l.structure.function.name for l in noelle.loops()}
         assert functions >= {fn.name for fn in tasks}
@@ -323,9 +321,7 @@ def assert_coherent(noelle, when, exact=False):
     """
     module = noelle.module
     rebuilt, fresh = (
-        Noelle(module, profile=noelle.profile(),
-               minimum_hotness=noelle.minimum_hotness)
-        for _ in range(2)
+        Noelle(module, profile=noelle.profile()) for _ in range(2)
     )
     rebuilt.adopt_pdg(PDG(module, noelle.alias_analysis()))
     numbering = [
@@ -423,9 +419,10 @@ def test_at_most_one_ldg_per_loop_per_function_version():
     manager = PassManager(noelle, fault_plan=None, checks=False)
     assert manager.run_registered("licm").value > 0
     assert manager.run_registered("doall").value > 0
+    generated = generated_functions(module)
     kernels = [
         fn for fn in module.defined_functions()
-        if fn.name.startswith("kern") and not fn.metadata.get("noelle.task")
+        if fn.name.startswith("kern") and fn not in generated
     ]
     for fn in kernels:
         insert_dead_add(fn)

@@ -58,12 +58,6 @@ class TestNoelleFacade:
         hotness = [profile.loop_hotness(l.natural_loop) for l in loops]
         assert hotness == sorted(hotness, reverse=True)
 
-    def test_minimum_hotness_filters(self):
-        module = compile_source(SOURCE)
-        noelle = Noelle(module, minimum_hotness=2.0)  # impossible bar
-        noelle.run_profiler()
-        assert noelle.loops() == []
-
     def test_loop_forest(self):
         source = """
 int main() {

@@ -1,5 +1,7 @@
 """Simulated-machine tests: dispatch timing models and the cores knob."""
 
+import os
+
 import pytest
 
 from repro.core import Noelle
@@ -8,7 +10,10 @@ from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter
 from repro.runtime import FORK_OVERHEAD, ParallelMachine, schedule
+from repro.serve.protocol import EXIT_TRAP
 from repro.tools import remove_loop_carried_dependences
+from repro.tools.cli import main
+from repro.tools.pipeline import execute, load_program
 from repro.xforms import DOALL, DSWP, HELIX
 from tests.conftest import outputs_match
 
@@ -222,3 +227,20 @@ class TestBaseInterpreterFallback:
             schedule(e, machine.architecture) - e.sequential_cycles
             for e in machine.executions
         )
+
+
+FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "swaptions_helix_dswp.ir"
+)
+
+
+def test_a_region_the_model_cannot_price_is_a_trap(capsys):
+    """HELIX around DSWP, IR the tools do not build (the HELIX task's loop
+    split into DSWP stages): the HELIX record closes no iteration, and
+    its price would beat its work."""
+    result = execute(load_program(FIXTURE), num_cores=8)
+    assert result.trap_kind == "UnpricedRegion"
+    assert result.output == []
+    assert main(["run", FIXTURE, "--cores", "8"]) == EXIT_TRAP
+    err = capsys.readouterr().err
+    assert err.startswith("TRAP: helix region of ") and err.count("\n") == 1

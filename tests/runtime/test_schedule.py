@@ -12,6 +12,7 @@ from repro.runtime import (
     FORK_OVERHEAD,
     JOIN_OVERHEAD,
     ParallelExecution,
+    UnpricedRegion,
     schedule,
 )
 
@@ -114,6 +115,27 @@ def test_helix_needs_one_segment_dict_per_iteration():
     execution.segment_cycles.pop()
     with pytest.raises(ValueError):
         schedule(execution, arch())
+
+
+def test_helix_record_that_closed_no_iteration_is_refused():
+    # Its one unit ran 40 000 cycles, but every iteration boundary fired
+    # in a region nested inside it.  Priced at fork and join alone,
+    # 1500 + 8 x 300 = 3900 cycles, its 8 cores could do 31 200 cycles of
+    # work: fewer than it did.
+    execution = record(
+        "helix", 8, unit_cycles=[40_000], segment_cycles=[]
+    )
+    with pytest.raises(UnpricedRegion, match=r"0 iteration\(s\) closed"):
+        schedule(execution, arch())
+
+
+def test_helix_loop_that_ran_no_iteration_is_priced():
+    # A zero-trip loop: its task tests the exit and returns.  Fork and
+    # join cover those cycles on any core count.
+    execution = record("helix", 8, unit_cycles=[40], segment_cycles=[])
+    assert schedule(execution, arch()) == 1500 + 8 * 300
+    execution.num_cores = 1
+    assert schedule(execution, arch()) == 1500 + 300
 
 
 def test_unknown_kind_is_refused():
