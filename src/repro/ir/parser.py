@@ -2,8 +2,43 @@
 
 Reads the form emitted by :mod:`repro.ir.printer`, completing the
 round-trippable serialization the whole-IR tool and the golden tests rely
-on.  The grammar is line-oriented: one global/struct/instruction per line,
-functions delimited by ``define ... {`` / ``}``.
+on.  The grammar is line-oriented: one struct, global, declaration, label
+or instruction per line, a function body running from its ``define ... {``
+line to a line holding only ``}``; blank lines and ``;`` comments are
+skipped::
+
+    struct       %S = type { [type (, type)*] }
+    global       @g = (global | constant) type [constant | [ [type constant (, ...)*] ]]
+    declare      declare signature
+    define       define signature {
+    signature    @f( [type %arg (, type %arg)*] [, ...] ) -> type attribute*
+    label        name:
+    instruction  [%x =] opcode operands
+    type         (void | double | label | iN | %S | [ N x type ]) (* | ( [type (, type)*] [, ...] ))*
+    operand      type (%x | @g | INT | FLOAT | null | undef)
+
+The operands of each opcode are those :meth:`Instruction.__str__` prints:
+``add T a, T b``, ``icmp P T a, T b``, ``alloca T``, ``load T, T p``,
+``store T v, T p``, ``elem_ptr T p (, T i)*``, ``call T f( args )``,
+``phi T [ v, %b ] (, [ v, %b ])*``, ``select T c, T a, T b``,
+``trunc T v to T`` (every cast), ``br label %b``,
+``br T c, label %t, label %f``, ``switch T v, label %d [ (T c, label %b)* ]``,
+``ret void``, ``ret T v`` and ``unreachable``.
+
+A line is split by one ``findall`` (:func:`_tokenize`; a body line that
+recurs is split once) and read by index over its tokens, and a type
+spelling resolves through per-parse tables.  Struct names are known
+before any line is read and function bodies are read after every
+top-level line, so a name may be used above its definition: a local is a
+placeholder until its definition, and phi operands resolve once the whole
+body is read.
+
+Error contract: malformed text raises :class:`ParseError` and nothing
+else, with a message that starts ``line N:`` (for an undefined local, the
+line of its first use).  Tokens left over after a complete line are an
+error, and so is a type nested deeper than the stack, and whatever the
+IR's constructors refuse (a load through an integer, a second
+``declare @f``), which is reported in their words.
 """
 
 from __future__ import annotations
@@ -12,46 +47,16 @@ import re
 
 from ..perf import gc_paused
 from .instructions import (
-    CAST_OPS,
-    FCMP_PREDICATES,
-    FLOAT_BINARY_OPS,
-    ICMP_PREDICATES,
-    INT_BINARY_OPS,
-    Alloca,
-    BinaryOp,
-    Branch,
-    Call,
-    Cast,
-    CondBranch,
-    ElemPtr,
-    FCmp,
-    ICmp,
-    Load,
-    Phi,
-    Ret,
-    Select,
-    Store,
-    Switch,
-    Unreachable,
+    CAST_OPS, FCMP_PREDICATES, FLOAT_BINARY_OPS, ICMP_PREDICATES,
+    INT_BINARY_OPS, Alloca, BinaryOp, Branch, Call, Cast, CondBranch,
+    ElemPtr, FCmp, ICmp, Load, Phi, Ret, Select, Store, Switch, Unreachable,
 )
 from .module import BasicBlock, Function, Module
 from .types import (
-    DOUBLE,
-    LABEL,
-    VOID,
-    ArrayType,
-    FunctionType,
-    IntType,
-    PointerType,
-    StructType,
-    Type,
+    DOUBLE, LABEL, VOID, ArrayType, FunctionType, IntType, PointerType, Type,
 )
 from .values import (
-    ConstantFloat,
-    ConstantInt,
-    ConstantNull,
-    UndefValue,
-    Value,
+    ConstantArray, ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value,
 )
 
 
@@ -84,7 +89,21 @@ _INT_TYPE_RE = re.compile(r"i\d+")
 _FLOAT_RE = re.compile(r"-?\d+\.\d+(e[+-]?\d+)?")
 _INT_RE = re.compile(r"-?\d+")
 _LABEL_RE = re.compile(r"([\w.$-]+):")
-_KEYWORD_TYPES: dict[str, Type] = {"void": VOID, "double": DOUBLE, "label": LABEL}
+#: The type spellings a parse starts from; ``iN``, ``%S`` are added to it.
+_BASE_TYPES: dict[str, Type] = {
+    "void": VOID, "double": DOUBLE, "label": LABEL,
+    "i1": IntType(1), "i8": IntType(8), "i32": IntType(32), "i64": IntType(64),
+}
+#: Tokens that, after ``(``, open a function type's parameter list rather
+#: than a call's argument list (as do ``iN`` and ``%S``).
+_TYPE_LIST_STARTS = (")", "...", "void", "double", "label", "[")
+#: What the IR's constructors raise on what they refuse, and what a type
+#: nested deeper than the stack raises.
+_IR_ERRORS = (ValueError, TypeError, KeyError, IndexError, RecursionError)
+_EOL = "unexpected end of line"
+#: The ``...`` of a vararg parameter list, as a list item.
+_VARARG = object()
+_LEFTOVER = "tokens left over: "
 
 
 def _tokenize(text: str, line_no: int) -> list[str]:
@@ -99,42 +118,6 @@ def _tokenize(text: str, line_no: int) -> list[str]:
     return tokens
 
 
-class _TokenStream:
-    """One line's tokens, read left to right.  Takes ownership of
-    ``tokens`` and ends it with a ``None`` sentinel, so reading never
-    needs a bounds check."""
-
-    def __init__(self, tokens: list[str], line_no: int):
-        tokens.append(None)
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos]
-
-    def next(self) -> str:
-        token = self.tokens[self.pos]
-        if token is None:
-            raise ParseError("unexpected end of line", self.line_no)
-        self.pos += 1
-        return token
-
-    def expect(self, token: str) -> None:
-        got = self.next()
-        if got != token:
-            raise ParseError(f"expected {token!r}, got {got!r}", self.line_no)
-
-    def accept(self, token: str) -> bool:
-        if self.tokens[self.pos] == token:
-            self.pos += 1
-            return True
-        return False
-
-    def at_end(self) -> bool:
-        return self.tokens[self.pos] is None
-
-
 @gc_paused
 def parse_module(text: str, name: str | None = None) -> Module:
     """Parse a complete module from text.
@@ -143,457 +126,455 @@ def parse_module(text: str, name: str | None = None) -> Module:
     ``; module NAME`` header line names it — so ``parse(print(m))``
     preserves the module name instead of collapsing it to "module".
     """
-    lines = text.splitlines()
+    lines = [raw.strip() for raw in text.splitlines()]
     if name is None:
         name = "module"
-        for raw in lines:
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            match = _MODULE_HEADER_RE.match(stripped)
-            if match:
-                name = match.group(1)
-            break
-    module = Module(name)
-    # Pre-scan for struct names so struct types can be referenced before
-    # their definition line.
-    for raw in lines:
-        stripped = raw.strip()
-        match = _STRUCT_DEF_RE.match(stripped)
-        if match:
-            module.add_struct(match.group(1))
-    parser = _ModuleParser(module, lines)
-    parser.run()
-    return module
-
-
-class _ModuleParser:
-    def __init__(self, module: Module, lines: list[str]):
-        self.module = module
-        self.lines = lines
-        self.index = 0
-        #: function-body text gathered on a first pass, parsed on a second
-        #: pass so cross-function references (calls) resolve.
-        self.pending_bodies: list[tuple[Function, list[tuple[int, str]]]] = []
-
-    def run(self) -> None:
-        while self.index < len(self.lines):
-            line_no = self.index + 1
-            stripped = self.lines[self.index].strip()
-            self.index += 1
-            if not stripped or stripped.startswith(";"):
-                continue
-            if stripped.startswith("%") and "= type" in stripped:
-                self._parse_struct(stripped, line_no)
-            elif stripped.startswith("@") and ("= global" in stripped or "= constant" in stripped):
-                self._parse_global(stripped, line_no)
-            elif stripped.startswith("declare"):
-                self._parse_declare(stripped, line_no)
-            elif stripped.startswith("define"):
-                self._collect_define(stripped, line_no)
-            else:
-                raise ParseError(f"unexpected top-level line: {stripped!r}", line_no)
-        for fn, body in self.pending_bodies:
-            _FunctionBodyParser(self.module, fn, body).run()
-
-    # -- top-level entities ---------------------------------------------------
-    def _parse_struct(self, text: str, line_no: int) -> None:
-        stream = _TokenStream(_tokenize(text, line_no), line_no)
-        name = stream.next()[1:]
-        stream.expect("=")
-        stream.expect("type")
-        stream.expect("{")
-        fields: list[Type] = []
-        if not stream.accept("}"):
-            fields.append(_parse_type(stream, self.module))
-            while stream.accept(","):
-                fields.append(_parse_type(stream, self.module))
-            stream.expect("}")
-        self.module.structs[name].set_body(fields)
-
-    def _parse_global(self, text: str, line_no: int) -> None:
-        stream = _TokenStream(_tokenize(text, line_no), line_no)
-        name = stream.next()[1:]
-        stream.expect("=")
-        kind = stream.next()
-        if kind not in ("global", "constant"):
-            raise ParseError(f"expected 'global' or 'constant', got {kind!r}", line_no)
-        ty = _parse_type(stream, self.module)
-        initializer = None
-        if not stream.at_end():
-            initializer = _parse_global_initializer(stream, ty, self.module)
-        self.module.add_global(name, ty, initializer, constant=(kind == "constant"))
-
-    def _parse_declare(self, text: str, line_no: int) -> None:
-        stream = _TokenStream(_tokenize(text, line_no), line_no)
-        stream.expect("declare")
-        name, fnty, arg_names, attrs = _parse_signature(stream, self.module)
-        fn = self.module.add_function(name, fnty, arg_names)
-        fn.attributes |= attrs
-
-    def _collect_define(self, header: str, line_no: int) -> None:
-        stream = _TokenStream(_tokenize(header, line_no), line_no)
-        stream.expect("define")
-        name, fnty, arg_names, attrs = _parse_signature(stream, self.module)
-        stream.expect("{")
-        fn = self.module.add_function(name, fnty, arg_names)
-        fn.attributes |= attrs
-        body: list[tuple[int, str]] = []
-        while self.index < len(self.lines):
-            body_line_no = self.index + 1
-            stripped = self.lines[self.index].strip()
-            self.index += 1
-            if stripped == "}":
-                self.pending_bodies.append((fn, body))
-                return
-            if stripped and not stripped.startswith(";"):
-                body.append((body_line_no, stripped))
-        raise ParseError(f"function @{name} is missing a closing brace", line_no)
-
-
-def _parse_signature(
-    stream: _TokenStream, module: Module
-) -> tuple[str, FunctionType, list[str], set[str]]:
-    name_token = stream.next()
-    if not name_token.startswith("@"):
-        raise ParseError(f"expected @name, got {name_token!r}", stream.line_no)
-    stream.expect("(")
-    param_types: list[Type] = []
-    arg_names: list[str] = []
-    vararg = False
-    if not stream.accept(")"):
-        while True:
-            if stream.accept("..."):
-                vararg = True
+        for line in lines:
+            if line:
+                match = _MODULE_HEADER_RE.match(line)
+                if match:
+                    name = match.group(1)
                 break
-            param_types.append(_parse_type(stream, module))
-            arg_token = stream.next()
-            if not arg_token.startswith("%"):
-                raise ParseError(f"expected %argname, got {arg_token!r}", stream.line_no)
-            arg_names.append(arg_token[1:])
-            if not stream.accept(","):
-                break
-        stream.expect(")")
-    stream.expect("->")
-    ret = _parse_type(stream, module)
-    attrs: set[str] = set()
-    while not stream.at_end() and stream.peek() != "{":
-        attrs.add(stream.next())
-    return name_token[1:], FunctionType(ret, param_types, vararg), arg_names, attrs
+    reader = _Reader(Module(name))
+    try:
+        reader.read(lines)
+    except _IR_ERRORS as error:
+        raise ParseError(str(error), reader.line_no) from None
+    return reader.module
 
 
-def _parse_type(stream: _TokenStream, module: Module) -> Type:
-    token = stream.next()
-    base: Type
-    if token in _KEYWORD_TYPES:
-        base = _KEYWORD_TYPES[token]
-    elif _INT_TYPE_RE.fullmatch(token):
-        base = IntType(int(token[1:]))
-    elif token.startswith("%"):
-        name = token[1:]
-        if name not in module.structs:
-            raise ParseError(f"unknown struct %{name}", stream.line_no)
-        base = module.structs[name]
-    elif token == "[":
-        count = int(stream.next())
-        stream.expect("x")
-        element = _parse_type(stream, module)
-        stream.expect("]")
-        base = ArrayType(element, count)
-    else:
-        raise ParseError(f"expected a type, got {token!r}", stream.line_no)
-    # Pointer and function-type suffixes: `T*`, `T (params...)`.
-    while True:
-        suffix = stream.peek()
-        if suffix == "*":
-            stream.pos += 1
-            base = PointerType(base)
-        elif suffix == "(" and _looks_like_function_type(stream):
-            stream.expect("(")
-            params: list[Type] = []
-            vararg = False
-            if not stream.accept(")"):
-                while True:
-                    if stream.accept("..."):
-                        vararg = True
-                        break
-                    params.append(_parse_type(stream, module))
-                    if not stream.accept(","):
-                        break
-                stream.expect(")")
-            base = FunctionType(base, params, vararg)
-        else:
-            return base
+class _Reader:
+    """One parse: the line being read and the tables names resolve in.
 
+    A line's tokens end in a ``None`` sentinel, so the token after a
+    non-``None`` one can be looked at without a bounds check.
+    """
 
-def _looks_like_function_type(stream: _TokenStream) -> bool:
-    """Disambiguate ``T (...)`` function types from call argument lists."""
-    # The next token after '(' must start a type or be ')' or '...'.
-    nxt = stream.tokens[stream.pos + 1]
-    if nxt is None:
-        return False
-    return (
-        nxt in (")", "...", "void", "double", "label", "[")
-        or bool(_INT_TYPE_RE.fullmatch(nxt))
-        or nxt.startswith("%") and nxt[1:] and not nxt[1:].isdigit()
-    )
-
-
-def _parse_global_initializer(stream: _TokenStream, ty: Type, module: Module):
-    token = stream.peek()
-    if token == "[":
-        stream.next()
-        elements = []
-        if not stream.accept("]"):
-            while True:
-                elem_ty = _parse_type(stream, module)
-                elem = _parse_constant(stream, elem_ty)
-                elements.append(elem)
-                if not stream.accept(","):
-                    break
-            stream.expect("]")
-        from .values import ConstantArray
-
-        return ConstantArray(ty, elements)
-    return _parse_constant(stream, ty)
-
-
-def _parse_constant(stream: _TokenStream, ty: Type) -> Value:
-    token = stream.next()
-    if token == "null":
-        return ConstantNull(ty)
-    if token == "undef":
-        return UndefValue(ty)
-    if _FLOAT_RE.fullmatch(token):
-        return ConstantFloat(ty, float(token))
-    if _INT_RE.fullmatch(token):
-        if ty.is_float():
-            return ConstantFloat(ty, float(token))
-        return ConstantInt(ty, int(token))
-    raise ParseError(f"expected a constant, got {token!r}", stream.line_no)
-
-
-class _FunctionBodyParser:
-    """Parses the body of one function (second pass)."""
-
-    def __init__(self, module: Module, fn: Function, body: list[tuple[int, str]]):
+    def __init__(self, module: Module):
         self.module = module
-        self.fn = fn
-        self.body = body
-        self.values: dict[str, Value] = {arg.name: arg for arg in fn.args}
+        self.line_no = 0
+        self.types = dict(_BASE_TYPES)
+        #: Pointer and array types by the ids of their parts (which they
+        #: keep alive), so each is built once.
+        self.pointers: dict[int, PointerType] = {}
+        self.arrays: dict[tuple[int, int], ArrayType] = {}
+        #: Body lines' tokens by text, so a recurring line is scanned once,
+        #: and one string per distinct token for them all to share.
+        self.scanned: dict[str, tuple] = {}
+        self.spellings: dict[str, str] = {}
+        #: The body being read: its locals (and the module's globals) by
+        #: token, its blocks by name, placeholders for locals used above
+        #: their definition (with the line of the first use), its phis.
+        self.values: dict[str, Value] = {}
         self.blocks: dict[str, BasicBlock] = {}
-        #: phi fixups: (phi, [(value_token, value_type, block_name)])
-        self.phi_fixups: list[tuple[Phi, list[tuple[str, Type, str]]]] = []
-        #: Forward references: SSA dominance is block-order independent, so
-        #: a textually-later definition may be used earlier.  Unknown names
-        #: become placeholders, patched when the definition arrives.
-        self.forward: dict[str, Value] = {}
+        self.forward: dict[str, tuple[Value, int]] = {}
+        self.phis: list[tuple[Phi, Type, list, int]] = []
 
-    def run(self) -> None:
-        # First pass: create all blocks so branches can resolve forward.
-        for line_no, line in self.body:
-            match = _LABEL_RE.fullmatch(line)
+    def fail(self, message: str):
+        raise ParseError(message, self.line_no)
+
+    def present(self, tok: str | None) -> str:
+        if tok is None:
+            self.fail(_EOL)
+        return tok
+
+    def expect(self, toks: tuple, i: int, want: str) -> int:
+        got = toks[i]
+        if got != want:
+            self.fail(_EOL if got is None else f"expected {want!r}, got {got!r}")
+        return i + 1
+
+    def tokens(self, line: str) -> tuple[str | None, ...]:
+        tokens = _tokenize(line, self.line_no)
+        return (*map(self.spellings.setdefault, tokens, tokens), None)
+
+    def done(self, toks: tuple, i: int) -> None:
+        if toks[i] is not None:
+            self.fail(_LEFTOVER + " ".join(toks[i:-1]))
+
+    def sequence(self, toks: tuple, i: int, item, close: str) -> tuple[list, int]:
+        """The comma-separated ``item``s from ``toks[i]`` up to ``close``
+        (a ``_VARARG`` item ends the list), and the index after ``close``."""
+        items = []
+        if toks[i] != close:
+            while True:
+                value, i = item(toks, i)
+                items.append(value)
+                if value is _VARARG or toks[i] != ",":
+                    break
+                i += 1
+        return items, self.expect(toks, i, close)
+
+    # -- top level ---------------------------------------------------------
+    def read(self, lines: list[str]) -> None:
+        module = self.module
+        # Struct names first, so a type may name a struct defined below.
+        for line_no, line in enumerate(lines, 1):
+            match = _STRUCT_DEF_RE.match(line)
             if match:
-                name = match.group(1)
-                if name in self.blocks:
-                    raise ParseError(f"duplicate block %{name}", line_no)
-                block = BasicBlock(name, self.fn)
-                self.fn.blocks.append(block)
-                self.fn._used_names.add(name)
-                self.blocks[name] = block
-        current: BasicBlock | None = None
-        for line_no, line in self.body:
-            match = _LABEL_RE.fullmatch(line)
-            if match:
-                current = self.blocks[match.group(1)]
+                self.line_no = line_no
+                module.add_struct(match.group(1))
+        self.types.update(("%" + name, st) for name, st in module.structs.items())
+        # Bodies are gathered here and read once every function is known.
+        bodies = []
+        numbered = enumerate(lines, 1)
+        for self.line_no, line in numbered:
+            if not line or line[0] == ";":
                 continue
-            if current is None:
-                raise ParseError("instruction before first block label", line_no)
-            self._parse_instruction(line, line_no, current)
-        self._resolve_phis()
-        unresolved = [n for n, p in self.forward.items() if p.is_used()]
-        if unresolved:
-            raise ParseError(
-                f"use of undefined value(s) %{', %'.join(sorted(unresolved))} "
-                f"in @{self.fn.name}"
-            )
-
-    # -- value resolution -------------------------------------------------------
-    def _value(self, token: str, ty: Type, line_no: int) -> Value:
-        if token.startswith("%"):
-            name = token[1:]
-            if name in self.values:
-                return self.values[name]
-            placeholder = self.forward.get(name)
-            if placeholder is None:
-                placeholder = Value(ty, name)
-                self.forward[name] = placeholder
-            return placeholder
-        if token.startswith("@"):
-            name = token[1:]
-            if name in self.module.functions:
-                return self.module.functions[name]
-            if name in self.module.globals:
-                return self.module.globals[name]
-            raise ParseError(f"use of undefined global @{name}", line_no)
-        stream = _TokenStream([token], line_no)
-        return _parse_constant(stream, ty)
-
-    def _typed_value(self, stream: _TokenStream) -> Value:
-        ty = _parse_type(stream, self.module)
-        token = stream.next()
-        return self._value(token, ty, stream.line_no)
-
-    def _define(self, name: str, value: Value) -> None:
-        value.name = name
-        self.values[name] = value
-        self.fn._used_names.add(name)
-        placeholder = self.forward.pop(name, None)
-        if placeholder is not None:
-            placeholder.replace_all_uses_with(value)
-
-    # -- instruction dispatch ------------------------------------------------------
-    def _parse_instruction(self, line: str, line_no: int, block: BasicBlock) -> None:
-        stream = _TokenStream(_tokenize(line, line_no), line_no)
-        first = stream.next()
-        result_name: str | None = None
-        if first.startswith("%") and stream.peek() == "=":
-            result_name = first[1:]
-            stream.expect("=")
-            opcode = stream.next()
-        else:
-            opcode = first
-        inst = self._build(opcode, stream, line_no, block)
-        inst.parent = block
-        block.instructions.append(inst)
-        if result_name is not None:
-            self._define(result_name, inst)
-
-    def _build(self, opcode: str, stream: _TokenStream, line_no: int, block: BasicBlock):
-        if opcode in INT_BINARY_OPS or opcode in FLOAT_BINARY_OPS:
-            lhs = self._typed_value(stream)
-            stream.expect(",")
-            rhs = self._typed_value(stream)
-            return BinaryOp(opcode, lhs, rhs)
-        if opcode == "icmp":
-            predicate = stream.next()
-            if predicate not in ICMP_PREDICATES:
-                raise ParseError(f"bad icmp predicate {predicate!r}", line_no)
-            lhs = self._typed_value(stream)
-            stream.expect(",")
-            rhs = self._typed_value(stream)
-            return ICmp(predicate, lhs, rhs)
-        if opcode == "fcmp":
-            predicate = stream.next()
-            if predicate not in FCMP_PREDICATES:
-                raise ParseError(f"bad fcmp predicate {predicate!r}", line_no)
-            lhs = self._typed_value(stream)
-            stream.expect(",")
-            rhs = self._typed_value(stream)
-            return FCmp(predicate, lhs, rhs)
-        if opcode == "alloca":
-            ty = _parse_type(stream, self.module)
-            return Alloca(ty)
-        if opcode == "load":
-            _parse_type(stream, self.module)  # result type, redundant
-            stream.expect(",")
-            ptr = self._typed_value(stream)
-            return Load(ptr)
-        if opcode == "store":
-            value = self._typed_value(stream)
-            stream.expect(",")
-            ptr = self._typed_value(stream)
-            return Store(value, ptr)
-        if opcode == "elem_ptr":
-            base = self._typed_value(stream)
-            indices = []
-            while stream.accept(","):
-                indices.append(self._typed_value(stream))
-            return ElemPtr(base, indices)
-        if opcode == "call":
-            _parse_type(stream, self.module)  # return type, redundant
-            callee_token = stream.next()
-            stream.expect("(")
-            args = []
-            if not stream.accept(")"):
-                while True:
-                    args.append(self._typed_value(stream))
-                    if not stream.accept(","):
+            if line[0] == "%" and "= type" in line:
+                self._struct(self.tokens(line))
+            elif line[0] == "@" and ("= global" in line or "= constant" in line):
+                self._global(self.tokens(line))
+            elif line.startswith("declare"):
+                self._function(self.tokens(line), "declare")
+            elif line.startswith("define"):
+                fn = self._function(self.tokens(line), "define")
+                body, labels = [], []
+                for line_no, line in numbered:
+                    if line == "}":
                         break
-                stream.expect(")")
-            callee = self._value(callee_token, VOID, line_no)
-            return Call(callee, args)
-        if opcode == "phi":
-            ty = _parse_type(stream, self.module)
-            phi = Phi(ty)
-            fixups: list[tuple[str, Type, str]] = []
-            while stream.accept("["):
-                value_token = stream.next()
-                stream.expect(",")
-                block_token = stream.next()
-                stream.expect("]")
-                fixups.append((value_token, ty, block_token[1:]))
-                stream.accept(",")
-            self.phi_fixups.append((phi, fixups))
-            return phi
-        if opcode == "select":
-            cond = self._typed_value(stream)
-            stream.expect(",")
-            true_value = self._typed_value(stream)
-            stream.expect(",")
-            false_value = self._typed_value(stream)
-            return Select(cond, true_value, false_value)
-        if opcode in CAST_OPS:
-            value = self._typed_value(stream)
-            stream.expect("to")
-            to_type = _parse_type(stream, self.module)
-            return Cast(opcode, value, to_type)
-        if opcode == "br":
-            if stream.peek() == "label":
-                stream.expect("label")
-                target = self._block_ref(stream.next(), line_no)
-                return Branch(target)
-            cond = self._typed_value(stream)
-            stream.expect(",")
-            stream.expect("label")
-            true_block = self._block_ref(stream.next(), line_no)
-            stream.expect(",")
-            stream.expect("label")
-            false_block = self._block_ref(stream.next(), line_no)
-            return CondBranch(cond, true_block, false_block)
-        if opcode == "switch":
-            value = self._typed_value(stream)
-            stream.expect(",")
-            stream.expect("label")
-            default = self._block_ref(stream.next(), line_no)
-            stream.expect("[")
-            cases: list[tuple[ConstantInt, BasicBlock]] = []
-            while not stream.accept("]"):
-                case_ty = _parse_type(stream, self.module)
-                const = _parse_constant(stream, case_ty)
-                stream.expect(",")
-                stream.expect("label")
-                target = self._block_ref(stream.next(), line_no)
-                cases.append((const, target))
-            return Switch(value, default, cases)
-        if opcode == "ret":
-            if stream.peek() == "void":
-                stream.next()
-                return Ret(None)
-            value = self._typed_value(stream)
-            return Ret(value)
-        if opcode == "unreachable":
-            return Unreachable()
-        raise ParseError(f"unknown opcode {opcode!r}", line_no)
+                    if line and line[0] != ";":
+                        label = None
+                        if line[-1] == ":" and _LABEL_RE.fullmatch(line):
+                            label = line[:-1]
+                            labels.append((line_no, label))
+                        body.append((line_no, line, label))
+                else:  # self.line_no is still the header's
+                    self.fail(f"function @{fn.name} is missing a closing brace")
+                bodies.append((fn, body, labels))
+            else:
+                self.fail(f"unexpected top-level line: {line!r}")
+        scope = {"@" + gv.name: gv for gv in module.globals.values()}
+        scope.update(("@" + fn.name, fn) for fn in module.functions.values())
+        for fn, body, labels in bodies:
+            self._body(fn, body, labels, scope)
 
-    def _block_ref(self, token: str, line_no: int) -> BasicBlock:
-        name = token[1:]
-        if name not in self.blocks:
-            raise ParseError(f"branch to unknown block %{name}", line_no)
-        return self.blocks[name]
+    def _struct(self, toks: tuple) -> None:
+        i = 1
+        for want in ("=", "type", "{"):
+            i = self.expect(toks, i, want)
+        fields, i = self.sequence(toks, i, self.type, "}")
+        self.done(toks, i)
+        self.module.structs[toks[0][1:]].set_body(fields)
 
-    def _resolve_phis(self) -> None:
-        for phi, fixups in self.phi_fixups:
-            for value_token, ty, block_name in fixups:
-                value = self._value(value_token, ty, 0)
-                phi.add_incoming(value, self.blocks[block_name])
+    def _global(self, toks: tuple) -> None:
+        kind = self.present(toks[self.expect(toks, 1, "=")])
+        if kind not in ("global", "constant"):
+            self.fail(f"expected 'global' or 'constant', got {kind!r}")
+        ty, i = self.type(toks, 3)
+        initializer = None
+        if toks[i] == "[":
+            elements, i = self.sequence(toks, i + 1, self._element, "]")
+            initializer = ConstantArray(ty, elements)
+        elif toks[i] is not None:
+            initializer = self.constant(toks[i], ty)
+            i += 1
+        self.done(toks, i)
+        self.module.add_global(toks[0][1:], ty, initializer, constant=(kind == "constant"))
+
+    def _element(self, toks: tuple, i: int) -> tuple[Value, int]:
+        ty, i = self.type(toks, i)
+        return self.constant(toks[i], ty), i + 1
+
+    def _function(self, toks: tuple, keyword: str) -> Function:
+        """A ``declare`` line, or a ``define`` line up to its ``{``."""
+        name = self.present(toks[self.expect(toks, 0, keyword)])
+        if not name.startswith("@"):
+            self.fail(f"expected @name, got {name!r}")
+        params, i = self.sequence(toks, self.expect(toks, 2, "("), self._param, ")")
+        vararg = bool(params) and params[-1] is _VARARG
+        ret, i = self.type(toks, self.expect(toks, i, "->"))
+        attrs: set[str] = set()
+        while toks[i] is not None and toks[i] != "{":
+            attrs.add(toks[i])
+            i += 1
+        self.done(toks, self.expect(toks, i, "{") if keyword == "define" else i)
+        params = params[:-1] if vararg else params
+        fn = self.module.add_function(
+            name[1:], FunctionType(ret, [ty for ty, _ in params], vararg),
+            [arg for _, arg in params],
+        )
+        fn.attributes |= attrs
+        return fn
+
+    def _param(self, toks: tuple, i: int) -> tuple[tuple[Type, str] | object, int]:
+        if toks[i] == "...":
+            return _VARARG, i + 1
+        ty, i = self.type(toks, i)
+        arg = self.present(toks[i])
+        if not arg.startswith("%"):
+            self.fail(f"expected %argname, got {arg!r}")
+        return (ty, arg[1:]), i + 1
+
+    # -- types and constants -------------------------------------------------
+    def type(self, toks: tuple, i: int) -> tuple[Type, int]:
+        """The type spelled from ``toks[i]``, and the index after it."""
+        ty = self.types.get(toks[i])
+        if ty is None:
+            ty, i = self._base_type(toks, i)
+        else:
+            i += 1
+        while True:
+            tok = toks[i]
+            if tok == "*":
+                pointer = self.pointers.get(id(ty))
+                if pointer is None:
+                    pointer = self.pointers[id(ty)] = PointerType(ty)
+                ty = pointer
+                i += 1
+            elif tok == "(" and self._starts_type_list(toks[i + 1]):
+                params, i = self.sequence(toks, i + 1, self._param_type, ")")
+                vararg = bool(params) and params[-1] is _VARARG
+                ty = FunctionType(ty, params[:-1] if vararg else params, vararg)
+            else:
+                return ty, i
+
+    def _param_type(self, toks: tuple, i: int) -> tuple[Type | object, int]:
+        return (_VARARG, i + 1) if toks[i] == "..." else self.type(toks, i)
+
+    def _base_type(self, toks: tuple, i: int) -> tuple[Type, int]:
+        """A base type not in the table yet: ``iN`` or an array."""
+        tok = self.present(toks[i])
+        if _INT_TYPE_RE.fullmatch(tok):
+            ty = self.types[tok] = IntType(int(tok[1:]))
+            return ty, i + 1
+        if tok[0] == "%":
+            self.fail(f"unknown struct {tok}")
+        if tok != "[":
+            self.fail(f"expected a type, got {tok!r}")
+        count = self.present(toks[i + 1])
+        if not _INT_RE.fullmatch(count):
+            self.fail(f"expected an array length, got {count!r}")
+        element, i = self.type(toks, self.expect(toks, i + 2, "x"))
+        i = self.expect(toks, i, "]")
+        key = (int(count), id(element))
+        array = self.arrays.get(key)
+        if array is None:
+            array = self.arrays[key] = ArrayType(element, key[0])
+        return array, i
+
+    @staticmethod
+    def _starts_type_list(tok: str | None) -> bool:
+        return tok is not None and (
+            tok in _TYPE_LIST_STARTS
+            or _INT_TYPE_RE.fullmatch(tok) is not None
+            or tok[0] == "%" and not tok[1:].isdigit()
+        )
+
+    def constant(self, tok: str | None, ty: Type) -> Value:
+        if _INT_RE.fullmatch(self.present(tok)):
+            if isinstance(ty, IntType):
+                return ConstantInt(ty, int(tok))
+            if ty is DOUBLE:
+                return ConstantFloat(ty, float(tok))
+            self.fail(f"integer constant {tok} cannot have type {ty}")
+        if tok == "null":
+            return ConstantNull(ty)
+        if tok == "undef":
+            return UndefValue(ty)
+        if _FLOAT_RE.fullmatch(tok):
+            return ConstantFloat(ty, float(tok))
+        self.fail(f"expected a constant, got {tok!r}")
+
+    # -- function bodies -------------------------------------------------------
+    def _body(self, fn: Function, body: list, labels: list, scope: dict) -> None:
+        self.blocks = blocks = {}
+        for line_no, name in labels:
+            if name in blocks:
+                self.line_no = line_no
+                self.fail(f"duplicate block %{name}")
+            blocks[name] = block = BasicBlock(name, fn)
+            fn.blocks.append(block)
+            fn._used_names.add(name)
+        self.values = values = dict(scope)
+        values.update(("%" + arg.name, arg) for arg in fn.args)
+        self.forward = forward = {}
+        self.phis = []
+        scanned = self.scanned
+        block = None
+        for line_no, line, label in body:
+            self.line_no = line_no
+            if label is not None:
+                block = blocks[label]
+                continue
+            if block is None:
+                self.fail("instruction before first block label")
+            toks = scanned.get(line)
+            if toks is None:
+                toks = scanned[line] = self.tokens(line)
+            result = toks[0]
+            if result[0] == "%" and toks[1] == "=":
+                opcode, i = toks[2], 3
+            else:
+                opcode, i, result = result, 1, None
+            build = _BUILDERS.get(opcode)
+            if build is None:
+                self.fail(f"unknown opcode {self.present(opcode)!r}")
+            inst, i = build(self, opcode, toks, i)
+            self.done(toks, i)
+            inst.parent = block
+            block.instructions.append(inst)
+            if result is not None:
+                inst.name = name = result[1:]
+                values[result] = inst
+                fn._used_names.add(name)
+                if forward and result in forward:
+                    forward.pop(result)[0].replace_all_uses_with(inst)
+        for phi, ty, incoming, self.line_no in self.phis:
+            for tok, pred in incoming:
+                value = values.get(tok)
+                if value is None:
+                    value = self.value(tok, ty)
+                block = blocks.get(pred[1:])
+                if block is None:
+                    self.fail(f"phi from unknown block {pred}")
+                phi.add_incoming(value, block)
+        unresolved = sorted((tok, line) for tok, (p, line) in forward.items() if p.is_used())
+        if unresolved:
+            self.line_no = min(line for _, line in unresolved)
+            names = ", ".join(tok for tok, _ in unresolved)
+            self.fail(f"use of undefined value(s) {names} in @{fn.name}")
+
+    def value(self, tok: str | None, ty: Type) -> Value:
+        """The value ``tok`` names, where it is not (yet) in ``values``."""
+        if self.present(tok)[0] == "%":
+            entry = self.forward.get(tok)
+            if entry is None:
+                entry = self.forward[tok] = (Value(ty, tok[1:]), self.line_no)
+            return entry[0]
+        if tok[0] == "@":
+            self.fail(f"use of undefined global {tok}")
+        return self.constant(tok, ty)
+
+    def typed(self, toks: tuple, i: int) -> tuple[Value, int]:
+        """The ``type value`` operand at ``toks[i]``, and the index after it."""
+        ty = self.types.get(toks[i])
+        if ty is None or toks[i + 1] == "*" or toks[i + 1] == "(":
+            ty, i = self.type(toks, i)
+        else:
+            i += 1
+        tok = toks[i]
+        value = self.values.get(tok)
+        return (self.value(tok, ty) if value is None else value), i + 1
+
+    def pair(self, toks: tuple, i: int) -> tuple[Value, Value, int]:
+        """The operands ``T a, T b`` at ``toks[i]``, and the index after."""
+        first, i = self.typed(toks, i)
+        if toks[i] != ",":
+            self.expect(toks, i, ",")
+        second, i = self.typed(toks, i + 1)
+        return first, second, i
+
+    def label(self, toks: tuple, i: int) -> tuple[BasicBlock, int]:
+        """The ``label %b`` at ``toks[i]``, and the index after it."""
+        name = self.present(toks[self.expect(toks, i, "label")])[1:]
+        block = self.blocks.get(name)
+        if block is None:
+            self.fail(f"branch to unknown block %{name}")
+        return block, i + 2
+
+    # -- one builder per opcode: (reader, opcode, tokens, index of the first
+    # operand) -> (instruction, index after its last operand) -----------------
+    def _binary(self, op, toks, i):
+        lhs, rhs, i = self.pair(toks, i)
+        return BinaryOp(op, lhs, rhs), i
+
+    def _compare(self, op, toks, i):
+        predicate = toks[i]
+        if predicate not in (ICMP_PREDICATES if op == "icmp" else FCMP_PREDICATES):
+            self.fail(f"bad {op} predicate {self.present(predicate)!r}")
+        lhs, rhs, i = self.pair(toks, i + 1)
+        return (ICmp if op == "icmp" else FCmp)(predicate, lhs, rhs), i
+
+    def _alloca(self, op, toks, i):
+        ty, i = self.type(toks, i)
+        return Alloca(ty), i
+
+    def _load(self, op, toks, i):
+        _, i = self.type(toks, i)  # the loaded type: the pointer's pointee
+        ptr, i = self.typed(toks, self.expect(toks, i, ","))
+        return Load(ptr), i
+
+    def _store(self, op, toks, i):
+        value, ptr, i = self.pair(toks, i)
+        return Store(value, ptr), i
+
+    def _elem_ptr(self, op, toks, i):
+        base, i = self.typed(toks, i)
+        indices = []
+        while toks[i] == ",":
+            index, i = self.typed(toks, i + 1)
+            indices.append(index)
+        return ElemPtr(base, indices), i
+
+    def _call(self, op, toks, i):
+        _, i = self.type(toks, i)  # the return type: the callee's
+        callee = self.present(toks[i])
+        args, i = self.sequence(toks, self.expect(toks, i + 1, "("), self.typed, ")")
+        value = self.values.get(callee)
+        return Call(self.value(callee, VOID) if value is None else value, args), i
+
+    def _phi(self, op, toks, i):
+        ty, i = self.type(toks, i)
+        phi = Phi(ty)
+        incoming = []
+        while toks[i] == "[":
+            tok = self.present(toks[i + 1])
+            pred = self.present(toks[self.expect(toks, i + 2, ",")])
+            i = self.expect(toks, i + 4, "]")
+            incoming.append((tok, pred))
+            if toks[i] == ",":
+                i += 1
+        self.phis.append((phi, ty, incoming, self.line_no))
+        return phi, i
+
+    def _select(self, op, toks, i):
+        cond, i = self.typed(toks, i)
+        true_value, false_value, i = self.pair(toks, self.expect(toks, i, ","))
+        return Select(cond, true_value, false_value), i
+
+    def _cast(self, op, toks, i):
+        value, i = self.typed(toks, i)
+        to_type, i = self.type(toks, self.expect(toks, i, "to"))
+        return Cast(op, value, to_type), i
+
+    def _br(self, op, toks, i):
+        if toks[i] == "label":
+            target, i = self.label(toks, i)
+            return Branch(target), i
+        cond, i = self.typed(toks, i)
+        true_block, i = self.label(toks, self.expect(toks, i, ","))
+        false_block, i = self.label(toks, self.expect(toks, i, ","))
+        return CondBranch(cond, true_block, false_block), i
+
+    def _switch(self, op, toks, i):
+        value, i = self.typed(toks, i)
+        default, i = self.label(toks, self.expect(toks, i, ","))
+        i = self.expect(toks, i, "[")
+        cases = []
+        while toks[i] != "]":
+            case, i = self._element(toks, i)
+            target, i = self.label(toks, self.expect(toks, i, ","))
+            cases.append((case, target))
+        return Switch(value, default, cases), i + 1
+
+    def _ret(self, op, toks, i):
+        if toks[i] == "void":
+            return Ret(None), i + 1
+        value, i = self.typed(toks, i)
+        return Ret(value), i
+
+    def _unreachable(self, op, toks, i):
+        return Unreachable(), i
+
+
+_BUILDERS = {
+    **dict.fromkeys(INT_BINARY_OPS, _Reader._binary),
+    **dict.fromkeys(FLOAT_BINARY_OPS, _Reader._binary),
+    **dict.fromkeys(CAST_OPS, _Reader._cast),
+    "icmp": _Reader._compare, "fcmp": _Reader._compare,
+    "alloca": _Reader._alloca, "load": _Reader._load, "store": _Reader._store,
+    "elem_ptr": _Reader._elem_ptr, "call": _Reader._call, "phi": _Reader._phi,
+    "select": _Reader._select, "br": _Reader._br, "switch": _Reader._switch,
+    "ret": _Reader._ret, "unreachable": _Reader._unreachable,
+}

@@ -166,7 +166,7 @@ declare @f() -> void
 
 declare @f() -> void
 """
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match=r"^line 4: function @f already exists$"):
             parse_module(text)
 
     def test_unknown_struct(self):

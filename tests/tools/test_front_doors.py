@@ -13,7 +13,7 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.interp import interp
-from repro.ir import print_module, write_module
+from repro.ir import ParseError, parse_module, print_module, write_module
 from repro.robust.diagnostics import EntryNotFoundError
 from repro.serve.daemon import Supervisor
 from repro.serve.protocol import (
@@ -213,6 +213,38 @@ class BadInput(NamedTuple):
 
 UNVERIFIABLE_IR = "define @main() -> i64 {\nentry:\n  %x = add i64 1, i64 2\n}\n"
 
+
+def _main_ir(*lines: str, before: tuple[str, ...] = ()) -> str:
+    return "\n".join([*before, "define @main() -> i64 {", "entry:", *lines, "}", ""])
+
+
+#: Malformed IR text, each with the line its ParseError names: the shapes
+#: that escaped the reader as a ValueError, KeyError, AttributeError,
+#: TypeError or RecursionError, and tokens left over after a complete
+#: instruction.
+MALFORMED_IR = {
+    "constant-pointer-base": (
+        _main_ir("  %p = elem_ptr [4 x i64]* 0, i64 1", "  ret i64 0"), 3),
+    "phi-without-type": (_main_ir(
+        "  br label %l", "l:", "  %x = phi [ %x, %l ], [ 0, %entry ]",
+        "  br label %l"), 5),
+    "phi-from-a-number": (_main_ir(
+        "  br label %l", "l:", "  %x = phi i64 [ 0, 7 ]", "  ret i64 %x"), 5),
+    "non-numeric-array-count": (
+        _main_ir("  ret i64 0", before=("@g = global [abc x i64]",)), 1),
+    "store-through-an-integer": (_main_ir(
+        "  %q = add i64 1, i64 2", "  store i64 1, i64 %q", "  ret i64 0"), 4),
+    "load-through-an-integer": (
+        _main_ir("  %v = load i64, i64 7", "  ret i64 %v"), 3),
+    "duplicate-declare": (_main_ir(
+        "  ret i64 0", before=("declare @f() -> void", "declare @f() -> void")), 2),
+    "store-with-a-trailing-token": (_main_ir(
+        "  %p = alloca i64", "  store i64 1, i64* %p %p", "  ret i64 0"), 4),
+    "ret-with-a-trailing-token": (_main_ir("  ret i64 0 7"), 3),
+    "type-nested-past-the-stack": (_main_ir("  ret i64 0", before=(
+        "@g = global " + "[1 x " * 3000 + "i64" + "]" * 3000,)), 1),
+}
+
 BAD_INPUTS = {
     "missing-file": BadInput(
         "run", "absent.ir", None, "FileNotFoundError", EXIT_INPUT_ERROR,
@@ -276,7 +308,21 @@ BAD_INPUTS = {
         {"op": "check", "ir": _ir_text(CLEAN), "stages": -1},
         ("--parallelize", "dswp", "--stages", "-1"),
     ),
+    **{
+        f"ir-{case}": BadInput(
+            "run", "bad.ir", text, "ParseError", EXIT_INPUT_ERROR,
+            {"op": "run", "ir": text},
+        )
+        for case, (text, _) in MALFORMED_IR.items()
+    },
 }
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_IR))
+def test_malformed_ir_names_its_line(case):
+    text, line_no = MALFORMED_IR[case]
+    with pytest.raises(ParseError, match=rf"^line {line_no}: "):
+        parse_module(text)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
