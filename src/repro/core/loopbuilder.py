@@ -193,7 +193,6 @@ class LoopBuilder:
             clone = Unreachable()
         else:  # pragma: no cover - all instruction kinds covered above
             raise TypeError(f"cannot clone {inst!r}")
-        clone.metadata = dict(inst.metadata)
         return clone
 
     # -- splitting -----------------------------------------------------------------------

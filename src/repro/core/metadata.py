@@ -1,19 +1,17 @@
 """Deterministic IDs and extendible metadata (Section 2.2, "Others").
 
 NOELLE attaches deterministic IDs to instructions, basic blocks, loops, and
-functions so abstractions can be serialized into IR metadata (the
-``noelle-meta-*`` tools) and reconstructed later without re-running
-expensive analyses.  IDs are assigned in a canonical traversal order, so
-the same module always gets the same IDs.
+functions so abstractions can be serialized (the ``noelle-meta-*`` tools)
+and reconstructed later without re-running expensive analyses.  IDs are
+assigned in a canonical traversal order, so the same module always gets
+the same IDs: they are recomputed, never stored in the IR.  Metadata
+lives on the module and its functions only; no instruction carries any.
 """
 
 from __future__ import annotations
 
 from ..ir.instructions import Instruction
 from ..ir.module import BasicBlock, Function, Module
-
-INSTRUCTION_ID_KEY = "noelle.id"
-FUNCTION_ID_KEY = "noelle.function.id"
 
 
 class IDAssigner:
@@ -33,13 +31,11 @@ class IDAssigner:
         for fn_index, fn in enumerate(sorted(self.module.functions.values(),
                                              key=lambda f: f.name)):
             self.function_ids[id(fn)] = fn_index
-            fn.metadata[FUNCTION_ID_KEY] = fn_index
             for block in fn.blocks:
                 self.block_ids[id(block)] = next_block
                 next_block += 1
                 for inst in block.instructions:
                     self.instruction_ids[id(inst)] = next_inst
-                    inst.metadata[INSTRUCTION_ID_KEY] = next_inst
                     self._instruction_by_id[next_inst] = inst
                     next_inst += 1
 
@@ -58,7 +54,8 @@ class IDAssigner:
 
 
 def clean_noelle_metadata(module: Module) -> int:
-    """Strip all ``noelle.*`` metadata (the ``noelle-meta-clean`` tool).
+    """Strip all ``noelle.*`` module and function metadata (the
+    ``noelle-meta-clean`` tool).
 
     Tools find generated code from the IR alone
     (:func:`repro.ir.intrinsics.generated_functions`), so stripping does
@@ -73,8 +70,4 @@ def clean_noelle_metadata(module: Module) -> int:
         for key in [k for k in fn.metadata if str(k).startswith("noelle.")]:
             del fn.metadata[key]
             removed += 1
-        for inst in fn.instructions():
-            for key in [k for k in inst.metadata if str(k).startswith("noelle.")]:
-                del inst.metadata[key]
-                removed += 1
     return removed

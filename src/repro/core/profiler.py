@@ -20,7 +20,9 @@ from ..interp.interp import INSTRUCTION_COSTS, BlockProfile, Interpreter
 from ..ir.instructions import Call, Instruction
 from ..ir.module import BasicBlock, Function, Module
 
-PROFILE_COUNT_KEY = "noelle.prof.count"
+#: The module record ``embed_profile`` writes: ``{"functions": {name:
+#: [count of each instruction, in block order]}, "total_weight": w}``.
+PROFILE_KEY = "noelle.prof"
 
 
 class ProfileData:
@@ -234,18 +236,26 @@ class Profiler:
 
 
 def embed_profile(module: Module, data: ProfileData) -> None:
-    """Attach counts as IR metadata (``noelle-meta-prof-embed``)."""
-    for fn in module.defined_functions():
-        for inst in fn.instructions():
-            inst.metadata[PROFILE_COUNT_KEY] = data.count_of(inst)
-    module.metadata["noelle.prof.total_weight"] = data.total_weight
+    """Attach counts as one module record (``noelle-meta-prof-embed``)."""
+    module.metadata[PROFILE_KEY] = {
+        "functions": {
+            fn.name: [data.count_of(inst) for inst in fn.instructions()]
+            for fn in module.defined_functions()
+        },
+        "total_weight": data.total_weight,
+    }
 
 
 def read_embedded_counts(module: Module) -> dict[int, int]:
-    """Recover per-instruction counts from embedded metadata."""
+    """Recover per-instruction counts from the embedded record; a function
+    whose instruction count no longer matches its entry is skipped."""
+    embedded = module.metadata.get(PROFILE_KEY, {}).get("functions", {})
     counts: dict[int, int] = {}
     for fn in module.defined_functions():
-        for inst in fn.instructions():
-            if PROFILE_COUNT_KEY in inst.metadata:
-                counts[id(inst)] = int(inst.metadata[PROFILE_COUNT_KEY])
+        insts = list(fn.instructions())
+        fn_counts = embedded.get(fn.name, ())
+        if len(fn_counts) == len(insts):
+            counts.update(
+                (id(inst), int(count)) for inst, count in zip(insts, fn_counts)
+            )
     return counts

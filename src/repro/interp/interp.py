@@ -386,10 +386,10 @@ class ExecutionResult:
         self.parallel_executions: list[ParallelExecution] = []
 
 
-#: Process-wide cap applied to every new interpreter's step limit.  The
-#: transactional pass manager sets this around a pass so any interpreter
-#: the pass spins up (profilers, remedy validators) is budgeted and fails
-#: with the ordinary :class:`StepLimitExceeded` the manager rolls back on.
+#: Process-wide cap applied to every new interpreter's step limit, so
+#: that any interpreter a caller's code spins up (profilers, remedy
+#: validators) is budgeted and fails with the ordinary
+#: :class:`StepLimitExceeded`.
 _STEP_BUDGET: int | None = None
 
 

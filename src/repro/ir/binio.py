@@ -24,9 +24,9 @@ is designed for cheap reads:
 The round-trip contract (enforced by ``tests/ir/test_binio.py``) is that
 ``read(write(m))`` prints byte-identically to ``parse(print(m))`` — and
 beyond the printer, the reader restores naming state (``_used_names``,
-``_name_counter``) and all ``noelle.*`` metadata exactly, so a module
-hydrated from ``.nir`` behaves identically to the one that was written
-under every later transform.
+``_name_counter``) and the module's and each function's metadata exactly
+(instructions carry none), so a module hydrated from ``.nir`` behaves
+identically to the one that was written under every later transform.
 
 Errors are structured: :class:`BinFormatError` (corrupt or malformed
 content), :class:`BinTruncatedError` (unexpected end of data), and
@@ -88,8 +88,9 @@ from .values import (
 #: First four bytes of every ``.nir`` file.
 MAGIC = b"\x7fNIR"
 
-#: Bump on any incompatible change to the encoding below.
-FORMAT_VERSION = 1
+#: Bump on any incompatible change to the encoding below.  Version 2
+#: dropped version 1's per-function instruction-metadata section.
+FORMAT_VERSION = 2
 
 #: Canonical file extension for the binary form.
 EXTENSION = ".nir"
@@ -375,19 +376,6 @@ class _Writer:
         for block in fn.blocks:
             for inst in block.instructions:
                 self._emit_instruction(out, inst, value_index, block_index)
-
-        # Instruction metadata, keyed by flat instruction position.
-        annotated = []
-        flat = 0
-        for block in fn.blocks:
-            for inst in block.instructions:
-                if inst.metadata:
-                    annotated.append((flat, inst.metadata))
-                flat += 1
-        _varint(out, len(annotated))
-        for flat, metadata in annotated:
-            _varint(out, flat)
-            self._emit_meta(out, metadata)
 
     def _emit_operand(
         self, out: bytearray, value, value_index: dict[int, int]
@@ -846,17 +834,6 @@ class _ModuleReader:
         # names they would have picked on the originally-written module.
         fn._used_names.update(extras)
         fn._name_counter = name_counter
-
-        flat_insts = [inst for block in blocks for inst in block.instructions]
-        for _ in range(self.r.varint()):
-            flat = self.r.varint()
-            metadata = self._read_meta_dict()
-            if flat >= len(flat_insts):
-                raise BinFormatError(
-                    f"metadata for out-of-range instruction {flat} "
-                    f"in @{fn.name}"
-                )
-            flat_insts[flat].metadata = metadata
 
     def _read_instruction(self, lookup, block_at) -> Instruction:
         r = self.r

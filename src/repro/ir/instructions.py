@@ -90,8 +90,6 @@ class Instruction(User):
     def __init__(self, ty: Type, name: str = ""):
         super().__init__(ty, name)
         self.parent: "BasicBlock | None" = None
-        #: Free-form metadata (profile counts, NOELLE IDs, PDG edges, ...).
-        self.metadata: dict[str, object] = {}
 
     # -- classification ----------------------------------------------------
     def is_terminator(self) -> bool:

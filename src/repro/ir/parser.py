@@ -16,6 +16,12 @@ skipped::
     instruction  [%x =] opcode operands
     type         (void | double | label | iN | %S | [ N x type ]) (* | ( [type (, type)*] [, ...] ))*
     operand      type (%x | @g | INT | FLOAT | null | undef)
+    FLOAT        -?D.D[e(+|-)D] | 0xHHHHHHHHHHHHHHHH
+
+An ``INT`` has an integer type and a ``FLOAT`` is a ``double``: the
+shortest decimal that reads back as the same bits, with a dot in its
+mantissa, or — for an infinity or a NaN — its 16 hex digits of bits, as
+:meth:`ConstantFloat.ref` writes it.
 
 The operands of each opcode are those :meth:`Instruction.__str__` prints:
 ``add T a, T b``, ``icmp P T a, T b``, ``alloca T``, ``load T, T p``,
@@ -44,6 +50,7 @@ IR's constructors refuse (a load through an integer, a second
 from __future__ import annotations
 
 import re
+import struct
 
 from ..perf import gc_paused
 from .instructions import (
@@ -70,7 +77,8 @@ class ParseError(Exception):
 
 #: One token; the alternatives are tried in order, first match wins.
 _TOKEN = r"""
-    -?\d+\.\d+(?:e[+-]?\d+)?       # float literal
+    -?\d+\.\d+(?:e[+-]\d+)?        # float literal
+  | 0x[0-9A-F]{16}                 # float literal, as its bits
   | -?\d+                          # integer literal
   | @[\w.$-]+                      # @name
   | %[\w.$-]+                      # %name
@@ -86,7 +94,7 @@ _SCAN_RE = re.compile(r"\s*(" + _TOKEN + r"|;.*|\S.*)", re.VERBOSE | re.DOTALL)
 _MODULE_HEADER_RE = re.compile(r";\s*module\s+(\S+)$")
 _STRUCT_DEF_RE = re.compile(r"%([\w.$-]+)\s*=\s*type\b")
 _INT_TYPE_RE = re.compile(r"i\d+")
-_FLOAT_RE = re.compile(r"-?\d+\.\d+(e[+-]?\d+)?")
+_FLOAT_RE = re.compile(r"-?\d+\.\d+(e[+-]\d+)?|0x[0-9A-F]{16}")
 _INT_RE = re.compile(r"-?\d+")
 _LABEL_RE = re.compile(r"([\w.$-]+):")
 #: The type spellings a parse starts from; ``iN``, ``%S`` are added to it.
@@ -365,14 +373,17 @@ class _Reader:
         if _INT_RE.fullmatch(self.present(tok)):
             if isinstance(ty, IntType):
                 return ConstantInt(ty, int(tok))
-            if ty is DOUBLE:
-                return ConstantFloat(ty, float(tok))
             self.fail(f"integer constant {tok} cannot have type {ty}")
         if tok == "null":
             return ConstantNull(ty)
         if tok == "undef":
             return UndefValue(ty)
         if _FLOAT_RE.fullmatch(tok):
+            if ty is not DOUBLE:
+                self.fail(f"float constant {tok} cannot have type {ty}")
+            if tok.startswith("0x"):
+                (value,) = struct.unpack(">d", bytes.fromhex(tok[2:]))
+                return ConstantFloat(ty, value)
             return ConstantFloat(ty, float(tok))
         self.fail(f"expected a constant, got {tok!r}")
 

@@ -9,7 +9,9 @@ are built from.
 
 from __future__ import annotations
 
+import math
 import operator
+import struct
 from typing import TYPE_CHECKING, Iterator
 
 from .types import FunctionType, IntType, PointerType, Type
@@ -137,8 +139,15 @@ class ConstantFloat(Constant):
         self.value = float(value)
 
     def ref(self) -> str:
-        text = repr(self.value)
-        return text if ("." in text or "e" in text or "inf" in text or "nan" in text) else text + ".0"
+        """The shortest decimal that reads back as the same double, with a
+        dot in its mantissa (``1.0e+20``); an infinity or a NaN is its
+        bits in hex (``0x7FF0000000000000``), as LLVM spells it."""
+        if not math.isfinite(self.value):
+            return "0x" + struct.pack(">d", self.value).hex().upper()
+        mantissa, e, exponent = repr(self.value).partition("e")
+        if "." not in mantissa:
+            mantissa += ".0"
+        return mantissa + e + exponent
 
     def __eq__(self, other: object) -> bool:
         return (

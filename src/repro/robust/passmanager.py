@@ -6,17 +6,17 @@ Every transform entry point in the repository (``helix_pipeline``, the
 
 1. **snapshot** — the module is serialized with the printer (the
    printer→parser round trip is identity, so the text is a faithful,
-   byte-exact checkpoint) and all module/function/instruction metadata
-   is captured positionally;
+   byte-exact checkpoint) and a copy is taken of the module's metadata
+   and of each function's, keyed by function name (text is the
+   metadata-free form, and no instruction carries metadata);
 2. **run** — the pass body executes under a cooperative wall-clock
    deadline (checked at every instrumented chokepoint and once more when
-   the body returns) and an interpreter step budget (any interpreter the
-   pass spins up is capped, reusing ``StepLimitExceeded``);
+   the body returns);
 3. **verify** — ``verify_module`` must accept the transformed module.
 
-Any exception, deadline overrun, step-budget exhaustion, verifier
-rejection, or injected fault rolls the module back *in place* to the
-byte-identical snapshot, drops every cached analysis of the attached
+Any exception, deadline overrun, verifier rejection, or injected fault
+rolls the module back *in place* to the byte-identical snapshot, drops
+every cached analysis of the attached
 :class:`~repro.core.noelle.Noelle` facade, records a
 :class:`~repro.robust.diagnostics.CrashBundle` (written to ``crash_dir``
 when one is configured), and the manager moves on to the next pass —
@@ -28,7 +28,6 @@ from __future__ import annotations
 import copy
 import importlib
 
-from ..interp import interp as _interp
 from ..interp.engine import invalidate_module
 from ..ir import parse_module, print_module, verify_module
 from ..perf import STATS
@@ -43,16 +42,15 @@ DEFAULT_DEADLINE_S = 60.0
 
 
 class _Snapshot:
-    """A byte-exact checkpoint: IR text plus positionally-keyed metadata
-    (the printer intentionally does not serialize metadata)."""
+    """A byte-exact checkpoint: IR text plus the metadata the printer
+    does not write.  Restored at most once."""
 
     __slots__ = ("text", "module_metadata", "function_metadata")
 
     def __init__(self, text, module_metadata, function_metadata):
         self.text = text
         self.module_metadata = module_metadata
-        #: One (fn_metadata, [inst_metadata...]) pair per function, in
-        #: module order; instruction entries follow block order.
+        #: Function name -> that function's metadata.
         self.function_metadata = function_metadata
 
 
@@ -96,15 +94,12 @@ class PassManager:
         noelle=None,
         crash_dir=None,
         deadline_s: float | None = DEFAULT_DEADLINE_S,
-        step_budget: int | None = None,
         fault_plan: "FaultPlan | str | None" = "env",
-        strict: bool = False,
         checks: bool | None = None,
     ):
         self.noelle = noelle
         self.crash_dir = crash_dir
         self.deadline_s = deadline_s
-        self.step_budget = step_budget
         #: Post-pass checker gate; None defers to NOELLE_CHECKS.
         if checks is None:
             from ..checks.base import checks_enabled
@@ -116,9 +111,6 @@ class PassManager:
         if fault_plan == "env":
             fault_plan = FaultPlan.from_env()
         self.fault_plan = fault_plan
-        #: When True, failures still roll back and bundle, then re-raise
-        #: (fail-stop callers keep their diagnostics).
-        self.strict = strict
         self.results: list[PassResult] = []
         self.bundles: list[CrashBundle] = []
 
@@ -138,12 +130,11 @@ class PassManager:
 
     def run(self, name: str, body) -> PassResult:
         """Run ``body(noelle)`` as one transaction; never raises on pass
-        failure unless the manager is strict."""
+        failure."""
         result = PassResult(name)
         budget = Budget(self.deadline_s)
         snapshot: _Snapshot | None = None
         phase = "snapshot"
-        previous_cap = _interp.set_step_budget(self.step_budget)
         try:
             with faults.armed(self.fault_plan, budget):
                 snapshot = self._snapshot()
@@ -157,12 +148,9 @@ class PassManager:
                     self._check_gate(result)
         except Exception as error:
             self._rollback(result, snapshot, error, phase, budget)
-            if self.strict:
-                raise
         else:
             STATS.count("passmanager.ok")
         finally:
-            _interp.set_step_budget(previous_cap)
             result.seconds = budget.elapsed()
             self.results.append(result)
         return result
@@ -187,18 +175,12 @@ class PassManager:
         faults.checkpoint("snapshot")
         with STATS.timer("passmanager.snapshot"):
             module = self.module
-            text = print_module(module)
-            function_metadata = []
-            for fn in module.functions.values():
-                inst_md = []
-                for block in fn.blocks:
-                    for inst in block.instructions:
-                        inst_md.append(dict(inst.metadata) if inst.metadata else None)
-                function_metadata.append(
-                    (dict(fn.metadata) if fn.metadata else None, inst_md)
-                )
             return _Snapshot(
-                text, copy.deepcopy(module.metadata), function_metadata
+                print_module(module),
+                *copy.deepcopy((
+                    module.metadata,
+                    {name: fn.metadata for name, fn in module.functions.items()},
+                )),
             )
 
     def _restore(self, snapshot: _Snapshot) -> None:
@@ -209,19 +191,10 @@ class PassManager:
         module.functions = fresh.functions
         module.globals = fresh.globals
         module.structs = fresh.structs
-        module.metadata = copy.deepcopy(snapshot.module_metadata)
-        for fn in module.functions.values():
+        module.metadata = snapshot.module_metadata
+        for name, fn in module.functions.items():
             fn.parent = module
-        for fn, (fn_md, inst_md) in zip(
-            module.functions.values(), snapshot.function_metadata
-        ):
-            fn.metadata = dict(fn_md) if fn_md else {}
-            index = 0
-            for block in fn.blocks:
-                for inst in block.instructions:
-                    md = inst_md[index]
-                    index += 1
-                    inst.metadata = dict(md) if md else {}
+            fn.metadata = snapshot.function_metadata[name]
         restored = print_module(module)
         if restored != snapshot.text:
             raise RuntimeError(

@@ -45,6 +45,10 @@ from .pipeline import (
 )
 from .whole_ir import whole_ir_from_files
 
+#: The coldest loop ``parallelize`` transforms (share of the profiled
+#: run), and so the module ``check --parallelize`` checks.
+MIN_HOTNESS = 0.02
+
 
 def _save_ir(module: Module, path: str | None) -> None:
     if path is not None and path.endswith(".nir"):
@@ -220,6 +224,7 @@ def _cmd_check(args) -> int:
             args.parallelize,
             num_cores=args.cores,
             num_stages=args.stages,
+            minimum_hotness=MIN_HOTNESS,
             crash_dir=args.crash_dir,
         )
         _report_rollbacks(manager)
@@ -542,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--technique", choices=TECHNIQUES, default="doall")
     par.add_argument("--cores", type=int, default=12)
     par.add_argument("--stages", type=int, default=4)
-    par.add_argument("--min-hotness", type=float, default=0.02)
+    par.add_argument("--min-hotness", type=float, default=MIN_HOTNESS)
     par.set_defaults(func=_cmd_parallelize)
 
     licm = sub.add_parser("licm", help="loop invariant code motion")

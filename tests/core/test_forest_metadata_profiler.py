@@ -144,14 +144,21 @@ class TestIDs:
                 ident = ids.id_of_instruction(inst)
                 assert ids.instruction_by_id(ident) is inst
 
-    def test_clean_metadata(self):
+    def test_ids_write_nothing_into_the_ir(self):
         module = compile_source(SOURCE)
         IDAssigner(module)
+        assert module.metadata == {}
+        assert all(fn.metadata == {} for fn in module.functions.values())
+
+    def test_clean_metadata(self):
+        module = compile_source(SOURCE)
+        embed_profile(module, Profiler(module).profile())
+        module.metadata["custom.tag"] = 1
+        module.get_function("work").metadata["noelle.task"] = True
         removed = clean_noelle_metadata(module)
-        assert removed > 0
-        for fn in module.defined_functions():
-            for inst in fn.instructions():
-                assert not any(k.startswith("noelle.") for k in inst.metadata)
+        assert removed == 2
+        assert module.metadata == {"custom.tag": 1}
+        assert all(fn.metadata == {} for fn in module.functions.values())
 
 
 class TestProfiler:
@@ -191,13 +198,18 @@ class TestProfiler:
         module = compile_source(SOURCE)
         profile = Profiler(module).profile()
         embed_profile(module, profile)
-        counts = read_embedded_counts(module)
-        total = sum(counts.values())
-        assert total == sum(
-            profile.count_of(i)
+        assert read_embedded_counts(module) == {
+            id(i): profile.count_of(i)
             for fn in module.defined_functions()
             for i in fn.instructions()
-        )
+        }
+        # One module record; a function edited since is skipped.
+        work = module.get_function("work")
+        work.blocks[0].instructions[0].erase_from_parent()
+        counts = read_embedded_counts(module)
+        assert not any(id(i) in counts for i in work.instructions())
+        main = module.get_function("main")
+        assert all(id(i) in counts for i in main.instructions())
 
     def test_inclusive_hotness_includes_callees(self):
         module = compile_source(SOURCE)

@@ -7,7 +7,9 @@ script with ``PYTHONPATH`` pointing at that commit's ``src`` to re-record).
 Every number the profiler can answer — per function / block / instruction
 counts, CFG edges, invocations, ``total_weight`` — goes into one canonical
 listing per program; the listing's sha256 must not move, under either
-executor.
+executor.  Each workload's ``embedded`` digest pins the ``.nir`` bytes of
+the module with its profile embedded, so it moves with the binary format
+(last with format version 2, where the counts became one module record).
 """
 
 import functools

@@ -68,21 +68,17 @@ def test_roundtrip_preserves_naming_state():
 
 
 def test_roundtrip_post_helix_pipeline():
-    """Transformed modules (parallel-construct metadata, added
-    functions/globals) survive the binary format bit-for-bit."""
+    """Transformed modules (task metadata, added functions/globals)
+    survive the binary format bit-for-bit."""
     from repro.tools.pipeline import helix_pipeline
     from repro.workloads import get
 
     module = helix_pipeline([get("blackscholes").source])
     clone = _roundtrip(module)
+    assert clone.metadata == module.metadata
     for name, fn in module.functions.items():
         assert clone.functions[name].metadata == fn.metadata
         assert clone.functions[name].attributes == fn.attributes
-    insts = [i for f in module.defined_functions() for i in f.instructions()]
-    insts2 = [i for f in clone.defined_functions() for i in f.instructions()]
-    assert len(insts) == len(insts2)
-    for inst, inst2 in zip(insts, insts2):
-        assert inst.metadata == inst2.metadata
 
 
 def test_roundtrip_interp_identical():
@@ -110,19 +106,62 @@ def test_is_binary_ir_sniffs_magic():
 
 
 def test_golden_fixture_still_decodes():
-    """The checked-in .nir fixture from the version-1 writer decodes to
-    the checked-in textual IR — guards accidental format drift."""
+    """The checked-in .nir fixture from the version-2 writer decodes to
+    the checked-in textual IR, and the writer still writes exactly it —
+    guards accidental format drift."""
     with open(os.path.join(GOLDEN_DIR, "count_loop.nir"), "rb") as handle:
         data = handle.read()
     with open(os.path.join(GOLDEN_DIR, "count_loop.ir")) as handle:
         text = handle.read()
     module = read_module(data)
     assert ir.print_module(module) == text
+    assert write_module(ir.parse_module(text)) == data
 
 
 def test_wrong_magic_raises_version_error():
     with pytest.raises(BinVersionError):
         read_module(b"NOPE" + b"\x00" * 32)
+
+
+def _as_version_1(data: bytes) -> bytes:
+    """``data`` with the header of the retired version-1 format (which
+    also carried a per-instruction metadata section)."""
+    assert data[4] == binio.FORMAT_VERSION == 2
+    return data[:4] + b"\x01" + data[5:]
+
+
+def test_version_1_file_raises_version_error():
+    from tests.conftest import build_count_loop
+
+    module, _fn, _values = build_count_loop()
+    with pytest.raises(BinVersionError, match="version 1"):
+        read_module(_as_version_1(write_module(module)))
+
+
+def test_store_evicts_a_format_1_entry(tmp_path):
+    import hashlib
+    import json
+
+    from repro.cache.store import ArtifactStore
+    from tests.conftest import build_count_loop
+
+    module, _fn, _values = build_count_loop()
+    store = ArtifactStore(str(tmp_path))
+    text = ir.print_module(module)
+    key = store.module_key(text)
+    store.publish_module(key, module, text)
+    entry = store.entry_dir(key)
+    with open(os.path.join(entry, "module.nir"), "rb") as handle:
+        old = _as_version_1(handle.read())
+    with open(os.path.join(entry, "module.nir"), "wb") as handle:
+        handle.write(old)
+    with open(os.path.join(entry, "meta.json")) as handle:
+        meta = json.load(handle)
+    meta.update(format=1, nir_sha256=hashlib.sha256(old).hexdigest())
+    with open(os.path.join(entry, "meta.json"), "w") as handle:
+        json.dump(meta, handle)
+    assert store.load_module(key) is None
+    assert not store.has_entry(key)
 
 
 def test_future_version_raises_version_error():

@@ -1,5 +1,7 @@
 """Round-trip tests for the textual IR printer and parser."""
 
+import struct
+
 import pytest
 
 from repro import ir
@@ -28,7 +30,18 @@ class TestRoundTrip:
         module.add_global("fscalar", ir.DOUBLE, ir.const_float(2.5))
         module.add_global("arr", ir.ArrayType(ir.I64, 3))
         module.add_global("konst", ir.I64, ir.const_int(7), constant=True)
-        roundtrip(module)
+        # Every double reads back as the same bits, a sign of zero and a
+        # NaN's sign included.
+        inf = float("inf")
+        doubles = [1e20, 1e-05, 5e-324, 1.2345678901234568e+17, -0.0,
+                   inf, -inf, float("nan"), inf * 0.0]
+        for index, value in enumerate(doubles):
+            module.add_global(f"d{index}", ir.DOUBLE, ir.const_float(value))
+        reparsed = roundtrip(module)
+        assert [
+            struct.pack(">d", reparsed.globals[f"d{index}"].initializer.value)
+            for index in range(len(doubles))
+        ] == [struct.pack(">d", value) for value in doubles]
 
     def test_struct_field_access(self):
         module = ir.Module("s")

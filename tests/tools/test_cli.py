@@ -375,13 +375,30 @@ class TestCheck:
         assert "neither a file nor" in err
         assert len(err.splitlines()) == 1
 
-    def test_parallelize_then_check(self, demo_files, capsys):
+    def test_parallelize_then_check(self, demo_files, capsys, monkeypatch,
+                                    tmp_path):
         if faults_enabled():
             pytest.skip("parallelization may roll back under NOELLE_FAULTS")
+        from repro.tools import cli
+
         _, ir_file, _ = demo_files
+        # check --parallelize checks the module parallelize writes.
+        calls = []
+
+        def spy(noelle, technique, **options):
+            manager, count = parallelize(noelle, technique, **options)
+            calls.append((options["minimum_hotness"], count))
+            return manager, count
+
+        parallelize = cli.parallelize
+        monkeypatch.setattr(cli, "parallelize", spy)
+        assert main(["parallelize", str(ir_file), "--technique", "doall",
+                     "--cores", "4", "-o", str(tmp_path / "par.ir")]) == 0
         assert main(
             ["check", str(ir_file), "--parallelize", "doall", "--cores", "4"]
         ) == 0
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert calls[0][0] == cli.MIN_HOTNESS
 
     def test_buggy_module_exits_nonzero(self, tmp_path, capsys):
         from repro.ir import print_module

@@ -10,6 +10,10 @@ that only compares outputs — so this file lives outside the
 fault makes a rollback the expected outcome, and skips under
 ``NOELLE_FAULTS``.
 
+Each transformed module also round-trips: its text parses back to the
+same text, and its ``.nir`` decodes to the same text with the module's
+and every function's metadata (text is the metadata-free form).
+
 ``golden/module_digests.json`` holds the sha256 of every transformed
 module's text (run this file as a script, with ``PYTHONPATH`` pointing
 at the ``src`` to record from, to re-record it).  A refactor that claims
@@ -23,7 +27,9 @@ import os
 import pytest
 
 from repro.frontend import compile_source
-from repro.ir import print_module, verify_module
+from repro.ir import (
+    parse_module, print_module, read_module, verify_module, write_module,
+)
 from repro.robust import faults
 from repro.robust.passmanager import PassManager
 from repro.tools import pipeline
@@ -106,12 +112,24 @@ def _assert_same_program(module, manager, baseline, engine=None):
     )
 
 
+def _assert_round_trips(module):
+    text = print_module(module)
+    assert print_module(parse_module(text)) == text
+    clone = read_module(write_module(module))
+    assert print_module(clone) == text
+    assert clone.metadata == module.metadata
+    assert {name: fn.metadata for name, fn in clone.functions.items()} == {
+        name: fn.metadata for name, fn in module.functions.items()
+    }
+
+
 @pytest.mark.parametrize("technique", pipeline.TECHNIQUES)
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_parallelization_commits(name, technique, sequential, golden):
     module, manager, _ = _parallelized(name, technique)
     _assert_same_program(module, manager, sequential(name))
     assert _digest(module) == golden[f"{name}/{technique}"]
+    _assert_round_trips(module)
 
 
 @pytest.mark.parametrize("tool", TOOLS)
@@ -120,6 +138,7 @@ def test_custom_tool_commits(name, tool, sequential, golden):
     module, manager = _tooled(name, tool)
     _assert_same_program(module, manager, sequential(name))
     assert _digest(module) == golden[f"{name}/{tool}"]
+    _assert_round_trips(module)
 
 
 def test_mcf_dswp_pipelines_three_loops_on_the_walker_too(sequential):
