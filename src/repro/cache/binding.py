@@ -269,10 +269,15 @@ def _verified(module: Module) -> Module:
 
 
 def cached_compile(source: str, name: str = "minic") -> Module:
-    """`compile_source` with a content-addressed warm path."""
-    from ..frontend.codegen import compile_source
+    """`compile_source` with a content-addressed warm path (a hit
+    imports no front end)."""
 
-    return _load("src", name, source, lambda: compile_source(source, name))
+    def build() -> Module:
+        from ..frontend.codegen import compile_source
+
+        return compile_source(source, name)
+
+    return _load("src", name, source, build)
 
 
 def load_ir_text(text: str, name: str = "module") -> Module:

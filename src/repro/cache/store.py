@@ -37,7 +37,7 @@ import pickle
 import shutil
 
 from ..interp.engine import EPLAN_VERSION
-from ..ir.binio import FORMAT_VERSION, BinFormatError, read_module, write_module
+from ..ir.binio import FORMAT_VERSION, BinFormatError, read_module
 from ..ir.module import Module
 from ..perf import STATS
 
@@ -130,6 +130,8 @@ class ArtifactStore:
         entry = self.entry_dir(key)
         if self.has_entry(key):
             return
+        from ..ir.binwrite import write_module
+
         with STATS.timer("cache.publish"):
             data = write_module(module)
             self._write_atomic(os.path.join(entry, "module.nir"), data)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..analysis.aa import AliasAnalysis
-from ..analysis.pointsto import AndersenAliasAnalysis, PointsToAnalysis
 from ..interp.engine import invalidate_module
 from ..ir.module import Function, Module
 from ..perf import STATS
 from .pdg import PDG
 
 if TYPE_CHECKING:  # each method imports what it builds, when it builds it
+    from ..analysis.aa import AliasAnalysis
+    from ..analysis.pointsto import PointsToAnalysis
     from ..analysis.dominators import DominatorTree, PostDominatorTree
     from ..analysis.loopinfo import LoopInfo, NaturalLoop
     from .architecture import ArchitectureDescription
@@ -87,11 +87,18 @@ class Noelle:
     def alias_analysis(self) -> AliasAnalysis:
         """The strong AA stack powering the PDG (the SCAF/SVF stand-in)."""
         if self._aa is None:
+            from ..analysis.pointsto import AndersenAliasAnalysis
+
             self._aa = AndersenAliasAnalysis(self.module)
         return self._aa
 
     def points_to(self) -> PointsToAnalysis:
         if self._pointsto is None:
+            from ..analysis.pointsto import (
+                AndersenAliasAnalysis,
+                PointsToAnalysis,
+            )
+
             aa = self.alias_analysis()
             if isinstance(aa, AndersenAliasAnalysis):
                 self._pointsto = aa.pointsto

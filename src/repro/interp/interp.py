@@ -67,6 +67,15 @@ from ..ir.values import (
     eval_icmp,
 )
 from ..perf import STATS
+from .semantics import (
+    INT_TO_INT_CASTS,
+    ExitProgram,
+    InterpError,
+    MemoryTrap,
+    StepLimitExceeded,
+    _FunctionAddress,
+    _operand_trap,
+)
 
 #: Cycle costs per opcode — a simple in-order machine model.
 INSTRUCTION_COSTS: dict[str, int] = {
@@ -148,41 +157,6 @@ INTRINSIC_COSTS: dict[str, int] = {
     "helix_seq_end": 1,
     "helix_iter_boundary": 0,
 }
-
-
-class InterpError(Exception):
-    """Base class for runtime failures."""
-
-
-class MemoryTrap(InterpError):
-    """An access to unallocated or freed memory."""
-
-
-class OperandTrap(MemoryTrap):
-    """An integer instruction given a value that is not an integer — a
-    float or a function's address that a cast passed through.  It ends
-    the run like a memory trap, as the program's own fault."""
-
-
-#: The casts from an integer to an integer: with the integer binary ops
-#: and ``icmp``, the instructions an :class:`OperandTrap` stops.
-INT_TO_INT_CASTS = ("trunc", "zext", "sext")
-
-
-def _operand_trap(inst: Instruction) -> OperandTrap:
-    """What integer instruction ``inst`` raises on a non-integer operand."""
-    return OperandTrap(f"non-integer operand to {inst.opcode}")
-
-
-class StepLimitExceeded(InterpError):
-    """The configured execution budget ran out."""
-
-
-class ExitProgram(Exception):
-    """Raised internally by the ``exit`` intrinsic."""
-
-    def __init__(self, code: int):
-        self.code = code
 
 
 class Allocation:
@@ -952,18 +926,6 @@ class _Return:
 
     def __init__(self, value: object):
         self.value = value
-
-
-class _FunctionAddress:
-    """Runtime representation of a function pointer."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Function):
-        self.fn = fn
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<&@{self.fn.name}>"
 
 
 def run_module(

@@ -17,8 +17,6 @@ from .binio import (
     is_binary_ir,
     read_module,
     read_module_file,
-    write_module,
-    write_module_file,
 )
 from .instructions import (
     Alloca,
@@ -159,3 +157,15 @@ __all__ = [
     "verify_function",
     "verify_module",
 ]
+
+
+def __getattr__(name: str):
+    """``write_module`` / ``write_module_file``: the ``.nir`` writer
+    loads on first use, so a process that only reads ``.nir`` never
+    compiles it."""
+    if name in ("write_module", "write_module_file"):
+        from . import binwrite
+
+        value = globals()[name] = getattr(binwrite, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

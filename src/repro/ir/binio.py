@@ -31,6 +31,13 @@ identically to the one that was written under every later transform.
 Errors are structured: :class:`BinFormatError` (corrupt or malformed
 content), :class:`BinTruncatedError` (unexpected end of data), and
 :class:`BinVersionError` (wrong magic or unsupported version).
+
+This module is the format and its reader; the writer is
+:mod:`repro.ir.binwrite`, imported where a module is written.  A
+function body, nearly all of a module's bytes, is read in one pass over
+positions, the hot varints read in place and each instruction put
+straight into its block (``tests/ir/test_nir_census.py`` holds it to the
+error classes and modules of a record-by-record reading).
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from .instructions import (
     ElemPtr,
     FCmp,
     ICmp,
-    Instruction,
     Load,
     Phi,
     Ret,
@@ -80,7 +86,6 @@ from .values import (
     ConstantInt,
     ConstantNull,
     ConstantString,
-    GlobalVariable,
     UndefValue,
     Value,
 )
@@ -110,10 +115,6 @@ class BinVersionError(BinFormatError):
 
 # Stable opcode orderings, frozen per FORMAT_VERSION.
 _BIN_OPCODES = tuple(INT_BINARY_OPS) + tuple(FLOAT_BINARY_OPS)
-_BIN_OPCODE_INDEX = {op: i for i, op in enumerate(_BIN_OPCODES)}
-_ICMP_INDEX = {p: i for i, p in enumerate(ICMP_PREDICATES)}
-_FCMP_INDEX = {p: i for i, p in enumerate(FCMP_PREDICATES)}
-_CAST_INDEX = {op: i for i, op in enumerate(CAST_OPS)}
 
 # Type table record tags.
 _TY_INT, _TY_FLOAT, _TY_VOID, _TY_LABEL = 0, 1, 2, 3
@@ -135,402 +136,8 @@ _M_STR, _M_BYTES, _M_LIST, _M_TUPLE, _M_DICT = 5, 6, 7, 8, 9
 _PACK_F64 = struct.Struct("<d")
 
 
-def _zigzag(n: int) -> int:
-    return n * 2 if n >= 0 else -n * 2 - 1
-
-
 def _unzigzag(z: int) -> int:
     return z // 2 if z % 2 == 0 else -(z // 2) - 1
-
-
-# -- writer -------------------------------------------------------------------
-
-
-class _Writer:
-    """Serializes one module; strings/types are interned on demand."""
-
-    def __init__(self, module: Module):
-        self.module = module
-        self._strings: dict[str, int] = {}
-        self._string_list: list[str] = []
-        self._types: dict[tuple, int] = {}
-        self._type_records: list[tuple] = []
-
-    # -- interning ----------------------------------------------------------
-
-    def _string(self, text: str) -> int:
-        index = self._strings.get(text)
-        if index is None:
-            index = len(self._string_list)
-            self._strings[text] = index
-            self._string_list.append(text)
-        return index
-
-    def _type(self, ty: Type) -> int:
-        key = self._type_key(ty)
-        index = self._types.get(key)
-        if index is not None:
-            return index
-        record = self._type_record(ty)
-        # Interning compound operand types first means every reference in
-        # ``record`` points at an earlier table entry; re-check in case a
-        # recursive struct resolved the key while building the record.
-        index = self._types.get(key)
-        if index is None:
-            index = len(self._type_records)
-            self._types[key] = index
-            self._type_records.append(record)
-        return index
-
-    def _type_key(self, ty: Type) -> tuple:
-        if isinstance(ty, IntType):
-            return ("i", ty.width)
-        if isinstance(ty, FloatType):
-            return ("f",)
-        if isinstance(ty, VoidType):
-            return ("v",)
-        if isinstance(ty, LabelType):
-            return ("l",)
-        if isinstance(ty, PointerType):
-            return ("p", self._type_key(ty.pointee))
-        if isinstance(ty, ArrayType):
-            return ("a", self._type_key(ty.element), ty.count)
-        if isinstance(ty, StructType):
-            return ("s", ty.name)
-        if isinstance(ty, FunctionType):
-            return (
-                "fn",
-                self._type_key(ty.ret),
-                tuple(self._type_key(p) for p in ty.params),
-                ty.vararg,
-            )
-        raise BinFormatError(f"cannot serialize type {ty!r}")
-
-    def _type_record(self, ty: Type) -> tuple:
-        if isinstance(ty, IntType):
-            return (_TY_INT, ty.width)
-        if isinstance(ty, FloatType):
-            return (_TY_FLOAT,)
-        if isinstance(ty, VoidType):
-            return (_TY_VOID,)
-        if isinstance(ty, LabelType):
-            return (_TY_LABEL,)
-        if isinstance(ty, PointerType):
-            return (_TY_PTR, self._type(ty.pointee))
-        if isinstance(ty, ArrayType):
-            return (_TY_ARRAY, self._type(ty.element), ty.count)
-        if isinstance(ty, StructType):
-            if ty.name not in self.module.structs:
-                raise BinFormatError(
-                    f"struct %{ty.name} is used but not declared in "
-                    f"module {self.module.name!r}"
-                )
-            return (_TY_STRUCT, self._string(ty.name))
-        if isinstance(ty, FunctionType):
-            params = tuple(self._type(p) for p in ty.params)
-            return (_TY_FN, self._type(ty.ret), params, 1 if ty.vararg else 0)
-        raise BinFormatError(f"cannot serialize type {ty!r}")
-
-    # -- emission -----------------------------------------------------------
-
-    def write(self) -> bytes:
-        body = bytearray()
-        self._emit_module(body)
-        out = bytearray(MAGIC)
-        _varint(out, FORMAT_VERSION)
-        # String and type tables were populated while emitting the body.
-        _varint(out, len(self._string_list))
-        for text in self._string_list:
-            raw = text.encode("utf-8")
-            _varint(out, len(raw))
-            out += raw
-        _varint(out, len(self._type_records))
-        for record in self._type_records:
-            _varint(out, record[0])
-            if record[0] == _TY_FN:
-                _varint(out, record[1])
-                _varint(out, len(record[2]))
-                for param in record[2]:
-                    _varint(out, param)
-                _varint(out, record[3])
-            else:
-                for field in record[1:]:
-                    _varint(out, field)
-        out += body
-        return bytes(out)
-
-    def _emit_module(self, out: bytearray) -> None:
-        module = self.module
-        _varint(out, self._string(module.name))
-        _varint(out, len(module.structs))
-        for struct_ty in module.structs.values():
-            _varint(out, self._string(struct_ty.name))
-            _varint(out, len(struct_ty.fields))
-            for field in struct_ty.fields:
-                _varint(out, self._type(field))
-        _varint(out, len(module.globals))
-        for gv in module.globals.values():
-            _varint(out, self._string(gv.name))
-            _varint(out, self._type(gv.allocated_type))
-            _varint(out, 1 if gv.constant else 0)
-            if gv.initializer is None:
-                _varint(out, 0)
-            else:
-                _varint(out, 1)
-                self._emit_constant(out, gv.initializer)
-        # Headers for every function first (so calls and function-address
-        # constants can reference functions defined later), then bodies.
-        _varint(out, len(module.functions))
-        for fn in module.functions.values():
-            self._emit_function_header(out, fn)
-        for fn in module.functions.values():
-            if not fn.is_declaration():
-                self._emit_function_body(out, fn)
-        self._emit_meta(out, module.metadata)
-
-    def _emit_constant(self, out: bytearray, value) -> None:
-        """A constant record (global initializers, operand constants)."""
-        if isinstance(value, ConstantInt):
-            _varint(out, _OP_INT)
-            _varint(out, self._type(value.type))
-            _varint(out, _zigzag(value.value))
-        elif isinstance(value, ConstantFloat):
-            _varint(out, _OP_FLOAT)
-            _varint(out, self._type(value.type))
-            out += _PACK_F64.pack(value.value)
-        elif isinstance(value, ConstantNull):
-            _varint(out, _OP_NULL)
-            _varint(out, self._type(value.type))
-        elif isinstance(value, UndefValue):
-            _varint(out, _OP_UNDEF)
-            _varint(out, self._type(value.type))
-        elif isinstance(value, ConstantString):
-            _varint(out, _OP_STRING)
-            _varint(out, self._type(value.type))
-            _varint(out, self._string(value.text))
-        elif isinstance(value, ConstantArray):
-            _varint(out, _OP_ARRAY)
-            _varint(out, self._type(value.type))
-            _varint(out, len(value.elements))
-            for element in value.elements:
-                self._emit_constant(out, element)
-        elif isinstance(value, GlobalVariable):
-            _varint(out, _OP_GLOBAL)
-            _varint(out, self._string(value.name))
-        elif isinstance(value, Function):
-            _varint(out, _OP_FUNCTION)
-            _varint(out, self._string(value.name))
-        else:
-            raise BinFormatError(f"cannot serialize constant {value!r}")
-
-    def _emit_function_header(self, out: bytearray, fn: Function) -> None:
-        _varint(out, self._string(fn.name))
-        _varint(out, self._type(fn.function_type))
-        for arg in fn.args:
-            _varint(out, self._string(arg.name))
-        attrs = sorted(fn.attributes)
-        _varint(out, len(attrs))
-        for attr in attrs:
-            _varint(out, self._string(attr))
-        self._emit_meta(out, fn.metadata)
-        _varint(out, 0 if fn.is_declaration() else 1)
-
-    def _emit_function_body(self, out: bytearray, fn: Function) -> None:
-        _varint(out, fn._name_counter)
-
-        # Value index space: args first, then every non-void instruction
-        # in block-major order.
-        value_index: dict[int, int] = {}
-        for arg in fn.args:
-            value_index[id(arg)] = len(value_index)
-        defs: list[Instruction] = []
-        for block in fn.blocks:
-            for inst in block.instructions:
-                if not inst.type.is_void():
-                    value_index[id(inst)] = len(value_index)
-                    defs.append(inst)
-        block_index = {id(b): i for i, b in enumerate(fn.blocks)}
-
-        _varint(out, len(fn.blocks))
-        for block in fn.blocks:
-            _varint(out, self._string(block.name))
-            _varint(out, len(block.instructions))
-
-        # Per-function value table: type + name of every defined value,
-        # so the reader can type forward references in one pass.
-        _varint(out, len(defs))
-        for inst in defs:
-            _varint(out, self._type(inst.type))
-            _varint(out, self._string(inst.name))
-
-        # Naming state beyond the live names (names of since-erased
-        # values stay reserved so future transforms pick fresh ones).
-        live = {arg.name for arg in fn.args}
-        live.update(b.name for b in fn.blocks)
-        live.update(inst.name for inst in defs)
-        extras = sorted(fn._used_names - live)
-        _varint(out, len(extras))
-        for name in extras:
-            _varint(out, self._string(name))
-
-        for block in fn.blocks:
-            for inst in block.instructions:
-                self._emit_instruction(out, inst, value_index, block_index)
-
-    def _emit_operand(
-        self, out: bytearray, value, value_index: dict[int, int]
-    ) -> None:
-        index = value_index.get(id(value))
-        if index is not None:
-            _varint(out, _OP_VALUE)
-            _varint(out, index)
-            return
-        self._emit_constant(out, value)
-
-    def _emit_instruction(
-        self,
-        out: bytearray,
-        inst: Instruction,
-        values: dict[int, int],
-        blocks: dict[int, int],
-    ) -> None:
-        if isinstance(inst, BinaryOp):
-            _varint(out, _I_BINARY)
-            _varint(out, _BIN_OPCODE_INDEX[inst.opcode])
-            self._emit_operand(out, inst.lhs, values)
-            self._emit_operand(out, inst.rhs, values)
-        elif isinstance(inst, ICmp):
-            _varint(out, _I_ICMP)
-            _varint(out, _ICMP_INDEX[inst.predicate])
-            self._emit_operand(out, inst.lhs, values)
-            self._emit_operand(out, inst.rhs, values)
-        elif isinstance(inst, FCmp):
-            _varint(out, _I_FCMP)
-            _varint(out, _FCMP_INDEX[inst.predicate])
-            self._emit_operand(out, inst.lhs, values)
-            self._emit_operand(out, inst.rhs, values)
-        elif isinstance(inst, Alloca):
-            _varint(out, _I_ALLOCA)
-            _varint(out, self._type(inst.allocated_type))
-        elif isinstance(inst, Load):
-            _varint(out, _I_LOAD)
-            self._emit_operand(out, inst.pointer, values)
-        elif isinstance(inst, Store):
-            _varint(out, _I_STORE)
-            self._emit_operand(out, inst.value, values)
-            self._emit_operand(out, inst.pointer, values)
-        elif isinstance(inst, ElemPtr):
-            _varint(out, _I_ELEMPTR)
-            self._emit_operand(out, inst.base, values)
-            indices = inst.indices
-            _varint(out, len(indices))
-            for index in indices:
-                self._emit_operand(out, index, values)
-        elif isinstance(inst, Call):
-            _varint(out, _I_CALL)
-            self._emit_operand(out, inst.callee, values)
-            args = inst.args
-            _varint(out, len(args))
-            for arg in args:
-                self._emit_operand(out, arg, values)
-        elif isinstance(inst, Phi):
-            _varint(out, _I_PHI)
-            _varint(out, self._type(inst.type))
-            incoming = list(inst.incoming())
-            _varint(out, len(incoming))
-            for value, pred in incoming:
-                self._emit_operand(out, value, values)
-                _varint(out, blocks[id(pred)])
-        elif isinstance(inst, Select):
-            _varint(out, _I_SELECT)
-            self._emit_operand(out, inst.condition, values)
-            self._emit_operand(out, inst.true_value, values)
-            self._emit_operand(out, inst.false_value, values)
-        elif isinstance(inst, Cast):
-            _varint(out, _I_CAST)
-            _varint(out, _CAST_INDEX[inst.opcode])
-            self._emit_operand(out, inst.value, values)
-            _varint(out, self._type(inst.type))
-        elif isinstance(inst, Branch):
-            _varint(out, _I_BR)
-            _varint(out, blocks[id(inst.target)])
-        elif isinstance(inst, CondBranch):
-            _varint(out, _I_CONDBR)
-            self._emit_operand(out, inst.condition, values)
-            _varint(out, blocks[id(inst.true_block)])
-            _varint(out, blocks[id(inst.false_block)])
-        elif isinstance(inst, Switch):
-            _varint(out, _I_SWITCH)
-            self._emit_operand(out, inst.value, values)
-            _varint(out, blocks[id(inst.default)])
-            cases = list(inst.cases())
-            _varint(out, len(cases))
-            for const, target in cases:
-                self._emit_constant(out, const)
-                _varint(out, blocks[id(target)])
-        elif isinstance(inst, Ret):
-            _varint(out, _I_RET)
-            if inst.value is None:
-                _varint(out, 0)
-            else:
-                _varint(out, 1)
-                self._emit_operand(out, inst.value, values)
-        elif isinstance(inst, Unreachable):
-            _varint(out, _I_UNREACHABLE)
-        else:
-            raise BinFormatError(f"cannot serialize instruction {inst!r}")
-
-    def _emit_meta(self, out: bytearray, value) -> None:
-        """Recursive metadata encoding (plain JSON-ish values + tuples)."""
-        if value is None:
-            _varint(out, _M_NONE)
-        elif value is False:
-            _varint(out, _M_FALSE)
-        elif value is True:
-            _varint(out, _M_TRUE)
-        elif isinstance(value, int):
-            _varint(out, _M_INT)
-            _varint(out, _zigzag(value))
-        elif isinstance(value, float):
-            _varint(out, _M_FLOAT)
-            out += _PACK_F64.pack(value)
-        elif isinstance(value, str):
-            _varint(out, _M_STR)
-            _varint(out, self._string(value))
-        elif isinstance(value, bytes):
-            _varint(out, _M_BYTES)
-            _varint(out, len(value))
-            out += value
-        elif isinstance(value, (list, tuple)):
-            _varint(out, _M_LIST if isinstance(value, list) else _M_TUPLE)
-            _varint(out, len(value))
-            for item in value:
-                self._emit_meta(out, item)
-        elif isinstance(value, dict):
-            _varint(out, _M_DICT)
-            _varint(out, len(value))
-            for key, item in value.items():
-                self._emit_meta(out, key)
-                self._emit_meta(out, item)
-        else:
-            raise BinFormatError(
-                f"cannot serialize metadata value {value!r} "
-                f"({type(value).__name__})"
-            )
-
-
-def _varint(out: bytearray, n: int) -> None:
-    """Unsigned LEB128."""
-    if n < 0:
-        raise BinFormatError(f"negative varint {n}")
-    while True:
-        byte = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
 
 
 # -- reader -------------------------------------------------------------------
@@ -547,21 +154,8 @@ class _Reader:
         self.end = len(data)
 
     def varint(self) -> int:
-        data, pos, end = self.data, self.pos, self.end
-        result = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise BinTruncatedError(
-                    f"unexpected end of data at offset {pos}"
-                )
-            byte = data[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                self.pos = pos
-                return result
-            shift += 7
+        value, self.pos = _varint_at(self.data, self.pos, self.end)
+        return value
 
     def take(self, n: int) -> bytes:
         if self.pos + n > self.end:
@@ -574,6 +168,20 @@ class _Reader:
 
     def f64(self) -> float:
         return _PACK_F64.unpack(self.take(8))[0]
+
+
+def _varint_at(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """The unsigned LEB128 at ``pos`` and the position after it."""
+    result = shift = 0
+    while True:
+        if pos >= end:
+            raise BinTruncatedError(f"unexpected end of data at offset {pos}")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+        shift += 7
 
 
 class _ModuleReader:
@@ -749,77 +357,248 @@ class _ModuleReader:
         return fn if self.r.varint() else None
 
     def _read_function_body(self, fn: Function) -> None:
-        name_counter = self.r.varint()
+        """One function's body: its blocks, value table, naming state and
+        instruction stream.
 
+        An instruction's tag and an operand's tag and value index are
+        read in place when they are one byte (`_varint_at` reads every
+        other varint), and each instruction goes straight into its
+        block.  Every read and every check happens in the order of the
+        record layout, so malformed data fails with the error class a
+        record-by-record reading gives.
+        """
+        r = self.r
+        data, end, pos = r.data, r.end, r.pos
+        strings, types = self.strings, self.types
+        nstrings, ntypes = len(strings), len(types)
+
+        name_counter, pos = _varint_at(data, pos, end)
+        used = fn._used_names
         blocks: list[BasicBlock] = []
         counts: list[int] = []
-        for _ in range(self.r.varint()):
-            block = BasicBlock(self._string(), fn)
+        nblocks, pos = _varint_at(data, pos, end)
+        for _ in range(nblocks):
+            index, pos = _varint_at(data, pos, end)
+            if index >= nstrings:
+                raise BinFormatError(f"string reference {index} out of range")
+            block = BasicBlock(strings[index], fn)
             fn.blocks.append(block)
-            fn._used_names.add(block.name)
+            used.add(block.name)
             blocks.append(block)
-            counts.append(self.r.varint())
+            count, pos = _varint_at(data, pos, end)
+            counts.append(count)
 
         # Value table: (type, name) per non-void instruction, indexed
         # after the arguments in the shared value index space.
         defs: list[tuple[Type, str]] = []
-        for _ in range(self.r.varint()):
-            ty = self._type()
-            defs.append((ty, self._string()))
+        ndefs, pos = _varint_at(data, pos, end)
+        for _ in range(ndefs):
+            index, pos = _varint_at(data, pos, end)
+            if index >= ntypes:
+                raise BinFormatError(f"type reference {index} out of range")
+            ty = types[index]
+            index, pos = _varint_at(data, pos, end)
+            if index >= nstrings:
+                raise BinFormatError(f"string reference {index} out of range")
+            defs.append((ty, strings[index]))
 
-        extras = [self._string() for _ in range(self.r.varint())]
+        extras = []
+        nextras, pos = _varint_at(data, pos, end)
+        for _ in range(nextras):
+            index, pos = _varint_at(data, pos, end)
+            if index >= nstrings:
+                raise BinFormatError(f"string reference {index} out of range")
+            extras.append(strings[index])
 
-        # Decode instruction streams.  ``values`` is the value index
-        # space (args then defs); forward references get a typed
-        # placeholder from the def table and are patched once the real
-        # instruction exists — the text parser's scheme exactly.
+        # ``values`` is the value index space (args then defs); forward
+        # references get a typed placeholder from the def table and are
+        # patched once the real instruction exists — the text parser's
+        # scheme exactly.
         values: list[Value] = list(fn.args)
         nargs = len(fn.args)
         placeholders: dict[int, Value] = {}
 
-        def lookup(index: int) -> Value:
-            if index < len(values):
-                return values[index]
-            def_index = index - nargs
-            if def_index >= len(defs):
-                raise BinFormatError(
-                    f"value reference {index} out of range in @{fn.name}"
-                )
-            placeholder = placeholders.get(index)
-            if placeholder is None:
-                ty, name = defs[def_index]
-                placeholder = Value(ty, name)
-                placeholders[index] = placeholder
-            return placeholder
+        def operand(pos: int) -> tuple[Value, int]:
+            """The operand record at ``pos``, and the position after it."""
+            tag = data[pos] if pos < end else 128
+            if tag < 128:
+                pos += 1
+            else:
+                tag, pos = _varint_at(data, pos, end)
+            if tag == _OP_VALUE:
+                index = data[pos] if pos < end else 128
+                if index < 128:
+                    pos += 1
+                else:
+                    index, pos = _varint_at(data, pos, end)
+                if index < len(values):
+                    return values[index], pos
+                if index - nargs >= ndefs:
+                    raise BinFormatError(
+                        f"value reference {index} out of range in @{fn.name}"
+                    )
+                placeholder = placeholders.get(index)
+                if placeholder is None:
+                    ty, name = defs[index - nargs]
+                    placeholder = placeholders[index] = Value(ty, name)
+                return placeholder, pos
+            r.pos = pos
+            value = self._decode_constant(tag)
+            return value, r.pos
 
-        def block_at(index: int) -> BasicBlock:
-            if index >= len(blocks):
+        def block_at(pos: int) -> tuple[BasicBlock, int]:
+            """The block reference at ``pos``, and the position after it."""
+            index, pos = _varint_at(data, pos, end)
+            if index >= nblocks:
                 raise BinFormatError(
                     f"block reference {index} out of range in @{fn.name}"
                 )
-            return blocks[index]
+            return blocks[index], pos
+
+        def type_at(pos: int) -> tuple[Type, int]:
+            """The type reference at ``pos``, and the position after it."""
+            index, pos = _varint_at(data, pos, end)
+            if index >= ntypes:
+                raise BinFormatError(f"type reference {index} out of range")
+            return types[index], pos
 
         def_cursor = 0
         for block, count in zip(blocks, counts):
+            insts = block.instructions
             for _ in range(count):
-                inst = self._read_instruction(lookup, block_at)
-                if not inst.type.is_void():
-                    if def_cursor >= len(defs):
+                tag = data[pos] if pos < end else 128
+                if tag < 128:
+                    pos += 1
+                else:
+                    tag, pos = _varint_at(data, pos, end)
+                if tag == _I_BINARY:
+                    index, pos = _varint_at(data, pos, end)
+                    if index >= len(_BIN_OPCODES):
+                        raise BinFormatError(f"unknown binary opcode {index}")
+                    lhs, pos = operand(pos)
+                    rhs, pos = operand(pos)
+                    inst = BinaryOp(_BIN_OPCODES[index], lhs, rhs)
+                elif tag == _I_LOAD:
+                    pointer, pos = operand(pos)
+                    inst = Load(pointer)
+                elif tag == _I_STORE:
+                    value, pos = operand(pos)
+                    pointer, pos = operand(pos)
+                    inst = Store(value, pointer)
+                elif tag == _I_BR:
+                    target, pos = block_at(pos)
+                    inst = Branch(target)
+                elif tag == _I_CONDBR:
+                    cond, pos = operand(pos)
+                    true_block, pos = block_at(pos)
+                    false_block, pos = block_at(pos)
+                    inst = CondBranch(cond, true_block, false_block)
+                elif tag == _I_ICMP:
+                    index, pos = _varint_at(data, pos, end)
+                    if index >= len(ICMP_PREDICATES):
+                        raise BinFormatError(f"unknown icmp predicate {index}")
+                    lhs, pos = operand(pos)
+                    rhs, pos = operand(pos)
+                    inst = ICmp(ICMP_PREDICATES[index], lhs, rhs)
+                elif tag == _I_FCMP:
+                    index, pos = _varint_at(data, pos, end)
+                    if index >= len(FCMP_PREDICATES):
+                        raise BinFormatError(f"unknown fcmp predicate {index}")
+                    lhs, pos = operand(pos)
+                    rhs, pos = operand(pos)
+                    inst = FCmp(FCMP_PREDICATES[index], lhs, rhs)
+                elif tag == _I_PHI:
+                    ty, pos = type_at(pos)
+                    inst = Phi(ty)
+                    n, pos = _varint_at(data, pos, end)
+                    for _ in range(n):
+                        value, pos = operand(pos)
+                        pred, pos = block_at(pos)
+                        inst.add_incoming(value, pred)
+                elif tag == _I_ELEMPTR:
+                    base, pos = operand(pos)
+                    indices = []
+                    n, pos = _varint_at(data, pos, end)
+                    for _ in range(n):
+                        value, pos = operand(pos)
+                        indices.append(value)
+                    inst = ElemPtr(base, indices)
+                elif tag == _I_CALL:
+                    callee, pos = operand(pos)
+                    args = []
+                    n, pos = _varint_at(data, pos, end)
+                    for _ in range(n):
+                        value, pos = operand(pos)
+                        args.append(value)
+                    inst = Call(callee, args)
+                elif tag == _I_CAST:
+                    index, pos = _varint_at(data, pos, end)
+                    if index >= len(CAST_OPS):
+                        raise BinFormatError(f"unknown cast opcode {index}")
+                    value, pos = operand(pos)
+                    ty, pos = type_at(pos)
+                    inst = Cast(CAST_OPS[index], value, ty)
+                elif tag == _I_RET:
+                    flag, pos = _varint_at(data, pos, end)
+                    if flag:
+                        value, pos = operand(pos)
+                        inst = Ret(value)
+                    else:
+                        inst = Ret(None)
+                elif tag == _I_SELECT:
+                    cond, pos = operand(pos)
+                    true_value, pos = operand(pos)
+                    false_value, pos = operand(pos)
+                    inst = Select(cond, true_value, false_value)
+                elif tag == _I_ALLOCA:
+                    ty, pos = type_at(pos)
+                    inst = Alloca(ty)
+                elif tag == _I_SWITCH:
+                    value, pos = operand(pos)
+                    default, pos = block_at(pos)
+                    inst = Switch(value, default)
+                    n, pos = _varint_at(data, pos, end)
+                    for _ in range(n):
+                        r.pos = pos
+                        const = self._read_constant()
+                        target, pos = block_at(r.pos)
+                        inst.add_case(const, target)
+                elif tag == _I_UNREACHABLE:
+                    inst = Unreachable()
+                else:
+                    raise BinFormatError(f"unknown instruction tag {tag}")
+                named = not inst.type.is_void()
+                if named:
+                    if def_cursor >= ndefs:
                         raise BinFormatError(
                             f"instruction stream of @{fn.name} defines "
                             "more values than its value table"
                         )
-                    inst.name = defs[def_cursor][1]
+                    inst.name = name = defs[def_cursor][1]
                     index = nargs + def_cursor
                     def_cursor += 1
                     placeholder = placeholders.pop(index, None)
                     if placeholder is not None:
                         placeholder.replace_all_uses_with(inst)
                     values.append(inst)
-                block.append(inst)
-        if def_cursor != len(defs):
+                # `BasicBlock.append`, in place: phis stay on top, and a
+                # name already taken is made unique.
+                if (inst.__class__ is Phi and insts
+                        and insts[-1].__class__ is not Phi):
+                    raise BinFormatError(
+                        f"phi after a non-phi in %{block.name} of @{fn.name}"
+                    )
+                inst.parent = block
+                insts.append(inst)
+                if named:
+                    if name and name not in used:
+                        used.add(name)
+                    else:
+                        fn.assign_name(inst)
+        r.pos = pos
+        if def_cursor != ndefs:
             raise BinFormatError(
-                f"value table of @{fn.name} has {len(defs)} entries but "
+                f"value table of @{fn.name} has {ndefs} entries but "
                 f"the instruction stream defines {def_cursor}"
             )
         if placeholders:
@@ -832,96 +611,8 @@ class _ModuleReader:
 
         # Restore naming state so later transforms pick the same fresh
         # names they would have picked on the originally-written module.
-        fn._used_names.update(extras)
+        used.update(extras)
         fn._name_counter = name_counter
-
-    def _read_instruction(self, lookup, block_at) -> Instruction:
-        r = self.r
-        tag = r.varint()
-        if tag == _I_BINARY:
-            index = r.varint()
-            if index >= len(_BIN_OPCODES):
-                raise BinFormatError(f"unknown binary opcode {index}")
-            return BinaryOp(
-                _BIN_OPCODES[index], self._read_operand(lookup),
-                self._read_operand(lookup),
-            )
-        if tag == _I_ICMP:
-            index = r.varint()
-            if index >= len(ICMP_PREDICATES):
-                raise BinFormatError(f"unknown icmp predicate {index}")
-            return ICmp(
-                ICMP_PREDICATES[index], self._read_operand(lookup),
-                self._read_operand(lookup),
-            )
-        if tag == _I_FCMP:
-            index = r.varint()
-            if index >= len(FCMP_PREDICATES):
-                raise BinFormatError(f"unknown fcmp predicate {index}")
-            return FCmp(
-                FCMP_PREDICATES[index], self._read_operand(lookup),
-                self._read_operand(lookup),
-            )
-        if tag == _I_ALLOCA:
-            return Alloca(self._type())
-        if tag == _I_LOAD:
-            return Load(self._read_operand(lookup))
-        if tag == _I_STORE:
-            value = self._read_operand(lookup)
-            return Store(value, self._read_operand(lookup))
-        if tag == _I_ELEMPTR:
-            base = self._read_operand(lookup)
-            indices = [
-                self._read_operand(lookup) for _ in range(r.varint())
-            ]
-            return ElemPtr(base, indices)
-        if tag == _I_CALL:
-            callee = self._read_operand(lookup)
-            args = [self._read_operand(lookup) for _ in range(r.varint())]
-            return Call(callee, args)
-        if tag == _I_PHI:
-            phi = Phi(self._type())
-            for _ in range(r.varint()):
-                value = self._read_operand(lookup)
-                phi.add_incoming(value, block_at(r.varint()))
-            return phi
-        if tag == _I_SELECT:
-            cond = self._read_operand(lookup)
-            true_value = self._read_operand(lookup)
-            return Select(cond, true_value, self._read_operand(lookup))
-        if tag == _I_CAST:
-            index = r.varint()
-            if index >= len(CAST_OPS):
-                raise BinFormatError(f"unknown cast opcode {index}")
-            value = self._read_operand(lookup)
-            return Cast(CAST_OPS[index], value, self._type())
-        if tag == _I_BR:
-            return Branch(block_at(r.varint()))
-        if tag == _I_CONDBR:
-            cond = self._read_operand(lookup)
-            true_block = block_at(r.varint())
-            return CondBranch(cond, true_block, block_at(r.varint()))
-        if tag == _I_SWITCH:
-            value = self._read_operand(lookup)
-            default = block_at(r.varint())
-            switch = Switch(value, default)
-            for _ in range(r.varint()):
-                const = self._read_constant()
-                switch.add_case(const, block_at(r.varint()))
-            return switch
-        if tag == _I_RET:
-            if r.varint():
-                return Ret(self._read_operand(lookup))
-            return Ret(None)
-        if tag == _I_UNREACHABLE:
-            return Unreachable()
-        raise BinFormatError(f"unknown instruction tag {tag}")
-
-    def _read_operand(self, lookup):
-        tag = self.r.varint()
-        if tag == _OP_VALUE:
-            return lookup(self.r.varint())
-        return self._decode_constant(tag)
 
     # -- metadata -----------------------------------------------------------
 
@@ -966,11 +657,6 @@ class _ModuleReader:
 # -- public API ---------------------------------------------------------------
 
 
-def write_module(module: Module) -> bytes:
-    """Serialize ``module`` to the versioned binary format."""
-    return _Writer(module).write()
-
-
 def read_module(data: bytes) -> Module:
     """Deserialize a module written by :func:`write_module`.
 
@@ -992,11 +678,6 @@ def read_module(data: bytes) -> Module:
 def is_binary_ir(data: bytes) -> bool:
     """True when ``data`` starts with the ``.nir`` magic."""
     return data[:4] == MAGIC
-
-
-def write_module_file(module: Module, path: str) -> None:
-    with open(path, "wb") as handle:
-        handle.write(write_module(module))
 
 
 def read_module_file(path: str) -> Module:

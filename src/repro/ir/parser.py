@@ -29,7 +29,8 @@ The operands of each opcode are those :meth:`Instruction.__str__` prints:
 ``phi T [ v, %b ] (, [ v, %b ])*``, ``select T c, T a, T b``,
 ``trunc T v to T`` (every cast), ``br label %b``,
 ``br T c, label %t, label %f``, ``switch T v, label %d [ (T c, label %b)* ]``,
-``ret void``, ``ret T v`` and ``unreachable``.
+``ret void``, ``ret T v`` and ``unreachable``.  A block reference ``%b``
+is spelled with its ``%``.
 
 A line is split by one ``findall`` (:func:`_tokenize`; a body line that
 recurs is split once) and read by index over its tokens, and a type
@@ -436,9 +437,9 @@ class _Reader:
                 value = values.get(tok)
                 if value is None:
                     value = self.value(tok, ty)
-                block = blocks.get(pred[1:])
+                block = blocks.get(pred)
                 if block is None:
-                    self.fail(f"phi from unknown block {pred}")
+                    self.fail(f"phi from unknown block %{pred}")
                 phi.add_incoming(value, block)
         unresolved = sorted((tok, line) for tok, (p, line) in forward.items() if p.is_used())
         if unresolved:
@@ -478,11 +479,17 @@ class _Reader:
 
     def label(self, toks: tuple, i: int) -> tuple[BasicBlock, int]:
         """The ``label %b`` at ``toks[i]``, and the index after it."""
-        name = self.present(toks[self.expect(toks, i, "label")])[1:]
+        name = self.block_name(toks[self.expect(toks, i, "label")])
         block = self.blocks.get(name)
         if block is None:
             self.fail(f"branch to unknown block %{name}")
         return block, i + 2
+
+    def block_name(self, tok: str | None) -> str:
+        """The name a block reference ``%name`` spells."""
+        if self.present(tok)[0] != "%":
+            self.fail(f"expected a block reference %name, got {tok!r}")
+        return tok[1:]
 
     # -- one builder per opcode: (reader, opcode, tokens, index of the first
     # operand) -> (instruction, index after its last operand) -----------------
@@ -531,7 +538,7 @@ class _Reader:
         incoming = []
         while toks[i] == "[":
             tok = self.present(toks[i + 1])
-            pred = self.present(toks[self.expect(toks, i + 2, ",")])
+            pred = self.block_name(toks[self.expect(toks, i + 2, ",")])
             i = self.expect(toks, i + 4, "]")
             incoming.append((tok, pred))
             if toks[i] == ",":

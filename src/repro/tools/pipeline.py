@@ -39,7 +39,7 @@ from ..robust.passmanager import PassManager, build_pass
 from ..runtime.machine import ParallelMachine
 from ..runtime.schedule import UnpricedRegion
 from .meta_pdg_embed import embed_pdg, load_embedded_pdg
-from .whole_ir import link_options_of, whole_ir_from_files
+from .whole_ir import LINK_OPTIONS_KEY, WHOLE_PROGRAM, link_options_of
 
 #: The parallelizing techniques :func:`parallelize` applies.
 TECHNIQUES = ("doall", "helix", "dswp")
@@ -109,10 +109,10 @@ def load(
 
 
 def load_program(path: str) -> Module:
-    """The one program loader: a ``.mc`` MiniC file (through
-    ``noelle-whole-IR``), an IR file — textual or binary, told apart by
-    content, loaded through the artifact cache — or, when no such file
-    exists, the name of a registered workload."""
+    """The one program loader: a ``.mc`` MiniC file (the module
+    ``noelle-whole-IR`` makes of it), an IR file — textual or binary,
+    told apart by content — or, when no such file exists, the name of
+    a registered workload.  Files load through the artifact cache."""
     if not os.path.exists(path):
         from ..workloads import registry
 
@@ -122,10 +122,15 @@ def load_program(path: str) -> Module:
             raise FileNotFoundError(
                 f"{path!r} is neither a file nor a registered workload"
             ) from None
-    if path.endswith(".mc"):
-        return whole_ir_from_files([path])
     from .. import cache
 
+    if path.endswith(".mc"):
+        # What ``whole_ir_from_files([path])`` builds: one source file is
+        # the whole program, with no link options.
+        with open(path) as handle:
+            module = cache.cached_compile(handle.read(), WHOLE_PROGRAM)
+        module.metadata[LINK_OPTIONS_KEY] = []
+        return module
     with open(path, "rb") as handle:
         data = handle.read()
     if is_binary_ir(data):

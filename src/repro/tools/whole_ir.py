@@ -16,11 +16,14 @@ from ..ir.linker import link_modules
 
 LINK_OPTIONS_KEY = "noelle.link.options"
 
+#: The name of the module ``noelle-whole-IR`` builds.
+WHOLE_PROGRAM = "whole-program"
+
 
 def whole_ir_from_sources(
     sources: list[str],
     link_options: list[str] | None = None,
-    name: str = "whole-program",
+    name: str = WHOLE_PROGRAM,
 ) -> Module:
     """Compile + link source *texts* into one verified module."""
     from ..frontend.codegen import compile_source
@@ -34,7 +37,7 @@ def whole_ir_from_sources(
 def whole_ir_from_files(
     paths: list[str],
     link_options: list[str] | None = None,
-    name: str = "whole-program",
+    name: str = WHOLE_PROGRAM,
 ) -> Module:
     """Compile + link files (``.mc`` MiniC or ``.ir`` textual IR)."""
     modules: list[Module] = []

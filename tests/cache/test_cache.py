@@ -14,7 +14,9 @@ from repro.interp.engine import EPLAN_VERSION, EnginePlanError, engine_for
 from repro.interp.interp import Interpreter
 from repro.ir import print_module, write_module
 from repro.perf import STATS
-from repro.workloads import get
+from repro.tools.pipeline import load_program
+from repro.tools.whole_ir import LINK_OPTIONS_KEY, whole_ir_from_files
+from repro.workloads import all_workloads, get
 
 
 @pytest.fixture
@@ -154,6 +156,54 @@ def test_a_shard_that_does_not_fit_is_evicted_and_rebuilt(store):
     assert store.load_pdg_shards(key)[payload["fn"]]["ninsts"] == (
         payload["ninsts"] - 1
     )
+
+
+def test_an_adopted_shard_is_read_in_on_its_first_read(store):
+    key, _ = _publish_crc32()
+    written = store.load_pdg_shards(key)
+    module = cache.cached_compile(get("crc32").source, "crc32")
+    noelle = Noelle(module)
+    cache.attach(noelle)
+    pdg = noelle.pdg()
+    pdg.materialize()
+    functions = list(module.defined_functions())
+    assert sorted(written) == sorted(fn.name for fn in functions)
+    # Adopted, never read: no node and no edge object.
+    for fn in functions:
+        shard = pdg._shards[id(fn)]
+        assert shard.adopted is not None
+        assert shard.edges == [] and shard.node_ids == []
+    assert pdg._nodes == {}
+    builds = STATS.get("pdg.shard_builds")
+    first = functions[0]
+    insts = list(first.instructions())
+    pdg.dependences_of(insts[-1])  # the first read
+    shard = pdg._shards[id(first)]
+    assert shard.adopted is None
+    position = {id(inst): i for i, inst in enumerate(insts)}
+    assert [
+        (position[id(e.src.value)], position[id(e.dst.value)], e.kind,
+         e.data_kind, e.is_memory, e.is_must)
+        for e in shard.edges
+    ] == [tuple(record) for record in written[first.name]["edges"]]
+    # Only the shard that was read holds objects.
+    assert all(pdg._shards[id(fn)].adopted is not None for fn in functions[1:])
+    assert len(pdg._nodes) == len(insts)
+    assert pdg.export_shard(first) == written[first.name]
+    assert STATS.get("pdg.shard_builds") == builds
+
+
+@pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
+def test_a_minic_file_loads_through_the_cache(workload, tmp_path, store):
+    path = tmp_path / f"{workload}.mc"
+    path.write_text(get(workload).source)
+    expected = print_module(whole_ir_from_files([str(path)]))
+    hits = STATS.get("cache.hits")
+    for warm in (False, True):
+        module = load_program(str(path))
+        assert print_module(module) == expected
+        assert module.metadata[LINK_OPTIONS_KEY] == []
+        assert STATS.get("cache.hits") == hits + warm
 
 
 def test_warm_hydration_is_byte_identical(store):

@@ -24,7 +24,7 @@ from repro.core.profiler import Profiler, embed_profile
 from repro.frontend import compile_source
 from repro.fuzz.gen import SHAPES, generate_program
 from repro.interp import Interpreter
-from repro.ir.binio import write_module
+from repro.ir.binwrite import write_module
 from repro.workloads import all_workloads, get
 
 ENGINES = ("compiled", "reference")

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.interp.engine import _Compiler, engine_for
+from repro.interp.compiler import _Compiler
+from repro.interp.engine import engine_for
 from repro.interp.interp import InterpError, Interpreter
 from repro.ir import parse_module, print_module
 from repro.ir.instructions import ICMP_PREDICATES, INT_BINARY_OPS

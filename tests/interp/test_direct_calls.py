@@ -21,10 +21,10 @@ from repro.core.noelle import Noelle
 from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter
+from repro.interp.compiler import _Compiler
 from repro.interp.engine import (
     EPLAN_VERSION,
     EnginePlanError,
-    _Compiler,
     engine_for,
     invalidate_module,
 )

@@ -21,8 +21,8 @@ from repro.core.profiler import Profiler
 from repro.frontend import compile_source
 from repro.interp import Interpreter, InterpError, StepLimitExceeded
 from repro.interp.interp import BlockProfile
+from repro.interp.compiler import _Compiler
 from repro.interp.engine import (
-    _Compiler,
     engine_for,
     engine_mode,
     invalidate_module,

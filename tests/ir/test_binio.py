@@ -13,8 +13,8 @@ from repro.ir.binio import (
     BinVersionError,
     is_binary_ir,
     read_module,
-    write_module,
 )
+from repro.ir.binwrite import write_module
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -222,6 +222,6 @@ def test_write_read_module_file(tmp_path):
 
     module, _fn, _values = build_count_loop()
     path = tmp_path / ("m" + binio.EXTENSION)
-    binio.write_module_file(module, str(path))
+    ir.write_module_file(module, str(path))
     clone = binio.read_module_file(str(path))
     assert ir.print_module(clone) == ir.print_module(module)

@@ -152,6 +152,24 @@ entry:
         with pytest.raises(ParseError):
             parse_module(text)
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("br label %exit", "br label @exit", 3),
+        ("br label %exit", "br label xexit", 3),
+        ("[ 1, %entry ]", "[ 1, xentry ]", 5),
+    ])
+    def test_a_block_reference_is_spelled_with_percent(self, old, new, line):
+        text = """define @f() -> i64 {
+entry:
+  br label %exit
+exit:
+  %p = phi i64 [ 1, %entry ]
+  ret i64 %p
+}
+"""
+        parse_module(text)
+        with pytest.raises(ParseError, match=f"^line {line}: expected a block"):
+            parse_module(text.replace(old, new))
+
     def test_duplicate_block(self):
         text = """
 define @f() -> void {

@@ -225,6 +225,23 @@ class TestOneDoor:
         assert STATS.get("cache.pdg_shards_hydrated") > hydrated
         assert STATS.get("pdg.shard_builds") == builds
 
+    def test_a_second_run_of_a_minic_file_hydrates(self, tmp_path,
+                                                    monkeypatch, capsys):
+        from repro.perf import STATS
+        from repro.workloads import get
+
+        path = tmp_path / "crc32.mc"
+        path.write_text(get("crc32").source)
+        monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["run", str(path)]) == 0
+        cold = capsys.readouterr()
+        hits = STATS.get("cache.hits")
+        compiles = STATS.get("engine.compiles")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr() == cold
+        assert STATS.get("cache.hits") == hits + 1
+        assert STATS.get("engine.compiles") == compiles
+
     @pytest.mark.parametrize("workload", ["crc32", "susan"])
     @pytest.mark.parametrize("verb", ["report", "parallelize", "check"])
     def test_a_store_changes_nothing_printed_or_written(

@@ -7,6 +7,11 @@ and ``import repro.tools.cli``.  None of them may load the front end,
 the transforms, the fuzzer or the daemon; the warm door also loads no
 pass manager, no crash bundle and none of the abstractions only a
 transform builds.
+
+A warm hit that does no more than hydrate — module, PDG shards and
+engine plans, as ``benchmarks/e2e/load_child.py`` brings a program to
+engine-ready — loads exactly :data:`WARM_HIT_MODULES`: no compiler, no
+walker, no alias analysis, no shard builder and no ``.nir`` writer.
 """
 
 import json
@@ -22,6 +27,7 @@ from repro.core.noelle import Noelle
 from repro.frontend import compile_source
 from repro.interp.engine import engine_for
 from repro.ir import print_module
+from repro.workloads import get
 
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
@@ -70,6 +76,63 @@ assert result.output == [{expected}], result.output
 assert STATS.get("cache.hits") == 1
 assert STATS.get("cache.engine_plans_hydrated") == 3
 assert STATS.get("engine.compiles") == 0
+"""
+
+
+#: Every ``repro`` module a process loads that brings a program from a
+#: warm store to engine-ready and prints it.
+WARM_HIT_MODULES = [
+    "repro",
+    "repro.cache",
+    "repro.cache.binding",
+    "repro.cache.store",
+    "repro.core",
+    "repro.core.depgraph",
+    "repro.core.noelle",
+    "repro.core.pdg",
+    "repro.interp",
+    "repro.interp.engine",
+    "repro.interp.semantics",
+    "repro.ir",
+    "repro.ir.binio",
+    "repro.ir.instructions",
+    "repro.ir.intrinsics",
+    "repro.ir.module",
+    "repro.ir.parser",
+    "repro.ir.printer",
+    "repro.ir.types",
+    "repro.ir.values",
+    "repro.ir.verifier",
+    "repro.perf",
+    "repro.robust",
+    "repro.robust.faults",
+]
+
+WARM_HIT = """
+import sys
+from repro import cache
+from repro.core.noelle import Noelle
+from repro.interp.engine import engine_for
+from repro.ir import print_module
+from repro.perf import STATS
+
+with open(sys.argv[1]) as handle:
+    text = handle.read()
+module = cache.load_ir_text(text, "crc32")
+noelle = Noelle(module)
+cache.attach(noelle)
+noelle.pdg().materialize()
+engine = engine_for(module)
+for fn in module.defined_functions():
+    engine.compiled(fn)
+cache.publish_artifacts(module, noelle)
+assert print_module(module) == text
+functions = len(list(module.defined_functions()))
+assert STATS.get("cache.hits") == 1
+assert STATS.get("cache.pdg_shards_hydrated") == functions
+assert STATS.get("cache.engine_plans_hydrated") == functions
+assert STATS.get("engine.compiles") == 0
+assert STATS.get("pdg.shard_builds") == 0
 """
 
 
@@ -133,3 +196,19 @@ def test_cli_import():
     modules = _modules("import repro.tools.cli\n")
     assert "repro.tools.cli" in modules
     assert _loaded(modules, NEVER) == []
+
+
+def test_a_warm_hit_loads_only_what_hydration_runs(tmp_path, monkeypatch):
+    path = tmp_path / "crc32.ir"
+    path.write_text(print_module(compile_source(get("crc32").source, "crc32")))
+    monkeypatch.setenv("NOELLE_CACHE_DIR", str(tmp_path / "cache"))
+    cold = cache.load_ir_text(path.read_text(), "crc32")
+    noelle = Noelle(cold)
+    cache.attach(noelle)
+    noelle.pdg().materialize()
+    engine = engine_for(cold)
+    for fn in cold.defined_functions():
+        engine.compiled(fn)
+    cache.publish_artifacts(cold, noelle)
+    modules = _modules(WARM_HIT, str(path), cache_dir=tmp_path / "cache")
+    assert modules == WARM_HIT_MODULES
