@@ -34,6 +34,9 @@ from typing import Generic, Hashable, Iterator, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
+#: The kinds of a data dependence (``DGEdge.data_kind`` of a data edge).
+DATA_KINDS = ("RAW", "WAW", "WAR")
+
 
 class DGEdge(Generic[T]):
     """A directed dependence from ``src`` to ``dst`` (dst depends on src).
@@ -62,7 +65,7 @@ class DGEdge(Generic[T]):
     ):
         if kind not in ("data", "control"):
             raise ValueError(f"bad edge kind {kind!r}")
-        if kind == "data" and data_kind not in ("RAW", "WAW", "WAR"):
+        if kind == "data" and data_kind not in DATA_KINDS:
             raise ValueError(f"bad data dependence kind {data_kind!r}")
         self.src = src
         self.dst = dst

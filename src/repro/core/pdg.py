@@ -35,9 +35,9 @@ together from adopted shards is an ordinary :class:`PDG` — whatever was
 not adopted, or is invalidated later, builds on demand.  Adoption checks
 the payload against the function and keeps it as it came: the shard's
 nodes and edges are built from it on the shard's first read, so a shard
-that nothing reads costs no graph objects.  ``materialize()`` brings
-every shard into being, built or adopted; the whole-graph views read
-every shard in as well.
+that nothing reads costs no graph objects.  ``materialize()`` and the
+whole-graph views read every adopted shard in; a per-value query reads
+in only the shard of the function it asks about.
 
 Building a shard is :mod:`repro.core.pdgbuilder`'s job, imported on the
 first build: it is where the alias analysis answers pairs.
@@ -61,16 +61,12 @@ from typing import TYPE_CHECKING, Iterator
 from ..ir.instructions import Instruction, Load, Phi, Store
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, Value
-from ..perf import STATS
-from .depgraph import DependenceGraph, DGEdge, DGNode
+from ..perf import STATS, gc_paused
+from .depgraph import DATA_KINDS, DependenceGraph, DGEdge, DGNode
 
 if TYPE_CHECKING:  # imported where a loop's graph is built
     from ..analysis.deptest import DependenceTester
     from ..analysis.loopinfo import NaturalLoop
-
-
-#: The kinds of a data dependence edge (see `DGEdge`).
-_DATA_KINDS = ("RAW", "WAW", "WAR")
 
 
 class _Shard:
@@ -128,24 +124,15 @@ class PDG(DependenceGraph[Instruction]):
 
     # -- shard lifecycle ---------------------------------------------------------------
     def materialize(self) -> None:
-        """Build every missing shard (the eager full-module build).  An
-        adopted shard is not missing: its objects wait for its first
-        read."""
+        """Build every missing shard and read every adopted one in (the
+        eager full-module build)."""
         if self._building is not None:
             return
         current = {id(fn) for fn in self.module.defined_functions()}
         for stale_id in [fid for fid in self._shards if fid not in current]:
             self.invalidate_function(self._shards[stale_id].fn)
         for fn in self.module.defined_functions():
-            if id(fn) not in self._shards:
-                self._ensure_function(fn)
-
-    def _read_all(self) -> None:
-        """Every shard built and read in: what a whole-graph view reads."""
-        self.materialize()
-        for shard in list(self._shards.values()):
-            if shard.adopted is not None:
-                self._read_in(shard)
+            self._ensure_function(fn)
 
     def _ensure_function(self, fn: Function | None) -> None:
         """``fn``'s shard built, or read in if it was adopted."""
@@ -233,28 +220,28 @@ class PDG(DependenceGraph[Instruction]):
     # Whole-graph views build (or read in) every shard first; per-value
     # views only the owning function's shard.
     def nodes(self) -> Iterator[DGNode[Instruction]]:
-        self._read_all()
+        self.materialize()
         return super().nodes()
 
     def internal_nodes(self) -> list[DGNode[Instruction]]:
-        self._read_all()
+        self.materialize()
         return super().internal_nodes()
 
     def external_nodes(self) -> list[DGNode[Instruction]]:
-        self._read_all()
+        self.materialize()
         return super().external_nodes()
 
     def num_nodes(self) -> int:
-        self._read_all()
+        self.materialize()
         return super().num_nodes()
 
     def edges(self) -> list[DGEdge[Instruction]]:
         """Every shard's edges, shards in build order."""
-        self._read_all()
+        self.materialize()
         return [edge for shard in self._shards.values() for edge in shard.edges]
 
     def num_edges(self) -> int:
-        self._read_all()
+        self.materialize()
         return sum(len(shard.edges) for shard in self._shards.values())
 
     def node_of(self, value) -> DGNode[Instruction] | None:
@@ -290,7 +277,7 @@ class PDG(DependenceGraph[Instruction]):
             fn = _function_of(value) if isinstance(value, Instruction) else None
             if fn is None:
                 # A detached value: fall back to the full-graph projection.
-                self._read_all()
+                self.materialize()
                 return super().subgraph(internal_values)
             if fn not in fns:
                 fns.append(fn)
@@ -329,12 +316,14 @@ class PDG(DependenceGraph[Instruction]):
         """Turn an adopted shard's records into its nodes and edges."""
         insts, records = shard.adopted
         shard.adopted = None
-        table = self._add_nodes(shard, insts)
-        shard.edges = [
-            DGEdge(table[src_i], table[dst_i], kind, data_kind, is_memory,
-                   is_must)
-            for src_i, dst_i, kind, data_kind, is_memory, is_must in records
-        ]
+        with gc_paused:
+            table = self._add_nodes(shard, insts)
+            shard.edges = [
+                DGEdge(table[src_i], table[dst_i], kind, data_kind,
+                       is_memory, is_must)
+                for src_i, dst_i, kind, data_kind, is_memory, is_must
+                in records
+            ]
 
     # -- the shard codec ---------------------------------------------------------------
     def export_shard(self, fn: Function) -> dict | None:
@@ -393,7 +382,7 @@ class PDG(DependenceGraph[Instruction]):
                         and 0 <= index(dst_i) < count):
                     raise ValueError("edge endpoint out of range")
                 if kind != "control" and (
-                    kind != "data" or data_kind not in _DATA_KINDS
+                    kind != "data" or data_kind not in DATA_KINDS
                 ):
                     raise ValueError("bad edge kind")
         except (KeyError, TypeError, ValueError):

@@ -362,8 +362,10 @@ class _ModuleReader:
 
         An instruction's tag and an operand's tag and value index are
         read in place when they are one byte (`_varint_at` reads every
-        other varint), and each instruction goes straight into its
-        block.  Every read and every check happens in the order of the
+        other varint), and each instruction is appended to its block as
+        soon as it is read (`BasicBlock.append`: a phi below a non-phi is
+        a `ValueError`, which `read_module` reports as `BinFormatError`).
+        Every read and every check happens in the order of the
         record layout, so malformed data fails with the error class a
         record-by-record reading gives.
         """
@@ -464,7 +466,6 @@ class _ModuleReader:
 
         def_cursor = 0
         for block, count in zip(blocks, counts):
-            insts = block.instructions
             for _ in range(count):
                 tag = data[pos] if pos < end else 128
                 if tag < 128:
@@ -567,34 +568,20 @@ class _ModuleReader:
                     inst = Unreachable()
                 else:
                     raise BinFormatError(f"unknown instruction tag {tag}")
-                named = not inst.type.is_void()
-                if named:
+                if not inst.type.is_void():
                     if def_cursor >= ndefs:
                         raise BinFormatError(
                             f"instruction stream of @{fn.name} defines "
                             "more values than its value table"
                         )
-                    inst.name = name = defs[def_cursor][1]
+                    inst.name = defs[def_cursor][1]
                     index = nargs + def_cursor
                     def_cursor += 1
                     placeholder = placeholders.pop(index, None)
                     if placeholder is not None:
                         placeholder.replace_all_uses_with(inst)
                     values.append(inst)
-                # `BasicBlock.append`, in place: phis stay on top, and a
-                # name already taken is made unique.
-                if (inst.__class__ is Phi and insts
-                        and insts[-1].__class__ is not Phi):
-                    raise BinFormatError(
-                        f"phi after a non-phi in %{block.name} of @{fn.name}"
-                    )
-                inst.parent = block
-                insts.append(inst)
-                if named:
-                    if name and name not in used:
-                        used.add(name)
-                    else:
-                        fn.assign_name(inst)
+                block.append(inst)
         r.pos = pos
         if def_cursor != ndefs:
             raise BinFormatError(

@@ -165,7 +165,6 @@ def test_an_adopted_shard_is_read_in_on_its_first_read(store):
     noelle = Noelle(module)
     cache.attach(noelle)
     pdg = noelle.pdg()
-    pdg.materialize()
     functions = list(module.defined_functions())
     assert sorted(written) == sorted(fn.name for fn in functions)
     # Adopted, never read: no node and no edge object.
@@ -190,6 +189,10 @@ def test_an_adopted_shard_is_read_in_on_its_first_read(store):
     assert all(pdg._shards[id(fn)].adopted is not None for fn in functions[1:])
     assert len(pdg._nodes) == len(insts)
     assert pdg.export_shard(first) == written[first.name]
+    # A whole-graph read reads every shard in, and builds none.
+    pdg.materialize()
+    assert all(pdg._shards[id(fn)].adopted is None for fn in functions)
+    assert {fn.name: pdg.export_shard(fn) for fn in functions} == written
     assert STATS.get("pdg.shard_builds") == builds
 
 
