@@ -16,9 +16,10 @@ between those bytes and live analysis state:
   shards, engine plans) for functions that were never mutated.
 
 A PDG shard crosses this boundary only as the payload of
-`PDG.export_shard` / `PDG.adopt_shard`; what `attach` hands the facade
-is an ordinary `PDG` over the facade's (not yet computed) alias
-analysis, so a function invalidated later is rebuilt in place.
+`PDG.export_shard` / `PDG.adopt_shards`; `attach` adopts into the
+facade's own `PDG`, an ordinary one over the facade's (not yet
+computed) alias analysis, so a function invalidated later is rebuilt
+in place.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..core.pdg import PDG
 from ..interp.engine import EnginePlanError, engine_for, existing_engine
 from ..ir import parse_module, print_module, read_module, verify_module
 from ..ir.module import Function, Module
-from ..perf import STATS, gc_paused
+from ..perf import STATS
 from .store import CACHE_DIR_ENV, ArtifactStore
 
 #: Process-wide store singleton, keyed by the env var's current value so
@@ -133,9 +134,10 @@ def attach(noelle) -> ModuleCacheBinding | None:
     """Bind ``noelle`` to the cache and hydrate what the entry holds.
 
     Publishes the module payload if this is the first sighting of its
-    content.  PDG shards hydrate into ``noelle._pdg`` (directly — going
-    through `adopt_pdg` would invalidate the compiled engine we are
-    about to hydrate); engine plans hydrate into the module's engine.
+    content.  The entry's PDG shards are adopted into ``noelle.pdg()``
+    for every function that holds no shard yet, and a shard that does
+    not fit the code it is filed under is evicted; engine plans hydrate
+    into the module's engine.
     """
     store = get_store()
     if store is None:
@@ -150,22 +152,16 @@ def attach(noelle) -> ModuleCacheBinding | None:
     elif not store.has_entry(key):
         store.publish_module(key, module, print_module(module))
     binding = ModuleCacheBinding(store, key, module)
-    if noelle._pdg is None:
+    with STATS.timer("cache.hydrate_pdg"):
         shards = store.load_pdg_shards(key)
         if shards:
-            with STATS.timer("cache.hydrate_pdg"), gc_paused:
-                pdg = PDG(module, noelle.alias_analysis)
-                for fn in module.defined_functions():
-                    if fn.name not in shards:
-                        continue
-                    if pdg.adopt_shard(fn, shards[fn.name]):
-                        binding.hydrated.add(fn.name)
-                        STATS.count("cache.pdg_shards_hydrated")
-                    else:
-                        # Does not fit the code it is filed under: make
-                        # room for the shard this process will build.
-                        store.evict_function(key, fn.name)
-            noelle._pdg = pdg
+            adopted, refused = noelle.pdg().adopt_shards(shards)
+            for name in adopted:
+                binding.hydrated.add(name)
+                STATS.count("cache.pdg_shards_hydrated")
+            # Make room for the shards this process will build.
+            for name in refused:
+                store.evict_function(key, name)
     _hydrate_engine(store, key, module)
     noelle.bind_cache(binding)
     return binding
@@ -180,16 +176,18 @@ def _hydrate_engine(store: ArtifactStore, key: str, module: Module) -> int:
     for fn in module.defined_functions():
         if id(fn) in engine.functions:
             continue
-        loaded = store.load_engine_plan(key, fn.name)
-        if loaded is None:
-            continue
-        plan, code = loaded
-        try:
-            engine.adopt(fn, plan, code)
-            hydrated += 1
-            STATS.count("cache.engine_plans_hydrated")
-        except EnginePlanError:
-            store.evict_function(key, fn.name)
+        with STATS.timer("engine.hydrate"):
+            loaded = store.load_engine_plan(key, fn.name)
+            if loaded is None:
+                continue
+            plan, code = loaded
+            try:
+                engine.adopt(fn, plan, code)
+            except EnginePlanError:
+                store.evict_function(key, fn.name)
+                continue
+        hydrated += 1
+        STATS.count("cache.engine_plans_hydrated")
     return hydrated
 
 

@@ -6,10 +6,10 @@ scheduler, environments, tasks, profiles, and the architecture description.
 Every abstraction is computed lazily and cached — users "only pay for the
 abstractions they need" (Section 2.2) — and the expensive PDG need not be
 computed at all: ``noelle-load`` (:func:`repro.tools.pipeline.load`, where
-every driver gets its facade) hands the facade a PDG whose shards were
-adopted from ``noelle-meta-pdg-embed`` metadata or from the artifact cache.
-Such a PDG holds ``alias_analysis`` itself, uncalled, so it is an ordinary
-PDG: :meth:`Noelle.invalidate` treats it like one it computed.
+every driver gets its facade) adopts shards from ``noelle-meta-pdg-embed``
+metadata and from the artifact cache into the facade's own PDG.  That PDG
+holds ``alias_analysis`` itself, uncalled, so it is an ordinary PDG:
+:meth:`Noelle.invalidate` treats adopted shards like ones it computed.
 """
 
 from __future__ import annotations
@@ -107,28 +107,13 @@ class Noelle:
         return self._pointsto
 
     def pdg(self) -> PDG:
-        """The program dependence graph (computed on first request)."""
+        """The program dependence graph, the only one this facade builds:
+        created on first request over the ``alias_analysis`` supplier,
+        which a shard build calls, so a graph whose shards were all
+        adopted (see ``PDG.adopt_shards``) never runs the analysis."""
         if self._pdg is None:
-            self._pdg = PDG(self.module, self.alias_analysis())
+            self._pdg = PDG(self.module, self.alias_analysis)
         return self._pdg
-
-    def adopt_pdg(self, pdg: PDG) -> None:
-        """Install an externally produced PDG (e.g. one whose shards were
-        adopted from ``noelle-meta-pdg-embed`` metadata) as the cached one.
-
-        Also drops the caches *derived from* the previous PDG — every
-        function's :class:`Loop` objects capture the PDG they were built
-        against — so stale dependence facts cannot leak through a swap
-        (the same trap the ``invalidate()`` fix closed for ``_dfe`` and
-        ``_env_builder``).  Loop info is CFG-only and stays.
-        """
-        self._pdg = pdg
-        for record in self._function_loops.values():
-            record.loops = None
-        self._loops = None
-        # An adopted PDG usually accompanies module metadata surgery;
-        # compiled code must not outlive whatever produced it.
-        invalidate_module(self.module)
 
     def call_graph(self) -> CallGraph:
         if self._callgraph is None:

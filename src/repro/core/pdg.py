@@ -32,12 +32,11 @@ is the only shard encoding there is.  Module metadata
 (``noelle-meta-pdg-embed``, riding ``.nir``) and the artifact cache
 (``repro.cache``) are two carriers of the same payload, and a graph put
 together from adopted shards is an ordinary :class:`PDG` — whatever was
-not adopted, or is invalidated later, builds on demand.  Adoption checks
-the payload against the function and keeps it as it came: the shard's
-nodes and edges are built from it on the shard's first read, so a shard
-that nothing reads costs no graph objects.  ``materialize()`` and the
-whole-graph views read every adopted shard in; a per-value query reads
-in only the shard of the function it asks about.
+not adopted, or is invalidated later, builds on demand.  Both carriers
+hand their ``{function name: payload}`` map to ``adopt_shards``, the one
+way a payload enters a graph: each payload that fits its function
+becomes that function's nodes and edges at once, so an adopted shard is
+indistinguishable from a built one.
 
 Building a shard is :mod:`repro.core.pdgbuilder`'s job, imported on the
 first build: it is where the alias analysis answers pairs.
@@ -62,7 +61,7 @@ from ..ir.instructions import Instruction, Load, Phi, Store
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, Value
 from ..perf import STATS, gc_paused
-from .depgraph import DATA_KINDS, DependenceGraph, DGEdge, DGNode
+from .depgraph import DependenceGraph, DGEdge, DGNode
 
 if TYPE_CHECKING:  # imported where a loop's graph is built
     from ..analysis.deptest import DependenceTester
@@ -73,14 +72,10 @@ class _Shard:
     """One function's slice of the PDG: its nodes, edges, and counters.
 
     The only owner of its edges: every PDG edge is in exactly one shard.
-    An adopted shard holds ``adopted`` — the function's instructions
-    and the payload's edge records — until its first read turns them
-    into nodes and edges; until then ``node_ids`` and ``edges`` are
-    empty.
     """
 
     __slots__ = ("fn", "node_ids", "edges", "queries", "disproved",
-                 "adopted", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, fn: Function):
         self.fn = fn
@@ -88,7 +83,6 @@ class _Shard:
         self.edges: list[DGEdge[Instruction]] = []
         self.queries = 0
         self.disproved = 0
-        self.adopted: tuple[list[Instruction], list] | None = None
 
 
 class PDG(DependenceGraph[Instruction]):
@@ -124,8 +118,7 @@ class PDG(DependenceGraph[Instruction]):
 
     # -- shard lifecycle ---------------------------------------------------------------
     def materialize(self) -> None:
-        """Build every missing shard and read every adopted one in (the
-        eager full-module build)."""
+        """Build every missing shard (the eager full-module build)."""
         if self._building is not None:
             return
         current = {id(fn) for fn in self.module.defined_functions()}
@@ -135,15 +128,10 @@ class PDG(DependenceGraph[Instruction]):
             self._ensure_function(fn)
 
     def _ensure_function(self, fn: Function | None) -> None:
-        """``fn``'s shard built, or read in if it was adopted."""
+        """``fn``'s shard built, unless it has one."""
         if fn is None or self._building is not None:
             return
-        shard = self._shards.get(id(fn))
-        if shard is not None:
-            if shard.adopted is not None:
-                self._read_in(shard)
-            return
-        if fn.is_declaration():
+        if id(fn) in self._shards or fn.is_declaration():
             return
         from .pdgbuilder import build_shard
 
@@ -217,8 +205,8 @@ class PDG(DependenceGraph[Instruction]):
         self._memory_disproved = value
 
     # -- materializing accessors ---------------------------------------------------------
-    # Whole-graph views build (or read in) every shard first; per-value
-    # views only the owning function's shard.
+    # Whole-graph views build every shard first; per-value views only
+    # the owning function's shard.
     def nodes(self) -> Iterator[DGNode[Instruction]]:
         self.materialize()
         return super().nodes()
@@ -298,32 +286,11 @@ class PDG(DependenceGraph[Instruction]):
         """Register ``fn``'s shard with its nodes and, so far, no edges;
         also returns the nodes in instruction order."""
         shard = self._shards[id(fn)] = _Shard(fn)
-        self._building = shard
-        return shard, self._add_nodes(shard, insts)
-
-    def _add_nodes(
-        self, shard: _Shard, insts: list[Instruction]
-    ) -> list[DGNode[Instruction]]:
-        """The shard's nodes, one per instruction and in its order; the
-        shard's edges wait for the adjacency maps from now on."""
-        fid = id(shard.fn)
-        self._pending_out[fid] = self._pending_in[fid] = shard
+        self._pending_out[id(fn)] = self._pending_in[id(fn)] = shard
         table = [self.add_node(inst, internal=True) for inst in insts]
         shard.node_ids = [id(inst) for inst in insts]
-        return table
-
-    def _read_in(self, shard: _Shard) -> None:
-        """Turn an adopted shard's records into its nodes and edges."""
-        insts, records = shard.adopted
-        shard.adopted = None
-        with gc_paused:
-            table = self._add_nodes(shard, insts)
-            shard.edges = [
-                DGEdge(table[src_i], table[dst_i], kind, data_kind,
-                       is_memory, is_must)
-                for src_i, dst_i, kind, data_kind, is_memory, is_must
-                in records
-            ]
+        self._building = shard
+        return shard, table
 
     # -- the shard codec ---------------------------------------------------------------
     def export_shard(self, fn: Function) -> dict | None:
@@ -355,16 +322,16 @@ class PDG(DependenceGraph[Instruction]):
         }
 
     def adopt_shard(self, fn: Function, payload: dict) -> bool:
-        """Install an `export_shard` payload as ``fn``'s shard.
+        """Install an `export_shard` payload as ``fn``'s shard: its nodes
+        and edges are built from the payload's records, running no
+        analysis.
 
-        Runs no analysis.  Payloads arrive from outside the process
-        (cache files, ``.nir`` metadata): one that does not fit ``fn`` as
-        it is now — wrong instruction count, an index out of range, a
-        malformed record — is refused, nothing changes, and the
-        function builds on demand like any other.  One that fits is
-        kept as its records: the shard's nodes and edges are built on
-        its first read (see `_read_in`), for the instructions ``fn``
-        held when it was adopted.
+        Payloads arrive from outside the process (cache files, ``.nir``
+        metadata): one that does not fit ``fn`` as it is now — wrong
+        instruction count, an index out of range, a malformed record —
+        is refused, nothing changes, and the function builds on demand
+        like any other.  So is one for a function that already has a
+        shard.
         """
         if id(fn) in self._shards:
             return False
@@ -375,25 +342,48 @@ class PDG(DependenceGraph[Instruction]):
                 return False
             queries = int(payload["queries"])
             disproved = int(payload["disproved"])
-            records = list(payload["edges"])
-            # What `DGEdge` and the node table would refuse on a read.
-            for src_i, dst_i, kind, data_kind, _memory, _must in records:
-                if not (0 <= index(src_i) < count
-                        and 0 <= index(dst_i) < count):
-                    raise ValueError("edge endpoint out of range")
-                if kind != "control" and (
-                    kind != "data" or data_kind not in DATA_KINDS
+            with gc_paused:
+                shard, table = self._open_shard(fn, insts)
+                append = shard.edges.append
+                for src_i, dst_i, kind, data_kind, is_memory, is_must in (
+                    payload["edges"]
                 ):
-                    raise ValueError("bad edge kind")
+                    if not (0 <= index(src_i) < count
+                            and 0 <= index(dst_i) < count):
+                        raise ValueError("edge endpoint out of range")
+                    append(DGEdge(table[src_i], table[dst_i], kind,
+                                  data_kind, is_memory, is_must))
         except (KeyError, TypeError, ValueError):
+            self.invalidate_function(fn)  # drops a half-installed shard
             return False
-        shard = self._shards[id(fn)] = _Shard(fn)
-        shard.adopted = (insts, records)
+        finally:
+            self._building = None
         shard.queries = queries
         shard.disproved = disproved
         self._memory_queries += queries
         self._memory_disproved += disproved
         return True
+
+    def adopt_shards(self, payloads: dict) -> tuple[list[str], list[str]]:
+        """Adopt a ``{function name: payload}`` map, the form both
+        carriers hold, into the module's defined functions.
+
+        A function that already has a shard, built or adopted, keeps it
+        and its payload is skipped.  Returns the names whose payloads
+        were adopted and the names whose payloads were refused (see
+        `adopt_shard`), each in module order.
+        """
+        adopted: list[str] = []
+        refused: list[str] = []
+        with gc_paused:  # one pause: no collector pass between shards
+            for fn in self.module.defined_functions():
+                if fn.name not in payloads or id(fn) in self._shards:
+                    continue
+                if self.adopt_shard(fn, payloads[fn.name]):
+                    adopted.append(fn.name)
+                else:
+                    refused.append(fn.name)
+        return adopted, refused
 
     # -- derived graphs --------------------------------------------------------------
     def function_dependence_graph(self, fn: Function) -> DependenceGraph[Instruction]:

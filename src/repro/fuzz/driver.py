@@ -189,6 +189,10 @@ def _write_fixture(record: dict, fixtures_dir) -> str:
     return str(path)
 
 
+class UnknownOracleError(ValueError):
+    """A campaign was asked for an oracle :data:`ORACLES` does not name."""
+
+
 def run_campaign(
     seed: int,
     count: int,
@@ -203,8 +207,15 @@ def run_campaign(
 
     Case ``i`` uses program seed ``seed * SEED_STRIDE + i``, so distinct
     base seeds explore disjoint program spaces while staying perfectly
-    reproducible.
+    reproducible.  :class:`UnknownOracleError` before any case runs when
+    ``oracles`` names one that :data:`ORACLES` does not.
     """
+    unknown = [name for name in oracles if name not in ORACLES]
+    if unknown:
+        raise UnknownOracleError(
+            f"unknown oracle(s) {', '.join(unknown)}; "
+            f"expected a subset of {', '.join(ORACLES)}"
+        )
     report = CampaignReport(seed, count)
     started = time.monotonic()
     payloads = [

@@ -463,11 +463,13 @@ def technique_for(program: GeneratedProgram) -> str:
     return TECHNIQUES[basis % len(TECHNIQUES)]
 
 
+#: Names accepted by ``run_oracles`` / the CLI ``--oracles`` flag.
+ORACLES = ("engine", "parallel", "binio", "checkers", "deptest")
+
+
 def run_oracles(
     program: GeneratedProgram,
-    oracles: tuple[str, ...] = (
-        "engine", "parallel", "binio", "checkers", "deptest"
-    ),
+    oracles: tuple[str, ...] = ORACLES,
     technique: str | None = None,
 ) -> list[Divergence]:
     """All requested oracles over one program.
@@ -513,6 +515,3 @@ def run_oracles(
             divergences.append(div)
     return divergences
 
-
-#: Names accepted by ``run_oracles`` / the CLI ``--oracles`` flag.
-ORACLES = ("engine", "parallel", "binio", "checkers", "deptest")

@@ -15,8 +15,8 @@ Compiled functions are cached in a module-versioned
 the Function — the same keying discipline as the PDG shards.  The engine
 hangs off its module (``Module.engine``, reached through
 :func:`engine_for`), so the two are collected together; invalidation is
-wired into ``Noelle.invalidate(fn)``, ``Noelle.adopt_pdg()`` and the
-transactional pass manager's rollback path via
+wired into ``Noelle.invalidate(fn)`` and the transactional pass
+manager's rollback path via
 :func:`invalidate_module`, which also re-arms (one function) or drops
 (all) the cells direct calls go through, so a rolled-back module never
 executes stale code.
@@ -445,8 +445,7 @@ class ExecutionEngine:
         Raises :class:`EnginePlanError` when the plan is stale — the
         caller falls back to :meth:`compiled`.
         """
-        with STATS.timer("engine.hydrate"):
-            cf = hydrate_function(self, fn, plan, code)
+        cf = hydrate_function(self, fn, plan, code)
         self.functions[id(fn)] = cf
         self._rearm(fn)
         STATS.count("engine.hydrations")

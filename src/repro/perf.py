@@ -67,8 +67,8 @@ runs.  The collector starts a pass after a fixed number of container
 allocations, so a builder that allocates a large live structure pays
 for passes that re-walk every live object and can find no garbage.
 The builders that allocate such a structure and leave no reference
-cycle behind run under it: a PDG shard build (``PDG._ensure_function``)
-and the cache's shard adoption (``cache.hydrate_pdg``), a loop's
+cycle behind run under it: a PDG shard build (``pdgbuilder.build_shard``)
+and a shard adoption (``PDG.adopt_shard``, for both carriers), a loop's
 dependence graph (``Loop.dependence_graph``) and aSCCDAG
 (``Loop.sccdag``), and the two module readers (``ir.parse_module``,
 ``ir.read_module``).  The front end is not paused: mem2reg and

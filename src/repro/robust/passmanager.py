@@ -10,8 +10,8 @@ Every transform entry point in the repository (``helix_pipeline``, the
    and of each function's, keyed by function name (text is the
    metadata-free form, and no instruction carries metadata);
 2. **run** — the pass body executes under a cooperative wall-clock
-   deadline (checked at every instrumented chokepoint and once more when
-   the body returns);
+   deadline, :data:`DEADLINE_S` (checked at every instrumented chokepoint
+   and once more when the body returns);
 3. **verify** — ``verify_module`` must accept the transformed module.
 
 Any exception, deadline overrun, verifier rejection, or injected fault
@@ -35,10 +35,10 @@ from . import faults
 from .diagnostics import CrashBundle, TransformError
 from .faults import Budget, FaultPlan
 
-#: Default wall-clock budget of one transaction (seconds).  Generous for
-#: the simulated workloads; the point is bounding a wedged pass, not
+#: Wall-clock budget of one transaction (seconds).  Generous for the
+#: simulated workloads; the point is bounding a wedged pass, not
 #: policing normal variance.
-DEFAULT_DEADLINE_S = 60.0
+DEADLINE_S = 60.0
 
 
 class _Snapshot:
@@ -93,13 +93,11 @@ class PassManager:
         self,
         noelle=None,
         crash_dir=None,
-        deadline_s: float | None = DEFAULT_DEADLINE_S,
         fault_plan: "FaultPlan | str | None" = "env",
         checks: bool | None = None,
     ):
         self.noelle = noelle
         self.crash_dir = crash_dir
-        self.deadline_s = deadline_s
         #: Post-pass checker gate; None defers to NOELLE_CHECKS.
         if checks is None:
             from ..checks.base import checks_enabled
@@ -132,7 +130,7 @@ class PassManager:
         """Run ``body(noelle)`` as one transaction; never raises on pass
         failure."""
         result = PassResult(name)
-        budget = Budget(self.deadline_s)
+        budget = Budget(DEADLINE_S)
         snapshot: _Snapshot | None = None
         phase = "snapshot"
         try:

@@ -261,23 +261,14 @@ def _cmd_check(args) -> int:
     return 1 if has_errors(diagnostics) else 0
 
 
-ORACLE_NAMES = ("engine", "parallel", "binio", "checkers", "deptest")
-
-
 def _cmd_fuzz(args) -> int:
-    from ..fuzz import run_campaign
+    from ..fuzz.driver import UnknownOracleError, run_campaign
 
-    oracles = tuple(
-        name.strip() for name in args.oracles.split(",") if name.strip()
-    )
-    unknown = [name for name in oracles if name not in ORACLE_NAMES]
-    if unknown:
-        print(
-            f"repro-noelle fuzz: unknown oracle(s) {', '.join(unknown)}; "
-            f"expected a subset of {', '.join(ORACLE_NAMES)}",
-            file=sys.stderr,
+    chosen = {}
+    if args.oracles is not None:
+        chosen["oracles"] = tuple(
+            name.strip() for name in args.oracles.split(",") if name.strip()
         )
-        return 2
 
     def progress(done: int, total: int, found: int) -> None:
         if done % 50 == 0 or done == total:
@@ -286,16 +277,20 @@ def _cmd_fuzz(args) -> int:
                 file=sys.stderr,
             )
 
-    report = run_campaign(
-        seed=args.seed,
-        count=args.count,
-        jobs=args.jobs,
-        oracles=oracles,
-        crash_dir=args.crash_dir,
-        fixtures_dir=args.fixtures_dir,
-        minimize=not args.no_minimize,
-        progress=progress,
-    )
+    try:
+        report = run_campaign(
+            seed=args.seed,
+            count=args.count,
+            jobs=args.jobs,
+            crash_dir=args.crash_dir,
+            fixtures_dir=args.fixtures_dir,
+            minimize=not args.no_minimize,
+            progress=progress,
+            **chosen,
+        )
+    except UnknownOracleError as error:
+        print(f"repro-noelle fuzz: {error}", file=sys.stderr)
+        return 2
     for record in report.divergences:
         print(
             f"DIVERGENCE [{record['oracle']}] seed={record['seed']} "
@@ -642,10 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--jobs", type=int, default=None,
                       help="fan cases out over N supervised worker "
                       "processes")
-    fuzz.add_argument("--oracles", default=",".join(ORACLE_NAMES),
-                      metavar="LIST",
-                      help="comma-separated subset of: "
-                      f"{','.join(ORACLE_NAMES)}")
+    fuzz.add_argument("--oracles", default=None, metavar="LIST",
+                      help="comma-separated subset of the differential "
+                      "oracles (default: all of them; an unknown name "
+                      "is refused with the list)")
     fuzz.add_argument("--fixtures-dir", default=None, metavar="DIR",
                       help="write a regression-fixture JSON per "
                       "divergence (ready for tests/fuzz/regressions/)")

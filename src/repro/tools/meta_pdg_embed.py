@@ -46,14 +46,14 @@ def embed_pdg(module: Module, pdg: PDG | None = None) -> PDG:
     return pdg
 
 
-def load_embedded_pdg(module: Module, aa=None) -> PDG | None:
-    """The embedded PDG, its shards adopted rather than rebuilt.
+def load_embedded_pdg(module: Module, pdg: PDG | None = None) -> PDG | None:
+    """Adopt the embedded shards (`PDG.adopt_shards`) into ``pdg`` and
+    return it.
 
-    ``aa`` (an alias analysis or a zero-argument supplier of one, see
-    `PDG`; by default the analysis `embed_pdg` uses) is consulted only
-    if a shard is invalidated or was never embedded.  None when nothing
-    is embedded, or when the module no longer prints as it did when the
-    shards were computed.
+    ``pdg`` is by default a fresh graph over the analysis `embed_pdg`
+    uses, which is consulted only if a shard is invalidated or was never
+    embedded.  None, adopting nothing, when nothing is embedded, or when
+    the module no longer prints as it did when the shards were computed.
     """
     shards = module.metadata.get(PDG_SHARDS_KEY)
     if not isinstance(shards, dict):
@@ -61,12 +61,9 @@ def load_embedded_pdg(module: Module, aa=None) -> PDG | None:
     if module.metadata.get(PDG_DIGEST_KEY) != _digest(module):
         STATS.count("pdg.embedded_stale")
         return None
-    if aa is None:
-        aa = partial(AndersenAliasAnalysis, module)
-    pdg = PDG(module, aa)
-    for fn in module.defined_functions():
-        if fn.name in shards:
-            pdg.adopt_shard(fn, shards[fn.name])
+    if pdg is None:
+        pdg = PDG(module, partial(AndersenAliasAnalysis, module))
+    pdg.adopt_shards(shards)
     return pdg
 
 

@@ -88,23 +88,22 @@ def load(
     """``noelle-load``: bring the layer up *without computing* anything.
 
     Abstractions materialize on first use.  The PDG's shards are
-    adopted rather than built when someone already paid for them: from
-    the module's own metadata (``noelle-meta-pdg-embed``) if it is
-    still current, else from the artifact cache if one is configured —
-    which also binds the facade, so invalidation mirrors onto disk.
-    Every driver (CLI verbs, serve sessions, the test harness, the
-    Figure 1 pipeline) takes its facade from here.
+    adopted rather than built when someone already paid for them, into
+    the facade's own graph and in this order: first from the module's
+    own metadata (``noelle-meta-pdg-embed``) if it is still current,
+    then from the artifact cache, if one is configured, for the
+    functions the embedding did not cover.  The cache also binds the
+    facade, so invalidation mirrors onto disk, and hydrates the
+    module's engine plans.  Every driver (CLI verbs, serve sessions,
+    the test harness, the Figure 1 pipeline) takes its facade from here.
     """
-    noelle = Noelle(module, architecture, profile)
-    embedded = load_embedded_pdg(module, noelle.alias_analysis)
-    if embedded is not None:
-        noelle.adopt_pdg(embedded)
-    else:
-        # Imported here: repro.tools is imported by every pass pipeline,
-        # most of which never load; the store's imports cost ~4 MB.
-        from .. import cache
+    # Imported here: repro.tools is imported by every pass pipeline,
+    # most of which never load; the store's imports cost ~4 MB.
+    from .. import cache
 
-        cache.attach(noelle)
+    noelle = Noelle(module, architecture, profile)
+    load_embedded_pdg(module, noelle.pdg())
+    cache.attach(noelle)
     return noelle
 
 
@@ -290,8 +289,8 @@ def helix_pipeline(
     byte-identical pre-pass snapshot (with a crash bundle) and compilation
     continues with the surviving module — one bad optimization degrades,
     it does not abort.  Pass an explicit ``pass_manager`` to configure the
-    transactions (crash directory, deadline, step budget, fault plan) or
-    to inspect results and bundles afterwards.  HELIX skips the loops
+    transactions (crash directory, fault plan, checker gate) or to
+    inspect results and bundles afterwards.  HELIX skips the loops
     colder than ``minimum_hotness``.
     """
     from .whole_ir import whole_ir_from_sources

@@ -22,12 +22,10 @@ import pytest
 
 from repro.analysis.loopinfo import LoopInfo
 from repro.core.noelle import Noelle
-from repro.core.pdg import PDG
 from repro.frontend import compile_source
 from repro.ir.intrinsics import generated_functions
 from repro.perf import STATS
 from repro.robust.passmanager import PassManager
-from repro.tools.meta_pdg_embed import embed_pdg, load_embedded_pdg
 from repro.workloads import all_workloads
 from tests.conftest import insert_dead_add
 
@@ -222,41 +220,11 @@ class TestIdentity:
         with pytest.raises(ValueError, match="heads no loop"):
             noelle.loop_of(natural)
 
-    def test_full_invalidate_and_adopt_pdg_drop_every_loop(self):
+    def test_full_invalidate_drops_every_loop(self):
         noelle = self.noelle
         before = list(noelle.loops())  # kept alive: ids stay unique
         noelle.invalidate()
         assert not shared(before, noelle.loops())
-
-        before = list(noelle.loops())
-        infos = {
-            fn.name: noelle.loop_info(fn)
-            for fn in self.module.defined_functions()
-        }
-        embed_pdg(self.module, noelle.pdg())
-        noelle.adopt_pdg(load_embedded_pdg(self.module))
-        loops = list(noelle.loops())
-        assert not shared(before, loops)
-        assert all(l.pdg is noelle.pdg() for l in loops)
-        # Loop info is CFG-only and survives a PDG swap.
-        for fn in self.module.defined_functions():
-            assert noelle.loop_info(fn) is infos[fn.name]
-        # A rehydrated PDG is an ordinary PDG: invalidate(fn) drops one
-        # shard and that function's loops, nothing else.
-        adopted = noelle.pdg()
-        scale = self.module.get_function("scale")
-        builds = STATS.get("pdg.shard_builds")
-        noelle.invalidate(scale)
-        assert noelle.pdg() is adopted
-        assert {fn.name for fn in adopted.built_functions()} == {
-            "fill", "total", "main"
-        }
-        kept = [l for l in loops if l.structure.function is not scale]
-        after = list(noelle.loops())
-        assert shared(kept, after) == {id(l) for l in kept}
-        assert len(after) == len(loops) and len(kept) == len(loops) - 1
-        adopted.materialize()
-        assert STATS.get("pdg.shard_builds") - builds == 1
 
     def test_outlined_task_functions_appear_on_the_next_assembly(self):
         noelle = self.noelle
@@ -323,7 +291,7 @@ def assert_coherent(noelle, when, exact=False):
     rebuilt, fresh = (
         Noelle(module, profile=noelle.profile()) for _ in range(2)
     )
-    rebuilt.adopt_pdg(PDG(module, noelle.alias_analysis()))
+    rebuilt.pdg().aa = noelle.alias_analysis()
     numbering = [
         [(id(l.structure.header), l.structure.loop_id) for l in facade.loops()]
         for facade in (noelle, rebuilt, fresh)

@@ -133,8 +133,12 @@ def _through_metadata(workload, source_pdg):
 
 def _through_cache(workload, source_pdg):
     """Publish from one facade, attach another over a fresh decode."""
-    publisher = Noelle(source_pdg.module)
-    publisher.adopt_pdg(source_pdg)
+    module = source_pdg.module
+    publisher = Noelle(module)
+    publisher.pdg().adopt_shards({
+        fn.name: source_pdg.export_shard(fn)
+        for fn in module.defined_functions()
+    })
     cache.attach(publisher)
     cache.publish_artifacts(source_pdg.module, publisher)
     return load(cache.cached_compile(workload.source, workload.name))
@@ -354,37 +358,6 @@ def test_embedded_pdg_round_trips_through_shards():
     assert edge_multiset(loaded) == edge_multiset(original)
     assert loaded.memory_queries == original.memory_queries
     assert loaded.memory_disproved == original.memory_disproved
-
-
-# -- adopt_pdg: the public seam noelle-load uses -------------------------------------
-
-
-def test_adopt_pdg_installs_and_drops_dependent_caches():
-    from repro.frontend.codegen import compile_source
-
-    module = compile_source(
-        """
-int a[40];
-int main() {
-  int i; int s = 0;
-  for (i = 0; i < 40; i = i + 1) { s = s + a[i]; }
-  print_int(s);
-  return s;
-}
-""",
-        "loopy",
-    )
-    noelle = Noelle(module)
-    stale_loops = noelle.loops()  # built against the self-computed PDG
-    assert stale_loops  # the workload has a loop
-    embed_pdg(module)
-    loaded = load_embedded_pdg(module)
-    noelle.adopt_pdg(loaded)
-    assert noelle.pdg() is loaded
-    fresh_loops = noelle.loops()
-    assert fresh_loops is not stale_loops
-    assert fresh_loops
-    assert all(loop.pdg is loaded for loop in fresh_loops)
 
 
 def test_noelle_load_adopts_embedded_pdg():

@@ -10,6 +10,7 @@ from repro.frontend.codegen import compile_source
 from repro.interp.interp import Interpreter
 from repro.ir import print_module, verify_module
 from repro.robust.faults import FaultPlan, InjectedFault
+from repro.robust import passmanager
 from repro.robust.passmanager import PassManager, build_pass
 from repro.tools.meta_pdg_embed import embed_pdg, load_embedded_pdg
 from repro.workloads.registry import all_workloads
@@ -248,8 +249,9 @@ class TestRollback:
 
 
 class TestBudgets:
-    def test_wall_clock_overrun_rolls_back(self):
-        manager, module = fresh_manager(deadline_s=0.0)
+    def test_wall_clock_overrun_rolls_back(self, monkeypatch):
+        monkeypatch.setattr(passmanager, "DEADLINE_S", 0.0)
+        manager, module = fresh_manager()
         before = print_module(module)
 
         def slow(noelle):

@@ -242,6 +242,51 @@ class TestOneDoor:
         assert STATS.get("cache.hits") == hits + 1
         assert STATS.get("engine.compiles") == compiles
 
+    def test_an_embedded_pdg_loads_with_the_store(self, tmp_path):
+        # Two processes, one store: the second adopts the embedded
+        # shards and hydrates the engine plans the first one published.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.frontend import compile_source
+        from repro.ir import write_module_file
+        from repro.tools.meta_pdg_embed import embed_pdg
+        from repro.workloads import get
+
+        module = compile_source(get("crc32").source, "crc32")
+        embed_pdg(module)
+        path = tmp_path / "crc32.nir"
+        write_module_file(module, str(path))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            NOELLE_CACHE_DIR=str(tmp_path / "cache"),
+            NOELLE_STATS="1",
+        )
+        env.pop("NOELLE_FAULTS", None)
+
+        def counters(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.tools.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            rows = [line.split() for line in done.stderr.splitlines()]
+            return {
+                row[0]: int(row[1])
+                for row in rows if len(row) == 2 and row[1].isdigit()
+            }
+
+        counters("run", str(path))
+        warm = counters("parallelize", str(path), "-o",
+                        str(tmp_path / "par.ir"))
+        assert warm["cache.hits"] == 1
+        assert warm["cache.engine_plans_hydrated"] > 0
+        assert "engine.compiles" not in warm
+        assert "pdg.shard_builds" not in warm
+
     @pytest.mark.parametrize("workload", ["crc32", "susan"])
     @pytest.mark.parametrize("verb", ["report", "parallelize", "check"])
     def test_a_store_changes_nothing_printed_or_written(
@@ -367,6 +412,25 @@ int main() {
             )
         assert len(outputs) == 1
         assert b"1*unknown(%t) + -1*unknown(%width)" in outputs.pop()
+
+
+class TestFuzz:
+    def test_an_unknown_oracle_is_a_usage_error(self, capsys, monkeypatch):
+        from repro.fuzz import driver
+        from repro.fuzz.oracles import ORACLES
+
+        def no_case(payload):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(driver, "_run_case_payload", no_case)
+        argv = ["fuzz", "--count", "1", "--oracles", "engine,bogus,binio"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro-noelle fuzz: unknown oracle(s) bogus; "
+            f"expected a subset of {', '.join(ORACLES)}\n"
+        )
 
 
 class TestCheck:
