@@ -153,9 +153,13 @@ def attach(noelle) -> ModuleCacheBinding | None:
         store.publish_module(key, module, print_module(module))
     binding = ModuleCacheBinding(store, key, module)
     with STATS.timer("cache.hydrate_pdg"):
-        shards = store.load_pdg_shards(key)
+        pdg = noelle.pdg()
+        held = {id(fn) for fn in pdg.built_functions()}
+        shards = store.load_pdg_shards(key, [
+            fn.name for fn in module.defined_functions() if id(fn) not in held
+        ])
         if shards:
-            adopted, refused = noelle.pdg().adopt_shards(shards)
+            adopted, refused = pdg.adopt_shards(shards)
             for name in adopted:
                 binding.hydrated.add(name)
                 STATS.count("cache.pdg_shards_hydrated")

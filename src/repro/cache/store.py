@@ -190,21 +190,21 @@ class ArtifactStore:
             return
         self._write_atomic(path, pickle.dumps(payload, protocol=4))
 
-    def load_pdg_shards(self, key: str) -> dict[str, dict]:
-        """Every readable PDG shard of an entry, by function name."""
+    def load_pdg_shards(self, key: str, fn_names: list[str]) -> dict[str, dict]:
+        """The readable PDG shards of an entry among the functions
+        ``fn_names``, by function name; only their files are read."""
         directory = os.path.join(self.entry_dir(key), "pdg")
         shards: dict[str, dict] = {}
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return shards
-        for filename in names:
-            data = self._read(os.path.join(directory, filename))
+        for fn_name in fn_names:
+            path = os.path.join(directory, _fn_filename(fn_name) + ".pkl")
+            data = self._read(path)
             if data is None:
                 continue
+            STATS.count("cache.pdg_shard_reads")
             try:
                 payload = pickle.loads(data)
-                fn_name = payload["fn"]
+                if payload["fn"] != fn_name:
+                    continue
             except Exception:
                 continue  # corrupt shard: skip (rebuilt lazily)
             shards[fn_name] = payload

@@ -72,8 +72,15 @@ call, to one Python function ``_fn(st, *args)``:
   taken and always on.  The frame's exit adds their sum to
   ``st.blocks_compiled`` (``engine.blocks_compiled``, flushed once per
   ``Interpreter.run``) and, only when ``Interpreter.block_profile`` is
-  set (:class:`~repro.interp.interp.BlockProfile`), folds the non-zero
-  ones into it; an indirect call counts its target there too.  A local
+  set (:class:`~repro.interp.interp.BlockProfile`), adds them into the
+  function's totals there: the list ``totals[_E]``, keyed by the
+  function's edge table (an :class:`~repro.interp.engine.EdgeTable`,
+  bound once per function by ``hydrate_function``), one statement per
+  counter up to :data:`_UNROLLED_COUNTERS` and one ``_tally`` call
+  above.  ``Interpreter.run`` folds the totals into the profile's
+  ``edges`` once, when the run ends.  The profiled and the plain run
+  execute the same code.  An indirect call counts its target in the
+  profile too.  A local
   ``at`` — set on the cold raise paths and before each call — is the
   partial-frame position a ``MemoryTrap`` or ``exit()`` unwinding
   through the frame records.
@@ -153,6 +160,15 @@ _TERMINATORS = (Branch, CondBranch, Switch, Ret, Unreachable)
 #: of the source (CPython refuses 100 levels) and the compiler's own
 #: recursion along a chain of blocks.
 _NESTING_CAP = 32
+
+#: The most counters (the entry's and one per CFG edge) a frame's exit
+#: adds into its function's profile totals one statement each; a frame
+#: with more hands them to one ``_tally`` call.  Half the registry's
+#: functions have at most 5 counters and nine in ten at most 12, so the
+#: unrolled form covers the small, often-called functions without
+#: lengthening the source of the large ones: ``compile()`` of the
+#: generated code does not measurably grow.
+_UNROLLED_COUNTERS = 8
 
 _ICMP_SYMBOLS = {
     "eq": "==",
@@ -1038,12 +1054,19 @@ class _Compiler:
             )
         if self._has_allocs:
             lines.append("        _release(st, allocs)")
-        lines += [
-            "        if st.block_profile is not None:",
-            "            _fold(st.block_profile, _E, ("
-            + "".join(f"{c}, " for c in terms) + "))",
-            "",
-        ]
+        if len(terms) <= _UNROLLED_COUNTERS:
+            lines += [
+                "        if st.block_profile is not None:",
+                "            t_ = st.block_profile.totals[_E]",
+                *(f"            t_[{k}] += {term}" for k, term in enumerate(terms)),
+            ]
+        else:
+            lines += [
+                "        if st.block_profile is not None:",
+                "            _tally(st.block_profile, _E, ("
+                + "".join(f"{term}, " for term in terms) + "))",
+            ]
+        lines.append("")
         return "\n".join(lines)
 
     def compile(self):

@@ -29,6 +29,7 @@ interpreter is its reference, built only by an explicit
 from __future__ import annotations
 
 from collections import deque
+from operator import add
 
 from ..ir.instructions import INT_BINARY_OPS, BinaryOp, Cast, ICmp, Load
 from ..ir.module import Function, Module
@@ -46,7 +47,7 @@ from .semantics import (
 #: Version of the serializable compilation plan (see
 #: :func:`hydrate_function`); bump on any change to plan structure,
 #: bind specs, or the generated-source conventions they index into.
-EPLAN_VERSION = 8
+EPLAN_VERSION = 9
 
 
 class EnginePlanError(Exception):
@@ -171,13 +172,23 @@ def _release(st, allocs) -> None:
             st.memory.release(alloc.base)
 
 
-def _fold(profile, edges, counts) -> None:
-    """Fold a frame's edge counters into ``profile`` (``counts[0]`` is
-    the entry's literal 1)."""
-    table = profile.edges
-    for (src, dst), taken in zip(edges, counts):
-        if taken:
-            table[src][dst] += taken
+class EdgeTable(tuple):
+    """A compiled function's CFG edges as ``(src, dst)`` block pairs, in
+    the order of its frames' counters: ``(None, entry)`` first, then
+    edge ``k`` of the plan at position ``k``.  Hashed by identity, it
+    keys the function's totals in a
+    :class:`~repro.interp.interp.BlockProfile` at the cost of a pointer."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
+def _tally(profile, table, counts) -> None:
+    """Add a frame's edge counters (``counts[0]`` is the entry's literal
+    1) into its function's totals in ``profile``: the exit of a frame
+    with too many counters to add one statement each."""
+    totals = profile.totals[table]
+    totals[:] = map(add, totals, counts)
 
 
 def _ignore(*_event) -> None:
@@ -196,7 +207,7 @@ _HELPERS = {
     "_charge": _charge,
     "_partial": _partial,
     "_release": _release,
-    "_fold": _fold,
+    "_tally": _tally,
     "_ignore": _ignore,
     "_deque": deque,
     "_INF": float("inf"),
@@ -347,9 +358,10 @@ def hydrate_function(
         ns, refs = _namespace(engine, fn, plan["binds"], observed)
         blocks = fn.blocks
         ns["_BB"] = tuple(blocks)
-        ns["_E"] = ((None, blocks[0]),) + tuple(
-            (blocks[src], blocks[dst]) for src, dst in plan["edges"]
-        )
+        ns["_E"] = EdgeTable((
+            (None, blocks[0]),
+            *((blocks[src], blocks[dst]) for src, dst in plan["edges"]),
+        ))
         cf = CompiledFunction(engine, fn, refs, plan, code, observed)
         ns["_T"] = cf.tail
         exec(code, ns)

@@ -260,9 +260,20 @@ class _DeterministicPRNG:
         return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0x7FFFFFFF
 
 
+class _Totals(dict):
+    """``BlockProfile.totals``: an edge table not seen yet reads as
+    zeroed totals, one per counter."""
+
+    def __missing__(self, table: tuple) -> list[int]:
+        totals = self[table] = [0] * len(table)
+        return totals
+
+
 class BlockProfile:
-    """One profiled run's counters: the walker bumps them per block, a
-    compiled frame folds its local edge counters in when it exits.
+    """One profiled run's counters: the walker bumps ``edges`` per
+    block; a compiled frame, when it exits, adds its local edge counters
+    into its function's ``totals``, which :meth:`fold` adds into
+    ``edges`` once, when the run ends.
 
     ``edges[src][dst]`` is how often block ``dst`` was entered from
     ``src`` (None: function entry) — the only thing counted per block;
@@ -278,6 +289,20 @@ class BlockProfile:
         self.edges = defaultdict(lambda: defaultdict(int))
         self.partial: list[tuple[BasicBlock, int]] = []
         self.indirect: dict[Function, int] = defaultdict(int)
+        #: A compiled function's edge table (an
+        #: :class:`~repro.interp.engine.EdgeTable`) -> the sum of each
+        #: of its counters over its frames that exited since the last
+        #: fold; zeroed at the first such exit.
+        self.totals: dict[tuple, list[int]] = _Totals()
+
+    def fold(self) -> None:
+        """Add ``totals`` into ``edges`` and empty it."""
+        edges = self.edges
+        for table, totals in self.totals.items():
+            for (src, dst), taken in zip(table, totals):
+                if taken:
+                    edges[src][dst] += taken
+        self.totals.clear()
 
 
 class ParallelExecution:
@@ -511,6 +536,8 @@ class Interpreter:
             if self.blocks_compiled:
                 STATS.count("engine.blocks_compiled", self.blocks_compiled)
                 self.blocks_compiled = 0
+            if self.block_profile is not None:
+                self.block_profile.fold()
         return self.result
 
     # -- parallel regions -------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .instructions import Instruction, Phi, TerminatorInst
-from .types import LABEL, FunctionType, PointerType, StructType, Type
+from .types import LABEL, FunctionType, PointerType, StructType, Type, VoidType
 from .values import Argument, Constant, GlobalValue, GlobalVariable, Value
 
 
@@ -32,27 +32,41 @@ class BasicBlock(Value):
         return None
 
     def append(self, inst: Instruction) -> Instruction:
-        return self.insert(len(self.instructions), inst)
+        """:meth:`insert` at the end, where only the last instruction
+        can break the phi rule: a phi may not follow a non-phi."""
+        insts = self.instructions
+        if insts and isinstance(inst, Phi) and not isinstance(insts[-1], Phi):
+            raise self._splits_phis(inst, len(insts))
+        inst.parent = self
+        insts.append(inst)
+        if self.parent is not None:
+            self.parent.assign_name(inst)
+        return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
         """Place ``inst`` at ``index`` (0 <= index <= len).  Phis stay
         grouped at the top of the block: a phi goes only below a phi, a
         non-phi never above one."""
         insts = self.instructions
+        if index == len(insts):
+            return self.append(inst)
         if isinstance(inst, Phi):
             misplaced = index > 0 and not isinstance(insts[index - 1], Phi)
         else:
-            misplaced = index < len(insts) and isinstance(insts[index], Phi)
+            misplaced = isinstance(insts[index], Phi)
         if misplaced:
-            raise ValueError(
-                f"{inst.opcode} at index {index} of %{self.name} would "
-                "split the block's phi group"
-            )
+            raise self._splits_phis(inst, index)
         inst.parent = self
-        self.instructions.insert(index, inst)
+        insts.insert(index, inst)
         if self.parent is not None:
             self.parent.assign_name(inst)
         return inst
+
+    def _splits_phis(self, inst: Instruction, index: int) -> ValueError:
+        return ValueError(
+            f"{inst.opcode} at index {index} of %{self.name} would "
+            "split the block's phi group"
+        )
 
     def phis(self) -> Iterator[Phi]:
         for inst in self.instructions:
@@ -184,10 +198,17 @@ class Function(GlobalValue):
                 return candidate
 
     def assign_name(self, inst: Instruction) -> None:
-        """Give an instruction a unique name within this function."""
-        if inst.type.is_void():
+        """Give an instruction a unique name within this function: its
+        own, or ``v``, while no other value of the function has it."""
+        if inst.type.__class__ is VoidType:
             return
-        inst.name = self._unique_name(inst.name or "v")
+        name = inst.name or "v"
+        used = self._used_names
+        if name in used:
+            name = self._unique_name(name)
+        else:
+            used.add(name)
+        inst.name = name
 
     # -- iteration ----------------------------------------------------------------
     def instructions(self) -> Iterator[Instruction]:

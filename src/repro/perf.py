@@ -19,6 +19,9 @@ counts only runs on a walker built explicitly with
 cache (``cache.hits`` / ``cache.misses`` for content-addressed module
 lookups, ``cache.bytes_read`` / ``cache.bytes_written``,
 ``cache.pdg_shards_hydrated`` / ``cache.engine_plans_hydrated``,
+``cache.pdg_shard_reads`` — PDG shard files read, only those of
+functions that hold no shard yet, so zero when every shard came with
+the module —
 ``cache.evictions`` / ``cache.poisoned``, and the
 ``cache.hydrate_module`` / ``cache.hydrate_pdg`` / ``engine.hydrate`` /
 ``cache.publish`` timers), plus the symbolic dependence-test engine

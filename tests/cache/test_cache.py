@@ -14,6 +14,8 @@ from repro.interp.engine import EPLAN_VERSION, EnginePlanError, engine_for
 from repro.interp.interp import Interpreter
 from repro.ir import print_module, write_module
 from repro.perf import STATS
+from repro.tools import pipeline
+from repro.tools.meta_pdg_embed import embed_pdg
 from repro.tools.pipeline import load_program
 from repro.tools.whole_ir import LINK_OPTIONS_KEY, whole_ir_from_files
 from repro.workloads import all_workloads, get
@@ -153,20 +155,20 @@ def test_a_shard_that_does_not_fit_is_evicted_and_rebuilt(store):
     noelle.pdg().materialize()
     assert STATS.get("pdg.shard_builds") == builds + 1
     cache.publish_artifacts(module, noelle)
-    assert store.load_pdg_shards(key)[payload["fn"]]["ninsts"] == (
-        payload["ninsts"] - 1
-    )
+    assert store.load_pdg_shards(key, [payload["fn"]])[payload["fn"]][
+        "ninsts"
+    ] == payload["ninsts"] - 1
 
 
 def test_an_adopted_shard_is_built_when_adopted(store):
     key, _ = _publish_crc32()
-    written = store.load_pdg_shards(key)
     module = cache.cached_compile(get("crc32").source, "crc32")
+    functions = list(module.defined_functions())
+    written = store.load_pdg_shards(key, [fn.name for fn in functions])
     noelle = Noelle(module)
     builds = STATS.get("pdg.shard_builds")
     cache.attach(noelle)
     pdg = noelle.pdg()
-    functions = list(module.defined_functions())
     assert sorted(written) == sorted(fn.name for fn in functions)
     # Attach built every adopted shard's nodes and edges.
     assert len(pdg._nodes) == sum(
@@ -441,3 +443,27 @@ def test_corpus_outcomes_do_not_depend_on_a_warm_store(tmp_path, monkeypatch):
     assert all(passed for _name, passed in cold), cold
     assert STATS.get("cache.hits") > hits
     assert STATS.get("cache.misses") == misses
+
+
+def test_a_current_embedded_pdg_reads_no_shard_file(store, tmp_path):
+    """``attach`` reads the shard files of the functions that hold no
+    shard only: a ``.nir`` whose embedded PDG covers every function
+    reads none of the three the store holds for it."""
+    module = cache.cached_compile(get("susan").source, "susan")
+    noelle = Noelle(module)
+    cache.attach(noelle)
+    noelle.pdg().materialize()
+    cache.publish_artifacts(module, noelle)
+    key = cache.module_key(module)
+    assert len(os.listdir(os.path.join(store.entry_dir(key), "pdg"))) == 3
+
+    embedded = compile_source(get("susan").source, "susan")
+    embed_pdg(embedded)
+    path = tmp_path / "susan.nir"
+    path.write_bytes(write_module(embedded))
+    reads = STATS.get("cache.pdg_shard_reads")
+    hydrated = STATS.get("cache.pdg_shards_hydrated")
+    loaded = pipeline.load(load_program(str(path)))
+    assert STATS.get("cache.pdg_shard_reads") == reads
+    assert STATS.get("cache.pdg_shards_hydrated") == hydrated
+    assert len(loaded.pdg().built_functions()) == 3

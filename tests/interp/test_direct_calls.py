@@ -193,11 +193,11 @@ class TestFastPath:
         ))
         module = parse_module(text)
         cf = engine_for(module).compiled(module.functions["main"])
-        assert EPLAN_VERSION == 8
+        assert EPLAN_VERSION == 9
         twin = parse_module(text)
-        with pytest.raises(EnginePlanError, match="plan version 7 != 8"):
+        with pytest.raises(EnginePlanError, match="plan version 8 != 9"):
             engine_for(twin).adopt(
-                twin.functions["main"], {**cf.plan, "version": 7}, cf.code
+                twin.functions["main"], {**cf.plan, "version": 8}, cf.code
             )
         compiles = STATS.get("engine.compiles")
         assert _printed(twin) == [6]
