@@ -154,10 +154,9 @@ def attach(noelle) -> ModuleCacheBinding | None:
     binding = ModuleCacheBinding(store, key, module)
     with STATS.timer("cache.hydrate_pdg"):
         pdg = noelle.pdg()
-        held = {id(fn) for fn in pdg.built_functions()}
-        shards = store.load_pdg_shards(key, [
-            fn.name for fn in module.defined_functions() if id(fn) not in held
-        ])
+        shards = store.load_pdg_shards(
+            key, [fn.name for fn in pdg.unsharded_functions()]
+        )
         if shards:
             adopted, refused = pdg.adopt_shards(shards)
             for name in adopted:

@@ -195,9 +195,17 @@ class ArtifactStore:
         ``fn_names``, by function name; only their files are read."""
         directory = os.path.join(self.entry_dir(key), "pdg")
         shards: dict[str, dict] = {}
+        if not fn_names:
+            return shards
+        try:
+            present = set(os.listdir(directory))
+        except OSError:
+            return shards
         for fn_name in fn_names:
-            path = os.path.join(directory, _fn_filename(fn_name) + ".pkl")
-            data = self._read(path)
+            filename = _fn_filename(fn_name) + ".pkl"
+            if filename not in present:
+                continue
+            data = self._read(os.path.join(directory, filename))
             if data is None:
                 continue
             STATS.count("cache.pdg_shard_reads")

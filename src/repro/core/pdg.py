@@ -182,6 +182,12 @@ class PDG(DependenceGraph[Instruction]):
         """Functions whose shard is currently materialized."""
         return [shard.fn for shard in self._shards.values()]
 
+    def unsharded_functions(self) -> list[Function]:
+        """Defined functions with no shard yet, built or adopted, in
+        module order: the ones `adopt_shards` adopts a payload for."""
+        shards = self._shards
+        return [fn for fn in self.module.defined_functions() if id(fn) not in shards]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PDG {len(self._shards)} shards, {len(self._nodes)} nodes>"
 
@@ -376,8 +382,8 @@ class PDG(DependenceGraph[Instruction]):
         adopted: list[str] = []
         refused: list[str] = []
         with gc_paused:  # one pause: no collector pass between shards
-            for fn in self.module.defined_functions():
-                if fn.name not in payloads or id(fn) in self._shards:
+            for fn in self.unsharded_functions():
+                if fn.name not in payloads:
                     continue
                 if self.adopt_shard(fn, payloads[fn.name]):
                     adopted.append(fn.name)

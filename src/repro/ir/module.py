@@ -198,17 +198,9 @@ class Function(GlobalValue):
                 return candidate
 
     def assign_name(self, inst: Instruction) -> None:
-        """Give an instruction a unique name within this function: its
-        own, or ``v``, while no other value of the function has it."""
-        if inst.type.__class__ is VoidType:
-            return
-        name = inst.name or "v"
-        used = self._used_names
-        if name in used:
-            name = self._unique_name(name)
-        else:
-            used.add(name)
-        inst.name = name
+        """Give an instruction a unique name within this function."""
+        if inst.type.__class__ is not VoidType:
+            inst.name = self._unique_name(inst.name or "v")
 
     # -- iteration ----------------------------------------------------------------
     def instructions(self) -> Iterator[Instruction]:
