@@ -24,8 +24,6 @@ class ControlDependence:
         self.pdt = pdt or PostDominatorTree(fn)
         #: id(block) -> blocks whose terminators control it.
         self._controllers: dict[int, list[BasicBlock]] = defaultdict(list)
-        #: id(block) -> blocks it controls.
-        self._controlled: dict[int, list[BasicBlock]] = defaultdict(list)
         self._build()
 
     def _build(self) -> None:
@@ -50,16 +48,11 @@ class ControlDependence:
     def _add(self, controller: BasicBlock, controlled: BasicBlock) -> None:
         if controller not in self._controllers[id(controlled)]:
             self._controllers[id(controlled)].append(controller)
-            self._controlled[id(controller)].append(controlled)
 
     # -- queries -----------------------------------------------------------------
     def controllers_of(self, block: BasicBlock) -> list[BasicBlock]:
         """Blocks whose branch decides whether ``block`` executes."""
         return self._controllers.get(id(block), [])
-
-    def controlled_by(self, block: BasicBlock) -> list[BasicBlock]:
-        """Blocks whose execution is decided by ``block``'s branch."""
-        return self._controlled.get(id(block), [])
 
     def controlling_terminators(self, block: BasicBlock) -> list[TerminatorInst]:
         result = []

@@ -88,9 +88,6 @@ class DominatorTree:
                 return False
             node = parent
 
-    def strictly_dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates_block(a, b)
-
     def dominates(self, a, b) -> bool:
         """Instruction-level dominance: does instruction ``a`` dominate ``b``?"""
         if a.parent is b.parent:

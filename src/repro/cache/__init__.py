@@ -1,10 +1,10 @@
 """repro.cache — content-addressed artifact cache for warm cold-starts.
 
 Enabled by pointing ``NOELLE_CACHE_DIR`` at a directory (shared safely
-across concurrent processes).  Caches three artifact kinds per module,
-keyed by SHA-256 of the canonical printed IR plus a format/version
-salt: the binary ``.nir`` module, per-function PDG shards, and
-compiled-engine plans.  See DESIGN.md §12.
+across concurrent processes).  Caches, per module keyed by SHA-256 of
+the canonical printed IR plus a format/version salt, the binary
+``.nir`` module and two per-function artifact kinds (`ArtifactKind`):
+PDG shards and compiled-engine plans.  See DESIGN.md §12.
 """
 
 from .binding import (

@@ -1,4 +1,5 @@
-"""Cache wiring: hydration into live objects and publish-back.
+"""Cache wiring: the artifact kinds, hydration into live objects, and
+publish-back.
 
 The store (`repro.cache.store`) moves bytes; this module converts
 between those bytes and live analysis state:
@@ -10,30 +11,146 @@ between those bytes and live analysis state:
   plans are adopted, so the first `run` compiles nothing.  Without a
   store each is the plain compile / parse / decode.
 * `attach` — binds a `Noelle` facade to the cache entry of its module
-  and adopts the entry's PDG shards, so `invalidate(fn)` evicts exactly
-  that function's on-disk artifacts.
-* `publish_artifacts` — writes back whatever the process computed (PDG
-  shards, engine plans) for functions that were never mutated.
+  and adopts the entry's PDG shards and engine plans, so
+  `invalidate(fn)` evicts exactly that function's on-disk artifacts.
+* `publish_artifacts` — writes back whatever the process computed for
+  functions that were never mutated.
 
-A PDG shard crosses this boundary only as the payload of
-`PDG.export_shard` / `PDG.adopt_shards`; `attach` adopts into the
-facade's own `PDG`, an ordinary one over the facade's (not yet
-computed) alias analysis, so a function invalidated later is rebuilt
-in place.
+The per-function artifacts are the two `ArtifactKind` instances
+`PDG_SHARDS` (``objects/<key>/pdg/<fn>``: `PDG.export_shard` /
+`PDG.adopt_shards`, into the facade's own `PDG`, so a function
+invalidated later is rebuilt in place) and `ENGINE_PLANS`
+(``objects/<key>/engine/<fn>``: a compiled function's plan and code /
+`ExecutionEngine.adopt`).  Each file is one pickled envelope,
+``{"kind", "version", "fn", "payload"}``.  `_hydrate` adopts either
+kind and `ModuleCacheBinding.publish` writes either back, under one
+rule for a bad file: one that does not decode as a current envelope for
+its function, or whose payload is refused, is evicted (that kind, that
+function only), the artifact is rebuilt in this process like any
+other, and the next `publish_artifacts` writes it.  A file on disk is
+never overwritten.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import marshal
 import os
+import pickle
 import weakref
 
-from ..core.pdg import PDG
-from ..interp.engine import EnginePlanError, engine_for, existing_engine
+from ..core.pdg import PDG, SHARD_VERSION
+from ..interp.engine import EPLAN_VERSION, EnginePlanError, engine_for, existing_engine
 from ..ir import parse_module, print_module, read_module, verify_module
 from ..ir.module import Function, Module
 from ..perf import STATS
 from .store import CACHE_DIR_ENV, ArtifactStore
+
+
+class ArtifactKind:
+    """One per-function artifact, declared once.
+
+    ``name`` is its directory in an entry and ``version`` goes into each
+    file's envelope.  ``noun`` names its counters,
+    ``cache.<noun>_reads`` (files read) and ``cache.<noun>s_hydrated``
+    (payloads adopted), and ``timer`` is the STATS timer around a
+    hydration.  The rest is asked of the live object that holds the
+    artifacts, the kind's *holder*: ``missing(holder)`` and
+    ``built(holder)`` are the functions without and with one,
+    ``export(holder, fn)`` is ``fn``'s payload (None if it has none),
+    ``adopt(holder, {name: payload})`` returns the adopted and the
+    refused names, and ``pack``/``unpack`` turn a payload into what the
+    envelope pickles and back.
+    """
+
+    def __init__(self, name, version, noun, timer, *, missing, built,
+                 export, adopt, pack=None, unpack=None):
+        self.name = name
+        self.version = version
+        self.reads = f"cache.{noun}_reads"
+        self.hydrated = f"cache.{noun}s_hydrated"
+        self.timer = timer
+        self.missing = missing
+        self.built = built
+        self.export = export
+        self.adopt = adopt
+        self.pack = pack or (lambda payload: payload)
+        self.unpack = unpack or (lambda packed: packed)
+
+    def encode(self, fn_name: str, payload) -> bytes:
+        return pickle.dumps({
+            "kind": self.name,
+            "version": self.version,
+            "fn": fn_name,
+            "payload": self.pack(payload),
+        }, protocol=4)
+
+    def decode(self, fn_name: str, data: bytes):
+        """The payload of ``fn_name``'s file, or None when the file is
+        not a current envelope of this kind for that function."""
+        try:
+            envelope = pickle.loads(data)
+            if (envelope["kind"], envelope["version"], envelope["fn"]) != (
+                self.name, self.version, fn_name
+            ):
+                return None
+            return self.unpack(envelope["payload"])
+        except Exception:
+            return None
+
+
+PDG_SHARDS = ArtifactKind(
+    "pdg", SHARD_VERSION, "pdg_shard", "cache.hydrate_pdg",
+    missing=PDG.unsharded_functions,
+    built=PDG.built_functions,
+    export=PDG.export_shard,
+    adopt=PDG.adopt_shards,
+)
+
+
+def _uncompiled(module: Module) -> list[Function]:
+    compiled = engine_for(module).functions
+    return [fn for fn in module.defined_functions() if id(fn) not in compiled]
+
+
+def _compiled(module: Module) -> list[Function]:
+    engine = existing_engine(module)
+    return [] if engine is None else [cf.fn for cf in engine.functions.values()]
+
+
+def _plan_of(module: Module, fn: Function):
+    cf = module.engine.functions[id(fn)]
+    return cf.plan, cf.code
+
+
+def _adopt_plans(module: Module, payloads: dict) -> tuple[list[str], list[str]]:
+    engine = engine_for(module)
+    adopted: list[str] = []
+    refused: list[str] = []
+    for fn in module.defined_functions():
+        if fn.name in payloads:
+            try:
+                engine.adopt(fn, *payloads[fn.name])
+                adopted.append(fn.name)
+            except EnginePlanError:
+                refused.append(fn.name)
+    return adopted, refused
+
+
+#: A plan's code is marshal'd, which loads only into the interpreter
+#: generation that wrote it: its bytecode magic is part of the version.
+ENGINE_PLANS = ArtifactKind(
+    "engine", (EPLAN_VERSION, importlib.util.MAGIC_NUMBER.hex()),
+    "engine_plan", "engine.hydrate",
+    missing=_uncompiled,
+    built=_compiled,
+    export=_plan_of,
+    adopt=_adopt_plans,
+    pack=lambda payload: (payload[0], marshal.dumps(payload[1])),
+    unpack=lambda packed: (packed[0], marshal.loads(packed[1])),
+)
+
 
 #: Process-wide store singleton, keyed by the env var's current value so
 #: tests can repoint ``NOELLE_CACHE_DIR`` freely.
@@ -84,50 +201,54 @@ class ModuleCacheBinding:
         self.key = key
         self.module = module
         self.dirty: set[str] = set()
-        #: Functions whose PDG shard was adopted from this entry: on disk.
-        self.hydrated: set[str] = set()
 
     def invalidate_function(self, fn: Function) -> None:
         self.dirty.add(fn.name)
         self.store.evict_function(self.key, fn.name)
 
-    def publish_pdg(self, pdg: PDG | None) -> int:
-        """Write back built, clean shards; returns shards published."""
-        if pdg is None:
-            return 0
-        published = 0
-        for fn in pdg.built_functions():
+    def publish(self, kind: ArtifactKind, holder) -> None:
+        """Write back ``holder``'s ``kind`` artifacts of clean functions
+        that have no file yet."""
+        if holder is None:
+            return
+        for fn in kind.built(holder):
             if (
                 fn.name in self.dirty
-                or fn.name in self.hydrated
                 or fn.parent is not self.module
+                or self.store.has_artifact(self.key, kind.name, fn.name)
             ):
                 continue
-            payload = pdg.export_shard(fn)
-            if payload is None:
-                continue
-            self.store.publish_pdg_shard(self.key, fn.name, payload)
-            published += 1
-        return published
+            payload = kind.export(holder, fn)
+            if payload is not None:
+                self.store.publish_artifact(
+                    self.key, kind.name, fn.name, kind.encode(fn.name, payload)
+                )
 
-    def publish_engine(self) -> int:
-        """Write back compiled-engine plans for clean functions."""
-        engine = existing_engine(self.module)
-        if engine is None:
-            return 0
-        published = 0
-        for cf in list(engine.functions.values()):
-            fn = cf.fn
-            if (
-                cf.plan is None
-                or cf.code is None
-                or fn.name in self.dirty
-                or fn.parent is not self.module
-            ):
-                continue
-            self.store.publish_engine_plan(self.key, fn.name, cf.plan, cf.code)
-            published += 1
-        return published
+
+def _hydrate(store: ArtifactStore, key: str, kind: ArtifactKind,
+             holder) -> None:
+    """Adopt the entry's ``kind`` files into ``holder`` for the functions
+    that still need one; only their files are read.  A file that does
+    not decode, or whose payload ``holder`` refuses, is evicted."""
+    with STATS.timer(kind.timer):
+        files = store.load_artifacts(
+            key, kind.name, [fn.name for fn in kind.missing(holder)]
+        )
+        if not files:
+            return
+        STATS.count(kind.reads, len(files))
+        payloads = {}
+        for name, data in files.items():
+            payload = kind.decode(name, data)
+            if payload is None:
+                store.evict_artifact(key, kind.name, name)
+            else:
+                payloads[name] = payload
+        adopted, refused = kind.adopt(holder, payloads)
+        for name in refused:
+            store.evict_artifact(key, kind.name, name)
+        if adopted:
+            STATS.count(kind.hydrated, len(adopted))
 
 
 def attach(noelle) -> ModuleCacheBinding | None:
@@ -135,9 +256,8 @@ def attach(noelle) -> ModuleCacheBinding | None:
 
     Publishes the module payload if this is the first sighting of its
     content.  The entry's PDG shards are adopted into ``noelle.pdg()``
-    for every function that holds no shard yet, and a shard that does
-    not fit the code it is filed under is evicted; engine plans hydrate
-    into the module's engine.
+    for every function that holds no shard yet, and its engine plans
+    into the module's engine for every function not compiled yet.
     """
     store = get_store()
     if store is None:
@@ -152,46 +272,10 @@ def attach(noelle) -> ModuleCacheBinding | None:
     elif not store.has_entry(key):
         store.publish_module(key, module, print_module(module))
     binding = ModuleCacheBinding(store, key, module)
-    with STATS.timer("cache.hydrate_pdg"):
-        pdg = noelle.pdg()
-        shards = store.load_pdg_shards(
-            key, [fn.name for fn in pdg.unsharded_functions()]
-        )
-        if shards:
-            adopted, refused = pdg.adopt_shards(shards)
-            for name in adopted:
-                binding.hydrated.add(name)
-                STATS.count("cache.pdg_shards_hydrated")
-            # Make room for the shards this process will build.
-            for name in refused:
-                store.evict_function(key, name)
-    _hydrate_engine(store, key, module)
+    _hydrate(store, key, PDG_SHARDS, noelle.pdg())
+    _hydrate(store, key, ENGINE_PLANS, module)
     noelle.bind_cache(binding)
     return binding
-
-
-def _hydrate_engine(store: ArtifactStore, key: str, module: Module) -> int:
-    """Adopt the cached engine plan of every function that still needs
-    one; plans that no longer match (stale after a format drift) are
-    evicted.  Plan files of already-hydrated functions are not re-read."""
-    engine = engine_for(module)
-    hydrated = 0
-    for fn in module.defined_functions():
-        if id(fn) in engine.functions:
-            continue
-        with STATS.timer("engine.hydrate"):
-            loaded = store.load_engine_plan(key, fn.name)
-            if loaded is None:
-                continue
-            plan, code = loaded
-            try:
-                engine.adopt(fn, plan, code)
-            except EnginePlanError:
-                store.evict_function(key, fn.name)
-                continue
-        hydrated += 1
-        STATS.count("cache.engine_plans_hydrated")
-    return hydrated
 
 
 def publish_artifacts(module: Module, noelle=None) -> None:
@@ -215,8 +299,8 @@ def publish_artifacts(module: Module, noelle=None) -> None:
         binding = ModuleCacheBinding(store, key, module)
     with STATS.timer("cache.publish"):
         if noelle is not None:
-            binding.publish_pdg(noelle._pdg)
-        binding.publish_engine()
+            binding.publish(PDG_SHARDS, noelle._pdg)
+        binding.publish(ENGINE_PLANS, module)
 
 
 # -- front doors -------------------------------------------------------------
@@ -260,7 +344,7 @@ def _load(kind: str, name: str, raw: str | bytes, build) -> Module:
     _KEYS[module] = key
     # Also after a miss: the canonical text may already be warm, reached
     # through another front door.
-    _hydrate_engine(store, key, module)
+    _hydrate(store, key, ENGINE_PLANS, module)
     return module
 
 

@@ -5,9 +5,7 @@ Layout under the cache root (``NOELLE_CACHE_DIR``)::
     objects/<key>/module.nir        binary module (repro.ir.binio)
     objects/<key>/meta.json         entry metadata — written LAST, so its
                                     presence commits the entry
-    objects/<key>/pdg/<fn>.pkl      per-function PDG shard (pickle)
-    objects/<key>/engine/<fn>.plan  per-function engine plan + marshal'd
-                                    code object
+    objects/<key>/<kind>/<fn>       one function's artifact of one kind
     aliases/<digest>                source-text digest -> entry key
     tmp/                            staging area for atomic publishes
 
@@ -19,21 +17,19 @@ into place, so concurrent processes (serve workers, ``jobs=N`` pools)
 can share one cache directory without locks — readers see either the
 old complete file or the new complete file, never a torn one.
 
-Validation on read is structural and cheap: the module payload's
-SHA-256 must match ``meta.json`` (a mismatch is treated as poisoning —
-the entry is evicted and the lookup reported as a miss), and engine
-plan files carry the plan version plus the CPython bytecode magic
-(marshal'd code objects are interpreter-specific).
+The store moves bytes.  What a ``<kind>`` directory holds, how its
+files are encoded and versioned, and when one is bad is declared by the
+kinds in `repro.cache.binding`; the store names none of them.  The one
+check it makes itself is on the module payload: its SHA-256 must match
+``meta.json`` (a mismatch is treated as poisoning — the entry is evicted
+and the lookup reported as a miss).
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import marshal
 import os
-import pickle
 import shutil
 
 from ..interp.engine import EPLAN_VERSION
@@ -49,10 +45,6 @@ CACHE_DIR_ENV = "NOELLE_CACHE_DIR"
 #: engine plan versions: bumping either orphans all old entries.
 KEY_SALT = f"repro-noelle-cache-v1:nir{FORMAT_VERSION}:eplan{EPLAN_VERSION}:"
 
-#: CPython bytecode magic — marshal'd code objects only load into the
-#: same interpreter generation that wrote them.
-_PY_MAGIC = importlib.util.MAGIC_NUMBER.hex()
-
 _counter = 0
 
 
@@ -64,6 +56,21 @@ def _fn_filename(name: str) -> str:
     if safe != name or len(safe) > 80:
         safe = safe[:48] + "~" + hashlib.sha256(name.encode()).hexdigest()[:16]
     return safe
+
+
+def _listdir(path: str) -> list[str]:
+    try:
+        return os.listdir(path)
+    except OSError:
+        return []
+
+
+def _unlink(path: str) -> bool:
+    try:
+        os.unlink(path)
+    except OSError:
+        return False
+    return True
 
 
 class ArtifactStore:
@@ -180,81 +187,32 @@ class ArtifactStore:
             self.evict(key)
             return None
 
-    # -- PDG shards ----------------------------------------------------------
+    # -- per-function artifacts ----------------------------------------------
 
-    def publish_pdg_shard(self, key: str, fn_name: str, payload: dict) -> None:
-        path = os.path.join(
-            self.entry_dir(key), "pdg", _fn_filename(fn_name) + ".pkl"
-        )
-        if os.path.exists(path):
-            return
-        self._write_atomic(path, pickle.dumps(payload, protocol=4))
+    def artifact_path(self, key: str, kind: str, fn_name: str) -> str:
+        return os.path.join(self.entry_dir(key), kind, _fn_filename(fn_name))
 
-    def load_pdg_shards(self, key: str, fn_names: list[str]) -> dict[str, dict]:
-        """The readable PDG shards of an entry among the functions
+    def has_artifact(self, key: str, kind: str, fn_name: str) -> bool:
+        return os.path.exists(self.artifact_path(key, kind, fn_name))
+
+    def publish_artifact(self, key: str, kind: str, fn_name: str,
+                         data: bytes) -> None:
+        self._write_atomic(self.artifact_path(key, kind, fn_name), data)
+
+    def load_artifacts(self, key: str, kind: str,
+                       fn_names: list[str]) -> dict[str, bytes]:
+        """The ``kind`` files of an entry among the functions
         ``fn_names``, by function name; only their files are read."""
-        directory = os.path.join(self.entry_dir(key), "pdg")
-        shards: dict[str, dict] = {}
-        if not fn_names:
-            return shards
-        try:
-            present = set(os.listdir(directory))
-        except OSError:
-            return shards
+        directory = os.path.join(self.entry_dir(key), kind)
+        files: dict[str, bytes] = {}
+        present = set(_listdir(directory)) if fn_names else ()
         for fn_name in fn_names:
-            filename = _fn_filename(fn_name) + ".pkl"
-            if filename not in present:
-                continue
-            data = self._read(os.path.join(directory, filename))
-            if data is None:
-                continue
-            STATS.count("cache.pdg_shard_reads")
-            try:
-                payload = pickle.loads(data)
-                if payload["fn"] != fn_name:
-                    continue
-            except Exception:
-                continue  # corrupt shard: skip (rebuilt lazily)
-            shards[fn_name] = payload
-        return shards
-
-    # -- engine plans --------------------------------------------------------
-
-    def publish_engine_plan(self, key: str, fn_name: str, plan: dict,
-                            code) -> None:
-        path = os.path.join(
-            self.entry_dir(key), "engine", _fn_filename(fn_name) + ".plan"
-        )
-        if os.path.exists(path):
-            return
-        payload = {
-            "fn": fn_name,
-            "eplan": EPLAN_VERSION,
-            "magic": _PY_MAGIC,
-            "plan": plan,
-            "code": marshal.dumps(code),
-        }
-        self._write_atomic(path, pickle.dumps(payload, protocol=4))
-
-    def load_engine_plan(self, key: str, fn_name: str):
-        """One function's engine plan as ``(plan, code)``, or None."""
-        path = os.path.join(
-            self.entry_dir(key), "engine", _fn_filename(fn_name) + ".plan"
-        )
-        data = self._read(path)
-        if data is None:
-            return None
-        try:
-            payload = pickle.loads(data)
-            if (
-                payload["eplan"] != EPLAN_VERSION
-                or payload["magic"] != _PY_MAGIC
-                or payload["fn"] != fn_name
-            ):
-                return None
-            return payload["plan"], marshal.loads(payload["code"])
-        except Exception:
-            return None  # corrupt plan: recompiled instead
+            filename = _fn_filename(fn_name)
+            if filename in present:
+                data = self._read(os.path.join(directory, filename))
+                if data is not None:
+                    files[fn_name] = data
+        return files
 
     # -- aliases -------------------------------------------------------------
 
@@ -275,43 +233,34 @@ class ArtifactStore:
     def evict(self, key: str) -> None:
         """Drop a whole entry (meta.json first, so readers miss cleanly)."""
         entry = self.entry_dir(key)
-        try:
-            os.unlink(os.path.join(entry, "meta.json"))
-        except OSError:
-            pass
+        _unlink(os.path.join(entry, "meta.json"))
         shutil.rmtree(entry, ignore_errors=True)
         STATS.count("cache.evictions")
 
+    def evict_artifact(self, key: str, kind: str, fn_name: str) -> None:
+        """Drop one function's ``kind`` file, if it is there."""
+        if _unlink(self.artifact_path(key, kind, fn_name)):
+            STATS.count("cache.evictions")
+
     def evict_function(self, key: str, fn_name: str) -> None:
-        """Drop one function's derived artifacts (PDG shard, engine
-        plan), keeping the module payload and other functions intact."""
+        """Drop one function's file of every kind the entry holds,
+        keeping the module payload and other functions intact."""
         entry = self.entry_dir(key)
-        filename = _fn_filename(fn_name)
-        for sub, ext in (("pdg", ".pkl"), ("engine", ".plan")):
-            try:
-                os.unlink(os.path.join(entry, sub, filename + ext))
-                STATS.count("cache.evictions")
-            except OSError:
-                pass
+        for kind in _listdir(entry):
+            if os.path.isdir(os.path.join(entry, kind)):
+                self.evict_artifact(key, kind, fn_name)
 
     def clear(self) -> int:
         """Remove every entry and alias; returns entries removed."""
         removed = 0
         for directory in (self.objects, self.aliases, self.tmp):
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                continue
-            for name in names:
+            for name in _listdir(directory):
                 path = os.path.join(directory, name)
                 removed += 1
                 if os.path.isdir(path):
                     shutil.rmtree(path, ignore_errors=True)
                 else:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+                    _unlink(path)
         return removed
 
     def gc(self) -> dict:
@@ -319,73 +268,46 @@ class ArtifactStore:
         format versions, dangling aliases, and leftover tmp files."""
         pruned_entries = 0
         pruned_aliases = 0
-        pruned_tmp = 0
-        try:
-            entries = os.listdir(self.objects)
-        except OSError:
-            entries = []
-        for key in entries:
-            meta_path = os.path.join(self.objects, key, "meta.json")
-            keep = False
-            meta_raw = self._read(meta_path)
-            if meta_raw is not None:
-                try:
-                    meta = json.loads(meta_raw)
-                    keep = (
-                        meta.get("format") == FORMAT_VERSION
-                        and meta.get("key") == key
-                    )
-                except ValueError:
-                    keep = False
-            if not keep:
+        for key in _listdir(self.objects):
+            meta_raw = self._read(os.path.join(self.objects, key, "meta.json"))
+            try:
+                meta = json.loads(meta_raw) if meta_raw is not None else {}
+            except ValueError:
+                meta = {}
+            if meta.get("format") != FORMAT_VERSION or meta.get("key") != key:
                 shutil.rmtree(
                     os.path.join(self.objects, key), ignore_errors=True
                 )
                 pruned_entries += 1
-        try:
-            aliases = os.listdir(self.aliases)
-        except OSError:
-            aliases = []
-        for digest in aliases:
+        for digest in _listdir(self.aliases):
             key = self.get_alias(digest)
             if key is None or not self.has_entry(key):
-                try:
-                    os.unlink(os.path.join(self.aliases, digest))
-                except OSError:
-                    pass
+                _unlink(os.path.join(self.aliases, digest))
                 pruned_aliases += 1
-        try:
-            leftovers = os.listdir(self.tmp)
-        except OSError:
-            leftovers = []
+        leftovers = _listdir(self.tmp)
         for name in leftovers:
-            try:
-                os.unlink(os.path.join(self.tmp, name))
-            except OSError:
-                pass
-            pruned_tmp += 1
+            _unlink(os.path.join(self.tmp, name))
         return {
             "pruned_entries": pruned_entries,
             "pruned_aliases": pruned_aliases,
-            "pruned_tmp": pruned_tmp,
+            "pruned_tmp": len(leftovers),
         }
 
     def stats(self) -> dict:
-        """Entry/alias counts and on-disk footprint."""
+        """Entry/alias counts, artifact files per kind, and on-disk
+        footprint."""
         entries = 0
-        pdg_shards = 0
-        engine_plans = 0
+        artifacts: dict[str, int] = {}
         total_bytes = 0
-        try:
-            keys = os.listdir(self.objects)
-        except OSError:
-            keys = []
-        for key in keys:
+        for key in _listdir(self.objects):
             entry = os.path.join(self.objects, key)
             if not os.path.exists(os.path.join(entry, "meta.json")):
                 continue
             entries += 1
             for base, _dirs, files in os.walk(entry):
+                if base != entry:
+                    kind = os.path.basename(base)
+                    artifacts[kind] = artifacts.get(kind, 0) + len(files)
                 for filename in files:
                     try:
                         total_bytes += os.path.getsize(
@@ -393,19 +315,10 @@ class ArtifactStore:
                         )
                     except OSError:
                         pass
-                    if filename.endswith(".pkl"):
-                        pdg_shards += 1
-                    elif filename.endswith(".plan"):
-                        engine_plans += 1
-        try:
-            aliases = len(os.listdir(self.aliases))
-        except OSError:
-            aliases = 0
         return {
             "root": self.root,
             "entries": entries,
-            "aliases": aliases,
-            "pdg_shards": pdg_shards,
-            "engine_plans": engine_plans,
+            "aliases": len(_listdir(self.aliases)),
+            "artifacts": dict(sorted(artifacts.items())),
             "total_bytes": total_bytes,
         }

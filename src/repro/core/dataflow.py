@@ -230,9 +230,3 @@ def reaching_definitions(fn: Function) -> DataFlowResult:
         return set()
 
     return DataFlowEngine().run(fn, DataFlowProblem("forward", gen, kill))
-
-
-def live_phi_free_values_at(fn: Function, block: BasicBlock) -> set[int]:
-    """Convenience: ids of values live at the top of ``block``."""
-    result = liveness(fn)
-    return set(result.in_of_block(block))

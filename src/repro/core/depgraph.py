@@ -143,9 +143,6 @@ class DependenceGraph(Generic[T]):
     def node_of(self, value: T) -> DGNode[T] | None:
         return self._nodes.get(id(value))
 
-    def has_node(self, value: T) -> bool:
-        return id(value) in self._nodes
-
     def nodes(self) -> Iterator[DGNode[T]]:
         return iter(self._nodes.values())
 

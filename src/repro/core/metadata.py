@@ -11,7 +11,7 @@ lives on the module and its functions only; no instruction carries any.
 from __future__ import annotations
 
 from ..ir.instructions import Instruction
-from ..ir.module import BasicBlock, Function, Module
+from ..ir.module import Module
 
 
 class IDAssigner:
@@ -20,20 +20,13 @@ class IDAssigner:
     def __init__(self, module: Module):
         self.module = module
         self.instruction_ids: dict[int, int] = {}
-        self.block_ids: dict[int, int] = {}
-        self.function_ids: dict[int, int] = {}
         self._instruction_by_id: dict[int, Instruction] = {}
         self._assign()
 
     def _assign(self) -> None:
         next_inst = 0
-        next_block = 0
-        for fn_index, fn in enumerate(sorted(self.module.functions.values(),
-                                             key=lambda f: f.name)):
-            self.function_ids[id(fn)] = fn_index
+        for fn in sorted(self.module.functions.values(), key=lambda f: f.name):
             for block in fn.blocks:
-                self.block_ids[id(block)] = next_block
-                next_block += 1
                 for inst in block.instructions:
                     self.instruction_ids[id(inst)] = next_inst
                     self._instruction_by_id[next_inst] = inst
@@ -42,12 +35,6 @@ class IDAssigner:
     # -- queries -----------------------------------------------------------------
     def id_of_instruction(self, inst: Instruction) -> int:
         return self.instruction_ids[id(inst)]
-
-    def id_of_block(self, block: BasicBlock) -> int:
-        return self.block_ids[id(block)]
-
-    def id_of_function(self, fn: Function) -> int:
-        return self.function_ids[id(fn)]
 
     def instruction_by_id(self, ident: int) -> Instruction:
         return self._instruction_by_id[ident]

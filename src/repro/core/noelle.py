@@ -24,7 +24,7 @@ from .pdg import PDG
 if TYPE_CHECKING:  # each method imports what it builds, when it builds it
     from ..analysis.aa import AliasAnalysis
     from ..analysis.pointsto import PointsToAnalysis
-    from ..analysis.dominators import DominatorTree, PostDominatorTree
+    from ..analysis.dominators import DominatorTree
     from ..analysis.loopinfo import LoopInfo, NaturalLoop
     from .architecture import ArchitectureDescription
     from .callgraph import CallGraph
@@ -126,11 +126,6 @@ class Noelle:
         from ..analysis.dominators import DominatorTree
 
         return DominatorTree(fn)
-
-    def post_dominators(self, fn: Function) -> PostDominatorTree:
-        from ..analysis.dominators import PostDominatorTree
-
-        return PostDominatorTree(fn)
 
     # -- loops --------------------------------------------------------------------------
     def _loop_record(self, fn: Function) -> _FunctionLoops:

@@ -20,28 +20,6 @@ from ..ir.instructions import Instruction
 from .sccdag import SCC, SCCDAG
 
 
-class Partition:
-    """One ordered group of SCCs."""
-
-    def __init__(self, index: int):
-        self.index = index
-        self.sccs: list[SCC] = []
-
-    def instructions(self) -> list[Instruction]:
-        result: list[Instruction] = []
-        for scc in self.sccs:
-            result.extend(scc.instructions)
-        return result
-
-    def cost(self) -> int:
-        return sum(
-            INSTRUCTION_COSTS.get(i.opcode, 1) for i in self.instructions()
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Partition {self.index}: {len(self.sccs)} SCCs>"
-
-
 class SCCDAGPartitioner:
     """Builds constraint-respecting, balanced partitions of an aSCCDAG."""
 

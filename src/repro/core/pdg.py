@@ -67,6 +67,9 @@ if TYPE_CHECKING:  # imported where a loop's graph is built
     from ..analysis.deptest import DependenceTester
     from ..analysis.loopinfo import NaturalLoop
 
+#: Version of the `PDG.export_shard` payload; bump on any change to it.
+SHARD_VERSION = 1
+
 
 class _Shard:
     """One function's slice of the PDG: its nodes, edges, and counters.
@@ -241,10 +244,6 @@ class PDG(DependenceGraph[Instruction]):
     def node_of(self, value) -> DGNode[Instruction] | None:
         self._ensure_value(value)
         return super().node_of(value)
-
-    def has_node(self, value) -> bool:
-        self._ensure_value(value)
-        return super().has_node(value)
 
     def dependences_of(self, value) -> list[DGEdge[Instruction]]:
         self._ensure_value(value)
@@ -541,9 +540,6 @@ class LoopDG(DependenceGraph[Instruction]):
 
     def loop_carried_edges(self) -> list[DGEdge[Instruction]]:
         return [e for e in self._edges if e.is_loop_carried]
-
-    def has_loop_carried_data_dependences(self) -> bool:
-        return any(e.is_data() for e in self.loop_carried_edges())
 
 
 def _reverse_memory_kind(src: Instruction, dst: Instruction) -> str | None:

@@ -262,9 +262,6 @@ class SCCDAG(DependenceGraph[SCC]):
     def reducible_sccs(self) -> list[SCC]:
         return [s for s in self.sccs if s.is_reducible()]
 
-    def independent_sccs(self) -> list[SCC]:
-        return [s for s in self.sccs if s.is_independent()]
-
     def topological_order(self) -> list[SCC]:
         """SCCs ordered so every DAG edge goes forward — DSWP's stage order.
 

@@ -176,15 +176,6 @@ class Function(GlobalValue):
         self.blocks.insert(self.blocks.index(after) + 1, block)
         return block
 
-    def adopt_block(self, block: BasicBlock) -> BasicBlock:
-        """Attach an existing detached block (used by loop transformations)."""
-        block.parent = self
-        block.name = self._unique_name(block.name or "bb")
-        self.blocks.append(block)
-        for inst in block.instructions:
-            self.assign_name(inst)
-        return block
-
     # -- naming ------------------------------------------------------------------
     def _unique_name(self, hint: str) -> str:
         if hint and hint not in self._used_names:

@@ -30,7 +30,8 @@ The operands of each opcode are those :meth:`Instruction.__str__` prints:
 ``trunc T v to T`` (every cast), ``br label %b``,
 ``br T c, label %t, label %f``, ``switch T v, label %d [ (T c, label %b)* ]``,
 ``ret void``, ``ret T v`` and ``unreachable``.  A block reference ``%b``
-is spelled with its ``%``.
+is spelled with its ``%``, and the ``T`` in front of a named operand is
+its definition's type.
 
 A line is split by one ``findall`` (:func:`_tokenize`; a body line that
 recurs is split once) and read by index over its tokens, and a type
@@ -43,7 +44,8 @@ body is read.
 Error contract: malformed text raises :class:`ParseError` and nothing
 else, with a message that starts ``line N:`` (for an undefined local, the
 line of its first use).  Tokens left over after a complete line are an
-error, and so is a type nested deeper than the stack, and whatever the
+error, and so is an operand written with another type than its
+definition's, a type nested deeper than the stack, and whatever the
 IR's constructors refuse (a load through an integer, a second
 ``declare @f``), which is reported in their words.
 """
@@ -431,7 +433,7 @@ class _Reader:
                 values[result] = inst
                 fn._used_names.add(name)
                 if forward and result in forward:
-                    forward.pop(result)[0].replace_all_uses_with(inst)
+                    self._resolve(forward.pop(result), inst)
         for phi, ty, incoming, self.line_no in self.phis:
             for tok, pred in incoming:
                 value = values.get(tok)
@@ -446,6 +448,15 @@ class _Reader:
             self.line_no = min(line for _, line in unresolved)
             names = ", ".join(tok for tok, _ in unresolved)
             self.fail(f"use of undefined value(s) {names} in @{fn.name}")
+
+    def _resolve(self, forward: tuple[Value, int], inst: Value) -> None:
+        """Point the uses of a forward reference at its definition."""
+        placeholder, line_no = forward
+        # A callee's placeholder is VOID: its definition types it.
+        if placeholder.type is not VOID and placeholder.type != inst.type:
+            self.line_no = line_no
+            self.fail(f"%{inst.name} is {inst.type}, written as {placeholder.type}")
+        placeholder.replace_all_uses_with(inst)
 
     def value(self, tok: str | None, ty: Type) -> Value:
         """The value ``tok`` names, where it is not (yet) in ``values``."""
@@ -467,7 +478,11 @@ class _Reader:
             i += 1
         tok = toks[i]
         value = self.values.get(tok)
-        return (self.value(tok, ty) if value is None else value), i + 1
+        if value is None:
+            value = self.value(tok, ty)
+        if value.type is not ty and value.type != ty:
+            self.fail(f"{tok} is {value.type}, written as {ty}")
+        return value, i + 1
 
     def pair(self, toks: tuple, i: int) -> tuple[Value, Value, int]:
         """The operands ``T a, T b`` at ``toks[i]``, and the index after."""

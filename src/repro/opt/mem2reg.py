@@ -173,12 +173,3 @@ def _prune_dead_phis(fn: Function) -> None:
                     phi.replace_all_uses_with(only)
                     phi.erase_from_parent()
                     changed = True
-
-
-class Mem2RegPass:
-    """Object-style wrapper used by the pipeline driver."""
-
-    name = "mem2reg"
-
-    def run(self, module: Module) -> bool:
-        return promote_allocas_module(module) > 0

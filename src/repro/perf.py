@@ -19,10 +19,11 @@ counts only runs on a walker built explicitly with
 cache (``cache.hits`` / ``cache.misses`` for content-addressed module
 lookups, ``cache.bytes_read`` / ``cache.bytes_written``,
 ``cache.pdg_shards_hydrated`` / ``cache.engine_plans_hydrated``,
-``cache.pdg_shard_reads`` — PDG shard files read, only those of
-functions that hold no shard yet, so zero when every shard came with
-the module —
-``cache.evictions`` / ``cache.poisoned``, and the
+``cache.pdg_shard_reads`` / ``cache.engine_plan_reads`` — artifact
+files read, only those of functions that hold no shard or code yet, so
+zero shard reads when every shard came with the module —
+``cache.evictions`` (whole entries and single artifact files, a bad
+file included) / ``cache.poisoned``, and the
 ``cache.hydrate_module`` / ``cache.hydrate_pdg`` / ``engine.hydrate`` /
 ``cache.publish`` timers), plus the symbolic dependence-test engine
 (``deptest.pairs_tested`` with its

@@ -341,8 +341,8 @@ def _cmd_cache(args) -> int:
         print(f"cache root: {info['root']}")
         print(f"  entries:      {info['entries']}")
         print(f"  aliases:      {info['aliases']}")
-        print(f"  PDG shards:   {info['pdg_shards']}")
-        print(f"  engine plans: {info['engine_plans']}")
+        for kind, files in info["artifacts"].items():
+            print(f"  {kind + ' files:':<14}{files}")
         print(f"  total bytes:  {info['total_bytes']}")
         return 0
     if args.action == "clear":

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro import cache
+from repro.cache.binding import ENGINE_PLANS, PDG_SHARDS
 from repro.cache.store import KEY_SALT, ArtifactStore, _fn_filename
 from repro.core.noelle import Noelle
 from repro.frontend import compile_source
@@ -37,6 +38,12 @@ def _publish_crc32():
     result = Interpreter(module).run()
     cache.publish_artifacts(module, noelle)
     return cache.module_key(module), result
+
+
+def _payloads(store, key, kind, fn_names):
+    """The decoded ``kind`` payloads the store holds among ``fn_names``."""
+    files = store.load_artifacts(key, kind.name, fn_names)
+    return {name: kind.decode(name, data) for name, data in files.items()}
 
 
 def test_disabled_without_env(monkeypatch):
@@ -138,33 +145,102 @@ def test_a_shard_that_does_not_fit_is_evicted_and_rebuilt(store):
     shards = sorted(os.listdir(directory))
     victim = os.path.join(directory, shards[0])
     with open(victim, "rb") as handle:
-        payload = pickle.loads(handle.read())
+        envelope = pickle.loads(handle.read())
+    payload = envelope["payload"]
     payload["ninsts"] += 1
     with open(victim, "wb") as handle:
-        handle.write(pickle.dumps(payload, protocol=4))
+        handle.write(pickle.dumps(envelope, protocol=4))
     hydrated = STATS.get("cache.pdg_shards_hydrated")
     builds = STATS.get("pdg.shard_builds")
+    evictions = STATS.get("cache.evictions")
     module = cache.cached_compile(get("crc32").source, "crc32")
     noelle = Noelle(module)
     cache.attach(noelle)
     assert STATS.get("cache.pdg_shards_hydrated") == hydrated + len(shards) - 1
     assert not os.path.exists(victim)
+    # Only the shard goes: the function's engine plan stays.
+    assert STATS.get("cache.evictions") == evictions + 1
+    assert os.path.exists(store.artifact_path(key, "engine", payload["fn"]))
     assert payload["fn"] not in {
         fn.name for fn in noelle._pdg.built_functions()
     }
     noelle.pdg().materialize()
     assert STATS.get("pdg.shard_builds") == builds + 1
     cache.publish_artifacts(module, noelle)
-    assert store.load_pdg_shards(key, [payload["fn"]])[payload["fn"]][
+    assert _payloads(store, key, PDG_SHARDS, [payload["fn"]])[payload["fn"]][
         "ninsts"
     ] == payload["ninsts"] - 1
+
+
+def _counted(run):
+    """``run()``'s key and the counters it moved."""
+    before = STATS.snapshot()
+    key, _ = run()
+    after = STATS.snapshot()
+    return key, {
+        name: after[name] - before.get(name, 0)
+        for name in after
+        if after[name] != before.get(name, 0)
+    }
+
+
+def _damage(path, how, other):
+    """Spoil the artifact file at ``path``; ``other`` is another
+    function's file of the same kind."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if how == "garbage":
+        data = b"not an artifact"
+    elif how == "truncated":
+        data = data[:40]
+    elif how == "wrong_version":
+        envelope = pickle.loads(data)
+        envelope["version"] = ("previous", envelope["version"])
+        data = pickle.dumps(envelope, protocol=4)
+    else:
+        with open(other, "rb") as handle:
+            data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+@pytest.mark.parametrize(
+    "how", ["garbage", "truncated", "wrong_version", "other_function"]
+)
+@pytest.mark.parametrize(
+    "kind, builds",
+    [(PDG_SHARDS, "pdg.shard_builds"), (ENGINE_PLANS, "engine.compiles")],
+    ids=["pdg", "engine"],
+)
+def test_a_bad_artifact_is_evicted_rebuilt_once_and_republished(
+    store, kind, builds, how
+):
+    """The one rule for a file of either kind that does not decode as a
+    current envelope for its function; each ``_publish_crc32`` stands
+    for one process against the store."""
+    key, _ = _publish_crc32()
+    names = [fn.name for fn in cache.cached_compile(
+        get("crc32").source, "crc32").defined_functions()]
+    path = store.artifact_path(key, kind.name, names[0])
+    _damage(path, how, store.artifact_path(key, kind.name, names[1]))
+    _, repaired = _counted(_publish_crc32)
+    assert repaired.get(builds) == 1
+    assert repaired.get("cache.evictions") == 1
+    with open(path, "rb") as handle:  # written back, current again
+        assert kind.decode(names[0], handle.read()) is not None
+    _, after = _counted(_publish_crc32)
+    assert "pdg.shard_builds" not in after
+    assert "engine.compiles" not in after
+    assert "cache.evictions" not in after
+    assert after["cache.pdg_shards_hydrated"] == len(names)
+    assert after["cache.engine_plans_hydrated"] == len(names)
 
 
 def test_an_adopted_shard_is_built_when_adopted(store):
     key, _ = _publish_crc32()
     module = cache.cached_compile(get("crc32").source, "crc32")
     functions = list(module.defined_functions())
-    written = store.load_pdg_shards(key, [fn.name for fn in functions])
+    written = _payloads(store, key, PDG_SHARDS, [fn.name for fn in functions])
     noelle = Noelle(module)
     builds = STATS.get("pdg.shard_builds")
     cache.attach(noelle)
@@ -267,12 +343,8 @@ def test_per_function_invalidate_evicts_only_that_shard(store):
     names = [fn.name for fn in module.defined_functions()]
     assert len(names) >= 2
     victim = module.functions[names[0]]
-    victim_plan = os.path.join(
-        store.entry_dir(key), "engine", _fn_filename(names[0]) + ".plan"
-    )
-    other_plan = os.path.join(
-        store.entry_dir(key), "engine", _fn_filename(names[1]) + ".plan"
-    )
+    victim_plan = store.artifact_path(key, "engine", names[0])
+    other_plan = store.artifact_path(key, "engine", names[1])
     assert os.path.exists(victim_plan) and os.path.exists(other_plan)
     noelle.invalidate(victim)
     assert not os.path.exists(victim_plan)
@@ -319,11 +391,15 @@ def test_previous_plan_version_is_a_miss(store):
     for filename in os.listdir(directory):
         path = os.path.join(directory, filename)
         with open(path, "rb") as handle:
-            payload = pickle.loads(handle.read())
-        payload["eplan"] = payload["plan"]["version"] = EPLAN_VERSION - 1
+            envelope = pickle.loads(handle.read())
+        magic = envelope["version"][1]
+        envelope["version"] = (EPLAN_VERSION - 1, magic)
+        envelope["payload"][0]["version"] = EPLAN_VERSION - 1
         with open(path, "wb") as handle:
-            handle.write(pickle.dumps(payload, protocol=4))
-        assert store.load_engine_plan(key, payload["fn"]) is None
+            handle.write(pickle.dumps(envelope, protocol=4))
+        assert _payloads(store, key, ENGINE_PLANS, [envelope["fn"]]) == {
+            envelope["fn"]: None
+        }
     hydrated = STATS.get("cache.engine_plans_hydrated")
     compiles = STATS.get("engine.compiles")
     module = cache.cached_compile(get("crc32").source, "crc32")
@@ -361,8 +437,8 @@ def test_store_stats_shape(store):
     info = store.stats()
     assert info["entries"] == 1
     assert info["aliases"] == 1
-    assert info["pdg_shards"] >= 1
-    assert info["engine_plans"] >= 1
+    assert info["artifacts"]["pdg"] >= 1
+    assert info["artifacts"]["engine"] >= 1
     assert info["total_bytes"] > 0
 
 

@@ -238,6 +238,11 @@ MALFORMED_IR = {
         _main_ir("  %v = load i64, i64 7", "  ret i64 %v"), 3),
     "duplicate-declare": (_main_ir(
         "  ret i64 0", before=("declare @f() -> void", "declare @f() -> void")), 2),
+    "store-through-a-mistyped-pointer": (_main_ir(
+        "  %p = alloca i64", "  store i64 5, double %p", "  ret i64 0"), 4),
+    "add-of-a-mistyped-operand": (_main_ir(
+        "  %a = add i64 1, i64 2", "  %b = add i64 %a, double %a",
+        "  ret i64 %b"), 4),
     "store-with-a-trailing-token": (_main_ir(
         "  %p = alloca i64", "  store i64 1, i64* %p %p", "  ret i64 0"), 4),
     "ret-with-a-trailing-token": (_main_ir("  ret i64 0 7"), 3),
